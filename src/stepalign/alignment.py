@@ -1,11 +1,11 @@
-"""Monotone sequence alignment with droppable elements.
+"""Monotone sequence alignment with droppable items (Drop-DTW).
 
-The alignment space: pick a subset of slots (rows) and items (columns) to
-keep, then walk a monotone staircase over the kept submatrix using
+The alignment space: every slot (row) is matched and any subset of items
+(columns) may be dropped. The kept items are visited by a monotone
+staircase that starts on the first slot and ends on the last one, using
 diagonal, right, and down moves; every visited cell is a match and every
-unkept row/column pays its drop cost. The one-sided variant (no slot-drop
-cost) requires every slot to be matched. With drops priced out of reach
-the space reduces exactly to classic DTW.
+dropped item pays the drop cost. With drops priced out of reach the space
+reduces exactly to classic DTW.
 
 Ties are resolved deterministically: matching is preferred over dropping,
 and transition sources are tried diagonal, then row, then column, then
@@ -28,7 +28,7 @@ _INF = float("inf")
 
 @dataclass
 class AlignmentPath:
-    """Matches plus the dropped leftovers of both index sets.
+    """Matches plus the dropped items.
 
     ``matches`` is ordered along the staircase and monotone in both
     coordinates; an item shared by consecutive slots (or vice versa)
@@ -37,23 +37,19 @@ class AlignmentPath:
 
     matches: list[tuple[int, int]]
     dropped_items: list[int]
-    dropped_slots: list[int]
     total_cost: float
 
-    def validate(self, n_slots: int, n_items: int, two_sided: bool) -> None:
-        """Structural sanity: partition and monotonicity invariants."""
+    def validate(self, n_slots: int, n_items: int) -> None:
+        """Structural sanity: every slot matched, items partitioned into
+        matched and dropped, matches monotone."""
         matched_slots = {i for i, _ in self.matches}
         matched_items = {j for _, j in self.matches}
-        if matched_slots & set(self.dropped_slots):
-            raise ValidationError("a slot is both matched and dropped")
+        if matched_slots != set(range(n_slots)):
+            raise ValidationError("not every slot is matched")
         if matched_items & set(self.dropped_items):
             raise ValidationError("an item is both matched and dropped")
-        if matched_slots | set(self.dropped_slots) != set(range(n_slots)):
-            raise ValidationError("slots are not partitioned into matched/dropped")
         if matched_items | set(self.dropped_items) != set(range(n_items)):
             raise ValidationError("items are not partitioned into matched/dropped")
-        if not two_sided and self.dropped_slots:
-            raise ValidationError("one-sided alignment dropped a slot")
         for (i0, j0), (i1, j1) in zip(self.matches, self.matches[1:]):
             if i1 < i0 or j1 < j0:
                 raise ValidationError("matches are not monotone")
@@ -84,88 +80,30 @@ def _check_cost(cost: np.ndarray) -> np.ndarray:
     return cost
 
 
-def dtw(cost: np.ndarray) -> AlignmentPath:
-    """Classic full alignment; every slot and item is matched.
-
-    Moves are diagonal, right (slot takes the next item too) and down
-    (item is shared with the next slot); the total is the sum over all
-    visited cells.
-    """
-    cost = _check_cost(cost)
-    n, m = cost.shape
-    c = cost.tolist()
-    acc = [[0.0] * m for _ in range(n)]
-    bp = [[0] * m for _ in range(n)]  # 0 diag, 1 right, 2 down, 3 origin
-    for i in range(n):
-        for j in range(m):
-            if i == 0 and j == 0:
-                acc[0][0] = c[0][0]
-                bp[0][0] = 3
-                continue
-            best = _INF
-            move = 3
-            if i > 0 and j > 0 and acc[i - 1][j - 1] < best:
-                best, move = acc[i - 1][j - 1], 0
-            if j > 0 and acc[i][j - 1] < best:
-                best, move = acc[i][j - 1], 1
-            if i > 0 and acc[i - 1][j] < best:
-                best, move = acc[i - 1][j], 2
-            acc[i][j] = c[i][j] + best
-            bp[i][j] = move
-    matches = []
-    i, j = n - 1, m - 1
-    while True:
-        matches.append((i, j))
-        move = bp[i][j]
-        if move == 3:
-            break
-        if move == 0:
-            i, j = i - 1, j - 1
-        elif move == 1:
-            j -= 1
-        else:
-            i -= 1
-    matches.reverse()
-    return AlignmentPath(matches=matches, dropped_items=[], dropped_slots=[],
-                         total_cost=acc[n - 1][m - 1])
-
-
 # transition codes for the match table
 _T_DIAG, _T_ROW, _T_COL, _T_START = 0, 1, 2, 3
 
 
-def drop_dtw(cost: np.ndarray, drop_item_cost: float,
-             drop_slot_cost: float | None = None) -> AlignmentPath:
-    """Minimum-cost monotone alignment with droppable items (and slots).
+def drop_dtw(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
+    """Minimum-cost monotone alignment with droppable items.
 
-    Every dropped item costs ``drop_item_cost``; when ``drop_slot_cost`` is
-    given slots may drop too, otherwise every slot must be matched. Drop
-    costs must be finite: price drops out with a large finite value rather
-    than an infinity sentinel.
+    Every slot must be matched; every dropped item costs
+    ``drop_item_cost``. The drop cost must be finite: price drops out with
+    a large finite value rather than an infinity sentinel.
     """
     cost = _check_cost(cost)
     if not math.isfinite(drop_item_cost):
         raise ValidationError("drop_item_cost must be finite")
-    two_sided = drop_slot_cost is not None
-    if two_sided and not math.isfinite(drop_slot_cost):
-        raise ValidationError("drop_slot_cost must be finite")
     n, m = cost.shape
     c = cost.tolist()
     di = float(drop_item_cost)
-    ds = float(drop_slot_cost) if two_sided else _INF
 
     # M[i][j]: best alignment prefix whose last visited cell is (i, j).
     # RD[i][j]: M[i][j'] for some j' <= j plus drops for items j'+1..j.
-    # CD/XD extend the same idea down columns and down both axes; they only
-    # exist in the two-sided variant.
     M = [[_INF] * m for _ in range(n)]
     RD = [[_INF] * m for _ in range(n)]
-    CD = [[_INF] * m for _ in range(n)] if two_sided else None
-    XD = [[_INF] * m for _ in range(n)] if two_sided else None
     bp_m = [[_T_START] * m for _ in range(n)]
     bp_rd = [[0] * m for _ in range(n)]          # 0: at M, 1: from left
-    bp_cd = [[0] * m for _ in range(n)] if two_sided else None
-    bp_xd = [[0] * m for _ in range(n)] if two_sided else None  # 0 M, 1 left, 2 up
 
     for i in range(n):
         row_m, row_rd = M[i], RD[i]
@@ -174,21 +112,13 @@ def drop_dtw(cost: np.ndarray, drop_item_cost: float,
             # transition sources for matching at (i, j)
             best = _INF
             which = _T_START
-            if i > 0 and j > 0:
-                diag = XD[i - 1][j - 1] if two_sided else RD[i - 1][j - 1]
-                if diag < best:
-                    best, which = diag, _T_DIAG
+            if i > 0 and j > 0 and RD[i - 1][j - 1] < best:
+                best, which = RD[i - 1][j - 1], _T_DIAG
             if j > 0 and row_rd[j - 1] < best:
                 best, which = row_rd[j - 1], _T_ROW
-            if i > 0:
-                col = CD[i - 1][j] if two_sided else M[i - 1][j]
-                if col < best:
-                    best, which = col, _T_COL
-            if two_sided:
-                start = i * ds + j * di
-                if start < best:
-                    best, which = start, _T_START
-            elif i == 0:
+            if i > 0 and M[i - 1][j] < best:
+                best, which = M[i - 1][j], _T_COL
+            if i == 0:
                 start = j * di
                 if start < best:
                     best, which = start, _T_START
@@ -202,85 +132,33 @@ def drop_dtw(cost: np.ndarray, drop_item_cost: float,
                 row_rd[j] = row_rd[j - 1] + di
                 bp_rd[i][j] = 1
 
-            if two_sided:
-                CD[i][j] = row_m[j]
-                bp_cd[i][j] = 0
-                if i > 0 and CD[i - 1][j] + ds < CD[i][j]:
-                    CD[i][j] = CD[i - 1][j] + ds
-                    bp_cd[i][j] = 1
-                XD[i][j] = row_m[j]
-                bp_xd[i][j] = 0
-                if j > 0 and XD[i][j - 1] + di < XD[i][j]:
-                    XD[i][j] = XD[i][j - 1] + di
-                    bp_xd[i][j] = 1
-                if i > 0 and XD[i - 1][j] + ds < XD[i][j]:
-                    XD[i][j] = XD[i - 1][j] + ds
-                    bp_xd[i][j] = 2
-
     dropped_items: list[int] = []
-    dropped_slots: list[int] = []
     matches_rev: list[tuple[int, int]] = []
-
-    if two_sided:
-        total = XD[n - 1][m - 1]
-        all_drop = n * ds + m * di
-        if all_drop < total:
-            return AlignmentPath(matches=[], dropped_items=list(range(m)),
-                                 dropped_slots=list(range(n)), total_cost=all_drop)
-        i, j = n - 1, m - 1
-        while bp_xd[i][j] != 0:
-            if bp_xd[i][j] == 1:
-                dropped_items.append(j)
-                j -= 1
-            else:
-                dropped_slots.append(i)
-                i -= 1
-    else:
-        total = RD[n - 1][m - 1]
-        i, j = n - 1, m - 1
-        while bp_rd[i][j] == 1:
-            dropped_items.append(j)
-            j -= 1
+    i, j = n - 1, m - 1
+    while bp_rd[i][j] == 1:
+        dropped_items.append(j)
+        j -= 1
 
     while True:
         matches_rev.append((i, j))
         which = bp_m[i][j]
         if which == _T_START:
             dropped_items.extend(range(j - 1, -1, -1))
-            if two_sided:
-                dropped_slots.extend(range(i - 1, -1, -1))
             break
-        if which == _T_ROW:
-            j -= 1
-            while bp_rd[i][j] == 1:
-                dropped_items.append(j)
-                j -= 1
-        elif which == _T_COL:
+        if which == _T_COL:
             i -= 1
-            if two_sided:
-                while bp_cd[i][j] == 1:
-                    dropped_slots.append(i)
-                    i -= 1
-        else:  # _T_DIAG
-            i, j = i - 1, j - 1
-            if two_sided:
-                while bp_xd[i][j] != 0:
-                    if bp_xd[i][j] == 1:
-                        dropped_items.append(j)
-                        j -= 1
-                    else:
-                        dropped_slots.append(i)
-                        i -= 1
-            else:
-                while bp_rd[i][j] == 1:
-                    dropped_items.append(j)
-                    j -= 1
+            continue
+        if which == _T_DIAG:
+            i -= 1
+        j -= 1
+        while bp_rd[i][j] == 1:
+            dropped_items.append(j)
+            j -= 1
 
     return AlignmentPath(
         matches=matches_rev[::-1],
         dropped_items=sorted(dropped_items),
-        dropped_slots=sorted(dropped_slots),
-        total_cost=total,
+        total_cost=RD[n - 1][m - 1],
     )
 
 
@@ -288,8 +166,7 @@ _BRUTE_MAX_SLOTS = 4
 _BRUTE_MAX_ITEMS = 7
 
 
-def brute_force_align(cost: np.ndarray, drop_item_cost: float,
-                      drop_slot_cost: float | None = None) -> AlignmentPath:
+def brute_force_align(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
     """Exhaustive search over the drop_dtw alignment space. Test oracle
     only; sizes are capped because enumeration is exponential."""
     cost = _check_cost(cost)
@@ -300,12 +177,8 @@ def brute_force_align(cost: np.ndarray, drop_item_cost: float,
             f"got {n}x{m}")
     if not math.isfinite(drop_item_cost):
         raise ValidationError("drop_item_cost must be finite")
-    two_sided = drop_slot_cost is not None
-    if two_sided and not math.isfinite(drop_slot_cost):
-        raise ValidationError("drop_slot_cost must be finite")
     c = cost.tolist()
     di = float(drop_item_cost)
-    ds = float(drop_slot_cost) if two_sided else 0.0
 
     best_cost = _INF
     best_matches: list[tuple[int, int]] | None = None
@@ -313,12 +186,9 @@ def brute_force_align(cost: np.ndarray, drop_item_cost: float,
 
     def finish(i: int, j: int, acc: float) -> None:
         nonlocal best_cost, best_matches
-        tail = (m - 1 - j) * di
-        if two_sided:
-            tail += (n - 1 - i) * ds
-        elif i != n - 1:
+        if i != n - 1:
             return
-        total = acc + tail
+        total = acc + (m - 1 - j) * di
         if total < best_cost:
             best_cost = total
             best_matches = list(stack)
@@ -327,34 +197,21 @@ def brute_force_align(cost: np.ndarray, drop_item_cost: float,
         stack.append((i, j))
         acc += c[i][j]
         finish(i, j, acc)
-        top_i = n if two_sided else min(i + 2, n)
-        for i2 in range(i, top_i):
-            slot_gap = 0.0 if i2 == i else (i2 - i - 1) * ds
+        for i2 in range(i, min(i + 2, n)):
             j_lo = j if i2 > i else j + 1
             for j2 in range(j_lo, m):
                 item_gap = 0.0 if j2 == j else (j2 - j - 1) * di
-                extend(i2, j2, acc + slot_gap + item_gap)
+                extend(i2, j2, acc + item_gap)
         stack.pop()
 
-    if two_sided:
-        all_drop = n * ds + m * di
-        if all_drop < best_cost:
-            best_cost = all_drop
-            best_matches = []
-        for i0 in range(n):
-            for j0 in range(m):
-                extend(i0, j0, i0 * ds + j0 * di)
-    else:
-        for j0 in range(m):
-            extend(0, j0, j0 * di)
+    for j0 in range(m):
+        extend(0, j0, j0 * di)
 
     assert best_matches is not None
-    matched_slots = {i for i, _ in best_matches}
     matched_items = {j for _, j in best_matches}
     return AlignmentPath(
         matches=best_matches,
         dropped_items=[j for j in range(m) if j not in matched_items],
-        dropped_slots=[i for i in range(n) if i not in matched_slots],
         total_cost=best_cost,
     )
 
@@ -364,7 +221,7 @@ def decode_segments(path: AlignmentPath, slot_to_step: dict[int, int],
     """Turn a slot-to-frame alignment into one segment per step.
 
     Each step's segment spans from its first to its last matched frame;
-    steps whose slots were dropped or never matched are simply absent.
+    steps whose slots were never matched are simply absent.
     """
     bounds: dict[int, tuple[int, int]] = {}
     for slot, frame in path.matches:
@@ -384,6 +241,6 @@ def decode_segments(path: AlignmentPath, slot_to_step: dict[int, int],
 
 
 __all__ = [
-    "AlignmentPath", "percentile_drop_cost", "dtw", "drop_dtw",
+    "AlignmentPath", "percentile_drop_cost", "drop_dtw",
     "brute_force_align", "decode_segments",
 ]

@@ -8,6 +8,7 @@ header's ``tensors`` list. Metadata keys ride along in the header.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -30,7 +31,13 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
             fh.write(np.ascontiguousarray(tensors[name], dtype="<f4").tobytes())
 
 
+def _is_dim(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; any departure from the layout, including a
+    non-finite tensor value, raises FormatError naming the path."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 4:
@@ -42,19 +49,27 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(raw[4:4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
     declared = header.pop("tensors", None)
     if not isinstance(declared, list):
         raise FormatError(f"{path}: header does not declare tensors")
     tensors: dict[str, np.ndarray] = {}
     offset = 4 + header_len
     for entry in declared:
-        shape = tuple(int(x) for x in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        name = entry.get("name") if isinstance(entry, dict) else None
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(_is_dim(x) for x in shape)):
+            raise FormatError(f"{path}: bad tensor entry {entry!r}")
+        count = math.prod(shape)
         end = offset + 4 * count
         if end > len(raw):
-            raise FormatError(f"{path}: truncated tensor {entry['name']}")
+            raise FormatError(f"{path}: truncated tensor {name}")
         data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        tensors[entry["name"]] = data.reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"{path}: tensor {name} has non-finite values")
+        tensors[name] = data.reshape(shape).astype(np.float64)
         offset = end
     if offset != len(raw):
         raise FormatError(f"{path}: trailing bytes after declared tensors")

@@ -89,20 +89,6 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def loss_cb(z: np.ndarray, label: CoarseLabel, cfg: ClassBalanceConfig) -> float:
-    """Class-balanced cross entropy for one logit vector."""
-    return cb_weight(cfg, label) * float(-_log_softmax(z)[int(label)])
-
-
-def loss_cb_grad(z: np.ndarray, label: CoarseLabel,
-                 cfg: ClassBalanceConfig) -> np.ndarray:
-    """Analytic gradient with respect to the logits."""
-    probs = np.exp(_log_softmax(z))
-    onehot = np.zeros_like(probs)
-    onehot[int(label)] = 1.0
-    return cb_weight(cfg, label) * (probs - onehot)
-
-
 def _forward(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
     h = np.maximum(x @ params.w1 + params.b1, 0.0)
     return h @ params.w2 + params.b2
@@ -325,7 +311,7 @@ def load_classifier(path) -> tuple[ClassifierParams, dict]:
 
 __all__ = [
     "NUM_CLASSES", "ClassifierParams", "ClassBalanceConfig", "cb_weight",
-    "loss_cb", "loss_cb_grad", "classify", "classifier_input",
+    "classify", "classifier_input",
     "ClassifierTrainConfig", "ClassifierTraining", "detect_on_segments",
     "detect_mistakes", "train_classifier_fold", "train_classifier",
     "save_classifier", "load_classifier",

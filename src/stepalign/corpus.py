@@ -41,9 +41,6 @@ class Corpus:
         self.access_log.append((self.phase, video_id))
         return self.features[video_id]
 
-    def text_for(self, video_id: str) -> ProceduralText:
-        return self.texts[self.video_by_id(video_id).task]
-
     def task_step_features(self, task: TaskDomain) -> np.ndarray:
         return self.step_features[task]
 

@@ -227,49 +227,67 @@ def _parse_enum(cls, value, where: str):
         raise ParseError(f"{where}: unknown {cls.__name__} value {value!r}") from None
 
 
+def _expect(value, kind: type, what: str, where: str):
+    """Return ``value`` unchanged if it has JSON type ``kind``; nothing is
+    coerced, and a bool is not an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{where}: {what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _string_list(value, what: str, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{where}: {what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def parse_segment(obj: dict, where: str) -> AnnotatedSegment:
     try:
-        start, end = int(obj["start"]), int(obj["end"])
+        start, end = obj["start"], obj["end"]
         raw_step = obj["step"]
         code = obj["mistake"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"{where}: malformed segment record: {exc}") from None
     if raw_step == "undefined":
         step = None
     else:
-        step = int(raw_step)
-    if code not in CODES_TO_MISTAKE:
+        step = _expect(raw_step, int, "segment step", where)
+    if not isinstance(code, str) or code not in CODES_TO_MISTAKE:
         raise ParseError(f"{where}: unknown mistake code {code!r}")
+    description = obj.get("description")
+    if description is not None:
+        _expect(description, str, "segment description", where)
     return AnnotatedSegment(
-        segment=Segment(start, end),
+        segment=Segment(_expect(start, int, "segment start", where),
+                        _expect(end, int, "segment end", where)),
         step=step,
         mistake=CODES_TO_MISTAKE[code],
-        description=obj.get("description"),
+        description=description,
     )
 
 
 def parse_video(obj: dict, where: str = "<memory>") -> AnnotatedVideo:
+    _expect(obj, dict, "annotation record", where)
     try:
-        segments = tuple(
-            parse_segment(s, where) for s in obj["segments"]
-        )
         return AnnotatedVideo(
-            video_id=str(obj["video_id"]),
-            worker_id=str(obj["worker_id"]),
+            video_id=_expect(obj["video_id"], str, "video_id", where),
+            worker_id=_expect(obj["worker_id"], str, "worker_id", where),
             task=_parse_enum(TaskDomain, obj["task"], where),
             intent=_parse_enum(Intent, obj["intent"], where),
-            num_frames=int(obj["num_frames"]),
-            segments=segments,
+            num_frames=_expect(obj["num_frames"], int, "num_frames", where),
+            segments=tuple(parse_segment(s, where)
+                           for s in _expect(obj["segments"], list, "segments", where)),
         )
     except KeyError as exc:
         raise ParseError(f"{where}: missing annotation field {exc}") from None
 
 
 def parse_text(obj: dict, where: str = "<memory>") -> ProceduralText:
+    _expect(obj, dict, "procedural text", where)
     try:
         return ProceduralText(
             task=_parse_enum(TaskDomain, obj["task"], where),
-            steps=tuple(str(s) for s in obj["steps"]),
+            steps=_string_list(obj["steps"], "steps", where),
         )
     except KeyError as exc:
         raise ParseError(f"{where}: missing text field {exc}") from None
@@ -281,11 +299,6 @@ def _load_json(path: Path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-
-
-def load_annotation_file(path: str | Path) -> AnnotatedVideo:
-    path = Path(path)
-    return parse_video(_load_json(path), where=str(path))
 
 
 def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedVideo]]:
@@ -354,22 +367,36 @@ def save_folds(path: str | Path, folds: Iterable[FoldSpec]) -> None:
 
 
 def load_folds(path: str | Path) -> list[FoldSpec]:
+    """Read a fold file. Raises ValidationError naming the path and the
+    fold when a split is not a list of video ids or when train, val and
+    test share a video."""
     payload = _load_json(Path(path))
+    folds = []
     try:
-        return [
-            FoldSpec(fold_id=int(f["fold_id"]), train=tuple(f["train"]),
-                     val=tuple(f["val"]), test=tuple(f["test"]))
-            for f in payload
-        ]
+        for f in payload:
+            fold_id, parts = f["fold_id"], (f["train"], f["val"], f["test"])
+            where = f"{path}: fold {fold_id!r}"
+            if isinstance(fold_id, bool) or not isinstance(fold_id, int):
+                raise ValidationError(f"{where}: fold_id must be an integer")
+            for name, ids in zip(("train", "val", "test"), parts):
+                if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+                    raise ValidationError(f"{where}: {name} must be a list of video ids")
+            train, val, test = (set(ids) for ids in parts)
+            shared = (train & val) | (train & test) | (val & test)
+            if shared:
+                raise ValidationError(
+                    f"{where}: videos in more than one split: {sorted(shared)}")
+            folds.append(FoldSpec(fold_id, *(tuple(ids) for ids in parts)))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed fold file: {exc}") from None
+    return folds
 
 
 __all__ = [
     "TaskDomain", "Intent", "MistakeLabel", "CoarseLabel", "coarse_label",
     "Segment", "ProceduralText", "AnnotatedSegment", "AnnotatedVideo",
     "FoldSpec", "validate_video", "load_corpus", "save_corpus",
-    "load_annotation_file", "save_folds", "load_folds",
+    "save_folds", "load_folds",
     "video_to_json", "text_to_json", "parse_video", "parse_text",
     "MISTAKE_CODES", "CODES_TO_MISTAKE",
 ]

@@ -406,14 +406,6 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
     return total_loss, grads
 
 
-def backward(params: ModelParams, batch: list[TrainExample],
-             selections: list[list[int]], config: TrainConfig
-             ) -> dict[str, np.ndarray]:
-    """Gradients only; see batch_loss_and_grads."""
-    _, grads = batch_loss_and_grads(params, batch, selections, config)
-    return grads
-
-
 def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
                           drop_pct: float = 80.0) -> list[tuple[int, Segment]]:
     """Inference tail: align the per-step slot sequence to frames with
@@ -549,7 +541,7 @@ __all__ = [
     "ModelParams", "TrainConfig", "TrainExample", "EpochLog", "FoldTraining",
     "forward_slots", "select_slots", "loss_supervised",
     "loss_supervised_indices", "loss_global", "make_train_example",
-    "compute_selections", "batch_loss", "batch_loss_and_grads", "backward",
+    "compute_selections", "batch_loss", "batch_loss_and_grads",
     "align_frames_to_slots", "align_video", "evaluate_alignment_f1",
     "train_alignment_fold", "train_alignment", "save_model", "load_model",
 ]

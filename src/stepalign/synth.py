@@ -333,7 +333,6 @@ def synth_corpus(cfg: SynthConfig) -> SynthResult:
     """Generate texts, annotated videos, per-video features and per-task
     step features; byte-identical for identical configs."""
     cfg.validate()
-    root = np.random.SeedSequence(cfg.seed)
     tasks = list(TaskDomain)[:cfg.tasks]
     k = cfg.steps_per_task
 

@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from stepalign.alignment import (
-    AlignmentPath, brute_force_align, decode_segments, drop_dtw, dtw,
+    AlignmentPath, brute_force_align, decode_segments, drop_dtw,
     percentile_drop_cost,
 )
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
 
 
-def _path_cost(cost, path, di, ds=None):
+def _path_cost(cost, path, di):
     """Recompute a path's total from first principles."""
     total = sum(cost[i][j] for i, j in path.matches)
-    total += di * len(path.dropped_items)
-    if ds is not None:
-        total += ds * len(path.dropped_slots)
-    else:
-        assert not path.dropped_slots
-    return total
+    return total + di * len(path.dropped_items)
+
+
+def _priced_out(cost):
+    """A finite drop cost high enough that, at the sizes tested here, the
+    best alignment drops nothing."""
+    return float(np.abs(cost).max()) * cost.size + 1.0
 
 
 def _dtw_cost_by_enumeration(cost):
@@ -72,14 +73,17 @@ class TestPercentileDropCost:
 
 
 class TestDtw:
+    """Classic DTW is drop_dtw with drops priced out."""
+
     def test_singleton(self):
-        path = dtw(np.array([[3.5]]))
+        cost = np.array([[3.5]])
+        path = drop_dtw(cost, _priced_out(cost))
         assert path.matches == [(0, 0)]
         assert path.total_cost == 3.5
 
     def test_identity_favoring_matrix(self):
         cost = np.ones((3, 3)) - np.eye(3)
-        path = dtw(cost)
+        path = drop_dtw(cost, _priced_out(cost))
         assert path.total_cost == 0.0
         assert path.matches == [(0, 0), (1, 1), (2, 2)]
 
@@ -87,11 +91,12 @@ class TestDtw:
         rng = np.random.default_rng(123)
         for _ in range(30):
             cost = rng.normal(size=(4, 6))
-            got = dtw(cost)
+            got = drop_dtw(cost, _priced_out(cost))
+            assert got.dropped_items == []
             assert got.total_cost == pytest.approx(
                 _dtw_cost_by_enumeration(cost), abs=1e-12)
             assert got.total_cost == pytest.approx(
-                _path_cost(cost, got, di=0.0, ds=0.0), abs=1e-12)
+                _path_cost(cost, got, di=0.0), abs=1e-12)
 
 
 class TestDropDtw:
@@ -101,15 +106,13 @@ class TestDropDtw:
         assert path.total_cost == pytest.approx(0.5)
         assert path.matches == [(0, 0), (1, 2)]
         assert path.dropped_items == [1]
-        assert path.dropped_slots == []
 
     def test_expensive_drops_reduce_to_dtw(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             cost = rng.normal(size=(3, 5))
-            big = float(np.abs(cost).max()) * cost.size + 1.0
-            assert drop_dtw(cost, big).total_cost == pytest.approx(
-                dtw(cost).total_cost, abs=1e-12)
+            assert drop_dtw(cost, _priced_out(cost)).total_cost == pytest.approx(
+                _dtw_cost_by_enumeration(cost), abs=1e-12)
 
     def test_zero_costs_mean_no_drops(self):
         path = drop_dtw(np.zeros((3, 5)), drop_item_cost=0.25)
@@ -133,53 +136,44 @@ class TestDropDtw:
         rng = np.random.default_rng(13)
         for lam in (0.5, 2.0, 4.0):
             cost = rng.normal(size=(3, 5))
-            di, ds = 0.4, 0.7
-            base = drop_dtw(cost, di, ds)
-            scaled = drop_dtw(cost * lam, di * lam, ds * lam)
+            di = 0.4
+            base = drop_dtw(cost, di)
+            scaled = drop_dtw(cost * lam, di * lam)
             assert scaled.total_cost == base.total_cost * lam
             assert scaled.matches == base.matches
             assert scaled.dropped_items == base.dropped_items
-            assert scaled.dropped_slots == base.dropped_slots
-
-    def test_two_sided_can_drop_everything(self):
-        cost = np.full((2, 2), 10.0)
-        path = drop_dtw(cost, drop_item_cost=0.1, drop_slot_cost=0.1)
-        assert path.matches == []
-        assert path.total_cost == pytest.approx(0.4)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         cost = rng.normal(size=(4, 7))
-        a = drop_dtw(cost, 0.3, 0.6)
-        b = drop_dtw(cost, 0.3, 0.6)
+        a = drop_dtw(cost, 0.3)
+        b = drop_dtw(cost, 0.3)
         assert a == b
 
 
 class TestBruteForceEquivalence:
-    def test_sweep_one_and_two_sided(self):
+    def test_sweep_one_sided(self):
         rng = np.random.default_rng(2024)
-        for trial in range(400):
+        for _ in range(400):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 8))
             cost = rng.normal(size=(n, m))
             di = float(rng.normal())
-            two_sided = trial % 2 == 0
-            ds = float(rng.normal()) if two_sided else None
-            fast = drop_dtw(cost, di, ds)
-            slow = brute_force_align(cost, di, ds)
+            fast = drop_dtw(cost, di)
+            slow = brute_force_align(cost, di)
             assert fast.total_cost == pytest.approx(slow.total_cost, abs=1e-12)
-            fast.validate(n, m, two_sided)
-            slow.validate(n, m, two_sided)
-            assert _path_cost(cost, fast, di, ds) == pytest.approx(
+            fast.validate(n, m)
+            slow.validate(n, m)
+            assert _path_cost(cost, fast, di) == pytest.approx(
                 fast.total_cost, abs=1e-12)
 
     def test_forbidden_drops_match_dtw(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             cost = rng.normal(size=(3, 5))
-            big = float(np.abs(cost).max()) * cost.size + 1.0
-            got = brute_force_align(cost, big)
-            assert got.total_cost == pytest.approx(dtw(cost).total_cost, abs=1e-12)
+            got = brute_force_align(cost, _priced_out(cost))
+            assert got.total_cost == pytest.approx(
+                _dtw_cost_by_enumeration(cost), abs=1e-12)
 
     def test_size_cap_enforced(self):
         with pytest.raises(ValidationError, match="capped"):
@@ -191,28 +185,26 @@ class TestBruteForceEquivalence:
 class TestDecodeSegments:
     def test_min_max_per_step(self):
         path = AlignmentPath(matches=[(0, 2), (0, 3), (1, 7)],
-                             dropped_items=[], dropped_slots=[], total_cost=0.0)
+                             dropped_items=[], total_cost=0.0)
         out = decode_segments(path, {0: 1, 1: 2}, num_frames=10)
         assert out == [(1, Segment(2, 4)), (2, Segment(7, 8))]
 
     def test_empty_matches(self):
-        path = AlignmentPath(matches=[], dropped_items=[0, 1],
-                             dropped_slots=[0], total_cost=0.0)
+        path = AlignmentPath(matches=[], dropped_items=[0, 1], total_cost=0.0)
         assert decode_segments(path, {}, num_frames=5) == []
 
     def test_full_cover(self):
         path = AlignmentPath(matches=[(0, j) for j in range(6)],
-                             dropped_items=[], dropped_slots=[], total_cost=0.0)
+                             dropped_items=[], total_cost=0.0)
         assert decode_segments(path, {0: 3}, num_frames=6) == [(3, Segment(0, 6))]
 
     def test_unmapped_slot_rejected(self):
-        path = AlignmentPath(matches=[(0, 0)], dropped_items=[],
-                             dropped_slots=[], total_cost=0.0)
+        path = AlignmentPath(matches=[(0, 0)], dropped_items=[], total_cost=0.0)
         with pytest.raises(ValidationError, match="no step mapping"):
             decode_segments(path, {1: 1}, num_frames=4)
 
     def test_sorted_by_step(self):
         path = AlignmentPath(matches=[(0, 0), (1, 2), (2, 4)],
-                             dropped_items=[], dropped_slots=[], total_cost=0.0)
+                             dropped_items=[], total_cost=0.0)
         out = decode_segments(path, {0: 3, 1: 1, 2: 2}, num_frames=8)
         assert [step for step, _ in out] == [1, 2, 3]

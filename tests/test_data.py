@@ -5,7 +5,7 @@ import pytest
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, CoarseLabel, Intent, MistakeLabel,
     ProceduralText, Segment, TaskDomain, coarse_label, load_corpus,
-    load_folds, parse_video, save_corpus, save_folds, validate_video,
+    load_folds, parse_text, parse_video, save_corpus, save_folds, validate_video,
 )
 from stepalign.data import FoldSpec
 from stepalign.errors import ParseError, ValidationError
@@ -123,6 +123,42 @@ class TestCorpusIO:
                "segments": [{"start": 0, "end": 2, "step": 1, "mistake": "oops"}]}
         with pytest.raises(ParseError, match="unknown mistake code"):
             parse_video(obj)
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", 1.7), ("step", True), ("step", "2"), ("start", 0.9),
+        ("description", 42), ("num_frames", 10.0), ("num_frames", "10"),
+        ("steps", "abc"), ("steps", ["ok", 3]),
+    ])
+    def test_no_silent_coercion(self, tmp_path, field, value):
+        save_corpus(tmp_path, [_text()], [_video()])
+        kind = "texts/color_mixture.json" if field == "steps" else "annotations/v0.json"
+        file = tmp_path / kind
+        obj = json.loads(file.read_text())
+        if field in obj:
+            obj[field] = value
+        else:
+            obj["segments"][1][field] = value
+        file.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=kind.split("/")[1]):
+            load_corpus(tmp_path)
+
+    def test_non_object_records_rejected(self):
+        with pytest.raises(ParseError, match="x.json"):
+            parse_video([], where="x.json")
+        with pytest.raises(ParseError, match="x.json"):
+            parse_text("steps", where="x.json")
+
+    @pytest.mark.parametrize("fold", [
+        {"fold_id": 3, "train": ["a", "b"], "val": ["a"], "test": ["c"]},
+        {"fold_id": 3, "train": ["a"], "val": ["b"], "test": ["a"]},
+        {"fold_id": 3, "train": "abc", "val": ["d"], "test": ["e"]},
+        {"fold_id": 3, "train": ["a", 7], "val": ["d"], "test": ["e"]},
+    ], ids=["train-val-leak", "train-test-leak", "ids-string", "id-not-string"])
+    def test_leaking_or_mistyped_fold_rejected(self, tmp_path, fold):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps([fold]))
+        with pytest.raises(ValidationError, match=r"folds\.json: fold 3"):
+            load_folds(path)
 
     def test_fold_round_trip(self, tmp_path):
         folds = [FoldSpec(0, ("a", "b"), ("c",), ("d",)),
