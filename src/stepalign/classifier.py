@@ -99,6 +99,15 @@ def classifier_input(video_feats: np.ndarray, seg: Segment,
     return np.concatenate([mean_pool(video_feats, seg), step_feature])
 
 
+def _text_vector(step_feats: np.ndarray, step: int | None,
+                 video_only: bool) -> np.ndarray:
+    """The step's text feature; a zero vector for the video-only ablation
+    and for segments without a written step."""
+    if video_only or step is None:
+        return np.zeros(step_feats.shape[1])
+    return step_feats[step - 1]
+
+
 def classify(params: ClassifierParams, video_feats: np.ndarray, seg: Segment,
              step_feature: np.ndarray) -> tuple[np.ndarray, CoarseLabel]:
     """Logits and argmax label; ties go to the lowest class index."""
@@ -138,12 +147,8 @@ def _gather_samples(corpus: Corpus, video_ids: tuple[str, ...],
         video = corpus.video_by_id(vid)
         feats = corpus.video_features(vid)
         step_feats = corpus.task_step_features(video.task)
-        dim = step_feats.shape[1]
         for seg in video.segments:
-            if video_only or seg.step is None:
-                text = np.zeros(dim)
-            else:
-                text = step_feats[seg.step - 1]
+            text = _text_vector(step_feats, seg.step, video_only)
             xs.append(classifier_input(feats, seg.segment, text))
             ys.append(int(coarse_label(seg.mistake)))
     if not xs:
@@ -207,10 +212,7 @@ def detect_on_segments(params: ClassifierParams, corpus: Corpus,
     step_feats = corpus.task_step_features(video.task)
     out = []
     for seg in video.segments:
-        if video_only or seg.step is None:
-            text = np.zeros(step_feats.shape[1])
-        else:
-            text = step_feats[seg.step - 1]
+        text = _text_vector(step_feats, seg.step, video_only)
         z, label = classify(params, feats, seg.segment, text)
         probs = np.exp(_log_softmax(z))
         out.append(Detection(step=seg.step, segment=seg.segment, label=label,
@@ -219,17 +221,15 @@ def detect_on_segments(params: ClassifierParams, corpus: Corpus,
 
 
 def detect_mistakes(params: ClassifierParams,
-                    alignment: list[tuple[int, Segment]],
+                    alignment: list[tuple[int | None, Segment]],
                     video_feats: np.ndarray, step_feats: np.ndarray,
                     video_only: bool = False) -> list[Detection]:
     """Classify the segments proposed by the alignment model; confidence is
-    the softmax probability of the predicted class."""
+    the softmax probability of the predicted class. A step-``None``
+    proposal gets the zero text vector."""
     out = []
     for step, seg in alignment:
-        if video_only:
-            text = np.zeros(step_feats.shape[1])
-        else:
-            text = step_feats[step - 1]
+        text = _text_vector(step_feats, step, video_only)
         z, label = classify(params, video_feats, seg, text)
         probs = np.exp(_log_softmax(z))
         out.append(Detection(step=step, segment=seg, label=label,
@@ -277,13 +277,6 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     return best
 
 
-def train_classifier(corpus: Corpus, folds: list[FoldSpec],
-                     config: ClassifierTrainConfig
-                     ) -> dict[int, ClassifierTraining]:
-    return {fold.fold_id: train_classifier_fold(corpus, fold, config)
-            for fold in folds}
-
-
 def save_classifier(path, training: ClassifierTraining,
                     config: ClassifierTrainConfig) -> None:
     meta = {
@@ -313,6 +306,6 @@ __all__ = [
     "NUM_CLASSES", "ClassifierParams", "ClassBalanceConfig", "cb_weight",
     "classify", "classifier_input",
     "ClassifierTrainConfig", "ClassifierTraining", "detect_on_segments",
-    "detect_mistakes", "train_classifier_fold", "train_classifier",
+    "detect_mistakes", "train_classifier_fold",
     "save_classifier", "load_classifier",
 ]

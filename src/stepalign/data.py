@@ -257,9 +257,13 @@ def parse_segment(obj: dict, where: str) -> AnnotatedSegment:
     description = obj.get("description")
     if description is not None:
         _expect(description, str, "segment description", where)
+    try:
+        segment = Segment(_expect(start, int, "segment start", where),
+                          _expect(end, int, "segment end", where))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     return AnnotatedSegment(
-        segment=Segment(_expect(start, int, "segment start", where),
-                        _expect(end, int, "segment end", where)),
+        segment=segment,
         step=step,
         mistake=CODES_TO_MISTAKE[code],
         description=description,
@@ -299,6 +303,10 @@ def _load_json(path: Path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
 
 
 def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedVideo]]:

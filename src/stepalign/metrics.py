@@ -158,8 +158,8 @@ class MapResult:
 
 def map_at_tiou(detections: dict[str, list[Detection]],
                 ground_truth: dict[str, list[GroundTruthInstance]],
-                thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
-                ap_fn=average_precision) -> MapResult:
+                thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
+                ) -> MapResult:
     """Mean AP over the mistake and correction classes at each threshold.
 
     Classes without any ground-truth instance are excluded from the mean;
@@ -189,7 +189,7 @@ def map_at_tiou(detections: dict[str, list[Detection]],
                  if det.label == label),
                 key=_detection_order)
             flags = _match_flags(ranked, ground_truth, label, threshold)
-            ap = ap_fn(flags, n_gt[label])
+            ap = average_precision(flags, n_gt[label])
             per_class[label.name.lower()][threshold] = ap
             aps.append(ap)
         per_threshold[threshold] = float(np.mean(aps))

@@ -19,6 +19,10 @@ in both directions.
 
 Slot selection is recomputed every step but treated as a constant mapping
 inside the losses, so no gradient flows through the discrete alignment.
+
+Both losses and their gradients are written once, in
+``batch_loss_and_grads``; the naive value-only reference oracles used for
+finite-difference checks live in ``tests/test_model.py``.
 """
 
 from __future__ import annotations
@@ -102,9 +106,6 @@ class TrainConfig:
     working_dim: int = 64
     num_queries: int = 32
     normalize_features: bool = True
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> None:
         if self.gamma <= 0:
@@ -122,9 +123,17 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + math.log(float(np.sum(np.exp(x - m))))
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-D array."""
+    m = np.max(z, axis=1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(z - m), axis=1, keepdims=True)))[:, 0]
+
+
+def _unit_rows_backward(d_hat: np.ndarray, hat: np.ndarray,
+                        norms: np.ndarray) -> np.ndarray:
+    """Gradient through row normalization hat = x / |x| (norms as a
+    column): (d_hat - hat * <d_hat, hat>) / |x|."""
+    return (d_hat - hat * np.sum(d_hat * hat, axis=1, keepdims=True)) / norms
 
 
 def forward_slots(params: ModelParams, video: np.ndarray,
@@ -177,50 +186,6 @@ def select_slots(slots: np.ndarray, step_feats: np.ndarray,
     return slots[chosen], chosen
 
 
-def loss_supervised_indices(slot: np.ndarray, frame_indices: np.ndarray,
-                            frames: np.ndarray, gamma: float) -> float:
-    """Supervised alignment loss with an explicit positive-frame index set
-    (split steps pass the union of their segments)."""
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    frame_indices = np.asarray(frame_indices, dtype=np.int64)
-    if frame_indices.size == 0:
-        raise ValidationError("empty positive frame set")
-    v_hat = l2_normalize_rows(frames)
-    s_hat = slot / np.linalg.norm(slot)
-    logits = (v_hat @ s_hat) / gamma
-    return _logsumexp(logits) - _logsumexp(logits[frame_indices])
-
-
-def loss_supervised(slot: np.ndarray, seg: Segment, frames: np.ndarray,
-                    gamma: float) -> float:
-    """Alignment loss for a single contiguous ground-truth segment."""
-    if seg.end > frames.shape[0]:
-        raise ValidationError(
-            f"segment [{seg.start}, {seg.end}) outside video of {frames.shape[0]}")
-    return loss_supervised_indices(slot, np.arange(seg.start, seg.end),
-                                   frames, gamma)
-
-
-def loss_global(pooled_pairs: list[tuple[np.ndarray, np.ndarray]],
-                gamma: float) -> float:
-    """Symmetric batch-contrastive loss over pooled (slots, step-text)
-    representations; each video is its own positive, the rest negatives."""
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    n = len(pooled_pairs)
-    if n < 2:
-        raise ValidationError("batch-contrastive loss needs at least 2 videos")
-    a = l2_normalize_rows(np.stack([np.mean(s, axis=0) for s, _ in pooled_pairs]))
-    b = l2_normalize_rows(np.stack([np.mean(t, axis=0) for _, t in pooled_pairs]))
-    logits = (a @ b.T) / gamma
-    total = 0.0
-    for i in range(n):
-        total += _logsumexp(logits[i]) - logits[i, i]
-        total += _logsumexp(logits[:, i]) - logits[i, i]
-    return total / (2 * n)
-
-
 @dataclass
 class TrainExample:
     """One video prepared for training: features, step texts, and the
@@ -261,32 +226,6 @@ def compute_selections(params: ModelParams, batch: list[TrainExample],
     return out
 
 
-def batch_loss(params: ModelParams, batch: list[TrainExample],
-               selections: list[list[int]], config: TrainConfig) -> float:
-    """Pure loss evaluation at a fixed slot selection (the finite-difference
-    reference for the analytic gradients)."""
-    loss = 0.0
-    sup_terms = []
-    pooled = []
-    for ex, chosen in zip(batch, selections):
-        slots = forward_slots(params, ex.frames)
-        xp = ex.frames @ params.proj_v
-        tp = ex.step_feats @ params.proj_t
-        sel = slots[chosen]
-        if ex.step_frames:
-            per_step = [
-                loss_supervised_indices(sel[step - 1], idx, xp, config.gamma)
-                for step, idx in ex.step_frames.items()
-            ]
-            sup_terms.append(float(np.mean(per_step)))
-        pooled.append((sel, tp))
-    if config.w_sup > 0 and sup_terms:
-        loss += config.w_sup * float(np.mean(sup_terms))
-    if config.w_global > 0 and len(batch) >= 2:
-        loss += config.w_global * loss_global(pooled, config.gamma)
-    return loss
-
-
 def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.as_dict().items()}
 
@@ -297,93 +236,70 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
     """Loss plus exact analytic gradients for every parameter tensor.
 
     Slot selection is a constant: gradients flow through the decoder and
-    both losses but not through the discrete assignment.
+    both losses but not through the discrete assignment. Each video's
+    supervised terms come from one frames x steps cosine matrix; the
+    contrastive terms are computed for the whole batch at once.
     """
     grads = _zero_grads(params)
-    caches = []
-    xps = []
-    tps = []
-    sels = []
-    for ex, chosen in zip(batch, selections):
-        slots, cache = forward_slots(params, ex.frames, with_cache=True)
-        caches.append(cache)
-        xps.append(cache["xp"])
-        tps.append(ex.step_feats @ params.proj_t)
-        sels.append(slots[chosen])
-
-    d_slots_list = [np.zeros_like(c["slots"]) for c in caches]
-    d_xp_extra = [np.zeros_like(x) for x in xps]
-    d_tp_list = [np.zeros_like(t) for t in tps]
-    total_loss = 0.0
     gamma = config.gamma
+    n = len(batch)
+    caches = [forward_slots(params, ex.frames, with_cache=True)[1]
+              for ex in batch]
+
+    # batch-contrastive loss over pooled slots m_i and pooled step texts t_i
+    d_m = np.zeros((n, params.working_dim))
+    global_loss = 0.0
+    if config.w_global > 0 and n >= 2:
+        mean_steps = np.stack([ex.step_feats.mean(axis=0) for ex in batch])
+        m_rows = np.stack([c["slots"][chosen].mean(axis=0)
+                           for c, chosen in zip(caches, selections)])
+        t_rows = mean_steps @ params.proj_t
+        m_norms = np.linalg.norm(m_rows, axis=1, keepdims=True)
+        t_norms = np.linalg.norm(t_rows, axis=1, keepdims=True)
+        a = m_rows / m_norms
+        b = t_rows / t_norms
+        logits = (a @ b.T) / gamma
+        row_lse = _logsumexp(logits)
+        col_lse = _logsumexp(logits.T)
+        per = float(np.sum(row_lse + col_lse - 2 * np.diag(logits)))
+        global_loss = config.w_global * per / (2 * n)
+        row_sm = np.exp(logits - row_lse[:, None])
+        col_sm = np.exp(logits - col_lse[None, :])
+        d_sim = config.w_global * (row_sm + col_sm - 2 * np.eye(n)) / (2 * n * gamma)
+        d_m = _unit_rows_backward(d_sim @ b, a, m_norms)
+        grads["proj_t"] += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
 
     # supervised loss: mean over steps within a video, then over videos
-    if config.w_sup > 0:
-        with_steps = [i for i, ex in enumerate(batch) if ex.step_frames]
-        sup_losses = []
-        for i in with_steps:
-            ex, chosen = batch[i], selections[i]
-            xp = xps[i]
-            v_hat = l2_normalize_rows(xp)
-            xp_norms = np.linalg.norm(xp, axis=1)
-            per_video_scale = config.w_sup / (len(ex.step_frames) * len(with_steps))
-            step_losses = []
-            for step, idx in ex.step_frames.items():
-                slot_row = chosen[step - 1]
-                u = sels[i][step - 1]
-                u_norm = float(np.linalg.norm(u))
-                u_hat = u / u_norm
-                cos = v_hat @ u_hat
-                logits = cos / gamma
-                step_losses.append(_logsumexp(logits) - _logsumexp(logits[idx]))
-                p = _softmax_rows(logits[None, :])[0]
-                q = np.zeros_like(p)
-                q[idx] = _softmax_rows(logits[idx][None, :])[0]
-                g_cos = (p - q) * (per_video_scale / gamma)
-                # d cos_j / du = (v_hat_j - cos_j * u_hat) / |u|
-                d_u = (v_hat.T @ g_cos - u_hat * float(g_cos @ cos)) / u_norm
-                d_slots_list[i][slot_row] += d_u
-                # d cos_j / d xp_j = (u_hat - cos_j * v_hat_j) / |xp_j|
-                coef = g_cos / xp_norms
-                d_xp_extra[i] += np.outer(coef, u_hat) \
-                    - (coef * cos)[:, None] * v_hat
-            sup_losses.append(float(np.mean(step_losses)))
-        if sup_losses:
-            total_loss += config.w_sup * float(np.mean(sup_losses))
+    n_sup = sum(1 for ex in batch if ex.step_frames)
+    sup_losses = []
+    for i, (ex, chosen, cache) in enumerate(zip(batch, selections, caches)):
+        d_slots = np.zeros_like(cache["slots"])
+        d_xp_sup = 0.0
+        if config.w_sup > 0 and ex.step_frames:
+            v_hat = l2_normalize_rows(cache["xp"])
+            xp_norms = np.linalg.norm(cache["xp"], axis=1, keepdims=True)
+            rows = [chosen[step - 1] for step in ex.step_frames]
+            u = cache["slots"][rows]
+            u_norms = np.linalg.norm(u, axis=1, keepdims=True)
+            u_hat = u / u_norms
+            # K' x L cosine logits, one row per annotated step
+            logits = (u_hat @ v_hat.T) / gamma
+            positive = np.zeros(logits.shape, dtype=bool)
+            for row, idx in enumerate(ex.step_frames.values()):
+                positive[row, idx] = True
+            lse_all = _logsumexp(logits)
+            lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
+            sup_losses.append(float(np.mean(lse_all - lse_pos)))
+            p = np.exp(logits - lse_all[:, None])
+            q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
+            # g_cos = dL/dcos with cos = u_hat v_hat^T; two steps may share
+            # a slot, so the slot gradients accumulate with add.at
+            g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
+            np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
+            d_xp_sup = _unit_rows_backward(g_cos.T @ u_hat, v_hat, xp_norms)
+        np.add.at(d_slots, chosen, d_m[i] / len(chosen))
 
-    # batch-contrastive loss over pooled representations
-    if config.w_global > 0 and len(batch) >= 2:
-        n = len(batch)
-        m_rows = np.stack([np.mean(s, axis=0) for s in sels])
-        t_rows = np.stack([np.mean(t, axis=0) for t in tps])
-        m_norms = np.linalg.norm(m_rows, axis=1)
-        t_norms = np.linalg.norm(t_rows, axis=1)
-        a = m_rows / m_norms[:, None]
-        b = t_rows / t_norms[:, None]
-        sim = a @ b.T
-        logits = sim / gamma
-        row_sm = _softmax_rows(logits)
-        col_sm = _softmax_rows(logits.T).T
-        per = 0.0
-        for i in range(n):
-            per += _logsumexp(logits[i]) - logits[i, i]
-            per += _logsumexp(logits[:, i]) - logits[i, i]
-        total_loss += config.w_global * per / (2 * n)
-        d_sim = config.w_global * (row_sm + col_sm - 2 * np.eye(n)) / (2 * n * gamma)
-        d_a = d_sim @ b
-        d_b = d_sim.T @ a
-        for i in range(n):
-            d_m = (d_a[i] - a[i] * float(d_a[i] @ a[i])) / m_norms[i]
-            d_t = (d_b[i] - b[i] * float(d_b[i] @ b[i])) / t_norms[i]
-            k_i = sels[i].shape[0]
-            for row, slot_row in enumerate(selections[i]):
-                d_slots_list[i][slot_row] += d_m / k_i
-            d_tp_list[i] += d_t / tps[i].shape[0]
-
-    # backpropagate through the decoder for every video
-    for i, ex in enumerate(batch):
-        cache = caches[i]
-        d_slots = d_slots_list[i]
+        # backpropagate through the decoder
         d_ctx = d_slots @ params.w_o.T
         grads["w_o"] += cache["ctx"].T @ d_slots
         d_attn = d_ctx @ cache["vm"].T
@@ -395,12 +311,14 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
         d_km = d_z.T @ cache["qp"]
         grads["queries"] += d_qp @ params.w_q.T
         grads["w_q"] += params.queries.T @ d_qp
-        d_xp = d_km @ params.w_k.T + d_vm @ params.w_v.T + d_xp_extra[i]
+        d_xp = d_km @ params.w_k.T + d_vm @ params.w_v.T + d_xp_sup
         grads["w_k"] += cache["xp"].T @ d_km
         grads["w_v"] += cache["xp"].T @ d_vm
         grads["proj_v"] += cache["x"].T @ d_xp
-        grads["proj_t"] += ex.step_feats.T @ d_tp_list[i]
 
+    total_loss = global_loss
+    if sup_losses:
+        total_loss += config.w_sup * float(np.mean(sup_losses))
     if not math.isfinite(total_loss):
         raise NumericalError("non-finite training loss")
     return total_loss, grads
@@ -479,8 +397,7 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
-    opt = Adam(config.learning_rate, config.adam_beta1, config.adam_beta2,
-               config.adam_eps)
+    opt = Adam(config.learning_rate)
     best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
                         best_epoch=-1, best_val_f1=-1.0)
     for epoch in range(config.epochs):
@@ -508,12 +425,6 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     return best
 
 
-def train_alignment(corpus: Corpus, folds: list[FoldSpec],
-                    config: TrainConfig) -> dict[int, FoldTraining]:
-    return {fold.fold_id: train_alignment_fold(corpus, fold, config)
-            for fold in folds}
-
-
 def save_model(path, training: FoldTraining, config: TrainConfig) -> None:
     params = training.params
     meta = {
@@ -539,9 +450,8 @@ def load_model(path) -> tuple[ModelParams, dict]:
 
 __all__ = [
     "ModelParams", "TrainConfig", "TrainExample", "EpochLog", "FoldTraining",
-    "forward_slots", "select_slots", "loss_supervised",
-    "loss_supervised_indices", "loss_global", "make_train_example",
-    "compute_selections", "batch_loss", "batch_loss_and_grads",
+    "forward_slots", "select_slots", "make_train_example",
+    "compute_selections", "batch_loss_and_grads",
     "align_frames_to_slots", "align_video", "evaluate_alignment_f1",
-    "train_alignment_fold", "train_alignment", "save_model", "load_model",
+    "train_alignment_fold", "save_model", "load_model",
 ]

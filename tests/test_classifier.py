@@ -3,10 +3,10 @@ import pytest
 
 from stepalign.classifier import (
     ClassBalanceConfig, ClassifierParams, ClassifierTrainConfig,
-    _batch_loss_and_grads, cb_weight, classify, detect_on_segments,
-    load_classifier, save_classifier, train_classifier_fold,
+    _batch_loss_and_grads, cb_weight, classify, detect_mistakes,
+    detect_on_segments, load_classifier, save_classifier, train_classifier_fold,
 )
-from stepalign.data import CoarseLabel, FoldSpec
+from stepalign.data import CoarseLabel, FoldSpec, Segment
 from stepalign.errors import ValidationError
 from stepalign.synth import SynthConfig, synth_corpus
 
@@ -90,3 +90,18 @@ def test_train_save_load_detect(tmp_path):
         assert dets[i].confidence == pytest.approx(float(probs[int(label)]), abs=1e-12)
         z_step, _ = classify(params, feats, seg, step_feats[0])
         assert not np.allclose(z, z_step)
+
+
+def test_detect_mistakes_gives_unwritten_proposals_zero_text():
+    rng = np.random.default_rng(1)
+    params = ClassifierParams.init(rng, input_dim=8, hidden=6)
+    feats = rng.normal(size=(12, 4))
+    step_feats = rng.normal(size=(2, 4))
+    proposals = [(2, Segment(0, 5)), (None, Segment(5, 9))]
+    dets = detect_mistakes(params, proposals, feats, step_feats)
+    assert [(d.step, d.segment) for d in dets] == proposals
+    for det, (_, seg), text in zip(dets, proposals, (step_feats[1], np.zeros(4))):
+        z, label = classify(params, feats, seg, text)
+        probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+        assert det.label == label
+        assert det.confidence == pytest.approx(float(probs[int(label)]), abs=1e-12)

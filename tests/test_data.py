@@ -1,14 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, CoarseLabel, Intent, MistakeLabel,
     ProceduralText, Segment, TaskDomain, coarse_label, load_corpus,
     load_folds, parse_text, parse_video, save_corpus, save_folds, validate_video,
+    video_to_json,
 )
 from stepalign.data import FoldSpec
-from stepalign.errors import ParseError, ValidationError
+from stepalign.errors import ParseError, StepAlignError, ValidationError
 
 
 def _text(task=TaskDomain.COLOR_MIXTURE, n=3):
@@ -142,6 +144,26 @@ class TestCorpusIO:
         with pytest.raises(ParseError, match=kind.split("/")[1]):
             load_corpus(tmp_path)
 
+    def test_empty_span_names_file(self):
+        obj = video_to_json(_video())
+        obj["segments"][0].update(start=3, end=3)
+        with pytest.raises(ValidationError, match=r"x\.json: segment empty"):
+            parse_video(obj, where="x.json")
+
+    def test_non_utf8_annotation_names_file(self, tmp_path):
+        save_corpus(tmp_path, [_text()], [_video()])
+        (tmp_path / "annotations" / "v0.json").write_bytes(b'{"video_id": "\xe9"}')
+        with pytest.raises(ParseError, match=r"v0\.json: not UTF-8"):
+            load_corpus(tmp_path)
+
+    def test_unreadable_fold_file_names_path(self, tmp_path):
+        utf16 = tmp_path / "folds.json"
+        utf16.write_bytes(b"\xff\xfe[\x00]\x00")
+        with pytest.raises(ParseError, match=r"folds\.json: not UTF-8"):
+            load_folds(utf16)
+        with pytest.raises(ParseError, match=r"missing\.json: cannot read"):
+            load_folds(tmp_path / "missing.json")
+
     def test_non_object_records_rejected(self):
         with pytest.raises(ParseError, match="x.json"):
             parse_video([], where="x.json")
@@ -165,3 +187,30 @@ class TestCorpusIO:
                  FoldSpec(1, ("c", "d"), ("a",), ("b",))]
         save_folds(tmp_path / "folds.json", folds)
         assert load_folds(tmp_path / "folds.json") == folds
+
+
+_NON_INT_BOUNDS = st.one_of(st.booleans(), st.floats(allow_nan=False),
+                            st.text(max_size=3), st.none(),
+                            st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def _bad_bounds(draw):
+    """A (start, end) pair that no segment may carry: an empty or reversed
+    span of ints, or at least one bound that is not a JSON int."""
+    if draw(st.booleans()):
+        end = draw(st.integers(-10**6, 10**6))
+        return draw(st.integers(end, end + 10**6)), end
+    good = st.integers(-10**6, 10**6)
+    if draw(st.booleans()):
+        return draw(_NON_INT_BOUNDS), draw(good | _NON_INT_BOUNDS)
+    return draw(good), draw(_NON_INT_BOUNDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bad_bounds())
+def test_bad_segment_bounds_raise_naming_file(bounds):
+    obj = video_to_json(_video())
+    obj["segments"][0]["start"], obj["segments"][0]["end"] = bounds
+    with pytest.raises(StepAlignError, match=r"anno/v0\.json"):
+        parse_video(obj, where="anno/v0.json")

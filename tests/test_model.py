@@ -9,9 +9,8 @@ from stepalign.errors import ValidationError
 from stepalign.features import cosine_matrix, l2_normalize_rows
 from stepalign.model import (
     ModelParams, TrainConfig, TrainExample, align_frames_to_slots,
-    batch_loss, batch_loss_and_grads, compute_selections, forward_slots,
-    load_model, loss_global, loss_supervised, loss_supervised_indices,
-    save_model, select_slots, FoldTraining,
+    batch_loss_and_grads, compute_selections, forward_slots,
+    load_model, save_model, select_slots, FoldTraining,
 )
 
 
@@ -31,6 +30,82 @@ def _reference_forward(params, x):
     a = np.exp(z - z.max(axis=1, keepdims=True))
     a = a / a.sum(axis=1, keepdims=True)
     return (a @ vm) @ params.w_o
+
+
+# Naive value-only reference oracles for the two decoder losses. The
+# package defines the losses once, inside batch_loss_and_grads; these
+# straight-line versions are the independent check on its values and,
+# through finite differences, on its gradients.
+
+def _logsumexp(x):
+    m = float(np.max(x))
+    return m + math.log(float(np.sum(np.exp(x - m))))
+
+
+def loss_supervised_indices(slot, frame_indices, frames, gamma):
+    """Supervised alignment loss with an explicit positive-frame index set
+    (split steps pass the union of their segments)."""
+    if gamma <= 0:
+        raise ValidationError("gamma must be positive")
+    frame_indices = np.asarray(frame_indices, dtype=np.int64)
+    if frame_indices.size == 0:
+        raise ValidationError("empty positive frame set")
+    v_hat = l2_normalize_rows(frames)
+    s_hat = slot / np.linalg.norm(slot)
+    logits = (v_hat @ s_hat) / gamma
+    return _logsumexp(logits) - _logsumexp(logits[frame_indices])
+
+
+def loss_supervised(slot, seg, frames, gamma):
+    """Alignment loss for a single contiguous ground-truth segment."""
+    if seg.end > frames.shape[0]:
+        raise ValidationError(
+            f"segment [{seg.start}, {seg.end}) outside video of {frames.shape[0]}")
+    return loss_supervised_indices(slot, np.arange(seg.start, seg.end),
+                                   frames, gamma)
+
+
+def loss_global(pooled_pairs, gamma):
+    """Symmetric batch-contrastive loss over pooled (slots, step-text)
+    representations; each video is its own positive, the rest negatives."""
+    if gamma <= 0:
+        raise ValidationError("gamma must be positive")
+    n = len(pooled_pairs)
+    if n < 2:
+        raise ValidationError("batch-contrastive loss needs at least 2 videos")
+    a = l2_normalize_rows(np.stack([np.mean(s, axis=0) for s, _ in pooled_pairs]))
+    b = l2_normalize_rows(np.stack([np.mean(t, axis=0) for _, t in pooled_pairs]))
+    logits = (a @ b.T) / gamma
+    total = 0.0
+    for i in range(n):
+        total += _logsumexp(logits[i]) - logits[i, i]
+        total += _logsumexp(logits[:, i]) - logits[i, i]
+    return total / (2 * n)
+
+
+def batch_loss(params, batch, selections, config):
+    """Pure loss evaluation at a fixed slot selection (the finite-difference
+    reference for the analytic gradients)."""
+    loss = 0.0
+    sup_terms = []
+    pooled = []
+    for ex, chosen in zip(batch, selections):
+        slots = forward_slots(params, ex.frames)
+        xp = ex.frames @ params.proj_v
+        tp = ex.step_feats @ params.proj_t
+        sel = slots[chosen]
+        if ex.step_frames:
+            per_step = [
+                loss_supervised_indices(sel[step - 1], idx, xp, config.gamma)
+                for step, idx in ex.step_frames.items()
+            ]
+            sup_terms.append(float(np.mean(per_step)))
+        pooled.append((sel, tp))
+    if config.w_sup > 0 and sup_terms:
+        loss += config.w_sup * float(np.mean(sup_terms))
+    if config.w_global > 0 and len(batch) >= 2:
+        loss += config.w_global * loss_global(pooled, config.gamma)
+    return loss
 
 
 class TestForwardSlots:
@@ -209,12 +284,20 @@ def _random_example(rng, d=6, k=2, length=7):
                         step_feats=step_feats, step_frames=step_frames)
 
 
-def _grad_check(config, seed):
+def _grad_check(config, seed, selections=None, edit_batch=None):
+    """Worst relative gap between the analytic gradients and central
+    differences of the oracle ``batch_loss``. ``selections`` overrides the
+    decoder's own slot choice; ``edit_batch`` may rewrite the examples."""
     rng = np.random.default_rng(seed)
     params = _params(rng, d=6, dp=5, u=4)
     batch = [_random_example(rng) for _ in range(2)]
-    selections = compute_selections(params, batch, config.drop_pct)
-    _, grads = batch_loss_and_grads(params, batch, selections, config)
+    if edit_batch is not None:
+        edit_batch(batch)
+    if selections is None:
+        selections = compute_selections(params, batch, config.drop_pct)
+    loss, grads = batch_loss_and_grads(params, batch, selections, config)
+    assert loss == pytest.approx(batch_loss(params, batch, selections, config),
+                                 rel=1e-12)
     h = 1e-5
     worst = 0.0
     for name, tensor in params.as_dict().items():
@@ -254,6 +337,26 @@ class TestGradients:
                              batch_size=2, drop_pct=80)
         for seed in range(200, 206):
             assert _grad_check(config, seed) < 1e-4
+
+    def test_shared_slot_gradients_accumulate(self):
+        # two steps of one video select the same slot, so both supervised
+        # terms and both contrastive shares must land on that slot
+        config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.7,
+                             batch_size=2, drop_pct=80)
+        for seed in range(300, 304):
+            assert _grad_check(config, seed, selections=[[1, 1], [0, 2]]) < 1e-4
+
+    def test_steps_without_frames_match_finite_differences(self):
+        # step 1 of the first video and every step of the second carry no
+        # annotated frames; they add no supervised term
+        def drop_annotations(batch):
+            del batch[0].step_frames[1]
+            batch[1].step_frames.clear()
+
+        config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.7,
+                             batch_size=2, drop_pct=80)
+        for seed in range(400, 404):
+            assert _grad_check(config, seed, edit_batch=drop_annotations) < 1e-4
 
     def test_zero_weights_zero_gradients(self):
         rng = np.random.default_rng(42)
