@@ -7,10 +7,21 @@ diagonal, right, and down moves; every visited cell is a match and every
 dropped item pays the drop cost. With drops priced out of reach the space
 reduces exactly to classic DTW.
 
+``drop_dtw`` runs one numpy prefix scan per slot row: the row's best
+costs with trailing drops are W plus the running minimum of (cost + best
+entry from the row above - W), where W is the running sum of
+min(cost, drop cost). The transition decisions are then taken for every
+cell at once, and the backtrace steps once per row, since within a row
+the path visits every kept item between the cell where it enters the row
+and the cell where it leaves.
+
 Ties are resolved deterministically: matching is preferred over dropping,
 and transition sources are tried diagonal, then row, then column, then
-fresh start. ``brute_force_align`` enumerates the same space exhaustively
-and is the test oracle that pins the recurrence down.
+fresh start. The scan sums in another order than a cell-by-cell
+evaluation, so values within a rounding bound of each other count as
+tied; exact ties therefore resolve as they would cell by cell. That
+cell-by-cell loop and an exhaustive enumeration of the same space are the
+test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .data import Segment
 from .errors import ValidationError
 
 _INF = float("inf")
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -80,10 +92,6 @@ def _check_cost(cost: np.ndarray) -> np.ndarray:
     return cost
 
 
-# transition codes for the match table
-_T_DIAG, _T_ROW, _T_COL, _T_START = 0, 1, 2, 3
-
-
 def drop_dtw(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
     """Minimum-cost monotone alignment with droppable items.
 
@@ -95,124 +103,74 @@ def drop_dtw(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
     if not math.isfinite(drop_item_cost):
         raise ValidationError("drop_item_cost must be finite")
     n, m = cost.shape
-    c = cost.tolist()
     di = float(drop_item_cost)
 
-    # M[i][j]: best alignment prefix whose last visited cell is (i, j).
-    # RD[i][j]: M[i][j'] for some j' <= j plus drops for items j'+1..j.
-    M = [[_INF] * m for _ in range(n)]
-    RD = [[_INF] * m for _ in range(n)]
-    bp_m = [[_T_START] * m for _ in range(n)]
-    bp_rd = [[0] * m for _ in range(n)]          # 0: at M, 1: from left
+    # M[i, j]: best alignment prefix whose last visited cell is (i, j).
+    # RD[i, j]: M[i, j'] for some j' <= j plus drops for items j'+1..j.
+    # ext[j] is the cheaper way into (i, j) from the row above, or the
+    # fresh start after j drops on row 0. Then
+    #   M[j] = c[j] + min(ext[j], RD[j-1]),  RD[j] = min(M[j], RD[j-1] + di)
+    # unrolls to the prefix scan RD = W + cummin(c + ext - W) with
+    # W = cumsum(min(c, di)).
+    W = np.cumsum(np.minimum(cost, di), axis=1)
+    M = np.empty((n, m))
+    padded = np.empty((n, m + 1))
+    padded[:, 0] = _INF
+    RD, rd_left = padded[:, 1:], padded[:, :-1]     # rd_left[i, j] = RD[i, j-1]
+    start = np.arange(m) * di
+    ext, above = start, None
+    for c_row, w_row, cw_row, rd_row, left_row, m_row in zip(
+            cost, W, cost - W, RD, rd_left, M):
+        if above is not None:
+            ext = np.minimum(*above)
+        np.add(w_row, np.minimum.accumulate(ext + cw_row), out=rd_row)
+        np.add(c_row, np.minimum(ext, left_row), out=m_row)
+        above = m_row, left_row
 
-    for i in range(n):
-        row_m, row_rd = M[i], RD[i]
-        row_c = c[i]
-        for j in range(m):
-            # transition sources for matching at (i, j)
-            best = _INF
-            which = _T_START
-            if i > 0 and j > 0 and RD[i - 1][j - 1] < best:
-                best, which = RD[i - 1][j - 1], _T_DIAG
-            if j > 0 and row_rd[j - 1] < best:
-                best, which = row_rd[j - 1], _T_ROW
-            if i > 0 and M[i - 1][j] < best:
-                best, which = M[i - 1][j], _T_COL
-            if i == 0:
-                start = j * di
-                if start < best:
-                    best, which = start, _T_START
-            row_m[j] = row_c[j] + best
-            bp_m[i][j] = which
+    # Decisions for every cell at once. The scan sums in another order
+    # than a cell-by-cell evaluation, so values that one makes exactly
+    # equal can differ here in the last bits (by at most a tenth of
+    # ``tol`` on negative-cosine costs up to 12x1340); values within
+    # ``tol`` count as tied. Ties keep the earlier source: diagonal, then
+    # row, then column; on row 0 the row before a fresh start; matching
+    # an item before dropping it.
+    tol = (n + m) * _EPS * max(np.abs(W).max(), np.abs(M).max())
+    diag, row, col = rd_left[:-1], rd_left[1:], M[:-1]      # into rows 1..n-1
+    near_best = np.minimum(np.minimum(diag, row), col) + tol
+    diag_move = diag <= near_best
+    row_move = np.empty((n, m), dtype=bool)
+    row_move[0] = start >= rd_left[0] - tol
+    row_move[1:] = (row <= near_best) & ~diag_move
+    dropped = rd_left + di < M - tol
 
-            # row extension: keep the match, or drop item j
-            row_rd[j] = row_m[j]
-            bp_rd[i][j] = 0
-            if j > 0 and row_rd[j - 1] + di < row_rd[j]:
-                row_rd[j] = row_rd[j - 1] + di
-                bp_rd[i][j] = 1
+    # Backtrace, one row at a time. The path leaves row i at item
+    # leave[i] and, by row moves, visits every kept item back to
+    # enter[i], the last kept item before it not reached by a row move.
+    items = np.arange(m)
+    last_kept = np.maximum.accumulate(np.where(dropped, -1, items), axis=1)
+    last_entry = np.maximum.accumulate(
+        np.where(dropped | row_move, -1, items), axis=1)
+    enter = [0] * n
+    leave = [0] * n
+    j = int(last_kept[n - 1, m - 1])
+    for i in range(n - 1, -1, -1):
+        leave[i] = j
+        if row_move[i, j]:
+            j = int(last_entry[i, j - 1])
+        enter[i] = j
+        if i and diag_move[i - 1, j]:
+            j = int(last_kept[i - 1, j - 1])
 
-    dropped_items: list[int] = []
-    matches_rev: list[tuple[int, int]] = []
-    i, j = n - 1, m - 1
-    while bp_rd[i][j] == 1:
-        dropped_items.append(j)
-        j -= 1
-
-    while True:
-        matches_rev.append((i, j))
-        which = bp_m[i][j]
-        if which == _T_START:
-            dropped_items.extend(range(j - 1, -1, -1))
-            break
-        if which == _T_COL:
-            i -= 1
-            continue
-        if which == _T_DIAG:
-            i -= 1
-        j -= 1
-        while bp_rd[i][j] == 1:
-            dropped_items.append(j)
-            j -= 1
-
+    visited = ~dropped & (items >= np.array(enter)[:, None]) \
+        & (items < np.array(leave)[:, None])
+    visited[np.arange(n), leave] = True
+    rows, cols = np.nonzero(visited)            # row-major is path order
+    matched = np.zeros(m, dtype=bool)
+    matched[cols] = True
     return AlignmentPath(
-        matches=matches_rev[::-1],
-        dropped_items=sorted(dropped_items),
-        total_cost=RD[n - 1][m - 1],
-    )
-
-
-_BRUTE_MAX_SLOTS = 4
-_BRUTE_MAX_ITEMS = 7
-
-
-def brute_force_align(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
-    """Exhaustive search over the drop_dtw alignment space. Test oracle
-    only; sizes are capped because enumeration is exponential."""
-    cost = _check_cost(cost)
-    n, m = cost.shape
-    if n > _BRUTE_MAX_SLOTS or m > _BRUTE_MAX_ITEMS:
-        raise ValidationError(
-            f"brute force capped at {_BRUTE_MAX_SLOTS}x{_BRUTE_MAX_ITEMS}, "
-            f"got {n}x{m}")
-    if not math.isfinite(drop_item_cost):
-        raise ValidationError("drop_item_cost must be finite")
-    c = cost.tolist()
-    di = float(drop_item_cost)
-
-    best_cost = _INF
-    best_matches: list[tuple[int, int]] | None = None
-    stack: list[tuple[int, int]] = []
-
-    def finish(i: int, j: int, acc: float) -> None:
-        nonlocal best_cost, best_matches
-        if i != n - 1:
-            return
-        total = acc + (m - 1 - j) * di
-        if total < best_cost:
-            best_cost = total
-            best_matches = list(stack)
-
-    def extend(i: int, j: int, acc: float) -> None:
-        stack.append((i, j))
-        acc += c[i][j]
-        finish(i, j, acc)
-        for i2 in range(i, min(i + 2, n)):
-            j_lo = j if i2 > i else j + 1
-            for j2 in range(j_lo, m):
-                item_gap = 0.0 if j2 == j else (j2 - j - 1) * di
-                extend(i2, j2, acc + item_gap)
-        stack.pop()
-
-    for j0 in range(m):
-        extend(0, j0, j0 * di)
-
-    assert best_matches is not None
-    matched_items = {j for _, j in best_matches}
-    return AlignmentPath(
-        matches=best_matches,
-        dropped_items=[j for j in range(m) if j not in matched_items],
-        total_cost=best_cost,
+        matches=list(zip(rows.tolist(), cols.tolist())),
+        dropped_items=np.flatnonzero(~matched).tolist(),
+        total_cost=float(RD[n - 1, m - 1]),
     )
 
 
@@ -221,15 +179,20 @@ def decode_segments(path: AlignmentPath, slot_to_step: dict[int, int],
     """Turn a slot-to-frame alignment into one segment per step.
 
     Each step's segment spans from its first to its last matched frame;
-    steps whose slots were never matched are simply absent.
+    steps whose slots were never matched are simply absent. The matches
+    must be monotone, as ``drop_dtw`` returns them.
     """
+    first_frame = dict(reversed(path.matches))
+    last_frame = dict(path.matches)
     bounds: dict[int, tuple[int, int]] = {}
-    for slot, frame in path.matches:
+    for slot, hi in last_frame.items():
         if slot not in slot_to_step:
             raise ValidationError(f"matched slot {slot} has no step mapping")
         step = slot_to_step[slot]
-        lo, hi = bounds.get(step, (frame, frame))
-        bounds[step] = (min(lo, frame), max(hi, frame))
+        lo = first_frame[slot]
+        if step in bounds:
+            lo, hi = min(lo, bounds[step][0]), max(hi, bounds[step][1])
+        bounds[step] = (lo, hi)
     out = []
     for step in sorted(bounds):
         lo, hi = bounds[step]
@@ -241,6 +204,5 @@ def decode_segments(path: AlignmentPath, slot_to_step: dict[int, int],
 
 
 __all__ = [
-    "AlignmentPath", "percentile_drop_cost", "drop_dtw",
-    "brute_force_align", "decode_segments",
+    "AlignmentPath", "percentile_drop_cost", "drop_dtw", "decode_segments",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from .data import (
     AnnotatedVideo, ProceduralText, TaskDomain, load_corpus, save_corpus,
 )
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .features import read_features, write_features
 
 
@@ -28,14 +28,21 @@ class Corpus:
     phase: str = "init"
     access_log: list[tuple[str, str]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._by_id: dict[str, AnnotatedVideo] = {}
+        for video in self.videos:
+            if video.video_id in self._by_id:
+                raise ValidationError(f"duplicate video_id {video.video_id}")
+            self._by_id[video.video_id] = video
+
     def set_phase(self, phase: str) -> None:
         self.phase = phase
 
     def video_by_id(self, video_id: str) -> AnnotatedVideo:
-        for v in self.videos:
-            if v.video_id == video_id:
-                return v
-        raise KeyError(video_id)
+        try:
+            return self._by_id[video_id]
+        except KeyError:
+            raise ValidationError(f"unknown video_id {video_id!r}") from None
 
     def video_features(self, video_id: str) -> np.ndarray:
         self.access_log.append((self.phase, video_id))

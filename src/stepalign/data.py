@@ -170,6 +170,7 @@ def validate_video(video: AnnotatedVideo, text: ProceduralText) -> None:
         raise ValidationError(f"{vid}: annotation task {video.task.value} does not "
                               f"match text task {text.task.value}")
     prev_start = -1
+    step_end = 0        # end of the step-defined segments seen so far
     for seg in video.segments:
         if seg.segment.end > video.num_frames:
             raise ValidationError(
@@ -178,9 +179,15 @@ def validate_video(video: AnnotatedVideo, text: ProceduralText) -> None:
         if seg.segment.start < prev_start:
             raise ValidationError(f"{vid}: segments not sorted by start")
         prev_start = seg.segment.start
-        if seg.step is not None and not (1 <= seg.step <= text.num_steps):
-            raise ValidationError(
-                f"{vid}: unknown step {seg.step} (text has {text.num_steps})")
+        if seg.step is not None:
+            if not (1 <= seg.step <= text.num_steps):
+                raise ValidationError(
+                    f"{vid}: unknown step {seg.step} (text has {text.num_steps})")
+            if seg.segment.start < step_end:
+                raise ValidationError(
+                    f"{vid}: step {seg.step} segment [{seg.segment.start}, "
+                    f"{seg.segment.end}) overlaps a step segment ending at {step_end}")
+            step_end = max(step_end, seg.segment.end)
         has_desc = seg.description is not None
         if seg.mistake == MistakeLabel.CORRECT and has_desc:
             raise ValidationError(f"{vid}: correct segment carries a description")
@@ -336,9 +343,12 @@ def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedV
             raise ValidationError(f"{file}: duplicate video_id {video.video_id}")
         seen.add(video.video_id)
         if video.task not in texts:
-            raise ValidationError(
-                f"{video.video_id}: no procedural text for task {video.task.value}")
-        validate_video(video, texts[video.task])
+            raise ValidationError(f"{file}: {video.video_id}: no procedural text "
+                                  f"for task {video.task.value}")
+        try:
+            validate_video(video, texts[video.task])
+        except ValidationError as exc:
+            raise ValidationError(f"{file}: {exc}") from None
         videos.append(video)
 
     ordered_texts = [texts[t] for t in sorted(texts, key=lambda t: t.value)]

@@ -130,25 +130,6 @@ def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
     return float(np.sum(deltas * mpre[1:-1]))
 
 
-def average_precision_pointwise(tp_flags: np.ndarray, n_gt: int) -> float:
-    """Independent AP oracle: walk every true positive and scan the whole
-    suffix for its interpolated precision, no envelope precomputation."""
-    if n_gt <= 0:
-        raise ValidationError("AP needs at least one ground-truth instance")
-    tp_flags = np.asarray(tp_flags, dtype=bool)
-    total = 0.0
-    n = len(tp_flags)
-    for rank in range(n):
-        if not tp_flags[rank]:
-            continue
-        best = 0.0
-        for later in range(rank, n):
-            prec = np.count_nonzero(tp_flags[:later + 1]) / (later + 1)
-            best = max(best, prec)
-        total += best
-    return total / n_gt
-
-
 @dataclass(frozen=True)
 class MapResult:
     per_threshold: dict[float, float]
@@ -211,5 +192,5 @@ def gt_instances(video: AnnotatedVideo) -> list[GroundTruthInstance]:
 __all__ = [
     "BACKGROUND", "DEFAULT_TIOU_THRESHOLDS", "Detection", "MapResult",
     "rasterize", "gt_frame_labels", "frame_metrics", "average_precision",
-    "average_precision_pointwise", "map_at_tiou", "gt_instances",
+    "map_at_tiou", "gt_instances",
 ]

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stepalign.alignment import (
-    AlignmentPath, brute_force_align, decode_segments, drop_dtw,
-    percentile_drop_cost,
+    AlignmentPath, decode_segments, drop_dtw, percentile_drop_cost,
 )
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
+from stepalign.features import cosine_matrix
+from oracles import brute_force_align, drop_dtw_loop
 
 
 def _path_cost(cost, path, di):
@@ -180,6 +183,83 @@ class TestBruteForceEquivalence:
             brute_force_align(np.zeros((5, 3)), 0.1)
         with pytest.raises(ValidationError, match="capped"):
             brute_force_align(np.zeros((2, 8)), 0.1)
+
+
+def _random_problem(rng, kind):
+    """A cost matrix up to 12x59 and a drop cost: real-valued, small
+    integers (tie-heavy), or real with the pipeline's percentile drop cost."""
+    n, m = int(rng.integers(1, 13)), int(rng.integers(1, 60))
+    if kind == "integer":
+        return rng.integers(-3, 4, size=(n, m)).astype(float), float(rng.integers(-2, 4))
+    cost = rng.normal(size=(n, m))
+    if kind == "percentile":
+        return cost, percentile_drop_cost(cost, 80)
+    return cost, float(rng.normal())
+
+
+def _assert_same_as_loop(cost, di, exact=False):
+    fast, slow = drop_dtw(cost, di), drop_dtw_loop(cost, di)
+    assert fast.matches == slow.matches
+    assert fast.dropped_items == slow.dropped_items
+    if exact:
+        assert fast.total_cost == slow.total_cost
+    else:
+        assert fast.total_cost == pytest.approx(slow.total_cost, rel=1e-12, abs=0)
+
+
+class TestAgainstLoop:
+    """The row-scan kernel against the cell-by-cell loop it replaced."""
+
+    @pytest.mark.parametrize("kind", ["real", "integer", "percentile"])
+    def test_random_matrices(self, kind):
+        rng = np.random.default_rng(["real", "integer", "percentile"].index(kind))
+        for _ in range(300):
+            cost, di = _random_problem(rng, kind)
+            _assert_same_as_loop(cost, di, exact=kind == "integer")
+
+    @pytest.mark.parametrize("shape", [(8, 32), (12, 32), (8, 160), (12, 1340)])
+    def test_negative_cosine_at_pipeline_shapes(self, shape):
+        rng = np.random.default_rng(shape[1])
+        for _ in range(20 if shape[1] < 1000 else 2):
+            cost = -cosine_matrix(rng.normal(size=(shape[0], 16)),
+                                  rng.normal(size=(shape[1], 16)))
+            _assert_same_as_loop(cost, percentile_drop_cost(cost, 80))
+
+    def test_exact_tie_keeps_diagonal(self):
+        # entering (2, 2) diagonally from (1, 1) and by a row move through
+        # (2, 1), which costs 0, tie exactly; the diagonal comes first
+        cost = np.array([[-0.1, 0.3, 0.8], [-0.9, -0.3, 0.4], [0.5, 0.0, 0.7]])
+        assert drop_dtw(cost, 0.7).matches == [(0, 0), (1, 0), (1, 1), (2, 2)]
+        _assert_same_as_loop(cost, 0.7)
+
+    def test_real_ties_give_an_optimal_path(self):
+        # On a one-decimal grid many paths tie in real arithmetic, and the
+        # loop's rounding may break such a tie either way; the kernel's
+        # path must still be optimal.
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            cost = rng.integers(-9, 10, size=(int(rng.integers(1, 6)),
+                                              int(rng.integers(1, 12)))) / 10
+            di = percentile_drop_cost(cost, 80)
+            fast, slow = drop_dtw(cost, di), drop_dtw_loop(cost, di)
+            fast.validate(*cost.shape)
+            assert fast.total_cost == pytest.approx(slow.total_cost, abs=1e-12)
+            assert _path_cost(cost, fast, di) == pytest.approx(
+                slow.total_cost, abs=1e-12)
+
+
+@st.composite
+def _integer_problem(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 12)))
+    cost = draw(arrays(np.float64, shape, elements=st.integers(-5, 5).map(float)))
+    return cost, float(draw(st.integers(-5, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_problem())
+def test_integer_costs_match_loop_bit_for_bit(problem):
+    # integer sums are exact in any order, so nothing may differ at all
+    _assert_same_as_loop(*problem, exact=True)
 
 
 class TestDecodeSegments:

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stepalign.corpus import Corpus
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, CoarseLabel, Intent, MistakeLabel,
     ProceduralText, Segment, TaskDomain, coarse_label, load_corpus,
@@ -90,6 +91,37 @@ class TestValidation:
             validate_video(video, _text())
 
 
+    def test_overlapping_step_segments_rejected(self):
+        video = _video(segments=(
+            AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),
+            AnnotatedSegment(Segment(5, 12), step=2, mistake=MistakeLabel.CORRECT),
+        ))
+        with pytest.raises(ValidationError, match=r"v0: step 2 segment \[5, 12\) overlaps"):
+            validate_video(video, _text())
+
+    def test_undefined_segments_may_overlap(self):
+        validate_video(_video(segments=(
+            AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),
+            AnnotatedSegment(Segment(5, 12), step=None, mistake=MistakeLabel.MISPICK,
+                             description="grabbed the wrong jar"),
+            AnnotatedSegment(Segment(10, 14), step=2, mistake=MistakeLabel.CORRECT),
+        )), _text())
+
+
+class TestCorpusLookup:
+    def test_video_by_id(self):
+        corpus = Corpus(texts={}, videos=[_video("a"), _video("b")],
+                        features={}, step_features={})
+        assert corpus.video_by_id("b").video_id == "b"
+        with pytest.raises(ValidationError, match="unknown video_id 'c'"):
+            corpus.video_by_id("c")
+
+    def test_duplicate_video_ids_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate video_id a"):
+            Corpus(texts={}, videos=[_video("a"), _video("a")],
+                   features={}, step_features={})
+
+
 class TestCorpusIO:
     def test_round_trip_is_identity(self, tmp_path):
         texts = [_text(TaskDomain.COLOR_MIXTURE), _text(TaskDomain.CARDBOARD, n=5)]
@@ -117,6 +149,19 @@ class TestCorpusIO:
         obj["segments"][0]["step"] = 9
         (tmp_path / "annotations" / "v0.json").write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match="unknown step"):
+            load_corpus(tmp_path)
+
+    def test_overlapping_step_segments_name_file(self, tmp_path):
+        save_corpus(tmp_path, [_text()], [_video(segments=(
+            AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),
+            AnnotatedSegment(Segment(5, 12), step=2, mistake=MistakeLabel.CORRECT),
+        ))])
+        with pytest.raises(ValidationError, match=r"v0\.json: v0: step 2 .* overlaps"):
+            load_corpus(tmp_path)
+
+    def test_video_without_text_names_file(self, tmp_path):
+        save_corpus(tmp_path, [_text()], [_video(task=TaskDomain.CARDBOARD)])
+        with pytest.raises(ValidationError, match=r"v0\.json: v0: no procedural text"):
             load_corpus(tmp_path)
 
     def test_unknown_mistake_code_rejected(self):

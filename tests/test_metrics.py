@@ -5,9 +5,9 @@ from stepalign import metrics
 from stepalign.data import CoarseLabel, Segment
 from stepalign.errors import ValidationError
 from stepalign.metrics import (
-    Detection, average_precision, average_precision_pointwise, frame_metrics,
-    map_at_tiou, rasterize,
+    Detection, average_precision, frame_metrics, map_at_tiou, rasterize,
 )
+from oracles import average_precision_pointwise
 
 BG = 0
 M, K = CoarseLabel.MISTAKE, CoarseLabel.CORRECTION

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stepalign.alignment import brute_force_align, percentile_drop_cost
+from stepalign.alignment import percentile_drop_cost
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
 from stepalign.features import cosine_matrix, l2_normalize_rows
@@ -12,6 +12,7 @@ from stepalign.model import (
     batch_loss_and_grads, compute_selections, forward_slots,
     load_model, save_model, select_slots, FoldTraining,
 )
+from oracles import brute_force_align
 
 
 def _params(rng, d=6, dp=5, u=4):
