@@ -7,21 +7,27 @@ diagonal, right, and down moves; every visited cell is a match and every
 dropped item pays the drop cost. With drops priced out of reach the space
 reduces exactly to classic DTW.
 
-``drop_dtw`` runs one numpy prefix scan per slot row: the row's best
-costs with trailing drops are W plus the running minimum of (cost + best
-entry from the row above - W), where W is the running sum of
-min(cost, drop cost). The transition decisions are then taken for every
-cell at once, and the backtrace steps once per row, since within a row
-the path visits every kept item between the cell where it enters the row
-and the cell where it leaves.
+One kernel serves a stack of cost matrices of one shape, each with its
+own drop cost; ``drop_dtw`` is its one-matrix case and ``drop_dtw_stack``
+aligns a batch, as slot selection does for the videos of a training
+step. The kernel runs one numpy prefix scan per slot row, over that row
+of every matrix at once: the row's best costs with trailing drops are W
+plus the running minimum of (cost + best entry from the row above - W),
+where W is the running sum of min(cost, drop cost). The transition
+decisions are then taken for every cell of the stack at once. The
+backtrace is a scalar loop per matrix that steps once per row, since
+within a row the path visits every kept item between the cell where it
+enters the row and the cell where it leaves.
 
 Ties are resolved deterministically: matching is preferred over dropping,
 and transition sources are tried diagonal, then row, then column, then
 fresh start. The scan sums in another order than a cell-by-cell
 evaluation, so values within a rounding bound of each other count as
-tied; exact ties therefore resolve as they would cell by cell. That
-cell-by-cell loop and an exhaustive enumeration of the same space are the
-test oracles in ``tests/oracles.py``.
+tied; exact ties therefore resolve as they would cell by cell. The bound
+scales with each matrix's own values, so a matrix's path does not depend
+on the other matrices in its stack. That cell-by-cell loop and an
+exhaustive enumeration of the same space are the test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,29 +73,116 @@ class AlignmentPath:
                 raise ValidationError("matches are not monotone")
 
 
-def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile over all matrix entries.
+def _nearest_rank(flat: np.ndarray, pct: float) -> np.ndarray:
+    """Nearest-rank percentile of each row of ``flat``.
 
     The 1-based rank is ceil(pct * n / 100); the product is taken before
     the division so that exact ranks like 80% of 5 do not drift in float.
+    ``np.partition`` puts the element of that rank in place without
+    sorting the rest.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.size == 0:
+    if flat.shape[1] == 0:
         raise ValidationError("percentile of an empty cost matrix")
     if not (0.0 < pct <= 100.0):
         raise ValidationError(f"percentile must be in (0, 100], got {pct}")
-    flat = np.sort(cost, axis=None)
-    rank = max(1, math.ceil(pct * flat.size / 100.0))
-    return float(flat[rank - 1])
+    kth = max(1, math.ceil(pct * flat.shape[1] / 100.0)) - 1
+    return np.partition(flat, kth, axis=1)[:, kth]
 
 
-def _check_cost(cost: np.ndarray) -> np.ndarray:
+def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
+    """Nearest-rank percentile over all matrix entries."""
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] < 1 or cost.shape[1] < 1:
-        raise ValidationError(f"cost matrix must be 2-d and nonempty, got {cost.shape}")
+    return float(_nearest_rank(cost.reshape(1, -1), pct)[0])
+
+
+def percentile_drop_costs(costs: np.ndarray, pct: float) -> np.ndarray:
+    """Nearest-rank percentile over the entries of each matrix of a
+    B x n x m stack."""
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 3:
+        raise ValidationError(f"cost stack must be 3-d, got {costs.shape}")
+    return _nearest_rank(costs.reshape(costs.shape[0], -1), pct)
+
+
+def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != ndim or 0 in cost.shape:
+        raise ValidationError(
+            f"cost matrix must be {ndim}-d and nonempty, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValidationError("cost matrix contains non-finite entries")
     return cost
+
+
+def _scan_rows(cost: np.ndarray, di: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel on an n x B x m stack laid out slot row first, so that
+    one step of the scan handles row i of every matrix; ``di`` holds the B
+    drop costs. Returns the n x B x m visited mask and the B totals."""
+    n, b, m = cost.shape
+    di = di[:, None]                            # broadcasts over items
+
+    # M[i, j]: best alignment prefix whose last visited cell is (i, j).
+    # RD[i, j]: M[i, j'] for some j' <= j plus drops for items j'+1..j.
+    # ext[j] is the cheaper way into (i, j) from the row above, or the
+    # fresh start after j drops on row 0. Then
+    #   M[j] = c[j] + min(ext[j], RD[j-1]),  RD[j] = min(M[j], RD[j-1] + di)
+    # unrolls to the prefix scan RD = W + cummin(c + ext - W) with
+    # W = cumsum(min(c, di)).
+    W = np.cumsum(np.minimum(cost, di), axis=2)
+    M = np.empty((n, b, m))
+    padded = np.empty((n, b, m + 1))
+    padded[..., 0] = _INF
+    RD, rd_left = padded[..., 1:], padded[..., :-1]   # rd_left[..., j] = RD[..., j-1]
+    start = np.arange(m) * di
+    ext, above = start, None
+    for c_row, w_row, cw_row, rd_row, left_row, m_row in zip(
+            cost, W, cost - W, RD, rd_left, M):
+        if above is not None:
+            ext = np.minimum(*above)
+        np.add(w_row, np.minimum.accumulate(ext + cw_row, axis=1), out=rd_row)
+        np.add(c_row, np.minimum(ext, left_row), out=m_row)
+        above = m_row, left_row
+
+    # Decisions for every cell at once. The scan sums in another order
+    # than a cell-by-cell evaluation, so values that one makes exactly
+    # equal can differ here in the last bits (by at most a tenth of
+    # ``tol`` on negative-cosine costs up to 12x1340); values within
+    # ``tol`` count as tied. ``tol`` scales with each matrix's own values,
+    # so no matrix's path depends on the others in its stack. Ties keep
+    # the earlier source: diagonal, then row, then column; on row 0 the
+    # row before a fresh start; matching an item before dropping it.
+    scale = np.maximum(np.abs(W).max(axis=(0, 2)), np.abs(M).max(axis=(0, 2)))
+    tol = ((n + m) * _EPS * scale)[:, None]
+    diag, row, col = rd_left[:-1], rd_left[1:], M[:-1]      # into rows 1..n-1
+    near_best = np.minimum(np.minimum(diag, row), col) + tol
+    diag_move = diag <= near_best
+    row_move = np.empty((n, b, m), dtype=bool)
+    row_move[0] = start >= rd_left[0] - tol
+    row_move[1:] = (row <= near_best) & ~diag_move
+    dropped = rd_left + di < M - tol
+
+    # Backtrace, one row at a time for each matrix. The path leaves row i
+    # at item leave[i] and, by row moves, visits every kept item back to
+    # enter[i], the last kept item before it not reached by a row move.
+    items = np.arange(m)
+    last_kept = np.maximum.accumulate(np.where(dropped, -1, items), axis=2)
+    last_entry = np.maximum.accumulate(
+        np.where(dropped | row_move, -1, items), axis=2)
+    enter = np.empty((n, b), dtype=np.intp)
+    leave = np.empty((n, b), dtype=np.intp)
+    for k in range(b):
+        j = int(last_kept[n - 1, k, m - 1])
+        for i in range(n - 1, -1, -1):
+            leave[i, k] = j
+            if row_move[i, k, j]:
+                j = int(last_entry[i, k, j - 1])
+            enter[i, k] = j
+            if i and diag_move[i - 1, k, j]:
+                j = int(last_kept[i - 1, k, j - 1])
+
+    visited = ~dropped & (items >= enter[..., None]) & (items < leave[..., None])
+    visited[np.arange(n)[:, None], np.arange(b), leave] = True
+    return visited, RD[n - 1, :, m - 1]
 
 
 def drop_dtw(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
@@ -102,76 +195,36 @@ def drop_dtw(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
     cost = _check_cost(cost)
     if not math.isfinite(drop_item_cost):
         raise ValidationError("drop_item_cost must be finite")
-    n, m = cost.shape
-    di = float(drop_item_cost)
-
-    # M[i, j]: best alignment prefix whose last visited cell is (i, j).
-    # RD[i, j]: M[i, j'] for some j' <= j plus drops for items j'+1..j.
-    # ext[j] is the cheaper way into (i, j) from the row above, or the
-    # fresh start after j drops on row 0. Then
-    #   M[j] = c[j] + min(ext[j], RD[j-1]),  RD[j] = min(M[j], RD[j-1] + di)
-    # unrolls to the prefix scan RD = W + cummin(c + ext - W) with
-    # W = cumsum(min(c, di)).
-    W = np.cumsum(np.minimum(cost, di), axis=1)
-    M = np.empty((n, m))
-    padded = np.empty((n, m + 1))
-    padded[:, 0] = _INF
-    RD, rd_left = padded[:, 1:], padded[:, :-1]     # rd_left[i, j] = RD[i, j-1]
-    start = np.arange(m) * di
-    ext, above = start, None
-    for c_row, w_row, cw_row, rd_row, left_row, m_row in zip(
-            cost, W, cost - W, RD, rd_left, M):
-        if above is not None:
-            ext = np.minimum(*above)
-        np.add(w_row, np.minimum.accumulate(ext + cw_row), out=rd_row)
-        np.add(c_row, np.minimum(ext, left_row), out=m_row)
-        above = m_row, left_row
-
-    # Decisions for every cell at once. The scan sums in another order
-    # than a cell-by-cell evaluation, so values that one makes exactly
-    # equal can differ here in the last bits (by at most a tenth of
-    # ``tol`` on negative-cosine costs up to 12x1340); values within
-    # ``tol`` count as tied. Ties keep the earlier source: diagonal, then
-    # row, then column; on row 0 the row before a fresh start; matching
-    # an item before dropping it.
-    tol = (n + m) * _EPS * max(np.abs(W).max(), np.abs(M).max())
-    diag, row, col = rd_left[:-1], rd_left[1:], M[:-1]      # into rows 1..n-1
-    near_best = np.minimum(np.minimum(diag, row), col) + tol
-    diag_move = diag <= near_best
-    row_move = np.empty((n, m), dtype=bool)
-    row_move[0] = start >= rd_left[0] - tol
-    row_move[1:] = (row <= near_best) & ~diag_move
-    dropped = rd_left + di < M - tol
-
-    # Backtrace, one row at a time. The path leaves row i at item
-    # leave[i] and, by row moves, visits every kept item back to
-    # enter[i], the last kept item before it not reached by a row move.
-    items = np.arange(m)
-    last_kept = np.maximum.accumulate(np.where(dropped, -1, items), axis=1)
-    last_entry = np.maximum.accumulate(
-        np.where(dropped | row_move, -1, items), axis=1)
-    enter = [0] * n
-    leave = [0] * n
-    j = int(last_kept[n - 1, m - 1])
-    for i in range(n - 1, -1, -1):
-        leave[i] = j
-        if row_move[i, j]:
-            j = int(last_entry[i, j - 1])
-        enter[i] = j
-        if i and diag_move[i - 1, j]:
-            j = int(last_kept[i - 1, j - 1])
-
-    visited = ~dropped & (items >= np.array(enter)[:, None]) \
-        & (items < np.array(leave)[:, None])
-    visited[np.arange(n), leave] = True
-    rows, cols = np.nonzero(visited)            # row-major is path order
-    matched = np.zeros(m, dtype=bool)
+    visited, total = _scan_rows(cost[:, None], np.array([float(drop_item_cost)]))
+    rows, cols = np.nonzero(visited[:, 0])      # row-major is path order
+    matched = np.zeros(cost.shape[1], dtype=bool)
     matched[cols] = True
     return AlignmentPath(
         matches=list(zip(rows.tolist(), cols.tolist())),
         dropped_items=np.flatnonzero(~matched).tolist(),
-        total_cost=float(RD[n - 1, m - 1]),
+        total_cost=float(total[0]),
     )
+
+
+def drop_dtw_stack(costs: np.ndarray, drop_item_costs: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``drop_dtw`` on each matrix of a B x n x m stack, matrix b with drop
+    cost ``drop_item_costs[b]``.
+
+    Returns the B x n x m mask of the cells each optimal path visits and
+    the B total costs. Each matrix gets the path and total that
+    ``drop_dtw`` gives it alone.
+    """
+    costs = _check_cost(costs, ndim=3)
+    drop_item_costs = np.asarray(drop_item_costs, dtype=np.float64)
+    if drop_item_costs.shape != costs.shape[:1]:
+        raise ValidationError(
+            f"need one drop cost per matrix, got {drop_item_costs.shape} "
+            f"for {costs.shape[0]} matrices")
+    if not np.all(np.isfinite(drop_item_costs)):
+        raise ValidationError("drop_item_cost must be finite")
+    visited, total = _scan_rows(costs.transpose(1, 0, 2), drop_item_costs)
+    return visited.transpose(1, 0, 2), total
 
 
 def decode_segments(path: AlignmentPath, slot_to_step: dict[int, int],
@@ -204,5 +257,6 @@ def decode_segments(path: AlignmentPath, slot_to_step: dict[int, int],
 
 
 __all__ = [
-    "AlignmentPath", "percentile_drop_cost", "drop_dtw", "decode_segments",
+    "AlignmentPath", "percentile_drop_cost", "percentile_drop_costs",
+    "drop_dtw", "drop_dtw_stack", "decode_segments",
 ]

@@ -19,6 +19,10 @@ in both directions.
 
 Slot selection is recomputed every step but treated as a constant mapping
 inside the losses, so no gradient flows through the discrete alignment.
+A training step runs the decoder once per video: ``compute_selections``
+keeps each forward's activations, selects slots for the whole batch with
+one stacked Drop-DTW per step count, and ``batch_loss_and_grads``
+backpropagates through the same activations.
 
 Both losses and their gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracles used for
@@ -28,11 +32,15 @@ finite-difference checks live in ``tests/test_model.py``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import decode_segments, drop_dtw, percentile_drop_cost
+from .alignment import (
+    decode_segments, drop_dtw, drop_dtw_stack, percentile_drop_cost,
+    percentile_drop_costs,
+)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import FoldSpec, Segment
@@ -162,28 +170,36 @@ def forward_slots(params: ModelParams, video: np.ndarray,
     return slots, cache
 
 
-def select_slots(slots: np.ndarray, step_feats: np.ndarray,
-                 drop_pct: float = 80.0) -> tuple[np.ndarray, list[int]]:
-    """Assign one slot to every step by droppable DTW on negative cosine.
+def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
+                 drop_pct: float = 80.0) -> list[list[int]]:
+    """Assign one slot to every step of every video by droppable DTW on
+    negative cosine.
 
-    Steps cannot drop; surplus slots drop at the percentile cost. When a
-    step's alignment run covers several slots, the cheapest one represents
-    it (ties go to the lower slot index). Returns the K selected slot rows
-    in step order plus their indices.
+    ``slots[b]`` is video b's U x d' slot matrix and ``step_feats[b]`` its
+    K_b x d' step texts. Steps cannot drop; surplus slots drop at each
+    video's percentile cost. Videos with equal step and slot counts are
+    aligned as one stack. When a step's alignment run covers several
+    slots, the cheapest one represents it (ties go to the lower slot
+    index). Returns each video's K_b selected slot indices in step order.
     """
-    n_steps = step_feats.shape[0]
-    if n_steps > slots.shape[0]:
-        raise ValidationError(
-            f"{n_steps} steps but only {slots.shape[0]} slots")
-    cost = -cosine_matrix(step_feats, slots)
-    delta = percentile_drop_cost(cost, drop_pct)
-    path = drop_dtw(cost, delta)
-    chosen: list[int] = []
-    for step_row in range(n_steps):
-        slot_cols = [j for i, j in path.matches if i == step_row]
-        best = min(slot_cols, key=lambda j: (cost[step_row, j], j))
-        chosen.append(best)
-    return slots[chosen], chosen
+    costs = []
+    for video_slots, steps in zip(slots, step_feats):
+        if steps.shape[0] > video_slots.shape[0]:
+            raise ValidationError(
+                f"{steps.shape[0]} steps but only {video_slots.shape[0]} slots")
+        costs.append(-cosine_matrix(steps, video_slots))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for b, cost in enumerate(costs):
+        groups.setdefault(cost.shape, []).append(b)
+    chosen: list[list[int]] = [[] for _ in costs]
+    for members in groups.values():
+        stack = np.stack([costs[b] for b in members])
+        visited, _ = drop_dtw_stack(stack, percentile_drop_costs(stack, drop_pct))
+        # argmin takes the first minimum: the lower slot index on ties
+        best = np.where(visited, stack, np.inf).argmin(axis=2)
+        for b, row in zip(members, best.tolist()):
+            chosen[b] = row
+    return chosen
 
 
 @dataclass
@@ -216,14 +232,19 @@ def make_train_example(corpus: Corpus, video_id: str,
 
 
 def compute_selections(params: ModelParams, batch: list[TrainExample],
-                       drop_pct: float) -> list[list[int]]:
-    out = []
-    for ex in batch:
-        slots = forward_slots(params, ex.frames)
-        tp = ex.step_feats @ params.proj_t
-        _, chosen = select_slots(slots, tp, drop_pct)
-        out.append(chosen)
-    return out
+                       drop_pct: float) -> tuple[list[list[int]], list[dict]]:
+    """One decoder forward per video and the slot each step selects.
+
+    Returns the selections and the forward caches, which
+    ``batch_loss_and_grads`` takes so that it need not run the decoder
+    again.
+    """
+    caches = [forward_slots(params, ex.frames, with_cache=True)[1]
+              for ex in batch]
+    selections = select_slots([cache["slots"] for cache in caches],
+                              [ex.step_feats @ params.proj_t for ex in batch],
+                              drop_pct)
+    return selections, caches
 
 
 def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -231,20 +252,21 @@ def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
-                         selections: list[list[int]], config: TrainConfig
+                         selections: list[list[int]], caches: list[dict],
+                         config: TrainConfig
                          ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus exact analytic gradients for every parameter tensor.
 
-    Slot selection is a constant: gradients flow through the decoder and
-    both losses but not through the discrete assignment. Each video's
-    supervised terms come from one frames x steps cosine matrix; the
-    contrastive terms are computed for the whole batch at once.
+    ``caches`` are the batch's ``forward_slots(..., with_cache=True)``
+    activations at ``params``. Slot selection is a constant: gradients
+    flow through the decoder and both losses but not through the discrete
+    assignment. Each video's supervised terms come from one frames x steps
+    cosine matrix; the contrastive terms are computed for the whole batch
+    at once.
     """
     grads = _zero_grads(params)
     gamma = config.gamma
     n = len(batch)
-    caches = [forward_slots(params, ex.frames, with_cache=True)[1]
-              for ex in batch]
 
     # batch-contrastive loss over pooled slots m_i and pooled step texts t_i
     d_m = np.zeros((n, params.working_dim))
@@ -343,11 +365,9 @@ def align_video(params: ModelParams, frames: np.ndarray,
     align the selected slots to frames and read off the per-step segments."""
     if normalize_features:
         frames = l2_normalize_rows(frames)
-    slots = forward_slots(params, frames)
-    tp = step_feats @ params.proj_t
-    selected, _ = select_slots(slots, tp, drop_pct)
-    xp = frames @ params.proj_v
-    return align_frames_to_slots(selected, xp, drop_pct)
+    slots, cache = forward_slots(params, frames, with_cache=True)
+    chosen = select_slots([slots], [step_feats @ params.proj_t], drop_pct)[0]
+    return align_frames_to_slots(slots[chosen], cache["xp"], drop_pct)
 
 
 @dataclass
@@ -384,11 +404,28 @@ def evaluate_alignment_f1(params: ModelParams, corpus: Corpus,
     return float(np.mean(scores)) if scores else 0.0
 
 
+def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
+    """Reject, before any training, a fold the run could not finish: no
+    training videos, an id the corpus lacks, or a task with more steps
+    than the decoder has slots (its test videos are aligned by the same
+    slots later)."""
+    if not fold.train:
+        raise ValidationError(f"fold {fold.fold_id}: empty train split")
+    tasks = {corpus.video_by_id(vid).task
+             for vid in (*fold.train, *fold.val, *fold.test)}
+    most_steps = max(corpus.task_step_features(task).shape[0] for task in tasks)
+    if config.num_queries < most_steps:
+        raise ValidationError(
+            f"fold {fold.fold_id}: num_queries {config.num_queries} is below "
+            f"the {most_steps} steps of its longest task")
+
+
 def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                          config: TrainConfig) -> FoldTraining:
     """Mini-batch training on one fold; returns the checkpoint with the
     best validation frame-F1 (earlier epoch wins ties)."""
     config.validate()
+    _check_fold(corpus, fold, config)
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
     corpus.set_phase(f"fold{fold.fold_id}:train-align")
@@ -405,13 +442,16 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[lo:lo + config.batch_size]]
-            selections = compute_selections(params, batch, config.drop_pct)
+            selections, caches = compute_selections(params, batch,
+                                                    config.drop_pct)
             try:
                 loss, grads = batch_loss_and_grads(params, batch, selections,
-                                                   config)
+                                                   caches, config)
             except NumericalError as exc:
                 raise NumericalError(
                     f"fold {fold.fold_id} epoch {epoch}: {exc}") from None
+            # free this step's activations before the next step's forwards
+            del caches
             tensors = params.as_dict()
             opt.step(tensors, grads)
             epoch_losses.append(loss)

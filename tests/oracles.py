@@ -3,8 +3,10 @@
 ``drop_dtw_loop`` is the cell-by-cell Drop-DTW recurrence that
 ``stepalign.alignment.drop_dtw`` replaced with a row scan, and
 ``brute_force_align`` enumerates the same alignment space exhaustively.
-``average_precision_pointwise`` computes AP without the precision envelope
-that ``stepalign.metrics.average_precision`` uses.
+``select_slots_per_video`` is the one-video slot choice that
+``stepalign.model.select_slots`` replaced with a masked argmin over a
+stack of videos. ``average_precision_pointwise`` computes AP without the
+precision envelope that ``stepalign.metrics.average_precision`` uses.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import math
 
 import numpy as np
 
-from stepalign.alignment import _INF, AlignmentPath, _check_cost
+from stepalign.alignment import (
+    _INF, AlignmentPath, _check_cost, drop_dtw, percentile_drop_cost,
+)
 from stepalign.errors import ValidationError
+from stepalign.features import cosine_matrix
 
 # transition codes for the match table
 _T_DIAG, _T_ROW, _T_COL, _T_START = 0, 1, 2, 3
@@ -150,6 +155,19 @@ def brute_force_align(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
         dropped_items=[j for j in range(m) if j not in matched_items],
         total_cost=best_cost,
     )
+
+
+def select_slots_per_video(slots: np.ndarray, step_feats: np.ndarray,
+                           drop_pct: float) -> list[int]:
+    """One video's slot per step: Drop-DTW of its steps against its slots,
+    then each step's cheapest matched slot, the lower index on ties."""
+    cost = -cosine_matrix(step_feats, slots)
+    path = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
+    chosen: list[int] = []
+    for step_row in range(step_feats.shape[0]):
+        slot_cols = [j for i, j in path.matches if i == step_row]
+        chosen.append(min(slot_cols, key=lambda j: (cost[step_row, j], j)))
+    return chosen
 
 
 def average_precision_pointwise(tp_flags: np.ndarray, n_gt: int) -> float:

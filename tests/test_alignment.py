@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stepalign.alignment import (
-    AlignmentPath, decode_segments, drop_dtw, percentile_drop_cost,
+    AlignmentPath, decode_segments, drop_dtw, drop_dtw_stack,
+    percentile_drop_cost, percentile_drop_costs,
 )
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
@@ -73,6 +74,26 @@ class TestPercentileDropCost:
             percentile_drop_cost(np.ones((2, 2)), 0.0)
         with pytest.raises(ValidationError):
             percentile_drop_cost(np.ones((2, 2)), 101.0)
+
+    @pytest.mark.parametrize("pct", [0.5, 80.0, 100.0])
+    @pytest.mark.parametrize("kind", ["real", "integer", "ties"])
+    def test_equals_sorted_nearest_rank(self, kind, pct):
+        # the selected element is the one a full sort puts at the rank,
+        # for one matrix and for every matrix of a stack
+        rng = np.random.default_rng(["real", "integer", "ties"].index(kind))
+        for _ in range(50):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 13)),
+                     int(rng.integers(1, 60)))
+            if kind == "real":
+                stack = rng.normal(size=shape)
+            elif kind == "integer":
+                stack = rng.integers(-3, 4, size=shape).astype(float)
+            else:
+                stack = rng.choice([-0.5, 0.0, 0.5], size=shape, p=[0.1, 0.8, 0.1])
+            rank = max(1, math.ceil(pct * stack[0].size / 100.0))
+            expected = [np.sort(cost, axis=None)[rank - 1] for cost in stack]
+            assert [percentile_drop_cost(cost, pct) for cost in stack] == expected
+            assert percentile_drop_costs(stack, pct).tolist() == expected
 
 
 class TestDtw:
@@ -260,6 +281,55 @@ def _integer_problem(draw):
 def test_integer_costs_match_loop_bit_for_bit(problem):
     # integer sums are exact in any order, so nothing may differ at all
     _assert_same_as_loop(*problem, exact=True)
+
+
+@st.composite
+def _integer_stack(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+             draw(st.integers(1, 12)))
+    costs = draw(arrays(np.float64, shape, elements=st.integers(-5, 5).map(float)))
+    drops = draw(arrays(np.float64, shape[:1], elements=st.integers(-5, 5).map(float)))
+    return costs, drops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_stack())
+def test_integer_stacks_match_loop_bit_for_bit(problem):
+    # each matrix of a stack gets the loop's path and total on its own
+    costs, drops = problem
+    visited, totals = drop_dtw_stack(costs, drops)
+    for cost, di, mask, total in zip(costs, drops, visited, totals):
+        slow = drop_dtw_loop(cost, di)
+        expected = np.zeros(cost.shape, dtype=bool)
+        expected[tuple(np.array(slow.matches).T)] = True
+        np.testing.assert_array_equal(mask, expected)
+        assert total == slow.total_cost
+
+
+class TestDropDtwStack:
+    def test_each_matrix_as_alone(self):
+        # one matrix's path must not depend on the others in its stack,
+        # even when their scales differ by orders of magnitude
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            b, n, m = (int(rng.integers(1, 7)), int(rng.integers(1, 9)),
+                       int(rng.integers(1, 40)))
+            scales = 10.0 ** rng.integers(-8, 9, size=(b, 1, 1))
+            costs = rng.normal(size=(b, n, m)) * scales
+            drops = percentile_drop_costs(costs, 80)
+            visited, totals = drop_dtw_stack(costs, drops)
+            for cost, di, mask, total in zip(costs, drops, visited, totals):
+                path = drop_dtw(cost, di)
+                assert list(zip(*np.nonzero(mask))) == path.matches
+                assert total == path.total_cost
+
+    def test_malformed_input_rejected(self):
+        with pytest.raises(ValidationError, match="3-d"):
+            drop_dtw_stack(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValidationError, match="one drop cost per matrix"):
+            drop_dtw_stack(np.zeros((2, 3, 4)), np.zeros(3))
+        with pytest.raises(ValidationError, match="finite"):
+            drop_dtw_stack(np.zeros((2, 3, 4)), np.array([0.0, np.inf]))
 
 
 class TestDecodeSegments:

@@ -1,18 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import stepalign.model
 from stepalign.alignment import percentile_drop_cost
-from stepalign.data import Segment
+from stepalign.data import FoldSpec, Segment
 from stepalign.errors import ValidationError
 from stepalign.features import cosine_matrix, l2_normalize_rows
 from stepalign.model import (
     ModelParams, TrainConfig, TrainExample, align_frames_to_slots,
     batch_loss_and_grads, compute_selections, forward_slots,
-    load_model, save_model, select_slots, FoldTraining,
+    load_model, save_model, select_slots, train_alignment_fold, FoldTraining,
 )
-from oracles import brute_force_align
+from stepalign.synth import SynthConfig, synth_corpus
+from oracles import brute_force_align, select_slots_per_video
 
 
 def _params(rng, d=6, dp=5, u=4):
@@ -160,7 +163,7 @@ class TestSelectSlots:
         k = 4
         slots = np.eye(k) + 0.01 * rng.normal(size=(k, k))
         steps = np.eye(k)
-        _, chosen = select_slots(slots, steps, drop_pct=80)
+        [chosen] = select_slots([slots], [steps], drop_pct=80)
         assert chosen == list(range(k))
 
     def test_single_step_cost_matches_brute_force(self):
@@ -171,7 +174,7 @@ class TestSelectSlots:
             cost = -cosine_matrix(steps, slots)
             delta = percentile_drop_cost(cost, 80)
             oracle = brute_force_align(cost, delta)
-            selected, chosen = select_slots(slots, steps, drop_pct=80)
+            [chosen] = select_slots([slots], [steps], drop_pct=80)
             oracle_slots = {j for _, j in oracle.matches}
             # the same optimum value is achieved; the representative slot
             # must be one of the matched ones in some optimal assignment
@@ -185,23 +188,35 @@ class TestSelectSlots:
         rng = np.random.default_rng(7)
         slots = rng.normal(size=(8, 5))
         steps = rng.normal(size=(3, 5))
-        a = select_slots(slots, steps, 80)
-        b = select_slots(slots, steps, 80)
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1] == b[1]
+        assert select_slots([slots], [steps], 80) == select_slots([slots], [steps], 80)
 
     def test_monotone_selection(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             slots = rng.normal(size=(10, 6))
             steps = rng.normal(size=(4, 6))
-            _, chosen = select_slots(slots, steps, 80)
+            [chosen] = select_slots([slots], [steps], 80)
             assert all(b >= a for a, b in zip(chosen, chosen[1:]))
+
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_stack_matches_per_video_oracle(self, batch):
+        # videos of 2 and 3 steps in one call; each gets the slots that
+        # drop_dtw plus the cheapest matched slot give it alone
+        rng = np.random.default_rng(batch)
+        for _ in range(30):
+            slots = [rng.normal(size=(8, 5)) for _ in range(batch)]
+            for video_slots in slots[::2]:
+                video_slots[3:6] = video_slots[2]   # exact cost ties
+            steps = [rng.normal(size=(int(rng.integers(2, 4)), 5))
+                     for _ in range(batch)]
+            expected = [select_slots_per_video(u, t, 80)
+                        for u, t in zip(slots, steps)]
+            assert select_slots(slots, steps, 80) == expected
 
     def test_too_many_steps_rejected(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValidationError, match="steps"):
-            select_slots(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), 80)
+            select_slots([rng.normal(size=(2, 4))], [rng.normal(size=(3, 4))], 80)
 
 
 class TestLossSupervised:
@@ -294,9 +309,10 @@ def _grad_check(config, seed, selections=None, edit_batch=None):
     batch = [_random_example(rng) for _ in range(2)]
     if edit_batch is not None:
         edit_batch(batch)
+    chosen, caches = compute_selections(params, batch, config.drop_pct)
     if selections is None:
-        selections = compute_selections(params, batch, config.drop_pct)
-    loss, grads = batch_loss_and_grads(params, batch, selections, config)
+        selections = chosen
+    loss, grads = batch_loss_and_grads(params, batch, selections, caches, config)
     assert loss == pytest.approx(batch_loss(params, batch, selections, config),
                                  rel=1e-12)
     h = 1e-5
@@ -364,8 +380,9 @@ class TestGradients:
         params = _params(rng)
         batch = [_random_example(rng) for _ in range(2)]
         config = TrainConfig(gamma=0.5, w_sup=0.0, w_global=0.0, batch_size=2)
-        selections = compute_selections(params, batch, config.drop_pct)
-        loss, grads = batch_loss_and_grads(params, batch, selections, config)
+        selections, caches = compute_selections(params, batch, config.drop_pct)
+        loss, grads = batch_loss_and_grads(params, batch, selections, caches,
+                                           config)
         assert loss == 0.0
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
@@ -458,3 +475,57 @@ class TestCheckpointIO:
         save_model(tmp_path / "a.ckpt", training, TrainConfig())
         save_model(tmp_path / "b.ckpt", training, TrainConfig())
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def _tiny_fold():
+    corpus = synth_corpus(SynthConfig(tasks=2, videos_per_task=4, workers=2,
+                                      steps_per_task=3, dim=8,
+                                      frames_per_step=(3, 5))).corpus
+    ids = [v.video_id for v in corpus.videos]
+    fold = FoldSpec(0, train=tuple(ids[:5]), val=tuple(ids[5:7]),
+                    test=(ids[7],))
+    config = TrainConfig(epochs=3, batch_size=2, working_dim=6, num_queries=5)
+    return corpus, fold, config
+
+
+class TestTrainAlignmentFold:
+    def test_repeatable_with_one_forward_per_video_and_epoch(self, monkeypatch):
+        corpus, fold, config = _tiny_fold()
+        first = train_alignment_fold(corpus, fold, config)
+        calls = []
+        forward = stepalign.model.forward_slots
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(stepalign.model, "forward_slots", counted)
+        second = train_alignment_fold(corpus, fold, config)
+        # one forward per training video (selection and loss share it)
+        # and one per validation video, every epoch
+        assert len(calls) == config.epochs * (len(fold.train) + len(fold.val))
+        assert second.log == first.log
+        assert (second.best_epoch, second.best_val_f1) == \
+            (first.best_epoch, first.best_val_f1)
+        for name, tensor in first.params.as_dict().items():
+            np.testing.assert_array_equal(getattr(second.params, name), tensor,
+                                          err_msg=name)
+
+    def test_too_few_slots_rejected_before_training(self, monkeypatch):
+        corpus, fold, config = _tiny_fold()
+        # with the decoder unset, any training step fails with TypeError
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        with pytest.raises(ValidationError, match="num_queries 2 .* 3 steps"):
+            train_alignment_fold(corpus, fold, replace(config, num_queries=2))
+
+    def test_empty_train_split_rejected(self):
+        corpus, fold, config = _tiny_fold()
+        with pytest.raises(ValidationError, match="empty train split"):
+            train_alignment_fold(corpus, replace(fold, train=()), config)
+
+    def test_unknown_val_id_rejected_before_training(self, monkeypatch):
+        corpus, fold, config = _tiny_fold()
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        with pytest.raises(ValidationError, match="'nope'"):
+            train_alignment_fold(corpus, replace(fold, val=(*fold.val, "nope")),
+                                 config)
