@@ -9,6 +9,12 @@ which downweights frequent classes smoothly; a label seen once keeps
 weight 1 for any beta. Training is teacher-forced on ground-truth
 segments. Segments without a written step (and the whole text side in the
 video-only ablation) use a zero text vector.
+
+Every path from segments to labels is the same two calls:
+``classifier_rows`` builds one input row per ``(step, segment)`` pair and
+``classify`` labels a whole row matrix with one forward. Training rows,
+validation rows and detections all come from them; a fold builds its
+validation rows once and rescores them each validation round.
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import NumericalError, ValidationError
 from .features import mean_pool
-from .metrics import Detection, gt_instances, map_at_tiou
+from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
 from .optim import Adam
 
 _TENSOR_ORDER = ("w1", "b1", "w2", "b2")
 NUM_CLASSES = len(CoarseLabel)
+_Proposals = list[tuple[int | None, Segment]]    # (step, segment) pairs
 
 
 @dataclass
@@ -60,43 +67,22 @@ class ClassifierParams:
         )
 
 
-@dataclass(frozen=True)
-class ClassBalanceConfig:
-    beta: float
-    counts: dict[CoarseLabel, int]
-
-    def validate(self) -> None:
-        if not (0.0 <= self.beta < 1.0):
-            raise ValidationError(f"beta must be in [0, 1), got {self.beta}")
-        for label, count in self.counts.items():
-            if count < 1:
-                raise ValidationError(f"class {label.name} has count {count}")
-
-
-def cb_weight(cfg: ClassBalanceConfig, label: CoarseLabel) -> float:
-    """Effective-number class weight (1 - beta) / (1 - beta^count)."""
-    cfg.validate()
-    if label not in cfg.counts:
-        raise ValidationError(f"no training count recorded for {label.name}")
-    r = cfg.counts[label]
-    if cfg.beta == 0.0:
-        return 1.0
-    return (1.0 - cfg.beta) / (1.0 - cfg.beta ** r)
+def class_balanced_weights(beta: float, counts: list[int]) -> np.ndarray:
+    """Effective-number weight (1 - beta) / (1 - beta^count) of each class,
+    indexed by class; ``counts[k]`` is the number of training rows of
+    class k."""
+    if not (0.0 <= beta < 1.0):
+        raise ValidationError(f"beta must be in [0, 1), got {beta}")
+    for label, count in enumerate(counts):
+        if count < 1:
+            raise ValidationError(
+                f"class {CoarseLabel(label).name} has count {count}")
+    return np.array([(1.0 - beta) / (1.0 - beta ** count) for count in counts])
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z, axis=-1, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-
-def _forward(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
-    h = np.maximum(x @ params.w1 + params.b1, 0.0)
-    return h @ params.w2 + params.b2
-
-
-def classifier_input(video_feats: np.ndarray, seg: Segment,
-                     step_feature: np.ndarray) -> np.ndarray:
-    return np.concatenate([mean_pool(video_feats, seg), step_feature])
 
 
 def _text_vector(step_feats: np.ndarray, step: int | None,
@@ -108,15 +94,38 @@ def _text_vector(step_feats: np.ndarray, step: int | None,
     return step_feats[step - 1]
 
 
-def classify(params: ClassifierParams, video_feats: np.ndarray, seg: Segment,
-             step_feature: np.ndarray) -> tuple[np.ndarray, CoarseLabel]:
-    """Logits and argmax label; ties go to the lowest class index."""
-    x = classifier_input(video_feats, seg, step_feature)
-    if x.shape[0] != params.input_dim:
+def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
+                    step_feats: np.ndarray, video_only: bool) -> np.ndarray:
+    """One input row per ``(step, segment)`` proposal of a video: the
+    segment's mean-pooled features, then the step's text vector."""
+    width = video_feats.shape[1] + step_feats.shape[1]
+    rows = [np.concatenate([mean_pool(video_feats, seg),
+                            _text_vector(step_feats, step, video_only)])
+            for step, seg in proposals]
+    return np.stack(rows) if rows else np.empty((0, width))
+
+
+def classify(params: ClassifierParams,
+             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and argmax class index of every row of ``x``; ties go to the
+    lowest class index."""
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(
-            f"classifier expects input dim {params.input_dim}, got {x.shape[0]}")
-    z = _forward(params, x)
-    return z, CoarseLabel(int(np.argmax(z)))
+            f"classifier expects rows of width {params.input_dim}, "
+            f"got shape {x.shape}")
+    h = np.maximum(x @ params.w1 + params.b1, 0.0)
+    z = h @ params.w2 + params.b2
+    return z, np.argmax(z, axis=1)
+
+
+def _detections(proposals: _Proposals, z: np.ndarray,
+                labels: np.ndarray) -> list[Detection]:
+    """Detections from the logits of the proposals' rows; confidence is the
+    softmax probability of the predicted class."""
+    probs = np.exp(_log_softmax(z))
+    return [Detection(step=step, segment=seg, label=CoarseLabel(int(k)),
+                      confidence=float(p[k]))
+            for (step, seg), p, k in zip(proposals, probs, labels)]
 
 
 @dataclass(frozen=True)
@@ -139,21 +148,20 @@ class ClassifierTraining:
     class_counts: dict[CoarseLabel, int] = field(default_factory=dict)
 
 
-def _gather_samples(corpus: Corpus, video_ids: tuple[str, ...],
-                    video_only: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced design matrix: one row per annotated segment."""
-    xs, ys = [], []
+def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...], video_only: bool
+                  ) -> tuple[np.ndarray, np.ndarray, dict[str, _Proposals]]:
+    """A split's teacher-forced rows, one per annotated segment in video
+    order; their true labels; and each video's ``(step, segment)`` pairs."""
+    xs, ys, proposals = [], [], {}
     for vid in video_ids:
         video = corpus.video_by_id(vid)
-        feats = corpus.video_features(vid)
-        step_feats = corpus.task_step_features(video.task)
-        for seg in video.segments:
-            text = _text_vector(step_feats, seg.step, video_only)
-            xs.append(classifier_input(feats, seg.segment, text))
-            ys.append(int(coarse_label(seg.mistake)))
-    if not xs:
-        raise ValidationError("no annotated segments to train on")
-    return np.stack(xs), np.asarray(ys, dtype=np.int64)
+        proposals[vid] = [(seg.step, seg.segment) for seg in video.segments]
+        xs.append(classifier_rows(corpus.video_features(vid), proposals[vid],
+                                  corpus.task_step_features(video.task),
+                                  video_only))
+        ys += [int(coarse_label(seg.mistake)) for seg in video.segments]
+    x = np.concatenate(xs) if xs else np.empty((0, 0))
+    return x, np.asarray(ys, dtype=np.int64), proposals
 
 
 def _batch_loss_and_grads(params: ClassifierParams, x: np.ndarray,
@@ -181,43 +189,35 @@ def _batch_loss_and_grads(params: ClassifierParams, x: np.ndarray,
     return loss, grads
 
 
-def _val_score(params: ClassifierParams, corpus: Corpus,
-               video_ids: tuple[str, ...], video_only: bool) -> float:
-    """Checkpoint-selection score: average mAP of classified ground-truth
-    segments; falls back to mean correctness when the val split carries no
-    mistake ground truth at all."""
-    detections: dict[str, list[Detection]] = {}
-    ground_truth = {}
-    hits, total = 0, 0
-    for vid in video_ids:
-        video = corpus.video_by_id(vid)
-        dets = detect_on_segments(params, corpus, video, video_only=video_only)
-        detections[vid] = dets
-        ground_truth[vid] = gt_instances(video)
-        for det, seg in zip(dets, video.segments):
-            total += 1
-            hits += det.label == coarse_label(seg.mistake)
-    has_positives = any(ground_truth.values())
-    if not has_positives:
-        return hits / total if total else 0.0
-    return map_at_tiou(detections, ground_truth).average
+def _val_score(params: ClassifierParams, x: np.ndarray, y: np.ndarray,
+               proposals: dict[str, _Proposals],
+               truth: dict[str, list[GroundTruthInstance]]) -> float:
+    """Checkpoint-selection score of the val rows: average mAP of their
+    detections; falls back to mean correctness when the val split carries
+    no mistake ground truth at all, and to 0.0 when it has no segments."""
+    if not y.size:
+        return 0.0
+    z, labels = classify(params, x)
+    if not any(truth.values()):
+        return float(np.mean(labels == y))
+    detections, start = {}, 0
+    for vid, video_proposals in proposals.items():
+        end = start + len(video_proposals)
+        detections[vid] = _detections(video_proposals, z[start:end],
+                                      labels[start:end])
+        start = end
+    return map_at_tiou(detections, truth).average
 
 
 def detect_on_segments(params: ClassifierParams, corpus: Corpus,
                        video: AnnotatedVideo,
                        video_only: bool = False) -> list[Detection]:
     """Classify every annotated segment of a video (the oracle-segment
-    evaluation arm and the validation scorer)."""
-    feats = corpus.video_features(video.video_id)
-    step_feats = corpus.task_step_features(video.task)
-    out = []
-    for seg in video.segments:
-        text = _text_vector(step_feats, seg.step, video_only)
-        z, label = classify(params, feats, seg.segment, text)
-        probs = np.exp(_log_softmax(z))
-        out.append(Detection(step=seg.step, segment=seg.segment, label=label,
-                             confidence=float(probs[int(label)])))
-    return out
+    evaluation arm)."""
+    return detect_mistakes(
+        params, [(seg.step, seg.segment) for seg in video.segments],
+        corpus.video_features(video.video_id),
+        corpus.task_step_features(video.task), video_only)
 
 
 def detect_mistakes(params: ClassifierParams,
@@ -227,30 +227,28 @@ def detect_mistakes(params: ClassifierParams,
     """Classify the segments proposed by the alignment model; confidence is
     the softmax probability of the predicted class. A step-``None``
     proposal gets the zero text vector."""
-    out = []
-    for step, seg in alignment:
-        text = _text_vector(step_feats, step, video_only)
-        z, label = classify(params, video_feats, seg, text)
-        probs = np.exp(_log_softmax(z))
-        out.append(Detection(step=step, segment=seg, label=label,
-                             confidence=float(probs[int(label)])))
-    return out
+    z, labels = classify(params, classifier_rows(video_feats, alignment,
+                                                 step_feats, video_only))
+    return _detections(alignment, z, labels)
 
 
 def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
                           config: ClassifierTrainConfig) -> ClassifierTraining:
     """Full-batch Adam on the fold's teacher-forced segments; returns the
-    checkpoint with the best validation score (earlier epoch wins ties)."""
+    checkpoint with the best validation score (earlier epoch wins ties).
+    The val rows are built once, before the first epoch."""
+    corpus.check_fold(fold)
     corpus.set_phase(f"fold{fold.fold_id}:train-detect")
-    x, y = _gather_samples(corpus, fold.train, config.video_only)
+    x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
     counts = {label: int(np.sum(y == int(label))) for label in CoarseLabel}
     missing = [label.name for label, c in counts.items() if c == 0]
     if missing:
         raise ValidationError(
             f"fold {fold.fold_id}: no training samples for {missing}; "
             "merge folds or regenerate the corpus with more mistakes")
-    balance = ClassBalanceConfig(beta=config.beta, counts=counts)
-    weights = np.array([cb_weight(balance, CoarseLabel(int(lbl))) for lbl in y])
+    weights = class_balanced_weights(config.beta, list(counts.values()))[y]
+    val = _segment_rows(corpus, fold.val, config.video_only)
+    val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
 
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(202, fold.fold_id,
@@ -269,7 +267,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
         tensors = params.as_dict()
         opt.step(tensors, grads)
         if epoch % config.val_every == 0 or epoch == config.epochs - 1:
-            score = _val_score(params, corpus, fold.val, config.video_only)
+            score = _val_score(params, *val, val_truth)
             if score > best.best_val_score:
                 best.best_val_score = score
                 best.best_epoch = epoch
@@ -303,8 +301,8 @@ def load_classifier(path) -> tuple[ClassifierParams, dict]:
 
 
 __all__ = [
-    "NUM_CLASSES", "ClassifierParams", "ClassBalanceConfig", "cb_weight",
-    "classify", "classifier_input",
+    "NUM_CLASSES", "ClassifierParams", "class_balanced_weights",
+    "classifier_rows", "classify",
     "ClassifierTrainConfig", "ClassifierTraining", "detect_on_segments",
     "detect_mistakes", "train_classifier_fold",
     "save_classifier", "load_classifier",

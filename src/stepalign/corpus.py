@@ -2,7 +2,9 @@
 
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
-each stage and every feature fetch is recorded against it.
+each stage and every feature fetch is recorded against it. The log is the
+set of ``(phase, video_id)`` pairs read so far, so reading a video again in
+the same phase, as long inference does, leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    AnnotatedVideo, ProceduralText, TaskDomain, load_corpus, save_corpus,
+    AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_corpus,
+    save_corpus,
 )
 from .errors import FormatError, ValidationError
 from .features import read_features, write_features
@@ -26,7 +29,7 @@ class Corpus:
     features: dict[str, np.ndarray]
     step_features: dict[TaskDomain, np.ndarray]
     phase: str = "init"
-    access_log: list[tuple[str, str]] = field(default_factory=list)
+    access_log: set[tuple[str, str]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         self._by_id: dict[str, AnnotatedVideo] = {}
@@ -45,8 +48,25 @@ class Corpus:
             raise ValidationError(f"unknown video_id {video_id!r}") from None
 
     def video_features(self, video_id: str) -> np.ndarray:
-        self.access_log.append((self.phase, video_id))
+        self.access_log.add((self.phase, video_id))
         return self.features[video_id]
+
+    def check_fold(self, fold: FoldSpec) -> None:
+        """Reject a fold no trainer can use: an empty train split, an id
+        this corpus lacks, or a video in more than one split."""
+        if not fold.train:
+            raise ValidationError(f"fold {fold.fold_id}: empty train split")
+        split_of: dict[str, str] = {}
+        for split, ids in (("train", fold.train), ("val", fold.val),
+                           ("test", fold.test)):
+            for vid in ids:
+                if vid not in self._by_id:
+                    raise ValidationError(
+                        f"fold {fold.fold_id}: unknown video_id {vid!r} in {split}")
+                if split_of.setdefault(vid, split) != split:
+                    raise ValidationError(
+                        f"fold {fold.fold_id}: {vid!r} is in both "
+                        f"{split_of[vid]} and {split}")
 
     def task_step_features(self, task: TaskDomain) -> np.ndarray:
         return self.step_features[task]

@@ -96,16 +96,6 @@ def mean_pool(m: np.ndarray, seg: Segment) -> np.ndarray:
     return m[seg.start:seg.end].mean(axis=0)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; rejects zero vectors rather than fudging with an
-    epsilon."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValidationError("cosine of a zero vector is undefined")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; zero rows are rejected."""
     m = np.asarray(m, dtype=np.float64)
@@ -122,5 +112,5 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "validate_matrix", "write_features", "read_features",
-    "mean_pool", "cosine", "l2_normalize_rows", "cosine_matrix",
+    "mean_pool", "l2_normalize_rows", "cosine_matrix",
 ]

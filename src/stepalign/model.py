@@ -405,12 +405,9 @@ def evaluate_alignment_f1(params: ModelParams, corpus: Corpus,
 
 
 def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
-    """Reject, before any training, a fold the run could not finish: no
-    training videos, an id the corpus lacks, or a task with more steps
+    """Reject, before any training, a fold with a task that has more steps
     than the decoder has slots (its test videos are aligned by the same
     slots later)."""
-    if not fold.train:
-        raise ValidationError(f"fold {fold.fold_id}: empty train split")
     tasks = {corpus.video_by_id(vid).task
              for vid in (*fold.train, *fold.val, *fold.test)}
     most_steps = max(corpus.task_step_features(task).shape[0] for task in tasks)
@@ -425,6 +422,7 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     """Mini-batch training on one fold; returns the checkpoint with the
     best validation frame-F1 (earlier epoch wins ties)."""
     config.validate()
+    corpus.check_fold(fold)
     _check_fold(corpus, fold, config)
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))

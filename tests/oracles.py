@@ -7,6 +7,10 @@
 ``stepalign.model.select_slots`` replaced with a masked argmin over a
 stack of videos. ``average_precision_pointwise`` computes AP without the
 precision envelope that ``stepalign.metrics.average_precision`` uses.
+``cosine`` is the scalar similarity that ``cosine_matrix`` is checked
+against, and ``detect_per_segment`` classifies one segment at a time, as
+``stepalign.classifier.detect_mistakes`` did before it classified a whole
+row matrix at once.
 """
 
 from __future__ import annotations
@@ -18,8 +22,11 @@ import numpy as np
 from stepalign.alignment import (
     _INF, AlignmentPath, _check_cost, drop_dtw, percentile_drop_cost,
 )
+from stepalign.classifier import ClassifierParams
+from stepalign.data import CoarseLabel, Segment
 from stepalign.errors import ValidationError
 from stepalign.features import cosine_matrix
+from stepalign.metrics import Detection
 
 # transition codes for the match table
 _T_DIAG, _T_ROW, _T_COL, _T_START = 0, 1, 2, 3
@@ -187,3 +194,34 @@ def average_precision_pointwise(tp_flags: np.ndarray, n_gt: int) -> float:
             best = max(best, prec)
         total += best
     return total / n_gt
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity; rejects zero vectors rather than fudging with an
+    epsilon."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValidationError("cosine of a zero vector is undefined")
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def detect_per_segment(params: ClassifierParams,
+                       proposals: list[tuple[int | None, Segment]],
+                       video_feats: np.ndarray, step_feats: np.ndarray,
+                       video_only: bool = False) -> list[Detection]:
+    """One forward per proposal: the segment's mean-pooled features and
+    its step's text vector (zero for a step-``None`` proposal or the
+    video-only ablation) as one input vector, then a softmax."""
+    out = []
+    for step, seg in proposals:
+        text = (np.zeros(step_feats.shape[1]) if video_only or step is None
+                else step_feats[step - 1])
+        x = np.concatenate([video_feats[seg.start:seg.end].mean(axis=0), text])
+        h = np.maximum(x @ params.w1 + params.b1, 0.0)
+        z = h @ params.w2 + params.b2
+        probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+        label = int(np.argmax(z))
+        out.append(Detection(step=step, segment=seg, label=CoarseLabel(label),
+                             confidence=float(probs[label])))
+    return out

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +121,19 @@ class TestCorpusLookup:
         with pytest.raises(ValidationError, match="duplicate video_id a"):
             Corpus(texts={}, videos=[_video("a"), _video("a")],
                    features={}, step_features={})
+
+
+class TestCorpusAccess:
+    def test_repeated_read_in_one_phase_logged_once(self):
+        corpus = Corpus(texts={}, videos=[_video("a")],
+                        features={"a": np.zeros((50, 2))}, step_features={})
+        corpus.set_phase("infer")
+        corpus.video_features("a")
+        corpus.video_features("a")
+        assert corpus.access_log == {("infer", "a")}
+        corpus.set_phase("test")
+        corpus.video_features("a")
+        assert corpus.access_log == {("infer", "a"), ("test", "a")}
 
 
 class TestCorpusIO:

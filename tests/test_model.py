@@ -529,3 +529,16 @@ class TestTrainAlignmentFold:
         with pytest.raises(ValidationError, match="'nope'"):
             train_alignment_fold(corpus, replace(fold, val=(*fold.val, "nope")),
                                  config)
+
+    def test_overlapping_splits_rejected_before_training(self, monkeypatch):
+        corpus, fold, config = _tiny_fold()
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        with pytest.raises(ValidationError, match="fold 0: .* both train and test"):
+            train_alignment_fold(corpus, replace(fold, test=fold.train[:1]),
+                                 config)
+
+    def test_unknown_test_id_rejected_before_training(self, monkeypatch):
+        corpus, fold, config = _tiny_fold()
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        with pytest.raises(ValidationError, match="fold 0: unknown .*'nope' in test"):
+            train_alignment_fold(corpus, replace(fold, test=("nope",)), config)
