@@ -15,6 +15,11 @@ Every path from segments to labels is the same two calls:
 ``classify`` labels a whole row matrix with one forward. Training rows,
 validation rows and detections all come from them; a fold builds its
 validation rows once and rescores them each validation round.
+
+Training is full-batch Adam over the parameters' one flat buffer. A fold
+allocates its hidden activations, their gradient, the ReLU mask and the
+parameter gradients once, in a workspace; each epoch writes into them in
+place, so it allocates no array of n x hidden size.
 """
 
 from __future__ import annotations
@@ -30,15 +35,14 @@ from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import NumericalError, ValidationError
 from .features import mean_pool
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
-from .optim import Adam
+from .optim import Adam, FlatParams
 
-_TENSOR_ORDER = ("w1", "b1", "w2", "b2")
 NUM_CLASSES = len(CoarseLabel)
 _Proposals = list[tuple[int | None, Segment]]    # (step, segment) pairs
 
 
 @dataclass
-class ClassifierParams:
+class ClassifierParams(FlatParams):
     w1: np.ndarray  # (2d) x h
     b1: np.ndarray  # h
     w2: np.ndarray  # h x 3
@@ -47,12 +51,6 @@ class ClassifierParams:
     @property
     def input_dim(self) -> int:
         return self.w1.shape[0]
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TENSOR_ORDER}
-
-    def copy(self) -> "ClassifierParams":
-        return ClassifierParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
     @classmethod
     def init(cls, rng: np.random.Generator, input_dim: int,
@@ -138,6 +136,15 @@ class ClassifierTrainConfig:
     val_every: int = 10
     video_only: bool = False
 
+    def validate(self) -> None:
+        for name in ("hidden", "epochs", "val_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
+        if not self.learning_rate > 0:
+            raise ValidationError(
+                f"learning_rate must be positive, got {self.learning_rate}")
+
 
 @dataclass
 class ClassifierTraining:
@@ -164,29 +171,51 @@ def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...], video_only: bool
     return x, np.asarray(ys, dtype=np.int64), proposals
 
 
-def _batch_loss_and_grads(params: ClassifierParams, x: np.ndarray,
-                          y: np.ndarray, weights: np.ndarray
-                          ) -> tuple[float, dict[str, np.ndarray]]:
-    n = x.shape[0]
-    h_pre = x @ params.w1 + params.b1
-    h = np.maximum(h_pre, 0.0)
+class _Workspace:
+    """A fold's full-batch training rows and every buffer an epoch writes.
+
+    The hidden activations, their gradient, the ReLU mask and the
+    parameter gradients are allocated here once per fold; an epoch writes
+    into them with ``out=`` and allocates only arrays of n x classes size.
+    """
+
+    def __init__(self, params: ClassifierParams, x: np.ndarray, y: np.ndarray,
+                 weights: np.ndarray):
+        n, hidden = x.shape[0], params.w1.shape[1]
+        self.x, self.y, self.weights = x, y, weights
+        self.rows = np.arange(n)
+        self.row_scale = (weights / n)[:, None]
+        self.h = np.empty((n, hidden))
+        self.d_h = np.empty((n, hidden))
+        self.live = np.empty((n, hidden), dtype=bool)
+        self.grads = params.zeros_like()
+
+
+def _batch_loss_and_grads(params: ClassifierParams, work: _Workspace) -> float:
+    """Weighted mean loss of the workspace's rows at ``params``; the
+    gradients land in ``work.grads``."""
+    g, h, d_h = work.grads, work.h, work.d_h
+    np.matmul(work.x, params.w1, out=h)
+    h += params.b1
+    np.greater(h, 0.0, out=work.live)
+    np.maximum(h, 0.0, out=h)
     z = h @ params.w2 + params.b2
     log_probs = _log_softmax(z)
-    losses = -log_probs[np.arange(n), y] * weights
-    loss = float(np.mean(losses))
-    probs = np.exp(log_probs)
-    d_z = probs.copy()
-    d_z[np.arange(n), y] -= 1.0
-    d_z *= (weights / n)[:, None]
-    grads = {
-        "w2": h.T @ d_z,
-        "b2": d_z.sum(axis=0),
-    }
-    d_h = d_z @ params.w2.T
-    d_h[h_pre <= 0.0] = 0.0
-    grads["w1"] = x.T @ d_h
-    grads["b1"] = d_h.sum(axis=0)
-    return loss, grads
+    loss = float(np.mean(-log_probs[work.rows, work.y] * work.weights))
+    d_z = np.exp(log_probs)
+    d_z[work.rows, work.y] -= 1.0
+    d_z *= work.row_scale
+    np.matmul(h.T, d_z, out=g.w2)
+    np.sum(d_z, axis=0, out=g.b2)
+    np.matmul(d_z, params.w2.T, out=d_h)
+    # masking by a multiply is far cheaper than a boolean-index store; it
+    # leaves -0.0 where a dead unit's d_h < 0, and adding +0.0 makes that
+    # the +0.0 a store would have written
+    d_h *= work.live
+    d_h += 0.0
+    np.matmul(work.x.T, d_h, out=g.w1)
+    np.sum(d_h, axis=0, out=g.b1)
+    return loss
 
 
 def _val_score(params: ClassifierParams, x: np.ndarray, y: np.ndarray,
@@ -237,6 +266,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     """Full-batch Adam on the fold's teacher-forced segments; returns the
     checkpoint with the best validation score (earlier epoch wins ties).
     The val rows are built once, before the first epoch."""
+    config.validate()
     corpus.check_fold(fold)
     corpus.set_phase(f"fold{fold.fold_id}:train-detect")
     x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
@@ -255,23 +285,23 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
                                                        int(config.video_only))))
     params = ClassifierParams.init(rng, input_dim=x.shape[1],
                                    hidden=config.hidden)
-    opt = Adam(config.learning_rate)
+    work = _Workspace(params, x, y, weights)
+    opt = Adam(params.flat.size, config.learning_rate)
     best = ClassifierTraining(fold_id=fold.fold_id, params=params.copy(),
                               best_epoch=-1, best_val_score=-1.0,
                               class_counts=counts)
     for epoch in range(config.epochs):
-        loss, grads = _batch_loss_and_grads(params, x, y, weights)
+        loss = _batch_loss_and_grads(params, work)
         if not math.isfinite(loss):
             raise NumericalError(
                 f"fold {fold.fold_id} epoch {epoch}: non-finite classifier loss")
-        tensors = params.as_dict()
-        opt.step(tensors, grads)
+        opt.step(params.flat, work.grads.flat)
         if epoch % config.val_every == 0 or epoch == config.epochs - 1:
             score = _val_score(params, *val, val_truth)
             if score > best.best_val_score:
                 best.best_val_score = score
                 best.best_epoch = epoch
-                best.params = params.copy()
+                best.params.flat[:] = params.flat
     return best
 
 
@@ -294,10 +324,11 @@ def save_classifier(path, training: ClassifierTraining,
 
 def load_classifier(path) -> tuple[ClassifierParams, dict]:
     tensors, meta = load_checkpoint(path)
-    missing = [n for n in _TENSOR_ORDER if n not in tensors]
+    names = ClassifierParams.tensor_names()
+    missing = [n for n in names if n not in tensors]
     if missing:
         raise ValidationError(f"{path}: checkpoint missing tensors {missing}")
-    return ClassifierParams(**{n: tensors[n] for n in _TENSOR_ORDER}), meta
+    return ClassifierParams(**{n: tensors[n] for n in names}), meta
 
 
 __all__ = [

@@ -22,7 +22,10 @@ inside the losses, so no gradient flows through the discrete alignment.
 A training step runs the decoder once per video: ``compute_selections``
 keeps each forward's activations, selects slots for the whole batch with
 one stacked Drop-DTW per step count, and ``batch_loss_and_grads``
-backpropagates through the same activations.
+backpropagates through the same activations. Validation, once per epoch,
+runs one forward per validation video and one stacked selection over the
+whole split; the inputs that do not depend on the parameters are built
+once per fold.
 
 Both losses and their gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracles used for
@@ -47,13 +50,11 @@ from .data import FoldSpec, Segment
 from .errors import NumericalError, ValidationError
 from .features import cosine_matrix, l2_normalize_rows
 from .metrics import frame_metrics, gt_frame_labels, rasterize
-from .optim import Adam
-
-_TENSOR_ORDER = ("proj_v", "proj_t", "queries", "w_q", "w_k", "w_v", "w_o")
+from .optim import Adam, FlatParams
 
 
 @dataclass
-class ModelParams:
+class ModelParams(FlatParams):
     proj_v: np.ndarray   # d x d'
     proj_t: np.ndarray   # d x d'
     queries: np.ndarray  # U x d'
@@ -73,12 +74,6 @@ class ModelParams:
     @property
     def num_queries(self) -> int:
         return self.queries.shape[0]
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TENSOR_ORDER}
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
     @classmethod
     def init(cls, rng: np.random.Generator, feature_dim: int,
@@ -116,6 +111,11 @@ class TrainConfig:
     normalize_features: bool = True
 
     def validate(self) -> None:
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ValidationError(
+                f"learning_rate must be positive, got {self.learning_rate}")
         if self.gamma <= 0:
             raise ValidationError("gamma must be positive")
         if self.batch_size < 2 and self.w_global > 0:
@@ -247,14 +247,9 @@ def compute_selections(params: ModelParams, batch: list[TrainExample],
     return selections, caches
 
 
-def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.as_dict().items()}
-
-
 def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
                          selections: list[list[int]], caches: list[dict],
-                         config: TrainConfig
-                         ) -> tuple[float, dict[str, np.ndarray]]:
+                         config: TrainConfig) -> tuple[float, ModelParams]:
     """Loss plus exact analytic gradients for every parameter tensor.
 
     ``caches`` are the batch's ``forward_slots(..., with_cache=True)``
@@ -262,9 +257,10 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
     flow through the decoder and both losses but not through the discrete
     assignment. Each video's supervised terms come from one frames x steps
     cosine matrix; the contrastive terms are computed for the whole batch
-    at once.
+    at once. The gradients share the parameters' flat layout; every
+    write accumulates into them.
     """
-    grads = _zero_grads(params)
+    grads = params.zeros_like()
     gamma = config.gamma
     n = len(batch)
 
@@ -289,7 +285,7 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
         col_sm = np.exp(logits - col_lse[None, :])
         d_sim = config.w_global * (row_sm + col_sm - 2 * np.eye(n)) / (2 * n * gamma)
         d_m = _unit_rows_backward(d_sim @ b, a, m_norms)
-        grads["proj_t"] += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
+        grads.proj_t += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
 
     # supervised loss: mean over steps within a video, then over videos
     n_sup = sum(1 for ex in batch if ex.step_frames)
@@ -323,7 +319,7 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
 
         # backpropagate through the decoder
         d_ctx = d_slots @ params.w_o.T
-        grads["w_o"] += cache["ctx"].T @ d_slots
+        grads.w_o += cache["ctx"].T @ d_slots
         d_attn = d_ctx @ cache["vm"].T
         d_vm = cache["attn"].T @ d_ctx
         attn = cache["attn"]
@@ -331,12 +327,12 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
         d_z *= cache["scale"]
         d_qp = d_z @ cache["km"]
         d_km = d_z.T @ cache["qp"]
-        grads["queries"] += d_qp @ params.w_q.T
-        grads["w_q"] += params.queries.T @ d_qp
+        grads.queries += d_qp @ params.w_q.T
+        grads.w_q += params.queries.T @ d_qp
         d_xp = d_km @ params.w_k.T + d_vm @ params.w_v.T + d_xp_sup
-        grads["w_k"] += cache["xp"].T @ d_km
-        grads["w_v"] += cache["xp"].T @ d_vm
-        grads["proj_v"] += cache["x"].T @ d_xp
+        grads.w_k += cache["xp"].T @ d_km
+        grads.w_v += cache["xp"].T @ d_vm
+        grads.proj_v += cache["x"].T @ d_xp
 
     total_loss = global_loss
     if sup_losses:
@@ -386,21 +382,51 @@ class FoldTraining:
     log: list[EpochLog] = field(default_factory=list)
 
 
+@dataclass
+class ValVideo:
+    """A validation video's inputs that stay fixed while training: its
+    step texts and its rasterized ground truth."""
+
+    video_id: str
+    step_feats: np.ndarray                   # K x d
+    gt_labels: np.ndarray                    # per-frame step, 0 background
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus, video_id: str) -> "ValVideo":
+        video = corpus.video_by_id(video_id)
+        return cls(video_id=video_id,
+                   step_feats=corpus.task_step_features(video.task),
+                   gt_labels=gt_frame_labels(video))
+
+
 def evaluate_alignment_f1(params: ModelParams, corpus: Corpus,
-                          video_ids: tuple[str, ...],
+                          videos: Sequence[ValVideo],
                           config: TrainConfig) -> float:
-    """Mean frame-F1 of predicted vs annotated alignments over videos."""
+    """Mean frame-F1 of predicted vs annotated alignments over videos.
+
+    Each video gets what ``align_video`` does: one decoder forward, its
+    slot selection and the frame alignment of the selected slots. The
+    selection runs once, stacked over all the videos, and only each
+    forward's slots and projected frames are kept until then.
+    """
+    slots, frame_embeds = [], []
+    for video in videos:
+        frames = corpus.video_features(video.video_id)
+        if config.normalize_features:
+            frames = l2_normalize_rows(frames)
+        video_slots, cache = forward_slots(params, frames, with_cache=True)
+        slots.append(video_slots)
+        frame_embeds.append(cache["xp"])
+        del cache
+    chosen = select_slots(slots, [v.step_feats @ params.proj_t for v in videos],
+                          config.drop_pct)
     scores = []
-    for vid in video_ids:
-        video = corpus.video_by_id(vid)
-        frames = corpus.video_features(vid)
-        predicted = align_video(params, frames,
-                                corpus.task_step_features(video.task),
-                                drop_pct=config.drop_pct,
-                                normalize_features=config.normalize_features)
-        pred = rasterize(predicted, video.num_frames)
-        gt = gt_frame_labels(video)
-        scores.append(frame_metrics(pred, gt)["f1"])
+    for video, video_slots, frame_embed, rows in zip(videos, slots,
+                                                      frame_embeds, chosen):
+        predicted = align_frames_to_slots(video_slots[rows], frame_embed,
+                                          config.drop_pct)
+        pred = rasterize(predicted, video.gt_labels.shape[0])
+        scores.append(frame_metrics(pred, video.gt_labels)["f1"])
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -429,10 +455,11 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     corpus.set_phase(f"fold{fold.fold_id}:train-align")
     examples = [make_train_example(corpus, vid, config.normalize_features)
                 for vid in fold.train]
+    val = [ValVideo.from_corpus(corpus, vid) for vid in fold.val]
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
-    opt = Adam(config.learning_rate)
+    opt = Adam(params.flat.size, config.learning_rate)
     best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
                         best_epoch=-1, best_val_f1=-1.0)
     for epoch in range(config.epochs):
@@ -450,16 +477,15 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                     f"fold {fold.fold_id} epoch {epoch}: {exc}") from None
             # free this step's activations before the next step's forwards
             del caches
-            tensors = params.as_dict()
-            opt.step(tensors, grads)
+            opt.step(params.flat, grads.flat)
             epoch_losses.append(loss)
-        val_f1 = evaluate_alignment_f1(params, corpus, fold.val, config)
+        val_f1 = evaluate_alignment_f1(params, corpus, val, config)
         best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
                                  val_f1=val_f1))
         if val_f1 > best.best_val_f1:
             best.best_val_f1 = val_f1
             best.best_epoch = epoch
-            best.params = params.copy()
+            best.params.flat[:] = params.flat
     return best
 
 
@@ -480,15 +506,16 @@ def save_model(path, training: FoldTraining, config: TrainConfig) -> None:
 
 def load_model(path) -> tuple[ModelParams, dict]:
     tensors, meta = load_checkpoint(path)
-    missing = [n for n in _TENSOR_ORDER if n not in tensors]
+    names = ModelParams.tensor_names()
+    missing = [n for n in names if n not in tensors]
     if missing:
         raise ValidationError(f"{path}: checkpoint missing tensors {missing}")
-    return ModelParams(**{n: tensors[n] for n in _TENSOR_ORDER}), meta
+    return ModelParams(**{n: tensors[n] for n in names}), meta
 
 
 __all__ = [
-    "ModelParams", "TrainConfig", "TrainExample", "EpochLog", "FoldTraining",
-    "forward_slots", "select_slots", "make_train_example",
+    "ModelParams", "TrainConfig", "TrainExample", "ValVideo", "EpochLog",
+    "FoldTraining", "forward_slots", "select_slots", "make_train_example",
     "compute_selections", "batch_loss_and_grads",
     "align_frames_to_slots", "align_video", "evaluate_alignment_f1",
     "train_alignment_fold", "save_model", "load_model",

@@ -1,36 +1,99 @@
-"""Adam optimizer over named parameter dictionaries."""
+"""Adam over one flat float64 parameter buffer, and the parameter layout
+that gives each model such a buffer.
+
+A model's parameter dataclass derives from ``FlatParams``: its tensors are
+views into one contiguous buffer, ``flat``, in field order, so one
+``Adam.step`` updates every tensor. The update is elementwise, so running
+it over the whole buffer gives the same bits as running it per tensor.
+The optimizer's moments and scratch space are allocated once, when it is
+built, and a step allocates no array.
+"""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
+
+from .errors import ValidationError
+
+
+class FlatParams:
+    """Base of a dataclass whose fields are float64 tensors. Building one
+    copies the given tensors into one new flat buffer, ``flat``, and
+    rebinds each field to its view into that buffer."""
+
+    flat: np.ndarray
+
+    def __post_init__(self) -> None:
+        tensors = {name: np.asarray(t, dtype=np.float64)
+                   for name, t in self.as_dict().items()}
+        self.flat = np.empty(sum(t.size for t in tensors.values()))
+        start = 0
+        for name, tensor in tensors.items():
+            view = self.flat[start:start + tensor.size].reshape(tensor.shape)
+            view[...] = tensor
+            setattr(self, name, view)
+            start += tensor.size
+
+    @classmethod
+    def tensor_names(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+    def as_dict(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.tensor_names()}
+
+    def copy(self):
+        return type(self)(**self.as_dict())
+
+    def zeros_like(self):
+        """Same layout, every entry +0.0: a gradient accumulator."""
+        out = self.copy()
+        out.flat.fill(0.0)
+        return out
 
 
 class Adam:
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    """Adam over a flat buffer of ``size`` float64 parameters."""
+
+    def __init__(self, size: int, learning_rate: float = 1e-3,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
 
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray]) -> None:
-        """Update parameters in place."""
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update ``params`` in place from ``grads``; both are flat buffers
+        of the optimizer's size. The operations and their order are those
+        of the textbook per-tensor update
+        ``params -= lr * m_hat / (sqrt(v_hat) + eps)``."""
+        if params.shape != self._m.shape or grads.shape != self._m.shape:
+            raise ValidationError(
+                f"Adam over {self._m.size} parameters got params of shape "
+                f"{params.shape} and grads of shape {grads.shape}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, g in grads.items():
-            m = self._m.setdefault(name, np.zeros_like(g))
-            v = self._v.setdefault(name, np.zeros_like(g))
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, step, denom = self._m, self._v, self._step, self._denom
+        m *= b1
+        np.multiply(grads, 1 - b1, out=step)
+        m += step
+        v *= b2
+        np.multiply(grads, 1 - b2, out=step)
+        step *= grads
+        v += step
+        np.divide(m, 1 - b1 ** self.t, out=step)
+        step *= self.learning_rate
+        np.divide(v, 1 - b2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params -= step
 
 
-__all__ = ["Adam"]
+__all__ = ["Adam", "FlatParams"]

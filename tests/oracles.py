@@ -11,6 +11,16 @@ precision envelope that ``stepalign.metrics.average_precision`` uses.
 against, and ``detect_per_segment`` classifies one segment at a time, as
 ``stepalign.classifier.detect_mistakes`` did before it classified a whole
 row matrix at once.
+
+``DictAdam`` is Adam over a dictionary of separate tensors, the update
+that ``stepalign.optim.Adam`` runs over one flat buffer.
+``classifier_loss_and_grads`` is the classifier epoch that allocates its
+activations and gradients afresh and masks the ReLU by boolean indexing;
+``train_classifier_fold_per_tensor`` trains with it and ``DictAdam``.
+``evaluate_alignment_f1_per_video`` runs ``align_video`` once per
+validation video, and ``train_alignment_fold_per_tensor`` trains the
+decoder with it and ``DictAdam``. The two trainers are the reference the
+allocation-free trainers must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +32,20 @@ import numpy as np
 from stepalign.alignment import (
     _INF, AlignmentPath, _check_cost, drop_dtw, percentile_drop_cost,
 )
-from stepalign.classifier import ClassifierParams
+from stepalign.classifier import (
+    ClassifierParams, ClassifierTraining, _log_softmax, _segment_rows,
+    _val_score, class_balanced_weights,
+)
 from stepalign.data import CoarseLabel, Segment
-from stepalign.errors import ValidationError
+from stepalign.errors import NumericalError, ValidationError
 from stepalign.features import cosine_matrix
-from stepalign.metrics import Detection
+from stepalign.metrics import (
+    Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
+)
+from stepalign.model import (
+    EpochLog, FoldTraining, ModelParams, align_video, batch_loss_and_grads,
+    compute_selections, make_train_example,
+)
 
 # transition codes for the match table
 _T_DIAG, _T_ROW, _T_COL, _T_START = 0, 1, 2, 3
@@ -225,3 +244,139 @@ def detect_per_segment(params: ClassifierParams,
         out.append(Detection(step=step, segment=seg, label=CoarseLabel(label),
                              confidence=float(probs[label])))
     return out
+
+
+class DictAdam:
+    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params: dict[str, np.ndarray],
+             grads: dict[str, np.ndarray]) -> None:
+        """Update parameters in place."""
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, g in grads.items():
+            m = self._m.setdefault(name, np.zeros_like(g))
+            v = self._v.setdefault(name, np.zeros_like(g))
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def classifier_loss_and_grads(params: ClassifierParams, x: np.ndarray,
+                              y: np.ndarray, weights: np.ndarray
+                              ) -> tuple[float, dict[str, np.ndarray]]:
+    n = x.shape[0]
+    h_pre = x @ params.w1 + params.b1
+    h = np.maximum(h_pre, 0.0)
+    z = h @ params.w2 + params.b2
+    log_probs = _log_softmax(z)
+    losses = -log_probs[np.arange(n), y] * weights
+    loss = float(np.mean(losses))
+    probs = np.exp(log_probs)
+    d_z = probs.copy()
+    d_z[np.arange(n), y] -= 1.0
+    d_z *= (weights / n)[:, None]
+    grads = {
+        "w2": h.T @ d_z,
+        "b2": d_z.sum(axis=0),
+    }
+    d_h = d_z @ params.w2.T
+    d_h[h_pre <= 0.0] = 0.0
+    grads["w1"] = x.T @ d_h
+    grads["b1"] = d_h.sum(axis=0)
+    return loss, grads
+
+
+def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining:
+    x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
+    counts = {label: int(np.sum(y == int(label))) for label in CoarseLabel}
+    weights = class_balanced_weights(config.beta, list(counts.values()))[y]
+    val = _segment_rows(corpus, fold.val, config.video_only)
+    val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
+    rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(202, fold.fold_id,
+                                                       int(config.video_only))))
+    params = ClassifierParams.init(rng, input_dim=x.shape[1],
+                                   hidden=config.hidden)
+    opt = DictAdam(config.learning_rate)
+    best = ClassifierTraining(fold_id=fold.fold_id, params=params.copy(),
+                              best_epoch=-1, best_val_score=-1.0,
+                              class_counts=counts)
+    for epoch in range(config.epochs):
+        loss, grads = classifier_loss_and_grads(params, x, y, weights)
+        if not math.isfinite(loss):
+            raise NumericalError(
+                f"fold {fold.fold_id} epoch {epoch}: non-finite classifier loss")
+        tensors = params.as_dict()
+        opt.step(tensors, grads)
+        if epoch % config.val_every == 0 or epoch == config.epochs - 1:
+            score = _val_score(params, *val, val_truth)
+            if score > best.best_val_score:
+                best.best_val_score = score
+                best.best_epoch = epoch
+                best.params = params.copy()
+    return best
+
+
+def evaluate_alignment_f1_per_video(params: ModelParams, corpus, video_ids,
+                                    config) -> float:
+    """Mean frame-F1 of predicted vs annotated alignments over videos."""
+    scores = []
+    for vid in video_ids:
+        video = corpus.video_by_id(vid)
+        frames = corpus.video_features(vid)
+        predicted = align_video(params, frames,
+                                corpus.task_step_features(video.task),
+                                drop_pct=config.drop_pct,
+                                normalize_features=config.normalize_features)
+        pred = rasterize(predicted, video.num_frames)
+        gt = gt_frame_labels(video)
+        scores.append(frame_metrics(pred, gt)["f1"])
+    return float(np.mean(scores)) if scores else 0.0
+
+
+def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
+    rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
+    examples = [make_train_example(corpus, vid, config.normalize_features)
+                for vid in fold.train]
+    params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
+                              working_dim=config.working_dim,
+                              num_queries=config.num_queries)
+    opt = DictAdam(config.learning_rate)
+    best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
+                        best_epoch=-1, best_val_f1=-1.0)
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(examples))
+        epoch_losses = []
+        for lo in range(0, len(order), config.batch_size):
+            batch = [examples[i] for i in order[lo:lo + config.batch_size]]
+            selections, caches = compute_selections(params, batch,
+                                                    config.drop_pct)
+            loss, grads = batch_loss_and_grads(params, batch, selections,
+                                               caches, config)
+            del caches
+            tensors = params.as_dict()
+            opt.step(tensors, grads.as_dict())
+            epoch_losses.append(loss)
+        val_f1 = evaluate_alignment_f1_per_video(params, corpus, fold.val,
+                                                 config)
+        best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
+                                 val_f1=val_f1))
+        if val_f1 > best.best_val_f1:
+            best.best_val_f1 = val_f1
+            best.best_epoch = epoch
+            best.params = params.copy()
+    return best

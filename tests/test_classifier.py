@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,15 +8,19 @@ import pytest
 import stepalign.classifier
 import stepalign.corpus
 from stepalign.classifier import (
-    ClassifierParams, ClassifierTrainConfig, _batch_loss_and_grads,
+    ClassifierParams, ClassifierTrainConfig, _batch_loss_and_grads, _Workspace,
     class_balanced_weights, classifier_rows, classify, detect_mistakes,
     detect_on_segments, load_classifier, save_classifier, train_classifier_fold,
 )
 from stepalign.data import CoarseLabel, FoldSpec, Segment
 from stepalign.errors import ValidationError
+from stepalign.optim import Adam
 from stepalign.synth import SynthConfig, synth_corpus
 
-from oracles import detect_per_segment
+from oracles import (
+    classifier_loss_and_grads, detect_per_segment,
+    train_classifier_fold_per_tensor,
+)
 
 
 class TestCbWeight:
@@ -44,26 +50,83 @@ class TestCbWeight:
             (1.0 - beta) / (1.0 - beta ** n) for n in counts]
 
 
-def test_batch_grads_match_central_differences():
-    rng = np.random.default_rng(0)
+def _grad_case(seed, dead_units=0):
+    """A tiny batch; the first ``dead_units`` hidden units are dead on
+    every row, and the last of them pushes a strictly negative gradient
+    into its ReLU on every row (no row is of class 2)."""
+    rng = np.random.default_rng(seed)
     params = ClassifierParams.init(rng, input_dim=5, hidden=4)
+    params.b1[:dead_units] = -1e3
+    if dead_units:
+        params.w2[dead_units - 1] = [0.0, 0.0, -1.0]
     x = rng.normal(size=(7, 5))
-    y = rng.integers(0, 3, size=7)
+    y = rng.integers(0, 2 if dead_units else 3, size=7)
     weights = rng.uniform(0.5, 2.0, size=7)
-    _, grads = _batch_loss_and_grads(params, x, y, weights)
+    return params, _Workspace(params, x, y, weights)
+
+
+def _assert_central_differences(params, work):
+    _batch_loss_and_grads(params, work)
+    grads = work.grads.copy()
     eps = 1e-6
     for name, tensor in params.as_dict().items():
         numeric = np.zeros_like(tensor)
         for idx in np.ndindex(tensor.shape):
             saved = tensor[idx]
             tensor[idx] = saved + eps
-            up, _ = _batch_loss_and_grads(params, x, y, weights)
+            up = _batch_loss_and_grads(params, work)
             tensor[idx] = saved - eps
-            down, _ = _batch_loss_and_grads(params, x, y, weights)
+            down = _batch_loss_and_grads(params, work)
             tensor[idx] = saved
             numeric[idx] = (up - down) / (2 * eps)
-        np.testing.assert_allclose(grads[name], numeric, rtol=1e-5, atol=1e-8,
-                                   err_msg=name)
+        np.testing.assert_allclose(getattr(grads, name), numeric, rtol=1e-5,
+                                   atol=1e-8, err_msg=name)
+
+
+def test_batch_grads_match_central_differences():
+    _assert_central_differences(*_grad_case(0))
+
+
+def test_dead_relu_grads_match_central_differences():
+    params, work = _grad_case(0, dead_units=2)
+    _assert_central_differences(params, work)
+    np.testing.assert_array_equal(work.grads.w1[:, :2], 0.0)
+
+
+@pytest.mark.parametrize("dead_units", [0, 2], ids=["live", "dead-relu"])
+def test_batch_grads_equal_allocating_oracle_bit_for_bit(dead_units):
+    # a dead unit's back-propagated gradient is +0.0, as the boolean-mask
+    # store gives it, also where the multiply that masks it leaves -0.0
+    params, work = _grad_case(1, dead_units)
+    loss = _batch_loss_and_grads(params, work)
+    want_loss, want = classifier_loss_and_grads(params, work.x, work.y,
+                                                work.weights)
+    assert loss == want_loss
+    for name, tensor in want.items():
+        assert getattr(work.grads, name).tobytes() == tensor.tobytes(), name
+    assert not np.signbit(work.d_h[:, :dead_units]).any()
+
+
+def test_epoch_allocates_less_than_one_hidden_array():
+    rng = np.random.default_rng(4)
+    n, hidden = 40, 256
+    params = ClassifierParams.init(rng, input_dim=16, hidden=hidden)
+    work = _Workspace(params, rng.normal(size=(n, 16)),
+                      rng.integers(0, 3, size=n), rng.uniform(0.5, 2.0, size=n))
+    opt = Adam(params.flat.size)
+
+    def epoch():
+        _batch_loss_and_grads(params, work)
+        opt.step(params.flat, work.grads.flat)
+
+    epoch()
+    tracemalloc.start()
+    try:
+        epoch()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * hidden * 8
 
 
 def _small_fold():
@@ -74,6 +137,28 @@ def _small_fold():
     fold = FoldSpec(0, train=tuple(ids[k] for k in ("c00", "c01", "m00", "m01", "m03")),
                     val=(ids["c02"], ids["m02"]), test=(ids["c03"],))
     return corpus, fold, ClassifierTrainConfig(hidden=8, epochs=30, val_every=10)
+
+
+def test_training_matches_per_tensor_oracle():
+    corpus, fold, config = _small_fold()
+    config = replace(config, epochs=120, val_every=4)
+    got = train_classifier_fold(corpus, fold, config)
+    want = train_classifier_fold_per_tensor(corpus, fold, config)
+    assert got.params.flat.tobytes() == want.params.flat.tobytes()
+    assert (got.best_epoch, got.best_val_score, got.class_counts) == \
+        (want.best_epoch, want.best_val_score, want.class_counts)
+    assert got.best_epoch > 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("val_every", 0), ("hidden", 0), ("learning_rate", 0.0),
+    ("learning_rate", -1e-3), ("learning_rate", math.nan),
+])
+def test_bad_config_rejected_before_training(monkeypatch, field, value):
+    corpus, fold, config = _small_fold()
+    monkeypatch.setattr(stepalign.classifier, "_batch_loss_and_grads", None)
+    with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
+        train_classifier_fold(corpus, fold, replace(config, **{field: value}))
 
 
 def test_train_save_load_detect(tmp_path):

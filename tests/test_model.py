@@ -15,7 +15,9 @@ from stepalign.model import (
     load_model, save_model, select_slots, train_alignment_fold, FoldTraining,
 )
 from stepalign.synth import SynthConfig, synth_corpus
-from oracles import brute_force_align, select_slots_per_video
+from oracles import (
+    brute_force_align, select_slots_per_video, train_alignment_fold_per_tensor,
+)
 
 
 def _params(rng, d=6, dp=5, u=4):
@@ -328,7 +330,7 @@ def _grad_check(config, seed, selections=None, edit_batch=None):
             down = batch_loss(params, batch, selections, config)
             tensor[idx] = orig
             fd = (up - down) / (2 * h)
-            an = grads[name][idx]
+            an = getattr(grads, name)[idx]
             err = abs(an - fd)
             denom = max(abs(an), abs(fd))
             if err > 1e-8:  # absolute floor for dead entries
@@ -384,8 +386,7 @@ class TestGradients:
         loss, grads = batch_loss_and_grads(params, batch, selections, caches,
                                            config)
         assert loss == 0.0
-        for g in grads.values():
-            np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(grads.flat, 0.0)
 
     def test_outside_frame_gradient_vanishes_as_cosine_drops(self):
         gamma = 0.1
@@ -510,6 +511,30 @@ class TestTrainAlignmentFold:
         for name, tensor in first.params.as_dict().items():
             np.testing.assert_array_equal(getattr(second.params, name), tensor,
                                           err_msg=name)
+
+    def test_matches_per_tensor_oracle(self):
+        # flat Adam and the stacked validation against per-tensor Adam and
+        # one align_video per validation video
+        corpus, fold, config = _tiny_fold()
+        config = replace(config, epochs=6, learning_rate=1e-2)
+        got = train_alignment_fold(corpus, fold, config)
+        want = train_alignment_fold_per_tensor(corpus, fold, config)
+        assert got.params.flat.tobytes() == want.params.flat.tobytes()
+        assert (got.best_epoch, got.best_val_f1) == \
+            (want.best_epoch, want.best_val_f1)
+        assert got.log == want.log
+        assert got.best_epoch > 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("learning_rate", math.nan),
+    ])
+    def test_bad_config_rejected_before_training(self, monkeypatch, field,
+                                                 value):
+        corpus, fold, config = _tiny_fold()
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
+            train_alignment_fold(corpus, fold, replace(config, **{field: value}))
 
     def test_too_few_slots_rejected_before_training(self, monkeypatch):
         corpus, fold, config = _tiny_fold()
