@@ -8,9 +8,11 @@ dropped item pays the drop cost. With drops priced out of reach the space
 reduces exactly to classic DTW.
 
 One kernel serves a stack of cost matrices of one shape, each with its
-own drop cost; ``drop_dtw`` is its one-matrix case and ``drop_dtw_stack``
-aligns a batch, as slot selection does for the videos of a training
-step. The kernel runs one numpy prefix scan per slot row, over that row
+own drop cost; ``drop_dtw`` is its one-matrix case and
+``drop_dtw_stack`` aligns a batch, as slot selection does for the videos
+of a training step. Both return the mask of the cells the path visits
+and the total; ``decode_segments`` reads one segment per row off the
+mask. The kernel runs one numpy prefix scan per slot row, over that row
 of every matrix at once: the row's best costs with trailing drops are W
 plus the running minimum of (cost + best entry from the row above - W),
 where W is the running sum of min(cost, drop cost). The transition
@@ -33,7 +35,6 @@ exhaustive enumeration of the same space are the test oracles in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,35 +43,6 @@ from .errors import ValidationError
 
 _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass
-class AlignmentPath:
-    """Matches plus the dropped items.
-
-    ``matches`` is ordered along the staircase and monotone in both
-    coordinates; an item shared by consecutive slots (or vice versa)
-    appears in several matches.
-    """
-
-    matches: list[tuple[int, int]]
-    dropped_items: list[int]
-    total_cost: float
-
-    def validate(self, n_slots: int, n_items: int) -> None:
-        """Structural sanity: every slot matched, items partitioned into
-        matched and dropped, matches monotone."""
-        matched_slots = {i for i, _ in self.matches}
-        matched_items = {j for _, j in self.matches}
-        if matched_slots != set(range(n_slots)):
-            raise ValidationError("not every slot is matched")
-        if matched_items & set(self.dropped_items):
-            raise ValidationError("an item is both matched and dropped")
-        if matched_items | set(self.dropped_items) != set(range(n_items)):
-            raise ValidationError("items are not partitioned into matched/dropped")
-        for (i0, j0), (i1, j1) in zip(self.matches, self.matches[1:]):
-            if i1 < i0 or j1 < j0:
-                raise ValidationError("matches are not monotone")
 
 
 def _nearest_rank(flat: np.ndarray, pct: float) -> np.ndarray:
@@ -185,25 +157,21 @@ def _scan_rows(cost: np.ndarray, di: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return visited, RD[n - 1, :, m - 1]
 
 
-def drop_dtw(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
+def drop_dtw(cost: np.ndarray, drop_item_cost: float
+             ) -> tuple[np.ndarray, float]:
     """Minimum-cost monotone alignment with droppable items.
 
     Every slot must be matched; every dropped item costs
     ``drop_item_cost``. The drop cost must be finite: price drops out with
-    a large finite value rather than an infinity sentinel.
+    a large finite value rather than an infinity sentinel. Returns the
+    n x m mask of the cells the path visits, whose unvisited columns are
+    the dropped items, and the total cost.
     """
     cost = _check_cost(cost)
     if not math.isfinite(drop_item_cost):
         raise ValidationError("drop_item_cost must be finite")
     visited, total = _scan_rows(cost[:, None], np.array([float(drop_item_cost)]))
-    rows, cols = np.nonzero(visited[:, 0])      # row-major is path order
-    matched = np.zeros(cost.shape[1], dtype=bool)
-    matched[cols] = True
-    return AlignmentPath(
-        matches=list(zip(rows.tolist(), cols.tolist())),
-        dropped_items=np.flatnonzero(~matched).tolist(),
-        total_cost=float(total[0]),
-    )
+    return visited[:, 0], float(total[0])
 
 
 def drop_dtw_stack(costs: np.ndarray, drop_item_costs: np.ndarray
@@ -227,36 +195,17 @@ def drop_dtw_stack(costs: np.ndarray, drop_item_costs: np.ndarray
     return visited.transpose(1, 0, 2), total
 
 
-def decode_segments(path: AlignmentPath, slot_to_step: dict[int, int],
-                    num_frames: int) -> list[tuple[int, Segment]]:
-    """Turn a slot-to-frame alignment into one segment per step.
-
-    Each step's segment spans from its first to its last matched frame;
-    steps whose slots were never matched are simply absent. The matches
-    must be monotone, as ``drop_dtw`` returns them.
-    """
-    first_frame = dict(reversed(path.matches))
-    last_frame = dict(path.matches)
-    bounds: dict[int, tuple[int, int]] = {}
-    for slot, hi in last_frame.items():
-        if slot not in slot_to_step:
-            raise ValidationError(f"matched slot {slot} has no step mapping")
-        step = slot_to_step[slot]
-        lo = first_frame[slot]
-        if step in bounds:
-            lo, hi = min(lo, bounds[step][0]), max(hi, bounds[step][1])
-        bounds[step] = (lo, hi)
-    out = []
-    for step in sorted(bounds):
-        lo, hi = bounds[step]
-        if hi + 1 > num_frames:
-            raise ValidationError(
-                f"decoded segment for step {step} exceeds num_frames {num_frames}")
-        out.append((step, Segment(lo, hi + 1)))
-    return out
+def decode_segments(visited: np.ndarray) -> list[tuple[int, Segment]]:
+    """One segment per step from a ``drop_dtw`` visited mask: row i is
+    step i + 1, and its segment spans from the row's first to its last
+    visited column; the kernel visits every row."""
+    first = visited.argmax(axis=1)
+    last = visited.shape[1] - 1 - visited[:, ::-1].argmax(axis=1)
+    return [(row + 1, Segment(lo, hi + 1))
+            for row, (lo, hi) in enumerate(zip(first.tolist(), last.tolist()))]
 
 
 __all__ = [
-    "AlignmentPath", "percentile_drop_cost", "percentile_drop_costs",
+    "percentile_drop_cost", "percentile_drop_costs",
     "drop_dtw", "drop_dtw_stack", "decode_segments",
 ]

@@ -76,4 +76,21 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, header
 
 
-__all__ = ["save_checkpoint", "load_checkpoint"]
+def check_layout(path: str | Path, tensors: dict[str, np.ndarray],
+                 layout: dict[str, tuple[int | str, ...]]) -> None:
+    """Check loaded tensors against a model's layout: a shape per tensor,
+    each dimension a number or a name that takes one size throughout. A
+    missing tensor or another shape raises FormatError naming both."""
+    sizes: dict[str, int] = {}
+    for name, dims in layout.items():
+        if name not in tensors:
+            raise FormatError(f"{path}: checkpoint has no tensor {name}")
+        shape = tensors[name].shape
+        expected = tuple(sizes.setdefault(dim, size) if isinstance(dim, str)
+                         else dim for dim, size in zip(dims, shape))
+        if len(shape) != len(dims) or shape != expected:
+            raise FormatError(f"{path}: tensor {name} has shape {shape}, "
+                              f"not {dims} with sizes {sizes}")
+
+
+__all__ = ["save_checkpoint", "load_checkpoint", "check_layout"]

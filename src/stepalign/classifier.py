@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import NumericalError, ValidationError
@@ -323,11 +323,11 @@ def save_classifier(path, training: ClassifierTraining,
 
 
 def load_classifier(path) -> tuple[ClassifierParams, dict]:
+    """Read a classifier checkpoint whose tensors agree with ``w1``."""
     tensors, meta = load_checkpoint(path)
+    check_layout(path, tensors, {"w1": ("in", "h"), "b1": ("h",),
+                                 "w2": ("h", NUM_CLASSES), "b2": (NUM_CLASSES,)})
     names = ClassifierParams.tensor_names()
-    missing = [n for n in names if n not in tensors]
-    if missing:
-        raise ValidationError(f"{path}: checkpoint missing tensors {missing}")
     return ClassifierParams(**{n: tensors[n] for n in names}), meta
 
 

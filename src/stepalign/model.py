@@ -22,10 +22,10 @@ inside the losses, so no gradient flows through the discrete alignment.
 A training step runs the decoder once per video: ``compute_selections``
 keeps each forward's activations, selects slots for the whole batch with
 one stacked Drop-DTW per step count, and ``batch_loss_and_grads``
-backpropagates through the same activations. Validation, once per epoch,
-runs one forward per validation video and one stacked selection over the
-whole split; the inputs that do not depend on the parameters are built
-once per fold.
+backpropagates through the same activations. Inference, and validation
+once per epoch, run ``align_videos``: one forward per video and one
+stacked selection, then each video's segments from the Drop-DTW of its
+selected slots against its frames.
 
 Both losses and their gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracles used for
@@ -44,7 +44,7 @@ from .alignment import (
     decode_segments, drop_dtw, drop_dtw_stack, percentile_drop_cost,
     percentile_drop_costs,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import FoldSpec, Segment
 from .errors import NumericalError, ValidationError
@@ -144,10 +144,10 @@ def _unit_rows_backward(d_hat: np.ndarray, hat: np.ndarray,
     return (d_hat - hat * np.sum(d_hat * hat, axis=1, keepdims=True)) / norms
 
 
-def forward_slots(params: ModelParams, video: np.ndarray,
-                  with_cache: bool = False):
+def forward_slots(params: ModelParams, video: np.ndarray
+                  ) -> tuple[np.ndarray, dict]:
     """Run the decoder over one video's features; returns the U x d' slot
-    matrix, plus the intermediate activations when requested."""
+    matrix and the intermediate activations."""
     video = np.asarray(video, dtype=np.float64)
     if video.ndim != 2 or video.shape[1] != params.feature_dim:
         raise ValidationError(
@@ -163,8 +163,6 @@ def forward_slots(params: ModelParams, video: np.ndarray,
     slots = ctx @ params.w_o
     if not np.all(np.isfinite(slots)):
         raise NumericalError("slot matrix contains non-finite values")
-    if not with_cache:
-        return slots
     cache = {"x": video, "xp": xp, "qp": qp, "km": km, "vm": vm,
              "attn": attn, "ctx": ctx, "slots": slots, "scale": scale}
     return slots, cache
@@ -239,8 +237,7 @@ def compute_selections(params: ModelParams, batch: list[TrainExample],
     ``batch_loss_and_grads`` takes so that it need not run the decoder
     again.
     """
-    caches = [forward_slots(params, ex.frames, with_cache=True)[1]
-              for ex in batch]
+    caches = [forward_slots(params, ex.frames)[1] for ex in batch]
     selections = select_slots([cache["slots"] for cache in caches],
                               [ex.step_feats @ params.proj_t for ex in batch],
                               drop_pct)
@@ -252,10 +249,10 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
                          config: TrainConfig) -> tuple[float, ModelParams]:
     """Loss plus exact analytic gradients for every parameter tensor.
 
-    ``caches`` are the batch's ``forward_slots(..., with_cache=True)``
-    activations at ``params``. Slot selection is a constant: gradients
-    flow through the decoder and both losses but not through the discrete
-    assignment. Each video's supervised terms come from one frames x steps
+    ``caches`` are the batch's ``forward_slots`` activations at
+    ``params``. Slot selection is a constant: gradients flow through the
+    decoder and both losses but not through the discrete assignment.
+    Each video's supervised terms come from one frames x steps
     cosine matrix; the contrastive terms are computed for the whole batch
     at once. The gradients share the parameters' flat layout; every
     write accumulates into them.
@@ -348,22 +345,37 @@ def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
     droppable DTW (slots must match, frames may drop at the percentile
     cost) and decode one segment per step."""
     cost = -cosine_matrix(selected, frame_embed)
-    delta = percentile_drop_cost(cost, drop_pct)
-    path = drop_dtw(cost, delta)
-    slot_to_step = {row: row + 1 for row in range(selected.shape[0])}
-    return decode_segments(path, slot_to_step, num_frames=frame_embed.shape[0])
+    visited, _ = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
+    return decode_segments(visited)
+
+
+def align_videos(params: ModelParams, frames: Sequence[np.ndarray],
+                 step_feats: Sequence[np.ndarray], drop_pct: float,
+                 normalize_features: bool) -> list[list[tuple[int, Segment]]]:
+    """Full inference: decode each video's slots, pick one per step in one
+    stacked selection, then align the selected slots to the video's frames
+    and read off one segment per step. Only each video's slots and
+    projected frames are kept until the selection."""
+    slots, frame_embeds = [], []
+    for video in frames:
+        if normalize_features:
+            video = l2_normalize_rows(video)
+        video_slots, cache = forward_slots(params, video)
+        slots.append(video_slots)
+        frame_embeds.append(cache["xp"])
+        del cache
+    chosen = select_slots(slots, [steps @ params.proj_t for steps in step_feats],
+                          drop_pct)
+    return [align_frames_to_slots(u[rows], xp, drop_pct)
+            for u, xp, rows in zip(slots, frame_embeds, chosen)]
 
 
 def align_video(params: ModelParams, frames: np.ndarray,
                 step_feats: np.ndarray, drop_pct: float = 80.0,
                 normalize_features: bool = True) -> list[tuple[int, Segment]]:
-    """Full inference for one video: decode slots, pick one per step, then
-    align the selected slots to frames and read off the per-step segments."""
-    if normalize_features:
-        frames = l2_normalize_rows(frames)
-    slots, cache = forward_slots(params, frames, with_cache=True)
-    chosen = select_slots([slots], [step_feats @ params.proj_t], drop_pct)[0]
-    return align_frames_to_slots(slots[chosen], cache["xp"], drop_pct)
+    """``align_videos`` for one video."""
+    return align_videos(params, [frames], [step_feats], drop_pct,
+                        normalize_features)[0]
 
 
 @dataclass
@@ -402,31 +414,14 @@ class ValVideo:
 def evaluate_alignment_f1(params: ModelParams, corpus: Corpus,
                           videos: Sequence[ValVideo],
                           config: TrainConfig) -> float:
-    """Mean frame-F1 of predicted vs annotated alignments over videos.
-
-    Each video gets what ``align_video`` does: one decoder forward, its
-    slot selection and the frame alignment of the selected slots. The
-    selection runs once, stacked over all the videos, and only each
-    forward's slots and projected frames are kept until then.
-    """
-    slots, frame_embeds = [], []
-    for video in videos:
-        frames = corpus.video_features(video.video_id)
-        if config.normalize_features:
-            frames = l2_normalize_rows(frames)
-        video_slots, cache = forward_slots(params, frames, with_cache=True)
-        slots.append(video_slots)
-        frame_embeds.append(cache["xp"])
-        del cache
-    chosen = select_slots(slots, [v.step_feats @ params.proj_t for v in videos],
-                          config.drop_pct)
-    scores = []
-    for video, video_slots, frame_embed, rows in zip(videos, slots,
-                                                      frame_embeds, chosen):
-        predicted = align_frames_to_slots(video_slots[rows], frame_embed,
-                                          config.drop_pct)
-        pred = rasterize(predicted, video.gt_labels.shape[0])
-        scores.append(frame_metrics(pred, video.gt_labels)["f1"])
+    """Mean frame-F1 of the videos' ``align_videos`` segments."""
+    predicted = align_videos(
+        params, [corpus.video_features(v.video_id) for v in videos],
+        [v.step_feats for v in videos], config.drop_pct,
+        config.normalize_features)
+    scores = [frame_metrics(rasterize(segments, v.gt_labels.shape[0]),
+                            v.gt_labels)["f1"]
+              for segments, v in zip(predicted, videos)]
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -505,11 +500,13 @@ def save_model(path, training: FoldTraining, config: TrainConfig) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, dict]:
+    """Read a decoder checkpoint whose tensors agree in d, d' and U."""
     tensors, meta = load_checkpoint(path)
+    square = ("k", "k")
+    check_layout(path, tensors, {
+        "proj_v": ("d", "k"), "proj_t": ("d", "k"), "queries": ("U", "k"),
+        "w_q": square, "w_k": square, "w_v": square, "w_o": square})
     names = ModelParams.tensor_names()
-    missing = [n for n in names if n not in tensors]
-    if missing:
-        raise ValidationError(f"{path}: checkpoint missing tensors {missing}")
     return ModelParams(**{n: tensors[n] for n in names}), meta
 
 
@@ -517,6 +514,7 @@ __all__ = [
     "ModelParams", "TrainConfig", "TrainExample", "ValVideo", "EpochLog",
     "FoldTraining", "forward_slots", "select_slots", "make_train_example",
     "compute_selections", "batch_loss_and_grads",
-    "align_frames_to_slots", "align_video", "evaluate_alignment_f1",
+    "align_frames_to_slots", "align_videos", "align_video",
+    "evaluate_alignment_f1",
     "train_alignment_fold", "save_model", "load_model",
 ]

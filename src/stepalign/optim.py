@@ -53,15 +53,15 @@ class FlatParams:
         return out
 
 
-class Adam:
-    """Adam over a flat buffer of ``size`` float64 parameters."""
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, size: int, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam over a flat buffer of ``size`` float64 parameters, with the
+    usual moment decays 0.9 and 0.999 and epsilon 1e-8."""
+
+    def __init__(self, size: int, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = np.zeros(size)
         self._v = np.zeros(size)
@@ -78,7 +78,7 @@ class Adam:
                 f"Adam over {self._m.size} parameters got params of shape "
                 f"{params.shape} and grads of shape {grads.shape}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         m, v, step, denom = self._m, self._v, self._step, self._denom
         m *= b1
         np.multiply(grads, 1 - b1, out=step)
@@ -91,7 +91,7 @@ class Adam:
         step *= self.learning_rate
         np.divide(v, 1 - b2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += _EPS
         step /= denom
         params -= step
 

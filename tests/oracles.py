@@ -2,7 +2,8 @@
 
 ``drop_dtw_loop`` is the cell-by-cell Drop-DTW recurrence that
 ``stepalign.alignment.drop_dtw`` replaced with a row scan, and
-``brute_force_align`` enumerates the same alignment space exhaustively.
+``brute_force_align`` enumerates the same alignment space exhaustively;
+both return what ``drop_dtw`` does, the visited mask and the total.
 ``select_slots_per_video`` is the one-video slot choice that
 ``stepalign.model.select_slots`` replaced with a masked argmin over a
 stack of videos. ``average_precision_pointwise`` computes AP without the
@@ -30,7 +31,7 @@ import math
 import numpy as np
 
 from stepalign.alignment import (
-    _INF, AlignmentPath, _check_cost, drop_dtw, percentile_drop_cost,
+    _INF, _check_cost, drop_dtw, percentile_drop_cost,
 )
 from stepalign.classifier import (
     ClassifierParams, ClassifierTraining, _log_softmax, _segment_rows,
@@ -51,7 +52,15 @@ from stepalign.model import (
 _T_DIAG, _T_ROW, _T_COL, _T_START = 0, 1, 2, 3
 
 
-def drop_dtw_loop(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
+def _mask(shape: tuple[int, int], cells: list[tuple[int, int]]) -> np.ndarray:
+    visited = np.zeros(shape, dtype=bool)
+    for i, j in cells:
+        visited[i, j] = True
+    return visited
+
+
+def drop_dtw_loop(cost: np.ndarray, drop_item_cost: float
+                  ) -> tuple[np.ndarray, float]:
     """Minimum-cost monotone alignment with droppable items.
 
     Every slot must be matched; every dropped item costs
@@ -99,18 +108,15 @@ def drop_dtw_loop(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
                 row_rd[j] = row_rd[j - 1] + di
                 bp_rd[i][j] = 1
 
-    dropped_items: list[int] = []
-    matches_rev: list[tuple[int, int]] = []
+    matches: list[tuple[int, int]] = []
     i, j = n - 1, m - 1
     while bp_rd[i][j] == 1:
-        dropped_items.append(j)
         j -= 1
 
     while True:
-        matches_rev.append((i, j))
+        matches.append((i, j))
         which = bp_m[i][j]
         if which == _T_START:
-            dropped_items.extend(range(j - 1, -1, -1))
             break
         if which == _T_COL:
             i -= 1
@@ -119,21 +125,17 @@ def drop_dtw_loop(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
             i -= 1
         j -= 1
         while bp_rd[i][j] == 1:
-            dropped_items.append(j)
             j -= 1
 
-    return AlignmentPath(
-        matches=matches_rev[::-1],
-        dropped_items=sorted(dropped_items),
-        total_cost=RD[n - 1][m - 1],
-    )
+    return _mask((n, m), matches), RD[n - 1][m - 1]
 
 
 _BRUTE_MAX_SLOTS = 4
 _BRUTE_MAX_ITEMS = 7
 
 
-def brute_force_align(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
+def brute_force_align(cost: np.ndarray, drop_item_cost: float
+                      ) -> tuple[np.ndarray, float]:
     """Exhaustive search over the drop_dtw alignment space. Test oracle
     only; sizes are capped because enumeration is exponential."""
     cost = _check_cost(cost)
@@ -175,12 +177,7 @@ def brute_force_align(cost: np.ndarray, drop_item_cost: float) -> AlignmentPath:
         extend(0, j0, j0 * di)
 
     assert best_matches is not None
-    matched_items = {j for _, j in best_matches}
-    return AlignmentPath(
-        matches=best_matches,
-        dropped_items=[j for j in range(m) if j not in matched_items],
-        total_cost=best_cost,
-    )
+    return _mask((n, m), best_matches), best_cost
 
 
 def select_slots_per_video(slots: np.ndarray, step_feats: np.ndarray,
@@ -188,10 +185,10 @@ def select_slots_per_video(slots: np.ndarray, step_feats: np.ndarray,
     """One video's slot per step: Drop-DTW of its steps against its slots,
     then each step's cheapest matched slot, the lower index on ties."""
     cost = -cosine_matrix(step_feats, slots)
-    path = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
+    visited, _ = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
     chosen: list[int] = []
     for step_row in range(step_feats.shape[0]):
-        slot_cols = [j for i, j in path.matches if i == step_row]
+        slot_cols = np.flatnonzero(visited[step_row]).tolist()
         chosen.append(min(slot_cols, key=lambda j: (cost[step_row, j], j)))
     return chosen
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stepalign.alignment import (
-    AlignmentPath, decode_segments, drop_dtw, drop_dtw_stack,
-    percentile_drop_cost, percentile_drop_costs,
+    decode_segments, drop_dtw, drop_dtw_stack, percentile_drop_cost,
+    percentile_drop_costs,
 )
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
@@ -15,10 +15,30 @@ from stepalign.features import cosine_matrix
 from oracles import brute_force_align, drop_dtw_loop
 
 
-def _path_cost(cost, path, di):
+def _cells(visited):
+    """The visited cells in path order (row-major is path order)."""
+    return [tuple(cell) for cell in np.argwhere(visited).tolist()]
+
+
+def _dropped(visited):
+    """The items no row visits."""
+    return np.flatnonzero(~visited.any(axis=0)).tolist()
+
+
+def _path_cost(cost, visited, di):
     """Recompute a path's total from first principles."""
-    total = sum(cost[i][j] for i, j in path.matches)
-    return total + di * len(path.dropped_items)
+    total = sum(cost[i][j] for i, j in _cells(visited))
+    return total + di * len(_dropped(visited))
+
+
+def _check_staircase(visited):
+    """Every row visits an item, and row i's last visited item is at or
+    before row i+1's first."""
+    assert visited.dtype == bool and visited.ndim == 2
+    rows = [np.flatnonzero(row) for row in visited]
+    assert all(cols.size for cols in rows), "a row visits no item"
+    for above, below in zip(rows, rows[1:]):
+        assert above[-1] <= below[0], "rows are not monotone"
 
 
 def _priced_out(cost):
@@ -101,47 +121,47 @@ class TestDtw:
 
     def test_singleton(self):
         cost = np.array([[3.5]])
-        path = drop_dtw(cost, _priced_out(cost))
-        assert path.matches == [(0, 0)]
-        assert path.total_cost == 3.5
+        visited, total = drop_dtw(cost, _priced_out(cost))
+        assert _cells(visited) == [(0, 0)]
+        assert total == 3.5
 
     def test_identity_favoring_matrix(self):
         cost = np.ones((3, 3)) - np.eye(3)
-        path = drop_dtw(cost, _priced_out(cost))
-        assert path.total_cost == 0.0
-        assert path.matches == [(0, 0), (1, 1), (2, 2)]
+        visited, total = drop_dtw(cost, _priced_out(cost))
+        assert total == 0.0
+        assert _cells(visited) == [(0, 0), (1, 1), (2, 2)]
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(123)
         for _ in range(30):
             cost = rng.normal(size=(4, 6))
-            got = drop_dtw(cost, _priced_out(cost))
-            assert got.dropped_items == []
-            assert got.total_cost == pytest.approx(
+            visited, total = drop_dtw(cost, _priced_out(cost))
+            assert _dropped(visited) == []
+            assert total == pytest.approx(
                 _dtw_cost_by_enumeration(cost), abs=1e-12)
-            assert got.total_cost == pytest.approx(
-                _path_cost(cost, got, di=0.0), abs=1e-12)
+            assert total == pytest.approx(
+                _path_cost(cost, visited, di=0.0), abs=1e-12)
 
 
 class TestDropDtw:
     def test_middle_item_dropped(self):
         cost = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-        path = drop_dtw(cost, drop_item_cost=0.5)
-        assert path.total_cost == pytest.approx(0.5)
-        assert path.matches == [(0, 0), (1, 2)]
-        assert path.dropped_items == [1]
+        visited, total = drop_dtw(cost, drop_item_cost=0.5)
+        assert total == pytest.approx(0.5)
+        assert _cells(visited) == [(0, 0), (1, 2)]
+        assert _dropped(visited) == [1]
 
     def test_expensive_drops_reduce_to_dtw(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             cost = rng.normal(size=(3, 5))
-            assert drop_dtw(cost, _priced_out(cost)).total_cost == pytest.approx(
+            assert drop_dtw(cost, _priced_out(cost))[1] == pytest.approx(
                 _dtw_cost_by_enumeration(cost), abs=1e-12)
 
     def test_zero_costs_mean_no_drops(self):
-        path = drop_dtw(np.zeros((3, 5)), drop_item_cost=0.25)
-        assert path.total_cost == 0.0
-        assert path.dropped_items == []
+        visited, total = drop_dtw(np.zeros((3, 5)), drop_item_cost=0.25)
+        assert total == 0.0
+        assert _dropped(visited) == []
 
     def test_infinite_drop_cost_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
@@ -152,7 +172,7 @@ class TestDropDtw:
         for _ in range(20):
             cost = rng.normal(size=(3, 6))
             deltas = sorted(rng.normal(size=4))
-            totals = [drop_dtw(cost, d).total_cost for d in deltas]
+            totals = [drop_dtw(cost, d)[1] for d in deltas]
             for lo, hi in zip(totals, totals[1:]):
                 assert lo <= hi + 1e-12
 
@@ -161,18 +181,18 @@ class TestDropDtw:
         for lam in (0.5, 2.0, 4.0):
             cost = rng.normal(size=(3, 5))
             di = 0.4
-            base = drop_dtw(cost, di)
-            scaled = drop_dtw(cost * lam, di * lam)
-            assert scaled.total_cost == base.total_cost * lam
-            assert scaled.matches == base.matches
-            assert scaled.dropped_items == base.dropped_items
+            base, base_total = drop_dtw(cost, di)
+            scaled, scaled_total = drop_dtw(cost * lam, di * lam)
+            assert scaled_total == base_total * lam
+            np.testing.assert_array_equal(scaled, base)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         cost = rng.normal(size=(4, 7))
-        a = drop_dtw(cost, 0.3)
-        b = drop_dtw(cost, 0.3)
-        assert a == b
+        a, a_total = drop_dtw(cost, 0.3)
+        b, b_total = drop_dtw(cost, 0.3)
+        np.testing.assert_array_equal(a, b)
+        assert a_total == b_total
 
 
 class TestBruteForceEquivalence:
@@ -183,20 +203,20 @@ class TestBruteForceEquivalence:
             m = int(rng.integers(1, 8))
             cost = rng.normal(size=(n, m))
             di = float(rng.normal())
-            fast = drop_dtw(cost, di)
-            slow = brute_force_align(cost, di)
-            assert fast.total_cost == pytest.approx(slow.total_cost, abs=1e-12)
-            fast.validate(n, m)
-            slow.validate(n, m)
+            fast, fast_total = drop_dtw(cost, di)
+            slow, slow_total = brute_force_align(cost, di)
+            assert fast_total == pytest.approx(slow_total, abs=1e-12)
+            _check_staircase(fast)
+            _check_staircase(slow)
             assert _path_cost(cost, fast, di) == pytest.approx(
-                fast.total_cost, abs=1e-12)
+                fast_total, abs=1e-12)
 
     def test_forbidden_drops_match_dtw(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             cost = rng.normal(size=(3, 5))
-            got = brute_force_align(cost, _priced_out(cost))
-            assert got.total_cost == pytest.approx(
+            _, total = brute_force_align(cost, _priced_out(cost))
+            assert total == pytest.approx(
                 _dtw_cost_by_enumeration(cost), abs=1e-12)
 
     def test_size_cap_enforced(self):
@@ -219,13 +239,16 @@ def _random_problem(rng, kind):
 
 
 def _assert_same_as_loop(cost, di, exact=False):
-    fast, slow = drop_dtw(cost, di), drop_dtw_loop(cost, di)
-    assert fast.matches == slow.matches
-    assert fast.dropped_items == slow.dropped_items
+    (fast, fast_total), (slow, slow_total) = drop_dtw(cost, di), drop_dtw_loop(cost, di)
+    np.testing.assert_array_equal(fast, slow)
+    # each step spans its row's first to last match in the loop's path
+    rows = [np.flatnonzero(row) for row in slow]
+    assert decode_segments(fast) == [(i + 1, Segment(int(c[0]), int(c[-1]) + 1))
+                                     for i, c in enumerate(rows)]
     if exact:
-        assert fast.total_cost == slow.total_cost
+        assert fast_total == slow_total
     else:
-        assert fast.total_cost == pytest.approx(slow.total_cost, rel=1e-12, abs=0)
+        assert fast_total == pytest.approx(slow_total, rel=1e-12, abs=0)
 
 
 class TestAgainstLoop:
@@ -250,7 +273,7 @@ class TestAgainstLoop:
         # entering (2, 2) diagonally from (1, 1) and by a row move through
         # (2, 1), which costs 0, tie exactly; the diagonal comes first
         cost = np.array([[-0.1, 0.3, 0.8], [-0.9, -0.3, 0.4], [0.5, 0.0, 0.7]])
-        assert drop_dtw(cost, 0.7).matches == [(0, 0), (1, 0), (1, 1), (2, 2)]
+        assert _cells(drop_dtw(cost, 0.7)[0]) == [(0, 0), (1, 0), (1, 1), (2, 2)]
         _assert_same_as_loop(cost, 0.7)
 
     def test_real_ties_give_an_optimal_path(self):
@@ -262,11 +285,12 @@ class TestAgainstLoop:
             cost = rng.integers(-9, 10, size=(int(rng.integers(1, 6)),
                                               int(rng.integers(1, 12)))) / 10
             di = percentile_drop_cost(cost, 80)
-            fast, slow = drop_dtw(cost, di), drop_dtw_loop(cost, di)
-            fast.validate(*cost.shape)
-            assert fast.total_cost == pytest.approx(slow.total_cost, abs=1e-12)
+            (fast, fast_total), (_, slow_total) = (drop_dtw(cost, di),
+                                                   drop_dtw_loop(cost, di))
+            _check_staircase(fast)
+            assert fast_total == pytest.approx(slow_total, abs=1e-12)
             assert _path_cost(cost, fast, di) == pytest.approx(
-                slow.total_cost, abs=1e-12)
+                slow_total, abs=1e-12)
 
 
 @st.composite
@@ -299,11 +323,9 @@ def test_integer_stacks_match_loop_bit_for_bit(problem):
     costs, drops = problem
     visited, totals = drop_dtw_stack(costs, drops)
     for cost, di, mask, total in zip(costs, drops, visited, totals):
-        slow = drop_dtw_loop(cost, di)
-        expected = np.zeros(cost.shape, dtype=bool)
-        expected[tuple(np.array(slow.matches).T)] = True
+        expected, expected_total = drop_dtw_loop(cost, di)
         np.testing.assert_array_equal(mask, expected)
-        assert total == slow.total_cost
+        assert total == expected_total
 
 
 class TestDropDtwStack:
@@ -319,9 +341,9 @@ class TestDropDtwStack:
             drops = percentile_drop_costs(costs, 80)
             visited, totals = drop_dtw_stack(costs, drops)
             for cost, di, mask, total in zip(costs, drops, visited, totals):
-                path = drop_dtw(cost, di)
-                assert list(zip(*np.nonzero(mask))) == path.matches
-                assert total == path.total_cost
+                alone, alone_total = drop_dtw(cost, di)
+                np.testing.assert_array_equal(mask, alone)
+                assert total == alone_total
 
     def test_malformed_input_rejected(self):
         with pytest.raises(ValidationError, match="3-d"):
@@ -333,28 +355,27 @@ class TestDropDtwStack:
 
 
 class TestDecodeSegments:
+    @staticmethod
+    def _mask(shape, cells):
+        visited = np.zeros(shape, dtype=bool)
+        visited[tuple(np.array(cells).T)] = True
+        return visited
+
     def test_min_max_per_step(self):
-        path = AlignmentPath(matches=[(0, 2), (0, 3), (1, 7)],
-                             dropped_items=[], total_cost=0.0)
-        out = decode_segments(path, {0: 1, 1: 2}, num_frames=10)
-        assert out == [(1, Segment(2, 4)), (2, Segment(7, 8))]
+        # a segment spans the items its row drops between two visits, and
+        # consecutive rows may share an item
+        visited = self._mask((2, 10), [(0, 2), (0, 4), (1, 4), (1, 7)])
+        out = decode_segments(visited)
+        assert out == [(1, Segment(2, 5)), (2, Segment(4, 8))]
 
     def test_empty_matches(self):
-        path = AlignmentPath(matches=[], dropped_items=[0, 1], total_cost=0.0)
-        assert decode_segments(path, {}, num_frames=5) == []
+        assert decode_segments(np.zeros((0, 5), dtype=bool)) == []
 
     def test_full_cover(self):
-        path = AlignmentPath(matches=[(0, j) for j in range(6)],
-                             dropped_items=[], total_cost=0.0)
-        assert decode_segments(path, {0: 3}, num_frames=6) == [(3, Segment(0, 6))]
-
-    def test_unmapped_slot_rejected(self):
-        path = AlignmentPath(matches=[(0, 0)], dropped_items=[], total_cost=0.0)
-        with pytest.raises(ValidationError, match="no step mapping"):
-            decode_segments(path, {1: 1}, num_frames=4)
+        visited = np.ones((1, 6), dtype=bool)
+        assert decode_segments(visited) == [(1, Segment(0, 6))]
 
     def test_sorted_by_step(self):
-        path = AlignmentPath(matches=[(0, 0), (1, 2), (2, 4)],
-                             dropped_items=[], total_cost=0.0)
-        out = decode_segments(path, {0: 3, 1: 1, 2: 2}, num_frames=8)
+        visited = self._mask((3, 8), [(0, 0), (1, 2), (2, 4)])
+        out = decode_segments(visited)
         assert [step for step, _ in out] == [1, 2, 3]

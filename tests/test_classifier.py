@@ -13,7 +13,8 @@ from stepalign.classifier import (
     detect_on_segments, load_classifier, save_classifier, train_classifier_fold,
 )
 from stepalign.data import CoarseLabel, FoldSpec, Segment
-from stepalign.errors import ValidationError
+from stepalign.checkpoint import save_checkpoint
+from stepalign.errors import FormatError, ValidationError
 from stepalign.optim import Adam
 from stepalign.synth import SynthConfig, synth_corpus
 
@@ -159,6 +160,20 @@ def test_bad_config_rejected_before_training(monkeypatch, field, value):
     monkeypatch.setattr(stepalign.classifier, "_batch_loss_and_grads", None)
     with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
         train_classifier_fold(corpus, fold, replace(config, **{field: value}))
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("b1", (5,)), ("w2", (8, 3)), ("w2", (4, 2)), ("b2", (4,)), ("w1", (12,)),
+])
+def test_load_rejects_shape_mismatch(tmp_path, name, shape):
+    # input 10, hidden 4: every tensor must agree with w1's layout
+    params = ClassifierParams.init(np.random.default_rng(0), input_dim=10,
+                                   hidden=4)
+    tensors = params.as_dict()
+    tensors[name] = np.zeros(shape)
+    save_checkpoint(tmp_path / "bad.ckpt", tensors, {"kind": "classifier"})
+    with pytest.raises(FormatError, match=f"bad.ckpt: tensor {name} "):
+        load_classifier(tmp_path / "bad.ckpt")
 
 
 def test_train_save_load_detect(tmp_path):

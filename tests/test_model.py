@@ -7,12 +7,14 @@ import pytest
 import stepalign.model
 from stepalign.alignment import percentile_drop_cost
 from stepalign.data import FoldSpec, Segment
-from stepalign.errors import ValidationError
+from stepalign.checkpoint import save_checkpoint
+from stepalign.errors import FormatError, ValidationError
 from stepalign.features import cosine_matrix, l2_normalize_rows
 from stepalign.model import (
     ModelParams, TrainConfig, TrainExample, align_frames_to_slots,
-    batch_loss_and_grads, compute_selections, forward_slots,
-    load_model, save_model, select_slots, train_alignment_fold, FoldTraining,
+    align_video, align_videos, batch_loss_and_grads, compute_selections,
+    forward_slots, load_model, save_model, select_slots, train_alignment_fold,
+    FoldTraining,
 )
 from stepalign.synth import SynthConfig, synth_corpus
 from oracles import (
@@ -96,7 +98,7 @@ def batch_loss(params, batch, selections, config):
     sup_terms = []
     pooled = []
     for ex, chosen in zip(batch, selections):
-        slots = forward_slots(params, ex.frames)
+        slots = forward_slots(params, ex.frames)[0]
         xp = ex.frames @ params.proj_v
         tp = ex.step_feats @ params.proj_t
         sel = slots[chosen]
@@ -119,14 +121,14 @@ class TestForwardSlots:
         rng = np.random.default_rng(0)
         params = ModelParams.init(rng, feature_dim=64, working_dim=64,
                                   num_queries=32)
-        slots = forward_slots(params, rng.normal(size=(100, 64)))
+        slots = forward_slots(params, rng.normal(size=(100, 64)))[0]
         assert slots.shape == (32, 64)
 
     def test_single_frame_degenerate_softmax(self):
         rng = np.random.default_rng(1)
         params = _params(rng)
         x = rng.normal(size=(1, 6))
-        slots, cache = forward_slots(params, x, with_cache=True)
+        slots, cache = forward_slots(params, x)
         np.testing.assert_array_equal(cache["attn"], np.ones((4, 1)))
         expected_row = ((x @ params.proj_v) @ params.w_v @ params.w_o)[0]
         for row in slots:
@@ -137,7 +139,7 @@ class TestForwardSlots:
         for _ in range(10):
             params = _params(rng)
             x = rng.normal(size=(9, 6))
-            np.testing.assert_allclose(forward_slots(params, x),
+            np.testing.assert_allclose(forward_slots(params, x)[0],
                                        _reference_forward(params, x),
                                        atol=1e-10)
 
@@ -145,11 +147,11 @@ class TestForwardSlots:
         rng = np.random.default_rng(3)
         params = _params(rng)
         x = rng.normal(size=(7, 6))
-        base = forward_slots(params, x)
+        base = forward_slots(params, x)[0]
         perm = rng.permutation(params.queries.shape[0])
         shuffled = ModelParams(**{**params.as_dict(),
                                   "queries": params.queries[perm]})
-        np.testing.assert_allclose(forward_slots(shuffled, x), base[perm],
+        np.testing.assert_allclose(forward_slots(shuffled, x)[0], base[perm],
                                    atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -175,16 +177,15 @@ class TestSelectSlots:
             steps = rng.normal(size=(1, 4))
             cost = -cosine_matrix(steps, slots)
             delta = percentile_drop_cost(cost, 80)
-            oracle = brute_force_align(cost, delta)
+            oracle, oracle_total = brute_force_align(cost, delta)
             [chosen] = select_slots([slots], [steps], drop_pct=80)
-            oracle_slots = {j for _, j in oracle.matches}
+            oracle_slots = np.flatnonzero(oracle[0])
             # the same optimum value is achieved; the representative slot
             # must be one of the matched ones in some optimal assignment
             assert len(chosen) == 1
-            got_cost = sum(cost[i, j] for i, j in oracle.matches) \
-                + delta * len(oracle.dropped_items)
-            assert got_cost == pytest.approx(oracle.total_cost, abs=1e-12)
-            assert cost[0, chosen[0]] <= min(cost[0, j] for j in oracle_slots) + 1e-12
+            got_cost = cost[oracle].sum() + delta * np.sum(~oracle[0])
+            assert got_cost == pytest.approx(oracle_total, abs=1e-12)
+            assert cost[0, chosen[0]] <= cost[0, oracle_slots].min() + 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -450,6 +451,25 @@ class TestOraclePlantAndRecover:
             assert 0 <= seg.start < seg.end <= 15
 
 
+class TestAlignVideos:
+    def test_mixed_videos_match_align_video(self):
+        # frame counts and step counts differ within one call; each video
+        # gets what align_video gives it alone
+        rng = np.random.default_rng(40)
+        params = _params(rng, d=6, dp=5, u=6)
+        frames = [rng.normal(size=(n, 6)) for n in (9, 23, 14, 23, 5)]
+        steps = [rng.normal(size=(k, 6)) for k in (2, 4, 3, 2, 4)]
+        for normalize in (True, False):
+            got = align_videos(params, frames, steps, 80.0, normalize)
+            assert got == [align_video(params, f, t, 80.0, normalize)
+                           for f, t in zip(frames, steps)]
+            assert [len(segments) for segments in got] == [2, 4, 3, 2, 4]
+
+    def test_empty_call(self):
+        params = _params(np.random.default_rng(41))
+        assert align_videos(params, [], [], 80.0, True) == []
+
+
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(50)
@@ -476,6 +496,26 @@ class TestCheckpointIO:
         save_model(tmp_path / "a.ckpt", training, TrainConfig())
         save_model(tmp_path / "b.ckpt", training, TrainConfig())
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("name, shape", [
+        ("w_q", (3, 3)), ("proj_t", (6, 4)), ("queries", (4, 3)),
+        ("queries", (20,)), ("w_o", (5, 5, 1)),
+    ])
+    def test_shape_mismatch_rejected(self, tmp_path, name, shape):
+        # d = 6, d' = 5, U = 4: every tensor must agree with that layout
+        tensors = _params(np.random.default_rng(52)).as_dict()
+        tensors[name] = np.zeros(shape)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, tensors, {"kind": "alignment"})
+        with pytest.raises(FormatError, match=f"bad.ckpt: tensor {name} "):
+            load_model(path)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        tensors = _params(np.random.default_rng(53)).as_dict()
+        del tensors["w_v"]
+        save_checkpoint(tmp_path / "bad.ckpt", tensors, {"kind": "alignment"})
+        with pytest.raises(FormatError, match="bad.ckpt: .* no tensor w_v"):
+            load_model(tmp_path / "bad.ckpt")
 
 
 def _tiny_fold():
