@@ -76,11 +76,21 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, header
 
 
-def check_layout(path: str | Path, tensors: dict[str, np.ndarray],
+def check_layout(path: str | Path, kind: str, meta: dict,
+                 tensors: dict[str, np.ndarray],
                  layout: dict[str, tuple[int | str, ...]]) -> None:
-    """Check loaded tensors against a model's layout: a shape per tensor,
-    each dimension a number or a name that takes one size throughout. A
-    missing tensor or another shape raises FormatError naming both."""
+    """Check a loaded checkpoint against a model's layout: the header's
+    ``kind``, the tensor names, and a shape per tensor, each dimension a
+    number or a name that takes one size throughout. Another kind, a
+    missing or unknown tensor, or another shape raises FormatError naming
+    the path."""
+    if meta.get("kind") != kind:
+        raise FormatError(
+            f"{path}: checkpoint kind {meta.get('kind')!r}, not {kind!r}")
+    unknown = sorted(set(tensors) - set(layout))
+    if unknown:
+        raise FormatError(
+            f"{path}: tensors {unknown} are not in the {kind} layout")
     sizes: dict[str, int] = {}
     for name, dims in layout.items():
         if name not in tensors:

@@ -54,7 +54,7 @@ class ClassifierParams(FlatParams):
 
     @classmethod
     def init(cls, rng: np.random.Generator, input_dim: int,
-             hidden: int = 256) -> "ClassifierParams":
+             hidden: int) -> "ClassifierParams":
         return cls(
             w1=rng.normal(scale=math.sqrt(2.0 / input_dim),
                           size=(input_dim, hidden)),
@@ -323,10 +323,11 @@ def save_classifier(path, training: ClassifierTraining,
 
 
 def load_classifier(path) -> tuple[ClassifierParams, dict]:
-    """Read a classifier checkpoint whose tensors agree with ``w1``."""
+    """Read a ``classifier`` checkpoint whose tensors agree with ``w1``."""
     tensors, meta = load_checkpoint(path)
-    check_layout(path, tensors, {"w1": ("in", "h"), "b1": ("h",),
-                                 "w2": ("h", NUM_CLASSES), "b2": (NUM_CLASSES,)})
+    check_layout(path, "classifier", meta, tensors, {
+        "w1": ("in", "h"), "b1": ("h",), "w2": ("h", NUM_CLASSES),
+        "b2": (NUM_CLASSES,)})
     names = ClassifierParams.tensor_names()
     return ClassifierParams(**{n: tensors[n] for n in names}), meta
 

@@ -90,31 +90,38 @@ class Corpus:
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "Corpus":
+        """Load a saved corpus. Every feature file, video or step text,
+        must have the width of the first video's."""
         root = Path(path)
         texts, videos = load_corpus(root)
         feat_dir = root / "features"
-        features: dict[str, np.ndarray] = {}
-        for video in videos:
-            file = feat_dir / f"{video.video_id}.fmtx"
+        width: tuple[Path, int] | None = None    # first file read, its width
+
+        def read(file: Path, rows: int, what: str, unit: str) -> np.ndarray:
+            nonlocal width
             if not file.exists():
-                raise FormatError(f"{file}: missing feature file")
+                raise FormatError(f"{file}: missing {what} file")
             matrix, _ = read_features(file)
-            if matrix.shape[0] != video.num_frames:
+            if matrix.shape[0] != rows:
                 raise FormatError(
-                    f"{file}: {matrix.shape[0]} rows but annotation says "
-                    f"{video.num_frames} frames")
-            features[video.video_id] = matrix
-        step_features: dict[TaskDomain, np.ndarray] = {}
-        for text in texts:
-            file = feat_dir / f"steps_{text.task.value}.fmtx"
-            if not file.exists():
-                raise FormatError(f"{file}: missing step-feature file")
-            matrix, _ = read_features(file)
-            if matrix.shape[0] != text.num_steps:
+                    f"{file}: {matrix.shape[0]} rows but {unit}")
+            width = width or (file, matrix.shape[1])
+            if matrix.shape[1] != width[1]:
                 raise FormatError(
-                    f"{file}: {matrix.shape[0]} rows but text has "
-                    f"{text.num_steps} steps")
-            step_features[text.task] = matrix
+                    f"{file}: {matrix.shape[1]} feature columns but "
+                    f"{width[0].name} has {width[1]}")
+            return matrix
+
+        features = {
+            video.video_id: read(
+                feat_dir / f"{video.video_id}.fmtx", video.num_frames,
+                "feature", f"annotation says {video.num_frames} frames")
+            for video in videos}
+        step_features = {
+            text.task: read(
+                feat_dir / f"steps_{text.task.value}.fmtx", text.num_steps,
+                "step-feature", f"text has {text.num_steps} steps")
+            for text in texts}
         return cls(texts={t.task: t for t in texts}, videos=videos,
                    features=features, step_features=step_features)
 

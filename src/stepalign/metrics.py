@@ -122,12 +122,9 @@ def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
     fp = np.cumsum(~tp_flags)
     recall = tp / n_gt
     precision = tp / (tp + fp)
-    mrec = np.concatenate([[0.0], recall])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    deltas = mrec[1:] - mrec[:-1]
-    return float(np.sum(deltas * mpre[1:-1]))
+    # the envelope: each rank's best precision at that rank or later
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    return float(np.sum(np.diff(recall, prepend=0.0) * envelope))
 
 
 @dataclass(frozen=True)
@@ -162,14 +159,14 @@ def map_at_tiou(detections: dict[str, list[Detection]],
     per_threshold: dict[float, float] = {}
     per_class: dict[str, dict[float, float]] = {label.name.lower(): {}
                                                 for label in scored}
+    ranked = {label: sorted(((vid, det) for vid, dets in detections.items()
+                             for det in dets if det.label == label),
+                            key=_detection_order)
+              for label in scored}
     for threshold in thresholds:
         aps = []
         for label in scored:
-            ranked = sorted(
-                ((vid, det) for vid, dets in detections.items() for det in dets
-                 if det.label == label),
-                key=_detection_order)
-            flags = _match_flags(ranked, ground_truth, label, threshold)
+            flags = _match_flags(ranked[label], ground_truth, label, threshold)
             ap = average_precision(flags, n_gt[label])
             per_class[label.name.lower()][threshold] = ap
             aps.append(ap)

@@ -19,13 +19,17 @@ in both directions.
 
 Slot selection is recomputed every step but treated as a constant mapping
 inside the losses, so no gradient flows through the discrete alignment.
-A training step runs the decoder once per video: ``compute_selections``
-keeps each forward's activations, selects slots for the whole batch with
-one stacked Drop-DTW per step count, and ``batch_loss_and_grads``
-backpropagates through the same activations. Inference, and validation
-once per epoch, run ``align_videos``: one forward per video and one
-stacked selection, then each video's segments from the Drop-DTW of its
-selected slots against its frames.
+A fold reads each of its training and validation videos once, into a
+``FoldVideo``: the corpus's feature array, the task's step texts and the
+rasterized ground truth. Features are normalized where the decoder reads
+them, by ``_decoder_input``. A training step runs the decoder once per
+video: ``compute_selections`` keeps each forward's activations, selects
+slots for the whole batch with one stacked Drop-DTW per step count, and
+``batch_loss_and_grads`` backpropagates through the same activations,
+taking each step's positive frames from the raster. Inference, and
+validation once per epoch, run ``align_videos``: one forward per video
+and one stacked selection, then each video's segments from the Drop-DTW
+of its selected slots against its frames.
 
 Both losses and their gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracles used for
@@ -77,7 +81,7 @@ class ModelParams(FlatParams):
 
     @classmethod
     def init(cls, rng: np.random.Generator, feature_dim: int,
-             working_dim: int = 64, num_queries: int = 32) -> "ModelParams":
+             working_dim: int, num_queries: int) -> "ModelParams":
         """Near-identity projections keep raw feature geometry readable at
         step zero; random unit queries break slot symmetry."""
         def near_eye(rows, cols):
@@ -169,7 +173,7 @@ def forward_slots(params: ModelParams, video: np.ndarray
 
 
 def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
-                 drop_pct: float = 80.0) -> list[list[int]]:
+                 drop_pct: float) -> list[list[int]]:
     """Assign one slot to every step of every video by droppable DTW on
     negative cosine.
 
@@ -200,51 +204,50 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
     return chosen
 
 
-@dataclass
-class TrainExample:
-    """One video prepared for training: features, step texts, and the
-    ground-truth frame set of every annotated step."""
+@dataclass(frozen=True)
+class FoldVideo:
+    """One fold video as decoder training and validation read it: the
+    corpus's own feature array, the task's step texts and the
+    ground-truth raster."""
 
     video_id: str
-    frames: np.ndarray                       # L x d
+    frames: np.ndarray                       # L x d, not normalized
     step_feats: np.ndarray                   # K x d
-    step_frames: dict[int, np.ndarray] = field(default_factory=dict)
+    gt_labels: np.ndarray                    # per-frame step, 0 background
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus, video_id: str) -> "FoldVideo":
+        video = corpus.video_by_id(video_id)
+        return cls(video_id=video_id, frames=corpus.video_features(video_id),
+                   step_feats=corpus.task_step_features(video.task),
+                   gt_labels=gt_frame_labels(video))
 
 
-def make_train_example(corpus: Corpus, video_id: str,
-                       normalize_features: bool = True) -> TrainExample:
-    video = corpus.video_by_id(video_id)
-    frames = corpus.video_features(video_id)
-    if normalize_features:
-        frames = l2_normalize_rows(frames)
-    step_frames: dict[int, np.ndarray] = {}
-    for step in sorted(video.defined_steps()):
-        parts = [
-            np.arange(s.segment.start, s.segment.end)
-            for s in video.segments if s.step == step
-        ]
-        step_frames[step] = np.concatenate(parts)
-    return TrainExample(video_id=video_id, frames=frames,
-                        step_feats=corpus.task_step_features(video.task),
-                        step_frames=step_frames)
+def _decoder_input(frames: np.ndarray, normalize_features: bool) -> np.ndarray:
+    """The features the decoder reads: unit rows, or the raw rows when
+    normalization is off."""
+    return l2_normalize_rows(frames) if normalize_features else frames
 
 
-def compute_selections(params: ModelParams, batch: list[TrainExample],
-                       drop_pct: float) -> tuple[list[list[int]], list[dict]]:
+def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
+                       config: TrainConfig
+                       ) -> tuple[list[list[int]], list[dict]]:
     """One decoder forward per video and the slot each step selects.
 
     Returns the selections and the forward caches, which
     ``batch_loss_and_grads`` takes so that it need not run the decoder
     again.
     """
-    caches = [forward_slots(params, ex.frames)[1] for ex in batch]
+    caches = [forward_slots(params,
+                            _decoder_input(v.frames, config.normalize_features))[1]
+              for v in batch]
     selections = select_slots([cache["slots"] for cache in caches],
-                              [ex.step_feats @ params.proj_t for ex in batch],
-                              drop_pct)
+                              [v.step_feats @ params.proj_t for v in batch],
+                              config.drop_pct)
     return selections, caches
 
 
-def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
+def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
                          selections: list[list[int]], caches: list[dict],
                          config: TrainConfig) -> tuple[float, ModelParams]:
     """Loss plus exact analytic gradients for every parameter tensor.
@@ -252,10 +255,10 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
     ``caches`` are the batch's ``forward_slots`` activations at
     ``params``. Slot selection is a constant: gradients flow through the
     decoder and both losses but not through the discrete assignment.
-    Each video's supervised terms come from one frames x steps
-    cosine matrix; the contrastive terms are computed for the whole batch
-    at once. The gradients share the parameters' flat layout; every
-    write accumulates into them.
+    Each video's supervised terms come from one steps x frames cosine
+    matrix, a row for each step its raster labels; the contrastive terms
+    are computed for the whole batch at once. The gradients share the
+    parameters' flat layout; every write accumulates into them.
     """
     grads = params.zeros_like()
     gamma = config.gamma
@@ -265,7 +268,7 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
     d_m = np.zeros((n, params.working_dim))
     global_loss = 0.0
     if config.w_global > 0 and n >= 2:
-        mean_steps = np.stack([ex.step_feats.mean(axis=0) for ex in batch])
+        mean_steps = np.stack([v.step_feats.mean(axis=0) for v in batch])
         m_rows = np.stack([c["slots"][chosen].mean(axis=0)
                            for c, chosen in zip(caches, selections)])
         t_rows = mean_steps @ params.proj_t
@@ -285,23 +288,23 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
         grads.proj_t += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
 
     # supervised loss: mean over steps within a video, then over videos
-    n_sup = sum(1 for ex in batch if ex.step_frames)
+    n_sup = sum(1 for v in batch if v.gt_labels.any())
     sup_losses = []
-    for i, (ex, chosen, cache) in enumerate(zip(batch, selections, caches)):
+    for i, (v, chosen, cache) in enumerate(zip(batch, selections, caches)):
         d_slots = np.zeros_like(cache["slots"])
         d_xp_sup = 0.0
-        if config.w_sup > 0 and ex.step_frames:
+        gt = v.gt_labels
+        if config.w_sup > 0 and gt.any():
+            steps = np.unique(gt[gt > 0])
             v_hat = l2_normalize_rows(cache["xp"])
             xp_norms = np.linalg.norm(cache["xp"], axis=1, keepdims=True)
-            rows = [chosen[step - 1] for step in ex.step_frames]
+            rows = [chosen[step - 1] for step in steps]
             u = cache["slots"][rows]
             u_norms = np.linalg.norm(u, axis=1, keepdims=True)
             u_hat = u / u_norms
             # K' x L cosine logits, one row per annotated step
             logits = (u_hat @ v_hat.T) / gamma
-            positive = np.zeros(logits.shape, dtype=bool)
-            for row, idx in enumerate(ex.step_frames.values()):
-                positive[row, idx] = True
+            positive = gt == steps[:, None]
             lse_all = _logsumexp(logits)
             lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
             sup_losses.append(float(np.mean(lse_all - lse_pos)))
@@ -340,7 +343,7 @@ def batch_loss_and_grads(params: ModelParams, batch: list[TrainExample],
 
 
 def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
-                          drop_pct: float = 80.0) -> list[tuple[int, Segment]]:
+                          drop_pct: float) -> list[tuple[int, Segment]]:
     """Inference tail: align the per-step slot sequence to frames with
     droppable DTW (slots must match, frames may drop at the percentile
     cost) and decode one segment per step."""
@@ -358,9 +361,8 @@ def align_videos(params: ModelParams, frames: Sequence[np.ndarray],
     projected frames are kept until the selection."""
     slots, frame_embeds = [], []
     for video in frames:
-        if normalize_features:
-            video = l2_normalize_rows(video)
-        video_slots, cache = forward_slots(params, video)
+        video_slots, cache = forward_slots(
+            params, _decoder_input(video, normalize_features))
         slots.append(video_slots)
         frame_embeds.append(cache["xp"])
         del cache
@@ -371,8 +373,8 @@ def align_videos(params: ModelParams, frames: Sequence[np.ndarray],
 
 
 def align_video(params: ModelParams, frames: np.ndarray,
-                step_feats: np.ndarray, drop_pct: float = 80.0,
-                normalize_features: bool = True) -> list[tuple[int, Segment]]:
+                step_feats: np.ndarray, drop_pct: float,
+                normalize_features: bool) -> list[tuple[int, Segment]]:
     """``align_videos`` for one video."""
     return align_videos(params, [frames], [step_feats], drop_pct,
                         normalize_features)[0]
@@ -394,31 +396,12 @@ class FoldTraining:
     log: list[EpochLog] = field(default_factory=list)
 
 
-@dataclass
-class ValVideo:
-    """A validation video's inputs that stay fixed while training: its
-    step texts and its rasterized ground truth."""
-
-    video_id: str
-    step_feats: np.ndarray                   # K x d
-    gt_labels: np.ndarray                    # per-frame step, 0 background
-
-    @classmethod
-    def from_corpus(cls, corpus: Corpus, video_id: str) -> "ValVideo":
-        video = corpus.video_by_id(video_id)
-        return cls(video_id=video_id,
-                   step_feats=corpus.task_step_features(video.task),
-                   gt_labels=gt_frame_labels(video))
-
-
-def evaluate_alignment_f1(params: ModelParams, corpus: Corpus,
-                          videos: Sequence[ValVideo],
+def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
                           config: TrainConfig) -> float:
     """Mean frame-F1 of the videos' ``align_videos`` segments."""
-    predicted = align_videos(
-        params, [corpus.video_features(v.video_id) for v in videos],
-        [v.step_feats for v in videos], config.drop_pct,
-        config.normalize_features)
+    predicted = align_videos(params, [v.frames for v in videos],
+                             [v.step_feats for v in videos], config.drop_pct,
+                             config.normalize_features)
     scores = [frame_metrics(rasterize(segments, v.gt_labels.shape[0]),
                             v.gt_labels)["f1"]
               for segments, v in zip(predicted, videos)]
@@ -448,9 +431,8 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
     corpus.set_phase(f"fold{fold.fold_id}:train-align")
-    examples = [make_train_example(corpus, vid, config.normalize_features)
-                for vid in fold.train]
-    val = [ValVideo.from_corpus(corpus, vid) for vid in fold.val]
+    train = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
+    val = [FoldVideo.from_corpus(corpus, vid) for vid in fold.val]
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
@@ -458,12 +440,11 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
                         best_epoch=-1, best_val_f1=-1.0)
     for epoch in range(config.epochs):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(train))
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
-            batch = [examples[i] for i in order[lo:lo + config.batch_size]]
-            selections, caches = compute_selections(params, batch,
-                                                    config.drop_pct)
+            batch = [train[i] for i in order[lo:lo + config.batch_size]]
+            selections, caches = compute_selections(params, batch, config)
             try:
                 loss, grads = batch_loss_and_grads(params, batch, selections,
                                                    caches, config)
@@ -474,7 +455,7 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
             del caches
             opt.step(params.flat, grads.flat)
             epoch_losses.append(loss)
-        val_f1 = evaluate_alignment_f1(params, corpus, val, config)
+        val_f1 = evaluate_alignment_f1(params, val, config)
         best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
                                  val_f1=val_f1))
         if val_f1 > best.best_val_f1:
@@ -500,10 +481,11 @@ def save_model(path, training: FoldTraining, config: TrainConfig) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, dict]:
-    """Read a decoder checkpoint whose tensors agree in d, d' and U."""
+    """Read an ``alignment`` checkpoint whose tensors agree in d, d' and
+    U."""
     tensors, meta = load_checkpoint(path)
     square = ("k", "k")
-    check_layout(path, tensors, {
+    check_layout(path, "alignment", meta, tensors, {
         "proj_v": ("d", "k"), "proj_t": ("d", "k"), "queries": ("U", "k"),
         "w_q": square, "w_k": square, "w_v": square, "w_o": square})
     names = ModelParams.tensor_names()
@@ -511,10 +493,9 @@ def load_model(path) -> tuple[ModelParams, dict]:
 
 
 __all__ = [
-    "ModelParams", "TrainConfig", "TrainExample", "ValVideo", "EpochLog",
-    "FoldTraining", "forward_slots", "select_slots", "make_train_example",
-    "compute_selections", "batch_loss_and_grads",
-    "align_frames_to_slots", "align_videos", "align_video",
-    "evaluate_alignment_f1",
-    "train_alignment_fold", "save_model", "load_model",
+    "ModelParams", "TrainConfig", "FoldVideo", "EpochLog",
+    "FoldTraining", "forward_slots", "select_slots", "compute_selections",
+    "batch_loss_and_grads", "align_frames_to_slots", "align_videos",
+    "align_video", "evaluate_alignment_f1", "train_alignment_fold",
+    "save_model", "load_model",
 ]

@@ -44,8 +44,8 @@ from stepalign.metrics import (
     Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
 )
 from stepalign.model import (
-    EpochLog, FoldTraining, ModelParams, align_video, batch_loss_and_grads,
-    compute_selections, make_train_example,
+    EpochLog, FoldTraining, FoldVideo, ModelParams, align_video,
+    batch_loss_and_grads, compute_selections,
 )
 
 # transition codes for the match table
@@ -347,8 +347,7 @@ def evaluate_alignment_f1_per_video(params: ModelParams, corpus, video_ids,
 def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
-    examples = [make_train_example(corpus, vid, config.normalize_features)
-                for vid in fold.train]
+    examples = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
@@ -360,8 +359,7 @@ def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[lo:lo + config.batch_size]]
-            selections, caches = compute_selections(params, batch,
-                                                    config.drop_pct)
+            selections, caches = compute_selections(params, batch, config)
             loss, grads = batch_loss_and_grads(params, batch, selections,
                                                caches, config)
             del caches

@@ -176,6 +176,21 @@ def test_load_rejects_shape_mismatch(tmp_path, name, shape):
         load_classifier(tmp_path / "bad.ckpt")
 
 
+@pytest.mark.parametrize("kind, extra, match", [
+    ("alignment", {}, "checkpoint kind 'alignment', not 'classifier'"),
+    (None, {}, "checkpoint kind None, not 'classifier'"),
+    ("classifier", {"stray": np.zeros(2)}, r"\['stray'\] are not in"),
+], ids=["other-kind", "no-kind", "stray-tensor"])
+def test_load_rejects_other_kind_and_stray_tensor(tmp_path, kind, extra,
+                                                  match):
+    params = ClassifierParams.init(np.random.default_rng(1), input_dim=10,
+                                   hidden=4)
+    meta = {} if kind is None else {"kind": kind}
+    save_checkpoint(tmp_path / "bad.ckpt", {**params.as_dict(), **extra}, meta)
+    with pytest.raises(FormatError, match=f"bad.ckpt: .*{match}"):
+        load_classifier(tmp_path / "bad.ckpt")
+
+
 def test_train_save_load_detect(tmp_path):
     corpus, fold, config = _small_fold()
     ids = {v.video_id.rsplit("_", 1)[1]: v.video_id for v in corpus.videos}

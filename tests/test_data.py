@@ -12,7 +12,9 @@ from stepalign.data import (
     video_to_json,
 )
 from stepalign.data import FoldSpec
-from stepalign.errors import ParseError, StepAlignError, ValidationError
+from stepalign.errors import (
+    FormatError, ParseError, StepAlignError, ValidationError,
+)
 
 
 def _text(task=TaskDomain.COLOR_MIXTURE, n=3):
@@ -134,6 +136,36 @@ class TestCorpusAccess:
         corpus.set_phase("test")
         corpus.video_features("a")
         assert corpus.access_log == {("infer", "a"), ("test", "a")}
+
+
+def _saved_corpus(tmp_path, widths, step_width):
+    """A two-video corpus on disk whose feature files have the given
+    widths, video by video, then the step texts'."""
+    videos = [_video("a"), _video("b")]
+    corpus = Corpus(texts={TaskDomain.COLOR_MIXTURE: _text()}, videos=videos,
+                    features={v.video_id: np.ones((50, w))
+                              for v, w in zip(videos, widths)},
+                    step_features={TaskDomain.COLOR_MIXTURE:
+                                   np.ones((3, step_width))})
+    corpus.save(tmp_path)
+
+
+class TestCorpusFeatureWidths:
+    def test_equal_widths_load(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        assert Corpus.from_dir(tmp_path).feature_dim == 8
+
+    def test_video_width_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 6), 8)
+        with pytest.raises(FormatError,
+                           match=r"b\.fmtx: 6 feature columns but a\.fmtx has 8"):
+            Corpus.from_dir(tmp_path)
+
+    def test_step_width_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 5)
+        with pytest.raises(FormatError, match=r"steps_color_mixture\.fmtx: 5 "
+                                              r"feature columns but a\.fmtx has 8"):
+            Corpus.from_dir(tmp_path)
 
 
 class TestCorpusIO:

@@ -10,8 +10,9 @@ from stepalign.data import FoldSpec, Segment
 from stepalign.checkpoint import save_checkpoint
 from stepalign.errors import FormatError, ValidationError
 from stepalign.features import cosine_matrix, l2_normalize_rows
+from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
-    ModelParams, TrainConfig, TrainExample, align_frames_to_slots,
+    FoldVideo, ModelParams, TrainConfig, align_frames_to_slots,
     align_video, align_videos, batch_loss_and_grads, compute_selections,
     forward_slots, load_model, save_model, select_slots, train_alignment_fold,
     FoldTraining,
@@ -97,15 +98,21 @@ def batch_loss(params, batch, selections, config):
     loss = 0.0
     sup_terms = []
     pooled = []
-    for ex, chosen in zip(batch, selections):
-        slots = forward_slots(params, ex.frames)[0]
-        xp = ex.frames @ params.proj_v
-        tp = ex.step_feats @ params.proj_t
+    for video, chosen in zip(batch, selections):
+        frames = video.frames
+        if config.normalize_features:
+            frames = l2_normalize_rows(frames)
+        slots = forward_slots(params, frames)[0]
+        xp = frames @ params.proj_v
+        tp = video.step_feats @ params.proj_t
         sel = slots[chosen]
-        if ex.step_frames:
+        steps = sorted(set(video.gt_labels.tolist()) - {0})
+        if steps:
             per_step = [
-                loss_supervised_indices(sel[step - 1], idx, xp, config.gamma)
-                for step, idx in ex.step_frames.items()
+                loss_supervised_indices(sel[step - 1],
+                                        np.flatnonzero(video.gt_labels == step),
+                                        xp, config.gamma)
+                for step in steps
             ]
             sup_terms.append(float(np.mean(per_step)))
         pooled.append((sel, tp))
@@ -293,14 +300,14 @@ class TestLossGlobal:
 def _random_example(rng, d=6, k=2, length=7):
     frames = rng.normal(size=(length, d))
     step_feats = l2_normalize_rows(rng.normal(size=(k, d)))
-    step_frames = {}
+    gt_labels = np.zeros(length, dtype=np.int64)
     cursor = 0
     for step in range(1, k + 1):
         seg_len = int(rng.integers(1, 3))
-        step_frames[step] = np.arange(cursor, min(cursor + seg_len, length))
+        gt_labels[cursor:cursor + seg_len] = step
         cursor += seg_len + 1
-    return TrainExample(video_id=f"v{rng.integers(1e6)}", frames=frames,
-                        step_feats=step_feats, step_frames=step_frames)
+    return FoldVideo(video_id=f"v{rng.integers(1e6)}", frames=frames,
+                     step_feats=step_feats, gt_labels=gt_labels)
 
 
 def _grad_check(config, seed, selections=None, edit_batch=None):
@@ -312,7 +319,7 @@ def _grad_check(config, seed, selections=None, edit_batch=None):
     batch = [_random_example(rng) for _ in range(2)]
     if edit_batch is not None:
         edit_batch(batch)
-    chosen, caches = compute_selections(params, batch, config.drop_pct)
+    chosen, caches = compute_selections(params, batch, config)
     if selections is None:
         selections = chosen
     loss, grads = batch_loss_and_grads(params, batch, selections, caches, config)
@@ -370,8 +377,8 @@ class TestGradients:
         # step 1 of the first video and every step of the second carry no
         # annotated frames; they add no supervised term
         def drop_annotations(batch):
-            del batch[0].step_frames[1]
-            batch[1].step_frames.clear()
+            batch[0].gt_labels[batch[0].gt_labels == 1] = 0
+            batch[1].gt_labels[:] = 0
 
         config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.7,
                              batch_size=2, drop_pct=80)
@@ -383,7 +390,7 @@ class TestGradients:
         params = _params(rng)
         batch = [_random_example(rng) for _ in range(2)]
         config = TrainConfig(gamma=0.5, w_sup=0.0, w_global=0.0, batch_size=2)
-        selections, caches = compute_selections(params, batch, config.drop_pct)
+        selections, caches = compute_selections(params, batch, config)
         loss, grads = batch_loss_and_grads(params, batch, selections, caches,
                                            config)
         assert loss == 0.0
@@ -517,6 +524,21 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="bad.ckpt: .* no tensor w_v"):
             load_model(tmp_path / "bad.ckpt")
 
+    def test_other_kind_rejected(self, tmp_path):
+        tensors = _params(np.random.default_rng(54)).as_dict()
+        save_checkpoint(tmp_path / "bad.ckpt", tensors, {"kind": "classifier"})
+        with pytest.raises(FormatError,
+                           match="bad.ckpt: checkpoint kind 'classifier', "
+                                 "not 'alignment'"):
+            load_model(tmp_path / "bad.ckpt")
+
+    def test_stray_tensor_rejected(self, tmp_path):
+        tensors = _params(np.random.default_rng(55)).as_dict()
+        tensors["stray"] = np.zeros(3)
+        save_checkpoint(tmp_path / "bad.ckpt", tensors, {"kind": "alignment"})
+        with pytest.raises(FormatError, match=r"bad.ckpt: .*\['stray'\]"):
+            load_model(tmp_path / "bad.ckpt")
+
 
 def _tiny_fold():
     corpus = synth_corpus(SynthConfig(tasks=2, videos_per_task=4, workers=2,
@@ -527,6 +549,16 @@ def _tiny_fold():
                     test=(ids[7],))
     config = TrainConfig(epochs=3, batch_size=2, working_dim=6, num_queries=5)
     return corpus, fold, config
+
+
+class TestFoldVideo:
+    def test_holds_corpus_array_and_raster(self):
+        corpus, fold, _ = _tiny_fold()
+        vid = fold.train[0]
+        video = FoldVideo.from_corpus(corpus, vid)
+        assert video.frames is corpus.features[vid]
+        np.testing.assert_array_equal(
+            video.gt_labels, gt_frame_labels(corpus.video_by_id(vid)))
 
 
 class TestTrainAlignmentFold:
