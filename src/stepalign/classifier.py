@@ -1,14 +1,18 @@
-"""Segment mistake classifier: mean-pooled segment features concatenated
-with the step's text feature, a two-layer ReLU perceptron, and the
-class-balanced cross-entropy loss
+"""Segment mistake classifier: mean-pooled segment features, followed by
+the step's text feature unless the classifier is video-only, a two-layer
+ReLU perceptron, and the class-balanced cross-entropy loss
 
     weight(label) * -log softmax(z)[label],
     weight(label) = (1 - beta) / (1 - beta^count(label)),
 
 which downweights frequent classes smoothly; a label seen once keeps
 weight 1 for any beta. Training is teacher-forced on ground-truth
-segments. Segments without a written step (and the whole text side in the
-video-only ablation) use a zero text vector.
+segments. Segments without a written step use a zero text vector.
+
+The first layer's width is the one record of the input layout: a
+classifier exactly as wide as the video features is the video-only
+ablation and reads no text, and detection works this out from the
+weights rather than from an argument.
 
 Every path from segments to labels is the same two calls:
 ``classifier_rows`` builds one input row per ``(step, segment)`` pair and
@@ -43,7 +47,7 @@ _Proposals = list[tuple[int | None, Segment]]    # (step, segment) pairs
 
 @dataclass
 class ClassifierParams(FlatParams):
-    w1: np.ndarray  # (2d) x h
+    w1: np.ndarray  # (d or 2d) x h: video features, then any text feature
     b1: np.ndarray  # h
     w2: np.ndarray  # h x 3
     b2: np.ndarray  # 3
@@ -83,24 +87,19 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _text_vector(step_feats: np.ndarray, step: int | None,
-                 video_only: bool) -> np.ndarray:
-    """The step's text feature; a zero vector for the video-only ablation
-    and for segments without a written step."""
-    if video_only or step is None:
-        return np.zeros(step_feats.shape[1])
-    return step_feats[step - 1]
-
-
 def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
-                    step_feats: np.ndarray, video_only: bool) -> np.ndarray:
+                    step_feats: np.ndarray | None) -> np.ndarray:
     """One input row per ``(step, segment)`` proposal of a video: the
-    segment's mean-pooled features, then the step's text vector."""
-    width = video_feats.shape[1] + step_feats.shape[1]
-    rows = [np.concatenate([mean_pool(video_feats, seg),
-                            _text_vector(step_feats, step, video_only)])
-            for step, seg in proposals]
-    return np.stack(rows) if rows else np.empty((0, width))
+    segment's mean-pooled features, then, unless ``step_feats`` is None,
+    the step's text feature (zeros for a step-``None`` proposal)."""
+    pooled = np.array([mean_pool(video_feats, seg) for _, seg in proposals]
+                      ).reshape(len(proposals), video_feats.shape[1])
+    if step_feats is None:
+        return pooled
+    # row 0 is the zero text vector, row s the text of step s
+    texts = np.vstack([np.zeros(step_feats.shape[1]), step_feats])
+    steps = [0 if step is None else step for step, _ in proposals]
+    return np.hstack([pooled, texts[steps]])
 
 
 def classify(params: ClassifierParams,
@@ -158,14 +157,15 @@ class ClassifierTraining:
 def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...], video_only: bool
                   ) -> tuple[np.ndarray, np.ndarray, dict[str, _Proposals]]:
     """A split's teacher-forced rows, one per annotated segment in video
-    order; their true labels; and each video's ``(step, segment)`` pairs."""
+    order, without text when ``video_only``; their true labels; and each
+    video's ``(step, segment)`` pairs."""
     xs, ys, proposals = [], [], {}
     for vid in video_ids:
         video = corpus.video_by_id(vid)
         proposals[vid] = [(seg.step, seg.segment) for seg in video.segments]
-        xs.append(classifier_rows(corpus.video_features(vid), proposals[vid],
-                                  corpus.task_step_features(video.task),
-                                  video_only))
+        xs.append(classifier_rows(
+            corpus.video_features(vid), proposals[vid],
+            None if video_only else corpus.task_step_features(video.task)))
         ys += [int(coarse_label(seg.mistake)) for seg in video.segments]
     x = np.concatenate(xs) if xs else np.empty((0, 0))
     return x, np.asarray(ys, dtype=np.int64), proposals
@@ -239,25 +239,25 @@ def _val_score(params: ClassifierParams, x: np.ndarray, y: np.ndarray,
 
 
 def detect_on_segments(params: ClassifierParams, corpus: Corpus,
-                       video: AnnotatedVideo,
-                       video_only: bool = False) -> list[Detection]:
+                       video: AnnotatedVideo) -> list[Detection]:
     """Classify every annotated segment of a video (the oracle-segment
     evaluation arm)."""
     return detect_mistakes(
         params, [(seg.step, seg.segment) for seg in video.segments],
         corpus.video_features(video.video_id),
-        corpus.task_step_features(video.task), video_only)
+        corpus.task_step_features(video.task))
 
 
 def detect_mistakes(params: ClassifierParams,
                     alignment: list[tuple[int | None, Segment]],
-                    video_feats: np.ndarray, step_feats: np.ndarray,
-                    video_only: bool = False) -> list[Detection]:
+                    video_feats: np.ndarray,
+                    step_feats: np.ndarray) -> list[Detection]:
     """Classify the segments proposed by the alignment model; confidence is
-    the softmax probability of the predicted class. A step-``None``
+    the softmax probability of the predicted class. A classifier as wide
+    as the video features reads no text; otherwise a step-``None``
     proposal gets the zero text vector."""
-    z, labels = classify(params, classifier_rows(video_feats, alignment,
-                                                 step_feats, video_only))
+    texts = None if params.input_dim == video_feats.shape[1] else step_feats
+    z, labels = classify(params, classifier_rows(video_feats, alignment, texts))
     return _detections(alignment, z, labels)
 
 
@@ -309,8 +309,6 @@ def save_classifier(path, training: ClassifierTraining,
                     config: ClassifierTrainConfig) -> None:
     meta = {
         "kind": "classifier",
-        "input_dim": training.params.input_dim,
-        "hidden": training.params.w1.shape[1],
         "seed": config.seed,
         "epoch": training.best_epoch,
         "val_score": training.best_val_score,

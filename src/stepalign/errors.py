@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit 1, file and
-format problems exit 2, numerical failures exit 3.
+The exit-code contract for a command-line interface (none exists yet):
+``ValidationError`` and its subclasses exit 1, ``ParseError`` and
+``FormatError`` exit 2, ``NumericalError`` exits 3.
 """
 
 

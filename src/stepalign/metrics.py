@@ -100,14 +100,14 @@ def _match_flags(ranked: list[tuple[str, Detection]],
         for idx, (gt_step, gt_seg, gt_label) in enumerate(gt_by_video.get(video_id, [])):
             if gt_label != label or gt_step != det.step:
                 continue
-            if idx in matched.get(video_id, set()):
+            if idx in matched[video_id]:
                 continue
             tiou = det.segment.tiou(gt_seg)
             if tiou >= threshold and tiou > best_tiou:
                 best_tiou = tiou
                 best_idx = idx
         if best_idx >= 0:
-            matched.setdefault(video_id, set()).add(best_idx)
+            matched[video_id].add(best_idx)
             flags[rank] = True
     return flags
 
@@ -135,10 +135,10 @@ class MapResult:
 
 
 def map_at_tiou(detections: dict[str, list[Detection]],
-                ground_truth: dict[str, list[GroundTruthInstance]],
-                thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
+                ground_truth: dict[str, list[GroundTruthInstance]]
                 ) -> MapResult:
-    """Mean AP over the mistake and correction classes at each threshold.
+    """Mean AP over the mistake and correction classes at each threshold
+    of ``DEFAULT_TIOU_THRESHOLDS``.
 
     Classes without any ground-truth instance are excluded from the mean;
     when neither class has ground truth the score is undefined and an
@@ -163,7 +163,7 @@ def map_at_tiou(detections: dict[str, list[Detection]],
                              for det in dets if det.label == label),
                             key=_detection_order)
               for label in scored}
-    for threshold in thresholds:
+    for threshold in DEFAULT_TIOU_THRESHOLDS:
         aps = []
         for label in scored:
             flags = _match_flags(ranked[label], ground_truth, label, threshold)
@@ -171,7 +171,7 @@ def map_at_tiou(detections: dict[str, list[Detection]],
             per_class[label.name.lower()][threshold] = ap
             aps.append(ap)
         per_threshold[threshold] = float(np.mean(aps))
-    average = float(np.mean([per_threshold[t] for t in thresholds]))
+    average = float(np.mean(list(per_threshold.values())))
     return MapResult(per_threshold=per_threshold, average=average,
                      per_class=per_class)
 

@@ -75,10 +75,6 @@ class ModelParams(FlatParams):
     def working_dim(self) -> int:
         return self.proj_v.shape[1]
 
-    @property
-    def num_queries(self) -> int:
-        return self.queries.shape[0]
-
     @classmethod
     def init(cls, rng: np.random.Generator, feature_dim: int,
              working_dim: int, num_queries: int) -> "ModelParams":
@@ -466,18 +462,14 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
 
 
 def save_model(path, training: FoldTraining, config: TrainConfig) -> None:
-    params = training.params
     meta = {
         "kind": "alignment",
-        "U": params.num_queries,
-        "d": params.feature_dim,
-        "d_prime": params.working_dim,
         "seed": config.seed,
         "epoch": training.best_epoch,
         "val_f1": training.best_val_f1,
         "fold_id": training.fold_id,
     }
-    save_checkpoint(path, params.as_dict(), meta)
+    save_checkpoint(path, training.params.as_dict(), meta)
 
 
 def load_model(path) -> tuple[ModelParams, dict]:

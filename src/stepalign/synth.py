@@ -148,10 +148,8 @@ def _orthogonal_unit(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray
 
 
 def _make_task_vectors(rng: np.random.Generator, k: int, dim: int) -> TaskVectors:
-    if dim < k + 3:
-        raise ValidationError(
-            f"dim {dim} cannot hold {k} separated step directions plus the "
-            f"mistake/correction flavors (need dim >= {k + 3})")
+    """``k`` separated step prototypes plus the mistake/correction
+    directions; ``SynthConfig.validate`` ensures ``dim >= k + 3``."""
     anchor = _unit(rng.normal(size=dim))
     raw = rng.normal(size=(dim, k + 2))
     raw -= np.outer(anchor, anchor @ raw)

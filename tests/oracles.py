@@ -226,14 +226,16 @@ def detect_per_segment(params: ClassifierParams,
                        proposals: list[tuple[int | None, Segment]],
                        video_feats: np.ndarray, step_feats: np.ndarray,
                        video_only: bool = False) -> list[Detection]:
-    """One forward per proposal: the segment's mean-pooled features and
-    its step's text vector (zero for a step-``None`` proposal or the
-    video-only ablation) as one input vector, then a softmax."""
+    """One forward per proposal: the segment's mean-pooled features,
+    followed, unless ``video_only``, by its step's text vector (zero for a
+    step-``None`` proposal) as one input vector, then a softmax."""
     out = []
     for step, seg in proposals:
-        text = (np.zeros(step_feats.shape[1]) if video_only or step is None
-                else step_feats[step - 1])
-        x = np.concatenate([video_feats[seg.start:seg.end].mean(axis=0), text])
+        x = video_feats[seg.start:seg.end].mean(axis=0)
+        if not video_only:
+            text = (np.zeros(step_feats.shape[1]) if step is None
+                    else step_feats[step - 1])
+            x = np.concatenate([x, text])
         h = np.maximum(x @ params.w1 + params.b1, 0.0)
         z = h @ params.w2 + params.b2
         probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()

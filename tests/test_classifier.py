@@ -140,15 +140,23 @@ def _small_fold():
     return corpus, fold, ClassifierTrainConfig(hidden=8, epochs=30, val_every=10)
 
 
-def test_training_matches_per_tensor_oracle():
+def _assert_training_matches_per_tensor_oracle(**changes):
     corpus, fold, config = _small_fold()
-    config = replace(config, epochs=120, val_every=4)
+    config = replace(config, epochs=120, val_every=4, **changes)
     got = train_classifier_fold(corpus, fold, config)
     want = train_classifier_fold_per_tensor(corpus, fold, config)
     assert got.params.flat.tobytes() == want.params.flat.tobytes()
     assert (got.best_epoch, got.best_val_score, got.class_counts) == \
         (want.best_epoch, want.best_val_score, want.class_counts)
     assert got.best_epoch > 0
+
+
+def test_training_matches_per_tensor_oracle():
+    _assert_training_matches_per_tensor_oracle()
+
+
+def test_video_only_training_matches_per_tensor_oracle():
+    _assert_training_matches_per_tensor_oracle(video_only=True)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -201,6 +209,9 @@ def test_train_save_load_detect(tmp_path):
     save_classifier(tmp_path / "clf.ckpt", training, config)
     params, meta = load_classifier(tmp_path / "clf.ckpt")
     assert meta["epoch"] == training.best_epoch
+    # shapes live in the tensors only; the header keeps the training record
+    assert set(meta) == {"kind", "seed", "epoch", "val_score", "video_only",
+                         "fold_id", "class_counts"}
     for name, tensor in training.params.as_dict().items():
         expected = tensor.astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(getattr(params, name), expected, err_msg=name)
@@ -219,6 +230,35 @@ def test_train_save_load_detect(tmp_path):
         assert det.confidence == pytest.approx(want.confidence, abs=1e-12)
 
 
+def test_video_only_train_save_load_detect(tmp_path):
+    corpus, fold, config = _small_fold()
+    config = replace(config, video_only=True)
+    ids = {v.video_id.rsplit("_", 1)[1]: v.video_id for v in corpus.videos}
+    training = train_classifier_fold(corpus, fold, config)
+    assert training.params.w1.shape == (corpus.feature_dim, config.hidden)
+
+    save_classifier(tmp_path / "clf.ckpt", training, config)
+    params, meta = load_classifier(tmp_path / "clf.ckpt")
+    assert meta["video_only"] is True
+    assert params.w1.shape == (corpus.feature_dim, config.hidden)
+
+    video = corpus.video_by_id(ids["m00"])
+    feats = corpus.video_features(video.video_id)
+    step_feats = corpus.task_step_features(video.task)
+    proposals = [(s.step, s.segment) for s in video.segments]
+    dets = detect_on_segments(params, corpus, video)
+    expected = detect_per_segment(params, proposals, feats, step_feats,
+                                  video_only=True)
+    assert [(d.step, d.segment, d.label) for d in dets] == \
+        [(d.step, d.segment, d.label) for d in expected]
+    for det, want in zip(dets, expected):
+        assert det.confidence == pytest.approx(want.confidence, abs=1e-12)
+    # the text is not read at all: NaN step features change nothing
+    unread = detect_mistakes(params, proposals, feats,
+                             np.full_like(step_feats, np.nan))
+    assert unread == dets
+
+
 def _random_proposals(rng, num_frames, num_steps, n):
     out = []
     for _ in range(n):
@@ -232,15 +272,17 @@ def _random_proposals(rng, num_frames, num_steps, n):
 @pytest.mark.parametrize("video_only", [False, True])
 @pytest.mark.parametrize("seed", range(4))
 def test_detect_mistakes_matches_per_segment_oracle(seed, video_only):
+    # detect_mistakes works the layout out from the width; the oracle is told
     rng = np.random.default_rng(seed)
-    params = ClassifierParams.init(rng, input_dim=10, hidden=16)
+    params = ClassifierParams.init(rng, input_dim=5 if video_only else 10,
+                                   hidden=16)
     params.b1 += rng.normal(size=16)
     params.b2 += rng.normal(size=3)
     feats = rng.normal(size=(40, 5))
     step_feats = rng.normal(size=(4, 5))
     proposals = _random_proposals(rng, 40, 4, 25)
     assert any(step is None for step, _ in proposals)
-    dets = detect_mistakes(params, proposals, feats, step_feats, video_only)
+    dets = detect_mistakes(params, proposals, feats, step_feats)
     expected = detect_per_segment(params, proposals, feats, step_feats,
                                   video_only)
     assert [(d.step, d.segment, d.label) for d in dets] == \
@@ -256,9 +298,11 @@ def test_detect_mistakes_gives_unwritten_proposals_zero_text():
     feats = rng.normal(size=(12, 4))
     step_feats = rng.normal(size=(2, 4))
     proposals = [(2, Segment(0, 5)), (None, Segment(5, 9))]
-    x = classifier_rows(feats, proposals, step_feats, video_only=False)
+    x = classifier_rows(feats, proposals, step_feats)
     np.testing.assert_array_equal(x[0, 4:], step_feats[1])
     np.testing.assert_array_equal(x[1, 4:], np.zeros(4))
+    np.testing.assert_array_equal(classifier_rows(feats, proposals, None),
+                                  x[:, :4])
     dets = detect_mistakes(params, proposals, feats, step_feats)
     assert [(d.step, d.segment) for d in dets] == proposals
     expected = detect_per_segment(params, proposals, feats, step_feats)
@@ -272,6 +316,17 @@ def test_empty_proposals_give_no_detections():
     params = ClassifierParams.init(rng, input_dim=8, hidden=6)
     assert detect_mistakes(params, [], rng.normal(size=(12, 4)),
                            rng.normal(size=(2, 4))) == []
+
+
+@pytest.mark.parametrize("input_dim", [3, 6, 9, 16])
+def test_detect_rejects_classifier_of_another_width(input_dim):
+    # 4 video and 4 text columns: only widths 4 and 8 are layouts
+    rng = np.random.default_rng(5)
+    params = ClassifierParams.init(rng, input_dim=input_dim, hidden=6)
+    with pytest.raises(ValidationError, match=f"width {input_dim}, "
+                                              r"got shape \(2, 8\)"):
+        detect_mistakes(params, [(1, Segment(0, 5)), (None, Segment(5, 9))],
+                        rng.normal(size=(12, 4)), rng.normal(size=(2, 4)))
 
 
 @pytest.mark.parametrize("shape", [(3, 7), (3, 9), (8,), (1, 3, 8)])

@@ -168,6 +168,22 @@ class TestCorpusFeatureWidths:
             Corpus.from_dir(tmp_path)
 
 
+class TestCorpusSidecarIds:
+    @pytest.mark.parametrize("name, other", [
+        ("b", "a"), ("b", "steps_color_mixture"), ("steps_color_mixture", "b"),
+        ("steps_color_mixture", "steps_cooking"),
+    ])
+    def test_sidecar_naming_another_id_names_file_and_ids(self, tmp_path,
+                                                          name, other):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        sidecar = tmp_path / "features" / f"{name}.fmtx.json"
+        record = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**record, "video_id": other}))
+        with pytest.raises(FormatError, match=rf"{name}\.fmtx: sidecar names "
+                                              rf"'{other}', not '{name}'"):
+            Corpus.from_dir(tmp_path)
+
+
 class TestCorpusIO:
     def test_round_trip_is_identity(self, tmp_path):
         texts = [_text(TaskDomain.COLOR_MIXTURE), _text(TaskDomain.CARDBOARD, n=5)]

@@ -494,6 +494,8 @@ class TestCheckpointIO:
         assert meta["epoch"] == 7
         assert meta["seed"] == 9
         assert meta["val_f1"] == pytest.approx(0.83)
+        # shapes live in the tensors only; the header keeps the training record
+        assert set(meta) == {"kind", "seed", "epoch", "val_f1", "fold_id"}
 
     def test_byte_identical_rewrites(self, tmp_path):
         rng = np.random.default_rng(51)
