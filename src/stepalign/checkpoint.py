@@ -1,8 +1,10 @@
 """Checkpoint container: JSON header plus raw float32 tensors.
 
-Layout: a little-endian u32 header length, the UTF-8 JSON header, then the
-tensors back to back as little-endian float32 in the order declared by the
-header's ``tensors`` list. Metadata keys ride along in the header.
+Layout: a little-endian u32 header length, the header as UTF-8 JSON
+(compact, keys sorted), then the tensors back to back as little-endian
+float32 in the order declared by the header's ``tensors`` list, each an
+object ``{"name": ..., "shape": [...]}``. Metadata keys ride along in the
+header.
 """
 
 from __future__ import annotations

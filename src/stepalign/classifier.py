@@ -91,11 +91,16 @@ def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
                     step_feats: np.ndarray | None) -> np.ndarray:
     """One input row per ``(step, segment)`` proposal of a video: the
     segment's mean-pooled features, then, unless ``step_feats`` is None,
-    the step's text feature (zeros for a step-``None`` proposal)."""
+    the step's text feature (zeros for a step-``None`` proposal). With
+    text, a step outside 1..k for a k-step text raises ValidationError."""
     pooled = np.array([mean_pool(video_feats, seg) for _, seg in proposals]
                       ).reshape(len(proposals), video_feats.shape[1])
     if step_feats is None:
         return pooled
+    k = step_feats.shape[0]
+    for step, _ in proposals:
+        if step is not None and not 1 <= step <= k:
+            raise ValidationError(f"proposal step {step} outside 1..{k}")
     # row 0 is the zero text vector, row s the text of step s
     texts = np.vstack([np.zeros(step_feats.shape[1]), step_feats])
     steps = [0 if step is None else step for step, _ in proposals]

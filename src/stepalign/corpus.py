@@ -91,7 +91,7 @@ class Corpus:
     @classmethod
     def from_dir(cls, path: str | Path) -> "Corpus":
         """Load a saved corpus. Every feature file, video or step text,
-        must have the width of the first video's, and its sidecar must
+        must have the width of the first video's, and its header must
         name the file's own id: the video id, or ``steps_<task>``."""
         root = Path(path)
         texts, videos = load_corpus(root)
@@ -102,10 +102,10 @@ class Corpus:
             nonlocal width
             if not file.exists():
                 raise FormatError(f"{file}: missing {what} file")
-            matrix, sidecar_id = read_features(file)
-            if sidecar_id != file.stem:
+            matrix, stored_id = read_features(file)
+            if stored_id != file.stem:
                 raise FormatError(
-                    f"{file}: sidecar names {sidecar_id!r}, not {file.stem!r}")
+                    f"{file}: header names {stored_id!r}, not {file.stem!r}")
             if matrix.shape[0] != rows:
                 raise FormatError(
                     f"{file}: {matrix.shape[0]} rows but {unit}")

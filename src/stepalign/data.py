@@ -8,7 +8,10 @@ Corpus directory layout::
 
     <dir>/texts/<task>.json          one procedural text per task
     <dir>/annotations/<video_id>.json  one annotation record per video
-    <dir>/features/...               binary feature matrices (see features.py)
+    <dir>/features/<video_id>.fmtx   one frame-feature matrix per video
+    <dir>/features/steps_<task>.fmtx  the step-text features of each task
+
+Both kinds of feature file are ``features`` checkpoints (see features.py).
 """
 
 from __future__ import annotations

@@ -1,25 +1,19 @@
 """Feature-matrix storage and small vector utilities.
 
-Matrices are float64 in memory and float32 on disk. The binary layout is a
-16-byte header (magic ``FMTX``, u32 rows, u32 dim, u32 reserved zero, all
-little-endian) followed by rows*dim little-endian float32 values in
-row-major order. Every matrix file has a JSON sidecar ``<file>.json`` with
-``{"video_id": ..., "rows": ..., "dim": ...}``.
+Matrices are float64 in memory and float32 on disk. A matrix file is a
+checkpoint (see checkpoint.py) of kind ``features`` holding one 2-d tensor
+named ``features``; its header also carries the file's ``video_id``.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .data import Segment
 from .errors import FormatError, ValidationError
-
-_MAGIC = b"FMTX"
-_HEADER = struct.Struct("<4sIII")
 
 
 def validate_matrix(m: np.ndarray) -> np.ndarray:
@@ -32,59 +26,25 @@ def validate_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def write_features(m: np.ndarray, path: str | Path, video_id: str) -> None:
-    """Write a matrix plus its JSON sidecar. Values are stored as float32."""
-    m = validate_matrix(m)
-    path = Path(path)
-    rows, dim = m.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, rows, dim, 0))
-        fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-    sidecar = {"video_id": video_id, "rows": rows, "dim": dim}
-    with open(path.with_name(path.name + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
+    """Write a matrix as a ``features`` checkpoint; values are stored as
+    float32."""
+    save_checkpoint(path, {"features": validate_matrix(m)},
+                    {"kind": "features", "video_id": video_id})
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, str]:
     """Read a matrix written by write_features; returns (matrix, video_id).
-
-    Distinct failures raise distinct messages: bad magic, truncated
-    payload, sidecar/header mismatch, and non-finite payload.
-    """
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, rows, dim, _ = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if rows < 1 or dim < 1:
-        raise FormatError(f"{path}: header declares empty matrix {rows}x{dim}")
-    expected = _HEADER.size + rows * dim * 4
-    if len(raw) < expected:
-        raise FormatError(
-            f"{path}: truncated payload, expected {expected} bytes, have {len(raw)}")
-    if len(raw) > expected:
-        raise FormatError(f"{path}: trailing bytes beyond declared payload")
-
-    sidecar_path = path.with_name(path.name + ".json")
-    try:
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        raise FormatError(f"{sidecar_path}: sidecar missing") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{sidecar_path}: invalid sidecar: {exc.msg}") from None
-    if sidecar.get("rows") != rows or sidecar.get("dim") != dim:
-        raise FormatError(
-            f"{path}: header mismatch, sidecar says "
-            f"{sidecar.get('rows')}x{sidecar.get('dim')}, header says {rows}x{dim}")
-
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    m = data.reshape(rows, dim).astype(np.float64)
-    if not np.all(np.isfinite(m)):
-        raise FormatError(f"{path}: payload contains non-finite values")
-    return m, str(sidecar.get("video_id", ""))
+    A departure from the container layout, another kind or tensor shape,
+    an empty matrix or a non-string id raises FormatError naming the path."""
+    tensors, meta = load_checkpoint(path)
+    check_layout(path, "features", meta, tensors, {"features": ("rows", "dim")})
+    m = tensors["features"]
+    if m.size == 0:
+        raise FormatError(f"{path}: empty feature matrix {m.shape[0]}x{m.shape[1]}")
+    video_id = meta.get("video_id")
+    if not isinstance(video_id, str):
+        raise FormatError(f"{path}: video_id {video_id!r} is not a string")
+    return m, video_id
 
 
 def mean_pool(m: np.ndarray, seg: Segment) -> np.ndarray:

@@ -8,9 +8,12 @@ from stepalign.checkpoint import load_checkpoint, save_checkpoint
 from stepalign.errors import FormatError
 
 
-def _write(path, header, payload=b""):
+def _pack(header, payload=b""):
     blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(struct.pack("<I", len(blob)) + blob + payload)
+    return struct.pack("<I", len(blob)) + blob + payload
+
+
+_W2 = {"tensors": [{"name": "w", "shape": [2]}]}
 
 
 def test_round_trip_at_float32(tmp_path):
@@ -23,18 +26,27 @@ def test_round_trip_at_float32(tmp_path):
         np.testing.assert_array_equal(loaded[name], t.astype(np.float32))
 
 
-@pytest.mark.parametrize("header, payload", [
-    ({"tensors": [{"shape": [2]}]}, b"\0" * 8),                # entry without name
-    ({"tensors": [{"name": "w", "shape": "ab"}]}, b"\0" * 8),  # shape not a list
-    ({"tensors": [{"name": "w", "shape": [-1]}]}, b"\0" * 8),  # negative dim
-    ({"tensors": ["w"]}, b""),                                  # entry not an object
-    ([1, 2], b""),                                              # header not an object
-    ({"tensors": [{"name": "w", "shape": [2]}]},
-     np.array([1.0, np.nan], dtype="<f4").tobytes()),           # NaN tensor
+@pytest.mark.parametrize("raw, rule", [
+    (_pack({"tensors": [{"shape": [2]}]}, b"\0" * 8), "bad tensor entry"),
+    (_pack({"tensors": [{"name": "w", "shape": "ab"}]}, b"\0" * 8),
+     "bad tensor entry"),
+    (_pack({"tensors": [{"name": "w", "shape": [-1]}]}, b"\0" * 8),
+     "bad tensor entry"),
+    (_pack({"tensors": ["w"]}), "bad tensor entry"),
+    (_pack([1, 2]), "checkpoint header is not a JSON object"),
+    (_pack(_W2, np.array([1.0, np.nan], dtype="<f4").tobytes()),
+     "tensor w has non-finite values"),
+    (b"\x05\0\0", "truncated checkpoint$"),
+    (struct.pack("<I", 64) + b"{}", "truncated checkpoint header$"),
+    (_pack(_W2, b"\0" * 7), "truncated tensor w$"),
+    (_pack(_W2, b"\0" * 9), "trailing bytes after declared tensors$"),
+    (struct.pack("<I", 2) + b"\xff\xfe", "bad checkpoint header: 'utf-8' codec"),
+    (_pack({"kind": "x"}), "header does not declare tensors$"),
 ], ids=["no-name", "shape-string", "negative-dim", "entry-string",
-        "header-list", "nan"])
-def test_malformed_checkpoint_raises_format_error(tmp_path, header, payload):
+        "header-list", "nan", "short", "header-past-end", "truncated-tensor",
+        "trailing-bytes", "non-utf8-header", "no-tensors"])
+def test_malformed_checkpoint_raises_format_error(tmp_path, raw, rule):
     path = tmp_path / "bad.ckpt"
-    _write(path, header, payload)
-    with pytest.raises(FormatError, match="bad.ckpt"):
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=rf"bad\.ckpt: {rule}"):
         load_checkpoint(path)

@@ -311,6 +311,18 @@ def test_detect_mistakes_gives_unwritten_proposals_zero_text():
         assert det.confidence == pytest.approx(want.confidence, abs=1e-12)
 
 
+@pytest.mark.parametrize("step", [0, -1, 3])
+def test_detect_mistakes_rejects_step_outside_text(step):
+    # a two-step text: None is the only "no step", 1 and 2 the only steps
+    rng = np.random.default_rng(4)
+    params = ClassifierParams.init(rng, input_dim=8, hidden=6)
+    proposals = [(1, Segment(0, 5)), (step, Segment(5, 9))]
+    with pytest.raises(ValidationError,
+                       match=rf"proposal step {step} outside 1\.\.2$"):
+        detect_mistakes(params, proposals, rng.normal(size=(12, 4)),
+                        rng.normal(size=(2, 4)))
+
+
 def test_empty_proposals_give_no_detections():
     rng = np.random.default_rng(2)
     params = ClassifierParams.init(rng, input_dim=8, hidden=6)

@@ -15,6 +15,7 @@ from stepalign.data import FoldSpec
 from stepalign.errors import (
     FormatError, ParseError, StepAlignError, ValidationError,
 )
+from stepalign.features import read_features, write_features
 
 
 def _text(task=TaskDomain.COLOR_MIXTURE, n=3):
@@ -168,20 +169,47 @@ class TestCorpusFeatureWidths:
             Corpus.from_dir(tmp_path)
 
 
-class TestCorpusSidecarIds:
+class TestCorpusHeaderIds:
     @pytest.mark.parametrize("name, other", [
         ("b", "a"), ("b", "steps_color_mixture"), ("steps_color_mixture", "b"),
         ("steps_color_mixture", "steps_cooking"),
     ])
-    def test_sidecar_naming_another_id_names_file_and_ids(self, tmp_path,
-                                                          name, other):
+    def test_header_naming_another_id_names_file_and_ids(self, tmp_path,
+                                                         name, other):
         _saved_corpus(tmp_path, (8, 8), 8)
-        sidecar = tmp_path / "features" / f"{name}.fmtx.json"
-        record = json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps({**record, "video_id": other}))
-        with pytest.raises(FormatError, match=rf"{name}\.fmtx: sidecar names "
+        file = tmp_path / "features" / f"{name}.fmtx"
+        write_features(read_features(file)[0], file, video_id=other)
+        with pytest.raises(FormatError, match=rf"{name}\.fmtx: header names "
                                               rf"'{other}', not '{name}'"):
             Corpus.from_dir(tmp_path)
+
+
+class TestCorpusFeatureRows:
+    def test_row_count_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        write_features(np.ones((40, 8)), tmp_path / "features" / "b.fmtx", "b")
+        with pytest.raises(FormatError, match=r"b\.fmtx: 40 rows but "
+                                              r"annotation says 50 frames"):
+            Corpus.from_dir(tmp_path)
+
+    def test_step_count_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        file = tmp_path / "features" / "steps_color_mixture.fmtx"
+        write_features(np.ones((4, 8)), file, "steps_color_mixture")
+        with pytest.raises(FormatError, match=r"steps_color_mixture\.fmtx: "
+                                              r"4 rows but text has 3 steps"):
+            Corpus.from_dir(tmp_path)
+
+    def test_missing_file_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        (tmp_path / "features" / "a.fmtx").unlink()
+        with pytest.raises(FormatError, match=r"a\.fmtx: missing feature file"):
+            Corpus.from_dir(tmp_path)
+
+    def test_one_file_per_matrix(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        assert sorted(p.name for p in (tmp_path / "features").iterdir()) == \
+            ["a.fmtx", "b.fmtx", "steps_color_mixture.fmtx"]
 
 
 class TestCorpusIO:

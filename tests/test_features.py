@@ -1,9 +1,9 @@
-import json
 import struct
 
 import numpy as np
 import pytest
 
+from stepalign.checkpoint import save_checkpoint
 from stepalign.data import Segment
 from stepalign.errors import FormatError, ValidationError
 from stepalign.features import (
@@ -11,6 +11,9 @@ from stepalign.features import (
 )
 
 from oracles import cosine
+
+
+_META = {"kind": "features", "video_id": "v"}
 
 
 class TestFeatureIO:
@@ -24,46 +27,68 @@ class TestFeatureIO:
         assert loaded.dtype == np.float64
         np.testing.assert_array_equal(loaded, m)
 
+    def test_bytes_follow_the_checkpoint_layout(self, tmp_path):
+        m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -4.0]])
+        path = tmp_path / "v.fmtx"
+        write_features(m, path, video_id="v")
+        header = (b'{"kind":"features","tensors":[{"name":"features",'
+                  b'"shape":[2,3]}],"video_id":"v"}')
+        payload = struct.pack("<6f", 1.0, -2.0, 0.5, 3.0, 0.25, -4.0)
+        assert path.read_bytes() == \
+            struct.pack("<I", len(header)) + header + payload
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "v.fmtx"
         write_features(np.ones((4, 4)), path, video_id="v")
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match=r"v\.fmtx: truncated tensor features$"):
             read_features(path)
 
-    def test_header_mismatch_with_sidecar(self, tmp_path):
-        path = tmp_path / "v.fmtx"
-        write_features(np.ones((4, 8)), path, video_id="v")
-        sidecar = path.with_name(path.name + ".json")
-        obj = json.loads(sidecar.read_text())
-        obj["dim"] = 4
-        sidecar.write_text(json.dumps(obj))
-        with pytest.raises(FormatError, match="header mismatch"):
-            read_features(path)
-
-    def test_bad_magic(self, tmp_path):
+    def test_overwritten_header_length(self, tmp_path):
         path = tmp_path / "v.fmtx"
         write_features(np.ones((2, 2)), path, video_id="v")
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError,
+                           match=r"v\.fmtx: truncated checkpoint header$"):
             read_features(path)
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "v.fmtx"
-        header = struct.pack("<4sIII", b"FMTX", 1, 2, 0)
-        payload = np.array([[1.0, np.nan]], dtype="<f4").tobytes()
-        path.write_bytes(header + payload)
-        sidecar = {"video_id": "v", "rows": 1, "dim": 2}
-        path.with_name(path.name + ".json").write_text(json.dumps(sidecar))
-        with pytest.raises(FormatError, match="non-finite"):
+        save_checkpoint(path, {"features": np.array([[1.0, np.nan]])}, _META)
+        with pytest.raises(FormatError,
+                           match=r"v\.fmtx: tensor features has non-finite"):
             read_features(path)
 
     def test_write_rejects_nan(self, tmp_path):
         with pytest.raises(ValidationError, match="non-finite"):
             write_features(np.array([[np.nan]]), tmp_path / "v.fmtx", "v")
+
+    @pytest.mark.parametrize("tensors, meta, rule", [
+        ({"features": np.ones((2, 3))}, {**_META, "kind": "classifier"},
+         r"checkpoint kind 'classifier', not 'features'"),
+        ({"features": np.ones(3)}, _META,
+         r"tensor features has shape \(3,\), not \('rows', 'dim'\)"),
+        ({"features": np.ones((2, 3, 1))}, _META,
+         r"tensor features has shape \(2, 3, 1\), not \('rows', 'dim'\)"),
+        ({"features": np.ones((2, 3)), "extra": np.ones(1)}, _META,
+         r"tensors \['extra'\] are not in the features layout"),
+        ({"features": np.ones((0, 3))}, _META, r"empty feature matrix 0x3$"),
+        ({"features": np.ones((3, 0))}, _META, r"empty feature matrix 3x0$"),
+        ({"features": np.ones((2, 3))}, {**_META, "video_id": 7},
+         r"video_id 7 is not a string$"),
+        ({"features": np.ones((2, 3))}, {"kind": "features"},
+         r"video_id None is not a string$"),
+    ], ids=["other-kind", "1-d", "3-d", "stray-tensor", "zero-rows",
+            "zero-dim", "int-id", "no-id"])
+    def test_malformed_features_file_names_file_and_rule(self, tmp_path,
+                                                         tensors, meta, rule):
+        path = tmp_path / "v.fmtx"
+        save_checkpoint(path, tensors, meta)
+        with pytest.raises(FormatError, match=rf"v\.fmtx: {rule}"):
+            read_features(path)
 
 
 class TestMeanPool:
