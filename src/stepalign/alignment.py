@@ -45,35 +45,21 @@ _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _nearest_rank(flat: np.ndarray, pct: float) -> np.ndarray:
-    """Nearest-rank percentile of each row of ``flat``.
+def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
+    """Nearest-rank percentile over all matrix entries.
 
     The 1-based rank is ceil(pct * n / 100); the product is taken before
     the division so that exact ranks like 80% of 5 do not drift in float.
     ``np.partition`` puts the element of that rank in place without
     sorting the rest.
     """
-    if flat.shape[1] == 0:
+    flat = np.asarray(cost, dtype=np.float64).ravel()
+    if flat.size == 0:
         raise ValidationError("percentile of an empty cost matrix")
     if not (0.0 < pct <= 100.0):
         raise ValidationError(f"percentile must be in (0, 100], got {pct}")
-    kth = max(1, math.ceil(pct * flat.shape[1] / 100.0)) - 1
-    return np.partition(flat, kth, axis=1)[:, kth]
-
-
-def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile over all matrix entries."""
-    cost = np.asarray(cost, dtype=np.float64)
-    return float(_nearest_rank(cost.reshape(1, -1), pct)[0])
-
-
-def percentile_drop_costs(costs: np.ndarray, pct: float) -> np.ndarray:
-    """Nearest-rank percentile over the entries of each matrix of a
-    B x n x m stack."""
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 3:
-        raise ValidationError(f"cost stack must be 3-d, got {costs.shape}")
-    return _nearest_rank(costs.reshape(costs.shape[0], -1), pct)
+    kth = max(1, math.ceil(pct * flat.size / 100.0)) - 1
+    return float(np.partition(flat, kth)[kth])
 
 
 def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:
@@ -206,6 +192,6 @@ def decode_segments(visited: np.ndarray) -> list[tuple[int, Segment]]:
 
 
 __all__ = [
-    "percentile_drop_cost", "percentile_drop_costs",
+    "percentile_drop_cost",
     "drop_dtw", "drop_dtw_stack", "decode_segments",
 ]

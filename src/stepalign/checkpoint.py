@@ -38,10 +38,14 @@ def _is_dim(x) -> bool:
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; any departure from the layout, including a
-    non-finite tensor value, raises FormatError naming the path."""
+    """Read a checkpoint; an unreadable file or any departure from the
+    layout, including a non-finite tensor value or two tensors of one
+    name, raises FormatError naming the path."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
     if len(raw) < 4:
         raise FormatError(f"{path}: truncated checkpoint")
     (header_len,) = struct.unpack_from("<I", raw)
@@ -64,6 +68,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if (not isinstance(name, str) or not isinstance(shape, list)
                 or not all(_is_dim(x) for x in shape)):
             raise FormatError(f"{path}: bad tensor entry {entry!r}")
+        if name in tensors:
+            raise FormatError(f"{path}: duplicate tensor {name}")
         count = math.prod(shape)
         end = offset + 4 * count
         if end > len(raw):
@@ -101,8 +107,9 @@ def check_layout(path: str | Path, kind: str, meta: dict,
         expected = tuple(sizes.setdefault(dim, size) if isinstance(dim, str)
                          else dim for dim, size in zip(dims, shape))
         if len(shape) != len(dims) or shape != expected:
-            raise FormatError(f"{path}: tensor {name} has shape {shape}, "
-                              f"not {dims} with sizes {sizes}")
+            named = f" with sizes {sizes}" if sizes else ""
+            raise FormatError(
+                f"{path}: tensor {name} has shape {shape}, not {dims}{named}")
 
 
 __all__ = ["save_checkpoint", "load_checkpoint", "check_layout"]

@@ -37,7 +37,6 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import NumericalError, ValidationError
-from .features import mean_pool
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
 from .optim import Adam, FlatParams
 
@@ -85,6 +84,15 @@ def class_balanced_weights(beta: float, counts: list[int]) -> np.ndarray:
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z, axis=-1, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def mean_pool(m: np.ndarray, seg: Segment) -> np.ndarray:
+    """Arithmetic mean of the rows in [seg.start, seg.end)."""
+    rows = m.shape[0]
+    if not (0 <= seg.start < seg.end <= rows):
+        raise ValidationError(
+            f"segment [{seg.start}, {seg.end}) outside matrix with {rows} rows")
+    return m[seg.start:seg.end].mean(axis=0)
 
 
 def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
@@ -337,7 +345,7 @@ def load_classifier(path) -> tuple[ClassifierParams, dict]:
 
 __all__ = [
     "NUM_CLASSES", "ClassifierParams", "class_balanced_weights",
-    "classifier_rows", "classify",
+    "mean_pool", "classifier_rows", "classify",
     "ClassifierTrainConfig", "ClassifierTraining", "detect_on_segments",
     "detect_mistakes", "train_classifier_fold",
     "save_classifier", "load_classifier",

@@ -1,4 +1,19 @@
-"""In-memory corpus container with feature access logging.
+"""The corpus: its directory layout on disk, and the in-memory container
+with feature access logging.
+
+Corpus directory layout::
+
+    <dir>/texts/<task>.json            one procedural text per task
+    <dir>/annotations/<video_id>.json  one annotation record per video
+    <dir>/features/<video_id>.fmtx     one frame-feature matrix per video
+    <dir>/features/steps_<task>.fmtx   the step-text features of each task
+
+Texts and annotations are the JSON records of data.py. A feature file is a
+checkpoint (see checkpoint.py) of kind ``features`` holding one
+``rows x dim`` tensor named ``features``, float64 in memory and float32 on
+disk; its header's ``video_id`` names the file's own id, the video id or
+``steps_<task>``. A video's file has one row per frame, a task's one row
+per step, and every feature file of a corpus has the same width.
 
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
@@ -9,17 +24,89 @@ the same phase, as long inference does, leaves it unchanged.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
+from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .data import (
-    AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_corpus,
-    save_corpus,
+    AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
+    parse_text, parse_video, text_to_json, validate_video, video_to_json,
 )
-from .errors import FormatError, ValidationError
-from .features import read_features, write_features
+from .errors import FormatError, ParseError, ValidationError
+
+
+def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedVideo]]:
+    """Read and fully validate a corpus directory's texts and annotations.
+
+    Returns procedural texts sorted by task value and videos sorted by id.
+    Raises ParseError for malformed files and ValidationError when a record
+    breaks an invariant.
+    """
+    root = Path(path)
+    text_dir, anno_dir = root / "texts", root / "annotations"
+    if not text_dir.is_dir() or not anno_dir.is_dir():
+        raise ParseError(f"{root}: expected texts/ and annotations/ subdirectories")
+
+    texts: dict[TaskDomain, ProceduralText] = {}
+    for file in sorted(text_dir.glob("*.json")):
+        text = parse_text(load_json(file), where=str(file))
+        if text.task in texts:
+            raise ValidationError(f"{file}: duplicate text for task {text.task.value}")
+        texts[text.task] = text
+
+    videos: list[AnnotatedVideo] = []
+    seen: set[str] = set()
+    for file in sorted(anno_dir.glob("*.json")):
+        video = parse_video(load_json(file), where=str(file))
+        if video.video_id in seen:
+            raise ValidationError(f"{file}: duplicate video_id {video.video_id}")
+        seen.add(video.video_id)
+        if video.task not in texts:
+            raise ValidationError(f"{file}: {video.video_id}: no procedural text "
+                                  f"for task {video.task.value}")
+        try:
+            validate_video(video, texts[video.task])
+        except ValidationError as exc:
+            raise ValidationError(f"{file}: {exc}") from None
+        videos.append(video)
+
+    ordered_texts = [texts[t] for t in sorted(texts, key=lambda t: t.value)]
+    videos.sort(key=lambda v: v.video_id)
+    return ordered_texts, videos
+
+
+def save_corpus(path: str | Path,
+                texts: Iterable[ProceduralText],
+                videos: Iterable[AnnotatedVideo]) -> None:
+    """Write texts/ and annotations/ so that load_corpus round-trips."""
+    root = Path(path)
+    (root / "texts").mkdir(parents=True, exist_ok=True)
+    (root / "annotations").mkdir(parents=True, exist_ok=True)
+    for text in texts:
+        with open(root / "texts" / f"{text.task.value}.json", "w", encoding="utf-8") as fh:
+            json.dump(text_to_json(text), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    for video in videos:
+        with open(root / "annotations" / f"{video.video_id}.json", "w", encoding="utf-8") as fh:
+            json.dump(video_to_json(video), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def read_features(path: str | Path, rows: int, dim: int | str) -> np.ndarray:
+    """Read a feature file holding a ``rows x dim`` matrix; a ``dim`` given
+    as a name takes any width. Another layout or shape, or a header that
+    does not name the file's own id, raises FormatError naming the path."""
+    path = Path(path)
+    tensors, meta = load_checkpoint(path)
+    check_layout(path, "features", meta, tensors, {"features": (rows, dim)})
+    if meta.get("video_id") != path.stem:
+        raise FormatError(
+            f"{path}: header names {meta.get('video_id')!r}, not {path.stem!r}")
+    return tensors["features"]
 
 
 @dataclass
@@ -76,58 +163,51 @@ class Corpus:
         return next(iter(self.features.values())).shape[1]
 
     def save(self, path: str | Path) -> None:
+        """Write the corpus in the layout above. A feature matrix that is
+        not 2-d, is empty or holds a non-finite value raises
+        ValidationError naming its file."""
         root = Path(path)
         save_corpus(root, list(self.texts.values()), self.videos)
         feat_dir = root / "features"
         feat_dir.mkdir(parents=True, exist_ok=True)
-        for video in self.videos:
-            write_features(self.features[video.video_id],
-                           feat_dir / f"{video.video_id}.fmtx",
-                           video_id=video.video_id)
-        for task, matrix in self.step_features.items():
-            write_features(matrix, feat_dir / f"steps_{task.value}.fmtx",
-                           video_id=f"steps_{task.value}")
+        matrices = [(video.video_id, self.features[video.video_id])
+                    for video in self.videos]
+        matrices += [(f"steps_{task.value}", matrix)
+                     for task, matrix in self.step_features.items()]
+        for name, matrix in matrices:
+            file = feat_dir / f"{name}.fmtx"
+            if matrix.ndim != 2 or 0 in matrix.shape:
+                raise ValidationError(
+                    f"{file}: feature matrix must be 2-d and nonempty, "
+                    f"got {matrix.shape}")
+            if not np.all(np.isfinite(matrix)):
+                raise ValidationError(
+                    f"{file}: feature matrix contains non-finite values")
+            save_checkpoint(file, {"features": matrix},
+                            {"kind": "features", "video_id": name})
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "Corpus":
-        """Load a saved corpus. Every feature file, video or step text,
-        must have the width of the first video's, and its header must
-        name the file's own id: the video id, or ``steps_<task>``."""
+        """Load a saved corpus. Each feature file must have its video's
+        frame count or its text's step count as rows, and the nonzero
+        width of the first file read, a video's."""
         root = Path(path)
         texts, videos = load_corpus(root)
         feat_dir = root / "features"
-        width: tuple[Path, int] | None = None    # first file read, its width
-
-        def read(file: Path, rows: int, what: str, unit: str) -> np.ndarray:
-            nonlocal width
-            if not file.exists():
-                raise FormatError(f"{file}: missing {what} file")
-            matrix, stored_id = read_features(file)
-            if stored_id != file.stem:
-                raise FormatError(
-                    f"{file}: header names {stored_id!r}, not {file.stem!r}")
-            if matrix.shape[0] != rows:
-                raise FormatError(
-                    f"{file}: {matrix.shape[0]} rows but {unit}")
-            width = width or (file, matrix.shape[1])
-            if matrix.shape[1] != width[1]:
-                raise FormatError(
-                    f"{file}: {matrix.shape[1]} feature columns but "
-                    f"{width[0].name} has {width[1]}")
-            return matrix
-
-        features = {
-            video.video_id: read(
-                feat_dir / f"{video.video_id}.fmtx", video.num_frames,
-                "feature", f"annotation says {video.num_frames} frames")
-            for video in videos}
-        step_features = {
-            text.task: read(
-                feat_dir / f"steps_{text.task.value}.fmtx", text.num_steps,
-                "step-feature", f"text has {text.num_steps} steps")
-            for text in texts}
+        files = [(video.video_id, video.num_frames) for video in videos]
+        files += [(f"steps_{text.task.value}", text.num_steps) for text in texts]
+        matrices: dict[str, np.ndarray] = {}
+        dim: int | str = "dim"      # any width until the first file is read
+        for name, rows in files:
+            file = feat_dir / f"{name}.fmtx"
+            matrices[name] = read_features(file, rows, dim)
+            dim = matrices[name].shape[1]
+            if dim == 0:
+                raise FormatError(f"{file}: feature matrix has no columns")
         return cls(texts={t.task: t for t in texts}, videos=videos,
-                   features=features, step_features=step_features)
+                   features={v.video_id: matrices[v.video_id] for v in videos},
+                   step_features={t.task: matrices[f"steps_{t.task.value}"]
+                                  for t in texts})
 
 
-__all__ = ["Corpus"]
+__all__ = ["Corpus", "load_corpus", "save_corpus", "read_features"]

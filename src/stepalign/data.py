@@ -1,17 +1,10 @@
 """Annotation data model: tasks, procedural texts, segments, mistake labels.
 
 This module is the single source of truth for label vocabularies, the
-segment/video record types, their validation rules, and the JSON corpus
-layout understood by the rest of the package.
-
-Corpus directory layout::
-
-    <dir>/texts/<task>.json          one procedural text per task
-    <dir>/annotations/<video_id>.json  one annotation record per video
-    <dir>/features/<video_id>.fmtx   one frame-feature matrix per video
-    <dir>/features/steps_<task>.fmtx  the step-text features of each task
-
-Both kinds of feature file are ``features`` checkpoints (see features.py).
+segment/video record types and their validation rules, the JSON codecs of
+the text and annotation records, and the fold file. Where those records
+sit in a corpus directory, next to the feature files, is corpus.py's
+concern.
 """
 
 from __future__ import annotations
@@ -307,7 +300,9 @@ def parse_text(obj: dict, where: str = "<memory>") -> ProceduralText:
         raise ParseError(f"{where}: missing text field {exc}") from None
 
 
-def _load_json(path: Path) -> dict:
+def load_json(path: Path) -> dict:
+    """A JSON file's value; an unreadable file or malformed JSON raises
+    ParseError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -317,63 +312,6 @@ def _load_json(path: Path) -> dict:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
-
-
-def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedVideo]]:
-    """Read and fully validate a corpus directory.
-
-    Returns procedural texts sorted by task value and videos sorted by id.
-    Raises ParseError for malformed files and ValidationError when a record
-    breaks an invariant.
-    """
-    root = Path(path)
-    text_dir, anno_dir = root / "texts", root / "annotations"
-    if not text_dir.is_dir() or not anno_dir.is_dir():
-        raise ParseError(f"{root}: expected texts/ and annotations/ subdirectories")
-
-    texts: dict[TaskDomain, ProceduralText] = {}
-    for file in sorted(text_dir.glob("*.json")):
-        text = parse_text(_load_json(file), where=str(file))
-        if text.task in texts:
-            raise ValidationError(f"{file}: duplicate text for task {text.task.value}")
-        texts[text.task] = text
-
-    videos: list[AnnotatedVideo] = []
-    seen: set[str] = set()
-    for file in sorted(anno_dir.glob("*.json")):
-        video = parse_video(_load_json(file), where=str(file))
-        if video.video_id in seen:
-            raise ValidationError(f"{file}: duplicate video_id {video.video_id}")
-        seen.add(video.video_id)
-        if video.task not in texts:
-            raise ValidationError(f"{file}: {video.video_id}: no procedural text "
-                                  f"for task {video.task.value}")
-        try:
-            validate_video(video, texts[video.task])
-        except ValidationError as exc:
-            raise ValidationError(f"{file}: {exc}") from None
-        videos.append(video)
-
-    ordered_texts = [texts[t] for t in sorted(texts, key=lambda t: t.value)]
-    videos.sort(key=lambda v: v.video_id)
-    return ordered_texts, videos
-
-
-def save_corpus(path: str | Path,
-                texts: Iterable[ProceduralText],
-                videos: Iterable[AnnotatedVideo]) -> None:
-    """Write texts/ and annotations/ so that load_corpus round-trips."""
-    root = Path(path)
-    (root / "texts").mkdir(parents=True, exist_ok=True)
-    (root / "annotations").mkdir(parents=True, exist_ok=True)
-    for text in texts:
-        with open(root / "texts" / f"{text.task.value}.json", "w", encoding="utf-8") as fh:
-            json.dump(text_to_json(text), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    for video in videos:
-        with open(root / "annotations" / f"{video.video_id}.json", "w", encoding="utf-8") as fh:
-            json.dump(video_to_json(video), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def save_folds(path: str | Path, folds: Iterable[FoldSpec]) -> None:
@@ -391,7 +329,7 @@ def load_folds(path: str | Path) -> list[FoldSpec]:
     """Read a fold file. Raises ValidationError naming the path and the
     fold when a split is not a list of video ids or when train, val and
     test share a video."""
-    payload = _load_json(Path(path))
+    payload = load_json(Path(path))
     folds = []
     try:
         for f in payload:
@@ -416,8 +354,7 @@ def load_folds(path: str | Path) -> list[FoldSpec]:
 __all__ = [
     "TaskDomain", "Intent", "MistakeLabel", "CoarseLabel", "coarse_label",
     "Segment", "ProceduralText", "AnnotatedSegment", "AnnotatedVideo",
-    "FoldSpec", "validate_video", "load_corpus", "save_corpus",
-    "save_folds", "load_folds",
+    "FoldSpec", "validate_video", "save_folds", "load_folds", "load_json",
     "video_to_json", "text_to_json", "parse_video", "parse_text",
     "MISTAKE_CODES", "CODES_TO_MISTAKE",
 ]

@@ -46,13 +46,11 @@ import numpy as np
 
 from .alignment import (
     decode_segments, drop_dtw, drop_dtw_stack, percentile_drop_cost,
-    percentile_drop_costs,
 )
 from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import FoldSpec, Segment
 from .errors import NumericalError, ValidationError
-from .features import cosine_matrix, l2_normalize_rows
 from .metrics import frame_metrics, gt_frame_labels, rasterize
 from .optim import Adam, FlatParams
 
@@ -116,13 +114,32 @@ class TrainConfig:
         if not self.learning_rate > 0:
             raise ValidationError(
                 f"learning_rate must be positive, got {self.learning_rate}")
-        if self.gamma <= 0:
-            raise ValidationError("gamma must be positive")
+        if not self.gamma > 0:
+            raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.batch_size < 2 and self.w_global > 0:
             raise ValidationError(
                 "batch_size must be >= 2 for the batch-contrastive loss")
         if not (0 < self.drop_pct <= 100):
             raise ValidationError("drop_pct must be in (0, 100]")
+        if self.working_dim < 1:
+            raise ValidationError(
+                f"working_dim must be >= 1, got {self.working_dim}")
+
+
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero rows are rejected."""
+    m = np.asarray(m, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValidationError("cannot l2-normalize a zero row")
+    return m / norms
+
+
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities between rows of a and rows of b."""
+    return l2_normalize_rows(a) @ l2_normalize_rows(b).T
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -192,7 +209,8 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
     chosen: list[list[int]] = [[] for _ in costs]
     for members in groups.values():
         stack = np.stack([costs[b] for b in members])
-        visited, _ = drop_dtw_stack(stack, percentile_drop_costs(stack, drop_pct))
+        drops = np.array([percentile_drop_cost(cost, drop_pct) for cost in stack])
+        visited, _ = drop_dtw_stack(stack, drops)
         # argmin takes the first minimum: the lower slot index on ties
         best = np.where(visited, stack, np.inf).argmin(axis=2)
         for b, row in zip(members, best.tolist()):
@@ -485,9 +503,9 @@ def load_model(path) -> tuple[ModelParams, dict]:
 
 
 __all__ = [
-    "ModelParams", "TrainConfig", "FoldVideo", "EpochLog",
-    "FoldTraining", "forward_slots", "select_slots", "compute_selections",
-    "batch_loss_and_grads", "align_frames_to_slots", "align_videos",
-    "align_video", "evaluate_alignment_f1", "train_alignment_fold",
-    "save_model", "load_model",
+    "l2_normalize_rows", "cosine_matrix", "ModelParams", "TrainConfig",
+    "FoldVideo", "EpochLog", "FoldTraining", "forward_slots", "select_slots",
+    "compute_selections", "batch_loss_and_grads", "align_frames_to_slots",
+    "align_videos", "align_video", "evaluate_alignment_f1",
+    "train_alignment_fold", "save_model", "load_model",
 ]

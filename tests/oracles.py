@@ -39,13 +39,12 @@ from stepalign.classifier import (
 )
 from stepalign.data import CoarseLabel, Segment
 from stepalign.errors import NumericalError, ValidationError
-from stepalign.features import cosine_matrix
 from stepalign.metrics import (
     Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
 )
 from stepalign.model import (
     EpochLog, FoldTraining, FoldVideo, ModelParams, align_video,
-    batch_loss_and_grads, compute_selections,
+    batch_loss_and_grads, compute_selections, cosine_matrix,
 )
 
 # transition codes for the match table

@@ -7,11 +7,10 @@ from hypothesis.extra.numpy import arrays
 
 from stepalign.alignment import (
     decode_segments, drop_dtw, drop_dtw_stack, percentile_drop_cost,
-    percentile_drop_costs,
 )
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
-from stepalign.features import cosine_matrix
+from stepalign.model import cosine_matrix
 from oracles import brute_force_align, drop_dtw_loop
 
 
@@ -99,7 +98,7 @@ class TestPercentileDropCost:
     @pytest.mark.parametrize("kind", ["real", "integer", "ties"])
     def test_equals_sorted_nearest_rank(self, kind, pct):
         # the selected element is the one a full sort puts at the rank,
-        # for one matrix and for every matrix of a stack
+        # for every matrix of a stack, each taken on its own
         rng = np.random.default_rng(["real", "integer", "ties"].index(kind))
         for _ in range(50):
             shape = (int(rng.integers(1, 5)), int(rng.integers(1, 13)),
@@ -113,7 +112,6 @@ class TestPercentileDropCost:
             rank = max(1, math.ceil(pct * stack[0].size / 100.0))
             expected = [np.sort(cost, axis=None)[rank - 1] for cost in stack]
             assert [percentile_drop_cost(cost, pct) for cost in stack] == expected
-            assert percentile_drop_costs(stack, pct).tolist() == expected
 
 
 class TestDtw:
@@ -338,7 +336,7 @@ class TestDropDtwStack:
                        int(rng.integers(1, 40)))
             scales = 10.0 ** rng.integers(-8, 9, size=(b, 1, 1))
             costs = rng.normal(size=(b, n, m)) * scales
-            drops = percentile_drop_costs(costs, 80)
+            drops = np.array([percentile_drop_cost(cost, 80) for cost in costs])
             visited, totals = drop_dtw_stack(costs, drops)
             for cost, di, mask, total in zip(costs, drops, visited, totals):
                 alone, alone_total = drop_dtw(cost, di)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stepalign.checkpoint import load_checkpoint, save_checkpoint
+from stepalign.classifier import load_classifier
 from stepalign.errors import FormatError
+from stepalign.model import load_model
 
 
 def _pack(header, payload=b""):
@@ -42,11 +44,21 @@ def test_round_trip_at_float32(tmp_path):
     (_pack(_W2, b"\0" * 9), "trailing bytes after declared tensors$"),
     (struct.pack("<I", 2) + b"\xff\xfe", "bad checkpoint header: 'utf-8' codec"),
     (_pack({"kind": "x"}), "header does not declare tensors$"),
+    (_pack({"tensors": [{"name": "a", "shape": [1]},
+                        {"name": "a", "shape": [1]}]}, b"\0" * 8),
+     "duplicate tensor a$"),
 ], ids=["no-name", "shape-string", "negative-dim", "entry-string",
         "header-list", "nan", "short", "header-past-end", "truncated-tensor",
-        "trailing-bytes", "non-utf8-header", "no-tensors"])
+        "trailing-bytes", "non-utf8-header", "no-tensors", "duplicate-name"])
 def test_malformed_checkpoint_raises_format_error(tmp_path, raw, rule):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(raw)
     with pytest.raises(FormatError, match=rf"bad\.ckpt: {rule}"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("load", [load_checkpoint, load_model, load_classifier],
+                         ids=["checkpoint", "model", "classifier"])
+def test_missing_checkpoint_raises_format_error(tmp_path, load):
+    with pytest.raises(FormatError, match=r"absent\.ckpt: cannot read: "):
+        load(tmp_path / "absent.ckpt")

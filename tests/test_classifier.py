@@ -9,7 +9,7 @@ import stepalign.classifier
 import stepalign.corpus
 from stepalign.classifier import (
     ClassifierParams, ClassifierTrainConfig, _batch_loss_and_grads, _Workspace,
-    class_balanced_weights, classifier_rows, classify, detect_mistakes,
+    _val_score, class_balanced_weights, classifier_rows, classify, detect_mistakes,
     detect_on_segments, load_classifier, save_classifier, train_classifier_fold,
 )
 from stepalign.data import CoarseLabel, FoldSpec, Segment
@@ -309,6 +309,18 @@ def test_detect_mistakes_gives_unwritten_proposals_zero_text():
     for det, want in zip(dets, expected):
         assert det.label == want.label
         assert det.confidence == pytest.approx(want.confidence, abs=1e-12)
+
+
+def test_val_score_is_accuracy_without_mistake_truth():
+    # one input and one hidden unit: a row is called MISTAKE when its
+    # feature exceeds 0.5, so two of four all-CORRECT rows are right
+    params = ClassifierParams(w1=np.ones((1, 1)), b1=np.zeros(1),
+                              w2=np.array([[0.0, 1.0, 0.0]]),
+                              b2=np.array([0.5, 0.0, 0.0]))
+    x = np.array([[0.0], [1.0], [2.0], [0.2]])
+    y = np.zeros(4, dtype=np.int64)
+    proposals = {"v": [(step, Segment(step - 1, step)) for step in (1, 2, 3, 4)]}
+    assert _val_score(params, x, y, proposals, {"v": []}) == 0.5
 
 
 @pytest.mark.parametrize("step", [0, -1, 3])

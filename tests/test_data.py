@@ -1,21 +1,22 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stepalign.corpus import Corpus
+from stepalign.checkpoint import load_checkpoint, save_checkpoint
+from stepalign.corpus import Corpus, load_corpus, save_corpus
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, CoarseLabel, Intent, MistakeLabel,
-    ProceduralText, Segment, TaskDomain, coarse_label, load_corpus,
-    load_folds, parse_text, parse_video, save_corpus, save_folds, validate_video,
+    ProceduralText, Segment, TaskDomain, coarse_label,
+    load_folds, parse_text, parse_video, save_folds, validate_video,
     video_to_json,
 )
 from stepalign.data import FoldSpec
 from stepalign.errors import (
     FormatError, ParseError, StepAlignError, ValidationError,
 )
-from stepalign.features import read_features, write_features
 
 
 def _text(task=TaskDomain.COLOR_MIXTURE, n=3):
@@ -103,6 +104,20 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"v0: step 2 segment \[5, 12\) overlaps"):
             validate_video(video, _text())
 
+    @pytest.mark.parametrize("build, rule", [
+        (lambda: ProceduralText(TaskDomain.CARDBOARD, ()),
+         "cardboard: procedural text has no steps"),
+        (lambda: ProceduralText(TaskDomain.CARDBOARD, ("fold", " ")),
+         "cardboard: step 2 text is empty"),
+        (lambda: validate_video(_video(num_frames=0, segments=()), _text()),
+         "v0: num_frames must be >= 1"),
+        (lambda: validate_video(_video(task=TaskDomain.CARDBOARD), _text()),
+         "v0: annotation task cardboard does not match text task color_mixture"),
+    ], ids=["no-steps", "empty-step", "no-frames", "task-mismatch"])
+    def test_broken_record_invariant_names_record(self, build, rule):
+        with pytest.raises(ValidationError, match=f"^{rule}$"):
+            build()
+
     def test_undefined_segments_may_overlap(self):
         validate_video(_video(segments=(
             AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),
@@ -151,6 +166,13 @@ def _saved_corpus(tmp_path, widths, step_width):
     corpus.save(tmp_path)
 
 
+def _write_features(file, matrix, video_id):
+    """Overwrite one feature file with a matrix and a header id of the
+    test's choosing, as a hand-made file would have them."""
+    save_checkpoint(file, {"features": matrix},
+                    {"kind": "features", "video_id": video_id})
+
+
 class TestCorpusFeatureWidths:
     def test_equal_widths_load(self, tmp_path):
         _saved_corpus(tmp_path, (8, 8), 8)
@@ -158,14 +180,23 @@ class TestCorpusFeatureWidths:
 
     def test_video_width_disagreeing_names_file(self, tmp_path):
         _saved_corpus(tmp_path, (8, 6), 8)
-        with pytest.raises(FormatError,
-                           match=r"b\.fmtx: 6 feature columns but a\.fmtx has 8"):
+        with pytest.raises(FormatError, match=r"b\.fmtx: tensor features has "
+                                              r"shape \(50, 6\), not \(50, 8\)$"):
             Corpus.from_dir(tmp_path)
 
     def test_step_width_disagreeing_names_file(self, tmp_path):
         _saved_corpus(tmp_path, (8, 8), 5)
-        with pytest.raises(FormatError, match=r"steps_color_mixture\.fmtx: 5 "
-                                              r"feature columns but a\.fmtx has 8"):
+        with pytest.raises(FormatError, match=r"steps_color_mixture\.fmtx: "
+                                              r"tensor features has shape "
+                                              r"\(3, 5\), not \(3, 8\)$"):
+            Corpus.from_dir(tmp_path)
+
+    def test_zero_width_names_file(self, tmp_path):
+        # Corpus.save writes no empty matrix, so the file is hand-made
+        _saved_corpus(tmp_path, (8, 8), 8)
+        _write_features(tmp_path / "features" / "a.fmtx", np.ones((50, 0)), "a")
+        with pytest.raises(FormatError,
+                           match=r"a\.fmtx: feature matrix has no columns$"):
             Corpus.from_dir(tmp_path)
 
 
@@ -178,7 +209,7 @@ class TestCorpusHeaderIds:
                                                          name, other):
         _saved_corpus(tmp_path, (8, 8), 8)
         file = tmp_path / "features" / f"{name}.fmtx"
-        write_features(read_features(file)[0], file, video_id=other)
+        _write_features(file, load_checkpoint(file)[0]["features"], other)
         with pytest.raises(FormatError, match=rf"{name}\.fmtx: header names "
                                               rf"'{other}', not '{name}'"):
             Corpus.from_dir(tmp_path)
@@ -187,23 +218,24 @@ class TestCorpusHeaderIds:
 class TestCorpusFeatureRows:
     def test_row_count_disagreeing_names_file(self, tmp_path):
         _saved_corpus(tmp_path, (8, 8), 8)
-        write_features(np.ones((40, 8)), tmp_path / "features" / "b.fmtx", "b")
-        with pytest.raises(FormatError, match=r"b\.fmtx: 40 rows but "
-                                              r"annotation says 50 frames"):
+        _write_features(tmp_path / "features" / "b.fmtx", np.ones((40, 8)), "b")
+        with pytest.raises(FormatError, match=r"b\.fmtx: tensor features has "
+                                              r"shape \(40, 8\), not \(50, 8\)$"):
             Corpus.from_dir(tmp_path)
 
     def test_step_count_disagreeing_names_file(self, tmp_path):
         _saved_corpus(tmp_path, (8, 8), 8)
         file = tmp_path / "features" / "steps_color_mixture.fmtx"
-        write_features(np.ones((4, 8)), file, "steps_color_mixture")
+        _write_features(file, np.ones((4, 8)), "steps_color_mixture")
         with pytest.raises(FormatError, match=r"steps_color_mixture\.fmtx: "
-                                              r"4 rows but text has 3 steps"):
+                                              r"tensor features has shape "
+                                              r"\(4, 8\), not \(3, 8\)$"):
             Corpus.from_dir(tmp_path)
 
     def test_missing_file_names_file(self, tmp_path):
         _saved_corpus(tmp_path, (8, 8), 8)
         (tmp_path / "features" / "a.fmtx").unlink()
-        with pytest.raises(FormatError, match=r"a\.fmtx: missing feature file"):
+        with pytest.raises(FormatError, match=r"a\.fmtx: cannot read: "):
             Corpus.from_dir(tmp_path)
 
     def test_one_file_per_matrix(self, tmp_path):
@@ -253,6 +285,47 @@ class TestCorpusIO:
         save_corpus(tmp_path, [_text()], [_video(task=TaskDomain.CARDBOARD)])
         with pytest.raises(ValidationError, match=r"v0\.json: v0: no procedural text"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("mutate, error, rule", [
+        (lambda root: shutil.rmtree(root / "texts"), ParseError,
+         "expected texts/ and annotations/ subdirectories"),
+        (lambda root: shutil.rmtree(root / "annotations"), ParseError,
+         "expected texts/ and annotations/ subdirectories"),
+        (lambda root: shutil.copy(root / "texts" / "color_mixture.json",
+                                  root / "texts" / "copy.json"),
+         ValidationError, r"copy\.json: duplicate text for task color_mixture"),
+        (lambda root: shutil.copy(root / "annotations" / "v0.json",
+                                  root / "annotations" / "v1.json"),
+         ValidationError, r"v1\.json: duplicate video_id v0"),
+    ], ids=["no-texts", "no-annotations", "duplicate-text", "duplicate-video"])
+    def test_broken_directory_names_path(self, tmp_path, mutate, error, rule):
+        save_corpus(tmp_path, [_text()], [_video()])
+        mutate(tmp_path)
+        with pytest.raises(error, match=rule):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("parse, obj, rule", [
+        (parse_video, {k: v for k, v in video_to_json(_video()).items()
+                       if k != "worker_id"},
+         "missing annotation field 'worker_id'"),
+        (parse_video, {**video_to_json(_video()), "task": "cooking"},
+         "unknown TaskDomain value 'cooking'"),
+        (parse_video, {**video_to_json(_video()), "intent": "sloppy"},
+         "unknown Intent value 'sloppy'"),
+        (parse_video, {**video_to_json(_video()),
+                       "segments": [{"start": 0, "end": 2, "step": 1}]},
+         "malformed segment record: 'mistake'"),
+        (parse_video, {**video_to_json(_video()), "segments": [7]},
+         "malformed segment record: "),
+        (parse_text, {"task": "cardboard"}, "missing text field 'steps'"),
+        (parse_text, {"task": "cooking", "steps": ["fold"]},
+         "unknown TaskDomain value 'cooking'"),
+    ], ids=["video-missing-field", "video-unknown-task", "unknown-intent",
+            "segment-missing-field", "segment-not-object", "text-missing-field",
+            "text-unknown-task"])
+    def test_malformed_record_names_file(self, parse, obj, rule):
+        with pytest.raises(ParseError, match=f"^x\\.json: {rule}"):
+            parse(obj, where="x.json")
 
     def test_unknown_mistake_code_rejected(self):
         obj = {"video_id": "v", "worker_id": "w", "task": "cardboard",

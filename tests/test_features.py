@@ -1,14 +1,19 @@
+"""Feature matrices: their files in a corpus directory (corpus.py) and the
+vector helpers that read them (classifier.mean_pool, model.cosine_matrix)."""
+
 import struct
 
 import numpy as np
 import pytest
 
 from stepalign.checkpoint import save_checkpoint
-from stepalign.data import Segment
-from stepalign.errors import FormatError, ValidationError
-from stepalign.features import (
-    cosine_matrix, l2_normalize_rows, mean_pool, read_features, write_features,
+from stepalign.classifier import mean_pool
+from stepalign.corpus import Corpus, read_features
+from stepalign.data import (
+    AnnotatedVideo, Intent, ProceduralText, Segment, TaskDomain,
 )
+from stepalign.errors import FormatError, ValidationError
+from stepalign.model import cosine_matrix, l2_normalize_rows
 
 from oracles import cosine
 
@@ -16,71 +21,82 @@ from oracles import cosine
 _META = {"kind": "features", "video_id": "v"}
 
 
+def _one_video_corpus(matrix):
+    """A corpus whose one video, ``v``, has the given feature matrix."""
+    text = ProceduralText(TaskDomain.CARDBOARD, ("fold the flaps",))
+    video = AnnotatedVideo(video_id="v", worker_id="w", task=text.task,
+                           intent=Intent.CORRECT_RUN, num_frames=len(matrix),
+                           segments=())
+    return Corpus(texts={text.task: text}, videos=[video],
+                  features={"v": matrix},
+                  step_features={text.task: np.ones((1, matrix.shape[1]))})
+
+
 class TestFeatureIO:
     def test_round_trip_float32_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(7, 5)).astype(np.float32).astype(np.float64)
-        path = tmp_path / "v.fmtx"
-        write_features(m, path, video_id="v")
-        loaded, vid = read_features(path)
-        assert vid == "v"
+        _one_video_corpus(m).save(tmp_path)
+        loaded = read_features(tmp_path / "features" / "v.fmtx", 7, "dim")
         assert loaded.dtype == np.float64
         np.testing.assert_array_equal(loaded, m)
 
     def test_bytes_follow_the_checkpoint_layout(self, tmp_path):
         m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -4.0]])
-        path = tmp_path / "v.fmtx"
-        write_features(m, path, video_id="v")
+        _one_video_corpus(m).save(tmp_path)
         header = (b'{"kind":"features","tensors":[{"name":"features",'
                   b'"shape":[2,3]}],"video_id":"v"}')
         payload = struct.pack("<6f", 1.0, -2.0, 0.5, 3.0, 0.25, -4.0)
-        assert path.read_bytes() == \
+        assert (tmp_path / "features" / "v.fmtx").read_bytes() == \
             struct.pack("<I", len(header)) + header + payload
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "v.fmtx"
-        write_features(np.ones((4, 4)), path, video_id="v")
+        save_checkpoint(path, {"features": np.ones((4, 4))}, _META)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError, match=r"v\.fmtx: truncated tensor features$"):
-            read_features(path)
+            read_features(path, 4, 4)
 
     def test_overwritten_header_length(self, tmp_path):
         path = tmp_path / "v.fmtx"
-        write_features(np.ones((2, 2)), path, video_id="v")
+        save_checkpoint(path, {"features": np.ones((2, 2))}, _META)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError,
                            match=r"v\.fmtx: truncated checkpoint header$"):
-            read_features(path)
+            read_features(path, 2, 2)
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "v.fmtx"
         save_checkpoint(path, {"features": np.array([[1.0, np.nan]])}, _META)
         with pytest.raises(FormatError,
                            match=r"v\.fmtx: tensor features has non-finite"):
-            read_features(path)
+            read_features(path, 1, 2)
 
     def test_write_rejects_nan(self, tmp_path):
-        with pytest.raises(ValidationError, match="non-finite"):
-            write_features(np.array([[np.nan]]), tmp_path / "v.fmtx", "v")
+        with pytest.raises(ValidationError,
+                           match=r"v\.fmtx: feature matrix contains non-finite"):
+            _one_video_corpus(np.array([[np.nan]])).save(tmp_path)
 
     @pytest.mark.parametrize("tensors, meta, rule", [
         ({"features": np.ones((2, 3))}, {**_META, "kind": "classifier"},
          r"checkpoint kind 'classifier', not 'features'"),
         ({"features": np.ones(3)}, _META,
-         r"tensor features has shape \(3,\), not \('rows', 'dim'\)"),
+         r"tensor features has shape \(3,\), not \(2, 3\)$"),
         ({"features": np.ones((2, 3, 1))}, _META,
-         r"tensor features has shape \(2, 3, 1\), not \('rows', 'dim'\)"),
+         r"tensor features has shape \(2, 3, 1\), not \(2, 3\)$"),
         ({"features": np.ones((2, 3)), "extra": np.ones(1)}, _META,
          r"tensors \['extra'\] are not in the features layout"),
-        ({"features": np.ones((0, 3))}, _META, r"empty feature matrix 0x3$"),
-        ({"features": np.ones((3, 0))}, _META, r"empty feature matrix 3x0$"),
+        ({"features": np.ones((0, 3))}, _META,
+         r"tensor features has shape \(0, 3\), not \(2, 3\)$"),
+        ({"features": np.ones((2, 0))}, _META,
+         r"tensor features has shape \(2, 0\), not \(2, 3\)$"),
         ({"features": np.ones((2, 3))}, {**_META, "video_id": 7},
-         r"video_id 7 is not a string$"),
+         r"header names 7, not 'v'$"),
         ({"features": np.ones((2, 3))}, {"kind": "features"},
-         r"video_id None is not a string$"),
+         r"header names None, not 'v'$"),
     ], ids=["other-kind", "1-d", "3-d", "stray-tensor", "zero-rows",
             "zero-dim", "int-id", "no-id"])
     def test_malformed_features_file_names_file_and_rule(self, tmp_path,
@@ -88,7 +104,7 @@ class TestFeatureIO:
         path = tmp_path / "v.fmtx"
         save_checkpoint(path, tensors, meta)
         with pytest.raises(FormatError, match=rf"v\.fmtx: {rule}"):
-            read_features(path)
+            read_features(path, 2, 3)
 
 
 class TestMeanPool:

@@ -9,12 +9,11 @@ from stepalign.alignment import percentile_drop_cost
 from stepalign.data import FoldSpec, Segment
 from stepalign.checkpoint import save_checkpoint
 from stepalign.errors import FormatError, ValidationError
-from stepalign.features import cosine_matrix, l2_normalize_rows
 from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
     FoldVideo, ModelParams, TrainConfig, align_frames_to_slots,
     align_video, align_videos, batch_loss_and_grads, compute_selections,
-    forward_slots, load_model, save_model, select_slots, train_alignment_fold,
+    cosine_matrix, forward_slots, l2_normalize_rows, load_model, save_model, select_slots, train_alignment_fold,
     FoldTraining,
 )
 from stepalign.synth import SynthConfig, synth_corpus
@@ -609,6 +608,22 @@ class TestTrainAlignmentFold:
         monkeypatch.setattr(stepalign.model, "forward_slots", None)
         with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
             train_alignment_fold(corpus, fold, replace(config, **{field: value}))
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"batch_size": 0, "w_global": 0.0}, "batch_size"),
+        ({"working_dim": 0}, "working_dim"),
+        ({"gamma": math.nan}, "gamma"),
+        ({"gamma": 0.0}, "gamma"),
+    ], ids=["batch-size-0", "working-dim-0", "gamma-nan", "gamma-0"])
+    def test_config_failing_later_rejected_before_training(
+            self, monkeypatch, changes, field):
+        # each of these used to pass validate() and fail in training with
+        # a ValueError, a ZeroDivisionError or a NumericalError
+        corpus, fold, config = _tiny_fold()
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        value = changes[field]
+        with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
+            train_alignment_fold(corpus, fold, replace(config, **changes))
 
     def test_too_few_slots_rejected_before_training(self, monkeypatch):
         corpus, fold, config = _tiny_fold()

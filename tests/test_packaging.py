@@ -1,12 +1,14 @@
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
+import stepalign
 
 
 def test_every_console_script_target_imports():
+    tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})
@@ -14,3 +16,12 @@ def test_every_console_script_target_imports():
         module, _, attr = target.partition(":")
         entry = getattr(importlib.import_module(module), attr)
         assert callable(entry), name
+
+
+def test_every_exported_name_resolves():
+    modules = [info.name for info in pkgutil.iter_modules(stepalign.__path__)]
+    assert {"corpus", "data", "model", "classifier"} <= set(modules)
+    for name in modules:
+        module = importlib.import_module(f"stepalign.{name}")
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"stepalign.{name}.{attr}"

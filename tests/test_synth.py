@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stepalign.data import Intent, MistakeLabel, validate_video
+from stepalign.errors import ValidationError
 from stepalign.synth import SynthConfig, synth_corpus
 
 
@@ -51,6 +52,32 @@ class TestSynthBasics:
         a = synth_corpus(small_config(seed=1))
         b = synth_corpus(small_config(seed=2))
         assert a.corpus.videos != b.corpus.videos
+
+
+@pytest.mark.parametrize("changes, rule", [
+    ({"tasks": 0}, r"tasks must be 1\.\.5$"),
+    ({"tasks": 6}, r"tasks must be 1\.\.5$"),
+    ({"videos_per_task": 0}, "need at least one video and one worker$"),
+    ({"workers": 0}, "need at least one video and one worker$"),
+    ({"steps_per_task": 0}, "steps_per_task must be >= 1$"),
+    ({"dim": 6}, r"dim 6 too small for 4 steps \(need >= steps_per_task \+ 3\)$"),
+    ({"frames_per_step": (0, 3)}, r"frames_per_step range \(0, 3\) is empty"),
+    ({"background_gap": (3, 2)}, r"background_gap range \(3, 2\) is empty"),
+    ({"background_gap": (-1, 2)}, r"background_gap range \(-1, 2\) is empty"),
+    ({"p_swap": 1.5}, r"p_swap must be in \[0, 1\]$"),
+    ({"p_exec_mistake": -0.1}, r"p_exec_mistake must be in \[0, 1\]$"),
+    ({"noise_sigma": -0.1}, "noise_sigma must be >= 0$"),
+    ({"exec_kind_weights": (1.0,) * 5}, "exec_kind_weights must be 6 "),
+    ({"exec_kind_weights": (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)},
+     "exec_kind_weights must be 6 "),
+    ({"exec_kind_weights": (0.0,) * 6}, "exec_kind_weights must be 6 "),
+], ids=["no-tasks", "too-many-tasks", "no-videos", "no-workers", "no-steps",
+        "narrow-dim", "zero-frames", "reversed-gap", "negative-gap",
+        "p-above-1", "p-below-0", "negative-noise", "five-weights",
+        "negative-weight", "zero-weights"])
+def test_invalid_config_rejected_before_generation(changes, rule):
+    with pytest.raises(ValidationError, match=rule):
+        synth_corpus(small_config(**changes))
 
 
 class TestDegenerateConfig:
