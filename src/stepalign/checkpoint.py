@@ -16,21 +16,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
                     meta: dict) -> None:
+    """Write a checkpoint that load_checkpoint reads. A tensor holding a
+    value that is not finite at float32 raises ValidationError naming the
+    path and the tensor before the file is opened."""
+    with np.errstate(over="ignore"):
+        stored = {name: np.asarray(t, dtype="<f4") for name, t in tensors.items()}
+    for name, t in stored.items():
+        if not np.all(np.isfinite(t)):
+            raise ValidationError(
+                f"{path}: tensor {name} has values not finite at float32")
     header = dict(meta)
     header["tensors"] = [
-        {"name": name, "shape": list(t.shape)} for name, t in tensors.items()
+        {"name": name, "shape": list(t.shape)} for name, t in stored.items()
     ]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in tensors:
-            fh.write(np.ascontiguousarray(tensors[name], dtype="<f4").tobytes())
+        for t in stored.values():
+            fh.write(t.tobytes())
 
 
 def _is_dim(x) -> bool:

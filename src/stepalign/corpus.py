@@ -24,7 +24,6 @@ the same phase, as long inference does, leaves it unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -34,7 +33,8 @@ import numpy as np
 from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .data import (
     AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
-    parse_text, parse_video, text_to_json, validate_video, video_to_json,
+    parse_text, parse_video, save_json, text_to_json, validate_video,
+    video_to_json,
 )
 from .errors import FormatError, ParseError, ValidationError
 
@@ -87,13 +87,10 @@ def save_corpus(path: str | Path,
     (root / "texts").mkdir(parents=True, exist_ok=True)
     (root / "annotations").mkdir(parents=True, exist_ok=True)
     for text in texts:
-        with open(root / "texts" / f"{text.task.value}.json", "w", encoding="utf-8") as fh:
-            json.dump(text_to_json(text), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(root / "texts" / f"{text.task.value}.json", text_to_json(text))
     for video in videos:
-        with open(root / "annotations" / f"{video.video_id}.json", "w", encoding="utf-8") as fh:
-            json.dump(video_to_json(video), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(root / "annotations" / f"{video.video_id}.json",
+                  video_to_json(video))
 
 
 def read_features(path: str | Path, rows: int, dim: int | str) -> np.ndarray:
@@ -120,9 +117,14 @@ class Corpus:
 
     def __post_init__(self) -> None:
         self._by_id: dict[str, AnnotatedVideo] = {}
+        step_files = {f"steps_{task.value}"
+                      for task in (*self.texts, *self.step_features)}
         for video in self.videos:
             if video.video_id in self._by_id:
                 raise ValidationError(f"duplicate video_id {video.video_id}")
+            if video.video_id in step_files:
+                raise ValidationError(f"video_id {video.video_id} is the "
+                                      f"name of a task's step features")
             self._by_id[video.video_id] = video
 
     def set_phase(self, phase: str) -> None:
@@ -164,7 +166,7 @@ class Corpus:
 
     def save(self, path: str | Path) -> None:
         """Write the corpus in the layout above. A feature matrix that is
-        not 2-d, is empty or holds a non-finite value raises
+        not 2-d, is empty or holds a value not finite at float32 raises
         ValidationError naming its file."""
         root = Path(path)
         save_corpus(root, list(self.texts.values()), self.videos)
@@ -180,9 +182,6 @@ class Corpus:
                 raise ValidationError(
                     f"{file}: feature matrix must be 2-d and nonempty, "
                     f"got {matrix.shape}")
-            if not np.all(np.isfinite(matrix)):
-                raise ValidationError(
-                    f"{file}: feature matrix contains non-finite values")
             save_checkpoint(file, {"features": matrix},
                             {"kind": "features", "video_id": name})
 

@@ -35,28 +35,17 @@ class Intent(Enum):
     MISTAKE_RUN = "mistake_run"
 
 
-class MistakeLabel(IntEnum):
-    """Fine-grained execution-mistake taxonomy; CORRECT means no mistake."""
+class MistakeLabel(Enum):
+    """Fine-grained execution-mistake taxonomy; CORRECT means no mistake.
+    Each value is the label's code in an annotation record."""
 
-    CORRECT = 0
-    OBJECT = 1      # worked with the wrong object
-    MISPICK = 2     # grasped a wrong object, released without use
-    CORRECTION = 3  # fixed an earlier mistake
-    ACCIDENT = 4    # unintended action
-    HOWTO = 5       # performed the step in the wrong way
-    OTHERS = 6
-
-
-MISTAKE_CODES: dict[MistakeLabel, str] = {
-    MistakeLabel.CORRECT: "correct",
-    MistakeLabel.OBJECT: "object",
-    MistakeLabel.MISPICK: "mispick",
-    MistakeLabel.CORRECTION: "correction",
-    MistakeLabel.ACCIDENT: "accident",
-    MistakeLabel.HOWTO: "howto",
-    MistakeLabel.OTHERS: "others",
-}
-CODES_TO_MISTAKE = {code: label for label, code in MISTAKE_CODES.items()}
+    CORRECT = "correct"
+    OBJECT = "object"          # worked with the wrong object
+    MISPICK = "mispick"        # grasped a wrong object, released without use
+    CORRECTION = "correction"  # fixed an earlier mistake
+    ACCIDENT = "accident"      # unintended action
+    HOWTO = "howto"            # performed the step in the wrong way
+    OTHERS = "others"
 
 
 class CoarseLabel(IntEnum):
@@ -189,7 +178,7 @@ def validate_video(video: AnnotatedVideo, text: ProceduralText) -> None:
             raise ValidationError(f"{vid}: correct segment carries a description")
         if seg.mistake != MistakeLabel.CORRECT and not has_desc:
             raise ValidationError(
-                f"{vid}: {MISTAKE_CODES[seg.mistake]} segment lacks a description")
+                f"{vid}: {seg.mistake.value} segment lacks a description")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +190,7 @@ def segment_to_json(seg: AnnotatedSegment) -> dict:
         "start": seg.segment.start,
         "end": seg.segment.end,
         "step": seg.step if seg.step is not None else "undefined",
-        "mistake": MISTAKE_CODES[seg.mistake],
+        "mistake": seg.mistake.value,
     }
     if seg.description is not None:
         obj["description"] = seg.description
@@ -255,8 +244,7 @@ def parse_segment(obj: dict, where: str) -> AnnotatedSegment:
         step = None
     else:
         step = _expect(raw_step, int, "segment step", where)
-    if not isinstance(code, str) or code not in CODES_TO_MISTAKE:
-        raise ParseError(f"{where}: unknown mistake code {code!r}")
+    mistake = _parse_enum(MistakeLabel, code, where)
     description = obj.get("description")
     if description is not None:
         _expect(description, str, "segment description", where)
@@ -268,7 +256,7 @@ def parse_segment(obj: dict, where: str) -> AnnotatedSegment:
     return AnnotatedSegment(
         segment=segment,
         step=step,
-        mistake=CODES_TO_MISTAKE[code],
+        mistake=mistake,
         description=description,
     )
 
@@ -314,40 +302,39 @@ def load_json(path: Path) -> dict:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
 
 
+def save_json(path: str | Path, value) -> None:
+    """Write a JSON file as load_json reads it: indented by two, keys
+    sorted, with a trailing newline."""
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def save_folds(path: str | Path, folds: Iterable[FoldSpec]) -> None:
-    payload = [
-        {"fold_id": f.fold_id, "train": list(f.train), "val": list(f.val),
-         "test": list(f.test)}
-        for f in folds
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, [{"fold_id": f.fold_id, "train": list(f.train),
+                      "val": list(f.val), "test": list(f.test)}
+                     for f in folds])
 
 
 def load_folds(path: str | Path) -> list[FoldSpec]:
-    """Read a fold file. Raises ValidationError naming the path and the
-    fold when a split is not a list of video ids or when train, val and
-    test share a video."""
-    payload = load_json(Path(path))
+    """Read a fold file. A malformed or wrongly typed record raises
+    ParseError naming the path and the fold; train, val and test sharing
+    a video raises ValidationError."""
     folds = []
-    try:
-        for f in payload:
-            fold_id, parts = f["fold_id"], (f["train"], f["val"], f["test"])
-            where = f"{path}: fold {fold_id!r}"
-            if isinstance(fold_id, bool) or not isinstance(fold_id, int):
-                raise ValidationError(f"{where}: fold_id must be an integer")
-            for name, ids in zip(("train", "val", "test"), parts):
-                if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
-                    raise ValidationError(f"{where}: {name} must be a list of video ids")
-            train, val, test = (set(ids) for ids in parts)
-            shared = (train & val) | (train & test) | (val & test)
-            if shared:
-                raise ValidationError(
-                    f"{where}: videos in more than one split: {sorted(shared)}")
-            folds.append(FoldSpec(fold_id, *(tuple(ids) for ids in parts)))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: malformed fold file: {exc}") from None
+    for obj in _expect(load_json(Path(path)), list, "fold file", str(path)):
+        _expect(obj, dict, "fold record", str(path))
+        try:
+            where = f"{path}: fold {obj['fold_id']!r}"
+            fold = FoldSpec(_expect(obj["fold_id"], int, "fold_id", where),
+                            *(_string_list(obj[split], split, where)
+                              for split in ("train", "val", "test")))
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing fold field {exc}") from None
+        train, val, test = set(fold.train), set(fold.val), set(fold.test)
+        shared = (train & val) | (train & test) | (val & test)
+        if shared:
+            raise ValidationError(
+                f"{where}: videos in more than one split: {sorted(shared)}")
+        folds.append(fold)
     return folds
 
 
@@ -355,6 +342,5 @@ __all__ = [
     "TaskDomain", "Intent", "MistakeLabel", "CoarseLabel", "coarse_label",
     "Segment", "ProceduralText", "AnnotatedSegment", "AnnotatedVideo",
     "FoldSpec", "validate_video", "save_folds", "load_folds", "load_json",
-    "video_to_json", "text_to_json", "parse_video", "parse_text",
-    "MISTAKE_CODES", "CODES_TO_MISTAKE",
+    "save_json", "video_to_json", "text_to_json", "parse_video", "parse_text",
 ]

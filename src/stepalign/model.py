@@ -243,6 +243,18 @@ def _decoder_input(frames: np.ndarray, normalize_features: bool) -> np.ndarray:
     return l2_normalize_rows(frames) if normalize_features else frames
 
 
+def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
+                ) -> list[np.ndarray]:
+    """Each video's K x d step texts projected into the working space; a
+    matrix of another width raises ValidationError."""
+    for steps in step_feats:
+        if steps.ndim != 2 or steps.shape[1] != params.feature_dim:
+            raise ValidationError(
+                f"step features must be K x {params.feature_dim}, "
+                f"got {steps.shape}")
+    return [steps @ params.proj_t for steps in step_feats]
+
+
 def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
                        config: TrainConfig
                        ) -> tuple[list[list[int]], list[dict]]:
@@ -256,7 +268,7 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
                             _decoder_input(v.frames, config.normalize_features))[1]
               for v in batch]
     selections = select_slots([cache["slots"] for cache in caches],
-                              [v.step_feats @ params.proj_t for v in batch],
+                              _text_input(params, [v.step_feats for v in batch]),
                               config.drop_pct)
     return selections, caches
 
@@ -380,8 +392,7 @@ def align_videos(params: ModelParams, frames: Sequence[np.ndarray],
         slots.append(video_slots)
         frame_embeds.append(cache["xp"])
         del cache
-    chosen = select_slots(slots, [steps @ params.proj_t for steps in step_feats],
-                          drop_pct)
+    chosen = select_slots(slots, _text_input(params, step_feats), drop_pct)
     return [align_frames_to_slots(u[rows], xp, drop_pct)
             for u, xp, rows in zip(slots, frame_embeds, chosen)]
 

@@ -68,6 +68,7 @@ class SynthConfig:
     p_swap: float = 0.05
     p_split: float = 0.1
     p_exec_mistake: float = 0.2
+    # one weight per MistakeLabel after CORRECT, in the enum's order
     exec_kind_weights: tuple[float, ...] = (3.0, 1.0, 3.0, 1.0, 1.0, 1.0)
     seed: int = 0
 
@@ -110,7 +111,7 @@ class VideoPlantLog:
     split_ops: int = 0
     splits: tuple[int, ...] = ()
     exec_ops: int = 0
-    execs: tuple[tuple[int, int], ...] = ()  # (step, mistake kind)
+    execs: tuple[tuple[int, MistakeLabel], ...] = ()  # (step, mistake kind)
 
 
 @dataclass
@@ -206,7 +207,7 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
     skipped: list[int] = []
     swaps: list[tuple[int, int]] = []
     splits: list[int] = []
-    execs: list[tuple[int, int]] = []
+    execs: list[tuple[int, MistakeLabel]] = []
 
     if mistake_run:
         skip_ops = k
@@ -233,11 +234,11 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
     events: list[_Event] = []
     for step in sequence:
         proto = protos[step - 1]
-        exec_kind: int | None = None
+        exec_kind: MistakeLabel | None = None
         if mistake_run:
             exec_ops += 1
             if rng.random() < cfg.p_exec_mistake:
-                exec_kind = int(rng.choice(6, p=kind_p)) + 1
+                exec_kind = tuple(MistakeLabel)[1:][int(rng.choice(6, p=kind_p))]
                 execs.append((step, exec_kind))
 
         if exec_kind == MistakeLabel.MISPICK:
@@ -253,7 +254,7 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
             label = MistakeLabel.OBJECT
         elif exec_kind in (MistakeLabel.ACCIDENT, MistakeLabel.HOWTO):
             content = _unit(proto + vectors.mistake_dir)
-            label = MistakeLabel(exec_kind)
+            label = exec_kind
         else:
             content, label = proto, MistakeLabel.CORRECT
 

@@ -88,6 +88,11 @@ class TestPercentileDropCost:
         cost = rng.normal(size=(4, 6))
         assert percentile_drop_cost(cost, 1e-9) == cost.min()
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^percentile of an empty cost matrix$"):
+            percentile_drop_cost(np.ones((0, 3)), 80.0)
+
     def test_invalid_pct_rejected(self):
         with pytest.raises(ValidationError):
             percentile_drop_cost(np.ones((2, 2)), 0.0)
@@ -164,6 +169,14 @@ class TestDropDtw:
     def test_infinite_drop_cost_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             drop_dtw(np.ones((2, 2)), math.inf)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, value):
+        cost = np.ones((2, 3))
+        cost[1, 2] = value
+        with pytest.raises(ValidationError,
+                           match="^cost matrix contains non-finite entries$"):
+            drop_dtw(cost, 0.5)
 
     def test_monotone_in_drop_cost(self):
         rng = np.random.default_rng(11)

@@ -6,7 +6,7 @@ import pytest
 
 from stepalign.checkpoint import load_checkpoint, save_checkpoint
 from stepalign.classifier import load_classifier
-from stepalign.errors import FormatError
+from stepalign.errors import FormatError, ValidationError
 from stepalign.model import load_model
 
 
@@ -26,6 +26,23 @@ def test_round_trip_at_float32(tmp_path):
     for name, t in tensors.items():
         assert loaded[name].shape == t.shape
         np.testing.assert_array_equal(loaded[name], t.astype(np.float32))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39],
+                         ids=["nan", "inf", "minus-inf", "overflow",
+                              "minus-overflow"])
+def test_save_rejects_value_not_finite_at_float32(tmp_path, value):
+    tensors = {"a": np.ones(2), "b": np.array([[0.5, value]])}
+    with pytest.raises(ValidationError, match=r"c\.ckpt: tensor b has values "
+                                              r"not finite at float32$"):
+        save_checkpoint(tmp_path / "c.ckpt", tensors, {"kind": "x"})
+    assert not (tmp_path / "c.ckpt").exists()
+
+
+def test_largest_float32_round_trips(tmp_path):
+    big = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max])
+    save_checkpoint(tmp_path / "c.ckpt", {"a": big}, {"kind": "x"})
+    np.testing.assert_array_equal(load_checkpoint(tmp_path / "c.ckpt")[0]["a"], big)
 
 
 @pytest.mark.parametrize("raw, rule", [

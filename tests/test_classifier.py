@@ -390,6 +390,17 @@ def test_val_split_without_segments_scores_zero(strip):
     assert (training.best_epoch, training.best_val_score) == (0, 0.0)
 
 
+def test_class_missing_from_train_rejected(monkeypatch):
+    corpus, fold, config = _small_fold()
+    # correct-run videos hold only correct segments
+    correct_runs = tuple(vid for vid in fold.train
+                         if vid.rsplit("_", 1)[1].startswith("c"))
+    monkeypatch.setattr(stepalign.classifier, "_batch_loss_and_grads", None)
+    with pytest.raises(ValidationError, match=r"^fold 0: no training samples "
+                                              r"for \['MISTAKE', 'CORRECTION'\]"):
+        train_classifier_fold(corpus, replace(fold, train=correct_runs), config)
+
+
 @pytest.mark.parametrize("change, rule", [
     (lambda fold: replace(fold, test=fold.train[:1]), "both train and test"),
     (lambda fold: replace(fold, val=fold.test), "both val and test"),

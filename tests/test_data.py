@@ -10,8 +10,8 @@ from stepalign.corpus import Corpus, load_corpus, save_corpus
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, CoarseLabel, Intent, MistakeLabel,
     ProceduralText, Segment, TaskDomain, coarse_label,
-    load_folds, parse_text, parse_video, save_folds, validate_video,
-    video_to_json,
+    load_folds, load_json, parse_text, parse_video, save_folds, save_json,
+    validate_video, video_to_json,
 )
 from stepalign.data import FoldSpec
 from stepalign.errors import (
@@ -253,6 +253,25 @@ class TestCorpusIO:
         assert {t.task: t for t in loaded_texts} == {t.task: t for t in texts}
         assert loaded_videos == sorted(videos, key=lambda v: v.video_id)
 
+    def test_every_mistake_label_is_its_code(self):
+        assert [m.value for m in MistakeLabel] == [
+            "correct", "object", "mispick", "correction", "accident", "howto",
+            "others"]
+        for label in MistakeLabel:
+            seg = AnnotatedSegment(
+                Segment(0, 2), step=1, mistake=label,
+                description=None if label == MistakeLabel.CORRECT else "x")
+            obj = video_to_json(_video(segments=(seg,)))
+            assert obj["segments"][0]["mistake"] == label.value
+            assert parse_video(obj).segments == (seg,)
+
+    def test_save_json_bytes(self, tmp_path):
+        value = {"b": [1, "\u00e9"], "a": None}
+        save_json(tmp_path / "x.json", value)
+        assert (tmp_path / "x.json").read_bytes() == \
+            b'{\n  "a": null,\n  "b": [\n    1,\n    "\\u00e9"\n  ]\n}\n'
+        assert load_json(tmp_path / "x.json") == value
+
     def test_two_video_corpus_loads(self, tmp_path):
         save_corpus(tmp_path, [_text()], [_video("a"), _video("b")])
         _, videos = load_corpus(tmp_path)
@@ -320,9 +339,17 @@ class TestCorpusIO:
         (parse_text, {"task": "cardboard"}, "missing text field 'steps'"),
         (parse_text, {"task": "cooking", "steps": ["fold"]},
          "unknown TaskDomain value 'cooking'"),
+        (parse_video, {**video_to_json(_video()),
+                       "segments": [{"start": 0, "end": 2, "step": 1,
+                                     "mistake": 0}]},
+         "unknown MistakeLabel value 0$"),
+        (parse_video, {**video_to_json(_video()),
+                       "segments": [{"start": 0, "end": 2, "step": 1,
+                                     "mistake": ["object"]}]},
+         r"unknown MistakeLabel value \['object'\]$"),
     ], ids=["video-missing-field", "video-unknown-task", "unknown-intent",
             "segment-missing-field", "segment-not-object", "text-missing-field",
-            "text-unknown-task"])
+            "text-unknown-task", "mistake-code-int", "mistake-code-list"])
     def test_malformed_record_names_file(self, parse, obj, rule):
         with pytest.raises(ParseError, match=f"^x\\.json: {rule}"):
             parse(obj, where="x.json")
@@ -331,7 +358,8 @@ class TestCorpusIO:
         obj = {"video_id": "v", "worker_id": "w", "task": "cardboard",
                "intent": "correct_run", "num_frames": 10,
                "segments": [{"start": 0, "end": 2, "step": 1, "mistake": "oops"}]}
-        with pytest.raises(ParseError, match="unknown mistake code"):
+        with pytest.raises(ParseError,
+                           match=r"^<memory>: unknown MistakeLabel value 'oops'$"):
             parse_video(obj)
 
     @pytest.mark.parametrize("field, value", [
@@ -378,16 +406,41 @@ class TestCorpusIO:
         with pytest.raises(ParseError, match="x.json"):
             parse_text("steps", where="x.json")
 
-    @pytest.mark.parametrize("fold", [
-        {"fold_id": 3, "train": ["a", "b"], "val": ["a"], "test": ["c"]},
-        {"fold_id": 3, "train": ["a"], "val": ["b"], "test": ["a"]},
-        {"fold_id": 3, "train": "abc", "val": ["d"], "test": ["e"]},
-        {"fold_id": 3, "train": ["a", 7], "val": ["d"], "test": ["e"]},
-    ], ids=["train-val-leak", "train-test-leak", "ids-string", "id-not-string"])
-    def test_leaking_or_mistyped_fold_rejected(self, tmp_path, fold):
+    @pytest.mark.parametrize("fold, error, rule", [
+        ({"fold_id": 3, "train": ["a", "b"], "val": ["a"], "test": ["c"]},
+         ValidationError, r"fold 3: videos in more than one split: \['a'\]$"),
+        ({"fold_id": 3, "train": ["a"], "val": ["b"], "test": ["a"]},
+         ValidationError, r"fold 3: videos in more than one split: \['a'\]$"),
+        ({"fold_id": 3, "train": "abc", "val": ["d"], "test": ["e"]},
+         ParseError, r"fold 3: train must be a list of strings, got 'abc'$"),
+        ({"fold_id": 3, "train": ["a", 7], "val": ["d"], "test": ["e"]},
+         ParseError, r"fold 3: train must be a list of strings"),
+        ({"fold_id": "3", "train": ["a"], "val": ["d"], "test": ["e"]},
+         ParseError, r"fold '3': fold_id must be int, got '3'$"),
+        ({"fold_id": True, "train": ["a"], "val": ["d"], "test": ["e"]},
+         ParseError, r"fold True: fold_id must be int, got True$"),
+        ({"fold_id": 3, "train": ["a"], "test": ["e"]},
+         ParseError, r"missing fold field 'val'$"),
+        ({"train": ["a"], "val": ["d"], "test": ["e"]},
+         ParseError, r"missing fold field 'fold_id'$"),
+    ], ids=["train-val-leak", "train-test-leak", "ids-string", "id-not-string",
+            "fold-id-string", "fold-id-bool", "no-val", "no-fold-id"])
+    def test_leaking_or_mistyped_fold_rejected(self, tmp_path, fold, error,
+                                               rule):
         path = tmp_path / "folds.json"
         path.write_text(json.dumps([fold]))
-        with pytest.raises(ValidationError, match=r"folds\.json: fold 3"):
+        with pytest.raises(error, match=rf"folds\.json: {rule}"):
+            load_folds(path)
+
+    @pytest.mark.parametrize("payload, rule", [
+        ({"fold_id": 3}, r"fold file must be list"),
+        ([[3]], r"fold record must be dict, got \[3\]$"),
+    ], ids=["object", "record-list"])
+    def test_fold_file_of_another_shape_names_path(self, tmp_path, payload,
+                                                   rule):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=rf"folds\.json: {rule}"):
             load_folds(path)
 
     def test_fold_round_trip(self, tmp_path):

@@ -16,6 +16,7 @@ from stepalign.errors import FormatError, ValidationError
 from stepalign.model import cosine_matrix, l2_normalize_rows
 
 from oracles import cosine
+from test_checkpoint import _pack
 
 
 _META = {"kind": "features", "video_id": "v"}
@@ -69,16 +70,20 @@ class TestFeatureIO:
             read_features(path, 2, 2)
 
     def test_non_finite_payload(self, tmp_path):
+        # save_checkpoint writes no non-finite value, so the file is hand-made
         path = tmp_path / "v.fmtx"
-        save_checkpoint(path, {"features": np.array([[1.0, np.nan]])}, _META)
+        header = {**_META, "tensors": [{"name": "features", "shape": [1, 2]}]}
+        path.write_bytes(_pack(header, np.array([1.0, np.nan], "<f4").tobytes()))
         with pytest.raises(FormatError,
                            match=r"v\.fmtx: tensor features has non-finite"):
             read_features(path, 1, 2)
 
     def test_write_rejects_nan(self, tmp_path):
         with pytest.raises(ValidationError,
-                           match=r"v\.fmtx: feature matrix contains non-finite"):
+                           match=r"v\.fmtx: tensor features has values not "
+                                 r"finite at float32$"):
             _one_video_corpus(np.array([[np.nan]])).save(tmp_path)
+        assert not (tmp_path / "features" / "v.fmtx").exists()
 
     @pytest.mark.parametrize("tensors, meta, rule", [
         ({"features": np.ones((2, 3))}, {**_META, "kind": "classifier"},

@@ -35,6 +35,14 @@ class TestRasterize:
             rasterize([(1, Segment(0, 3)), (2, Segment(2, 5))], 5,
                       ground_truth=True)
 
+    @pytest.mark.parametrize("step, seg, rule", [
+        (0, Segment(0, 2), r"step index must be positive, got 0"),
+        (1, Segment(3, 6), r"segment \[3, 6\) exceeds num_frames 5"),
+    ], ids=["step-0", "past-end"])
+    def test_bad_segment_rejected(self, step, seg, rule):
+        with pytest.raises(ValidationError, match=f"^{rule}$"):
+            rasterize([(step, seg)], 5)
+
     def test_split_step_gt_allowed(self):
         out = rasterize([(1, Segment(0, 2)), (1, Segment(4, 6))], 6,
                         ground_truth=True)
@@ -82,6 +90,12 @@ class TestFrameMetrics:
 def _det(step, start, end, label, conf):
     return Detection(step=step, segment=Segment(start, end), label=label,
                      confidence=conf)
+
+
+def test_average_precision_without_ground_truth_rejected():
+    with pytest.raises(ValidationError,
+                       match="^AP needs at least one ground-truth instance$"):
+        average_precision(np.array([True]), 0)
 
 
 class TestMapAtTiou:

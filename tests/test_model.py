@@ -167,6 +167,24 @@ class TestForwardSlots:
             forward_slots(params, rng.normal(size=(5, 7)))
 
 
+def test_l2_normalize_rejects_zero_row():
+    with pytest.raises(ValidationError, match="^cannot l2-normalize a zero row$"):
+        l2_normalize_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("changes, rule", [
+    ({"batch_size": 1},
+     "batch_size must be >= 2 for the batch-contrastive loss"),
+    ({"drop_pct": 0.0}, r"drop_pct must be in \(0, 100\]"),
+    ({"drop_pct": 101.0}, r"drop_pct must be in \(0, 100\]"),
+], ids=["batch-size-1", "drop-pct-0", "drop-pct-101"])
+def test_config_rule_broken_rejected(changes, rule):
+    # a batch of one is fine without the batch-contrastive loss
+    replace(TrainConfig(), batch_size=1, w_global=0.0).validate()
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        replace(TrainConfig(), **changes).validate()
+
+
 class TestSelectSlots:
     def test_diagonal_dominance_identity(self):
         rng = np.random.default_rng(5)
@@ -474,6 +492,18 @@ class TestAlignVideos:
     def test_empty_call(self):
         params = _params(np.random.default_rng(41))
         assert align_videos(params, [], [], 80.0, True) == []
+
+    def test_step_width_mismatch_rejected(self):
+        # inference and training selection share the one check
+        rng = np.random.default_rng(42)
+        params = _params(rng, d=6, dp=5, u=4)
+        frames, steps = rng.normal(size=(9, 6)), rng.normal(size=(2, 7))
+        rule = r"^step features must be K x 6, got \(2, 7\)$"
+        with pytest.raises(ValidationError, match=rule):
+            align_video(params, frames, steps, 80.0, True)
+        video = FoldVideo("v", frames, steps, np.zeros(9, dtype=np.int64))
+        with pytest.raises(ValidationError, match=rule):
+            compute_selections(params, [video], TrainConfig())
 
 
 class TestCheckpointIO:

@@ -25,3 +25,14 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"stepalign.{name}")
         for attr in getattr(module, "__all__", ()):
             assert hasattr(module, attr), f"stepalign.{name}.{attr}"
+
+
+def test_every_module_has_tests_and_a_readme_line():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    modules = sorted(p.stem for p in (root / "src" / "stepalign").glob("*.py")
+                     if p.stem != "__init__")
+    assert modules
+    for name in modules:
+        assert (root / "tests" / f"test_{name}.py").is_file(), name
+        assert f"- `{name}.py`: " in readme, name

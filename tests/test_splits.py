@@ -80,6 +80,19 @@ class TestGroupKFold:
         with pytest.raises(InfeasibleSplitError, match="cardboard"):
             make_group_kfold(thinned, k=5, seed=0)
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(InfeasibleSplitError, match="^empty corpus$"):
+            make_group_kfold([], k=5, seed=0)
+
+    def test_too_many_workers_rejected(self):
+        # every worker owns one video; the count is checked before any search
+        videos = [_video(f"v{i}", f"w{i}", TaskDomain.CARDBOARD,
+                         (Intent.CORRECT_RUN, Intent.MISTAKE_RUN)[i % 2])
+                  for i in range(25)]
+        with pytest.raises(InfeasibleSplitError,
+                           match="^25 workers exceed the subset-search bound 24$"):
+            make_group_kfold(videos, k=2, seed=0)
+
     def test_k_below_two_rejected(self):
         with pytest.raises(InfeasibleSplitError):
             make_group_kfold(paper_shaped_corpus(), k=1, seed=0)
