@@ -19,17 +19,25 @@ import numpy as np
 from .errors import FormatError, ValidationError
 
 
-def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
-                    meta: dict) -> None:
-    """Write a checkpoint that load_checkpoint reads. A tensor holding a
-    value that is not finite at float32 raises ValidationError naming the
-    path and the tensor before the file is opened."""
+def float32_tensors(path: str | Path, tensors: dict[str, np.ndarray]
+                    ) -> dict[str, np.ndarray]:
+    """The tensors as a checkpoint at ``path`` stores them, little-endian
+    float32. A tensor holding a value that is not finite at float32 raises
+    ValidationError naming the path and the tensor."""
     with np.errstate(over="ignore"):
         stored = {name: np.asarray(t, dtype="<f4") for name, t in tensors.items()}
     for name, t in stored.items():
         if not np.all(np.isfinite(t)):
             raise ValidationError(
                 f"{path}: tensor {name} has values not finite at float32")
+    return stored
+
+
+def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
+                    meta: dict) -> None:
+    """Write a checkpoint that load_checkpoint reads. The ``float32_tensors``
+    check runs before the file is opened."""
+    stored = float32_tensors(path, tensors)
     header = dict(meta)
     header["tensors"] = [
         {"name": name, "shape": list(t.shape)} for name, t in stored.items()
@@ -121,4 +129,5 @@ def check_layout(path: str | Path, kind: str, meta: dict,
                 f"{path}: tensor {name} has shape {shape}, not {dims}{named}")
 
 
-__all__ = ["save_checkpoint", "load_checkpoint", "check_layout"]
+__all__ = ["float32_tensors", "save_checkpoint", "load_checkpoint",
+           "check_layout"]

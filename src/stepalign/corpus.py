@@ -30,7 +30,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .checkpoint import check_layout, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    check_layout, float32_tensors, load_checkpoint, save_checkpoint,
+)
 from .data import (
     AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
     parse_text, parse_video, save_json, text_to_json, validate_video,
@@ -167,22 +169,26 @@ class Corpus:
     def save(self, path: str | Path) -> None:
         """Write the corpus in the layout above. A feature matrix that is
         not 2-d, is empty or holds a value not finite at float32 raises
-        ValidationError naming its file."""
+        ValidationError naming its file, and then no file is written."""
         root = Path(path)
-        save_corpus(root, list(self.texts.values()), self.videos)
         feat_dir = root / "features"
-        feat_dir.mkdir(parents=True, exist_ok=True)
         matrices = [(video.video_id, self.features[video.video_id])
                     for video in self.videos]
         matrices += [(f"steps_{task.value}", matrix)
                      for task, matrix in self.step_features.items()]
+        # every matrix is checked before the first file is written; the
+        # float32 copies are not kept, so only one is held at a time
         for name, matrix in matrices:
             file = feat_dir / f"{name}.fmtx"
             if matrix.ndim != 2 or 0 in matrix.shape:
                 raise ValidationError(
                     f"{file}: feature matrix must be 2-d and nonempty, "
                     f"got {matrix.shape}")
-            save_checkpoint(file, {"features": matrix},
+            float32_tensors(file, {"features": matrix})
+        save_corpus(root, list(self.texts.values()), self.videos)
+        feat_dir.mkdir(parents=True, exist_ok=True)
+        for name, matrix in matrices:
+            save_checkpoint(feat_dir / f"{name}.fmtx", {"features": matrix},
                             {"kind": "features", "video_id": name})
 
     @classmethod

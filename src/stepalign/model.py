@@ -3,10 +3,20 @@ selection against step texts, and the alignment losses with hand-derived
 gradients.
 
 The decoder computes S = softmax(Q' K^T / sqrt(d')) V' W_o with Q' = Q W_q,
-K = (X P_v) W_k, V' = (X P_v) W_v for video features X. Slots are matched
-to the task's step texts by droppable DTW over negative cosines (steps may
-not drop, slots may), and the matched slot of each step is trained to land
-on its annotated frames.
+K = (X P_v) W_k, V' = (X P_v) W_v for video features X. It evaluates
+them in slot space and never forms a key or a value per frame: with
+X' = X P_v it computes Q' W_k^T, then the logits (Q' W_k^T) X'^T / sqrt(d'),
+their softmax A, then A X', then ((A X') W_v) W_o. The backward runs the
+same order in reverse. For L frames, U queries and d = d', the forward
+costs L d'^2 + 2 U L d' multiply-adds and the backward L d'^2 + 4 U L d',
+where per-frame keys and values would cost 3 L d'^2 + 2 U L d' and
+5 L d'^2 + 4 U L d'; the few U d'^2 products the slot-space order adds
+do not grow with L. At d' = 64 and U = 32 that is about 20k against 45k
+multiply-adds per frame.
+
+Slots are matched to the task's step texts by droppable DTW over negative
+cosines (steps may not drop, slots may), and the matched slot of each
+step is trained to land on its annotated frames.
 
 The supervised loss per step is
     -log( sum_{j in segment} exp(cos(s_k, v_j) / gamma)
@@ -33,7 +43,8 @@ of its selected slots against its frames.
 
 Both losses and their gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracles used for
-finite-difference checks live in ``tests/test_model.py``.
+finite-difference checks live in ``tests/test_model.py``, and the
+key/value form of the forward and backward in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -128,13 +139,18 @@ class TrainConfig:
                 f"working_dim must be >= 1, got {self.working_dim}")
 
 
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; zero rows are rejected."""
-    m = np.asarray(m, dtype=np.float64)
+def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit norm, and the norms as a column; zero rows are
+    rejected."""
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValidationError("cannot l2-normalize a zero row")
-    return m / norms
+    return m / norms, norms
+
+
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero rows are rejected."""
+    return _unit_rows(np.asarray(m, dtype=np.float64))[0]
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,17 +187,17 @@ def forward_slots(params: ModelParams, video: np.ndarray
             f"video features must be L x {params.feature_dim}, got {video.shape}")
     xp = video @ params.proj_v
     qp = params.queries @ params.w_q
-    km = xp @ params.w_k
-    vm = xp @ params.w_v
+    qk = qp @ params.w_k.T
     scale = 1.0 / math.sqrt(params.working_dim)
-    z = (qp @ km.T) * scale
+    z = (qk @ xp.T) * scale
     attn = _softmax_rows(z)
-    ctx = attn @ vm
+    ax = attn @ xp
+    ctx = ax @ params.w_v
     slots = ctx @ params.w_o
     if not np.all(np.isfinite(slots)):
         raise NumericalError("slot matrix contains non-finite values")
-    cache = {"x": video, "xp": xp, "qp": qp, "km": km, "vm": vm,
-             "attn": attn, "ctx": ctx, "slots": slots, "scale": scale}
+    cache = {"x": video, "xp": xp, "qp": qp, "qk": qk, "attn": attn,
+             "ax": ax, "ctx": ctx, "slots": slots, "scale": scale}
     return slots, cache
 
 
@@ -322,14 +338,14 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         gt = v.gt_labels
         if config.w_sup > 0 and gt.any():
             steps = np.unique(gt[gt > 0])
-            v_hat = l2_normalize_rows(cache["xp"])
-            xp_norms = np.linalg.norm(cache["xp"], axis=1, keepdims=True)
+            v_hat, xp_norms = _unit_rows(cache["xp"])
             rows = [chosen[step - 1] for step in steps]
             u = cache["slots"][rows]
             u_norms = np.linalg.norm(u, axis=1, keepdims=True)
             u_hat = u / u_norms
-            # K' x L cosine logits, one row per annotated step
-            logits = (u_hat @ v_hat.T) / gamma
+            # K' x L cosines and logits, one row per annotated step
+            cos = u_hat @ v_hat.T
+            logits = cos / gamma
             positive = gt == steps[:, None]
             lse_all = _logsumexp(logits)
             lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
@@ -340,24 +356,26 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
             # a slot, so the slot gradients accumulate with add.at
             g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
             np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
-            d_xp_sup = _unit_rows_backward(g_cos.T @ u_hat, v_hat, xp_norms)
+            # the frame side's <d_hat, v_hat> per frame is sum_k g_cos cos
+            d_xp_sup = (g_cos.T @ u_hat
+                        - v_hat * np.sum(g_cos * cos, axis=0)[:, None]) / xp_norms
         np.add.at(d_slots, chosen, d_m[i] / len(chosen))
 
-        # backpropagate through the decoder
+        # backpropagate through the decoder, in slot space
+        xp, attn = cache["xp"], cache["attn"]
         d_ctx = d_slots @ params.w_o.T
         grads.w_o += cache["ctx"].T @ d_slots
-        d_attn = d_ctx @ cache["vm"].T
-        d_vm = cache["attn"].T @ d_ctx
-        attn = cache["attn"]
+        d_ax = d_ctx @ params.w_v.T
+        grads.w_v += cache["ax"].T @ d_ctx
+        d_attn = d_ax @ xp.T
         d_z = attn * (d_attn - np.sum(attn * d_attn, axis=1, keepdims=True))
         d_z *= cache["scale"]
-        d_qp = d_z @ cache["km"]
-        d_km = d_z.T @ cache["qp"]
+        d_qk = d_z @ xp
+        grads.w_k += d_qk.T @ cache["qp"]
+        d_qp = d_qk @ params.w_k
         grads.queries += d_qp @ params.w_q.T
         grads.w_q += params.queries.T @ d_qp
-        d_xp = d_km @ params.w_k.T + d_vm @ params.w_v.T + d_xp_sup
-        grads.w_k += cache["xp"].T @ d_km
-        grads.w_v += cache["xp"].T @ d_vm
+        d_xp = attn.T @ d_ax + d_z.T @ cache["qk"] + d_xp_sup
         grads.proj_v += cache["x"].T @ d_xp
 
     total_loss = global_loss

@@ -303,11 +303,12 @@ def _materialize(rng: np.random.Generator, cfg: SynthConfig,
     for event in events:
         emit_background()
         start = len(frames)
-        for _ in range(event.length):
-            frame = event.content.copy()
-            if cfg.noise_sigma > 0:
-                frame = frame + rng.normal(0.0, cfg.noise_sigma, cfg.dim)
-            frames.append(frame)
+        # one draw for the event: the same stream as one draw per frame
+        block = np.broadcast_to(event.content, (event.length, cfg.dim))
+        if cfg.noise_sigma > 0:
+            block = block + rng.normal(0.0, cfg.noise_sigma,
+                                       (event.length, cfg.dim))
+        frames.extend(block)
         description = None
         if event.mistake != MistakeLabel.CORRECT:
             near = event.step if event.step is not None else _nearest_step(segments)

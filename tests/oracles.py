@@ -18,6 +18,9 @@ that ``stepalign.optim.Adam`` runs over one flat buffer.
 ``classifier_loss_and_grads`` is the classifier epoch that allocates its
 activations and gradients afresh and masks the ReLU by boolean indexing;
 ``train_classifier_fold_per_tensor`` trains with it and ``DictAdam``.
+``forward_slots_kv`` and ``batch_loss_and_grads_kv`` are the decoder's
+forward and backward in key/value form, with a key and a value for every
+frame, that ``stepalign.model`` replaced with attention in slot space.
 ``evaluate_alignment_f1_per_video`` runs ``align_video`` once per
 validation video, and ``train_alignment_fold_per_tensor`` trains the
 decoder with it and ``DictAdam``. The two trainers are the reference the
@@ -27,6 +30,7 @@ allocation-free trainers must match bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,8 +47,10 @@ from stepalign.metrics import (
     Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
 )
 from stepalign.model import (
-    EpochLog, FoldTraining, FoldVideo, ModelParams, align_video,
+    EpochLog, FoldTraining, FoldVideo, ModelParams, TrainConfig,
+    _logsumexp, _softmax_rows, _unit_rows_backward, align_video,
     batch_loss_and_grads, compute_selections, cosine_matrix,
+    l2_normalize_rows,
 )
 
 # transition codes for the match table
@@ -376,3 +382,115 @@ def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
             best.best_epoch = epoch
             best.params = params.copy()
     return best
+
+
+def forward_slots_kv(params: ModelParams, video: np.ndarray
+                     ) -> tuple[np.ndarray, dict]:
+    """``forward_slots`` in its first form: every frame is projected to a
+    key and a value, and the cache holds both."""
+    video = np.asarray(video, dtype=np.float64)
+    if video.ndim != 2 or video.shape[1] != params.feature_dim:
+        raise ValidationError(
+            f"video features must be L x {params.feature_dim}, got {video.shape}")
+    xp = video @ params.proj_v
+    qp = params.queries @ params.w_q
+    km = xp @ params.w_k
+    vm = xp @ params.w_v
+    scale = 1.0 / math.sqrt(params.working_dim)
+    z = (qp @ km.T) * scale
+    attn = _softmax_rows(z)
+    ctx = attn @ vm
+    slots = ctx @ params.w_o
+    if not np.all(np.isfinite(slots)):
+        raise NumericalError("slot matrix contains non-finite values")
+    cache = {"x": video, "xp": xp, "qp": qp, "km": km, "vm": vm,
+             "attn": attn, "ctx": ctx, "slots": slots, "scale": scale}
+    return slots, cache
+
+
+def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
+                            selections: list[list[int]], caches: list[dict],
+                            config: TrainConfig) -> tuple[float, ModelParams]:
+    """``batch_loss_and_grads`` in its first form, over the caches of
+    ``forward_slots_kv``: the decoder backward runs through the per-frame
+    keys and values."""
+    grads = params.zeros_like()
+    gamma = config.gamma
+    n = len(batch)
+
+    # batch-contrastive loss over pooled slots m_i and pooled step texts t_i
+    d_m = np.zeros((n, params.working_dim))
+    global_loss = 0.0
+    if config.w_global > 0 and n >= 2:
+        mean_steps = np.stack([v.step_feats.mean(axis=0) for v in batch])
+        m_rows = np.stack([c["slots"][chosen].mean(axis=0)
+                           for c, chosen in zip(caches, selections)])
+        t_rows = mean_steps @ params.proj_t
+        m_norms = np.linalg.norm(m_rows, axis=1, keepdims=True)
+        t_norms = np.linalg.norm(t_rows, axis=1, keepdims=True)
+        a = m_rows / m_norms
+        b = t_rows / t_norms
+        logits = (a @ b.T) / gamma
+        row_lse = _logsumexp(logits)
+        col_lse = _logsumexp(logits.T)
+        per = float(np.sum(row_lse + col_lse - 2 * np.diag(logits)))
+        global_loss = config.w_global * per / (2 * n)
+        row_sm = np.exp(logits - row_lse[:, None])
+        col_sm = np.exp(logits - col_lse[None, :])
+        d_sim = config.w_global * (row_sm + col_sm - 2 * np.eye(n)) / (2 * n * gamma)
+        d_m = _unit_rows_backward(d_sim @ b, a, m_norms)
+        grads.proj_t += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
+
+    # supervised loss: mean over steps within a video, then over videos
+    n_sup = sum(1 for v in batch if v.gt_labels.any())
+    sup_losses = []
+    for i, (v, chosen, cache) in enumerate(zip(batch, selections, caches)):
+        d_slots = np.zeros_like(cache["slots"])
+        d_xp_sup = 0.0
+        gt = v.gt_labels
+        if config.w_sup > 0 and gt.any():
+            steps = np.unique(gt[gt > 0])
+            v_hat = l2_normalize_rows(cache["xp"])
+            xp_norms = np.linalg.norm(cache["xp"], axis=1, keepdims=True)
+            rows = [chosen[step - 1] for step in steps]
+            u = cache["slots"][rows]
+            u_norms = np.linalg.norm(u, axis=1, keepdims=True)
+            u_hat = u / u_norms
+            # K' x L cosine logits, one row per annotated step
+            logits = (u_hat @ v_hat.T) / gamma
+            positive = gt == steps[:, None]
+            lse_all = _logsumexp(logits)
+            lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
+            sup_losses.append(float(np.mean(lse_all - lse_pos)))
+            p = np.exp(logits - lse_all[:, None])
+            q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
+            # g_cos = dL/dcos with cos = u_hat v_hat^T; two steps may share
+            # a slot, so the slot gradients accumulate with add.at
+            g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
+            np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
+            d_xp_sup = _unit_rows_backward(g_cos.T @ u_hat, v_hat, xp_norms)
+        np.add.at(d_slots, chosen, d_m[i] / len(chosen))
+
+        # backpropagate through the decoder
+        d_ctx = d_slots @ params.w_o.T
+        grads.w_o += cache["ctx"].T @ d_slots
+        d_attn = d_ctx @ cache["vm"].T
+        d_vm = cache["attn"].T @ d_ctx
+        attn = cache["attn"]
+        d_z = attn * (d_attn - np.sum(attn * d_attn, axis=1, keepdims=True))
+        d_z *= cache["scale"]
+        d_qp = d_z @ cache["km"]
+        d_km = d_z.T @ cache["qp"]
+        grads.queries += d_qp @ params.w_q.T
+        grads.w_q += params.queries.T @ d_qp
+        d_xp = d_km @ params.w_k.T + d_vm @ params.w_v.T + d_xp_sup
+        grads.w_k += cache["xp"].T @ d_km
+        grads.w_v += cache["xp"].T @ d_vm
+        grads.proj_v += cache["x"].T @ d_xp
+
+    total_loss = global_loss
+    if sup_losses:
+        total_loss += config.w_sup * float(np.mean(sup_losses))
+    if not math.isfinite(total_loss):
+        raise NumericalError("non-finite training loss")
+    return total_loss, grads

@@ -10,7 +10,8 @@ import stepalign.corpus
 from stepalign.classifier import (
     ClassifierParams, ClassifierTrainConfig, _batch_loss_and_grads, _Workspace,
     _val_score, class_balanced_weights, classifier_rows, classify, detect_mistakes,
-    detect_on_segments, load_classifier, save_classifier, train_classifier_fold,
+    detect_on_segments, load_classifier, mean_pool, save_classifier,
+    train_classifier_fold,
 )
 from stepalign.data import CoarseLabel, FoldSpec, Segment
 from stepalign.checkpoint import save_checkpoint
@@ -412,3 +413,28 @@ def test_unusable_fold_rejected_before_training(monkeypatch, change, rule):
     monkeypatch.setattr(stepalign.classifier, "_batch_loss_and_grads", None)
     with pytest.raises(ValidationError, match=f"fold 0: .*{rule}"):
         train_classifier_fold(corpus, change(fold), config)
+
+
+class TestMeanPool:
+    def test_single_row_identity(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(mean_pool(m, Segment(1, 2)), m[1])
+
+    def test_symmetric_pair(self):
+        m = np.array([[1.0, 1.0], [3.0, 3.0]])
+        np.testing.assert_array_equal(mean_pool(m, Segment(0, 2)), [2.0, 2.0])
+
+    def test_matches_summation_oracle(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(5, 3))
+        seg = Segment(1, 4)
+        # oracle: explicit accumulation loop
+        acc = np.zeros(3)
+        for row in range(seg.start, seg.end):
+            acc += m[row]
+        expected = acc / seg.length
+        np.testing.assert_allclose(mean_pool(m, seg), expected, atol=1e-12)
+
+    def test_out_of_bounds_rejected(self):
+        with pytest.raises(ValidationError):
+            mean_pool(np.ones((3, 2)), Segment(2, 5))

@@ -18,7 +18,8 @@ from stepalign.model import (
 )
 from stepalign.synth import SynthConfig, synth_corpus
 from oracles import (
-    brute_force_align, select_slots_per_video, train_alignment_fold_per_tensor,
+    batch_loss_and_grads_kv, brute_force_align, cosine, forward_slots_kv,
+    select_slots_per_video, train_alignment_fold_per_tensor,
 )
 
 
@@ -120,6 +121,36 @@ def batch_loss(params, batch, selections, config):
     if config.w_global > 0 and len(batch) >= 2:
         loss += config.w_global * loss_global(pooled, config.gamma)
     return loss
+
+
+class TestCosine:
+    def test_self_similarity(self):
+        u = np.array([0.3, -2.0, 1.5])
+        assert cosine(u, u) == pytest.approx(1.0)
+
+    def test_orthogonal(self):
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+
+    def test_antipodal(self):
+        assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValidationError, match="zero vector"):
+            cosine(np.zeros(3), np.ones(3))
+
+    def test_matrix_matches_pairwise(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        got = cosine_matrix(a, b)
+        for i in range(3):
+            for j in range(5):
+                assert got[i, j] == pytest.approx(cosine(a[i], b[j]), abs=1e-12)
+
+    def test_normalize_rows(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(4, 6))
+        norms = np.linalg.norm(l2_normalize_rows(m), axis=1)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 class TestForwardSlots:
@@ -361,6 +392,65 @@ def _grad_check(config, seed, selections=None, edit_batch=None):
             if err > 1e-8:  # absolute floor for dead entries
                 worst = max(worst, err / denom if denom else math.inf)
     return worst
+
+
+class TestSlotSpaceAttention:
+    """The decoder against its key/value form at the paper's widths
+    (d = d' = 64, U = 32) on six videos of about 1340 frames."""
+
+    @staticmethod
+    def _long_batch():
+        rng = np.random.default_rng(21)
+        params = ModelParams.init(rng, feature_dim=64, working_dim=64,
+                                  num_queries=32)
+        params.flat += 0.1 * rng.normal(size=params.flat.shape)
+        batch = []
+        for b in range(6):
+            length, k = int(rng.integers(1300, 1381)), 12
+            gt = np.zeros(length, dtype=int)
+            edges = np.linspace(0, length, k + 1).astype(int)
+            for step in range(1, k + 1):
+                if (b, step) != (1, 5):      # one step without frames
+                    gt[edges[step - 1] + 4:edges[step] - 4] = step
+            batch.append(FoldVideo(video_id=f"v{b}",
+                                   frames=rng.normal(size=(length, 64)),
+                                   step_feats=rng.normal(size=(k, 64)),
+                                   gt_labels=gt))
+        return params, batch
+
+    def test_matches_key_value_oracle(self):
+        params, batch = self._long_batch()
+        config = TrainConfig()
+        selections, caches = compute_selections(params, batch, config)
+        kv_caches = [forward_slots_kv(params, stepalign.model._decoder_input(
+            v.frames, config.normalize_features))[1] for v in batch]
+        kv_selections = select_slots(
+            [c["slots"] for c in kv_caches],
+            stepalign.model._text_input(params, [v.step_feats for v in batch]),
+            config.drop_pct)
+        assert selections == kv_selections
+
+        def assert_close(got, expected, name):
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale, name
+
+        for cache, kv in zip(caches, kv_caches):
+            assert_close(cache["slots"], kv["slots"], "slots")
+        loss, grads = batch_loss_and_grads(params, batch, selections, caches,
+                                           config)
+        kv_loss, kv_grads = batch_loss_and_grads_kv(
+            params, batch, selections, kv_caches, config)
+        assert abs(loss - kv_loss) <= 1e-12 * abs(kv_loss)
+        for name, grad in grads.as_dict().items():
+            assert_close(grad, getattr(kv_grads, name), name)
+
+    def test_cache_holds_no_per_frame_keys_or_values(self):
+        params, batch = self._long_batch()
+        _, cache = forward_slots(params, batch[0].frames)
+        length = batch[0].frames.shape[0]
+        per_frame = {name for name, value in cache.items()
+                     if length in np.shape(value)}
+        assert per_frame == {"x", "xp", "attn"}
 
 
 class TestGradients:

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from stepalign.data import Intent, MistakeLabel, validate_video
+from stepalign.data import Intent, MistakeLabel, validate_video, video_to_json
 from stepalign.errors import ValidationError
 from stepalign.synth import SynthConfig, synth_corpus
 
@@ -47,6 +50,17 @@ class TestSynthBasics:
             np.testing.assert_array_equal(
                 a.corpus.features[vid], b.corpus.features[vid])
         assert a.logs == b.logs
+
+    def test_bytes_pinned(self):
+        # any change to the random stream or to how frames are built moves
+        # this digest of every annotation and feature matrix
+        corpus = synth_corpus(small_config()).corpus
+        digest = hashlib.sha256()
+        for video in corpus.videos:
+            digest.update(json.dumps(video_to_json(video), sort_keys=True).encode())
+            digest.update(corpus.features[video.video_id].tobytes())
+        assert digest.hexdigest() == (
+            "1f72dd988690290584ecffde13b975d9d0f61e3b6fc5fc3bcbd880efc57ba9f4")
 
     def test_different_seed_differs(self):
         a = synth_corpus(small_config(seed=1))
