@@ -1,5 +1,5 @@
-"""Feature matrices: their files in a corpus directory (corpus.py) and the
-vector helpers that read them (classifier.mean_pool, model.cosine_matrix)."""
+"""Feature files in a corpus directory, written by Corpus.save and read by
+read_features (corpus.py)."""
 
 import struct
 
@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 
 from stepalign.checkpoint import save_checkpoint
-from stepalign.classifier import mean_pool
 from stepalign.corpus import Corpus, read_features
-from stepalign.data import (
-    AnnotatedVideo, Intent, ProceduralText, Segment, TaskDomain,
-)
+from stepalign.data import AnnotatedVideo, Intent, ProceduralText, TaskDomain
 from stepalign.errors import FormatError, ValidationError
-from stepalign.model import cosine_matrix, l2_normalize_rows
 
-from oracles import cosine
 from test_checkpoint import _pack
 
 
@@ -110,58 +105,3 @@ class TestFeatureIO:
         save_checkpoint(path, tensors, meta)
         with pytest.raises(FormatError, match=rf"v\.fmtx: {rule}"):
             read_features(path, 2, 3)
-
-
-class TestMeanPool:
-    def test_single_row_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(mean_pool(m, Segment(1, 2)), m[1])
-
-    def test_symmetric_pair(self):
-        m = np.array([[1.0, 1.0], [3.0, 3.0]])
-        np.testing.assert_array_equal(mean_pool(m, Segment(0, 2)), [2.0, 2.0])
-
-    def test_matches_summation_oracle(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(5, 3))
-        seg = Segment(1, 4)
-        # oracle: explicit accumulation loop
-        acc = np.zeros(3)
-        for row in range(seg.start, seg.end):
-            acc += m[row]
-        expected = acc / seg.length
-        np.testing.assert_allclose(mean_pool(m, seg), expected, atol=1e-12)
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValidationError):
-            mean_pool(np.ones((3, 2)), Segment(2, 5))
-
-
-class TestCosine:
-    def test_self_similarity(self):
-        u = np.array([0.3, -2.0, 1.5])
-        assert cosine(u, u) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_antipodal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValidationError, match="zero vector"):
-            cosine(np.zeros(3), np.ones(3))
-
-    def test_matrix_matches_pairwise(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
-        got = cosine_matrix(a, b)
-        for i in range(3):
-            for j in range(5):
-                assert got[i, j] == pytest.approx(cosine(a[i], b[j]), abs=1e-12)
-
-    def test_normalize_rows(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(4, 6))
-        norms = np.linalg.norm(l2_normalize_rows(m), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
