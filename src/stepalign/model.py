@@ -127,6 +127,10 @@ class TrainConfig:
                 f"learning_rate must be positive, got {self.learning_rate}")
         if not self.gamma > 0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        for name, weight in (("w_sup", self.w_sup), ("w_global", self.w_global)):
+            if not 0 <= weight < math.inf:
+                raise ValidationError(
+                    f"{name} must be nonnegative and finite, got {weight}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.batch_size < 2 and self.w_global > 0:

@@ -5,11 +5,20 @@ and one mistake-run video per task, and the evaluation half of a fold
 (val plus test) is a union of whole worker groups so that no worker's
 videos appear on both sides of the train/eval boundary. Val and test may
 share a worker only when the corpus leaves no alternative.
+
+One search, `_exact_groups`, finds both kinds of worker group. Over all
+workers it finds the eval sets, which hold exactly two videos of each
+(task, intent); over an eval set's workers it finds the val/test sides,
+which hold exactly one. A side is taken in the orientation that holds the
+eval set's first worker, the rest of the eval set is the other side, and
+the seed picks the side and which half is val. The seeded permutation of
+the eval sets indexes them in the search's include-first depth-first
+order, so that order is part of every fold.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -19,52 +28,31 @@ from .errors import InfeasibleSplitError
 _MAX_WORKERS_FOR_SEARCH = 24
 
 
-def _eval_subsets(worker_counts: dict[str, dict[tuple[TaskDomain, Intent], int]],
-                  keys: list[tuple[TaskDomain, Intent]]) -> list[tuple[str, ...]]:
-    """All worker subsets whose video counts sum to exactly 2 per (task, intent)."""
-    workers = sorted(worker_counts)
-    target = {key: 2 for key in keys}
+def _exact_groups(workers: tuple[str, ...], worker_videos: dict[str, dict],
+                  keys: list[tuple[TaskDomain, Intent]],
+                  per_key: int) -> list[tuple[str, ...]]:
+    """Every subset of workers holding exactly per_key videos of each
+    (task, intent), in include-first depth-first order over workers."""
     found: list[tuple[str, ...]] = []
 
-    def extend(idx: int, chosen: list[str], acc: dict) -> None:
-        if all(acc.get(k, 0) == 2 for k in keys):
+    def extend(idx: int, chosen: list[str], counts: dict) -> None:
+        if all(counts[key] == per_key for key in keys):
             found.append(tuple(chosen))
             # a proper superset would overshoot some count, so stop here
             return
         if idx == len(workers):
             return
         worker = workers[idx]
-        counts = worker_counts[worker]
-        if all(acc.get(k, 0) + counts.get(k, 0) <= target[k] for k in keys):
+        grown = {key: counts[key] + len(worker_videos[worker].get(key, ()))
+                 for key in keys}
+        if all(grown[key] <= per_key for key in keys):
             chosen.append(worker)
-            extend(idx + 1, chosen,
-                   {k: acc.get(k, 0) + counts.get(k, 0)
-                    for k in set(acc) | set(counts)})
+            extend(idx + 1, chosen, grown)
             chosen.pop()
-        extend(idx + 1, chosen, acc)
+        extend(idx + 1, chosen, counts)
 
-    extend(0, [], {})
+    extend(0, [], dict.fromkeys(keys, 0))
     return found
-
-
-def _balanced_bipartitions(subset: tuple[str, ...],
-                           worker_counts: dict,
-                           keys: list) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Splits of an eval subset into two worker groups with exactly one
-    video per (task, intent) each."""
-    out = []
-    n = len(subset)
-    for bits in range(1, 2 ** n - 1):
-        side_a = tuple(subset[i] for i in range(n) if bits & (1 << i))
-        acc: dict = defaultdict(int)
-        for w in side_a:
-            for k, c in worker_counts[w].items():
-                acc[k] += c
-        if all(acc.get(k, 0) == 1 for k in keys):
-            side_b = tuple(w for w in subset if w not in side_a)
-            if side_a < side_b:  # canonical orientation, rng flips later
-                out.append((side_a, side_b))
-    return out
 
 
 def make_group_kfold(videos: list[AnnotatedVideo], k: int, seed: int) -> list[FoldSpec]:
@@ -81,35 +69,26 @@ def make_group_kfold(videos: list[AnnotatedVideo], k: int, seed: int) -> list[Fo
     tasks = sorted({v.task for v in videos}, key=lambda t: t.value)
     keys = [(t, i) for t in tasks for i in (Intent.CORRECT_RUN, Intent.MISTAKE_RUN)]
 
-    per_key: dict[tuple[TaskDomain, Intent], list[str]] = defaultdict(list)
-    for v in videos:
-        per_key[(v.task, v.intent)].append(v.video_id)
+    have = Counter((v.task, v.intent) for v in videos)
     for task, intent in keys:
-        have = len(per_key[(task, intent)])
-        if have < k:
+        if have[(task, intent)] < k:
             raise InfeasibleSplitError(
-                f"task {task.value} has {have} {intent.value} videos, "
-                f"need at least {k}")
+                f"task {task.value} has {have[(task, intent)]} {intent.value} "
+                f"videos, need at least {k}")
 
-    workers = sorted({v.worker_id for v in videos})
+    workers = tuple(sorted({v.worker_id for v in videos}))
     if len(workers) > _MAX_WORKERS_FOR_SEARCH:
         raise InfeasibleSplitError(
             f"{len(workers)} workers exceed the subset-search bound "
             f"{_MAX_WORKERS_FOR_SEARCH}")
-    worker_counts: dict[str, dict] = {w: defaultdict(int) for w in workers}
     worker_videos: dict[str, dict] = {w: defaultdict(list) for w in workers}
-    for v in videos:
-        worker_counts[v.worker_id][(v.task, v.intent)] += 1
+    for v in sorted(videos, key=lambda v: v.video_id):
         worker_videos[v.worker_id][(v.task, v.intent)].append(v.video_id)
-    for w in workers:
-        for key in worker_videos[w]:
-            worker_videos[w][key].sort()
 
     all_ids = sorted(v.video_id for v in videos)
-    subsets = [
-        s for s in _eval_subsets(worker_counts, keys)
-        if sum(sum(worker_counts[w].values()) for w in s) < len(all_ids)
-    ]
+    # every eval set holds 2 videos per key; it must leave some to train on
+    subsets = (_exact_groups(workers, worker_videos, keys, 2)
+               if 2 * len(keys) < len(all_ids) else [])
     if not subsets:
         raise InfeasibleSplitError(
             "no union of whole worker groups yields exactly one correct and "
@@ -121,11 +100,17 @@ def make_group_kfold(videos: list[AnnotatedVideo], k: int, seed: int) -> list[Fo
     for fold_id in range(k):
         subset = subsets[order[fold_id % len(subsets)]]
         reuse_round = fold_id // len(subsets)
-        bipartitions = _balanced_bipartitions(subset, worker_counts, keys)
+        # each side holding the eval set's first worker, in the order of
+        # its bitmask over the eval set, which the seeded pick indexes
+        sides = sorted(
+            (side for side in _exact_groups(subset, worker_videos, keys, 1)
+             if side[0] == subset[0]),
+            key=lambda side: sum(1 << subset.index(w) for w in side))
         val_ids: list[str] = []
         test_ids: list[str] = []
-        if bipartitions:
-            side_a, side_b = bipartitions[int(rng.integers(len(bipartitions)))]
+        if sides:
+            side_a = sides[int(rng.integers(len(sides)))]
+            side_b = tuple(w for w in subset if w not in side_a)
             flip = bool(rng.integers(2)) ^ bool(reuse_round % 2)
             val_side, test_side = (side_b, side_a) if flip else (side_a, side_b)
             for w in val_side:

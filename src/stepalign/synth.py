@@ -95,6 +95,9 @@ class SynthConfig:
                 raise ValidationError(f"{name} must be in [0, 1]")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
+        if not np.isfinite(self.noise_sigma):
+            raise ValidationError(
+                f"noise_sigma must be finite, got {self.noise_sigma}")
         if len(self.exec_kind_weights) != 6 or min(self.exec_kind_weights) < 0 \
                 or sum(self.exec_kind_weights) <= 0:
             raise ValidationError("exec_kind_weights must be 6 nonnegative weights")

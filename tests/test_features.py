@@ -1,85 +1,17 @@
-"""Feature files in a corpus directory, written by Corpus.save and read by
-read_features (corpus.py)."""
-
-import struct
+"""Malformed feature files in a corpus directory, read by read_features
+(corpus.py)."""
 
 import numpy as np
 import pytest
 
 from stepalign.checkpoint import save_checkpoint
-from stepalign.corpus import Corpus, read_features
-from stepalign.data import AnnotatedVideo, Intent, ProceduralText, TaskDomain
-from stepalign.errors import FormatError, ValidationError
+from stepalign.corpus import read_features
+from stepalign.errors import FormatError
 
-from test_checkpoint import _pack
-
-
-_META = {"kind": "features", "video_id": "v"}
-
-
-def _one_video_corpus(matrix):
-    """A corpus whose one video, ``v``, has the given feature matrix."""
-    text = ProceduralText(TaskDomain.CARDBOARD, ("fold the flaps",))
-    video = AnnotatedVideo(video_id="v", worker_id="w", task=text.task,
-                           intent=Intent.CORRECT_RUN, num_frames=len(matrix),
-                           segments=())
-    return Corpus(texts={text.task: text}, videos=[video],
-                  features={"v": matrix},
-                  step_features={text.task: np.ones((1, matrix.shape[1]))})
+from test_corpus import _META
 
 
 class TestFeatureIO:
-    def test_round_trip_float32_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        m = rng.normal(size=(7, 5)).astype(np.float32).astype(np.float64)
-        _one_video_corpus(m).save(tmp_path)
-        loaded = read_features(tmp_path / "features" / "v.fmtx", 7, "dim")
-        assert loaded.dtype == np.float64
-        np.testing.assert_array_equal(loaded, m)
-
-    def test_bytes_follow_the_checkpoint_layout(self, tmp_path):
-        m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -4.0]])
-        _one_video_corpus(m).save(tmp_path)
-        header = (b'{"kind":"features","tensors":[{"name":"features",'
-                  b'"shape":[2,3]}],"video_id":"v"}')
-        payload = struct.pack("<6f", 1.0, -2.0, 0.5, 3.0, 0.25, -4.0)
-        assert (tmp_path / "features" / "v.fmtx").read_bytes() == \
-            struct.pack("<I", len(header)) + header + payload
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "v.fmtx"
-        save_checkpoint(path, {"features": np.ones((4, 4))}, _META)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(FormatError, match=r"v\.fmtx: truncated tensor features$"):
-            read_features(path, 4, 4)
-
-    def test_overwritten_header_length(self, tmp_path):
-        path = tmp_path / "v.fmtx"
-        save_checkpoint(path, {"features": np.ones((2, 2))}, _META)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError,
-                           match=r"v\.fmtx: truncated checkpoint header$"):
-            read_features(path, 2, 2)
-
-    def test_non_finite_payload(self, tmp_path):
-        # save_checkpoint writes no non-finite value, so the file is hand-made
-        path = tmp_path / "v.fmtx"
-        header = {**_META, "tensors": [{"name": "features", "shape": [1, 2]}]}
-        path.write_bytes(_pack(header, np.array([1.0, np.nan], "<f4").tobytes()))
-        with pytest.raises(FormatError,
-                           match=r"v\.fmtx: tensor features has non-finite"):
-            read_features(path, 1, 2)
-
-    def test_write_rejects_nan(self, tmp_path):
-        with pytest.raises(ValidationError,
-                           match=r"v\.fmtx: tensor features has values not "
-                                 r"finite at float32$"):
-            _one_video_corpus(np.array([[np.nan]])).save(tmp_path)
-        assert not (tmp_path / "features" / "v.fmtx").exists()
-
     @pytest.mark.parametrize("tensors, meta, rule", [
         ({"features": np.ones((2, 3))}, {**_META, "kind": "classifier"},
          r"checkpoint kind 'classifier', not 'features'"),

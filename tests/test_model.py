@@ -720,7 +720,9 @@ class TestTrainAlignmentFold:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
-        ("learning_rate", math.nan),
+        ("learning_rate", math.nan), ("w_sup", -1.0), ("w_sup", math.nan),
+        ("w_sup", math.inf), ("w_global", -1.0), ("w_global", math.nan),
+        ("w_global", math.inf),
     ])
     def test_bad_config_rejected_before_training(self, monkeypatch, field,
                                                  value):
@@ -734,11 +736,15 @@ class TestTrainAlignmentFold:
         ({"working_dim": 0}, "working_dim"),
         ({"gamma": math.nan}, "gamma"),
         ({"gamma": 0.0}, "gamma"),
-    ], ids=["batch-size-0", "working-dim-0", "gamma-nan", "gamma-0"])
+        ({"w_global": math.nan, "batch_size": 1}, "w_global"),
+        ({"w_global": math.inf, "batch_size": 1}, "w_global"),
+    ], ids=["batch-size-0", "working-dim-0", "gamma-nan", "gamma-0",
+            "w-global-nan-batch-size-1", "w-global-inf-batch-size-1"])
     def test_config_failing_later_rejected_before_training(
             self, monkeypatch, changes, field):
         # each of these used to pass validate() and fail in training with
-        # a ValueError, a ZeroDivisionError or a NumericalError
+        # a ValueError, a ZeroDivisionError or a NumericalError, or switch
+        # a loss off; a bad weight is named before the batch-size rule
         corpus, fold, config = _tiny_fold()
         monkeypatch.setattr(stepalign.model, "forward_slots", None)
         value = changes[field]

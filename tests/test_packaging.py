@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -44,3 +45,24 @@ def test_every_module_has_tests_and_a_readme_line():
     for path in (root / "tests").glob("*.py"):
         if path.name not in exempt:
             assert path.stem.removeprefix("test_") in modules, path.name
+
+
+def test_every_private_top_level_name_is_used_in_its_module():
+    root = Path(__file__).resolve().parents[1] / "src" / "stepalign"
+    paths = sorted(root.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined.update(n.id for n in ast.walk(node)
+                               if isinstance(n, ast.Name)
+                               and isinstance(n.ctx, ast.Store))
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        dead = sorted(name for name in defined - loaded
+                      if name.startswith("_") and not name.endswith("__"))
+        assert not dead, f"{path.name}: {dead}"

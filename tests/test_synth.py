@@ -81,13 +81,16 @@ class TestSynthBasics:
     ({"p_swap": 1.5}, r"p_swap must be in \[0, 1\]$"),
     ({"p_exec_mistake": -0.1}, r"p_exec_mistake must be in \[0, 1\]$"),
     ({"noise_sigma": -0.1}, "noise_sigma must be >= 0$"),
+    ({"noise_sigma": float("inf")}, "noise_sigma must be finite, got inf$"),
+    ({"noise_sigma": float("nan")}, "noise_sigma must be finite, got nan$"),
     ({"exec_kind_weights": (1.0,) * 5}, "exec_kind_weights must be 6 "),
     ({"exec_kind_weights": (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)},
      "exec_kind_weights must be 6 "),
     ({"exec_kind_weights": (0.0,) * 6}, "exec_kind_weights must be 6 "),
 ], ids=["no-tasks", "too-many-tasks", "no-videos", "no-workers", "no-steps",
         "narrow-dim", "zero-frames", "reversed-gap", "negative-gap",
-        "p-above-1", "p-below-0", "negative-noise", "five-weights",
+        "p-above-1", "p-below-0", "negative-noise", "infinite-noise",
+        "nan-noise", "five-weights",
         "negative-weight", "zero-weights"])
 def test_invalid_config_rejected_before_generation(changes, rule):
     with pytest.raises(ValidationError, match=rule):
