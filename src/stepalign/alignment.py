@@ -3,9 +3,9 @@
 The alignment space: every slot (row) is matched and any subset of items
 (columns) may be dropped. The kept items are visited by a monotone
 staircase that starts on the first slot and ends on the last one, using
-diagonal, right, and down moves; every visited cell is a match and every
-dropped item pays the drop cost. With drops priced out of reach the space
-reduces exactly to classic DTW.
+diagonal and right moves, so each row owns items that no other row
+visits and a matrix needs at least as many columns as rows; every
+visited cell is a match and every dropped item pays the drop cost.
 
 One kernel serves a stack of cost matrices of one shape, each with its
 own drop cost; ``drop_dtw`` is its one-matrix case and
@@ -22,14 +22,13 @@ within a row the path visits every kept item between the cell where it
 enters the row and the cell where it leaves.
 
 Ties are resolved deterministically: matching is preferred over dropping,
-and transition sources are tried diagonal, then row, then column, then
-fresh start. The scan sums in another order than a cell-by-cell
-evaluation, so values within a rounding bound of each other count as
-tied; exact ties therefore resolve as they would cell by cell. The bound
-scales with each matrix's own values, so a matrix's path does not depend
-on the other matrices in its stack. That cell-by-cell loop and an
-exhaustive enumeration of the same space are the test oracles in
-``tests/oracles.py``.
+and transition sources are tried diagonal, then row, then fresh start.
+The scan sums in another order than a cell-by-cell evaluation, so values
+within a rounding bound of each other count as tied; exact ties
+therefore resolve as they would cell by cell. The bound scales with each
+matrix's own values, so a matrix's path does not depend on the other
+matrices in its stack. That cell-by-cell loop and an exhaustive
+enumeration of the same space are the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,6 +66,9 @@ def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:
     if cost.ndim != ndim or 0 in cost.shape:
         raise ValidationError(
             f"cost matrix must be {ndim}-d and nonempty, got {cost.shape}")
+    if cost.shape[-2] > cost.shape[-1]:
+        raise ValidationError(f"cost matrix has {cost.shape[-2]} rows but "
+                              f"only {cost.shape[-1]} columns")
     if not np.all(np.isfinite(cost)):
         raise ValidationError("cost matrix contains non-finite entries")
     return cost
@@ -81,8 +83,8 @@ def _scan_rows(cost: np.ndarray, di: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     # M[i, j]: best alignment prefix whose last visited cell is (i, j).
     # RD[i, j]: M[i, j'] for some j' <= j plus drops for items j'+1..j.
-    # ext[j] is the cheaper way into (i, j) from the row above, or the
-    # fresh start after j drops on row 0. Then
+    # ext[j] is RD[i-1, j-1], the way in from the row above (infinite for
+    # j < i), or on row 0 the fresh start after j drops. Then
     #   M[j] = c[j] + min(ext[j], RD[j-1]),  RD[j] = min(M[j], RD[j-1] + di)
     # unrolls to the prefix scan RD = W + cummin(c + ext - W) with
     # W = cumsum(min(c, di)).
@@ -91,32 +93,27 @@ def _scan_rows(cost: np.ndarray, di: np.ndarray) -> tuple[np.ndarray, np.ndarray
     padded = np.empty((n, b, m + 1))
     padded[..., 0] = _INF
     RD, rd_left = padded[..., 1:], padded[..., :-1]   # rd_left[..., j] = RD[..., j-1]
-    start = np.arange(m) * di
-    ext, above = start, None
+    ext = start = np.arange(m) * di
     for c_row, w_row, cw_row, rd_row, left_row, m_row in zip(
             cost, W, cost - W, RD, rd_left, M):
-        if above is not None:
-            ext = np.minimum(*above)
         np.add(w_row, np.minimum.accumulate(ext + cw_row, axis=1), out=rd_row)
         np.add(c_row, np.minimum(ext, left_row), out=m_row)
-        above = m_row, left_row
+        ext = left_row
 
     # Decisions for every cell at once. The scan sums in another order
     # than a cell-by-cell evaluation, so values that one makes exactly
     # equal can differ here in the last bits (by at most a tenth of
     # ``tol`` on negative-cosine costs up to 12x1340); values within
-    # ``tol`` count as tied. ``tol`` scales with each matrix's own values,
-    # so no matrix's path depends on the others in its stack. Ties keep
-    # the earlier source: diagonal, then row, then column; on row 0 the
-    # row before a fresh start; matching an item before dropping it.
-    scale = np.maximum(np.abs(W).max(axis=(0, 2)), np.abs(M).max(axis=(0, 2)))
+    # ``tol`` count as tied. ``tol`` scales with each matrix's own values
+    # over its finite cells, so no matrix's path depends on the others in
+    # its stack. Ties keep the earlier source: diagonal before row; on row
+    # 0 the row before a fresh start; matching an item before dropping it.
+    finite_m = np.where(np.isfinite(M), np.abs(M), 0.0)
+    scale = np.maximum(np.abs(W).max(axis=(0, 2)), finite_m.max(axis=(0, 2)))
     tol = ((n + m) * _EPS * scale)[:, None]
-    diag, row, col = rd_left[:-1], rd_left[1:], M[:-1]      # into rows 1..n-1
-    near_best = np.minimum(np.minimum(diag, row), col) + tol
-    diag_move = diag <= near_best
     row_move = np.empty((n, b, m), dtype=bool)
     row_move[0] = start >= rd_left[0] - tol
-    row_move[1:] = (row <= near_best) & ~diag_move
+    row_move[1:] = rd_left[:-1] > rd_left[1:] + tol     # diagonal > row
     dropped = rd_left + di < M - tol
 
     # Backtrace, one row at a time for each matrix. The path leaves row i
@@ -135,7 +132,7 @@ def _scan_rows(cost: np.ndarray, di: np.ndarray) -> tuple[np.ndarray, np.ndarray
             if row_move[i, k, j]:
                 j = int(last_entry[i, k, j - 1])
             enter[i, k] = j
-            if i and diag_move[i - 1, k, j]:
+            if i:
                 j = int(last_kept[i - 1, k, j - 1])
 
     visited = ~dropped & (items >= enter[..., None]) & (items < leave[..., None])
@@ -147,11 +144,12 @@ def drop_dtw(cost: np.ndarray, drop_item_cost: float
              ) -> tuple[np.ndarray, float]:
     """Minimum-cost monotone alignment with droppable items.
 
-    Every slot must be matched; every dropped item costs
-    ``drop_item_cost``. The drop cost must be finite: price drops out with
-    a large finite value rather than an infinity sentinel. Returns the
-    n x m mask of the cells the path visits, whose unvisited columns are
-    the dropped items, and the total cost.
+    Every slot must be matched to items of its own (so the matrix has no
+    more rows than columns); every dropped item costs ``drop_item_cost``.
+    The drop cost must be finite: price drops out with a large finite
+    value rather than an infinity sentinel. Returns the n x m mask of the
+    cells the path visits, whose unvisited columns are the dropped items,
+    and the total cost.
     """
     cost = _check_cost(cost)
     if not math.isfinite(drop_item_cost):

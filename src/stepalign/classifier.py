@@ -156,6 +156,8 @@ class ClassifierTrainConfig:
         if not self.learning_rate > 0:
             raise ValidationError(
                 f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValidationError(f"beta must be in [0, 1), got {self.beta}")
 
 
 @dataclass

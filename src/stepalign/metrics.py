@@ -34,25 +34,22 @@ class Detection:
 GroundTruthInstance = tuple[int | None, Segment, CoarseLabel]
 
 
-def rasterize(segments: list[tuple[int, Segment]], num_frames: int,
-              ground_truth: bool = False) -> np.ndarray:
+def rasterize(segments: list[tuple[int, Segment]], num_frames: int) -> np.ndarray:
     """Per-frame step labels; 0 is background.
 
-    Ground-truth segments may not overlap. Predicted segments may; they are
-    painted in ascending step order so the higher step wins on overlap.
+    Segments may not overlap, annotated or predicted: an alignment gives
+    each step frames of its own. A step may have several segments.
     """
     labels = np.zeros(num_frames, dtype=np.int64)
-    ordered = sorted(segments, key=lambda item: item[0])
-    for step, seg in ordered:
+    for step, seg in segments:
         if step <= 0:
             raise ValidationError(f"step index must be positive, got {step}")
         if seg.end > num_frames:
             raise ValidationError(
                 f"segment [{seg.start}, {seg.end}) exceeds num_frames {num_frames}")
         window = labels[seg.start:seg.end]
-        if ground_truth and np.any(window != BACKGROUND):
-            raise ValidationError(
-                f"ground-truth segments overlap at step {step}")
+        if np.any(window != BACKGROUND):
+            raise ValidationError(f"segments overlap at step {step}")
         window[:] = step
     return labels
 
@@ -60,7 +57,7 @@ def rasterize(segments: list[tuple[int, Segment]], num_frames: int,
 def gt_frame_labels(video: AnnotatedVideo) -> np.ndarray:
     """Rasterized ground truth; undefined-step segments stay background."""
     segs = [(s.step, s.segment) for s in video.segments if s.step is not None]
-    return rasterize(segs, video.num_frames, ground_truth=True)
+    return rasterize(segs, video.num_frames)
 
 
 def frame_metrics(pred: np.ndarray, gt: np.ndarray) -> dict[str, float]:

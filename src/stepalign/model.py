@@ -15,8 +15,8 @@ do not grow with L. At d' = 64 and U = 32 that is about 20k against 45k
 multiply-adds per frame.
 
 Slots are matched to the task's step texts by droppable DTW over negative
-cosines (steps may not drop, slots may), and the matched slot of each
-step is trained to land on its annotated frames.
+cosines (steps may not drop, slots may, and no two steps share one), and
+the matched slot of each step is trained to land on its annotated frames.
 
 The supervised loss per step is
     -log( sum_{j in segment} exp(cos(s_k, v_j) / gamma)
@@ -215,14 +215,10 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
     video's percentile cost. Videos with equal step and slot counts are
     aligned as one stack. When a step's alignment run covers several
     slots, the cheapest one represents it (ties go to the lower slot
-    index). Returns each video's K_b selected slot indices in step order.
+    index). Returns each video's K_b distinct slot indices in step order.
     """
-    costs = []
-    for video_slots, steps in zip(slots, step_feats):
-        if steps.shape[0] > video_slots.shape[0]:
-            raise ValidationError(
-                f"{steps.shape[0]} steps but only {video_slots.shape[0]} slots")
-        costs.append(-cosine_matrix(steps, video_slots))
+    costs = [-cosine_matrix(steps, video_slots)
+             for video_slots, steps in zip(slots, step_feats)]
     groups: dict[tuple[int, ...], list[int]] = {}
     for b, cost in enumerate(costs):
         groups.setdefault(cost.shape, []).append(b)
@@ -356,8 +352,8 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
             sup_losses.append(float(np.mean(lse_all - lse_pos)))
             p = np.exp(logits - lse_all[:, None])
             q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
-            # g_cos = dL/dcos with cos = u_hat v_hat^T; two steps may share
-            # a slot, so the slot gradients accumulate with add.at
+            # g_cos = dL/dcos with cos = u_hat v_hat^T; add.at sums the slot
+            # gradients of any selection, one that repeats a slot too
             g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
             np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
             # the frame side's <d_hat, v_hat> per frame is sum_k g_cos cos
@@ -394,7 +390,7 @@ def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
                           drop_pct: float) -> list[tuple[int, Segment]]:
     """Inference tail: align the per-step slot sequence to frames with
     droppable DTW (slots must match, frames may drop at the percentile
-    cost) and decode one segment per step."""
+    cost) and decode one segment per step, no two overlapping."""
     cost = -cosine_matrix(selected, frame_embed)
     visited, _ = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
     return decode_segments(visited)
@@ -456,16 +452,21 @@ def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
 
 
 def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
-    """Reject, before any training, a fold with a task that has more steps
-    than the decoder has slots (its test videos are aligned by the same
-    slots later)."""
-    tasks = {corpus.video_by_id(vid).task
+    """Reject, before any training, a fold whose tasks have more steps than
+    the decoder has slots, or whose val or test videos have fewer frames
+    than steps: each step needs slots, and at inference frames, of its own."""
+    steps = {vid: corpus.task_step_features(corpus.video_by_id(vid).task).shape[0]
              for vid in (*fold.train, *fold.val, *fold.test)}
-    most_steps = max(corpus.task_step_features(task).shape[0] for task in tasks)
-    if config.num_queries < most_steps:
+    if config.num_queries < max(steps.values()):
         raise ValidationError(
             f"fold {fold.fold_id}: num_queries {config.num_queries} is below "
-            f"the {most_steps} steps of its longest task")
+            f"the {max(steps.values())} steps of its longest task")
+    for vid in (*fold.val, *fold.test):
+        frames = corpus.video_by_id(vid).num_frames
+        if frames < steps[vid]:
+            raise ValidationError(
+                f"fold {fold.fold_id}: video {vid!r} has {frames} frames, "
+                f"fewer than the {steps[vid]} steps of its task")
 
 
 def train_alignment_fold(corpus: Corpus, fold: FoldSpec,

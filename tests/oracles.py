@@ -54,7 +54,7 @@ from stepalign.model import (
 )
 
 # transition codes for the match table
-_T_DIAG, _T_ROW, _T_COL, _T_START = 0, 1, 2, 3
+_T_DIAG, _T_ROW, _T_START = 0, 1, 2
 
 
 def _mask(shape: tuple[int, int], cells: list[tuple[int, int]]) -> np.ndarray:
@@ -97,8 +97,6 @@ def drop_dtw_loop(cost: np.ndarray, drop_item_cost: float
                 best, which = RD[i - 1][j - 1], _T_DIAG
             if j > 0 and row_rd[j - 1] < best:
                 best, which = row_rd[j - 1], _T_ROW
-            if i > 0 and M[i - 1][j] < best:
-                best, which = M[i - 1][j], _T_COL
             if i == 0:
                 start = j * di
                 if start < best:
@@ -123,9 +121,6 @@ def drop_dtw_loop(cost: np.ndarray, drop_item_cost: float
         which = bp_m[i][j]
         if which == _T_START:
             break
-        if which == _T_COL:
-            i -= 1
-            continue
         if which == _T_DIAG:
             i -= 1
         j -= 1
@@ -172,10 +167,8 @@ def brute_force_align(cost: np.ndarray, drop_item_cost: float
         acc += c[i][j]
         finish(i, j, acc)
         for i2 in range(i, min(i + 2, n)):
-            j_lo = j if i2 > i else j + 1
-            for j2 in range(j_lo, m):
-                item_gap = 0.0 if j2 == j else (j2 - j - 1) * di
-                extend(i2, j2, acc + item_gap)
+            for j2 in range(j + 1, m):
+                extend(i2, j2, acc + (j2 - j - 1) * di)
         stack.pop()
 
     for j0 in range(m):
@@ -464,8 +457,8 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
             sup_losses.append(float(np.mean(lse_all - lse_pos)))
             p = np.exp(logits - lse_all[:, None])
             q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
-            # g_cos = dL/dcos with cos = u_hat v_hat^T; two steps may share
-            # a slot, so the slot gradients accumulate with add.at
+            # g_cos = dL/dcos with cos = u_hat v_hat^T; a selection may
+            # repeat a slot, so the slot gradients accumulate with add.at
             g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
             np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
             d_xp_sup = _unit_rows_backward(g_cos.T @ u_hat, v_hat, xp_norms)

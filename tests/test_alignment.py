@@ -31,40 +31,19 @@ def _path_cost(cost, visited, di):
 
 
 def _check_staircase(visited):
-    """Every row visits an item, and row i's last visited item is at or
-    before row i+1's first."""
+    """Every row visits an item, and row i's last visited item is before
+    row i+1's first."""
     assert visited.dtype == bool and visited.ndim == 2
     rows = [np.flatnonzero(row) for row in visited]
     assert all(cols.size for cols in rows), "a row visits no item"
     for above, below in zip(rows, rows[1:]):
-        assert above[-1] <= below[0], "rows are not monotone"
+        assert above[-1] < below[0], "rows are not strictly monotone"
 
 
 def _priced_out(cost):
     """A finite drop cost high enough that, at the sizes tested here, the
     best alignment drops nothing."""
     return float(np.abs(cost).max()) * cost.size + 1.0
-
-
-def _dtw_cost_by_enumeration(cost):
-    """Oracle: exhaustive walk over all monotone full-coverage paths."""
-    n, m = cost.shape
-    best = [math.inf]
-
-    def walk(i, j, acc):
-        acc += cost[i, j]
-        if i == n - 1 and j == m - 1:
-            best[0] = min(best[0], acc)
-            return
-        if i + 1 < n and j + 1 < m:
-            walk(i + 1, j + 1, acc)
-        if j + 1 < m:
-            walk(i, j + 1, acc)
-        if i + 1 < n:
-            walk(i + 1, j, acc)
-
-    walk(0, 0, 0.0)
-    return best[0]
 
 
 class TestPercentileDropCost:
@@ -120,7 +99,7 @@ class TestPercentileDropCost:
 
 
 class TestDtw:
-    """Classic DTW is drop_dtw with drops priced out."""
+    """drop_dtw with drops priced out of reach: every item is visited."""
 
     def test_singleton(self):
         cost = np.array([[3.5]])
@@ -134,17 +113,6 @@ class TestDtw:
         assert total == 0.0
         assert _cells(visited) == [(0, 0), (1, 1), (2, 2)]
 
-    def test_matches_enumeration_oracle(self):
-        rng = np.random.default_rng(123)
-        for _ in range(30):
-            cost = rng.normal(size=(4, 6))
-            visited, total = drop_dtw(cost, _priced_out(cost))
-            assert _dropped(visited) == []
-            assert total == pytest.approx(
-                _dtw_cost_by_enumeration(cost), abs=1e-12)
-            assert total == pytest.approx(
-                _path_cost(cost, visited, di=0.0), abs=1e-12)
-
 
 class TestDropDtw:
     def test_middle_item_dropped(self):
@@ -154,13 +122,6 @@ class TestDropDtw:
         assert _cells(visited) == [(0, 0), (1, 2)]
         assert _dropped(visited) == [1]
 
-    def test_expensive_drops_reduce_to_dtw(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            cost = rng.normal(size=(3, 5))
-            assert drop_dtw(cost, _priced_out(cost))[1] == pytest.approx(
-                _dtw_cost_by_enumeration(cost), abs=1e-12)
-
     def test_zero_costs_mean_no_drops(self):
         visited, total = drop_dtw(np.zeros((3, 5)), drop_item_cost=0.25)
         assert total == 0.0
@@ -169,6 +130,12 @@ class TestDropDtw:
     def test_infinite_drop_cost_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             drop_dtw(np.ones((2, 2)), math.inf)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (5, 3), (13, 12)])
+    def test_more_rows_than_columns_rejected(self, shape):
+        rule = f"^cost matrix has {shape[0]} rows but only {shape[1]} columns$"
+        with pytest.raises(ValidationError, match=rule):
+            drop_dtw(np.zeros(shape), 0.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_cost_rejected(self, value):
@@ -211,7 +178,7 @@ class TestBruteForceEquivalence:
         rng = np.random.default_rng(2024)
         for _ in range(400):
             n = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 8))
+            m = int(rng.integers(n, 8))
             cost = rng.normal(size=(n, m))
             di = float(rng.normal())
             fast, fast_total = drop_dtw(cost, di)
@@ -222,25 +189,19 @@ class TestBruteForceEquivalence:
             assert _path_cost(cost, fast, di) == pytest.approx(
                 fast_total, abs=1e-12)
 
-    def test_forbidden_drops_match_dtw(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            cost = rng.normal(size=(3, 5))
-            _, total = brute_force_align(cost, _priced_out(cost))
-            assert total == pytest.approx(
-                _dtw_cost_by_enumeration(cost), abs=1e-12)
-
     def test_size_cap_enforced(self):
         with pytest.raises(ValidationError, match="capped"):
-            brute_force_align(np.zeros((5, 3)), 0.1)
+            brute_force_align(np.zeros((5, 7)), 0.1)
         with pytest.raises(ValidationError, match="capped"):
             brute_force_align(np.zeros((2, 8)), 0.1)
 
 
 def _random_problem(rng, kind):
-    """A cost matrix up to 12x59 and a drop cost: real-valued, small
-    integers (tie-heavy), or real with the pipeline's percentile drop cost."""
-    n, m = int(rng.integers(1, 13)), int(rng.integers(1, 60))
+    """A cost matrix up to 12x59, with no more rows than columns, and a
+    drop cost: real-valued, small integers (tie-heavy), or real with the
+    pipeline's percentile drop cost."""
+    n = int(rng.integers(1, 13))
+    m = int(rng.integers(n, 60))
     if kind == "integer":
         return rng.integers(-3, 4, size=(n, m)).astype(float), float(rng.integers(-2, 4))
     cost = rng.normal(size=(n, m))
@@ -252,6 +213,7 @@ def _random_problem(rng, kind):
 def _assert_same_as_loop(cost, di, exact=False):
     (fast, fast_total), (slow, slow_total) = drop_dtw(cost, di), drop_dtw_loop(cost, di)
     np.testing.assert_array_equal(fast, slow)
+    _check_staircase(fast)
     # each step spans its row's first to last match in the loop's path
     rows = [np.flatnonzero(row) for row in slow]
     assert decode_segments(fast) == [(i + 1, Segment(int(c[0]), int(c[-1]) + 1))
@@ -281,10 +243,11 @@ class TestAgainstLoop:
             _assert_same_as_loop(cost, percentile_drop_cost(cost, 80))
 
     def test_exact_tie_keeps_diagonal(self):
-        # entering (2, 2) diagonally from (1, 1) and by a row move through
-        # (2, 1), which costs 0, tie exactly; the diagonal comes first
-        cost = np.array([[-0.1, 0.3, 0.8], [-0.9, -0.3, 0.4], [0.5, 0.0, 0.7]])
-        assert _cells(drop_dtw(cost, 0.7)[0]) == [(0, 0), (1, 0), (1, 1), (2, 2)]
+        # entering (1, 2) diagonally from (0, 1) and by a row move from
+        # (1, 1) both cost -0.2 + 0.3, summed in the same order; the
+        # diagonal comes first
+        cost = np.array([[-0.2, 0.3, 0.9], [0.6, 0.3, -0.8]])
+        assert _cells(drop_dtw(cost, 0.7)[0]) == [(0, 0), (0, 1), (1, 2)]
         _assert_same_as_loop(cost, 0.7)
 
     def test_real_ties_give_an_optimal_path(self):
@@ -293,8 +256,8 @@ class TestAgainstLoop:
         # path must still be optimal.
         rng = np.random.default_rng(9)
         for _ in range(200):
-            cost = rng.integers(-9, 10, size=(int(rng.integers(1, 6)),
-                                              int(rng.integers(1, 12)))) / 10
+            n = int(rng.integers(1, 6))
+            cost = rng.integers(-9, 10, size=(n, int(rng.integers(n, 12)))) / 10
             di = percentile_drop_cost(cost, 80)
             (fast, fast_total), (_, slow_total) = (drop_dtw(cost, di),
                                                    drop_dtw_loop(cost, di))
@@ -306,7 +269,8 @@ class TestAgainstLoop:
 
 @st.composite
 def _integer_problem(draw):
-    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 12)))
+    n = draw(st.integers(1, 6))
+    shape = (n, draw(st.integers(n, 12)))
     cost = draw(arrays(np.float64, shape, elements=st.integers(-5, 5).map(float)))
     return cost, float(draw(st.integers(-5, 5)))
 
@@ -320,8 +284,8 @@ def test_integer_costs_match_loop_bit_for_bit(problem):
 
 @st.composite
 def _integer_stack(draw):
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
-             draw(st.integers(1, 12)))
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    shape = (b, n, draw(st.integers(n, 12)))
     costs = draw(arrays(np.float64, shape, elements=st.integers(-5, 5).map(float)))
     drops = draw(arrays(np.float64, shape[:1], elements=st.integers(-5, 5).map(float)))
     return costs, drops
@@ -339,14 +303,28 @@ def test_integer_stacks_match_loop_bit_for_bit(problem):
         assert total == expected_total
 
 
+@settings(max_examples=300, deadline=None)
+@given(_integer_stack(), st.sampled_from([1.0, 0.1, 1e-3]))
+def test_no_two_rows_share_a_column(problem, scale):
+    # every row visits an item, and no item is visited by two rows, in a
+    # stack and in each of its matrices aligned alone
+    costs, drops = problem[0] * scale, problem[1] * scale
+    visited, _ = drop_dtw_stack(costs, drops)
+    masks = [visited] + [drop_dtw(cost, di)[0][None]
+                         for cost, di in zip(costs, drops)]
+    for mask in masks:
+        assert mask.any(axis=2).all(), "a row visits no item"
+        assert mask.sum(axis=1).max() <= 1, "two rows share an item"
+
+
 class TestDropDtwStack:
     def test_each_matrix_as_alone(self):
         # one matrix's path must not depend on the others in its stack,
         # even when their scales differ by orders of magnitude
         rng = np.random.default_rng(12)
         for _ in range(40):
-            b, n, m = (int(rng.integers(1, 7)), int(rng.integers(1, 9)),
-                       int(rng.integers(1, 40)))
+            b, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            m = int(rng.integers(n, 40))
             scales = 10.0 ** rng.integers(-8, 9, size=(b, 1, 1))
             costs = rng.normal(size=(b, n, m)) * scales
             drops = np.array([percentile_drop_cost(cost, 80) for cost in costs])
@@ -364,6 +342,12 @@ class TestDropDtwStack:
         with pytest.raises(ValidationError, match="finite"):
             drop_dtw_stack(np.zeros((2, 3, 4)), np.array([0.0, np.inf]))
 
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (3, 5, 3), (2, 13, 12)])
+    def test_more_rows_than_columns_rejected(self, shape):
+        rule = f"^cost matrix has {shape[1]} rows but only {shape[2]} columns$"
+        with pytest.raises(ValidationError, match=rule):
+            drop_dtw_stack(np.zeros(shape), np.zeros(shape[0]))
+
 
 class TestDecodeSegments:
     @staticmethod
@@ -373,11 +357,10 @@ class TestDecodeSegments:
         return visited
 
     def test_min_max_per_step(self):
-        # a segment spans the items its row drops between two visits, and
-        # consecutive rows may share an item
-        visited = self._mask((2, 10), [(0, 2), (0, 4), (1, 4), (1, 7)])
+        # a segment spans the items its row drops between two visits
+        visited = self._mask((2, 10), [(0, 2), (0, 4), (1, 5), (1, 7)])
         out = decode_segments(visited)
-        assert out == [(1, Segment(2, 5)), (2, Segment(4, 8))]
+        assert out == [(1, Segment(2, 5)), (2, Segment(5, 8))]
 
     def test_empty_matches(self):
         assert decode_segments(np.zeros((0, 5), dtype=bool)) == []

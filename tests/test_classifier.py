@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +8,8 @@ import pytest
 
 import stepalign.classifier
 import stepalign.corpus
+import stepalign.model
+import stepalign.splits
 from stepalign.classifier import (
     ClassifierParams, ClassifierTrainConfig, _batch_loss_and_grads, _Workspace,
     _val_score, class_balanced_weights, classifier_rows, classify, detect_mistakes,
@@ -162,10 +165,13 @@ def test_video_only_training_matches_per_tensor_oracle():
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("val_every", 0), ("hidden", 0), ("learning_rate", 0.0),
-    ("learning_rate", -1e-3), ("learning_rate", math.nan),
+    ("learning_rate", -1e-3), ("learning_rate", math.nan), ("beta", math.nan),
+    ("beta", math.inf), ("beta", -0.1), ("beta", 1.0),
 ])
 def test_bad_config_rejected_before_training(monkeypatch, field, value):
+    # rejected before any row is built, so also before a fold's own errors
     corpus, fold, config = _small_fold()
+    monkeypatch.setattr(stepalign.classifier, "_segment_rows", None)
     monkeypatch.setattr(stepalign.classifier, "_batch_loss_and_grads", None)
     with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
         train_classifier_fold(corpus, fold, replace(config, **{field: value}))
@@ -438,3 +444,46 @@ class TestMeanPool:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValidationError):
             mean_pool(np.ones((3, 2)), Segment(2, 5))
+
+
+def _pipeline_outputs():
+    """The discrete outputs of a two-fold run of the whole pipeline: synth,
+    split, both trainers' best epochs, and the segments and detections of
+    each test video."""
+    # 2 tasks x 8 videos of 3 steps at synth and split seed 0: both folds'
+    # train splits hold correct, mistake and correction segments, which the
+    # classifier needs; with both seeds at 1 to 6 a train split lacks a
+    # class and training is refused
+    corpus = synth_corpus(SynthConfig(tasks=2, videos_per_task=8,
+                                      steps_per_task=3, dim=12)).corpus
+    align_config = stepalign.model.TrainConfig(epochs=4, working_dim=8,
+                                               num_queries=6)
+    detect_config = ClassifierTrainConfig(epochs=60, hidden=16)
+    best_epochs, videos = [], []
+    for fold in stepalign.splits.make_group_kfold(corpus.videos, 2, seed=0):
+        aligner = stepalign.model.train_alignment_fold(corpus, fold, align_config)
+        detector = train_classifier_fold(corpus, fold, detect_config)
+        best_epochs.append((aligner.best_epoch, detector.best_epoch))
+        for vid in fold.test:
+            frames = corpus.video_features(vid)
+            steps = corpus.task_step_features(corpus.video_by_id(vid).task)
+            segments = stepalign.model.align_video(
+                aligner.params, frames, steps, align_config.drop_pct,
+                align_config.normalize_features)
+            detections = detect_mistakes(detector.params, segments, frames, steps)
+            videos.append((vid, [(step, seg.start, seg.end)
+                                 for step, seg in segments],
+                           [(det.label.name, f"{det.confidence:.6f}")
+                            for det in detections]))
+    return best_epochs, videos
+
+
+def test_pipeline_outputs_pinned():
+    # discrete outputs and confidences rounded to 1e-6, not float bytes,
+    # so that a BLAS rounding the last bits differently does not matter; a
+    # change that moves results on purpose records the new digest
+    best_epochs, videos = _pipeline_outputs()
+    assert best_epochs == [(2, 0), (0, 30)]
+    digest = hashlib.sha256(repr(videos).encode()).hexdigest()
+    assert digest == (
+        "a5968e670dd886580cd417097dd0933fe574289a142c2be4c5a28894ae59b187")

@@ -21,19 +21,15 @@ class TestRasterize:
     def test_no_segments_all_background(self):
         np.testing.assert_array_equal(rasterize([], 4), [BG] * 4)
 
-    def test_predicted_overlap_later_step_wins(self):
-        out = rasterize([(1, Segment(0, 3)), (2, Segment(2, 5))], 5)
-        # oracle: paint by hand in ascending step order
-        expected = np.zeros(5, dtype=int)
-        expected[0:3] = 1
-        expected[2:5] = 2
-        np.testing.assert_array_equal(out, expected)
-        np.testing.assert_array_equal(out, [1, 1, 2, 2, 2])
+    def test_overlap_rejected_naming_the_later_segment(self):
+        # segments are painted in the order given, not sorted by step
+        with pytest.raises(ValidationError,
+                           match="^segments overlap at step 1$"):
+            rasterize([(2, Segment(2, 5)), (1, Segment(0, 3))], 5)
 
     def test_gt_overlap_rejected(self):
         with pytest.raises(ValidationError, match="overlap"):
-            rasterize([(1, Segment(0, 3)), (2, Segment(2, 5))], 5,
-                      ground_truth=True)
+            rasterize([(1, Segment(0, 3)), (2, Segment(2, 5))], 5)
 
     @pytest.mark.parametrize("step, seg, rule", [
         (0, Segment(0, 2), r"step index must be positive, got 0"),
@@ -44,8 +40,7 @@ class TestRasterize:
             rasterize([(step, seg)], 5)
 
     def test_split_step_gt_allowed(self):
-        out = rasterize([(1, Segment(0, 2)), (1, Segment(4, 6))], 6,
-                        ground_truth=True)
+        out = rasterize([(1, Segment(0, 2)), (1, Segment(4, 6))], 6)
         np.testing.assert_array_equal(out, [1, 1, BG, BG, 1, 1])
 
 

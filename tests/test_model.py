@@ -8,6 +8,7 @@ import stepalign.model
 from stepalign.alignment import percentile_drop_cost
 from stepalign.data import FoldSpec, Segment
 from stepalign.checkpoint import save_checkpoint
+from stepalign.corpus import Corpus
 from stepalign.errors import FormatError, ValidationError
 from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
@@ -272,8 +273,10 @@ class TestSelectSlots:
             assert select_slots(slots, steps, 80) == expected
 
     def test_too_many_steps_rejected(self):
+        # the kernel gives each step a slot of its own
         rng = np.random.default_rng(9)
-        with pytest.raises(ValidationError, match="steps"):
+        with pytest.raises(ValidationError,
+                           match="^cost matrix has 3 rows but only 2 columns"):
             select_slots([rng.normal(size=(2, 4))], [rng.normal(size=(3, 4))], 80)
 
 
@@ -583,6 +586,15 @@ class TestAlignVideos:
         params = _params(np.random.default_rng(41))
         assert align_videos(params, [], [], 80.0, True) == []
 
+    def test_fewer_frames_than_steps_rejected(self):
+        # each step is aligned to frames of its own
+        rng = np.random.default_rng(43)
+        params = _params(rng, d=6, dp=5, u=4)
+        with pytest.raises(ValidationError,
+                           match="^cost matrix has 3 rows but only 2 columns"):
+            align_video(params, rng.normal(size=(2, 6)),
+                        rng.normal(size=(3, 6)), 80.0, True)
+
     def test_step_width_mismatch_rejected(self):
         # inference and training selection share the one check
         rng = np.random.default_rng(42)
@@ -757,6 +769,22 @@ class TestTrainAlignmentFold:
         monkeypatch.setattr(stepalign.model, "forward_slots", None)
         with pytest.raises(ValidationError, match="num_queries 2 .* 3 steps"):
             train_alignment_fold(corpus, fold, replace(config, num_queries=2))
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_video_shorter_than_its_steps_rejected_before_training(
+            self, monkeypatch, split):
+        # each of the 3 steps needs a frame of its own at alignment
+        corpus, fold, config = _tiny_fold()
+        vid = getattr(fold, split)[0]
+        videos = [replace(v, num_frames=2, segments=()) if v.video_id == vid
+                  else v for v in corpus.videos]
+        features = {**corpus.features, vid: corpus.features[vid][:2]}
+        corpus = Corpus(corpus.texts, videos, features, corpus.step_features)
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        with pytest.raises(ValidationError, match=(
+                f"^fold 0: video '{vid}' has 2 frames, fewer than the 3 "
+                f"steps of its task$")):
+            train_alignment_fold(corpus, fold, config)
 
     def test_empty_train_split_rejected(self):
         corpus, fold, config = _tiny_fold()

@@ -37,11 +37,9 @@ def test_every_module_has_tests_and_a_readme_line():
     for name in modules:
         assert (root / "tests" / f"test_{name}.py").is_file(), name
         assert f"- `{name}.py`: " in readme, name
-    # and back: every test file names a module, apart from the helpers,
-    # this file, which tests the package as a whole, and test_features.py,
-    # which tests the feature files of corpus.py
-    exempt = {"oracles.py", "conftest.py", "test_packaging.py",
-              "test_features.py"}
+    # and back: every test file names a module, apart from the helpers
+    # and this file, which tests the package as a whole
+    exempt = {"oracles.py", "conftest.py", "test_packaging.py"}
     for path in (root / "tests").glob("*.py"):
         if path.name not in exempt:
             assert path.stem.removeprefix("test_") in modules, path.name
