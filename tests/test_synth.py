@@ -17,6 +17,14 @@ def small_config(**overrides):
     return SynthConfig(**base)
 
 
+# seed 1 plants every mistake kind, a split, a swap and a skip, and an
+# event right at a video's start
+_EVERY_KIND = {"background_gap": (0, 2), "p_exec_mistake": 0.6,
+               "p_split": 0.3, "seed": 1}
+# a mistake run with every step skipped and no gap has no frame of its own
+_SKIP_ALL_NO_GAP = {"p_skip": 1.0, "background_gap": (0, 0)}
+
+
 class TestSynthBasics:
     def test_all_videos_validate(self):
         result = synth_corpus(small_config())
@@ -51,16 +59,40 @@ class TestSynthBasics:
                 a.corpus.features[vid], b.corpus.features[vid])
         assert a.logs == b.logs
 
-    def test_bytes_pinned(self):
+    @pytest.mark.parametrize("changes, expected", [
+        ({}, "1f72dd988690290584ecffde13b975d9d0f61e3b6fc5fc3bcbd880efc57ba9f4"),
+        (_EVERY_KIND,
+         "558ea9c394fe5d134d7523b184c377054bdc1526aa1c397a9a6a9d4faf328fbb"),
+        ({"noise_sigma": 0.0},
+         "99533d909d498a0d49a98c5db36cb0e8d53a5dbe0d15f02619e37d723ad16e5e"),
+        (_SKIP_ALL_NO_GAP,
+         "b642957031cea52fd6c5edbd00f74e9a147da8bad61ebaf9896e4ecc5f36ec75"),
+    ], ids=["default", "every-kind", "no-noise", "skip-all-no-gap"])
+    def test_bytes_pinned(self, changes, expected):
         # any change to the random stream or to how frames are built moves
         # this digest of every annotation and feature matrix
-        corpus = synth_corpus(small_config()).corpus
+        corpus = synth_corpus(small_config(**changes)).corpus
         digest = hashlib.sha256()
         for video in corpus.videos:
             digest.update(json.dumps(video_to_json(video), sort_keys=True).encode())
             digest.update(corpus.features[video.video_id].tobytes())
-        assert digest.hexdigest() == (
-            "1f72dd988690290584ecffde13b975d9d0f61e3b6fc5fc3bcbd880efc57ba9f4")
+        assert digest.hexdigest() == expected
+
+    def test_every_kind_pin_plants_every_kind_and_a_split(self):
+        result = synth_corpus(small_config(**_EVERY_KIND))
+        segments = [s for v in result.corpus.videos for s in v.segments]
+        assert {s.mistake for s in segments} == set(MistakeLabel)
+        assert any(log.splits for log in result.logs.values())
+        # a gap range starting at 0 lets an event open the video
+        assert any(s.segment.start == 0 for s in segments)
+
+    def test_skip_all_pin_leaves_one_background_frame(self):
+        result = synth_corpus(small_config(**_SKIP_ALL_NO_GAP))
+        mistake_runs = [v for v in result.corpus.videos
+                        if v.intent == Intent.MISTAKE_RUN]
+        assert mistake_runs
+        for video in mistake_runs:
+            assert video.segments == () and video.num_frames == 1
 
     def test_different_seed_differs(self):
         a = synth_corpus(small_config(seed=1))
