@@ -295,34 +295,40 @@ def _materialize(rng: np.random.Generator, cfg: SynthConfig,
                  vectors: TaskVectors, events: list[_Event]
                  ) -> tuple[np.ndarray, list[AnnotatedSegment]]:
     g_lo, g_hi = cfg.background_gap
-    frames: list[np.ndarray] = []
+    # whole blocks, each background frame 1 x dim and each event
+    # length x dim, joined once at the end
+    blocks: list[np.ndarray] = []
+    num_frames = 0
     segments: list[AnnotatedSegment] = []
 
     def emit_background() -> None:
+        nonlocal num_frames
         gap = int(rng.integers(g_lo, g_hi + 1))
         for _ in range(gap):
-            frames.append(_background_frame(rng, vectors))
+            blocks.append(_background_frame(rng, vectors)[None])
+        num_frames += gap
 
     for event in events:
         emit_background()
-        start = len(frames)
+        start = num_frames
         # one draw for the event: the same stream as one draw per frame
         block = np.broadcast_to(event.content, (event.length, cfg.dim))
         if cfg.noise_sigma > 0:
             block = block + rng.normal(0.0, cfg.noise_sigma,
                                        (event.length, cfg.dim))
-        frames.extend(block)
+        blocks.append(block)
+        num_frames += event.length
         description = None
         if event.mistake != MistakeLabel.CORRECT:
             near = event.step if event.step is not None else _nearest_step(segments)
             description = _DESCRIPTIONS[event.mistake].format(step=near)
         segments.append(AnnotatedSegment(
-            segment=Segment(start, len(frames)),
+            segment=Segment(start, num_frames),
             step=event.step, mistake=event.mistake, description=description))
     emit_background()
-    if not frames:
-        frames.append(_background_frame(rng, vectors))
-    return np.stack(frames), segments
+    if not num_frames:
+        blocks.append(_background_frame(rng, vectors)[None])
+    return np.concatenate(blocks), segments
 
 
 def _nearest_step(segments: list[AnnotatedSegment]) -> int:
