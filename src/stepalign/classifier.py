@@ -153,9 +153,9 @@ class ClassifierTrainConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
-        if not self.learning_rate > 0:
-            raise ValidationError(
-                f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be positive and "
+                                  f"finite, got {self.learning_rate}")
         if not 0.0 <= self.beta < 1.0:
             raise ValidationError(f"beta must be in [0, 1), got {self.beta}")
 

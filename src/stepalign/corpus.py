@@ -128,6 +128,36 @@ class Corpus:
                 raise ValidationError(f"video_id {video.video_id} is the "
                                       f"name of a task's step features")
             self._by_id[video.video_id] = video
+        self._check_matrices()
+
+    def _check_matrices(self) -> None:
+        """Every video and every text has a 2-d feature matrix with a row
+        per frame or per step, every step matrix has a text, and all have
+        the first matrix's width, a video's when there is one."""
+        for task in self.step_features:
+            if task not in self.texts:
+                raise ValidationError(f"steps_{task.value}: no procedural "
+                                      f"text for task {task.value}")
+        matrices = [(video.video_id, self.features.get(video.video_id),
+                     video.num_frames, "frames") for video in self.videos]
+        matrices += [(f"steps_{task.value}", self.step_features.get(task),
+                      text.num_steps, "steps")
+                     for task, text in self.texts.items()]
+        for name, matrix, rows, unit in matrices:
+            if matrix is None:
+                raise ValidationError(f"{name}: no feature matrix")
+            if matrix.ndim != 2:
+                raise ValidationError(f"{name}: feature matrix must be 2-d, "
+                                      f"got shape {matrix.shape}")
+            if matrix.shape[0] != rows:
+                raise ValidationError(f"{name}: feature matrix has "
+                                      f"{matrix.shape[0]} rows for {rows} "
+                                      f"{unit}")
+            first_name, first = matrices[0][:2]
+            if matrix.shape[1] != first.shape[1]:
+                raise ValidationError(f"{name}: feature matrix is "
+                                      f"{matrix.shape[1]} wide, not "
+                                      f"{first.shape[1]} as {first_name}")
 
     def set_phase(self, phase: str) -> None:
         self.phase = phase

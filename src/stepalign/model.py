@@ -122,11 +122,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ValidationError(
-                f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.gamma > 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        for name, value in (("learning_rate", self.learning_rate),
+                            ("gamma", self.gamma)):
+            if not 0 < value < math.inf:
+                raise ValidationError(
+                    f"{name} must be positive and finite, got {value}")
         for name, weight in (("w_sup", self.w_sup), ("w_global", self.w_global)):
             if not 0 <= weight < math.inf:
                 raise ValidationError(

@@ -165,7 +165,8 @@ def test_video_only_training_matches_per_tensor_oracle():
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("val_every", 0), ("hidden", 0), ("learning_rate", 0.0),
-    ("learning_rate", -1e-3), ("learning_rate", math.nan), ("beta", math.nan),
+    ("learning_rate", -1e-3), ("learning_rate", math.nan),
+    ("learning_rate", math.inf), ("beta", math.nan),
     ("beta", math.inf), ("beta", -0.1), ("beta", 1.0),
 ])
 def test_bad_config_rejected_before_training(monkeypatch, field, value):

@@ -50,6 +50,33 @@ def test_video_id_of_a_step_feature_file_rejected():
         _corpus("steps_cardboard")
 
 
+@pytest.mark.parametrize("features, step_features, rule", [
+    ({}, None, r"v: no feature matrix"),
+    ({"v": np.ones(5)}, None, r"v: feature matrix must be 2-d, got shape \(5,\)"),
+    ({"v": np.ones((4, 3))}, None, "v: feature matrix has 4 rows for 5 frames"),
+    (None, {TaskDomain.CARDBOARD: np.ones((3, 3))},
+     "steps_cardboard: feature matrix has 3 rows for 2 steps"),
+    (None, {TaskDomain.CARDBOARD: np.ones((2, 4))},
+     "steps_cardboard: feature matrix is 4 wide, not 3 as v"),
+    ({"v": np.ones((5, 4))}, None,
+     "steps_cardboard: feature matrix is 3 wide, not 4 as v"),
+    (None, {TaskDomain.CARDBOARD: np.ones((2, 3)),
+            TaskDomain.COLOR_MIXTURE: np.ones((2, 3))},
+     "steps_color_mixture: no procedural text for task color_mixture"),
+    (None, {}, "steps_cardboard: no feature matrix"),
+], ids=["no-matrix", "1-d", "frame-rows", "step-rows", "step-width",
+        "video-width", "step-matrix-without-text", "text-without-step-matrix"])
+def test_constructor_rejects_matrix_not_fitting_its_record(features,
+                                                           step_features,
+                                                           rule):
+    corpus = _corpus()
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        Corpus(texts=corpus.texts, videos=corpus.videos,
+               features=corpus.features if features is None else features,
+               step_features=(corpus.step_features if step_features is None
+                              else step_features))
+
+
 def test_step_file_name_of_another_task_allowed(tmp_path):
     _corpus("steps_color_mixture").save(tmp_path)
     assert Corpus.from_dir(tmp_path).video_by_id("steps_color_mixture")
@@ -60,9 +87,12 @@ def test_step_file_name_of_another_task_allowed(tmp_path):
     (np.ones((5, 0)), r"\(5, 0\)"),
 ], ids=["1-d", "no-rows", "no-columns"])
 def test_save_rejects_matrix_not_2d_or_empty(tmp_path, matrix, shape):
+    # the constructor rejects these too, so the matrix is swapped in after
+    corpus = _corpus()
+    corpus.features["v"] = matrix
     with pytest.raises(ValidationError, match=rf"v\.fmtx: feature matrix must "
                                               rf"be 2-d and nonempty, got {shape}$"):
-        _corpus(matrix=matrix).save(tmp_path)
+        corpus.save(tmp_path)
     assert not (tmp_path / "features" / "v.fmtx").exists()
 
 

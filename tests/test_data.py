@@ -130,7 +130,9 @@ class TestValidation:
 class TestCorpusLookup:
     def test_video_by_id(self):
         corpus = Corpus(texts={}, videos=[_video("a"), _video("b")],
-                        features={}, step_features={})
+                        features={"a": np.zeros((50, 2)),
+                                  "b": np.zeros((50, 2))},
+                        step_features={})
         assert corpus.video_by_id("b").video_id == "b"
         with pytest.raises(ValidationError, match="unknown video_id 'c'"):
             corpus.video_by_id("c")
@@ -156,14 +158,20 @@ class TestCorpusAccess:
 
 def _saved_corpus(tmp_path, widths, step_width):
     """A two-video corpus on disk whose feature files have the given
-    widths, video by video, then the step texts'."""
+    widths, video by video, then the step texts'. A corpus holds one width,
+    so a file of another width is written over the saved one by hand."""
     videos = [_video("a"), _video("b")]
-    corpus = Corpus(texts={TaskDomain.COLOR_MIXTURE: _text()}, videos=videos,
-                    features={v.video_id: np.ones((50, w))
-                              for v, w in zip(videos, widths)},
-                    step_features={TaskDomain.COLOR_MIXTURE:
-                                   np.ones((3, step_width))})
+    task = TaskDomain.COLOR_MIXTURE
+    corpus = Corpus(texts={task: _text()}, videos=videos,
+                    features={v.video_id: np.ones((50, widths[0]))
+                              for v in videos},
+                    step_features={task: np.ones((3, widths[0]))})
     corpus.save(tmp_path)
+    rows = {"a": 50, "b": 50, f"steps_{task.value}": 3}
+    for name, width in zip(rows, (*widths, step_width)):
+        if width != widths[0]:
+            _write_features(tmp_path / "features" / f"{name}.fmtx",
+                            np.ones((rows[name], width)), name)
 
 
 def _write_features(file, matrix, video_id):

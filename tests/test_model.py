@@ -732,7 +732,8 @@ class TestTrainAlignmentFold:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
-        ("learning_rate", math.nan), ("w_sup", -1.0), ("w_sup", math.nan),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("gamma", math.inf), ("w_sup", -1.0), ("w_sup", math.nan),
         ("w_sup", math.inf), ("w_global", -1.0), ("w_global", math.nan),
         ("w_global", math.inf),
     ])

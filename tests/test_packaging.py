@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,22 @@ def test_every_private_top_level_name_is_used_in_its_module():
         dead = sorted(name for name in defined - loaded
                       if name.startswith("_") and not name.endswith("__"))
         assert not dead, f"{path.name}: {dead}"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # the package is numpy-only: an import of any other installed
+    # distribution would pass every other test on a machine that has it
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stepalign"}
+    root = Path(__file__).resolve().parents[1] / "src" / "stepalign"
+    paths = sorted(root.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, f"{path.name}: {name}"
