@@ -55,9 +55,10 @@ def _is_dim(x) -> bool:
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; an unreadable file or any departure from the
-    layout, including a non-finite tensor value or two tensors of one
-    name, raises FormatError naming the path."""
+    """Read a checkpoint, its tensors as the float32 they are stored in;
+    an unreadable file or any departure from the layout, including a
+    non-finite tensor value or two tensors of one name, raises FormatError
+    naming the path."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -94,7 +95,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         if not np.all(np.isfinite(data)):
             raise FormatError(f"{path}: tensor {name} has non-finite values")
-        tensors[name] = data.reshape(shape).astype(np.float64)
+        # a copy: the view into ``raw`` is read-only and may be byte-swapped
+        tensors[name] = data.reshape(shape).astype(np.float32)
         offset = end
     if offset != len(raw):
         raise FormatError(f"{path}: trailing bytes after declared tensors")

@@ -87,12 +87,12 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def mean_pool(m: np.ndarray, seg: Segment) -> np.ndarray:
-    """Arithmetic mean of the rows in [seg.start, seg.end)."""
+    """Arithmetic mean of the rows in [seg.start, seg.end), in float64."""
     rows = m.shape[0]
     if not (0 <= seg.start < seg.end <= rows):
         raise ValidationError(
             f"segment [{seg.start}, {seg.end}) outside matrix with {rows} rows")
-    return m[seg.start:seg.end].mean(axis=0)
+    return m[seg.start:seg.end].mean(axis=0, dtype=np.float64)
 
 
 def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,

@@ -10,10 +10,11 @@ Corpus directory layout::
 
 Texts and annotations are the JSON records of data.py. A feature file is a
 checkpoint (see checkpoint.py) of kind ``features`` holding one
-``rows x dim`` tensor named ``features``, float64 in memory and float32 on
-disk; its header's ``video_id`` names the file's own id, the video id or
-``steps_<task>``. A video's file has one row per frame, a task's one row
-per step, and every feature file of a corpus has the same width.
+``rows x dim`` tensor named ``features``, float32 in memory and on disk;
+the library computes on features in float64, widening them where it
+reads them. Its header's ``video_id`` names the file's own id, the video
+id or ``steps_<task>``. A video's file has one row per frame, a task's one
+row per step, and every feature file of a corpus has the same width.
 
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
@@ -128,12 +129,17 @@ class Corpus:
                 raise ValidationError(f"video_id {video.video_id} is the "
                                       f"name of a task's step features")
             self._by_id[video.video_id] = video
-        self._check_matrices()
+        self._dim = self._check_matrices()
 
-    def _check_matrices(self) -> None:
-        """Every video and every text has a 2-d feature matrix with a row
-        per frame or per step, every step matrix has a text, and all have
-        the first matrix's width, a video's when there is one."""
+    def _check_matrices(self) -> int | None:
+        """Every video and every text has a 2-d float32 feature matrix
+        with a row per frame or per step, every matrix has a video or a
+        text, and all have the first matrix's width, a video's when there
+        is one. Returns that width, or None when there is no matrix."""
+        for video_id in self.features:
+            if video_id not in self._by_id:
+                raise ValidationError(f"{video_id}: feature matrix names "
+                                      f"no video")
         for task in self.step_features:
             if task not in self.texts:
                 raise ValidationError(f"steps_{task.value}: no procedural "
@@ -146,6 +152,9 @@ class Corpus:
         for name, matrix, rows, unit in matrices:
             if matrix is None:
                 raise ValidationError(f"{name}: no feature matrix")
+            if matrix.dtype != np.float32:
+                raise ValidationError(f"{name}: feature matrix must be "
+                                      f"float32, got {matrix.dtype}")
             if matrix.ndim != 2:
                 raise ValidationError(f"{name}: feature matrix must be 2-d, "
                                       f"got shape {matrix.shape}")
@@ -158,6 +167,7 @@ class Corpus:
                 raise ValidationError(f"{name}: feature matrix is "
                                       f"{matrix.shape[1]} wide, not "
                                       f"{first.shape[1]} as {first_name}")
+        return matrices[0][1].shape[1] if matrices else None
 
     def set_phase(self, phase: str) -> None:
         self.phase = phase
@@ -194,7 +204,11 @@ class Corpus:
 
     @property
     def feature_dim(self) -> int:
-        return next(iter(self.features.values())).shape[1]
+        """The width of every feature matrix; a corpus with none raises
+        ValidationError."""
+        if self._dim is None:
+            raise ValidationError("corpus has no feature matrix")
+        return self._dim
 
     def save(self, path: str | Path) -> None:
         """Write the corpus in the layout above. A feature matrix that is
@@ -206,8 +220,7 @@ class Corpus:
                     for video in self.videos]
         matrices += [(f"steps_{task.value}", matrix)
                      for task, matrix in self.step_features.items()]
-        # every matrix is checked before the first file is written; the
-        # float32 copies are not kept, so only one is held at a time
+        # every matrix is checked before the first file is written
         for name, matrix in matrices:
             file = feat_dir / f"{name}.fmtx"
             if matrix.ndim != 2 or 0 in matrix.shape:

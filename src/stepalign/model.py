@@ -36,10 +36,13 @@ them, by ``_decoder_input``. A training step runs the decoder once per
 video: ``compute_selections`` keeps each forward's activations, selects
 slots for the whole batch with one stacked Drop-DTW per step count, and
 ``batch_loss_and_grads`` backpropagates through the same activations,
-taking each step's positive frames from the raster. Inference, and
-validation once per epoch, run ``align_videos``: one forward per video
-and one stacked selection, then each video's segments from the Drop-DTW
-of its selected slots against its frames.
+taking each step's positive frames from the raster. A fold allocates
+the frame-sized arrays of these steps once, in a ``TrainWorkspace``
+sized to its longest training video, and every step writes into it with
+``out=``; called without one, the same functions allocate them.
+Inference, and validation once per epoch, run ``align_videos``: one
+forward per video and one stacked selection, then each video's segments
+from the Drop-DTW of its selected slots against its frames.
 
 Both losses and their gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracles used for
@@ -143,18 +146,21 @@ class TrainConfig:
                 f"working_dim must be >= 1, got {self.working_dim}")
 
 
-def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm, and the norms as a column; zero rows are
-    rejected."""
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+def _unit_rows(m: np.ndarray, out: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit norm in float64, written into ``out`` when it
+    is given, and the norms as a column; zero rows are rejected. The rows'
+    squares are summed in ``out`` first, as ``np.linalg.norm`` sums them."""
+    scaled = np.square(m, dtype=np.float64, out=out)
+    norms = np.sqrt(np.add.reduce(scaled, axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise ValidationError("cannot l2-normalize a zero row")
-    return m / norms, norms
+    return np.divide(m, norms, dtype=np.float64, out=scaled), norms
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; zero rows are rejected."""
-    return _unit_rows(np.asarray(m, dtype=np.float64))[0]
+    """Rows scaled to unit norm, in float64; zero rows are rejected."""
+    return _unit_rows(np.asarray(m))[0]
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,9 +169,11 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax of ``z``, computed in place; returns ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -181,20 +189,26 @@ def _unit_rows_backward(d_hat: np.ndarray, hat: np.ndarray,
     return (d_hat - hat * np.sum(d_hat * hat, axis=1, keepdims=True)) / norms
 
 
-def forward_slots(params: ModelParams, video: np.ndarray
+def forward_slots(params: ModelParams, video: np.ndarray,
+                  out: dict[str, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, dict]:
     """Run the decoder over one video's features; returns the U x d' slot
-    matrix and the intermediate activations."""
+    matrix and the intermediate activations. The L x d' projected frames
+    and the U x L attention are written into ``out["xp"]`` and
+    ``out["attn"]`` when ``out`` is given."""
     video = np.asarray(video, dtype=np.float64)
     if video.ndim != 2 or video.shape[1] != params.feature_dim:
         raise ValidationError(
             f"video features must be L x {params.feature_dim}, got {video.shape}")
-    xp = video @ params.proj_v
+    out = {} if out is None else out
+    xp = np.matmul(video, params.proj_v, out=out.get("xp"))
     qp = params.queries @ params.w_q
     qk = qp @ params.w_k.T
     scale = 1.0 / math.sqrt(params.working_dim)
-    z = (qk @ xp.T) * scale
-    attn = _softmax_rows(z)
+    # the logits, then their row softmax in place
+    attn = np.matmul(qk, xp.T, out=out.get("attn"))
+    attn *= scale
+    _softmax_rows(attn)
     ax = attn @ xp
     ctx = ax @ params.w_v
     slots = ctx @ params.w_o
@@ -253,10 +267,54 @@ class FoldVideo:
                    gt_labels=gt_frame_labels(video))
 
 
-def _decoder_input(frames: np.ndarray, normalize_features: bool) -> np.ndarray:
-    """The features the decoder reads: unit rows, or the raw rows when
-    normalization is off."""
-    return l2_normalize_rows(frames) if normalize_features else frames
+def _decoder_input(frames: np.ndarray, normalize_features: bool,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The features the decoder reads: unit rows, written into ``out``
+    when it is given, or the raw rows when normalization is off."""
+    return _unit_rows(frames, out)[0] if normalize_features else frames
+
+
+class TrainWorkspace:
+    """The frame-sized arrays of decoder training, allocated once per fold
+    for its longest training video. Each batch slot has the decoder input
+    ``x``, the projected frames ``xp`` and the attention ``attn``, which
+    its forward cache holds until the backward; the backward's scratch is
+    shared by the batch's videos. ``slot`` and ``scratch`` return, for a
+    video of some length, contiguous arrays of that video's shapes over
+    the start of each buffer."""
+
+    def __init__(self, params: ModelParams, batch_size: int, max_frames: int):
+        self._dims = (params.feature_dim, params.working_dim,
+                      params.queries.shape[0])
+        self._slots = [self._buffers(self._slot_shapes(max_frames))
+                       for _ in range(batch_size)]
+        self._scratch = self._buffers(self._scratch_shapes(max_frames))
+
+    def _slot_shapes(self, frames: int) -> dict[str, tuple[int, int]]:
+        d, k, u = self._dims
+        return {"x": (frames, d), "xp": (frames, k), "attn": (u, frames)}
+
+    def _scratch_shapes(self, frames: int) -> dict[str, tuple[int, int]]:
+        _, k, u = self._dims
+        return {"v_hat": (frames, k), "d_xp_sup": (frames, k),
+                "d_attn": (u, frames), "d_z": (u, frames),
+                "d_xp": (frames, k)}
+
+    @staticmethod
+    def _buffers(shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+        return {name: np.empty(math.prod(shape)) for name, shape in shapes.items()}
+
+    @staticmethod
+    def _views(buffers: dict[str, np.ndarray],
+               shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+        return {name: buffers[name][:math.prod(shape)].reshape(shape)
+                for name, shape in shapes.items()}
+
+    def slot(self, index: int, frames: int) -> dict[str, np.ndarray]:
+        return self._views(self._slots[index], self._slot_shapes(frames))
+
+    def scratch(self, frames: int) -> dict[str, np.ndarray]:
+        return self._views(self._scratch, self._scratch_shapes(frames))
 
 
 def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
@@ -272,17 +330,21 @@ def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
 
 
 def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
-                       config: TrainConfig
+                       config: TrainConfig,
+                       work: TrainWorkspace | None = None
                        ) -> tuple[list[list[int]], list[dict]]:
     """One decoder forward per video and the slot each step selects.
 
     Returns the selections and the forward caches, which
     ``batch_loss_and_grads`` takes so that it need not run the decoder
-    again.
+    again. With a workspace, video b's frame-sized activations are
+    written into its slot b.
     """
-    caches = [forward_slots(params,
-                            _decoder_input(v.frames, config.normalize_features))[1]
-              for v in batch]
+    slots = [{} if work is None else work.slot(b, v.frames.shape[0])
+             for b, v in enumerate(batch)]
+    caches = [forward_slots(params, _decoder_input(
+                  v.frames, config.normalize_features, slot.get("x")), slot)[1]
+              for v, slot in zip(batch, slots)]
     selections = select_slots([cache["slots"] for cache in caches],
                               _text_input(params, [v.step_feats for v in batch]),
                               config.drop_pct)
@@ -291,7 +353,9 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
 
 def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
                          selections: list[list[int]], caches: list[dict],
-                         config: TrainConfig) -> tuple[float, ModelParams]:
+                         config: TrainConfig,
+                         work: TrainWorkspace | None = None
+                         ) -> tuple[float, ModelParams]:
     """Loss plus exact analytic gradients for every parameter tensor.
 
     ``caches`` are the batch's ``forward_slots`` activations at
@@ -300,7 +364,9 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     Each video's supervised terms come from one steps x frames cosine
     matrix, a row for each step its raster labels; the contrastive terms
     are computed for the whole batch at once. The gradients share the
-    parameters' flat layout; every write accumulates into them.
+    parameters' flat layout; every write accumulates into them. With a
+    workspace, each video's frame-sized gradients are written into its
+    scratch.
     """
     grads = params.zeros_like()
     gamma = config.gamma
@@ -310,7 +376,8 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     d_m = np.zeros((n, params.working_dim))
     global_loss = 0.0
     if config.w_global > 0 and n >= 2:
-        mean_steps = np.stack([v.step_feats.mean(axis=0) for v in batch])
+        mean_steps = np.stack([v.step_feats.mean(axis=0, dtype=np.float64)
+                               for v in batch])
         m_rows = np.stack([c["slots"][chosen].mean(axis=0)
                            for c, chosen in zip(caches, selections)])
         t_rows = mean_steps @ params.proj_t
@@ -333,12 +400,13 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     n_sup = sum(1 for v in batch if v.gt_labels.any())
     sup_losses = []
     for i, (v, chosen, cache) in enumerate(zip(batch, selections, caches)):
+        scratch = {} if work is None else work.scratch(cache["xp"].shape[0])
         d_slots = np.zeros_like(cache["slots"])
         d_xp_sup = 0.0
         gt = v.gt_labels
         if config.w_sup > 0 and gt.any():
             steps = np.unique(gt[gt > 0])
-            v_hat, xp_norms = _unit_rows(cache["xp"])
+            v_hat, xp_norms = _unit_rows(cache["xp"], scratch.get("v_hat"))
             rows = [chosen[step - 1] for step in steps]
             u = cache["slots"][rows]
             u_norms = np.linalg.norm(u, axis=1, keepdims=True)
@@ -356,9 +424,12 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
             # gradients of any selection, one that repeats a slot too
             g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
             np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
-            # the frame side's <d_hat, v_hat> per frame is sum_k g_cos cos
-            d_xp_sup = (g_cos.T @ u_hat
-                        - v_hat * np.sum(g_cos * cos, axis=0)[:, None]) / xp_norms
+            # the frame side's <d_hat, v_hat> per frame is sum_k g_cos cos;
+            # v_hat is not read again, so it takes that product in place
+            v_hat *= np.sum(g_cos * cos, axis=0)[:, None]
+            d_xp_sup = np.matmul(g_cos.T, u_hat, out=scratch.get("d_xp_sup"))
+            d_xp_sup -= v_hat
+            d_xp_sup /= xp_norms
         np.add.at(d_slots, chosen, d_m[i] / len(chosen))
 
         # backpropagate through the decoder, in slot space
@@ -367,15 +438,20 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         grads.w_o += cache["ctx"].T @ d_slots
         d_ax = d_ctx @ params.w_v.T
         grads.w_v += cache["ax"].T @ d_ctx
-        d_attn = d_ax @ xp.T
-        d_z = attn * (d_attn - np.sum(attn * d_attn, axis=1, keepdims=True))
+        d_attn = np.matmul(d_ax, xp.T, out=scratch.get("d_attn"))
+        d_z = np.multiply(attn, d_attn, out=scratch.get("d_z"))
+        d_attn -= np.sum(d_z, axis=1, keepdims=True)
+        np.multiply(attn, d_attn, out=d_z)
         d_z *= cache["scale"]
         d_qk = d_z @ xp
         grads.w_k += d_qk.T @ cache["qp"]
         d_qp = d_qk @ params.w_k
         grads.queries += d_qp @ params.w_q.T
         grads.w_q += params.queries.T @ d_qp
-        d_xp = attn.T @ d_ax + d_z.T @ cache["qk"] + d_xp_sup
+        d_xp = np.matmul(attn.T, d_ax, out=scratch.get("d_xp"))
+        # v_hat's buffer is free again, so it takes d_z^T qk
+        d_xp += np.matmul(d_z.T, cache["qk"], out=scratch.get("v_hat"))
+        d_xp += d_xp_sup
         grads.proj_v += cache["x"].T @ d_xp
 
     total_loss = global_loss
@@ -484,6 +560,8 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
+    work = TrainWorkspace(params, min(config.batch_size, len(train)),
+                          max(v.frames.shape[0] for v in train))
     opt = Adam(params.flat.size, config.learning_rate)
     best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
                         best_epoch=-1, best_val_f1=-1.0)
@@ -492,15 +570,14 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            selections, caches = compute_selections(params, batch, config)
+            selections, caches = compute_selections(params, batch, config,
+                                                    work)
             try:
                 loss, grads = batch_loss_and_grads(params, batch, selections,
-                                                   caches, config)
+                                                   caches, config, work)
             except NumericalError as exc:
                 raise NumericalError(
                     f"fold {fold.fold_id} epoch {epoch}: {exc}") from None
-            # free this step's activations before the next step's forwards
-            del caches
             opt.step(params.flat, grads.flat)
             epoch_losses.append(loss)
         val_f1 = evaluate_alignment_f1(params, val, config)
@@ -538,7 +615,8 @@ def load_model(path) -> tuple[ModelParams, dict]:
 
 __all__ = [
     "l2_normalize_rows", "cosine_matrix", "ModelParams", "TrainConfig",
-    "FoldVideo", "EpochLog", "FoldTraining", "forward_slots", "select_slots",
+    "FoldVideo", "TrainWorkspace", "EpochLog", "FoldTraining",
+    "forward_slots", "select_slots",
     "compute_selections", "batch_loss_and_grads", "align_frames_to_slots",
     "align_videos", "align_video", "evaluate_alignment_f1",
     "train_alignment_fold", "save_model", "load_model",

@@ -135,7 +135,7 @@ class SynthResult:
 def _quantize(m: np.ndarray) -> np.ndarray:
     # float32 is the storage precision; quantizing up front makes the
     # in-memory corpus identical to a saved-and-reloaded one
-    return m.astype(np.float32).astype(np.float64)
+    return m.astype(np.float32)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

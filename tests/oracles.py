@@ -227,6 +227,7 @@ def detect_per_segment(params: ClassifierParams,
     """One forward per proposal: the segment's mean-pooled features,
     followed, unless ``video_only``, by its step's text vector (zero for a
     step-``None`` proposal) as one input vector, then a softmax."""
+    video_feats = np.asarray(video_feats, dtype=np.float64)
     out = []
     for step, seg in proposals:
         x = video_feats[seg.start:seg.end].mean(axis=0)

@@ -18,6 +18,11 @@ from test_checkpoint import _pack
 _META = {"kind": "features", "video_id": "v"}
 
 
+def _ones(*shape):
+    """A float32 feature matrix of ones, as a corpus holds them."""
+    return np.ones(shape, dtype=np.float32)
+
+
 def _one_video_corpus(matrix):
     """A corpus whose one video, ``v``, has the given feature matrix."""
     text = ProceduralText(TaskDomain.CARDBOARD, ("fold the flaps",))
@@ -26,7 +31,7 @@ def _one_video_corpus(matrix):
                            segments=())
     return Corpus(texts={text.task: text}, videos=[video],
                   features={"v": matrix},
-                  step_features={text.task: np.ones((1, matrix.shape[1]))})
+                  step_features={text.task: _ones(1, matrix.shape[1])})
 
 
 def _corpus(video_id="v", matrix=None):
@@ -37,9 +42,9 @@ def _corpus(video_id="v", matrix=None):
                            intent=Intent.CORRECT_RUN, num_frames=5,
                            segments=())
     return Corpus(texts={text.task: text}, videos=[video],
-                  features={video_id: np.ones((5, 3)) if matrix is None
+                  features={video_id: _ones(5, 3) if matrix is None
                             else matrix},
-                  step_features={text.task: np.ones((2, 3))})
+                  step_features={text.task: _ones(2, 3)})
 
 
 def test_video_id_of_a_step_feature_file_rejected():
@@ -52,20 +57,27 @@ def test_video_id_of_a_step_feature_file_rejected():
 
 @pytest.mark.parametrize("features, step_features, rule", [
     ({}, None, r"v: no feature matrix"),
-    ({"v": np.ones(5)}, None, r"v: feature matrix must be 2-d, got shape \(5,\)"),
-    ({"v": np.ones((4, 3))}, None, "v: feature matrix has 4 rows for 5 frames"),
-    (None, {TaskDomain.CARDBOARD: np.ones((3, 3))},
+    ({"v": _ones(5)}, None, r"v: feature matrix must be 2-d, got shape \(5,\)"),
+    ({"v": _ones(4, 3)}, None, "v: feature matrix has 4 rows for 5 frames"),
+    (None, {TaskDomain.CARDBOARD: _ones(3, 3)},
      "steps_cardboard: feature matrix has 3 rows for 2 steps"),
-    (None, {TaskDomain.CARDBOARD: np.ones((2, 4))},
+    (None, {TaskDomain.CARDBOARD: _ones(2, 4)},
      "steps_cardboard: feature matrix is 4 wide, not 3 as v"),
-    ({"v": np.ones((5, 4))}, None,
+    ({"v": _ones(5, 4)}, None,
      "steps_cardboard: feature matrix is 3 wide, not 4 as v"),
-    (None, {TaskDomain.CARDBOARD: np.ones((2, 3)),
-            TaskDomain.COLOR_MIXTURE: np.ones((2, 3))},
+    (None, {TaskDomain.CARDBOARD: _ones(2, 3),
+            TaskDomain.COLOR_MIXTURE: _ones(2, 3)},
      "steps_color_mixture: no procedural text for task color_mixture"),
     (None, {}, "steps_cardboard: no feature matrix"),
+    ({"v": _ones(5, 3), "stray": _ones(2, 2)}, None,
+     "stray: feature matrix names no video"),
+    ({"v": np.ones((5, 3))}, None,
+     "v: feature matrix must be float32, got float64"),
+    (None, {TaskDomain.CARDBOARD: np.ones((2, 3), dtype=np.float16)},
+     "steps_cardboard: feature matrix must be float32, got float16"),
 ], ids=["no-matrix", "1-d", "frame-rows", "step-rows", "step-width",
-        "video-width", "step-matrix-without-text", "text-without-step-matrix"])
+        "video-width", "step-matrix-without-text", "text-without-step-matrix",
+        "stray-matrix", "video-float64", "steps-float16"])
 def test_constructor_rejects_matrix_not_fitting_its_record(features,
                                                            step_features,
                                                            rule):
@@ -75,6 +87,17 @@ def test_constructor_rejects_matrix_not_fitting_its_record(features,
                features=corpus.features if features is None else features,
                step_features=(corpus.step_features if step_features is None
                               else step_features))
+
+
+def test_feature_dim_is_the_first_matrix_width():
+    text = ProceduralText(TaskDomain.CARDBOARD, ("fold the flaps", "tape"))
+    steps_only = Corpus(texts={text.task: text}, videos=[], features={},
+                        step_features={text.task: _ones(2, 3)})
+    assert steps_only.feature_dim == 3
+    assert _corpus().feature_dim == 3
+    empty = Corpus(texts={}, videos=[], features={}, step_features={})
+    with pytest.raises(ValidationError, match="^corpus has no feature matrix$"):
+        empty.feature_dim
 
 
 def test_step_file_name_of_another_task_allowed(tmp_path):
@@ -112,14 +135,14 @@ def test_save_rejecting_a_matrix_writes_no_file(tmp_path):
 class TestFeatureIO:
     def test_round_trip_float32_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        m = rng.normal(size=(7, 5)).astype(np.float32).astype(np.float64)
+        m = rng.normal(size=(7, 5)).astype(np.float32)
         _one_video_corpus(m).save(tmp_path)
         loaded = read_features(tmp_path / "features" / "v.fmtx", 7, "dim")
-        assert loaded.dtype == np.float64
+        assert loaded.dtype == np.float32
         np.testing.assert_array_equal(loaded, m)
 
     def test_bytes_follow_the_checkpoint_layout(self, tmp_path):
-        m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -4.0]])
+        m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -4.0]], dtype=np.float32)
         _one_video_corpus(m).save(tmp_path)
         header = (b'{"kind":"features","tensors":[{"name":"features",'
                   b'"shape":[2,3]}],"video_id":"v"}')
@@ -158,7 +181,7 @@ class TestFeatureIO:
         with pytest.raises(ValidationError,
                            match=r"v\.fmtx: tensor features has values not "
                                  r"finite at float32$"):
-            _one_video_corpus(np.array([[np.nan]])).save(tmp_path)
+            _one_video_corpus(_ones(1, 1) * np.nan).save(tmp_path)
         assert not (tmp_path / "features" / "v.fmtx").exists()
 
     @pytest.mark.parametrize("tensors, meta, rule", [

@@ -130,8 +130,8 @@ class TestValidation:
 class TestCorpusLookup:
     def test_video_by_id(self):
         corpus = Corpus(texts={}, videos=[_video("a"), _video("b")],
-                        features={"a": np.zeros((50, 2)),
-                                  "b": np.zeros((50, 2))},
+                        features={"a": np.zeros((50, 2), np.float32),
+                                  "b": np.zeros((50, 2), np.float32)},
                         step_features={})
         assert corpus.video_by_id("b").video_id == "b"
         with pytest.raises(ValidationError, match="unknown video_id 'c'"):
@@ -146,7 +146,8 @@ class TestCorpusLookup:
 class TestCorpusAccess:
     def test_repeated_read_in_one_phase_logged_once(self):
         corpus = Corpus(texts={}, videos=[_video("a")],
-                        features={"a": np.zeros((50, 2))}, step_features={})
+                        features={"a": np.zeros((50, 2), np.float32)},
+                        step_features={})
         corpus.set_phase("infer")
         corpus.video_features("a")
         corpus.video_features("a")
@@ -163,9 +164,9 @@ def _saved_corpus(tmp_path, widths, step_width):
     videos = [_video("a"), _video("b")]
     task = TaskDomain.COLOR_MIXTURE
     corpus = Corpus(texts={task: _text()}, videos=videos,
-                    features={v.video_id: np.ones((50, widths[0]))
+                    features={v.video_id: np.ones((50, widths[0]), np.float32)
                               for v in videos},
-                    step_features={task: np.ones((3, widths[0]))})
+                    step_features={task: np.ones((3, widths[0]), np.float32)})
     corpus.save(tmp_path)
     rows = {"a": 50, "b": 50, f"steps_{task.value}": 3}
     for name, width in zip(rows, (*widths, step_width)):

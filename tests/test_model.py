@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +14,8 @@ from stepalign.corpus import Corpus
 from stepalign.errors import FormatError, ValidationError
 from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
-    FoldVideo, ModelParams, TrainConfig, align_frames_to_slots,
-    align_video, align_videos, batch_loss_and_grads, compute_selections,
+    FoldVideo, ModelParams, TrainConfig, TrainWorkspace,
+    align_frames_to_slots, align_video, align_videos, batch_loss_and_grads, compute_selections,
     cosine_matrix, forward_slots, l2_normalize_rows, load_model, save_model, select_slots, train_alignment_fold,
     FoldTraining,
 )
@@ -682,6 +684,108 @@ def _tiny_fold():
                     test=(ids[7],))
     config = TrainConfig(epochs=3, batch_size=2, working_dim=6, num_queries=5)
     return corpus, fold, config
+
+
+def _fold_videos(rng, lengths, d, k):
+    """Float32 fold videos of the given lengths, each with k steps of
+    annotated frames, apart from the second video, which has none."""
+    videos = []
+    for i, length in enumerate(lengths):
+        gt = np.zeros(length, dtype=np.int64)
+        if i != 1:
+            edges = np.linspace(0, length, k + 1).astype(int)
+            for step in range(1, k + 1):
+                gt[edges[step - 1] + 2:edges[step] - 2] = step
+        videos.append(FoldVideo(
+            video_id=f"v{i}", gt_labels=gt,
+            frames=rng.normal(size=(length, d)).astype(np.float32),
+            step_feats=rng.normal(size=(k, d)).astype(np.float32)))
+    return videos
+
+
+def _training_step(params, batch, config, work=None):
+    selections, caches = compute_selections(params, batch, config, work)
+    loss, grads = batch_loss_and_grads(params, batch, selections, caches,
+                                       config, work)
+    return selections, caches, loss, grads
+
+
+def _largest_line_allocation(fn) -> int:
+    """The most memory tracemalloc sees allocated at once within any one
+    executed line of ``fn`` or of what it calls, over what was allocated
+    when that line began. A block allocated, and freed or kept, counts in
+    the line that allocated it."""
+    worst = start = 0
+
+    def trace(frame, event, arg):
+        nonlocal worst, start
+        worst = max(worst, tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return worst
+
+
+class TestTrainWorkspace:
+    @pytest.mark.parametrize("lengths", [(41, 17, 29, 23), (17, 29, 23, 41)],
+                             ids=["longest-first", "longest-last"])
+    def test_step_equals_allocating_step_bit_for_bit(self, lengths):
+        rng = np.random.default_rng(60)
+        params = _params(rng, d=6, dp=5, u=4)
+        params.flat += 0.1 * rng.normal(size=params.flat.shape)
+        batch = _fold_videos(rng, lengths, d=6, k=2)
+        config = TrainConfig(gamma=0.5, batch_size=4, w_global=0.7)
+        want = _training_step(params, batch, config)
+        work = TrainWorkspace(params, batch_size=4, max_frames=max(lengths))
+        # the second step runs over buffers the first one filled
+        for _ in range(2):
+            got = _training_step(params, batch, config, work)
+            assert got[0] == want[0]
+            assert got[2] == want[2]
+            assert got[3].flat.tobytes() == want[3].flat.tobytes()
+            for cache, expected in zip(got[1], want[1]):
+                for name in ("x", "xp", "attn", "slots"):
+                    assert cache[name].tobytes() == expected[name].tobytes()
+
+    def test_cache_arrays_live_in_the_workspace(self):
+        rng = np.random.default_rng(61)
+        params = _params(rng, d=6, dp=5, u=4)
+        batch = _fold_videos(rng, (17, 29, 23), d=6, k=2)
+        work = TrainWorkspace(params, batch_size=3, max_frames=29)
+        _, caches = compute_selections(params, batch, TrainConfig(), work)
+        for b, (cache, video) in enumerate(zip(caches, batch)):
+            slot = work.slot(b, video.frames.shape[0])
+            for name in ("x", "xp", "attn"):
+                assert np.shares_memory(cache[name], slot[name]), (b, name)
+                for other in caches[:b]:
+                    assert not np.shares_memory(cache[name], other[name])
+
+    def test_later_step_allocates_no_frame_sized_block(self):
+        # long videos for their two steps, so that a steps x frames array
+        # and numpy's bounded iteration buffers stay far below the
+        # smallest frame-sized array, min(L) x 32 float64s
+        rng = np.random.default_rng(62)
+        lengths = (1100, 1000, 1050)
+        params = ModelParams.init(rng, feature_dim=32, working_dim=32,
+                                  num_queries=32)
+        batch = _fold_videos(rng, lengths, d=32, k=2)
+        config = TrainConfig(batch_size=3)
+        frame_block = min(lengths) * 32 * 8
+        work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths))
+        _training_step(params, batch, config, work)
+        assert _largest_line_allocation(
+            lambda: _training_step(params, batch, config, work)) < frame_block
+        # and the measure sees the blocks of an allocating step
+        assert _largest_line_allocation(
+            lambda: _training_step(params, batch, config)) >= frame_block
 
 
 class TestFoldVideo:

@@ -70,12 +70,14 @@ class TestSynthBasics:
     ], ids=["default", "every-kind", "no-noise", "skip-all-no-gap"])
     def test_bytes_pinned(self, changes, expected):
         # any change to the random stream or to how frames are built moves
-        # this digest of every annotation and feature matrix
+        # this digest of every annotation and feature matrix; the matrices
+        # are hashed widened to float64, as they were recorded
         corpus = synth_corpus(small_config(**changes)).corpus
         digest = hashlib.sha256()
         for video in corpus.videos:
             digest.update(json.dumps(video_to_json(video), sort_keys=True).encode())
-            digest.update(corpus.features[video.video_id].tobytes())
+            digest.update(
+                corpus.features[video.video_id].astype(np.float64).tobytes())
         assert digest.hexdigest() == expected
 
     def test_every_kind_pin_plants_every_kind_and_a_split(self):
