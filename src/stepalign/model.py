@@ -31,18 +31,23 @@ Slot selection is recomputed every step but treated as a constant mapping
 inside the losses, so no gradient flows through the discrete alignment.
 A fold reads each of its training and validation videos once, into a
 ``FoldVideo``: the corpus's feature array, the task's step texts and the
-rasterized ground truth. Features are normalized where the decoder reads
-them, by ``_decoder_input``. A training step runs the decoder once per
-video: ``compute_selections`` keeps each forward's activations, selects
-slots for the whole batch with one stacked Drop-DTW per step count, and
+rasterized ground truth, with what every step reads of them computed
+once: the frames' row norms, the annotated steps and each step's frames.
+The decoder input, the frames over their norms, is one divide by
+``_decoder_input``. A training step runs the decoder once per video:
+``compute_selections`` keeps each forward's activations, selects slots
+for the whole batch with one stacked Drop-DTW per step count, and
 ``batch_loss_and_grads`` backpropagates through the same activations,
-taking each step's positive frames from the raster. A fold allocates
-the frame-sized arrays of these steps once, in a ``TrainWorkspace``
-sized to its longest training video, and every step writes into it with
-``out=``; called without one, the same functions allocate them.
-Inference, and validation once per epoch, run ``align_videos``: one
-forward per video and one stacked selection, then each video's segments
-from the Drop-DTW of its selected slots against its frames.
+rebuilding the decoder input, which no cache holds, for the input
+projection's gradient. Validation once per epoch runs
+``compute_selections`` on chunks of at most ``batch_size`` videos, then
+aligns each video's selected slots to its projected frames. A fold
+allocates the frame-sized arrays of training and validation once, in a
+``TrainWorkspace`` with ``min(batch_size, max(len(train), len(val)))``
+slots sized to its longest training or validation video, and every step
+writes into it with ``out=``; called without one, the same functions
+allocate them. Inference, ``align_video``, runs one forward, the
+selection and the alignment for one video.
 
 Both losses and their gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracles used for
@@ -146,13 +151,20 @@ class TrainConfig:
                 f"working_dim must be >= 1, got {self.working_dim}")
 
 
+def _row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The float64 norms of ``m``'s rows as a column. The rows' squares
+    are summed in ``out`` when it is given, as ``np.linalg.norm`` sums
+    them."""
+    return np.sqrt(np.add.reduce(np.square(m, dtype=np.float64, out=out),
+                                 axis=-1, keepdims=True))
+
+
 def _unit_rows(m: np.ndarray, out: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit norm in float64, written into ``out`` when it
-    is given, and the norms as a column; zero rows are rejected. The rows'
-    squares are summed in ``out`` first, as ``np.linalg.norm`` sums them."""
-    scaled = np.square(m, dtype=np.float64, out=out)
-    norms = np.sqrt(np.add.reduce(scaled, axis=-1, keepdims=True))
+    is given, and the norms as a column; zero rows are rejected."""
+    scaled = np.empty(np.shape(m)) if out is None else out
+    norms = _row_norms(m, scaled)
     if np.any(norms == 0.0):
         raise ValidationError("cannot l2-normalize a zero row")
     return np.divide(m, norms, dtype=np.float64, out=scaled), norms
@@ -193,9 +205,10 @@ def forward_slots(params: ModelParams, video: np.ndarray,
                   out: dict[str, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, dict]:
     """Run the decoder over one video's features; returns the U x d' slot
-    matrix and the intermediate activations. The L x d' projected frames
-    and the U x L attention are written into ``out["xp"]`` and
-    ``out["attn"]`` when ``out`` is given."""
+    matrix and the intermediate activations, which do not include the
+    features. The L x d' projected frames and the U x L attention are
+    written into ``out["xp"]`` and ``out["attn"]`` when ``out`` is
+    given."""
     video = np.asarray(video, dtype=np.float64)
     if video.ndim != 2 or video.shape[1] != params.feature_dim:
         raise ValidationError(
@@ -214,7 +227,7 @@ def forward_slots(params: ModelParams, video: np.ndarray,
     slots = ctx @ params.w_o
     if not np.all(np.isfinite(slots)):
         raise NumericalError("slot matrix contains non-finite values")
-    cache = {"x": video, "xp": xp, "qp": qp, "qk": qk, "attn": attn,
+    cache = {"xp": xp, "qp": qp, "qk": qk, "attn": attn,
              "ax": ax, "ctx": ctx, "slots": slots, "scale": scale}
     return slots, cache
 
@@ -252,12 +265,27 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
 class FoldVideo:
     """One fold video as decoder training and validation read it: the
     corpus's own feature array, the task's step texts and the
-    ground-truth raster."""
+    ground-truth raster, and the constants every step reads of them,
+    computed once: the frames' row norms, the annotated steps in
+    ascending order and, per annotated step, the mask of its frames. The
+    raster is a copy; it and the constants are read-only."""
 
     video_id: str
     frames: np.ndarray                       # L x d, not normalized
     step_feats: np.ndarray                   # K x d
     gt_labels: np.ndarray                    # per-frame step, 0 background
+    norms: np.ndarray = field(init=False, repr=False)     # L x 1 float64
+    steps: np.ndarray = field(init=False, repr=False)     # K'
+    positive: np.ndarray = field(init=False, repr=False)  # K' x L
+
+    def __post_init__(self):
+        gt = np.array(self.gt_labels)
+        steps = np.unique(gt[gt > 0])
+        derived = {"gt_labels": gt, "norms": _row_norms(self.frames),
+                   "steps": steps, "positive": gt == steps[:, None]}
+        for name, value in derived.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, video_id: str) -> "FoldVideo":
@@ -267,21 +295,25 @@ class FoldVideo:
                    gt_labels=gt_frame_labels(video))
 
 
-def _decoder_input(frames: np.ndarray, normalize_features: bool,
+def _decoder_input(video: FoldVideo, normalize_features: bool,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """The features the decoder reads: unit rows, written into ``out``
-    when it is given, or the raw rows when normalization is off."""
-    return _unit_rows(frames, out)[0] if normalize_features else frames
+    """The features the decoder reads, in float64 and written into
+    ``out`` when it is given: the frames over their row norms, or the raw
+    frames when normalization is off."""
+    return np.divide(video.frames, video.norms if normalize_features else 1.0,
+                     dtype=np.float64, out=out)
 
 
 class TrainWorkspace:
-    """The frame-sized arrays of decoder training, allocated once per fold
-    for its longest training video. Each batch slot has the decoder input
-    ``x``, the projected frames ``xp`` and the attention ``attn``, which
-    its forward cache holds until the backward; the backward's scratch is
-    shared by the batch's videos. ``slot`` and ``scratch`` return, for a
-    video of some length, contiguous arrays of that video's shapes over
-    the start of each buffer."""
+    """The frame-sized arrays of decoder training and validation,
+    allocated once per fold for its longest training or validation video.
+    Each batch slot has the projected frames ``xp`` and the attention
+    ``attn``, which its forward cache holds until the backward or the
+    alignment. The scratch is shared by the batch's videos: the decoder
+    input ``x``, which a forward reads and the backward rebuilds, and the
+    backward's and the alignment's frame-sized temporaries. ``slot`` and
+    ``scratch`` return, for a video of some length, contiguous arrays of
+    that video's shapes over the start of each buffer."""
 
     def __init__(self, params: ModelParams, batch_size: int, max_frames: int):
         self._dims = (params.feature_dim, params.working_dim,
@@ -291,14 +323,14 @@ class TrainWorkspace:
         self._scratch = self._buffers(self._scratch_shapes(max_frames))
 
     def _slot_shapes(self, frames: int) -> dict[str, tuple[int, int]]:
-        d, k, u = self._dims
-        return {"x": (frames, d), "xp": (frames, k), "attn": (u, frames)}
+        _, k, u = self._dims
+        return {"xp": (frames, k), "attn": (u, frames)}
 
     def _scratch_shapes(self, frames: int) -> dict[str, tuple[int, int]]:
-        _, k, u = self._dims
-        return {"v_hat": (frames, k), "d_xp_sup": (frames, k),
-                "d_attn": (u, frames), "d_z": (u, frames),
-                "d_xp": (frames, k)}
+        d, k, u = self._dims
+        return {"x": (frames, d), "v_hat": (frames, k),
+                "d_xp_sup": (frames, k), "d_attn": (u, frames),
+                "d_z": (u, frames), "d_xp": (frames, k)}
 
     @staticmethod
     def _buffers(shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
@@ -338,13 +370,15 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
     Returns the selections and the forward caches, which
     ``batch_loss_and_grads`` takes so that it need not run the decoder
     again. With a workspace, video b's frame-sized activations are
-    written into its slot b.
+    written into its slot b, and each decoder input into the scratch.
     """
-    slots = [{} if work is None else work.slot(b, v.frames.shape[0])
-             for b, v in enumerate(batch)]
-    caches = [forward_slots(params, _decoder_input(
-                  v.frames, config.normalize_features, slot.get("x")), slot)[1]
-              for v, slot in zip(batch, slots)]
+    caches = []
+    for b, v in enumerate(batch):
+        length = v.frames.shape[0]
+        slot, scratch = ({}, {}) if work is None else (
+            work.slot(b, length), work.scratch(length))
+        x = _decoder_input(v, config.normalize_features, scratch.get("x"))
+        caches.append(forward_slots(params, x, slot)[1])
     selections = select_slots([cache["slots"] for cache in caches],
                               _text_input(params, [v.step_feats for v in batch]),
                               config.drop_pct)
@@ -362,11 +396,12 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     ``params``. Slot selection is a constant: gradients flow through the
     decoder and both losses but not through the discrete assignment.
     Each video's supervised terms come from one steps x frames cosine
-    matrix, a row for each step its raster labels; the contrastive terms
-    are computed for the whole batch at once. The gradients share the
-    parameters' flat layout; every write accumulates into them. With a
-    workspace, each video's frame-sized gradients are written into its
-    scratch.
+    matrix, a row for each annotated step of the video; the contrastive
+    terms are computed for the whole batch at once. The gradients share
+    the parameters' flat layout; every write accumulates into them. Each
+    video's decoder input is rebuilt for the input projection's gradient.
+    With a workspace, each video's frame-sized gradients and decoder input
+    are written into its scratch.
     """
     grads = params.zeros_like()
     gamma = config.gamma
@@ -397,24 +432,22 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         grads.proj_t += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
 
     # supervised loss: mean over steps within a video, then over videos
-    n_sup = sum(1 for v in batch if v.gt_labels.any())
+    n_sup = sum(1 for v in batch if v.steps.size)
     sup_losses = []
     for i, (v, chosen, cache) in enumerate(zip(batch, selections, caches)):
         scratch = {} if work is None else work.scratch(cache["xp"].shape[0])
         d_slots = np.zeros_like(cache["slots"])
         d_xp_sup = 0.0
-        gt = v.gt_labels
-        if config.w_sup > 0 and gt.any():
-            steps = np.unique(gt[gt > 0])
+        if config.w_sup > 0 and v.steps.size:
             v_hat, xp_norms = _unit_rows(cache["xp"], scratch.get("v_hat"))
-            rows = [chosen[step - 1] for step in steps]
+            rows = [chosen[step - 1] for step in v.steps]
             u = cache["slots"][rows]
             u_norms = np.linalg.norm(u, axis=1, keepdims=True)
             u_hat = u / u_norms
             # K' x L cosines and logits, one row per annotated step
             cos = u_hat @ v_hat.T
             logits = cos / gamma
-            positive = gt == steps[:, None]
+            positive = v.positive
             lse_all = _logsumexp(logits)
             lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
             sup_losses.append(float(np.mean(lse_all - lse_pos)))
@@ -452,7 +485,8 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         # v_hat's buffer is free again, so it takes d_z^T qk
         d_xp += np.matmul(d_z.T, cache["qk"], out=scratch.get("v_hat"))
         d_xp += d_xp_sup
-        grads.proj_v += cache["x"].T @ d_xp
+        x = _decoder_input(v, config.normalize_features, scratch.get("x"))
+        grads.proj_v += x.T @ d_xp
 
     total_loss = global_loss
     if sup_losses:
@@ -463,40 +497,31 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
 
 
 def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
-                          drop_pct: float) -> list[tuple[int, Segment]]:
+                          drop_pct: float, out: np.ndarray | None = None
+                          ) -> list[tuple[int, Segment]]:
     """Inference tail: align the per-step slot sequence to frames with
     droppable DTW (slots must match, frames may drop at the percentile
-    cost) and decode one segment per step, no two overlapping."""
-    cost = -cosine_matrix(selected, frame_embed)
+    cost) and decode one segment per step, no two overlapping. The
+    frames' unit rows are written into ``out`` when it is given."""
+    cost = -(l2_normalize_rows(selected) @ _unit_rows(frame_embed, out)[0].T)
     visited, _ = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
     return decode_segments(visited)
-
-
-def align_videos(params: ModelParams, frames: Sequence[np.ndarray],
-                 step_feats: Sequence[np.ndarray], drop_pct: float,
-                 normalize_features: bool) -> list[list[tuple[int, Segment]]]:
-    """Full inference: decode each video's slots, pick one per step in one
-    stacked selection, then align the selected slots to the video's frames
-    and read off one segment per step. Only each video's slots and
-    projected frames are kept until the selection."""
-    slots, frame_embeds = [], []
-    for video in frames:
-        video_slots, cache = forward_slots(
-            params, _decoder_input(video, normalize_features))
-        slots.append(video_slots)
-        frame_embeds.append(cache["xp"])
-        del cache
-    chosen = select_slots(slots, _text_input(params, step_feats), drop_pct)
-    return [align_frames_to_slots(u[rows], xp, drop_pct)
-            for u, xp, rows in zip(slots, frame_embeds, chosen)]
 
 
 def align_video(params: ModelParams, frames: np.ndarray,
                 step_feats: np.ndarray, drop_pct: float,
                 normalize_features: bool) -> list[tuple[int, Segment]]:
-    """``align_videos`` for one video."""
-    return align_videos(params, [frames], [step_feats], drop_pct,
-                        normalize_features)[0]
+    """Full inference: decode the video's slots, pick one per step, then
+    align the selected slots to the video's frames and read off one
+    segment per step. Only the slots and the projected frames are kept
+    after the forward."""
+    slots, cache = forward_slots(
+        params, _unit_rows(frames)[0] if normalize_features else frames)
+    xp = cache["xp"]
+    del cache
+    rows = select_slots([slots], _text_input(params, [step_feats]),
+                        drop_pct)[0]
+    return align_frames_to_slots(slots[rows], xp, drop_pct)
 
 
 @dataclass
@@ -516,14 +541,24 @@ class FoldTraining:
 
 
 def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
-                          config: TrainConfig) -> float:
-    """Mean frame-F1 of the videos' ``align_videos`` segments."""
-    predicted = align_videos(params, [v.frames for v in videos],
-                             [v.step_feats for v in videos], config.drop_pct,
-                             config.normalize_features)
-    scores = [frame_metrics(rasterize(segments, v.gt_labels.shape[0]),
-                            v.gt_labels)["f1"]
-              for segments, v in zip(predicted, videos)]
+                          config: TrainConfig,
+                          work: TrainWorkspace | None = None) -> float:
+    """Mean frame-F1 of the videos' alignments: ``compute_selections`` on
+    chunks of at most ``batch_size`` videos, then each video's selected
+    slots aligned to its projected frames. With a workspace, which needs
+    a slot per video of a chunk, the frame-sized arrays are written into
+    it."""
+    scores = []
+    for lo in range(0, len(videos), config.batch_size):
+        chunk = videos[lo:lo + config.batch_size]
+        selections, caches = compute_selections(params, chunk, config, work)
+        for v, rows, cache in zip(chunk, selections, caches):
+            scratch = {} if work is None else work.scratch(v.frames.shape[0])
+            segments = align_frames_to_slots(cache["slots"][rows], cache["xp"],
+                                             config.drop_pct,
+                                             scratch.get("v_hat"))
+            scores.append(frame_metrics(
+                rasterize(segments, v.gt_labels.shape[0]), v.gt_labels)["f1"])
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -545,6 +580,19 @@ def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
                 f"fewer than the {steps[vid]} steps of its task")
 
 
+def _check_rows(fold_id: int, videos: Sequence[FoldVideo]) -> None:
+    """Reject a video with an all-zero feature row: the decoder input
+    divides each row by its norm, and without normalization the row
+    projects to a frame without a cosine."""
+    for v in videos:
+        zero = np.flatnonzero(v.norms == 0.0)
+        if zero.size:
+            raise ValidationError(
+                f"fold {fold_id}: video {v.video_id!r} has an all-zero "
+                f"feature row at frame {zero[0]}; every frame needs a "
+                f"nonzero row")
+
+
 def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                          config: TrainConfig) -> FoldTraining:
     """Mini-batch training on one fold; returns the checkpoint with the
@@ -557,11 +605,13 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     corpus.set_phase(f"fold{fold.fold_id}:train-align")
     train = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
     val = [FoldVideo.from_corpus(corpus, vid) for vid in fold.val]
+    _check_rows(fold.fold_id, [*train, *val])
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
-    work = TrainWorkspace(params, min(config.batch_size, len(train)),
-                          max(v.frames.shape[0] for v in train))
+    work = TrainWorkspace(params,
+                          min(config.batch_size, max(len(train), len(val))),
+                          max(v.frames.shape[0] for v in (*train, *val)))
     opt = Adam(params.flat.size, config.learning_rate)
     best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
                         best_epoch=-1, best_val_f1=-1.0)
@@ -580,7 +630,7 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                     f"fold {fold.fold_id} epoch {epoch}: {exc}") from None
             opt.step(params.flat, grads.flat)
             epoch_losses.append(loss)
-        val_f1 = evaluate_alignment_f1(params, val, config)
+        val_f1 = evaluate_alignment_f1(params, val, config, work)
         best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
                                  val_f1=val_f1))
         if val_f1 > best.best_val_f1:
@@ -618,6 +668,6 @@ __all__ = [
     "FoldVideo", "TrainWorkspace", "EpochLog", "FoldTraining",
     "forward_slots", "select_slots",
     "compute_selections", "batch_loss_and_grads", "align_frames_to_slots",
-    "align_videos", "align_video", "evaluate_alignment_f1",
+    "align_video", "evaluate_alignment_f1",
     "train_alignment_fold", "save_model", "load_model",
 ]

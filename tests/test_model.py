@@ -15,13 +15,14 @@ from stepalign.errors import FormatError, ValidationError
 from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
     FoldVideo, ModelParams, TrainConfig, TrainWorkspace,
-    align_frames_to_slots, align_video, align_videos, batch_loss_and_grads, compute_selections,
-    cosine_matrix, forward_slots, l2_normalize_rows, load_model, save_model, select_slots, train_alignment_fold,
+    align_frames_to_slots, align_video, batch_loss_and_grads, compute_selections,
+    cosine_matrix, evaluate_alignment_f1, forward_slots, l2_normalize_rows, load_model, save_model, select_slots, train_alignment_fold,
     FoldTraining,
 )
 from stepalign.synth import SynthConfig, synth_corpus
 from oracles import (
-    batch_loss_and_grads_kv, brute_force_align, cosine, forward_slots_kv,
+    batch_loss_and_grads_kv, brute_force_align, cosine,
+    evaluate_alignment_f1_per_video, forward_slots_kv,
     select_slots_per_video, train_alignment_fold_per_tensor,
 )
 
@@ -366,12 +367,13 @@ def _random_example(rng, d=6, k=2, length=7):
 def _grad_check(config, seed, selections=None, edit_batch=None):
     """Worst relative gap between the analytic gradients and central
     differences of the oracle ``batch_loss``. ``selections`` overrides the
-    decoder's own slot choice; ``edit_batch`` may rewrite the examples."""
+    decoder's own slot choice; ``edit_batch`` may return other examples
+    in place of the batch's."""
     rng = np.random.default_rng(seed)
     params = _params(rng, d=6, dp=5, u=4)
     batch = [_random_example(rng) for _ in range(2)]
     if edit_batch is not None:
-        edit_batch(batch)
+        batch = edit_batch(batch)
     chosen, caches = compute_selections(params, batch, config)
     if selections is None:
         selections = chosen
@@ -428,7 +430,7 @@ class TestSlotSpaceAttention:
         config = TrainConfig()
         selections, caches = compute_selections(params, batch, config)
         kv_caches = [forward_slots_kv(params, stepalign.model._decoder_input(
-            v.frames, config.normalize_features))[1] for v in batch]
+            v, config.normalize_features))[1] for v in batch]
         kv_selections = select_slots(
             [c["slots"] for c in kv_caches],
             stepalign.model._text_input(params, [v.step_feats for v in batch]),
@@ -450,12 +452,13 @@ class TestSlotSpaceAttention:
             assert_close(grad, getattr(kv_grads, name), name)
 
     def test_cache_holds_no_per_frame_keys_or_values(self):
+        # nor the decoder input, which the backward rebuilds
         params, batch = self._long_batch()
         _, cache = forward_slots(params, batch[0].frames)
         length = batch[0].frames.shape[0]
         per_frame = {name for name, value in cache.items()
                      if length in np.shape(value)}
-        assert per_frame == {"x", "xp", "attn"}
+        assert per_frame == {"xp", "attn"}
 
 
 class TestGradients:
@@ -489,8 +492,10 @@ class TestGradients:
         # step 1 of the first video and every step of the second carry no
         # annotated frames; they add no supervised term
         def drop_annotations(batch):
-            batch[0].gt_labels[batch[0].gt_labels == 1] = 0
-            batch[1].gt_labels[:] = 0
+            first, second = batch
+            return [replace(first, gt_labels=np.where(first.gt_labels == 1, 0,
+                                                      first.gt_labels)),
+                    replace(second, gt_labels=np.zeros_like(second.gt_labels))]
 
         config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.7,
                              batch_size=2, drop_pct=80)
@@ -571,23 +576,6 @@ class TestOraclePlantAndRecover:
 
 
 class TestAlignVideos:
-    def test_mixed_videos_match_align_video(self):
-        # frame counts and step counts differ within one call; each video
-        # gets what align_video gives it alone
-        rng = np.random.default_rng(40)
-        params = _params(rng, d=6, dp=5, u=6)
-        frames = [rng.normal(size=(n, 6)) for n in (9, 23, 14, 23, 5)]
-        steps = [rng.normal(size=(k, 6)) for k in (2, 4, 3, 2, 4)]
-        for normalize in (True, False):
-            got = align_videos(params, frames, steps, 80.0, normalize)
-            assert got == [align_video(params, f, t, 80.0, normalize)
-                           for f, t in zip(frames, steps)]
-            assert [len(segments) for segments in got] == [2, 4, 3, 2, 4]
-
-    def test_empty_call(self):
-        params = _params(np.random.default_rng(41))
-        assert align_videos(params, [], [], 80.0, True) == []
-
     def test_fewer_frames_than_steps_rejected(self):
         # each step is aligned to frames of its own
         rng = np.random.default_rng(43)
@@ -752,7 +740,7 @@ class TestTrainWorkspace:
             assert got[2] == want[2]
             assert got[3].flat.tobytes() == want[3].flat.tobytes()
             for cache, expected in zip(got[1], want[1]):
-                for name in ("x", "xp", "attn", "slots"):
+                for name in ("xp", "attn", "slots"):
                     assert cache[name].tobytes() == expected[name].tobytes()
 
     def test_cache_arrays_live_in_the_workspace(self):
@@ -763,7 +751,7 @@ class TestTrainWorkspace:
         _, caches = compute_selections(params, batch, TrainConfig(), work)
         for b, (cache, video) in enumerate(zip(caches, batch)):
             slot = work.slot(b, video.frames.shape[0])
-            for name in ("x", "xp", "attn"):
+            for name in ("xp", "attn"):
                 assert np.shares_memory(cache[name], slot[name]), (b, name)
                 for other in caches[:b]:
                     assert not np.shares_memory(cache[name], other[name])
@@ -788,6 +776,75 @@ class TestTrainWorkspace:
             lambda: _training_step(params, batch, config)) >= frame_block
 
 
+def _two_step_count_fold():
+    """A fold over color-mixture videos of 2 steps and electrical-circuit
+    videos of 3: the 3 shortest videos train, and the other 7, among them
+    the longest, validate."""
+    parts = [synth_corpus(SynthConfig(tasks=2, videos_per_task=5, workers=2,
+                                      steps_per_task=k, dim=8,
+                                      frames_per_step=(3, 5), seed=k)).corpus
+             for k in (2, 3)]
+    texts, videos, features, step_features = {}, [], {}, {}
+    for corpus, task in zip(parts, sorted(parts[0].texts,
+                                          key=lambda t: t.value)):
+        texts[task] = corpus.texts[task]
+        step_features[task] = corpus.step_features[task]
+        for video in corpus.videos:
+            if video.task == task:
+                videos.append(video)
+                features[video.video_id] = corpus.features[video.video_id]
+    corpus = Corpus(texts, videos, features, step_features)
+    ids = [v.video_id for v in sorted(videos, key=lambda v: v.num_frames)]
+    fold = FoldSpec(0, train=tuple(ids[:3]), val=tuple(ids[3:]), test=())
+    config = TrainConfig(epochs=3, batch_size=2, working_dim=6, num_queries=5)
+    return corpus, fold, config
+
+
+class TestEvaluateAlignmentF1:
+    def test_chunks_match_per_video_oracle(self):
+        corpus, fold, config = _two_step_count_fold()
+        train = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
+        val = [FoldVideo.from_corpus(corpus, vid) for vid in fold.val]
+        lengths = [v.frames.shape[0] for v in (*train, *val)]
+        assert len(val) > config.batch_size
+        assert {v.step_feats.shape[0] for v in val} == {2, 3}
+        assert max(v.frames.shape[0] for v in val) > \
+            max(v.frames.shape[0] for v in train)
+        rng = np.random.default_rng(64)
+        params = _params(rng, d=8, dp=6, u=5)
+        params.flat += 0.1 * rng.normal(size=params.flat.shape)
+        want = evaluate_alignment_f1_per_video(params, corpus, fold.val, config)
+        assert 0.0 < want < 1.0
+        work = TrainWorkspace(params, config.batch_size, max(lengths))
+        # validation runs over buffers a training step filled
+        _training_step(params, train[:2], config, work)
+        assert evaluate_alignment_f1(params, val, config, work) == want
+        assert evaluate_alignment_f1(params, val, config) == want
+
+    def test_empty_split_scores_zero(self):
+        params = _params(np.random.default_rng(41))
+        work = TrainWorkspace(params, batch_size=2, max_frames=9)
+        assert evaluate_alignment_f1(params, [], TrainConfig(), work) == 0.0
+        assert evaluate_alignment_f1(params, [], TrainConfig()) == 0.0
+
+    def test_later_round_allocates_no_frame_sized_block(self):
+        # as for a training step: min(L) x 32 float64s is the smallest
+        # frame-sized array, and 2 steps keep steps x frames arrays small
+        rng = np.random.default_rng(65)
+        lengths = (1100, 1000, 1050, 1080)
+        params = ModelParams.init(rng, feature_dim=32, working_dim=32,
+                                  num_queries=32)
+        val = _fold_videos(rng, lengths, d=32, k=2)
+        config = TrainConfig(batch_size=3)
+        frame_block = min(lengths) * 32 * 8
+        work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths))
+        evaluate_alignment_f1(params, val, config, work)
+        assert _largest_line_allocation(
+            lambda: evaluate_alignment_f1(params, val, config, work)) < frame_block
+        assert _largest_line_allocation(
+            lambda: evaluate_alignment_f1(params, val, config)) >= frame_block
+
+
 class TestFoldVideo:
     def test_holds_corpus_array_and_raster(self):
         corpus, fold, _ = _tiny_fold()
@@ -796,6 +853,28 @@ class TestFoldVideo:
         assert video.frames is corpus.features[vid]
         np.testing.assert_array_equal(
             video.gt_labels, gt_frame_labels(corpus.video_by_id(vid)))
+
+    def test_constants_follow_the_raster(self):
+        rng = np.random.default_rng(66)
+        frames = rng.normal(size=(9, 4)).astype(np.float32)
+        gt = np.array([0, 3, 3, 0, 1, 1, 0, 3, 0])
+        video = FoldVideo("v", frames, rng.normal(size=(3, 4)), gt)
+        np.testing.assert_array_equal(video.steps, [1, 3])
+        np.testing.assert_array_equal(video.positive, [gt == 1, gt == 3])
+        np.testing.assert_array_equal(
+            video.norms, np.linalg.norm(frames.astype(np.float64), axis=1,
+                                        keepdims=True))
+        # the raster is a copy: the caller's array stays writable
+        gt[0] = 2
+        assert video.gt_labels[0] == 0
+
+    @pytest.mark.parametrize("name", ["gt_labels", "norms", "steps",
+                                      "positive"])
+    def test_raster_and_constants_are_read_only(self, name):
+        corpus, fold, _ = _tiny_fold()
+        video = FoldVideo.from_corpus(corpus, fold.train[0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(video, name)[0] = 0
 
 
 class TestTrainAlignmentFold:
@@ -890,6 +969,33 @@ class TestTrainAlignmentFold:
                 f"^fold 0: video '{vid}' has 2 frames, fewer than the 3 "
                 f"steps of its task$")):
             train_alignment_fold(corpus, fold, config)
+
+    def test_long_val_split_matches_per_tensor_oracle(self):
+        # validation chunks, two step counts and a val video longer than
+        # every training video, in the fold's one workspace
+        corpus, fold, config = _two_step_count_fold()
+        got = train_alignment_fold(corpus, fold, config)
+        want = train_alignment_fold_per_tensor(corpus, fold, config)
+        assert got.params.flat.tobytes() == want.params.flat.tobytes()
+        assert got.log == want.log
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_zero_feature_row_rejected_before_training(self, monkeypatch,
+                                                       split):
+        corpus, fold, config = _tiny_fold()
+        vid = getattr(fold, split)[0]
+        matrix = corpus.features[vid].copy()
+        matrix[3] = 0.0
+        corpus = Corpus(corpus.texts, corpus.videos,
+                        {**corpus.features, vid: matrix}, corpus.step_features)
+        monkeypatch.setattr(stepalign.model, "forward_slots", None)
+        # normalized or not, the row has no cosine with any slot
+        for normalize in (True, False):
+            with pytest.raises(ValidationError, match=(
+                    f"^fold 0: video '{vid}' has an all-zero feature row at "
+                    f"frame 3; every frame needs a nonzero row$")):
+                train_alignment_fold(corpus, fold, replace(
+                    config, normalize_features=normalize))
 
     def test_empty_train_split_rejected(self):
         corpus, fold, config = _tiny_fold()
