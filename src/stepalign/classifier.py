@@ -20,8 +20,11 @@ Every path from segments to labels is the same two calls:
 validation rows and detections all come from them; a fold builds its
 validation rows once and rescores them each validation round.
 
-Training is full-batch Adam over the parameters' one flat buffer. A fold
-allocates its hidden activations, their gradient, the ReLU mask and the
+Training is full-batch Adam over the parameters' one flat buffer. It
+keeps the checkpoint with the best val score and stops at the first
+validation round ``_PATIENCE`` (300) or more epochs after that
+checkpoint's epoch, so a run of at most 300 epochs runs every epoch. A
+fold allocates its hidden activations, their gradient, the ReLU mask and the
 parameter gradients once, in a workspace; each epoch writes into them in
 place, so it allocates no array of n x hidden size.
 """
@@ -36,9 +39,9 @@ import numpy as np
 from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_counts
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
-from .optim import Adam, FlatParams
+from .optim import Adam, EpochLog, FlatParams
 
 NUM_CLASSES = len(CoarseLabel)
 _Proposals = list[tuple[int | None, Segment]]    # (step, segment) pairs
@@ -149,10 +152,7 @@ class ClassifierTrainConfig:
     video_only: bool = False
 
     def validate(self) -> None:
-        for name in ("hidden", "epochs", "val_every"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
+        check_counts(self, ("hidden", "epochs", "val_every"))
         if not 0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be positive and "
                                   f"finite, got {self.learning_rate}")
@@ -167,6 +167,13 @@ class ClassifierTraining:
     best_epoch: int
     best_val_score: float
     class_counts: dict[CoarseLabel, int] = field(default_factory=dict)
+    log: list[EpochLog] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        """Epochs trained before training stopped; the last validation
+        round is the last epoch run."""
+        return self.log[-1].epoch + 1 if self.log else 0
 
 
 def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...], video_only: bool
@@ -276,11 +283,18 @@ def detect_mistakes(params: ClassifierParams,
     return _detections(alignment, z, labels)
 
 
+# epochs without a better val score after which training stops (Prechelt,
+# "Early Stopping -- But When?", 1998); the best checkpoint usually comes
+# before epoch 200 of 1200
+_PATIENCE = 300
+
+
 def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
                           config: ClassifierTrainConfig) -> ClassifierTraining:
     """Full-batch Adam on the fold's teacher-forced segments; returns the
-    checkpoint with the best validation score (earlier epoch wins ties).
-    The val rows are built once, before the first epoch."""
+    checkpoint with the best validation score (earlier epoch wins ties),
+    stopping at the first validation round ``_PATIENCE`` or more epochs
+    after it. The val rows are built once, before the first epoch."""
     config.validate()
     corpus.check_fold(fold)
     corpus.set_phase(f"fold{fold.fold_id}:train-detect")
@@ -313,10 +327,13 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
         opt.step(params.flat, work.grads.flat)
         if epoch % config.val_every == 0 or epoch == config.epochs - 1:
             score = _val_score(params, *val, val_truth)
+            best.log.append(EpochLog(epoch=epoch, loss=loss, val_score=score))
             if score > best.best_val_score:
                 best.best_val_score = score
                 best.best_epoch = epoch
                 best.params.flat[:] = params.flat
+            if epoch - best.best_epoch >= _PATIENCE:
+                break
     return best
 
 
@@ -326,6 +343,7 @@ def save_classifier(path, training: ClassifierTraining,
         "kind": "classifier",
         "seed": config.seed,
         "epoch": training.best_epoch,
+        "epochs_run": training.epochs_run,
         "val_score": training.best_val_score,
         "video_only": config.video_only,
         "fold_id": training.fold_id,
@@ -348,7 +366,7 @@ def load_classifier(path) -> tuple[ClassifierParams, dict]:
 __all__ = [
     "NUM_CLASSES", "ClassifierParams", "class_balanced_weights",
     "mean_pool", "classifier_rows", "classify",
-    "ClassifierTrainConfig", "ClassifierTraining", "detect_on_segments",
-    "detect_mistakes", "train_classifier_fold",
+    "ClassifierTrainConfig", "ClassifierTraining",
+    "detect_on_segments", "detect_mistakes", "train_classifier_fold",
     "save_classifier", "load_classifier",
 ]

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of a
+config's count fields.
 
 The exit-code contract for a command-line interface (none exists yet):
 ``ValidationError`` and its subclasses exit 1, ``ParseError`` and
@@ -28,3 +29,13 @@ class FormatError(StepAlignError):
 
 class NumericalError(StepAlignError):
     """Training or evaluation produced non-finite numbers."""
+
+
+def check_counts(config, names) -> None:
+    """Raise ValidationError naming the first of ``config``'s fields
+    ``names`` that is not an int of at least 1; nothing is coerced, and a
+    bool is not an int."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValidationError(f"{name} must be an int >= 1, got {value!r}")

@@ -69,9 +69,9 @@ from .alignment import (
 from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import FoldSpec, Segment
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_counts
 from .metrics import frame_metrics, gt_frame_labels, rasterize
-from .optim import Adam, FlatParams
+from .optim import Adam, EpochLog, FlatParams
 
 
 @dataclass
@@ -128,8 +128,8 @@ class TrainConfig:
     normalize_features: bool = True
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        check_counts(self, ("epochs", "batch_size", "working_dim",
+                            "num_queries"))
         for name, value in (("learning_rate", self.learning_rate),
                             ("gamma", self.gamma)):
             if not 0 < value < math.inf:
@@ -139,16 +139,11 @@ class TrainConfig:
             if not 0 <= weight < math.inf:
                 raise ValidationError(
                     f"{name} must be nonnegative and finite, got {weight}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.batch_size < 2 and self.w_global > 0:
             raise ValidationError(
                 "batch_size must be >= 2 for the batch-contrastive loss")
         if not (0 < self.drop_pct <= 100):
             raise ValidationError("drop_pct must be in (0, 100]")
-        if self.working_dim < 1:
-            raise ValidationError(
-                f"working_dim must be >= 1, got {self.working_dim}")
 
 
 def _row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -525,13 +520,6 @@ def align_video(params: ModelParams, frames: np.ndarray,
 
 
 @dataclass
-class EpochLog:
-    epoch: int
-    loss: float
-    val_f1: float
-
-
-@dataclass
 class FoldTraining:
     fold_id: int
     params: ModelParams
@@ -632,7 +620,7 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
             epoch_losses.append(loss)
         val_f1 = evaluate_alignment_f1(params, val, config, work)
         best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
-                                 val_f1=val_f1))
+                                 val_score=val_f1))
         if val_f1 > best.best_val_f1:
             best.best_val_f1 = val_f1
             best.best_epoch = epoch

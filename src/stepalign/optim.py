@@ -6,16 +6,26 @@ views into one contiguous buffer, ``flat``, in field order, so one
 ``Adam.step`` updates every tensor. The update is elementwise, so running
 it over the whole buffer gives the same bits as running it per tensor.
 The optimizer's moments and scratch space are allocated once, when it is
-built, and a step allocates no array.
+built, and a step allocates no array. Both trainers log each validation
+round as an ``EpochLog``.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+@dataclass
+class EpochLog:
+    """One validation round of a training: its epoch, that epoch's
+    training loss and the val score after its step."""
+    epoch: int
+    loss: float
+    val_score: float
 
 
 class FlatParams:
@@ -96,4 +106,4 @@ class Adam:
         params -= step
 
 
-__all__ = ["Adam", "FlatParams"]
+__all__ = ["Adam", "EpochLog", "FlatParams"]

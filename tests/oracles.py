@@ -34,6 +34,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from stepalign import classifier
 from stepalign.alignment import (
     _INF, _check_cost, drop_dtw, percentile_drop_cost,
 )
@@ -321,10 +322,15 @@ def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining
         opt.step(tensors, grads)
         if epoch % config.val_every == 0 or epoch == config.epochs - 1:
             score = _val_score(params, *val, val_truth)
+            best.log.append(EpochLog(epoch, loss, score))
             if score > best.best_val_score:
                 best.best_val_score = score
                 best.best_epoch = epoch
                 best.params = params.copy()
+            elif epoch >= best.best_epoch + classifier._PATIENCE:
+                # read at call time, so a test's patience applies here too;
+                # it is >= 1, so a round that just improved never stops
+                break
     return best
 
 
@@ -370,7 +376,7 @@ def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
         val_f1 = evaluate_alignment_f1_per_video(params, corpus, fold.val,
                                                  config)
         best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
-                                 val_f1=val_f1))
+                                 val_score=val_f1))
         if val_f1 > best.best_val_f1:
             best.best_val_f1 = val_f1
             best.best_epoch = epoch

@@ -144,15 +144,30 @@ def _small_fold():
     return corpus, fold, ClassifierTrainConfig(hidden=8, epochs=30, val_every=10)
 
 
-def _assert_training_matches_per_tensor_oracle(**changes):
+def _long_fold(**changes):
+    """``_small_fold`` trained 120 epochs, validating every 4."""
     corpus, fold, config = _small_fold()
-    config = replace(config, epochs=120, val_every=4, **changes)
+    return corpus, fold, replace(config, **{"epochs": 120, "val_every": 4,
+                                            **changes})
+
+
+def _train(patience, **changes):
+    """``_long_fold`` trained with ``patience`` epochs of patience."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepalign.classifier, "_PATIENCE", patience)
+        return train_classifier_fold(*_long_fold(**changes))
+
+
+def _assert_training_matches_per_tensor_oracle(**changes):
+    corpus, fold, config = _long_fold(**changes)
     got = train_classifier_fold(corpus, fold, config)
     want = train_classifier_fold_per_tensor(corpus, fold, config)
     assert got.params.flat.tobytes() == want.params.flat.tobytes()
     assert (got.best_epoch, got.best_val_score, got.class_counts) == \
         (want.best_epoch, want.best_val_score, want.class_counts)
+    assert got.log == want.log
     assert got.best_epoch > 0
+    return got
 
 
 def test_training_matches_per_tensor_oracle():
@@ -163,8 +178,60 @@ def test_video_only_training_matches_per_tensor_oracle():
     _assert_training_matches_per_tensor_oracle(video_only=True)
 
 
+def test_stopped_training_matches_per_tensor_oracle(monkeypatch):
+    # video-only rows on this fold score best at epoch 16 and never better
+    monkeypatch.setattr(stepalign.classifier, "_PATIENCE", 16)
+    got = _assert_training_matches_per_tensor_oracle(video_only=True)
+    assert (got.best_epoch, got.epochs_run) == (16, 33)
+
+
+@pytest.mark.parametrize("video_only", [False, True])
+def test_patience_of_epochs_runs_every_epoch(video_only):
+    # no round is `epochs` or more epochs after the first, epoch 0
+    full = _train(120, video_only=video_only)
+    unbounded = _train(10**9, video_only=video_only)
+    assert full.params.flat.tobytes() == unbounded.params.flat.tobytes()
+    assert (full.best_epoch, full.best_val_score, full.log) == \
+        (unbounded.best_epoch, unbounded.best_val_score, unbounded.log)
+    assert [r.epoch for r in full.log] == [*range(0, 120, 4), 119]
+    assert full.epochs_run == 120
+
+
+@pytest.mark.parametrize("video_only, patience, stop", [
+    (False, 8, 8), (True, 16, 32)])
+def test_patience_stops_at_first_round_reaching_the_gap(tmp_path, video_only,
+                                                        patience, stop):
+    full = _train(120, video_only=video_only)
+    stopped = _train(patience, video_only=video_only)
+    # the full run's rounds up to the first one `patience` or more epochs
+    # after the best before it; the earlier epoch wins ties
+    best, rounds = None, 0
+    for rounds, entry in enumerate(full.log, start=1):
+        if best is None or entry.val_score > best.val_score:
+            best = entry
+        if entry.epoch - best.epoch >= patience:
+            break
+    assert full.log[rounds - 1].epoch == stop < 119
+    assert stopped.log == full.log[:rounds]
+    assert all(math.isfinite(r.loss) and r.loss > 0 for r in stopped.log)
+    assert (stopped.best_epoch, stopped.best_val_score, stopped.epochs_run) == \
+        (best.epoch, best.val_score, stop + 1)
+    # a run that ends at the stop epoch validates there too, so its best
+    # is the best of the same rounds
+    prefix = _train(120, video_only=video_only, epochs=stop + 1)
+    assert stopped.params.flat.tobytes() == prefix.params.flat.tobytes()
+    assert stopped.log == prefix.log
+    # the header records the epochs run next to the best epoch
+    _, _, config = _long_fold(video_only=video_only)
+    save_classifier(tmp_path / "clf.ckpt", stopped, config)
+    _, meta = load_classifier(tmp_path / "clf.ckpt")
+    assert (meta["epoch"], meta["epochs_run"]) == (best.epoch, stop + 1)
+
+
 @pytest.mark.parametrize("field, value", [
-    ("epochs", 0), ("val_every", 0), ("hidden", 0), ("learning_rate", 0.0),
+    ("epochs", 0), ("val_every", 0), ("hidden", 0), ("epochs", 2.5),
+    ("val_every", 2.5), ("hidden", True), ("epochs", False),
+    ("learning_rate", 0.0),
     ("learning_rate", -1e-3), ("learning_rate", math.nan),
     ("learning_rate", math.inf), ("beta", math.nan),
     ("beta", math.inf), ("beta", -0.1), ("beta", 1.0),
@@ -218,8 +285,9 @@ def test_train_save_load_detect(tmp_path):
     params, meta = load_classifier(tmp_path / "clf.ckpt")
     assert meta["epoch"] == training.best_epoch
     # shapes live in the tensors only; the header keeps the training record
-    assert set(meta) == {"kind", "seed", "epoch", "val_score", "video_only",
-                         "fold_id", "class_counts"}
+    assert set(meta) == {"kind", "seed", "epoch", "epochs_run", "val_score",
+                         "video_only", "fold_id", "class_counts"}
+    assert meta["epochs_run"] == training.epochs_run == config.epochs
     for name, tensor in training.params.as_dict().items():
         expected = tensor.astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(getattr(params, name), expected, err_msg=name)

@@ -914,7 +914,10 @@ class TestTrainAlignmentFold:
         assert got.best_epoch > 0
 
     @pytest.mark.parametrize("field, value", [
-        ("epochs", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("epochs", 0), ("epochs", 2.5), ("epochs", True),
+        ("batch_size", 2.5), ("working_dim", 4.5), ("working_dim", True),
+        ("num_queries", -3), ("num_queries", 6.0), ("learning_rate", 0.0),
+        ("learning_rate", -1e-3),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("gamma", math.inf), ("w_sup", -1.0), ("w_sup", math.nan),
         ("w_sup", math.inf), ("w_global", -1.0), ("w_global", math.nan),
