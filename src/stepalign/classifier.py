@@ -153,6 +153,7 @@ class ClassifierTrainConfig:
 
     def validate(self) -> None:
         check_counts(self, ("hidden", "epochs", "val_every"))
+        check_counts(self, ("seed",), minimum=0)
         if not 0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be positive and "
                                   f"finite, got {self.learning_rate}")

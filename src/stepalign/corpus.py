@@ -133,9 +133,10 @@ class Corpus:
 
     def _check_matrices(self) -> int | None:
         """Every video and every text has a 2-d float32 feature matrix
-        with a row per frame or per step, every matrix has a video or a
-        text, and all have the first matrix's width, a video's when there
-        is one. Returns that width, or None when there is no matrix."""
+        with a row per frame or per step and at least one column, every
+        matrix has a video or a text, and all have the first matrix's
+        width, a video's when there is one. Returns that width, or None
+        when there is no matrix."""
         for video_id in self.features:
             if video_id not in self._by_id:
                 raise ValidationError(f"{video_id}: feature matrix names "
@@ -158,6 +159,9 @@ class Corpus:
             if matrix.ndim != 2:
                 raise ValidationError(f"{name}: feature matrix must be 2-d, "
                                       f"got shape {matrix.shape}")
+            if matrix.shape[1] == 0:
+                raise ValidationError(f"{name}: feature matrix has no "
+                                      f"columns, got shape {matrix.shape}")
             if matrix.shape[0] != rows:
                 raise ValidationError(f"{name}: feature matrix has "
                                       f"{matrix.shape[0]} rows for {rows} "

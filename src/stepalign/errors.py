@@ -31,11 +31,15 @@ class NumericalError(StepAlignError):
     """Training or evaluation produced non-finite numbers."""
 
 
-def check_counts(config, names) -> None:
+def check_counts(config, names, minimum: int = 1) -> None:
     """Raise ValidationError naming the first of ``config``'s fields
-    ``names`` that is not an int of at least 1; nothing is coerced, and a
-    bool is not an int."""
+    ``names`` that is not an int of at least ``minimum``, or, for a tuple
+    field, does not hold only such ints; nothing is coerced, and a bool is
+    not an int."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{name} must be an int >= 1, got {value!r}")
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, bool) or not isinstance(item, int) \
+                    or item < minimum:
+                raise ValidationError(
+                    f"{name} must be an int >= {minimum}, got {value!r}")

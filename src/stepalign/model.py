@@ -1,5 +1,5 @@
 """Step-slot decoder: learnable queries, one cross-attention layer, slot
-selection against step texts, and the alignment losses with hand-derived
+selection against step texts, and the alignment loss with hand-derived
 gradients.
 
 The decoder computes S = softmax(Q' K^T / sqrt(d')) V' W_o with Q' = Q W_q,
@@ -18,17 +18,18 @@ Slots are matched to the task's step texts by droppable DTW over negative
 cosines (steps may not drop, slots may, and no two steps share one), and
 the matched slot of each step is trained to land on its annotated frames.
 
-The supervised loss per step is
+The decoder trains on one supervised loss. Per step it is
     -log( sum_{j in segment} exp(cos(s_k, v_j) / gamma)
         / sum_{all j}       exp(cos(s_k, v_j) / gamma) )
 with l2-normalized slot and frame vectors; the temperature divides the
-cosine inside the exponent, so small gamma sharpens the frame softmax. The
-batch-level contrastive loss pulls each video's pooled slots toward its
-own pooled step text against the other videos in the batch, symmetrically
-in both directions.
+cosine inside the exponent, so small gamma sharpens the frame softmax. A
+video's loss is the mean over its annotated steps, and a batch's loss the
+mean over its videos with annotated steps. The step texts enter only
+through slot selection, so the text projection ``proj_t`` gets no
+gradient and keeps its initialization.
 
 Slot selection is recomputed every step but treated as a constant mapping
-inside the losses, so no gradient flows through the discrete alignment.
+inside the loss, so no gradient flows through the discrete alignment.
 A fold reads each of its training and validation videos once, into a
 ``FoldVideo``: the corpus's feature array, the task's step texts and the
 rasterized ground truth, with what every step reads of them computed
@@ -49,9 +50,9 @@ writes into it with ``out=``; called without one, the same functions
 allocate them. Inference, ``align_video``, runs one forward, the
 selection and the alignment for one video.
 
-Both losses and their gradients are written once, in
-``batch_loss_and_grads``; the naive value-only reference oracles used for
-finite-difference checks live in ``tests/test_model.py``, and the
+The loss and its gradients are written once, in
+``batch_loss_and_grads``; the naive value-only reference oracle used for
+finite-difference checks lives in ``tests/test_model.py``, and the
 key/value form of the forward and backward in ``tests/oracles.py``.
 """
 
@@ -77,7 +78,7 @@ from .optim import Adam, EpochLog, FlatParams
 @dataclass
 class ModelParams(FlatParams):
     proj_v: np.ndarray   # d x d'
-    proj_t: np.ndarray   # d x d'
+    proj_t: np.ndarray   # d x d', read by slot selection only: no gradient
     queries: np.ndarray  # U x d'
     w_q: np.ndarray      # d' x d'
     w_k: np.ndarray      # d' x d'
@@ -120,8 +121,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 40
     seed: int = 0
-    w_sup: float = 1.0
-    w_global: float = 1.0
     drop_pct: float = 80.0
     working_dim: int = 64
     num_queries: int = 32
@@ -130,18 +129,12 @@ class TrainConfig:
     def validate(self) -> None:
         check_counts(self, ("epochs", "batch_size", "working_dim",
                             "num_queries"))
+        check_counts(self, ("seed",), minimum=0)
         for name, value in (("learning_rate", self.learning_rate),
                             ("gamma", self.gamma)):
             if not 0 < value < math.inf:
                 raise ValidationError(
                     f"{name} must be positive and finite, got {value}")
-        for name, weight in (("w_sup", self.w_sup), ("w_global", self.w_global)):
-            if not 0 <= weight < math.inf:
-                raise ValidationError(
-                    f"{name} must be nonnegative and finite, got {weight}")
-        if self.batch_size < 2 and self.w_global > 0:
-            raise ValidationError(
-                "batch_size must be >= 2 for the batch-contrastive loss")
         if not (0 < self.drop_pct <= 100):
             raise ValidationError("drop_pct must be in (0, 100]")
 
@@ -385,80 +378,55 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
                          config: TrainConfig,
                          work: TrainWorkspace | None = None
                          ) -> tuple[float, ModelParams]:
-    """Loss plus exact analytic gradients for every parameter tensor.
+    """The supervised loss plus exact analytic gradients for every
+    parameter tensor.
 
     ``caches`` are the batch's ``forward_slots`` activations at
     ``params``. Slot selection is a constant: gradients flow through the
-    decoder and both losses but not through the discrete assignment.
-    Each video's supervised terms come from one steps x frames cosine
-    matrix, a row for each annotated step of the video; the contrastive
-    terms are computed for the whole batch at once. The gradients share
-    the parameters' flat layout; every write accumulates into them. Each
-    video's decoder input is rebuilt for the input projection's gradient.
-    With a workspace, each video's frame-sized gradients and decoder input
-    are written into its scratch.
+    decoder but not through the discrete assignment, so ``proj_t``, which
+    only selection reads, gets a zero gradient. Each video's terms come
+    from one steps x frames cosine matrix, a row for each annotated step
+    of the video, and the batch's loss is the mean of its annotated
+    videos' losses. The gradients share the parameters' flat layout;
+    every write accumulates into them. Each video's decoder input is
+    rebuilt for the input projection's gradient. With a workspace, each
+    video's frame-sized gradients and decoder input are written into its
+    scratch.
     """
     grads = params.zeros_like()
     gamma = config.gamma
-    n = len(batch)
-
-    # batch-contrastive loss over pooled slots m_i and pooled step texts t_i
-    d_m = np.zeros((n, params.working_dim))
-    global_loss = 0.0
-    if config.w_global > 0 and n >= 2:
-        mean_steps = np.stack([v.step_feats.mean(axis=0, dtype=np.float64)
-                               for v in batch])
-        m_rows = np.stack([c["slots"][chosen].mean(axis=0)
-                           for c, chosen in zip(caches, selections)])
-        t_rows = mean_steps @ params.proj_t
-        m_norms = np.linalg.norm(m_rows, axis=1, keepdims=True)
-        t_norms = np.linalg.norm(t_rows, axis=1, keepdims=True)
-        a = m_rows / m_norms
-        b = t_rows / t_norms
-        logits = (a @ b.T) / gamma
-        row_lse = _logsumexp(logits)
-        col_lse = _logsumexp(logits.T)
-        per = float(np.sum(row_lse + col_lse - 2 * np.diag(logits)))
-        global_loss = config.w_global * per / (2 * n)
-        row_sm = np.exp(logits - row_lse[:, None])
-        col_sm = np.exp(logits - col_lse[None, :])
-        d_sim = config.w_global * (row_sm + col_sm - 2 * np.eye(n)) / (2 * n * gamma)
-        d_m = _unit_rows_backward(d_sim @ b, a, m_norms)
-        grads.proj_t += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
-
-    # supervised loss: mean over steps within a video, then over videos
+    # mean over steps within a video, then over the annotated videos
     n_sup = sum(1 for v in batch if v.steps.size)
     sup_losses = []
-    for i, (v, chosen, cache) in enumerate(zip(batch, selections, caches)):
+    for v, chosen, cache in zip(batch, selections, caches):
+        if not v.steps.size:
+            continue
         scratch = {} if work is None else work.scratch(cache["xp"].shape[0])
+        v_hat, xp_norms = _unit_rows(cache["xp"], scratch.get("v_hat"))
+        rows = [chosen[step - 1] for step in v.steps]
+        u = cache["slots"][rows]
+        u_norms = np.linalg.norm(u, axis=1, keepdims=True)
+        u_hat = u / u_norms
+        # K' x L cosines and logits, one row per annotated step
+        cos = u_hat @ v_hat.T
+        logits = cos / gamma
+        positive = v.positive
+        lse_all = _logsumexp(logits)
+        lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
+        sup_losses.append(float(np.mean(lse_all - lse_pos)))
+        p = np.exp(logits - lse_all[:, None])
+        q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
+        # g_cos = dL/dcos with cos = u_hat v_hat^T; add.at sums the slot
+        # gradients of any selection, one that repeats a slot too
+        g_cos = (p - q) * (1 / (len(rows) * n_sup) / gamma)
         d_slots = np.zeros_like(cache["slots"])
-        d_xp_sup = 0.0
-        if config.w_sup > 0 and v.steps.size:
-            v_hat, xp_norms = _unit_rows(cache["xp"], scratch.get("v_hat"))
-            rows = [chosen[step - 1] for step in v.steps]
-            u = cache["slots"][rows]
-            u_norms = np.linalg.norm(u, axis=1, keepdims=True)
-            u_hat = u / u_norms
-            # K' x L cosines and logits, one row per annotated step
-            cos = u_hat @ v_hat.T
-            logits = cos / gamma
-            positive = v.positive
-            lse_all = _logsumexp(logits)
-            lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
-            sup_losses.append(float(np.mean(lse_all - lse_pos)))
-            p = np.exp(logits - lse_all[:, None])
-            q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
-            # g_cos = dL/dcos with cos = u_hat v_hat^T; add.at sums the slot
-            # gradients of any selection, one that repeats a slot too
-            g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
-            np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
-            # the frame side's <d_hat, v_hat> per frame is sum_k g_cos cos;
-            # v_hat is not read again, so it takes that product in place
-            v_hat *= np.sum(g_cos * cos, axis=0)[:, None]
-            d_xp_sup = np.matmul(g_cos.T, u_hat, out=scratch.get("d_xp_sup"))
-            d_xp_sup -= v_hat
-            d_xp_sup /= xp_norms
-        np.add.at(d_slots, chosen, d_m[i] / len(chosen))
+        np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
+        # the frame side's <d_hat, v_hat> per frame is sum_k g_cos cos;
+        # v_hat is not read again, so it takes that product in place
+        v_hat *= np.sum(g_cos * cos, axis=0)[:, None]
+        d_xp_sup = np.matmul(g_cos.T, u_hat, out=scratch.get("d_xp_sup"))
+        d_xp_sup -= v_hat
+        d_xp_sup /= xp_norms
 
         # backpropagate through the decoder, in slot space
         xp, attn = cache["xp"], cache["attn"]
@@ -483,9 +451,7 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         x = _decoder_input(v, config.normalize_features, scratch.get("x"))
         grads.proj_v += x.T @ d_xp
 
-    total_loss = global_loss
-    if sup_losses:
-        total_loss += config.w_sup * float(np.mean(sup_losses))
+    total_loss = float(np.mean(sup_losses)) if sup_losses else 0.0
     if not math.isfinite(total_loss):
         raise NumericalError("non-finite training loss")
     return total_loss, grads

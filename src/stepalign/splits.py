@@ -19,11 +19,12 @@ order, so that order is part of every fold.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 
 from .data import AnnotatedVideo, FoldSpec, Intent, TaskDomain
-from .errors import InfeasibleSplitError
+from .errors import InfeasibleSplitError, check_counts
 
 _MAX_WORKERS_FOR_SEARCH = 24
 
@@ -63,6 +64,9 @@ def make_group_kfold(videos: list[AnnotatedVideo], k: int, seed: int) -> list[Fo
     """
     if k < 2:
         raise InfeasibleSplitError(f"k must be >= 2, got {k}")
+    args = SimpleNamespace(k=k, seed=seed)
+    check_counts(args, ("k",), minimum=2)
+    check_counts(args, ("seed",), minimum=0)
     if not videos:
         raise InfeasibleSplitError("empty corpus")
 

@@ -27,7 +27,7 @@ from .data import (
     AnnotatedSegment, AnnotatedVideo, Intent, MistakeLabel, ProceduralText,
     Segment, TaskDomain,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_counts
 
 # step directions are exactly orthogonal planes mixed with a shared anchor,
 # so the pairwise prototype cosine equals the squared anchor weight: 0.45,
@@ -83,11 +83,15 @@ class SynthConfig:
             raise ValidationError(
                 f"dim {self.dim} too small for {self.steps_per_task} steps "
                 f"(need >= steps_per_task + 3)")
-        for name, rng_pair in (("frames_per_step", self.frames_per_step),
-                               ("background_gap", self.background_gap)):
-            lo, hi = rng_pair
-            if lo > hi or lo < (1 if name == "frames_per_step" else 0):
-                raise ValidationError(f"{name} range {rng_pair} is empty or invalid")
+        for name, low in (("frames_per_step", 1), ("background_gap", 0)):
+            pair = getattr(self, name)
+            if len(pair) != 2 or pair[0] > pair[1] or pair[0] < low:
+                raise ValidationError(f"{name} range {pair} is empty or invalid")
+        # the rules above compare numbers; these reject what is not an int,
+        # such as 2.0, 14.5 or True
+        check_counts(self, ("tasks", "videos_per_task", "workers",
+                            "steps_per_task", "dim", "frames_per_step"))
+        check_counts(self, ("background_gap", "seed"), minimum=0)
         for name, p in (("p_skip", self.p_skip), ("p_swap", self.p_swap),
                         ("p_split", self.p_split),
                         ("p_exec_mistake", self.p_exec_mistake)):
@@ -98,9 +102,12 @@ class SynthConfig:
         if not np.isfinite(self.noise_sigma):
             raise ValidationError(
                 f"noise_sigma must be finite, got {self.noise_sigma}")
-        if len(self.exec_kind_weights) != 6 or min(self.exec_kind_weights) < 0 \
-                or sum(self.exec_kind_weights) <= 0:
-            raise ValidationError("exec_kind_weights must be 6 nonnegative weights")
+        weights = self.exec_kind_weights
+        if len(weights) != 6 or not all(0 <= w < np.inf for w in weights) \
+                or sum(weights) <= 0:
+            raise ValidationError(
+                f"exec_kind_weights must be 6 nonnegative finite weights, "
+                f"not all zero, got {weights}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,6 @@ class TaskVectors:
 class SynthResult:
     corpus: Corpus
     logs: dict[str, VideoPlantLog] = field(default_factory=dict)
-    task_vectors: dict[TaskDomain, TaskVectors] = field(default_factory=dict)
 
 
 def _quantize(m: np.ndarray) -> np.ndarray:
@@ -386,8 +392,7 @@ def synth_corpus(cfg: SynthConfig) -> SynthResult:
     videos.sort(key=lambda v: v.video_id)
     corpus = Corpus(texts=texts, videos=videos, features=features,
                     step_features=step_features)
-    return SynthResult(corpus=corpus, logs=logs, task_vectors=task_vectors)
+    return SynthResult(corpus=corpus, logs=logs)
 
 
-__all__ = ["SynthConfig", "SynthResult", "VideoPlantLog", "TaskVectors",
-           "synth_corpus"]
+__all__ = ["SynthConfig", "SynthResult", "VideoPlantLog", "synth_corpus"]

@@ -416,60 +416,34 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
     keys and values."""
     grads = params.zeros_like()
     gamma = config.gamma
-    n = len(batch)
-
-    # batch-contrastive loss over pooled slots m_i and pooled step texts t_i
-    d_m = np.zeros((n, params.working_dim))
-    global_loss = 0.0
-    if config.w_global > 0 and n >= 2:
-        mean_steps = np.stack([v.step_feats.mean(axis=0) for v in batch])
-        m_rows = np.stack([c["slots"][chosen].mean(axis=0)
-                           for c, chosen in zip(caches, selections)])
-        t_rows = mean_steps @ params.proj_t
-        m_norms = np.linalg.norm(m_rows, axis=1, keepdims=True)
-        t_norms = np.linalg.norm(t_rows, axis=1, keepdims=True)
-        a = m_rows / m_norms
-        b = t_rows / t_norms
-        logits = (a @ b.T) / gamma
-        row_lse = _logsumexp(logits)
-        col_lse = _logsumexp(logits.T)
-        per = float(np.sum(row_lse + col_lse - 2 * np.diag(logits)))
-        global_loss = config.w_global * per / (2 * n)
-        row_sm = np.exp(logits - row_lse[:, None])
-        col_sm = np.exp(logits - col_lse[None, :])
-        d_sim = config.w_global * (row_sm + col_sm - 2 * np.eye(n)) / (2 * n * gamma)
-        d_m = _unit_rows_backward(d_sim @ b, a, m_norms)
-        grads.proj_t += mean_steps.T @ _unit_rows_backward(d_sim.T @ a, b, t_norms)
-
-    # supervised loss: mean over steps within a video, then over videos
+    # mean over steps within a video, then over the annotated videos
     n_sup = sum(1 for v in batch if v.gt_labels.any())
     sup_losses = []
-    for i, (v, chosen, cache) in enumerate(zip(batch, selections, caches)):
-        d_slots = np.zeros_like(cache["slots"])
-        d_xp_sup = 0.0
+    for v, chosen, cache in zip(batch, selections, caches):
         gt = v.gt_labels
-        if config.w_sup > 0 and gt.any():
-            steps = np.unique(gt[gt > 0])
-            v_hat = l2_normalize_rows(cache["xp"])
-            xp_norms = np.linalg.norm(cache["xp"], axis=1, keepdims=True)
-            rows = [chosen[step - 1] for step in steps]
-            u = cache["slots"][rows]
-            u_norms = np.linalg.norm(u, axis=1, keepdims=True)
-            u_hat = u / u_norms
-            # K' x L cosine logits, one row per annotated step
-            logits = (u_hat @ v_hat.T) / gamma
-            positive = gt == steps[:, None]
-            lse_all = _logsumexp(logits)
-            lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
-            sup_losses.append(float(np.mean(lse_all - lse_pos)))
-            p = np.exp(logits - lse_all[:, None])
-            q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
-            # g_cos = dL/dcos with cos = u_hat v_hat^T; a selection may
-            # repeat a slot, so the slot gradients accumulate with add.at
-            g_cos = (p - q) * (config.w_sup / (len(rows) * n_sup) / gamma)
-            np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
-            d_xp_sup = _unit_rows_backward(g_cos.T @ u_hat, v_hat, xp_norms)
-        np.add.at(d_slots, chosen, d_m[i] / len(chosen))
+        if not gt.any():
+            continue
+        steps = np.unique(gt[gt > 0])
+        v_hat = l2_normalize_rows(cache["xp"])
+        xp_norms = np.linalg.norm(cache["xp"], axis=1, keepdims=True)
+        rows = [chosen[step - 1] for step in steps]
+        u = cache["slots"][rows]
+        u_norms = np.linalg.norm(u, axis=1, keepdims=True)
+        u_hat = u / u_norms
+        # K' x L cosine logits, one row per annotated step
+        logits = (u_hat @ v_hat.T) / gamma
+        positive = gt == steps[:, None]
+        lse_all = _logsumexp(logits)
+        lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
+        sup_losses.append(float(np.mean(lse_all - lse_pos)))
+        p = np.exp(logits - lse_all[:, None])
+        q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
+        # g_cos = dL/dcos with cos = u_hat v_hat^T; a selection may
+        # repeat a slot, so the slot gradients accumulate with add.at
+        g_cos = (p - q) * (1 / (len(rows) * n_sup) / gamma)
+        d_slots = np.zeros_like(cache["slots"])
+        np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
+        d_xp_sup = _unit_rows_backward(g_cos.T @ u_hat, v_hat, xp_norms)
 
         # backpropagate through the decoder
         d_ctx = d_slots @ params.w_o.T
@@ -488,9 +462,7 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
         grads.w_v += cache["xp"].T @ d_vm
         grads.proj_v += cache["x"].T @ d_xp
 
-    total_loss = global_loss
-    if sup_losses:
-        total_loss += config.w_sup * float(np.mean(sup_losses))
+    total_loss = float(np.mean(sup_losses)) if sup_losses else 0.0
     if not math.isfinite(total_loss):
         raise NumericalError("non-finite training loss")
     return total_loss, grads

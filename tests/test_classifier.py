@@ -234,7 +234,8 @@ def test_patience_stops_at_first_round_reaching_the_gap(tmp_path, video_only,
     ("learning_rate", 0.0),
     ("learning_rate", -1e-3), ("learning_rate", math.nan),
     ("learning_rate", math.inf), ("beta", math.nan),
-    ("beta", math.inf), ("beta", -0.1), ("beta", 1.0),
+    ("beta", math.inf), ("beta", -0.1), ("beta", 1.0), ("seed", -1),
+    ("seed", 1.5),
 ])
 def test_bad_config_rejected_before_training(monkeypatch, field, value):
     # rejected before any row is built, so also before a fold's own errors
@@ -555,4 +556,4 @@ def test_pipeline_outputs_pinned():
     assert best_epochs == [(2, 0), (0, 30)]
     digest = hashlib.sha256(repr(videos).encode()).hexdigest()
     assert digest == (
-        "a5968e670dd886580cd417097dd0933fe574289a142c2be4c5a28894ae59b187")
+        "2c7947a136f2d855ff6f48e91fc8787c7c7b8aa80734b520d0ba69a2437f780e")

@@ -75,9 +75,16 @@ def test_video_id_of_a_step_feature_file_rejected():
      "v: feature matrix must be float32, got float64"),
     (None, {TaskDomain.CARDBOARD: np.ones((2, 3), dtype=np.float16)},
      "steps_cardboard: feature matrix must be float32, got float16"),
+    # a zero-width corpus would report feature_dim 0, and training would
+    # then fail on an "all-zero feature row"
+    ({"v": _ones(5, 0)}, {TaskDomain.CARDBOARD: _ones(2, 0)},
+     r"v: feature matrix has no columns, got shape \(5, 0\)"),
+    (None, {TaskDomain.CARDBOARD: _ones(2, 0)},
+     r"steps_cardboard: feature matrix has no columns, got shape \(2, 0\)"),
 ], ids=["no-matrix", "1-d", "frame-rows", "step-rows", "step-width",
         "video-width", "step-matrix-without-text", "text-without-step-matrix",
-        "stray-matrix", "video-float64", "steps-float16"])
+        "stray-matrix", "video-float64", "steps-float16", "video-no-columns",
+        "steps-no-columns"])
 def test_constructor_rejects_matrix_not_fitting_its_record(features,
                                                            step_features,
                                                            rule):

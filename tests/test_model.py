@@ -45,10 +45,10 @@ def _reference_forward(params, x):
     return (a @ vm) @ params.w_o
 
 
-# Naive value-only reference oracles for the two decoder losses. The
-# package defines the losses once, inside batch_loss_and_grads; these
-# straight-line versions are the independent check on its values and,
-# through finite differences, on its gradients.
+# Naive value-only reference oracle for the decoder loss. The package
+# defines the loss once, inside batch_loss_and_grads; this straight-line
+# version is the independent check on its value and, through finite
+# differences, on its gradients.
 
 def _logsumexp(x):
     m = float(np.max(x))
@@ -78,37 +78,16 @@ def loss_supervised(slot, seg, frames, gamma):
                                    frames, gamma)
 
 
-def loss_global(pooled_pairs, gamma):
-    """Symmetric batch-contrastive loss over pooled (slots, step-text)
-    representations; each video is its own positive, the rest negatives."""
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    n = len(pooled_pairs)
-    if n < 2:
-        raise ValidationError("batch-contrastive loss needs at least 2 videos")
-    a = l2_normalize_rows(np.stack([np.mean(s, axis=0) for s, _ in pooled_pairs]))
-    b = l2_normalize_rows(np.stack([np.mean(t, axis=0) for _, t in pooled_pairs]))
-    logits = (a @ b.T) / gamma
-    total = 0.0
-    for i in range(n):
-        total += _logsumexp(logits[i]) - logits[i, i]
-        total += _logsumexp(logits[:, i]) - logits[i, i]
-    return total / (2 * n)
-
-
 def batch_loss(params, batch, selections, config):
     """Pure loss evaluation at a fixed slot selection (the finite-difference
     reference for the analytic gradients)."""
-    loss = 0.0
     sup_terms = []
-    pooled = []
     for video, chosen in zip(batch, selections):
         frames = video.frames
         if config.normalize_features:
             frames = l2_normalize_rows(frames)
         slots = forward_slots(params, frames)[0]
         xp = frames @ params.proj_v
-        tp = video.step_feats @ params.proj_t
         sel = slots[chosen]
         steps = sorted(set(video.gt_labels.tolist()) - {0})
         if steps:
@@ -119,12 +98,7 @@ def batch_loss(params, batch, selections, config):
                 for step in steps
             ]
             sup_terms.append(float(np.mean(per_step)))
-        pooled.append((sel, tp))
-    if config.w_sup > 0 and sup_terms:
-        loss += config.w_sup * float(np.mean(sup_terms))
-    if config.w_global > 0 and len(batch) >= 2:
-        loss += config.w_global * loss_global(pooled, config.gamma)
-    return loss
+    return float(np.mean(sup_terms)) if sup_terms else 0.0
 
 
 class TestCosine:
@@ -208,14 +182,10 @@ def test_l2_normalize_rejects_zero_row():
 
 
 @pytest.mark.parametrize("changes, rule", [
-    ({"batch_size": 1},
-     "batch_size must be >= 2 for the batch-contrastive loss"),
     ({"drop_pct": 0.0}, r"drop_pct must be in \(0, 100\]"),
     ({"drop_pct": 101.0}, r"drop_pct must be in \(0, 100\]"),
-], ids=["batch-size-1", "drop-pct-0", "drop-pct-101"])
+], ids=["drop-pct-0", "drop-pct-101"])
 def test_config_rule_broken_rejected(changes, rule):
-    # a batch of one is fine without the batch-contrastive loss
-    replace(TrainConfig(), batch_size=1, w_global=0.0).validate()
     with pytest.raises(ValidationError, match=f"^{rule}$"):
         replace(TrainConfig(), **changes).validate()
 
@@ -323,32 +293,6 @@ class TestLossSupervised:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValidationError):
             loss_supervised(np.ones(3), Segment(0, 1), np.ones((2, 3)), 0.0)
-
-
-class TestLossGlobal:
-    def test_identical_pooled_pairs_give_log2(self):
-        s = np.array([[1.0, 0.0], [1.0, 0.0]])
-        t = np.array([[1.0, 0.0]])
-        loss = loss_global([(s, t), (s, t)], gamma=0.03)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_separated_batch_vanishes(self):
-        a = (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        b = (np.array([[-1.0, 0.0]]), np.array([[-1.0, 0.0]]))
-        loss = loss_global([a, b], gamma=0.03)
-        assert loss < 1e-12
-
-    def test_batch_order_invariance(self):
-        rng = np.random.default_rng(12)
-        pairs = [(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)))
-                 for _ in range(4)]
-        base = loss_global(pairs, gamma=0.4)
-        shuffled = [pairs[i] for i in (2, 0, 3, 1)]
-        assert loss_global(shuffled, gamma=0.4) == pytest.approx(base, abs=1e-12)
-
-    def test_batch_of_one_rejected(self):
-        with pytest.raises(ValidationError, match="2 videos"):
-            loss_global([(np.ones((2, 3)), np.ones((2, 3)))], gamma=0.1)
 
 
 def _random_example(rng, d=6, k=2, length=7):
@@ -461,32 +405,48 @@ class TestSlotSpaceAttention:
         assert per_frame == {"xp", "attn"}
 
 
+_GRAD_CONFIG = TrainConfig(gamma=0.5, batch_size=2, drop_pct=80)
+
+
 class TestGradients:
     def test_combined_loss_matches_finite_differences(self):
-        config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.7,
-                             batch_size=2, drop_pct=80)
+        # the whole training loss of a batch, as train_alignment_fold uses it
         for seed in range(8):
-            assert _grad_check(config, seed) < 1e-4
+            assert _grad_check(_GRAD_CONFIG, seed) < 1e-4
 
     def test_supervised_only_matches_finite_differences(self):
-        config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.0,
-                             batch_size=2, drop_pct=80)
+        # the supervised term alone, on a second range of seeds and with a
+        # sharper gamma
+        config = replace(_GRAD_CONFIG, gamma=0.2)
         for seed in range(100, 106):
             assert _grad_check(config, seed) < 1e-4
 
-    def test_global_only_matches_finite_differences(self):
-        config = TrainConfig(gamma=0.5, w_sup=0.0, w_global=1.0,
-                             batch_size=2, drop_pct=80)
-        for seed in range(200, 206):
-            assert _grad_check(config, seed) < 1e-4
+    def test_batch_is_the_mean_of_its_videos(self):
+        # each video's loss and gradients are its own: a batch of two is
+        # the mean of the two one-video batches
+        rng = np.random.default_rng(500)
+        params = _params(rng)
+        batch = [_random_example(rng) for _ in range(2)]
+        selections, caches = compute_selections(params, batch, _GRAD_CONFIG)
+        loss, grads = batch_loss_and_grads(params, batch, selections, caches,
+                                           _GRAD_CONFIG)
+        singles = [batch_loss_and_grads(params, batch[i:i + 1],
+                                        selections[i:i + 1], caches[i:i + 1],
+                                        _GRAD_CONFIG) for i in range(2)]
+        assert loss == pytest.approx((singles[0][0] + singles[1][0]) / 2,
+                                     rel=1e-12)
+        for name, grad in grads.as_dict().items():
+            np.testing.assert_allclose(
+                grad, (getattr(singles[0][1], name)
+                       + getattr(singles[1][1], name)) / 2,
+                rtol=1e-10, atol=1e-14, err_msg=name)
 
     def test_shared_slot_gradients_accumulate(self):
         # two steps of one video select the same slot, so both supervised
-        # terms and both contrastive shares must land on that slot
-        config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.7,
-                             batch_size=2, drop_pct=80)
+        # terms must land on that slot
         for seed in range(300, 304):
-            assert _grad_check(config, seed, selections=[[1, 1], [0, 2]]) < 1e-4
+            assert _grad_check(_GRAD_CONFIG, seed,
+                               selections=[[1, 1], [0, 2]]) < 1e-4
 
     def test_steps_without_frames_match_finite_differences(self):
         # step 1 of the first video and every step of the second carry no
@@ -497,21 +457,9 @@ class TestGradients:
                                                       first.gt_labels)),
                     replace(second, gt_labels=np.zeros_like(second.gt_labels))]
 
-        config = TrainConfig(gamma=0.5, w_sup=1.0, w_global=0.7,
-                             batch_size=2, drop_pct=80)
         for seed in range(400, 404):
-            assert _grad_check(config, seed, edit_batch=drop_annotations) < 1e-4
-
-    def test_zero_weights_zero_gradients(self):
-        rng = np.random.default_rng(42)
-        params = _params(rng)
-        batch = [_random_example(rng) for _ in range(2)]
-        config = TrainConfig(gamma=0.5, w_sup=0.0, w_global=0.0, batch_size=2)
-        selections, caches = compute_selections(params, batch, config)
-        loss, grads = batch_loss_and_grads(params, batch, selections, caches,
-                                           config)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grads.flat, 0.0)
+            assert _grad_check(_GRAD_CONFIG, seed,
+                               edit_batch=drop_annotations) < 1e-4
 
     def test_outside_frame_gradient_vanishes_as_cosine_drops(self):
         gamma = 0.1
@@ -730,7 +678,7 @@ class TestTrainWorkspace:
         params = _params(rng, d=6, dp=5, u=4)
         params.flat += 0.1 * rng.normal(size=params.flat.shape)
         batch = _fold_videos(rng, lengths, d=6, k=2)
-        config = TrainConfig(gamma=0.5, batch_size=4, w_global=0.7)
+        config = TrainConfig(gamma=0.5, batch_size=4)
         want = _training_step(params, batch, config)
         work = TrainWorkspace(params, batch_size=4, max_frames=max(lengths))
         # the second step runs over buffers the first one filled
@@ -919,9 +867,7 @@ class TestTrainAlignmentFold:
         ("num_queries", -3), ("num_queries", 6.0), ("learning_rate", 0.0),
         ("learning_rate", -1e-3),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
-        ("gamma", math.inf), ("w_sup", -1.0), ("w_sup", math.nan),
-        ("w_sup", math.inf), ("w_global", -1.0), ("w_global", math.nan),
-        ("w_global", math.inf),
+        ("gamma", math.inf), ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_bad_config_rejected_before_training(self, monkeypatch, field,
                                                  value):
@@ -931,24 +877,29 @@ class TestTrainAlignmentFold:
             train_alignment_fold(corpus, fold, replace(config, **{field: value}))
 
     @pytest.mark.parametrize("changes, field", [
-        ({"batch_size": 0, "w_global": 0.0}, "batch_size"),
+        ({"batch_size": 0}, "batch_size"),
         ({"working_dim": 0}, "working_dim"),
         ({"gamma": math.nan}, "gamma"),
         ({"gamma": 0.0}, "gamma"),
-        ({"w_global": math.nan, "batch_size": 1}, "w_global"),
-        ({"w_global": math.inf, "batch_size": 1}, "w_global"),
-    ], ids=["batch-size-0", "working-dim-0", "gamma-nan", "gamma-0",
-            "w-global-nan-batch-size-1", "w-global-inf-batch-size-1"])
+    ], ids=["batch-size-0", "working-dim-0", "gamma-nan", "gamma-0"])
     def test_config_failing_later_rejected_before_training(
             self, monkeypatch, changes, field):
         # each of these used to pass validate() and fail in training with
-        # a ValueError, a ZeroDivisionError or a NumericalError, or switch
-        # a loss off; a bad weight is named before the batch-size rule
+        # a ValueError, a ZeroDivisionError or a NumericalError
         corpus, fold, config = _tiny_fold()
         monkeypatch.setattr(stepalign.model, "forward_slots", None)
         value = changes[field]
         with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
             train_alignment_fold(corpus, fold, replace(config, **changes))
+
+    def test_batch_of_one_trains(self):
+        corpus, fold, config = _tiny_fold()
+        config = replace(config, batch_size=1)
+        config.validate()
+        got = train_alignment_fold(corpus, fold, config)
+        assert [entry.epoch for entry in got.log] == list(range(config.epochs))
+        assert all(math.isfinite(entry.loss) for entry in got.log)
+        assert got.best_epoch >= 0
 
     def test_too_few_slots_rejected_before_training(self, monkeypatch):
         corpus, fold, config = _tiny_fold()

@@ -6,7 +6,7 @@ import pytest
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, Intent, MistakeLabel, Segment, TaskDomain,
 )
-from stepalign.errors import InfeasibleSplitError
+from stepalign.errors import InfeasibleSplitError, ValidationError
 from stepalign.splits import make_group_kfold
 from stepalign.synth import SynthConfig, synth_corpus
 
@@ -112,6 +112,16 @@ class TestGroupKFold:
     def test_k_below_two_rejected(self):
         with pytest.raises(InfeasibleSplitError):
             make_group_kfold(paper_shaped_corpus(), k=1, seed=0)
+
+    @pytest.mark.parametrize("k, seed, rule", [
+        (2.5, 0, r"^k must be an int >= 2, got 2\.5$"),
+        (5, -1, "^seed must be an int >= 0, got -1$"),
+        (5, 1.5, r"^seed must be an int >= 0, got 1\.5$"),
+    ], ids=["float-k", "negative-seed", "float-seed"])
+    def test_k_and_seed_must_be_ints(self, k, seed, rule):
+        # these used to raise a bare TypeError or ValueError
+        with pytest.raises(ValidationError, match=rule):
+            make_group_kfold(paper_shaped_corpus(), k=k, seed=seed)
 
     def test_more_workers_than_needed(self):
         videos = paper_shaped_corpus(workers=5)

@@ -44,9 +44,11 @@ class TestSynthBasics:
             np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_prototype_separation(self):
+        # the step features are the quantized step prototypes
         result = synth_corpus(small_config())
-        for vectors in result.task_vectors.values():
-            sims = vectors.prototypes @ vectors.prototypes.T
+        for matrix in result.corpus.step_features.values():
+            protos = matrix.astype(np.float64)
+            sims = protos @ protos.T
             np.fill_diagonal(sims, 0.0)
             assert sims.max() < 0.5
 
@@ -121,11 +123,35 @@ class TestSynthBasics:
     ({"exec_kind_weights": (1.0, -1.0, 1.0, 1.0, 1.0, 1.0)},
      "exec_kind_weights must be 6 "),
     ({"exec_kind_weights": (0.0,) * 6}, "exec_kind_weights must be 6 "),
+    # each of these used to raise a bare TypeError or ValueError, or was
+    # taken as given
+    ({"exec_kind_weights": (1.0, float("nan"), 1.0, 1.0, 1.0, 1.0)},
+     "exec_kind_weights must be 6 "),
+    ({"exec_kind_weights": (1.0, float("inf"), 1.0, 1.0, 1.0, 1.0)},
+     "exec_kind_weights must be 6 "),
+    ({"tasks": 2.0}, r"^tasks must be an int >= 1, got 2\.0$"),
+    ({"videos_per_task": 2.5},
+     r"^videos_per_task must be an int >= 1, got 2\.5$"),
+    ({"workers": 1.5}, r"^workers must be an int >= 1, got 1\.5$"),
+    ({"steps_per_task": True},
+     "^steps_per_task must be an int >= 1, got True$"),
+    ({"dim": 20.0}, r"^dim must be an int >= 1, got 20\.0$"),
+    ({"frames_per_step": (14.5, 22)},
+     r"^frames_per_step must be an int >= 1, got \(14\.5, 22\)$"),
+    ({"frames_per_step": (3, 4, 5)},
+     r"^frames_per_step range \(3, 4, 5\) is empty or invalid$"),
+    ({"background_gap": (1, 2.5)},
+     r"^background_gap must be an int >= 0, got \(1, 2\.5\)$"),
+    ({"seed": -1}, "^seed must be an int >= 0, got -1$"),
+    ({"seed": 1.5}, r"^seed must be an int >= 0, got 1\.5$"),
 ], ids=["no-tasks", "too-many-tasks", "no-videos", "no-workers", "no-steps",
         "narrow-dim", "zero-frames", "reversed-gap", "negative-gap",
         "p-above-1", "p-below-0", "negative-noise", "infinite-noise",
         "nan-noise", "five-weights",
-        "negative-weight", "zero-weights"])
+        "negative-weight", "zero-weights", "nan-weight", "infinite-weight",
+        "float-tasks", "float-videos", "float-workers", "bool-steps",
+        "float-dim", "float-frames", "three-frame-bounds", "float-gap",
+        "negative-seed", "float-seed"])
 def test_invalid_config_rejected_before_generation(changes, rule):
     with pytest.raises(ValidationError, match=rule):
         synth_corpus(small_config(**changes))
