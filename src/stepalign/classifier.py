@@ -39,7 +39,9 @@ import numpy as np
 from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
-from .errors import NumericalError, ValidationError, check_counts
+from .errors import (
+    NumericalError, ValidationError, check_counts, check_flags, check_numbers,
+)
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
 from .optim import Adam, EpochLog, FlatParams
 
@@ -154,6 +156,8 @@ class ClassifierTrainConfig:
     def validate(self) -> None:
         check_counts(self, ("hidden", "epochs", "val_every"))
         check_counts(self, ("seed",), minimum=0)
+        check_numbers(self, ("learning_rate", "beta"))
+        check_flags(self, ("video_only",))
         if not 0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be positive and "
                                   f"finite, got {self.learning_rate}")

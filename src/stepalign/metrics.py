@@ -38,10 +38,15 @@ def rasterize(segments: list[tuple[int, Segment]], num_frames: int) -> np.ndarra
     """Per-frame step labels; 0 is background.
 
     Segments may not overlap, annotated or predicted: an alignment gives
-    each step frames of its own. A step may have several segments.
+    each step frames of its own. A step may have several segments, and a
+    step-``None`` segment, which no step owns, is rejected.
     """
     labels = np.zeros(num_frames, dtype=np.int64)
     for step, seg in segments:
+        if step is None:
+            raise ValidationError(
+                f"segment [{seg.start}, {seg.end}) has step None; only "
+                f"step segments can be rasterized")
         if step <= 0:
             raise ValidationError(f"step index must be positive, got {step}")
         if seg.end > num_frames:

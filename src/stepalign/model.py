@@ -7,12 +7,17 @@ K = (X P_v) W_k, V' = (X P_v) W_v for video features X. It evaluates
 them in slot space and never forms a key or a value per frame: with
 X' = X P_v it computes Q' W_k^T, then the logits (Q' W_k^T) X'^T / sqrt(d'),
 their softmax A, then A X', then ((A X') W_v) W_o. The backward runs the
-same order in reverse. For L frames, U queries and d = d', the forward
-costs L d'^2 + 2 U L d' multiply-adds and the backward L d'^2 + 4 U L d',
-where per-frame keys and values would cost 3 L d'^2 + 2 U L d' and
-5 L d'^2 + 4 U L d'; the few U d'^2 products the slot-space order adds
-do not grow with L. At d' = 64 and U = 32 that is about 20k against 45k
-multiply-adds per frame.
+same order in reverse, through the selected slots only. For L frames,
+U queries and d = d', the forward costs L d'^2 + 2 U L d' multiply-adds,
+where per-frame keys and values would cost 3 L d'^2 + 2 U L d'; the few
+U d'^2 products the slot-space order adds do not grow with L. The loss
+reads only the K' <= U slots that a video's K' annotated steps select,
+and the other slots get no gradient, so the backward gathers those rows
+and runs on them alone. With the loss's own frame gradient folded into
+its one frame-side product, it costs L d'^2 + 5 K' L d', where all U
+slots cost L d'^2 + (4 U + K') L d' and per-frame keys and values
+5 L d'^2 + (4 U + K') L d'. At d' = 64, U = 32 and K' = 12 that is about
+8k against 13k and 29k multiply-adds per frame.
 
 Slots are matched to the task's step texts by droppable DTW over negative
 cosines (steps may not drop, slots may, and no two steps share one), and
@@ -45,8 +50,9 @@ projection's gradient. Validation once per epoch runs
 aligns each video's selected slots to its projected frames. A fold
 allocates the frame-sized arrays of training and validation once, in a
 ``TrainWorkspace`` with ``min(batch_size, max(len(train), len(val)))``
-slots sized to its longest training or validation video, and every step
-writes into it with ``out=``; called without one, the same functions
+slots sized to its longest training or validation video, and a scratch
+sized also to the most annotated steps of a training video; every step
+writes into it with ``out=``. Called without one, the same functions
 allocate them. Inference, ``align_video``, runs one forward, the
 selection and the alignment for one video.
 
@@ -70,7 +76,9 @@ from .alignment import (
 from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import FoldSpec, Segment
-from .errors import NumericalError, ValidationError, check_counts
+from .errors import (
+    NumericalError, ValidationError, check_counts, check_flags, check_numbers,
+)
 from .metrics import frame_metrics, gt_frame_labels, rasterize
 from .optim import Adam, EpochLog, FlatParams
 
@@ -130,6 +138,8 @@ class TrainConfig:
         check_counts(self, ("epochs", "batch_size", "working_dim",
                             "num_queries"))
         check_counts(self, ("seed",), minimum=0)
+        check_numbers(self, ("learning_rate", "gamma", "drop_pct"))
+        check_flags(self, ("normalize_features",))
         for name, value in (("learning_rate", self.learning_rate),
                             ("gamma", self.gamma)):
             if not 0 < value < math.inf:
@@ -174,12 +184,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def _logsumexp(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-D array."""
-    m = np.max(z, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(z - m), axis=1, keepdims=True)))[:, 0]
 
 
 def _unit_rows_backward(d_hat: np.ndarray, hat: np.ndarray,
@@ -294,31 +298,36 @@ def _decoder_input(video: FoldVideo, normalize_features: bool,
 
 class TrainWorkspace:
     """The frame-sized arrays of decoder training and validation,
-    allocated once per fold for its longest training or validation video.
-    Each batch slot has the projected frames ``xp`` and the attention
-    ``attn``, which its forward cache holds until the backward or the
-    alignment. The scratch is shared by the batch's videos: the decoder
-    input ``x``, which a forward reads and the backward rebuilds, and the
-    backward's and the alignment's frame-sized temporaries. ``slot`` and
-    ``scratch`` return, for a video of some length, contiguous arrays of
-    that video's shapes over the start of each buffer."""
+    allocated once per fold for its longest training or validation video
+    and for the most annotated steps of a training video. Each batch slot
+    has the projected frames ``xp`` and the attention ``attn``, which its
+    forward cache holds until the backward or the alignment. The scratch
+    is shared by the batch's videos: the decoder input ``x``, which a
+    forward reads and the backward rebuilds, and the backward's and the
+    alignment's frame-sized temporaries, among them the steps x frames
+    ``cos`` and the three steps x frames blocks of ``stack``. ``slot`` and
+    ``scratch`` return, for a video of some length and number of
+    annotated steps, contiguous arrays of that video's shapes over the
+    start of each buffer."""
 
-    def __init__(self, params: ModelParams, batch_size: int, max_frames: int):
+    def __init__(self, params: ModelParams, batch_size: int, max_frames: int,
+                 max_steps: int):
         self._dims = (params.feature_dim, params.working_dim,
                       params.queries.shape[0])
         self._slots = [self._buffers(self._slot_shapes(max_frames))
                        for _ in range(batch_size)]
-        self._scratch = self._buffers(self._scratch_shapes(max_frames))
+        self._scratch = self._buffers(self._scratch_shapes(max_frames,
+                                                           max_steps))
 
     def _slot_shapes(self, frames: int) -> dict[str, tuple[int, int]]:
         _, k, u = self._dims
         return {"xp": (frames, k), "attn": (u, frames)}
 
-    def _scratch_shapes(self, frames: int) -> dict[str, tuple[int, int]]:
-        d, k, u = self._dims
-        return {"x": (frames, d), "v_hat": (frames, k),
-                "d_xp_sup": (frames, k), "d_attn": (u, frames),
-                "d_z": (u, frames), "d_xp": (frames, k)}
+    def _scratch_shapes(self, frames: int, steps: int
+                        ) -> dict[str, tuple[int, int]]:
+        d, k, _ = self._dims
+        return {"x": (frames, d), "v_hat": (frames, k), "d_xp": (frames, k),
+                "cos": (steps, frames), "stack": (3 * steps, frames)}
 
     @staticmethod
     def _buffers(shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
@@ -333,8 +342,8 @@ class TrainWorkspace:
     def slot(self, index: int, frames: int) -> dict[str, np.ndarray]:
         return self._views(self._slots[index], self._slot_shapes(frames))
 
-    def scratch(self, frames: int) -> dict[str, np.ndarray]:
-        return self._views(self._scratch, self._scratch_shapes(frames))
+    def scratch(self, frames: int, steps: int = 0) -> dict[str, np.ndarray]:
+        return self._views(self._scratch, self._scratch_shapes(frames, steps))
 
 
 def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
@@ -387,11 +396,18 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     only selection reads, gets a zero gradient. Each video's terms come
     from one steps x frames cosine matrix, a row for each annotated step
     of the video, and the batch's loss is the mean of its annotated
-    videos' losses. The gradients share the parameters' flat layout;
-    every write accumulates into them. Each video's decoder input is
-    rebuilt for the input projection's gradient. With a workspace, each
-    video's frame-sized gradients and decoder input are written into its
-    scratch.
+    videos' losses. The loss takes two exponentials per cosine, one for
+    each log-sum-exp, each shifted by its own maximum. Only the slots the
+    annotated steps select get a gradient, so the backward gathers their
+    rows of the activations (a slot two steps share is gathered twice and
+    its terms add up) and runs the slot-space and softmax backward on
+    those steps x frames rows; the frame gradient is then one product of
+    the selected attention rows, their logit gradient and the cosine
+    gradient with three steps x d' matrices. The gradients share the
+    parameters' flat layout; every write accumulates into them. Each
+    video's decoder input is rebuilt for the input projection's gradient.
+    With a workspace, each video's frame-sized and steps x frames arrays
+    and its decoder input are written into its scratch.
     """
     grads = params.zeros_like()
     gamma = config.gamma
@@ -399,55 +415,89 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     n_sup = sum(1 for v in batch if v.steps.size)
     sup_losses = []
     for v, chosen, cache in zip(batch, selections, caches):
-        if not v.steps.size:
+        k = v.steps.size
+        if not k:
             continue
-        scratch = {} if work is None else work.scratch(cache["xp"].shape[0])
-        v_hat, xp_norms = _unit_rows(cache["xp"], scratch.get("v_hat"))
+        xp, attn = cache["xp"], cache["attn"]
+        length = xp.shape[0]
+        scratch = {} if work is None else work.scratch(length, k)
+        v_hat, xp_norms = _unit_rows(xp, scratch.get("v_hat"))
         rows = [chosen[step - 1] for step in v.steps]
         u = cache["slots"][rows]
         u_norms = np.linalg.norm(u, axis=1, keepdims=True)
         u_hat = u / u_norms
-        # K' x L cosines and logits, one row per annotated step
-        cos = u_hat @ v_hat.T
-        logits = cos / gamma
+        # K' x L cosines, one row per annotated step, and three K' x L
+        # blocks that the frame gradient reads as one product: the
+        # selected attention rows, their logit gradient d_z and g_cos,
+        # the cosine gradient, over the frames' norms; until then the
+        # first and last hold the loss's exponentials
+        cos = np.matmul(u_hat, v_hat.T, out=scratch.get("cos"))
+        stack = scratch.get("stack")
+        if stack is None:
+            stack = np.empty((3 * k, length))
+        attn_sel, d_z, g_cos = stack[:k], stack[k:2 * k], stack[2 * k:]
+        # the loss is the log-sum-exp of the logits over all frames less
+        # that over the step's frames, each shifted by its own max; the
+        # step's max leaves every exponent of its frames <= 0, and the
+        # other frames' exponents are clipped to 0, then zeroed
         positive = v.positive
-        lse_all = _logsumexp(logits)
-        lse_pos = _logsumexp(np.where(positive, logits, -np.inf))
-        sup_losses.append(float(np.mean(lse_all - lse_pos)))
-        p = np.exp(logits - lse_all[:, None])
-        q = np.exp(np.where(positive, logits - lse_pos[:, None], -np.inf))
-        # g_cos = dL/dcos with cos = u_hat v_hat^T; add.at sums the slot
-        # gradients of any selection, one that repeats a slot too
-        g_cos = (p - q) * (1 / (len(rows) * n_sup) / gamma)
-        d_slots = np.zeros_like(cache["slots"])
-        np.add.at(d_slots, rows, _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms))
+        logits = np.divide(cos, gamma, out=g_cos)
+        top_all = logits.max(axis=1, keepdims=True)
+        top_pos = logits.max(axis=1, keepdims=True, where=positive,
+                             initial=-np.inf)
+        e_all = np.exp(np.subtract(logits, top_all, out=attn_sel),
+                       out=attn_sel)
+        logits -= top_pos
+        e_pos = np.exp(np.minimum(logits, 0.0, out=logits), out=logits)
+        e_pos *= positive
+        sum_all = e_all.sum(axis=1, keepdims=True)
+        sum_pos = e_pos.sum(axis=1, keepdims=True)
+        sup_losses.append(float(np.mean(
+            (top_all + np.log(sum_all)) - (top_pos + np.log(sum_pos)))))
+        # g_cos = dL/dcos = (p - q) / gamma with cos = u_hat v_hat^T, where
+        # p = e_all / sum_all and q = e_pos / sum_pos
+        weight = 1 / (k * n_sup) / gamma
+        e_all *= weight / sum_all
+        e_pos *= weight / sum_pos
+        np.subtract(e_all, e_pos, out=g_cos)
+        d_slots = _unit_rows_backward(g_cos @ v_hat, u_hat, u_norms)
         # the frame side's <d_hat, v_hat> per frame is sum_k g_cos cos;
-        # v_hat is not read again, so it takes that product in place
-        v_hat *= np.sum(g_cos * cos, axis=0)[:, None]
-        d_xp_sup = np.matmul(g_cos.T, u_hat, out=scratch.get("d_xp_sup"))
-        d_xp_sup -= v_hat
-        d_xp_sup /= xp_norms
+        # cos is not read again, and v_hat only scaled by it, so both
+        # take it in place
+        cos *= g_cos
+        frame_dot = np.add.reduce(cos, axis=0)
+        frame_dot /= xp_norms[:, 0]
+        v_hat *= frame_dot[:, None]
+        g_cos /= xp_norms.T
 
-        # backpropagate through the decoder, in slot space
-        xp, attn = cache["xp"], cache["attn"]
+        # backpropagate through the decoder, in slot space and through the
+        # selected slots only: the others get no gradient
         d_ctx = d_slots @ params.w_o.T
-        grads.w_o += cache["ctx"].T @ d_slots
+        grads.w_o += cache["ctx"][rows].T @ d_slots
         d_ax = d_ctx @ params.w_v.T
-        grads.w_v += cache["ax"].T @ d_ctx
-        d_attn = np.matmul(d_ax, xp.T, out=scratch.get("d_attn"))
-        d_z = np.multiply(attn, d_attn, out=scratch.get("d_z"))
-        d_attn -= np.sum(d_z, axis=1, keepdims=True)
-        np.multiply(attn, d_attn, out=d_z)
+        ax = cache["ax"][rows]
+        grads.w_v += ax.T @ d_ctx
+        # rows indexes attn's rows (slots[rows] above), so "clip" never
+        # applies; unlike "raise" it writes into attn_sel unbuffered
+        np.take(attn, rows, axis=0, out=attn_sel, mode="clip")
+        # the softmax backward, d_z = attn (d_attn - <attn, d_attn>) scale
+        # with d_attn = d_ax xp^T, where <attn, d_attn> = <ax, d_ax>
+        np.matmul(d_ax, xp.T, out=d_z)
+        d_z -= np.sum(ax * d_ax, axis=1, keepdims=True)
+        d_z *= attn_sel
         d_z *= cache["scale"]
         d_qk = d_z @ xp
-        grads.w_k += d_qk.T @ cache["qp"]
+        grads.w_k += d_qk.T @ cache["qp"][rows]
         d_qp = d_qk @ params.w_k
-        grads.queries += d_qp @ params.w_q.T
-        grads.w_q += params.queries.T @ d_qp
-        d_xp = np.matmul(attn.T, d_ax, out=scratch.get("d_xp"))
-        # v_hat's buffer is free again, so it takes d_z^T qk
-        d_xp += np.matmul(d_z.T, cache["qk"], out=scratch.get("v_hat"))
-        d_xp += d_xp_sup
+        # add.at sums the query gradients of a selection that repeats a
+        # slot, where a fancy-index += keeps only one of them
+        np.add.at(grads.queries, rows, d_qp @ params.w_q.T)
+        grads.w_q += params.queries[rows].T @ d_qp
+        # d_xp = attn^T d_ax + d_z^T qk + g_cos^T u_hat - v_hat frame_dot
+        d_xp = np.matmul(stack.T,
+                         np.concatenate((d_ax, cache["qk"][rows], u_hat)),
+                         out=scratch.get("d_xp"))
+        d_xp -= v_hat
         x = _decoder_input(v, config.normalize_features, scratch.get("x"))
         grads.proj_v += x.T @ d_xp
 
@@ -565,7 +615,8 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                               num_queries=config.num_queries)
     work = TrainWorkspace(params,
                           min(config.batch_size, max(len(train), len(val))),
-                          max(v.frames.shape[0] for v in (*train, *val)))
+                          max(v.frames.shape[0] for v in (*train, *val)),
+                          max(v.steps.size for v in train))
     opt = Adam(params.flat.size, config.learning_rate)
     best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
                         best_epoch=-1, best_val_f1=-1.0)

@@ -27,7 +27,7 @@ from .data import (
     AnnotatedSegment, AnnotatedVideo, Intent, MistakeLabel, ProceduralText,
     Segment, TaskDomain,
 )
-from .errors import ValidationError, check_counts
+from .errors import ValidationError, check_counts, check_numbers
 
 # step directions are exactly orthogonal planes mixed with a shared anchor,
 # so the pairwise prototype cosine equals the squared anchor weight: 0.45,
@@ -73,6 +73,15 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # types first, so that the rules below compare numbers only: a
+        # count is an int, not 2.0, 14.5, True or "3"
+        check_counts(self, ("tasks", "videos_per_task", "workers",
+                            "steps_per_task", "dim", "frames_per_step"),
+                     types_only=True)
+        check_counts(self, ("background_gap",), minimum=0, types_only=True)
+        check_counts(self, ("seed",), minimum=0)
+        check_numbers(self, ("noise_sigma", "p_skip", "p_swap", "p_split",
+                             "p_exec_mistake", "exec_kind_weights"))
         if not (1 <= self.tasks <= len(TaskDomain)):
             raise ValidationError(f"tasks must be 1..{len(TaskDomain)}")
         if self.videos_per_task < 1 or self.workers < 1:
@@ -85,13 +94,9 @@ class SynthConfig:
                 f"(need >= steps_per_task + 3)")
         for name, low in (("frames_per_step", 1), ("background_gap", 0)):
             pair = getattr(self, name)
-            if len(pair) != 2 or pair[0] > pair[1] or pair[0] < low:
+            if not isinstance(pair, tuple) or len(pair) != 2 \
+                    or pair[0] > pair[1] or pair[0] < low:
                 raise ValidationError(f"{name} range {pair} is empty or invalid")
-        # the rules above compare numbers; these reject what is not an int,
-        # such as 2.0, 14.5 or True
-        check_counts(self, ("tasks", "videos_per_task", "workers",
-                            "steps_per_task", "dim", "frames_per_step"))
-        check_counts(self, ("background_gap", "seed"), minimum=0)
         for name, p in (("p_skip", self.p_skip), ("p_swap", self.p_swap),
                         ("p_split", self.p_split),
                         ("p_exec_mistake", self.p_exec_mistake)):

@@ -49,7 +49,7 @@ from stepalign.metrics import (
 )
 from stepalign.model import (
     EpochLog, FoldTraining, FoldVideo, ModelParams, TrainConfig,
-    _logsumexp, _softmax_rows, _unit_rows_backward, align_video,
+    _softmax_rows, _unit_rows_backward, align_video,
     batch_loss_and_grads, compute_selections, cosine_matrix,
     l2_normalize_rows,
 )
@@ -406,6 +406,12 @@ def forward_slots_kv(params: ModelParams, video: np.ndarray
     cache = {"x": video, "xp": xp, "qp": qp, "km": km, "vm": vm,
              "attn": attn, "ctx": ctx, "slots": slots, "scale": scale}
     return slots, cache
+
+
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-D array."""
+    m = np.max(z, axis=1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(z - m), axis=1, keepdims=True)))[:, 0]
 
 
 def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],

@@ -246,6 +246,26 @@ def test_bad_config_rejected_before_training(monkeypatch, field, value):
         train_classifier_fold(corpus, fold, replace(config, **{field: value}))
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    # the strings used to raise a bare TypeError from a comparison, and
+    # False passed as a beta of 0
+    ("beta", "0.5", "beta must be an int or a float, got '0.5'"),
+    ("learning_rate", "1e-3",
+     "learning_rate must be an int or a float, got '1e-3'"),
+    ("beta", False, "beta must be an int or a float, got False"),
+    # these were taken for their truth value, and a string then failed
+    # with a bare ValueError after the rows were built
+    ("video_only", "no", "video_only must be a bool, got 'no'"),
+    ("video_only", 1, "video_only must be a bool, got 1"),
+])
+def test_mistyped_config_rejected_before_training(monkeypatch, field, value,
+                                                  rule):
+    corpus, fold, config = _small_fold()
+    monkeypatch.setattr(stepalign.classifier, "_segment_rows", None)
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        train_classifier_fold(corpus, fold, replace(config, **{field: value}))
+
+
 @pytest.mark.parametrize("name, shape", [
     ("b1", (5,)), ("w2", (8, 3)), ("w2", (4, 2)), ("b2", (4,)), ("w1", (12,)),
 ])

@@ -34,7 +34,10 @@ class TestRasterize:
     @pytest.mark.parametrize("step, seg, rule", [
         (0, Segment(0, 2), r"step index must be positive, got 0"),
         (1, Segment(3, 6), r"segment \[3, 6\) exceeds num_frames 5"),
-    ], ids=["step-0", "past-end"])
+        # this used to raise a bare TypeError from the comparison
+        (None, Segment(1, 3), r"segment \[1, 3\) has step None; only step "
+                              r"segments can be rasterized"),
+    ], ids=["step-0", "past-end", "step-none"])
     def test_bad_segment_rejected(self, step, seg, rule):
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             rasterize([(step, seg)], 5)

@@ -184,7 +184,17 @@ def test_l2_normalize_rejects_zero_row():
 @pytest.mark.parametrize("changes, rule", [
     ({"drop_pct": 0.0}, r"drop_pct must be in \(0, 100\]"),
     ({"drop_pct": 101.0}, r"drop_pct must be in \(0, 100\]"),
-], ids=["drop-pct-0", "drop-pct-101"])
+    # the strings used to raise a bare TypeError from a comparison, and
+    # True passed as a learning rate of 1
+    ({"gamma": "0.03"}, r"gamma must be an int or a float, got '0\.03'"),
+    ({"drop_pct": "80"}, "drop_pct must be an int or a float, got '80'"),
+    ({"learning_rate": True},
+     "learning_rate must be an int or a float, got True"),
+    # and this was taken for its truth value
+    ({"normalize_features": "yes"},
+     "normalize_features must be a bool, got 'yes'"),
+], ids=["drop-pct-0", "drop-pct-101", "str-gamma", "str-drop-pct",
+        "bool-learning-rate", "str-normalize"])
 def test_config_rule_broken_rejected(changes, rule):
     with pytest.raises(ValidationError, match=f"^{rule}$"):
         replace(TrainConfig(), **changes).validate()
@@ -680,7 +690,8 @@ class TestTrainWorkspace:
         batch = _fold_videos(rng, lengths, d=6, k=2)
         config = TrainConfig(gamma=0.5, batch_size=4)
         want = _training_step(params, batch, config)
-        work = TrainWorkspace(params, batch_size=4, max_frames=max(lengths))
+        work = TrainWorkspace(params, batch_size=4, max_frames=max(lengths),
+                              max_steps=2)
         # the second step runs over buffers the first one filled
         for _ in range(2):
             got = _training_step(params, batch, config, work)
@@ -691,11 +702,38 @@ class TestTrainWorkspace:
                 for name in ("xp", "attn", "slots"):
                     assert cache[name].tobytes() == expected[name].tobytes()
 
+    def test_selected_rows_equal_allocating_step_bit_for_bit(self):
+        # 3, 0, 3 and 2 annotated steps, so the steps x frames buffers are
+        # read at several sizes, and two steps of the first video share a
+        # slot; the video without annotated frames selects slots 0, 2 and
+        # 3, which no other video selects
+        rng = np.random.default_rng(66)
+        params = _params(rng, d=6, dp=5, u=6)
+        params.flat += 0.1 * rng.normal(size=params.flat.shape)
+        batch = [*_fold_videos(rng, (23, 31, 19), d=6, k=3),
+                 *_fold_videos(rng, (27,), d=6, k=2)]
+        assert [v.steps.size for v in batch] == [3, 0, 3, 2]
+        selections = [[1, 1, 4], [0, 2, 3], [1, 4, 5], [5, 1]]
+        config = TrainConfig(gamma=0.5, batch_size=4)
+        _, caches = compute_selections(params, batch, config)
+        loss, grads = batch_loss_and_grads(params, batch, selections, caches,
+                                           config)
+        work = TrainWorkspace(params, batch_size=4, max_frames=31,
+                              max_steps=3)
+        for _ in range(2):
+            _, work_caches = compute_selections(params, batch, config, work)
+            got = batch_loss_and_grads(params, batch, selections, work_caches,
+                                       config, work)
+            assert got[0] == loss
+            assert got[1].flat.tobytes() == grads.flat.tobytes()
+        assert np.all(grads.queries[[0, 2, 3]] == 0.0)
+        assert np.all(np.any(grads.queries[[1, 4, 5]] != 0.0, axis=1))
+
     def test_cache_arrays_live_in_the_workspace(self):
         rng = np.random.default_rng(61)
         params = _params(rng, d=6, dp=5, u=4)
         batch = _fold_videos(rng, (17, 29, 23), d=6, k=2)
-        work = TrainWorkspace(params, batch_size=3, max_frames=29)
+        work = TrainWorkspace(params, batch_size=3, max_frames=29, max_steps=2)
         _, caches = compute_selections(params, batch, TrainConfig(), work)
         for b, (cache, video) in enumerate(zip(caches, batch)):
             slot = work.slot(b, video.frames.shape[0])
@@ -715,7 +753,8 @@ class TestTrainWorkspace:
         batch = _fold_videos(rng, lengths, d=32, k=2)
         config = TrainConfig(batch_size=3)
         frame_block = min(lengths) * 32 * 8
-        work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths))
+        work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths),
+                              max_steps=2)
         _training_step(params, batch, config, work)
         assert _largest_line_allocation(
             lambda: _training_step(params, batch, config, work)) < frame_block
@@ -763,7 +802,8 @@ class TestEvaluateAlignmentF1:
         params.flat += 0.1 * rng.normal(size=params.flat.shape)
         want = evaluate_alignment_f1_per_video(params, corpus, fold.val, config)
         assert 0.0 < want < 1.0
-        work = TrainWorkspace(params, config.batch_size, max(lengths))
+        work = TrainWorkspace(params, config.batch_size, max(lengths),
+                              max(v.steps.size for v in train))
         # validation runs over buffers a training step filled
         _training_step(params, train[:2], config, work)
         assert evaluate_alignment_f1(params, val, config, work) == want
@@ -771,7 +811,7 @@ class TestEvaluateAlignmentF1:
 
     def test_empty_split_scores_zero(self):
         params = _params(np.random.default_rng(41))
-        work = TrainWorkspace(params, batch_size=2, max_frames=9)
+        work = TrainWorkspace(params, batch_size=2, max_frames=9, max_steps=0)
         assert evaluate_alignment_f1(params, [], TrainConfig(), work) == 0.0
         assert evaluate_alignment_f1(params, [], TrainConfig()) == 0.0
 
@@ -785,7 +825,8 @@ class TestEvaluateAlignmentF1:
         val = _fold_videos(rng, lengths, d=32, k=2)
         config = TrainConfig(batch_size=3)
         frame_block = min(lengths) * 32 * 8
-        work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths))
+        work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths),
+                              max_steps=0)
         evaluate_alignment_f1(params, val, config, work)
         assert _largest_line_allocation(
             lambda: evaluate_alignment_f1(params, val, config, work)) < frame_block

@@ -144,6 +144,19 @@ class TestSynthBasics:
      r"^background_gap must be an int >= 0, got \(1, 2\.5\)$"),
     ({"seed": -1}, "^seed must be an int >= 0, got -1$"),
     ({"seed": 1.5}, r"^seed must be an int >= 0, got 1\.5$"),
+    # the strings and the int pair used to raise a bare TypeError, and True
+    # passed as a probability of 1
+    ({"tasks": "3"}, "^tasks must be an int >= 1, got '3'$"),
+    ({"background_gap": ("1", 2)},
+     r"^background_gap must be an int >= 0, got \('1', 2\)$"),
+    ({"noise_sigma": "0.1"},
+     r"^noise_sigma must be an int or a float, got '0\.1'$"),
+    ({"frames_per_step": 14},
+     "^frames_per_step range 14 is empty or invalid$"),
+    ({"p_skip": "0.1"}, r"^p_skip must be an int or a float, got '0\.1'$"),
+    ({"p_split": True}, "^p_split must be an int or a float, got True$"),
+    ({"exec_kind_weights": (1.0, "1", 1.0, 1.0, 1.0, 1.0)},
+     r"^exec_kind_weights must be an int or a float, got \(1\.0, '1', "),
 ], ids=["no-tasks", "too-many-tasks", "no-videos", "no-workers", "no-steps",
         "narrow-dim", "zero-frames", "reversed-gap", "negative-gap",
         "p-above-1", "p-below-0", "negative-noise", "infinite-noise",
@@ -151,7 +164,9 @@ class TestSynthBasics:
         "negative-weight", "zero-weights", "nan-weight", "infinite-weight",
         "float-tasks", "float-videos", "float-workers", "bool-steps",
         "float-dim", "float-frames", "three-frame-bounds", "float-gap",
-        "negative-seed", "float-seed"])
+        "negative-seed", "float-seed", "str-tasks", "str-gap", "str-noise",
+        "int-frames",
+        "str-p", "bool-p", "str-weight"])
 def test_invalid_config_rejected_before_generation(changes, rule):
     with pytest.raises(ValidationError, match=rule):
         synth_corpus(small_config(**changes))
