@@ -83,22 +83,27 @@ def _scan_rows(cost: np.ndarray, di: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     # M[i, j]: best alignment prefix whose last visited cell is (i, j).
     # RD[i, j]: M[i, j'] for some j' <= j plus drops for items j'+1..j.
-    # ext[j] is RD[i-1, j-1], the way in from the row above (infinite for
-    # j < i), or on row 0 the fresh start after j drops. Then
+    # ext[i, j] is RD[i-1, j-1], the way in from the row above (infinite
+    # for j < i), or on row 0 the fresh start after j drops. Then
     #   M[j] = c[j] + min(ext[j], RD[j-1]),  RD[j] = min(M[j], RD[j-1] + di)
     # unrolls to the prefix scan RD = W + cummin(c + ext - W) with
-    # W = cumsum(min(c, di)).
+    # W = cumsum(min(c, di)); M follows from RD once the scan is done.
+    # ``padded`` holds the fresh starts above RD and an infinite column
+    # left of it, so that ext = padded[:-1, :, :-1] and rd_left[i, :, j]
+    # = RD[i, :, j-1] are both views of it.
     W = np.cumsum(np.minimum(cost, di), axis=2)
-    M = np.empty((n, b, m))
-    padded = np.empty((n, b, m + 1))
+    padded = np.empty((n + 1, b, m + 1))
     padded[..., 0] = _INF
-    RD, rd_left = padded[..., 1:], padded[..., :-1]   # rd_left[..., j] = RD[..., j-1]
-    ext = start = np.arange(m) * di
-    for c_row, w_row, cw_row, rd_row, left_row, m_row in zip(
-            cost, W, cost - W, RD, rd_left, M):
-        np.add(w_row, np.minimum.accumulate(ext + cw_row, axis=1), out=rd_row)
-        np.add(c_row, np.minimum(ext, left_row), out=m_row)
-        ext = left_row
+    start = np.arange(m) * di
+    padded[0, :, :-1] = start
+    RD, rd_left = padded[1:, :, 1:], padded[1:, :, :-1]
+    ext = padded[:-1, :, :-1]
+    for ext_row, cw_row, w_row, rd_row in zip(ext, cost - W, W, RD):
+        np.add(ext_row, cw_row, out=rd_row)
+        np.minimum.accumulate(rd_row, axis=1, out=rd_row)
+        np.add(w_row, rd_row, out=rd_row)
+    M = np.minimum(ext, rd_left)
+    M += cost
 
     # Decisions for every cell at once. The scan sums in another order
     # than a cell-by-cell evaluation, so values that one makes exactly

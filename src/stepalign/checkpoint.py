@@ -5,12 +5,23 @@ Layout: a little-endian u32 header length, the header as UTF-8 JSON
 float32 in the order declared by the header's ``tensors`` list, each an
 object ``{"name": ..., "shape": [...]}``. Metadata keys ride along in the
 header.
+
+A loaded checkpoint's tensors are read-only views of the file, mapped
+rather than copied, and their pages are read in on first use. Each
+mapped file holds one file descriptor while an array from it lives:
+CPython's ``mmap`` keeps a duplicate of the descriptor (from 3.13 it can
+be told not to), so a process that loads the default corpus, 55 feature
+files, has 59 descriptors open instead of 4. A save writes a new file
+and renames it over the old one, so arrays mapped from the old file keep
+their values.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -18,14 +29,19 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
+# float32 values per read of the finiteness check
+_CHUNK = 1 << 14
+
 
 def float32_tensors(path: str | Path, tensors: dict[str, np.ndarray]
                     ) -> dict[str, np.ndarray]:
-    """The tensors as a checkpoint at ``path`` stores them, little-endian
-    float32. A tensor holding a value that is not finite at float32 raises
+    """The tensors as a checkpoint at ``path`` stores them, C-ordered
+    little-endian float32; one that already is comes back uncopied. A
+    tensor holding a value that is not finite at float32 raises
     ValidationError naming the path and the tensor."""
     with np.errstate(over="ignore"):
-        stored = {name: np.asarray(t, dtype="<f4") for name, t in tensors.items()}
+        stored = {name: np.asarray(t, dtype="<f4", order="C")
+                  for name, t in tensors.items()}
     for name, t in stored.items():
         if not np.all(np.isfinite(t)):
             raise ValidationError(
@@ -36,18 +52,33 @@ def float32_tensors(path: str | Path, tensors: dict[str, np.ndarray]
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
                     meta: dict) -> None:
     """Write a checkpoint that load_checkpoint reads. The ``float32_tensors``
-    check runs before the file is opened."""
-    stored = float32_tensors(path, tensors)
+    check runs before any file is opened."""
+    write_checkpoint(path, float32_tensors(path, tensors), meta)
+
+
+def write_checkpoint(path: str | Path, stored: dict[str, np.ndarray],
+                     meta: dict) -> None:
+    """Write tensors that ``float32_tensors`` returned, from their own
+    buffers. The file is written beside ``path`` under a ``.tmp`` suffix
+    and renamed over ``path``; a failed write leaves ``path`` as it was
+    and removes the temporary file."""
+    path = Path(path)
     header = dict(meta)
     header["tensors"] = [
         {"name": name, "shape": list(t.shape)} for name, t in stored.items()
     ]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for t in stored.values():
-            fh.write(t.tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for t in stored.values():
+                fh.write(t)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _is_dim(x) -> bool:
@@ -55,22 +86,31 @@ def _is_dim(x) -> bool:
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint, its tensors as the float32 they are stored in;
+    """Read a checkpoint, its tensors as read-only views of the float32
+    they are stored in, mapped from the file (see the module docstring);
     an unreadable file or any departure from the layout, including a
     non-finite tensor value or two tensors of one name, raises FormatError
     naming the path."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            return _read_checkpoint(path, fh)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
-    if len(raw) < 4:
+
+
+def _read_checkpoint(path: Path, fh) -> tuple[dict[str, np.ndarray], dict]:
+    """load_checkpoint on an open file. The header and the finiteness
+    check read through ``fh`` in bounded pieces, so the check leaves no
+    page of the mapping resident."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < 4:
         raise FormatError(f"{path}: truncated checkpoint")
-    (header_len,) = struct.unpack_from("<I", raw)
-    if len(raw) < 4 + header_len:
+    (header_len,) = struct.unpack("<I", fh.read(4))
+    if size < 4 + header_len:
         raise FormatError(f"{path}: truncated checkpoint header")
     try:
-        header = json.loads(raw[4:4 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad checkpoint header: {exc}") from None
     if not isinstance(header, dict):
@@ -78,28 +118,35 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     declared = header.pop("tensors", None)
     if not isinstance(declared, list):
         raise FormatError(f"{path}: header does not declare tensors")
-    tensors: dict[str, np.ndarray] = {}
+    places: dict[str, tuple[list[int], int, int]] = {}
     offset = 4 + header_len
+    chunk = np.empty(_CHUNK, dtype="<f4")
     for entry in declared:
         name = entry.get("name") if isinstance(entry, dict) else None
         shape = entry.get("shape") if isinstance(entry, dict) else None
         if (not isinstance(name, str) or not isinstance(shape, list)
                 or not all(_is_dim(x) for x in shape)):
             raise FormatError(f"{path}: bad tensor entry {entry!r}")
-        if name in tensors:
+        if name in places:
             raise FormatError(f"{path}: duplicate tensor {name}")
         count = math.prod(shape)
         end = offset + 4 * count
-        if end > len(raw):
+        if end > size:
             raise FormatError(f"{path}: truncated tensor {name}")
-        data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        if not np.all(np.isfinite(data)):
-            raise FormatError(f"{path}: tensor {name} has non-finite values")
-        # a copy: the view into ``raw`` is read-only and may be byte-swapped
-        tensors[name] = data.reshape(shape).astype(np.float32)
+        for lo in range(0, count, _CHUNK):
+            part = chunk[:min(count - lo, _CHUNK)]
+            if fh.readinto(part) != part.nbytes:
+                raise FormatError(f"{path}: truncated tensor {name}")
+            if not np.all(np.isfinite(part)):
+                raise FormatError(f"{path}: tensor {name} has non-finite values")
+        places[name] = shape, count, offset
         offset = end
-    if offset != len(raw):
+    if offset != size:
         raise FormatError(f"{path}: trailing bytes after declared tensors")
+    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    tensors = {name: np.frombuffer(mapped, dtype="<f4", count=count,
+                                   offset=start).reshape(shape)
+               for name, (shape, count, start) in places.items()}
     return tensors, header
 
 
@@ -131,5 +178,5 @@ def check_layout(path: str | Path, kind: str, meta: dict,
                 f"{path}: tensor {name} has shape {shape}, not {dims}{named}")
 
 
-__all__ = ["float32_tensors", "save_checkpoint", "load_checkpoint",
-           "check_layout"]
+__all__ = ["float32_tensors", "save_checkpoint", "write_checkpoint",
+           "load_checkpoint", "check_layout"]

@@ -16,6 +16,11 @@ reads them. Its header's ``video_id`` names the file's own id, the video
 id or ``steps_<task>``. A video's file has one row per frame, a task's one
 row per step, and every feature file of a corpus has the same width.
 
+A loaded corpus's feature matrices are read-only, mapped from their files
+and paged in on first use, so each file holds one file descriptor while
+its matrix lives. Saving a corpus over the directory it was loaded from
+is safe: a save replaces each file rather than rewriting it.
+
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
 each stage and every feature fetch is recorded against it. The log is the
@@ -32,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .checkpoint import (
-    check_layout, float32_tensors, load_checkpoint, save_checkpoint,
+    check_layout, float32_tensors, load_checkpoint, write_checkpoint,
 )
 from .data import (
     AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
@@ -225,24 +230,26 @@ class Corpus:
         matrices += [(f"steps_{task.value}", matrix)
                      for task, matrix in self.step_features.items()]
         # every matrix is checked before the first file is written
+        checked = []
         for name, matrix in matrices:
             file = feat_dir / f"{name}.fmtx"
             if matrix.ndim != 2 or 0 in matrix.shape:
                 raise ValidationError(
                     f"{file}: feature matrix must be 2-d and nonempty, "
                     f"got {matrix.shape}")
-            float32_tensors(file, {"features": matrix})
+            checked.append(
+                (file, name, float32_tensors(file, {"features": matrix})))
         save_corpus(root, list(self.texts.values()), self.videos)
         feat_dir.mkdir(parents=True, exist_ok=True)
-        for name, matrix in matrices:
-            save_checkpoint(feat_dir / f"{name}.fmtx", {"features": matrix},
-                            {"kind": "features", "video_id": name})
+        for file, name, stored in checked:
+            write_checkpoint(file, stored, {"kind": "features", "video_id": name})
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "Corpus":
-        """Load a saved corpus. Each feature file must have its video's
-        frame count or its text's step count as rows, and the nonzero
-        width of the first file read, a video's."""
+        """Load a saved corpus, its feature matrices mapped read-only from
+        their files. Each feature file must have its video's frame count
+        or its text's step count as rows, and the nonzero width of the
+        first file read, a video's."""
         root = Path(path)
         texts, videos = load_corpus(root)
         feat_dir = root / "features"

@@ -306,8 +306,8 @@ def _materialize(rng: np.random.Generator, cfg: SynthConfig,
                  vectors: TaskVectors, events: list[_Event]
                  ) -> tuple[np.ndarray, list[AnnotatedSegment]]:
     g_lo, g_hi = cfg.background_gap
-    # whole blocks, each background frame 1 x dim and each event
-    # length x dim, joined once at the end
+    # whole float32 blocks, each background frame 1 x dim and each event
+    # length x dim, joined once at the end: no float64 frames x dim matrix
     blocks: list[np.ndarray] = []
     num_frames = 0
     segments: list[AnnotatedSegment] = []
@@ -316,7 +316,7 @@ def _materialize(rng: np.random.Generator, cfg: SynthConfig,
         nonlocal num_frames
         gap = int(rng.integers(g_lo, g_hi + 1))
         for _ in range(gap):
-            blocks.append(_background_frame(rng, vectors)[None])
+            blocks.append(_quantize(_background_frame(rng, vectors)[None]))
         num_frames += gap
 
     for event in events:
@@ -327,7 +327,7 @@ def _materialize(rng: np.random.Generator, cfg: SynthConfig,
         if cfg.noise_sigma > 0:
             block = block + rng.normal(0.0, cfg.noise_sigma,
                                        (event.length, cfg.dim))
-        blocks.append(block)
+        blocks.append(_quantize(block))
         num_frames += event.length
         description = None
         if event.mistake != MistakeLabel.CORRECT:
@@ -338,7 +338,7 @@ def _materialize(rng: np.random.Generator, cfg: SynthConfig,
             step=event.step, mistake=event.mistake, description=description))
     emit_background()
     if not num_frames:
-        blocks.append(_background_frame(rng, vectors)[None])
+        blocks.append(_quantize(_background_frame(rng, vectors)[None]))
     return np.concatenate(blocks), segments
 
 
@@ -391,7 +391,7 @@ def synth_corpus(cfg: SynthConfig) -> SynthResult:
                 video_id=video_id, worker_id=worker_id, task=task,
                 intent=intent, num_frames=matrix.shape[0],
                 segments=tuple(segments)))
-            features[video_id] = _quantize(matrix)
+            features[video_id] = matrix
             logs[video_id] = log
 
     videos.sort(key=lambda v: v.video_id)

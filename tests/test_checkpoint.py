@@ -1,9 +1,12 @@
+import errno
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from stepalign import checkpoint
 from stepalign.checkpoint import load_checkpoint, save_checkpoint
 from stepalign.classifier import load_classifier
 from stepalign.errors import FormatError, ValidationError
@@ -26,6 +29,50 @@ def test_round_trip_at_float32(tmp_path):
     for name, t in tensors.items():
         assert loaded[name].shape == t.shape
         np.testing.assert_array_equal(loaded[name], t.astype(np.float32))
+
+
+def test_loaded_tensors_are_read_only_views_equal_to_saved(tmp_path):
+    tensors = {"a": np.arange(12.0).reshape(3, 4) / 7.0,
+               "t": np.arange(6.0, dtype=np.float32).reshape(2, 3).T,
+               "empty": np.ones((2, 0)), "s": np.array(-1.5)}
+    save_checkpoint(tmp_path / "c.ckpt", tensors, {"kind": "x"})
+    loaded, _ = load_checkpoint(tmp_path / "c.ckpt")
+    assert list(loaded) == list(tensors)
+    for name, t in tensors.items():
+        assert type(loaded[name]) is np.ndarray
+        assert loaded[name].dtype == np.float32
+        assert not loaded[name].flags.writeable
+        assert loaded[name].shape == t.shape
+        np.testing.assert_array_equal(loaded[name], t.astype(np.float32))
+    with pytest.raises(ValueError, match="read-only"):
+        loaded["a"][0, 0] = 1.0
+
+
+def test_save_over_a_loaded_file_keeps_the_loaded_values(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"a": np.arange(4.0)}, {"kind": "x"})
+    loaded, _ = load_checkpoint(path)
+    save_checkpoint(path, {"a": -np.arange(4.0)}, {"kind": "x"})
+    np.testing.assert_array_equal(loaded["a"], np.arange(4.0))
+    np.testing.assert_array_equal(load_checkpoint(path)[0]["a"],
+                                  -np.arange(4.0))
+
+
+class _FullDisk(io.FileIO):
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path,
+                                                             monkeypatch):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"a": np.arange(4.0)}, {"kind": "x"})
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_checkpoint(path, {"a": np.ones(4)}, {"kind": "x"})
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39],

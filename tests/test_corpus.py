@@ -2,6 +2,7 @@
 malformed ones included (corpus.py)."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,43 @@ class TestFeatureIO:
         loaded = read_features(tmp_path / "features" / "v.fmtx", 7, "dim")
         assert loaded.dtype == np.float32
         np.testing.assert_array_equal(loaded, m)
+
+    def test_loaded_features_are_read_only_and_as_saved(self, tmp_path):
+        corpus = _corpus(matrix=np.arange(15, dtype=np.float32).reshape(5, 3))
+        corpus.save(tmp_path)
+        loaded = Corpus.from_dir(tmp_path)
+        for matrix, saved in ((loaded.features["v"], corpus.features["v"]),
+                              (loaded.step_features[TaskDomain.CARDBOARD],
+                               corpus.step_features[TaskDomain.CARDBOARD])):
+            assert not matrix.flags.writeable
+            np.testing.assert_array_equal(matrix, saved)
+
+    def test_loaded_corpus_saves_back_into_its_own_directory(self, tmp_path):
+        synth_corpus(SynthConfig(tasks=2, videos_per_task=2, workers=2,
+                                 steps_per_task=2, dim=8,
+                                 frames_per_step=(2, 3))).corpus.save(tmp_path)
+        files = sorted(f for f in tmp_path.rglob("*") if f.is_file())
+        before = {f: f.read_bytes() for f in files}
+        loaded = Corpus.from_dir(tmp_path)
+        loaded.save(tmp_path)
+        assert sorted(f for f in tmp_path.rglob("*") if f.is_file()) == files
+        assert {f: f.read_bytes() for f in files} == before
+        again = Corpus.from_dir(tmp_path)
+        for video_id, matrix in loaded.features.items():
+            np.testing.assert_array_equal(again.features[video_id], matrix)
+
+    def test_from_dir_copies_no_feature_matrix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(4096, 64)).astype(np.float32)
+        _one_video_corpus(m).save(tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = Corpus.from_dir(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes
+        np.testing.assert_array_equal(loaded.features["v"], m)
 
     def test_bytes_follow_the_checkpoint_layout(self, tmp_path):
         m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -4.0]], dtype=np.float32)
