@@ -15,6 +15,8 @@ the library computes on features in float64, widening them where it
 reads them. Its header's ``video_id`` names the file's own id, the video
 id or ``steps_<task>``. A video's file has one row per frame, a task's one
 row per step, and every feature file of a corpus has the same width.
+A video id names two files, so it must be a file name (see
+``data.check_video_id``), and every video's task must have a text.
 
 A loaded corpus's feature matrices are read-only, mapped from their files
 and paged in on first use, so each file holds one file descriptor while
@@ -40,9 +42,9 @@ from .checkpoint import (
     check_layout, float32_tensors, load_checkpoint, write_checkpoint,
 )
 from .data import (
-    AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
-    parse_text, parse_video, save_json, text_to_json, validate_video,
-    video_to_json,
+    AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, check_video_id,
+    load_json, parse_text, parse_video, save_json, text_to_json,
+    validate_video, video_to_json,
 )
 from .errors import FormatError, ParseError, ValidationError
 
@@ -90,7 +92,12 @@ def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedV
 def save_corpus(path: str | Path,
                 texts: Iterable[ProceduralText],
                 videos: Iterable[AnnotatedVideo]) -> None:
-    """Write texts/ and annotations/ so that load_corpus round-trips."""
+    """Write texts/ and annotations/ so that load_corpus round-trips. A
+    video id that is not a file name raises ValidationError, and then no
+    file is written."""
+    videos = list(videos)
+    for video in videos:
+        check_video_id(video.video_id)
     root = Path(path)
     (root / "texts").mkdir(parents=True, exist_ok=True)
     (root / "annotations").mkdir(parents=True, exist_ok=True)
@@ -130,9 +137,13 @@ class Corpus:
         for video in self.videos:
             if video.video_id in self._by_id:
                 raise ValidationError(f"duplicate video_id {video.video_id}")
+            check_video_id(video.video_id)
             if video.video_id in step_files:
                 raise ValidationError(f"video_id {video.video_id} is the "
                                       f"name of a task's step features")
+            if video.task not in self.texts:
+                raise ValidationError(f"{video.video_id}: no procedural text "
+                                      f"for task {video.task.value}")
             self._by_id[video.video_id] = video
         self._dim = self._check_matrices()
 
@@ -188,6 +199,7 @@ class Corpus:
             raise ValidationError(f"unknown video_id {video_id!r}") from None
 
     def video_features(self, video_id: str) -> np.ndarray:
+        self.video_by_id(video_id)
         self.access_log.add((self.phase, video_id))
         return self.features[video_id]
 

@@ -145,10 +145,19 @@ class FoldSpec:
     test: tuple[str, ...]
 
 
+def check_video_id(video_id: str) -> None:
+    """Raise ValidationError unless ``video_id`` can name a corpus file of
+    its own: it is not empty, ``.`` or ``..``, and holds no ``/``, ``\\``
+    or NUL."""
+    if video_id in ("", ".", "..") or any(c in video_id for c in "/\\\0"):
+        raise ValidationError(f"video_id {video_id!r} is not a file name")
+
+
 def validate_video(video: AnnotatedVideo, text: ProceduralText) -> None:
     """Check every record invariant; raises ValidationError naming the
     video and the violated rule."""
     vid = video.video_id
+    check_video_id(vid)
     if video.num_frames < 1:
         raise ValidationError(f"{vid}: num_frames must be >= 1")
     if video.task != text.task:
@@ -341,6 +350,7 @@ def load_folds(path: str | Path) -> list[FoldSpec]:
 __all__ = [
     "TaskDomain", "Intent", "MistakeLabel", "CoarseLabel", "coarse_label",
     "Segment", "ProceduralText", "AnnotatedSegment", "AnnotatedVideo",
-    "FoldSpec", "validate_video", "save_folds", "load_folds", "load_json",
-    "save_json", "video_to_json", "text_to_json", "parse_video", "parse_text",
+    "FoldSpec", "check_video_id", "validate_video", "save_folds",
+    "load_folds", "load_json", "save_json", "video_to_json", "text_to_json",
+    "parse_video", "parse_text",
 ]

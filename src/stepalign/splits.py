@@ -62,10 +62,10 @@ def make_group_kfold(videos: list[AnnotatedVideo], k: int, seed: int) -> list[Fo
     Raises InfeasibleSplitError when the corpus cannot satisfy the
     constraints instead of silently relaxing them.
     """
+    args = SimpleNamespace(k=k, seed=seed)
+    check_counts(args, ("k",), minimum=2, types_only=True)
     if k < 2:
         raise InfeasibleSplitError(f"k must be >= 2, got {k}")
-    args = SimpleNamespace(k=k, seed=seed)
-    check_counts(args, ("k",), minimum=2)
     check_counts(args, ("seed",), minimum=0)
     if not videos:
         raise InfeasibleSplitError("empty corpus")

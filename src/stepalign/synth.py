@@ -12,13 +12,13 @@ segments, and step executions replaced by mistakes. Wrong-object mistakes
 emit another step's prototype (only the paired step text reveals them);
 accident/how-to mistakes blend in a dedicated mistake direction; mispick,
 correction and other mistakes appear as short extra segments with no step.
-Correct-run videos are always clean. Annotations record exactly what was
-emitted.
+Correct-run videos are always clean. The annotations are the one record
+of what was planted: they record exactly what was emitted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,20 +115,6 @@ class SynthConfig:
                 f"not all zero, got {weights}")
 
 
-@dataclass(frozen=True)
-class VideoPlantLog:
-    """What the generator actually injected into one video, for recounting."""
-
-    skip_ops: int = 0
-    skipped: tuple[int, ...] = ()
-    swap_ops: int = 0
-    swaps: tuple[tuple[int, int], ...] = ()
-    split_ops: int = 0
-    splits: tuple[int, ...] = ()
-    exec_ops: int = 0
-    execs: tuple[tuple[int, MistakeLabel], ...] = ()  # (step, mistake kind)
-
-
 @dataclass
 class TaskVectors:
     prototypes: np.ndarray   # K x dim, unit rows
@@ -140,7 +126,6 @@ class TaskVectors:
 @dataclass
 class SynthResult:
     corpus: Corpus
-    logs: dict[str, VideoPlantLog] = field(default_factory=dict)
 
 
 def _quantize(m: np.ndarray) -> np.ndarray:
@@ -205,8 +190,7 @@ class _Event:
 
 
 def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
-                vectors: TaskVectors, mistake_run: bool
-                ) -> tuple[list[_Event], VideoPlantLog]:
+                vectors: TaskVectors, mistake_run: bool) -> list[_Event]:
     f_lo, f_hi = cfg.frames_per_step
     protos = vectors.prototypes
 
@@ -217,27 +201,12 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
         return int(rng.integers(2, max(3, f_lo // 2) + 1))
 
     sequence = list(range(1, k + 1))
-    skip_ops = swap_ops = split_ops = exec_ops = 0
-    skipped: list[int] = []
-    swaps: list[tuple[int, int]] = []
-    splits: list[int] = []
-    execs: list[tuple[int, MistakeLabel]] = []
-
     if mistake_run:
-        skip_ops = k
-        kept = []
-        for step in sequence:
-            if rng.random() < cfg.p_skip:
-                skipped.append(step)
-            else:
-                kept.append(step)
-        sequence = kept
+        sequence = [step for step in sequence if rng.random() >= cfg.p_skip]
         i = 0
         while i < len(sequence) - 1:
-            swap_ops += 1
             if rng.random() < cfg.p_swap:
                 sequence[i], sequence[i + 1] = sequence[i + 1], sequence[i]
-                swaps.append((sequence[i + 1], sequence[i]))
                 i += 2
             else:
                 i += 1
@@ -249,11 +218,8 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
     for step in sequence:
         proto = protos[step - 1]
         exec_kind: MistakeLabel | None = None
-        if mistake_run:
-            exec_ops += 1
-            if rng.random() < cfg.p_exec_mistake:
-                exec_kind = tuple(MistakeLabel)[1:][int(rng.choice(6, p=kind_p))]
-                execs.append((step, exec_kind))
+        if mistake_run and rng.random() < cfg.p_exec_mistake:
+            exec_kind = tuple(MistakeLabel)[1:][int(rng.choice(6, p=kind_p))]
 
         if exec_kind == MistakeLabel.MISPICK:
             events.append(_Event(vectors.mistake_dir, None,
@@ -273,13 +239,7 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
             content, label = proto, MistakeLabel.CORRECT
 
         length = step_len()
-        do_split = False
-        if mistake_run:
-            split_ops += 1
-            do_split = rng.random() < cfg.p_split and length >= 2
-            if do_split:
-                splits.append(step)
-        if do_split:
+        if mistake_run and rng.random() < cfg.p_split and length >= 2:
             cut = int(rng.integers(1, length))
             events.append(_Event(content, step, label, cut))
             events.append(_Event(content, step, label, length - cut))
@@ -293,13 +253,7 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
             events.append(_Event(vectors.mistake_dir, None,
                                  MistakeLabel.OTHERS, extra_len()))
 
-    log = VideoPlantLog(
-        skip_ops=skip_ops, skipped=tuple(skipped),
-        swap_ops=swap_ops, swaps=tuple(swaps),
-        split_ops=split_ops, splits=tuple(splits),
-        exec_ops=exec_ops, execs=tuple(execs),
-    )
-    return events, log
+    return events
 
 
 def _materialize(rng: np.random.Generator, cfg: SynthConfig,
@@ -374,7 +328,6 @@ def synth_corpus(cfg: SynthConfig) -> SynthResult:
     n_correct = (cfg.videos_per_task + 1) // 2
     videos: list[AnnotatedVideo] = []
     features: dict[str, np.ndarray] = {}
-    logs: dict[str, VideoPlantLog] = {}
     for t_idx, task in enumerate(tasks):
         for v_idx in range(cfg.videos_per_task):
             correct_run = v_idx < n_correct
@@ -384,20 +337,19 @@ def synth_corpus(cfg: SynthConfig) -> SynthResult:
             worker_id = f"w{group_idx % cfg.workers}"
             rng = np.random.default_rng(
                 np.random.SeedSequence(cfg.seed, spawn_key=(2, t_idx, v_idx)))
-            events, log = _plan_video(rng, cfg, k, task_vectors[task],
-                                      mistake_run=not correct_run)
+            events = _plan_video(rng, cfg, k, task_vectors[task],
+                                 mistake_run=not correct_run)
             matrix, segments = _materialize(rng, cfg, task_vectors[task], events)
             videos.append(AnnotatedVideo(
                 video_id=video_id, worker_id=worker_id, task=task,
                 intent=intent, num_frames=matrix.shape[0],
                 segments=tuple(segments)))
             features[video_id] = matrix
-            logs[video_id] = log
 
     videos.sort(key=lambda v: v.video_id)
     corpus = Corpus(texts=texts, videos=videos, features=features,
                     step_features=step_features)
-    return SynthResult(corpus=corpus, logs=logs)
+    return SynthResult(corpus=corpus)
 
 
-__all__ = ["SynthConfig", "SynthResult", "VideoPlantLog", "synth_corpus"]
+__all__ = ["SynthConfig", "SynthResult", "synth_corpus"]

@@ -1,6 +1,9 @@
 """The in-memory corpus, its directory layout and its feature files,
 malformed ones included (corpus.py)."""
 
+import dataclasses
+import json
+import re
 import struct
 import tracemalloc
 
@@ -35,6 +38,13 @@ def _one_video_corpus(matrix):
                   step_features={text.task: _ones(1, matrix.shape[1])})
 
 
+def _small_synth(tasks=1):
+    """A synth corpus of four short 2-step videos per task."""
+    return synth_corpus(SynthConfig(tasks=tasks, videos_per_task=4, workers=2,
+                                    steps_per_task=2, dim=8,
+                                    frames_per_step=(2, 3))).corpus
+
+
 def _corpus(video_id="v", matrix=None):
     """A cardboard corpus whose one 5-frame video has the given id and
     feature matrix."""
@@ -54,6 +64,61 @@ def test_video_id_of_a_step_feature_file_rejected():
                                               "the name of a task's step "
                                               "features$"):
         _corpus("steps_cardboard")
+
+
+@pytest.mark.parametrize("video_id", [
+    "../../escaped", "", ".", "..", "a/b", "a\\b", "a\0b",
+], ids=["escaping", "empty", "dot", "dot-dot", "slash", "backslash", "nul"])
+def test_video_id_not_a_file_name_rejected(tmp_path, video_id):
+    # saved as annotations/<id>.json and features/<id>.fmtx, such an id
+    # wrote its files outside the corpus directory
+    corpus = _small_synth()
+    first = corpus.videos[0]
+    videos = [dataclasses.replace(first, video_id=video_id),
+              *corpus.videos[1:]]
+    features = {**corpus.features, video_id: corpus.features[first.video_id]}
+    del features[first.video_id]
+    with pytest.raises(ValidationError,
+                       match=rf"^video_id {re.escape(repr(video_id))} is not "
+                             rf"a file name$"):
+        Corpus(texts=corpus.texts, videos=videos, features=features,
+               step_features=corpus.step_features).save(tmp_path / "a" / "b")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_annotation_with_a_path_as_id_names_its_file(tmp_path):
+    corpus = _small_synth()
+    corpus.save(tmp_path)
+    file = tmp_path / "annotations" / f"{corpus.videos[0].video_id}.json"
+    record = json.loads(file.read_text())
+    record["video_id"] = "../../escaped"
+    file.write_text(json.dumps(record))
+    with pytest.raises(ValidationError,
+                       match=rf"^{re.escape(str(file))}: video_id "
+                             rf"'\.\./\.\./escaped' is not a file name$"):
+        Corpus.from_dir(tmp_path)
+
+
+def test_video_without_text_rejected():
+    # training and task_step_features raised a bare KeyError on such a video
+    corpus = _small_synth(tasks=2)
+    texts = dict(corpus.texts)
+    step_features = dict(corpus.step_features)
+    del texts[TaskDomain.COLOR_MIXTURE], step_features[TaskDomain.COLOR_MIXTURE]
+    first = next(v.video_id for v in corpus.videos
+                 if v.task == TaskDomain.COLOR_MIXTURE)
+    with pytest.raises(ValidationError,
+                       match=f"^{first}: no procedural text for task "
+                             f"color_mixture$"):
+        Corpus(texts=texts, videos=corpus.videos, features=corpus.features,
+               step_features=step_features)
+
+
+def test_unknown_video_features_rejected_before_logging():
+    corpus = _corpus()
+    with pytest.raises(ValidationError, match="^unknown video_id 'nope'$"):
+        corpus.video_features("nope")
+    assert corpus.access_log == set()
 
 
 @pytest.mark.parametrize("features, step_features, rule", [
@@ -128,9 +193,7 @@ def test_save_rejects_matrix_not_2d_or_empty(tmp_path, matrix, shape):
 
 
 def test_save_rejecting_a_matrix_writes_no_file(tmp_path):
-    corpus = synth_corpus(SynthConfig(tasks=1, videos_per_task=4, workers=2,
-                                      steps_per_task=2, dim=8,
-                                      frames_per_step=(2, 3))).corpus
+    corpus = _small_synth()
     third = corpus.videos[2].video_id
     corpus.features[third][1, 0] = np.nan
     with pytest.raises(ValidationError,

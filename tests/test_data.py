@@ -113,7 +113,9 @@ class TestValidation:
          "v0: num_frames must be >= 1"),
         (lambda: validate_video(_video(task=TaskDomain.CARDBOARD), _text()),
          "v0: annotation task cardboard does not match text task color_mixture"),
-    ], ids=["no-steps", "empty-step", "no-frames", "task-mismatch"])
+        (lambda: validate_video(_video("a/b"), _text()),
+         "video_id 'a/b' is not a file name"),
+    ], ids=["no-steps", "empty-step", "no-frames", "task-mismatch", "path-id"])
     def test_broken_record_invariant_names_record(self, build, rule):
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             build()
@@ -127,27 +129,31 @@ class TestValidation:
         )), _text())
 
 
+def _two_dim_corpus(*videos):
+    """A color-mixture corpus of the given videos, every feature matrix
+    two columns of zeros."""
+    text = _text()
+    return Corpus(texts={text.task: text}, videos=list(videos),
+                  features={v.video_id: np.zeros((50, 2), np.float32)
+                            for v in videos},
+                  step_features={text.task: np.zeros((3, 2), np.float32)})
+
+
 class TestCorpusLookup:
     def test_video_by_id(self):
-        corpus = Corpus(texts={}, videos=[_video("a"), _video("b")],
-                        features={"a": np.zeros((50, 2), np.float32),
-                                  "b": np.zeros((50, 2), np.float32)},
-                        step_features={})
+        corpus = _two_dim_corpus(_video("a"), _video("b"))
         assert corpus.video_by_id("b").video_id == "b"
         with pytest.raises(ValidationError, match="unknown video_id 'c'"):
             corpus.video_by_id("c")
 
     def test_duplicate_video_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate video_id a"):
-            Corpus(texts={}, videos=[_video("a"), _video("a")],
-                   features={}, step_features={})
+            _two_dim_corpus(_video("a"), _video("a"))
 
 
 class TestCorpusAccess:
     def test_repeated_read_in_one_phase_logged_once(self):
-        corpus = Corpus(texts={}, videos=[_video("a")],
-                        features={"a": np.zeros((50, 2), np.float32)},
-                        step_features={})
+        corpus = _two_dim_corpus(_video("a"))
         corpus.set_phase("infer")
         corpus.video_features("a")
         corpus.video_features("a")
@@ -285,6 +291,14 @@ class TestCorpusIO:
         save_corpus(tmp_path, [_text()], [_video("a"), _video("b")])
         _, videos = load_corpus(tmp_path)
         assert [v.video_id for v in videos] == ["a", "b"]
+
+    def test_save_rejects_a_path_as_id_and_writes_no_file(self, tmp_path):
+        # annotations/../../x.json would land beside the corpus directory
+        with pytest.raises(ValidationError,
+                           match=r"^video_id '\.\./\.\./x' is not a file name$"):
+            save_corpus(tmp_path / "a" / "b", [_text()],
+                        [_video("a"), _video("../../x")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_json_names_file_and_line(self, tmp_path):
         save_corpus(tmp_path, [_text()], [_video()])

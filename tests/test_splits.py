@@ -117,9 +117,15 @@ class TestGroupKFold:
         (2.5, 0, r"^k must be an int >= 2, got 2\.5$"),
         (5, -1, "^seed must be an int >= 0, got -1$"),
         (5, 1.5, r"^seed must be an int >= 0, got 1\.5$"),
-    ], ids=["float-k", "negative-seed", "float-seed"])
+        # k's type is checked before its value is compared
+        ("3", 0, "^k must be an int >= 2, got '3'$"),
+        (None, 0, "^k must be an int >= 2, got None$"),
+        (True, 0, "^k must be an int >= 2, got True$"),
+    ], ids=["float-k", "negative-seed", "float-seed", "str-k", "none-k",
+            "bool-k"])
     def test_k_and_seed_must_be_ints(self, k, seed, rule):
-        # these used to raise a bare TypeError or ValueError
+        # these used to raise a bare TypeError or ValueError, or for True
+        # an InfeasibleSplitError that took it for 1
         with pytest.raises(ValidationError, match=rule):
             make_group_kfold(paper_shaped_corpus(), k=k, seed=seed)
 

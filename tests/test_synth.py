@@ -1,5 +1,6 @@
 import hashlib
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,66 @@ _EVERY_KIND = {"background_gap": (0, 2), "p_exec_mistake": 0.6,
                "p_split": 0.3, "seed": 1}
 # a mistake run with every step skipped and no gap has no frame of its own
 _SKIP_ALL_NO_GAP = {"p_skip": 1.0, "background_gap": (0, 0)}
+
+# the mistakes that replace a step's execution and keep its step index
+_STEP_MISTAKES = (MistakeLabel.OBJECT, MistakeLabel.ACCIDENT,
+                  MistakeLabel.HOWTO)
+
+
+class Planted(NamedTuple):
+    """What the generator planted in one mistake run: each kind's trial
+    count and its hits, by step."""
+
+    skip_ops: int
+    skipped: tuple[int, ...]
+    swap_ops: int
+    swaps: tuple[tuple[int, int], ...]      # (earlier, later) in the text
+    split_ops: int
+    splits: tuple[int, ...]
+    exec_ops: int
+    execs: tuple[tuple[int, MistakeLabel], ...]
+
+
+def recount(video, k: int) -> Planted:
+    """Recount a mistake run's plants from its annotation alone. Every
+    kept step is one skip, split and exec trial; the swap walk steps over
+    a swapped pair, so it reads as a descent of the annotated step order.
+    A mispick precedes its step's segment, and a correction or other
+    mistake follows it."""
+    order = list(dict.fromkeys(s.step for s in video.segments
+                               if s.step is not None))
+    swaps = []
+    swap_ops = i = 0
+    while i < len(order) - 1:
+        swap_ops += 1
+        if order[i] > order[i + 1]:
+            swaps.append((order[i + 1], order[i]))
+            i += 2
+        else:
+            i += 1
+    execs = []
+    last = None         # the step of the latest step segment
+    mispick = False
+    for seg in video.segments:
+        if seg.step is None and seg.mistake == MistakeLabel.MISPICK:
+            mispick = True
+        elif seg.step is None:
+            execs.append((last, seg.mistake))
+        elif seg.step != last:
+            if mispick:
+                execs.append((seg.step, MistakeLabel.MISPICK))
+            elif seg.mistake in _STEP_MISTAKES:
+                execs.append((seg.step, seg.mistake))
+            mispick = False
+            last = seg.step
+    steps = [s.step for s in video.segments if s.step is not None]
+    return Planted(
+        skip_ops=k,
+        skipped=tuple(s for s in range(1, k + 1) if s not in order),
+        swap_ops=swap_ops, swaps=tuple(swaps),
+        split_ops=len(order),
+        splits=tuple(s for s in order if steps.count(s) > 1),
+        exec_ops=len(order), execs=tuple(execs))
 
 
 class TestSynthBasics:
@@ -59,7 +120,6 @@ class TestSynthBasics:
         for vid in a.corpus.features:
             np.testing.assert_array_equal(
                 a.corpus.features[vid], b.corpus.features[vid])
-        assert a.logs == b.logs
 
     @pytest.mark.parametrize("changes, expected", [
         ({}, "1f72dd988690290584ecffde13b975d9d0f61e3b6fc5fc3bcbd880efc57ba9f4"),
@@ -86,7 +146,8 @@ class TestSynthBasics:
         result = synth_corpus(small_config(**_EVERY_KIND))
         segments = [s for v in result.corpus.videos for s in v.segments]
         assert {s.mistake for s in segments} == set(MistakeLabel)
-        assert any(log.splits for log in result.logs.values())
+        assert any(recount(v, 4).splits for v in result.corpus.videos
+                   if v.intent == Intent.MISTAKE_RUN)
         # a gap range starting at 0 lets an event open the video
         assert any(s.segment.start == 0 for s in segments)
 
@@ -214,31 +275,36 @@ class TestMistakeInjection:
                            p_swap=0.0, p_split=0.0, p_exec_mistake=0.0)
         result = synth_corpus(cfg)
         for video in result.corpus.videos:
-            log = result.logs[video.video_id]
-            # independent recount: steps absent from the annotation
-            missing = set(range(1, 4)) - video.defined_steps()
-            assert missing == set(log.skipped)
             if video.intent == Intent.MISTAKE_RUN:
-                assert len(log.skipped) == 3
+                assert recount(video, 3).skipped == (1, 2, 3)
                 assert video.segments == ()
+            else:
+                assert video.defined_steps() == {1, 2, 3}
 
-    def test_annotations_match_plant_log(self):
-        result = synth_corpus(small_config(videos_per_task=8,
-                                           p_exec_mistake=0.6))
+    def test_annotations_match_emitted_frames(self):
+        # without noise each segment's frames are one emitted direction:
+        # a step's own prototype when it was executed correctly, another
+        # step's for a wrong object, and no prototype for the rest
+        result = synth_corpus(small_config(**_EVERY_KIND, noise_sigma=0.0))
+        kinds = set()
         for video in result.corpus.videos:
-            log = result.logs[video.video_id]
-            missing = set(range(1, 5)) - video.defined_steps()
-            assert missing == set(log.skipped)
-            annotated_execs = [
-                s.mistake for s in video.segments
-                if s.mistake != MistakeLabel.CORRECT
-            ]
-            assert len(annotated_execs) == len(log.execs)
-            split_counts = {
-                step for step in video.defined_steps()
-                if sum(1 for s in video.segments if s.step == step) > 1
-            }
-            assert split_counts == set(log.splits)
+            if video.intent == Intent.CORRECT_RUN:
+                continue
+            feats = result.corpus.features[video.video_id]
+            protos = result.corpus.step_features[video.task]
+            for seg in video.segments:
+                block = feats[seg.segment.start:seg.segment.end]
+                emitted = [step for step, proto in enumerate(protos, start=1)
+                           if np.array_equal(block, np.broadcast_to(
+                               proto, block.shape))]
+                if seg.mistake == MistakeLabel.CORRECT:
+                    assert emitted == [seg.step]
+                elif seg.mistake == MistakeLabel.OBJECT:
+                    assert len(emitted) == 1 and emitted != [seg.step]
+                else:
+                    assert emitted == []
+                kinds.add(seg.mistake)
+        assert kinds == set(MistakeLabel)
 
     def test_frequencies_converge_3_sigma(self):
         cfg = SynthConfig(tasks=4, videos_per_task=100, workers=4,
@@ -248,7 +314,7 @@ class TestMistakeInjection:
                           p_exec_mistake=0.3, seed=77)
         result = synth_corpus(cfg)
         mistake_logs = [
-            result.logs[v.video_id] for v in result.corpus.videos
+            recount(v, cfg.steps_per_task) for v in result.corpus.videos
             if v.intent == Intent.MISTAKE_RUN
         ]
         assert len(mistake_logs) >= 200
