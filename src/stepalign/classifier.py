@@ -20,13 +20,15 @@ Every path from segments to labels is the same two calls:
 validation rows and detections all come from them; a fold builds its
 validation rows once and rescores them each validation round.
 
-Training is full-batch Adam over the parameters' one flat buffer. It
-keeps the checkpoint with the best val score and stops at the first
-validation round ``_PATIENCE`` (300) or more epochs after that
-checkpoint's epoch, so a run of at most 300 epochs runs every epoch. A
-fold allocates its hidden activations, their gradient, the ReLU mask and the
-parameter gradients once, in a workspace; each epoch writes into them in
-place, so it allocates no array of n x hidden size.
+Training hands ``optim.fit`` one full-batch step per epoch and the val
+score, validated every ``val_every`` epochs. ``fit`` runs Adam over the
+parameters' one flat buffer, keeps the checkpoint with the best val
+score and stops at the first validation round ``_PATIENCE`` (300) or
+more epochs after that checkpoint's epoch, so a run of at most 300
+epochs runs every epoch. A fold allocates its hidden activations, their
+gradient, the ReLU mask and the parameter gradients once, in a
+workspace; each epoch writes into them in place, so it allocates no
+array of n x hidden size.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import (
-    NumericalError, ValidationError, check_counts, check_flags, check_numbers,
+    ValidationError, check_counts, check_flags, check_numbers,
 )
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
-from .optim import Adam, EpochLog, FlatParams
+from .optim import FlatParams, Training, fit
 
 NUM_CLASSES = len(CoarseLabel)
 _Proposals = list[tuple[int | None, Segment]]    # (step, segment) pairs
@@ -166,19 +168,10 @@ class ClassifierTrainConfig:
 
 
 @dataclass
-class ClassifierTraining:
-    fold_id: int
-    params: ClassifierParams
-    best_epoch: int
-    best_val_score: float
+class ClassifierTraining(Training):
+    """A classifier's ``Training`` and its training rows' count per
+    class."""
     class_counts: dict[CoarseLabel, int] = field(default_factory=dict)
-    log: list[EpochLog] = field(default_factory=list)
-
-    @property
-    def epochs_run(self) -> int:
-        """Epochs trained before training stopped; the last validation
-        round is the last epoch run."""
-        return self.log[-1].epoch + 1 if self.log else 0
 
 
 def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...], video_only: bool
@@ -320,26 +313,15 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     params = ClassifierParams.init(rng, input_dim=x.shape[1],
                                    hidden=config.hidden)
     work = _Workspace(params, x, y, weights)
-    opt = Adam(params.flat.size, config.learning_rate)
-    best = ClassifierTraining(fold_id=fold.fold_id, params=params.copy(),
-                              best_epoch=-1, best_val_score=-1.0,
-                              class_counts=counts)
-    for epoch in range(config.epochs):
-        loss = _batch_loss_and_grads(params, work)
-        if not math.isfinite(loss):
-            raise NumericalError(
-                f"fold {fold.fold_id} epoch {epoch}: non-finite classifier loss")
-        opt.step(params.flat, work.grads.flat)
-        if epoch % config.val_every == 0 or epoch == config.epochs - 1:
-            score = _val_score(params, *val, val_truth)
-            best.log.append(EpochLog(epoch=epoch, loss=loss, val_score=score))
-            if score > best.best_val_score:
-                best.best_val_score = score
-                best.best_epoch = epoch
-                best.params.flat[:] = params.flat
-            if epoch - best.best_epoch >= _PATIENCE:
-                break
-    return best
+
+    def batches(epoch: int):
+        yield _batch_loss_and_grads(params, work), work.grads.flat
+
+    return fit(ClassifierTraining(fold.fold_id, params.copy(),
+                                  class_counts=counts),
+               params, batches, lambda: _val_score(params, *val, val_truth),
+               config.epochs, config.learning_rate, config.val_every,
+               _PATIENCE)
 
 
 def save_classifier(path, training: ClassifierTraining,
@@ -349,7 +331,7 @@ def save_classifier(path, training: ClassifierTraining,
         "seed": config.seed,
         "epoch": training.best_epoch,
         "epochs_run": training.epochs_run,
-        "val_score": training.best_val_score,
+        "val_score": training.best_score,
         "video_only": config.video_only,
         "fold_id": training.fold_id,
         "class_counts": {l.name.lower(): c

@@ -8,7 +8,8 @@ Corpus directory layout::
     <dir>/features/<video_id>.fmtx     one frame-feature matrix per video
     <dir>/features/steps_<task>.fmtx   the step-text features of each task
 
-Texts and annotations are the JSON records of data.py. A feature file is a
+Texts and annotations are the JSON records of data.py, each in the file
+named after its task or its video id. A feature file is a
 checkpoint (see checkpoint.py) of kind ``features`` holding one
 ``rows x dim`` tensor named ``features``, float32 in memory and on disk;
 the library computes on features in float64, widening them where it
@@ -49,12 +50,21 @@ from .data import (
 from .errors import FormatError, ParseError, ValidationError
 
 
+def _check_file_name(file: Path, key: str, name: str) -> None:
+    """A record's file is named after the record, so that saving the
+    corpus writes each record back over its own file."""
+    if file.stem != name:
+        raise ValidationError(
+            f"{file}: file is named {file.stem!r}, not its {key} {name!r}")
+
+
 def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedVideo]]:
     """Read and fully validate a corpus directory's texts and annotations.
 
     Returns procedural texts sorted by task value and videos sorted by id.
     Raises ParseError for malformed files and ValidationError when a record
-    breaks an invariant.
+    breaks an invariant or its file is not named after its task or its
+    video id.
     """
     root = Path(path)
     text_dir, anno_dir = root / "texts", root / "annotations"
@@ -64,17 +74,12 @@ def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedV
     texts: dict[TaskDomain, ProceduralText] = {}
     for file in sorted(text_dir.glob("*.json")):
         text = parse_text(load_json(file), where=str(file))
-        if text.task in texts:
-            raise ValidationError(f"{file}: duplicate text for task {text.task.value}")
+        _check_file_name(file, "task", text.task.value)
         texts[text.task] = text
 
     videos: list[AnnotatedVideo] = []
-    seen: set[str] = set()
     for file in sorted(anno_dir.glob("*.json")):
         video = parse_video(load_json(file), where=str(file))
-        if video.video_id in seen:
-            raise ValidationError(f"{file}: duplicate video_id {video.video_id}")
-        seen.add(video.video_id)
         if video.task not in texts:
             raise ValidationError(f"{file}: {video.video_id}: no procedural text "
                                   f"for task {video.task.value}")
@@ -82,6 +87,7 @@ def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedV
             validate_video(video, texts[video.task])
         except ValidationError as exc:
             raise ValidationError(f"{file}: {exc}") from None
+        _check_file_name(file, "video_id", video.video_id)
         videos.append(video)
 
     ordered_texts = [texts[t] for t in sorted(texts, key=lambda t: t.value)]

@@ -40,12 +40,15 @@ A fold reads each of its training and validation videos once, into a
 rasterized ground truth, with what every step reads of them computed
 once: the frames' row norms, the annotated steps and each step's frames.
 The decoder input, the frames over their norms, is one divide by
-``_decoder_input``. A training step runs the decoder once per video:
-``compute_selections`` keeps each forward's activations, selects slots
-for the whole batch with one stacked Drop-DTW per step count, and
-``batch_loss_and_grads`` backpropagates through the same activations,
-rebuilding the decoder input, which no cache holds, for the input
-projection's gradient. Validation once per epoch runs
+``_decoder_input``. ``train_alignment_fold`` hands ``optim.fit`` its
+mini-batches, drawn each epoch from a new permutation of the training
+videos, and its validation frame-F1; ``fit`` runs Adam, validates after
+every epoch and keeps the best epoch's parameters. A training step runs
+the decoder once per video: ``compute_selections`` keeps each forward's
+activations, selects slots for the whole batch with one stacked Drop-DTW
+per step count, and ``batch_loss_and_grads`` backpropagates through the
+same activations, rebuilding the decoder input, which no cache holds,
+for the input projection's gradient. Validation runs
 ``compute_selections`` on chunks of at most ``batch_size`` videos, then
 aligns each video's selected slots to its projected frames. A fold
 allocates the frame-sized arrays of training and validation once, in a
@@ -80,7 +83,7 @@ from .errors import (
     NumericalError, ValidationError, check_counts, check_flags, check_numbers,
 )
 from .metrics import frame_metrics, gt_frame_labels, rasterize
-from .optim import Adam, EpochLog, FlatParams
+from .optim import FlatParams, Training, fit
 
 
 @dataclass
@@ -501,10 +504,7 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         x = _decoder_input(v, config.normalize_features, scratch.get("x"))
         grads.proj_v += x.T @ d_xp
 
-    total_loss = float(np.mean(sup_losses)) if sup_losses else 0.0
-    if not math.isfinite(total_loss):
-        raise NumericalError("non-finite training loss")
-    return total_loss, grads
+    return float(np.mean(sup_losses)) if sup_losses else 0.0, grads
 
 
 def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
@@ -533,15 +533,6 @@ def align_video(params: ModelParams, frames: np.ndarray,
     rows = select_slots([slots], _text_input(params, [step_feats]),
                         drop_pct)[0]
     return align_frames_to_slots(slots[rows], xp, drop_pct)
-
-
-@dataclass
-class FoldTraining:
-    fold_id: int
-    params: ModelParams
-    best_epoch: int
-    best_val_f1: float
-    log: list[EpochLog] = field(default_factory=list)
 
 
 def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
@@ -598,9 +589,10 @@ def _check_rows(fold_id: int, videos: Sequence[FoldVideo]) -> None:
 
 
 def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
-                         config: TrainConfig) -> FoldTraining:
-    """Mini-batch training on one fold; returns the checkpoint with the
-    best validation frame-F1 (earlier epoch wins ties)."""
+                         config: TrainConfig) -> Training:
+    """Mini-batch training on one fold, the batches of each epoch drawn
+    from a fresh permutation; returns the checkpoint with the best
+    validation frame-F1 (earlier epoch wins ties)."""
     config.validate()
     corpus.check_fold(fold)
     _check_fold(corpus, fold, config)
@@ -617,40 +609,28 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                           min(config.batch_size, max(len(train), len(val))),
                           max(v.frames.shape[0] for v in (*train, *val)),
                           max(v.steps.size for v in train))
-    opt = Adam(params.flat.size, config.learning_rate)
-    best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
-                        best_epoch=-1, best_val_f1=-1.0)
-    for epoch in range(config.epochs):
+
+    def batches(epoch: int):
         order = rng.permutation(len(train))
-        epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
             selections, caches = compute_selections(params, batch, config,
                                                     work)
-            try:
-                loss, grads = batch_loss_and_grads(params, batch, selections,
-                                                   caches, config, work)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"fold {fold.fold_id} epoch {epoch}: {exc}") from None
-            opt.step(params.flat, grads.flat)
-            epoch_losses.append(loss)
-        val_f1 = evaluate_alignment_f1(params, val, config, work)
-        best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
-                                 val_score=val_f1))
-        if val_f1 > best.best_val_f1:
-            best.best_val_f1 = val_f1
-            best.best_epoch = epoch
-            best.params.flat[:] = params.flat
-    return best
+            loss, grads = batch_loss_and_grads(params, batch, selections,
+                                               caches, config, work)
+            yield loss, grads.flat
+
+    return fit(Training(fold.fold_id, params.copy()), params, batches,
+               lambda: evaluate_alignment_f1(params, val, config, work),
+               config.epochs, config.learning_rate)
 
 
-def save_model(path, training: FoldTraining, config: TrainConfig) -> None:
+def save_model(path, training: Training, config: TrainConfig) -> None:
     meta = {
         "kind": "alignment",
         "seed": config.seed,
         "epoch": training.best_epoch,
-        "val_f1": training.best_val_f1,
+        "val_f1": training.best_score,
         "fold_id": training.fold_id,
     }
     save_checkpoint(path, training.params.as_dict(), meta)
@@ -670,7 +650,7 @@ def load_model(path) -> tuple[ModelParams, dict]:
 
 __all__ = [
     "l2_normalize_rows", "cosine_matrix", "ModelParams", "TrainConfig",
-    "FoldVideo", "TrainWorkspace", "EpochLog", "FoldTraining",
+    "FoldVideo", "TrainWorkspace",
     "forward_slots", "select_slots",
     "compute_selections", "batch_loss_and_grads", "align_frames_to_slots",
     "align_video", "evaluate_alignment_f1",

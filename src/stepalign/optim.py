@@ -1,22 +1,29 @@
-"""Adam over one flat float64 parameter buffer, and the parameter layout
-that gives each model such a buffer.
+"""Adam over one flat float64 parameter buffer, the parameter layout
+that gives each model such a buffer, and the training loop both trainers
+run.
 
 A model's parameter dataclass derives from ``FlatParams``: its tensors are
 views into one contiguous buffer, ``flat``, in field order, so one
 ``Adam.step`` updates every tensor. The update is elementwise, so running
 it over the whole buffer gives the same bits as running it per tensor.
 The optimizer's moments and scratch space are allocated once, when it is
-built, and a step allocates no array. Both trainers log each validation
-round as an ``EpochLog``.
+built, and a step allocates no array.
+
+``fit`` is the loop of both trainers: Adam over the batches a trainer
+yields, validation rounds logged in a ``Training`` record, and the best
+round's parameters kept, as in early stopping (Prechelt, "Early Stopping
+-- But When?", 1998).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 @dataclass
@@ -106,4 +113,61 @@ class Adam:
         params -= step
 
 
-__all__ = ["Adam", "EpochLog", "FlatParams"]
+@dataclass
+class Training:
+    """A fold's training: the parameters of its best validation round,
+    that round's epoch and score, and every round's ``EpochLog``. Before
+    the first round the best epoch is -1 and the score -1.0."""
+    fold_id: int
+    params: FlatParams
+    best_epoch: int = -1
+    best_score: float = -1.0
+    log: list[EpochLog] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        """Epochs trained before training stopped; the last validation
+        round is the last epoch run."""
+        return self.log[-1].epoch + 1 if self.log else 0
+
+
+def fit(training: Training, params: FlatParams,
+        batches: Callable[[int], Iterable[tuple[float, np.ndarray]]],
+        score: Callable[[], float], epochs: int, learning_rate: float,
+        val_every: int = 1, patience: float = math.inf) -> Training:
+    """Train ``params`` in place with Adam; return ``training`` holding
+    the best validation round. Each epoch steps once per ``(loss, flat
+    grads)`` pair of ``batches(epoch)``. Epochs that are a multiple of
+    ``val_every``, and the last, end in a round that logs the mean of
+    their losses and ``score()``; a strictly better score copies the
+    parameters into ``training.params``. Training stops at the first
+    round ``patience`` or more epochs after the best one. A non-finite
+    loss, or a ``NumericalError`` in an epoch, raises ``NumericalError``
+    naming the fold and the epoch."""
+    opt = Adam(params.flat.size, learning_rate)
+    for epoch in range(epochs):
+        try:
+            losses = []
+            for loss, grads in batches(epoch):
+                if not math.isfinite(loss):
+                    raise NumericalError("non-finite training loss")
+                opt.step(params.flat, grads)
+                losses.append(loss)
+            if epoch % val_every and epoch != epochs - 1:
+                continue
+            val_score = score()
+        except NumericalError as exc:
+            raise NumericalError(
+                f"fold {training.fold_id} epoch {epoch}: {exc}") from None
+        training.log.append(EpochLog(epoch=epoch, loss=float(np.mean(losses)),
+                                     val_score=val_score))
+        if val_score > training.best_score:
+            training.best_score = val_score
+            training.best_epoch = epoch
+            training.params.flat[:] = params.flat
+        if epoch - training.best_epoch >= patience:
+            break
+    return training
+
+
+__all__ = ["Adam", "EpochLog", "FlatParams", "Training", "fit"]

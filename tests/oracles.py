@@ -48,11 +48,12 @@ from stepalign.metrics import (
     Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
 )
 from stepalign.model import (
-    EpochLog, FoldTraining, FoldVideo, ModelParams, TrainConfig,
+    FoldVideo, ModelParams, TrainConfig,
     _softmax_rows, _unit_rows_backward, align_video,
     batch_loss_and_grads, compute_selections, cosine_matrix,
     l2_normalize_rows,
 )
+from stepalign.optim import EpochLog, Training
 
 # transition codes for the match table
 _T_DIAG, _T_ROW, _T_START = 0, 1, 2
@@ -311,7 +312,7 @@ def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining
                                    hidden=config.hidden)
     opt = DictAdam(config.learning_rate)
     best = ClassifierTraining(fold_id=fold.fold_id, params=params.copy(),
-                              best_epoch=-1, best_val_score=-1.0,
+                              best_epoch=-1, best_score=-1.0,
                               class_counts=counts)
     for epoch in range(config.epochs):
         loss, grads = classifier_loss_and_grads(params, x, y, weights)
@@ -323,8 +324,8 @@ def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining
         if epoch % config.val_every == 0 or epoch == config.epochs - 1:
             score = _val_score(params, *val, val_truth)
             best.log.append(EpochLog(epoch, loss, score))
-            if score > best.best_val_score:
-                best.best_val_score = score
+            if score > best.best_score:
+                best.best_score = score
                 best.best_epoch = epoch
                 best.params = params.copy()
             elif epoch >= best.best_epoch + classifier._PATIENCE:
@@ -351,7 +352,7 @@ def evaluate_alignment_f1_per_video(params: ModelParams, corpus, video_ids,
     return float(np.mean(scores)) if scores else 0.0
 
 
-def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
+def train_alignment_fold_per_tensor(corpus, fold, config) -> Training:
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
     examples = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
@@ -359,8 +360,8 @@ def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
     opt = DictAdam(config.learning_rate)
-    best = FoldTraining(fold_id=fold.fold_id, params=params.copy(),
-                        best_epoch=-1, best_val_f1=-1.0)
+    best = Training(fold_id=fold.fold_id, params=params.copy(),
+                    best_epoch=-1, best_score=-1.0)
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
         epoch_losses = []
@@ -377,8 +378,8 @@ def train_alignment_fold_per_tensor(corpus, fold, config) -> FoldTraining:
                                                  config)
         best.log.append(EpochLog(epoch=epoch, loss=float(np.mean(epoch_losses)),
                                  val_score=val_f1))
-        if val_f1 > best.best_val_f1:
-            best.best_val_f1 = val_f1
+        if val_f1 > best.best_score:
+            best.best_score = val_f1
             best.best_epoch = epoch
             best.params = params.copy()
     return best

@@ -18,7 +18,7 @@ from stepalign.classifier import (
 )
 from stepalign.data import CoarseLabel, FoldSpec, Segment
 from stepalign.checkpoint import save_checkpoint
-from stepalign.errors import FormatError, ValidationError
+from stepalign.errors import FormatError, NumericalError, ValidationError
 from stepalign.optim import Adam
 from stepalign.synth import SynthConfig, synth_corpus
 
@@ -163,8 +163,8 @@ def _assert_training_matches_per_tensor_oracle(**changes):
     got = train_classifier_fold(corpus, fold, config)
     want = train_classifier_fold_per_tensor(corpus, fold, config)
     assert got.params.flat.tobytes() == want.params.flat.tobytes()
-    assert (got.best_epoch, got.best_val_score, got.class_counts) == \
-        (want.best_epoch, want.best_val_score, want.class_counts)
+    assert (got.best_epoch, got.best_score, got.class_counts) == \
+        (want.best_epoch, want.best_score, want.class_counts)
     assert got.log == want.log
     assert got.best_epoch > 0
     return got
@@ -191,8 +191,8 @@ def test_patience_of_epochs_runs_every_epoch(video_only):
     full = _train(120, video_only=video_only)
     unbounded = _train(10**9, video_only=video_only)
     assert full.params.flat.tobytes() == unbounded.params.flat.tobytes()
-    assert (full.best_epoch, full.best_val_score, full.log) == \
-        (unbounded.best_epoch, unbounded.best_val_score, unbounded.log)
+    assert (full.best_epoch, full.best_score, full.log) == \
+        (unbounded.best_epoch, unbounded.best_score, unbounded.log)
     assert [r.epoch for r in full.log] == [*range(0, 120, 4), 119]
     assert full.epochs_run == 120
 
@@ -214,7 +214,7 @@ def test_patience_stops_at_first_round_reaching_the_gap(tmp_path, video_only,
     assert full.log[rounds - 1].epoch == stop < 119
     assert stopped.log == full.log[:rounds]
     assert all(math.isfinite(r.loss) and r.loss > 0 for r in stopped.log)
-    assert (stopped.best_epoch, stopped.best_val_score, stopped.epochs_run) == \
+    assert (stopped.best_epoch, stopped.best_score, stopped.epochs_run) == \
         (best.epoch, best.val_score, stop + 1)
     # a run that ends at the stop epoch validates there too, so its best
     # is the best of the same rounds
@@ -472,6 +472,22 @@ def test_val_features_read_once_per_fold(monkeypatch):
     assert sorted(reads) == sorted(fold.train + fold.val)
 
 
+def test_non_finite_loss_names_fold_and_epoch(monkeypatch):
+    corpus, fold, config = _small_fold()
+    step, calls = stepalign.classifier._batch_loss_and_grads, []
+
+    def diverging(params, work):
+        calls.append(1)
+        loss = step(params, work)
+        return math.nan if len(calls) == 3 else loss
+
+    monkeypatch.setattr(stepalign.classifier, "_batch_loss_and_grads",
+                        diverging)
+    with pytest.raises(NumericalError,
+                       match=r"^fold 0 epoch 2: non-finite training loss$"):
+        train_classifier_fold(corpus, fold, config)
+
+
 @pytest.mark.parametrize("strip", [False, True])
 def test_val_split_without_segments_scores_zero(strip):
     corpus, fold, config = _small_fold()
@@ -484,7 +500,7 @@ def test_val_split_without_segments_scores_zero(strip):
     else:
         fold = replace(fold, val=())
     training = train_classifier_fold(corpus, fold, config)
-    assert (training.best_epoch, training.best_val_score) == (0, 0.0)
+    assert (training.best_epoch, training.best_score) == (0, 0.0)
 
 
 def test_class_missing_from_train_rejected(monkeypatch):

@@ -335,11 +335,23 @@ class TestCorpusIO:
          "expected texts/ and annotations/ subdirectories"),
         (lambda root: shutil.copy(root / "texts" / "color_mixture.json",
                                   root / "texts" / "copy.json"),
-         ValidationError, r"copy\.json: duplicate text for task color_mixture"),
+         ValidationError,
+         r"copy\.json: file is named 'copy', not its task 'color_mixture'$"),
         (lambda root: shutil.copy(root / "annotations" / "v0.json",
                                   root / "annotations" / "v1.json"),
-         ValidationError, r"v1\.json: duplicate video_id v0"),
-    ], ids=["no-texts", "no-annotations", "duplicate-text", "duplicate-video"])
+         ValidationError,
+         r"v1\.json: file is named 'v1', not its video_id 'v0'$"),
+        (lambda root: (root / "texts" / "color_mixture.json").rename(
+            root / "texts" / "renamed.json"),
+         ValidationError,
+         r"renamed\.json: file is named 'renamed', not its task "
+         r"'color_mixture'$"),
+        (lambda root: (root / "annotations" / "v0.json").rename(
+            root / "annotations" / "renamed.json"),
+         ValidationError,
+         r"renamed\.json: file is named 'renamed', not its video_id 'v0'$"),
+    ], ids=["no-texts", "no-annotations", "duplicate-text", "duplicate-video",
+            "renamed-text", "renamed-video"])
     def test_broken_directory_names_path(self, tmp_path, mutate, error, rule):
         save_corpus(tmp_path, [_text()], [_video()])
         mutate(tmp_path)

@@ -11,14 +11,14 @@ from stepalign.alignment import percentile_drop_cost
 from stepalign.data import FoldSpec, Segment
 from stepalign.checkpoint import save_checkpoint
 from stepalign.corpus import Corpus
-from stepalign.errors import FormatError, ValidationError
+from stepalign.errors import FormatError, NumericalError, ValidationError
 from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
     FoldVideo, ModelParams, TrainConfig, TrainWorkspace,
     align_frames_to_slots, align_video, batch_loss_and_grads, compute_selections,
     cosine_matrix, evaluate_alignment_f1, forward_slots, l2_normalize_rows, load_model, save_model, select_slots, train_alignment_fold,
-    FoldTraining,
 )
+from stepalign.optim import Training
 from stepalign.synth import SynthConfig, synth_corpus
 from oracles import (
     batch_loss_and_grads_kv, brute_force_align, cosine,
@@ -563,8 +563,8 @@ class TestCheckpointIO:
         quantized = ModelParams(**{
             k: v.astype(np.float32).astype(np.float64)
             for k, v in params.as_dict().items()})
-        training = FoldTraining(fold_id=2, params=quantized, best_epoch=7,
-                                best_val_f1=0.83)
+        training = Training(fold_id=2, params=quantized, best_epoch=7,
+                            best_score=0.83)
         path = tmp_path / "align_fold2.ckpt"
         save_model(path, training, TrainConfig(seed=9))
         loaded, meta = load_model(path)
@@ -579,8 +579,8 @@ class TestCheckpointIO:
     def test_byte_identical_rewrites(self, tmp_path):
         rng = np.random.default_rng(51)
         params = _params(rng)
-        training = FoldTraining(fold_id=0, params=params, best_epoch=1,
-                                best_val_f1=0.5)
+        training = Training(fold_id=0, params=params, best_epoch=1,
+                            best_score=0.5)
         save_model(tmp_path / "a.ckpt", training, TrainConfig())
         save_model(tmp_path / "b.ckpt", training, TrainConfig())
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -883,8 +883,8 @@ class TestTrainAlignmentFold:
         # and one per validation video, every epoch
         assert len(calls) == config.epochs * (len(fold.train) + len(fold.val))
         assert second.log == first.log
-        assert (second.best_epoch, second.best_val_f1) == \
-            (first.best_epoch, first.best_val_f1)
+        assert (second.best_epoch, second.best_score) == \
+            (first.best_epoch, first.best_score)
         for name, tensor in first.params.as_dict().items():
             np.testing.assert_array_equal(getattr(second.params, name), tensor,
                                           err_msg=name)
@@ -897,8 +897,8 @@ class TestTrainAlignmentFold:
         got = train_alignment_fold(corpus, fold, config)
         want = train_alignment_fold_per_tensor(corpus, fold, config)
         assert got.params.flat.tobytes() == want.params.flat.tobytes()
-        assert (got.best_epoch, got.best_val_f1) == \
-            (want.best_epoch, want.best_val_f1)
+        assert (got.best_epoch, got.best_score) == \
+            (want.best_epoch, want.best_score)
         assert got.log == want.log
         assert got.best_epoch > 0
 
@@ -932,6 +932,25 @@ class TestTrainAlignmentFold:
         value = changes[field]
         with pytest.raises(ValidationError, match=f"^{field} .*got {value}$"):
             train_alignment_fold(corpus, fold, replace(config, **changes))
+
+    def test_numerical_error_in_a_training_forward_names_fold_and_epoch(
+            self, monkeypatch):
+        # epoch 0 runs a forward per training and validation video; the
+        # next forward is epoch 1's first, in its first batch's selection
+        corpus, fold, config = _tiny_fold()
+        forward, calls = stepalign.model.forward_slots, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > len(fold.train) + len(fold.val):
+                raise NumericalError("slot matrix contains non-finite values")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(stepalign.model, "forward_slots", failing)
+        with pytest.raises(NumericalError,
+                           match=r"^fold 0 epoch 1: slot matrix contains "
+                                 r"non-finite values$"):
+            train_alignment_fold(corpus, fold, config)
 
     def test_batch_of_one_trains(self):
         corpus, fold, config = _tiny_fold()
