@@ -16,8 +16,8 @@ the library computes on features in float64, widening them where it
 reads them. Its header's ``video_id`` names the file's own id, the video
 id or ``steps_<task>``. A video's file has one row per frame, a task's one
 row per step, and every feature file of a corpus has the same width.
-A video id names two files, so it must be a file name (see
-``data.check_video_id``), and every video's task must have a text.
+A video id names two files, so it must be a file name; every video's task
+must have a text, holding every step the video names (see data.py).
 
 A loaded corpus's feature matrices are read-only, mapped from their files
 and paged in on first use, so each file holds one file descriptor while
@@ -43,9 +43,9 @@ from .checkpoint import (
     check_layout, float32_tensors, load_checkpoint, write_checkpoint,
 )
 from .data import (
-    AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, check_video_id,
-    load_json, parse_text, parse_video, save_json, text_to_json,
-    validate_video, video_to_json,
+    AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
+    parse_text, parse_video, save_json, text_to_json, validate_video,
+    video_to_json,
 )
 from .errors import FormatError, ParseError, ValidationError
 
@@ -80,11 +80,8 @@ def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedV
     videos: list[AnnotatedVideo] = []
     for file in sorted(anno_dir.glob("*.json")):
         video = parse_video(load_json(file), where=str(file))
-        if video.task not in texts:
-            raise ValidationError(f"{file}: {video.video_id}: no procedural text "
-                                  f"for task {video.task.value}")
         try:
-            validate_video(video, texts[video.task])
+            validate_video(video, texts)
         except ValidationError as exc:
             raise ValidationError(f"{file}: {exc}") from None
         _check_file_name(file, "video_id", video.video_id)
@@ -98,12 +95,7 @@ def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedV
 def save_corpus(path: str | Path,
                 texts: Iterable[ProceduralText],
                 videos: Iterable[AnnotatedVideo]) -> None:
-    """Write texts/ and annotations/ so that load_corpus round-trips. A
-    video id that is not a file name raises ValidationError, and then no
-    file is written."""
-    videos = list(videos)
-    for video in videos:
-        check_video_id(video.video_id)
+    """Write texts/ and annotations/ so that load_corpus round-trips."""
     root = Path(path)
     (root / "texts").mkdir(parents=True, exist_ok=True)
     (root / "annotations").mkdir(parents=True, exist_ok=True)
@@ -137,19 +129,20 @@ class Corpus:
     access_log: set[tuple[str, str]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
+        for task, text in self.texts.items():
+            if text.task != task:
+                raise ValidationError(f"the {text.task.value} text is held "
+                                      f"under task {task.value}")
         self._by_id: dict[str, AnnotatedVideo] = {}
         step_files = {f"steps_{task.value}"
                       for task in (*self.texts, *self.step_features)}
         for video in self.videos:
             if video.video_id in self._by_id:
                 raise ValidationError(f"duplicate video_id {video.video_id}")
-            check_video_id(video.video_id)
             if video.video_id in step_files:
                 raise ValidationError(f"video_id {video.video_id} is the "
                                       f"name of a task's step features")
-            if video.task not in self.texts:
-                raise ValidationError(f"{video.video_id}: no procedural text "
-                                      f"for task {video.task.value}")
+            validate_video(video, self.texts)
             self._by_id[video.video_id] = video
         self._dim = self._check_matrices()
 
@@ -210,21 +203,15 @@ class Corpus:
         return self.features[video_id]
 
     def check_fold(self, fold: FoldSpec) -> None:
-        """Reject a fold no trainer can use: an empty train split, an id
-        this corpus lacks, or a video in more than one split."""
+        """Reject a fold no trainer can use: an empty train split or an id
+        this corpus lacks. FoldSpec rejects a video listed twice."""
         if not fold.train:
             raise ValidationError(f"fold {fold.fold_id}: empty train split")
-        split_of: dict[str, str] = {}
-        for split, ids in (("train", fold.train), ("val", fold.val),
-                           ("test", fold.test)):
-            for vid in ids:
+        for split in ("train", "val", "test"):
+            for vid in getattr(fold, split):
                 if vid not in self._by_id:
                     raise ValidationError(
                         f"fold {fold.fold_id}: unknown video_id {vid!r} in {split}")
-                if split_of.setdefault(vid, split) != split:
-                    raise ValidationError(
-                        f"fold {fold.fold_id}: {vid!r} is in both "
-                        f"{split_of[vid]} and {split}")
 
     def task_step_features(self, task: TaskDomain) -> np.ndarray:
         return self.step_features[task]

@@ -1,10 +1,11 @@
 """Annotation data model: tasks, procedural texts, segments, mistake labels.
 
 This module is the single source of truth for label vocabularies, the
-segment/video record types and their validation rules, the JSON codecs of
-the text and annotation records, and the fold file. Where those records
-sit in a corpus directory, next to the feature files, is corpus.py's
-concern.
+segment/video record types and their rules, which each record checks when
+it is built (``validate_video`` adds those that need the task texts), the
+JSON codecs of the text and annotation records, and the fold file. Where
+those records sit in a corpus directory, next to the feature files, is
+corpus.py's concern.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import ParseError, ValidationError
 
@@ -126,6 +127,12 @@ class AnnotatedSegment:
 
 @dataclass(frozen=True)
 class AnnotatedVideo:
+    """One annotated recording. Its id names its corpus files, so it is a
+    file name: not ``.`` or ``..``, not empty, with no ``/``, ``\\`` or NUL.
+    It has a frame, its segments lie in it sorted by start, its step
+    segments do not overlap, and exactly its mistake segments have a
+    description. A broken rule raises ValidationError naming the video."""
+
     video_id: str
     worker_id: str
     task: TaskDomain
@@ -133,61 +140,69 @@ class AnnotatedVideo:
     num_frames: int
     segments: tuple[AnnotatedSegment, ...]
 
-    def defined_steps(self) -> set[int]:
-        return {s.step for s in self.segments if s.step is not None}
+    def __post_init__(self) -> None:
+        vid = self.video_id
+        if vid in ("", ".", "..") or any(c in vid for c in "/\\\0"):
+            raise ValidationError(f"video_id {vid!r} is not a file name")
+        if self.num_frames < 1:
+            raise ValidationError(f"{vid}: num_frames must be >= 1")
+        prev_start = -1
+        step_end = 0        # end of the step-defined segments seen so far
+        for seg in self.segments:
+            span = seg.segment
+            if span.end > self.num_frames:
+                raise ValidationError(f"{vid}: segment [{span.start}, {span.end}) "
+                                      f"exceeds num_frames {self.num_frames}")
+            if span.start < prev_start:
+                raise ValidationError(f"{vid}: segments not sorted by start")
+            prev_start = span.start
+            if seg.step is not None:
+                if span.start < step_end:
+                    raise ValidationError(
+                        f"{vid}: step {seg.step} segment [{span.start}, {span.end}) "
+                        f"overlaps a step segment ending at {step_end}")
+                step_end = max(step_end, span.end)
+            has_desc = seg.description is not None
+            if seg.mistake == MistakeLabel.CORRECT and has_desc:
+                raise ValidationError(f"{vid}: correct segment carries a description")
+            if seg.mistake != MistakeLabel.CORRECT and not has_desc:
+                raise ValidationError(
+                    f"{vid}: {seg.mistake.value} segment lacks a description")
 
 
 @dataclass(frozen=True)
 class FoldSpec:
+    """One fold's train, val and test video ids. An id listed twice, in two
+    splits or in one, raises ValidationError naming the fold."""
+
     fold_id: int
     train: tuple[str, ...]
     val: tuple[str, ...]
     test: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        split_of: dict[str, str] = {}
+        for split in ("train", "val", "test"):
+            for vid in getattr(self, split):
+                if vid in split_of:
+                    raise ValidationError(f"fold {self.fold_id}: {vid!r} is in "
+                                          f"{split_of[vid]} and again in {split}")
+                split_of[vid] = split
 
-def check_video_id(video_id: str) -> None:
-    """Raise ValidationError unless ``video_id`` can name a corpus file of
-    its own: it is not empty, ``.`` or ``..``, and holds no ``/``, ``\\``
-    or NUL."""
-    if video_id in ("", ".", "..") or any(c in video_id for c in "/\\\0"):
-        raise ValidationError(f"video_id {video_id!r} is not a file name")
 
-
-def validate_video(video: AnnotatedVideo, text: ProceduralText) -> None:
-    """Check every record invariant; raises ValidationError naming the
-    video and the violated rule."""
-    vid = video.video_id
-    check_video_id(vid)
-    if video.num_frames < 1:
-        raise ValidationError(f"{vid}: num_frames must be >= 1")
-    if video.task != text.task:
-        raise ValidationError(f"{vid}: annotation task {video.task.value} does not "
-                              f"match text task {text.task.value}")
-    prev_start = -1
-    step_end = 0        # end of the step-defined segments seen so far
+def validate_video(video: AnnotatedVideo,
+                   texts: Mapping[TaskDomain, ProceduralText]) -> None:
+    """Check the rules of a video that need the task texts: its task has a
+    text, and every step it names is one of that text's. Raises
+    ValidationError naming the video and the rule."""
+    text = texts.get(video.task)
+    if text is None:
+        raise ValidationError(f"{video.video_id}: no procedural text for "
+                              f"task {video.task.value}")
     for seg in video.segments:
-        if seg.segment.end > video.num_frames:
-            raise ValidationError(
-                f"{vid}: segment [{seg.segment.start}, {seg.segment.end}) "
-                f"exceeds num_frames {video.num_frames}")
-        if seg.segment.start < prev_start:
-            raise ValidationError(f"{vid}: segments not sorted by start")
-        prev_start = seg.segment.start
-        if seg.step is not None:
-            if not (1 <= seg.step <= text.num_steps):
-                raise ValidationError(
-                    f"{vid}: unknown step {seg.step} (text has {text.num_steps})")
-            if seg.segment.start < step_end:
-                raise ValidationError(
-                    f"{vid}: step {seg.step} segment [{seg.segment.start}, "
-                    f"{seg.segment.end}) overlaps a step segment ending at {step_end}")
-            step_end = max(step_end, seg.segment.end)
-        has_desc = seg.description is not None
-        if seg.mistake == MistakeLabel.CORRECT and has_desc:
-            raise ValidationError(f"{vid}: correct segment carries a description")
-        if seg.mistake != MistakeLabel.CORRECT and not has_desc:
-            raise ValidationError(
-                f"{vid}: {seg.mistake.value} segment lacks a description")
+        if seg.step is not None and not 1 <= seg.step <= text.num_steps:
+            raise ValidationError(f"{video.video_id}: unknown step {seg.step} "
+                                  f"(text has {text.num_steps})")
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +272,9 @@ def parse_segment(obj: dict, where: str) -> AnnotatedSegment:
     description = obj.get("description")
     if description is not None:
         _expect(description, str, "segment description", where)
-    try:
-        segment = Segment(_expect(start, int, "segment start", where),
-                          _expect(end, int, "segment end", where))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
     return AnnotatedSegment(
-        segment=segment,
+        segment=Segment(_expect(start, int, "segment start", where),
+                        _expect(end, int, "segment end", where)),
         step=step,
         mistake=mistake,
         description=description,
@@ -284,6 +295,8 @@ def parse_video(obj: dict, where: str = "<memory>") -> AnnotatedVideo:
         )
     except KeyError as exc:
         raise ParseError(f"{where}: missing annotation field {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def parse_text(obj: dict, where: str = "<memory>") -> ProceduralText:
@@ -326,31 +339,27 @@ def save_folds(path: str | Path, folds: Iterable[FoldSpec]) -> None:
 
 def load_folds(path: str | Path) -> list[FoldSpec]:
     """Read a fold file. A malformed or wrongly typed record raises
-    ParseError naming the path and the fold; train, val and test sharing
-    a video raises ValidationError."""
+    ParseError naming the path and the fold, and a fold listing a video
+    twice ValidationError naming the path."""
     folds = []
     for obj in _expect(load_json(Path(path)), list, "fold file", str(path)):
         _expect(obj, dict, "fold record", str(path))
         try:
             where = f"{path}: fold {obj['fold_id']!r}"
-            fold = FoldSpec(_expect(obj["fold_id"], int, "fold_id", where),
-                            *(_string_list(obj[split], split, where)
-                              for split in ("train", "val", "test")))
+            folds.append(FoldSpec(_expect(obj["fold_id"], int, "fold_id", where),
+                                  *(_string_list(obj[split], split, where)
+                                    for split in ("train", "val", "test"))))
         except KeyError as exc:
             raise ParseError(f"{path}: missing fold field {exc}") from None
-        train, val, test = set(fold.train), set(fold.val), set(fold.test)
-        shared = (train & val) | (train & test) | (val & test)
-        if shared:
-            raise ValidationError(
-                f"{where}: videos in more than one split: {sorted(shared)}")
-        folds.append(fold)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     return folds
 
 
 __all__ = [
     "TaskDomain", "Intent", "MistakeLabel", "CoarseLabel", "coarse_label",
     "Segment", "ProceduralText", "AnnotatedSegment", "AnnotatedVideo",
-    "FoldSpec", "check_video_id", "validate_video", "save_folds",
+    "FoldSpec", "validate_video", "save_folds",
     "load_folds", "load_json", "save_json", "video_to_json", "text_to_json",
     "parse_video", "parse_text",
 ]

@@ -515,8 +515,8 @@ def test_class_missing_from_train_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("change, rule", [
-    (lambda fold: replace(fold, test=fold.train[:1]), "both train and test"),
-    (lambda fold: replace(fold, val=fold.test), "both val and test"),
+    (lambda fold: replace(fold, test=fold.train[:1]), "in train and again in test"),
+    (lambda fold: replace(fold, val=fold.test), "in val and again in test"),
     (lambda fold: replace(fold, test=("nope",)), "unknown video_id 'nope' in test"),
 ], ids=["train-test", "val-test", "unknown-test"])
 def test_unusable_fold_rejected_before_training(monkeypatch, change, rule):

@@ -12,7 +12,10 @@ import pytest
 
 from stepalign.checkpoint import save_checkpoint
 from stepalign.corpus import Corpus, read_features
-from stepalign.data import AnnotatedVideo, Intent, ProceduralText, TaskDomain
+from stepalign.data import (
+    AnnotatedSegment, AnnotatedVideo, Intent, MistakeLabel, ProceduralText,
+    Segment, TaskDomain,
+)
 from stepalign.errors import FormatError, ValidationError
 from stepalign.synth import SynthConfig, synth_corpus
 
@@ -69,21 +72,13 @@ def test_video_id_of_a_step_feature_file_rejected():
 @pytest.mark.parametrize("video_id", [
     "../../escaped", "", ".", "..", "a/b", "a\\b", "a\0b",
 ], ids=["escaping", "empty", "dot", "dot-dot", "slash", "backslash", "nul"])
-def test_video_id_not_a_file_name_rejected(tmp_path, video_id):
+def test_video_id_not_a_file_name_rejected(video_id):
     # saved as annotations/<id>.json and features/<id>.fmtx, such an id
-    # wrote its files outside the corpus directory
-    corpus = _small_synth()
-    first = corpus.videos[0]
-    videos = [dataclasses.replace(first, video_id=video_id),
-              *corpus.videos[1:]]
-    features = {**corpus.features, video_id: corpus.features[first.video_id]}
-    del features[first.video_id]
+    # wrote its files outside the corpus directory; no such record exists
     with pytest.raises(ValidationError,
                        match=rf"^video_id {re.escape(repr(video_id))} is not "
                              rf"a file name$"):
-        Corpus(texts=corpus.texts, videos=videos, features=features,
-               step_features=corpus.step_features).save(tmp_path / "a" / "b")
-    assert list(tmp_path.iterdir()) == []
+        dataclasses.replace(_small_synth().videos[0], video_id=video_id)
 
 
 def test_annotation_with_a_path_as_id_names_its_file(tmp_path):
@@ -112,6 +107,31 @@ def test_video_without_text_rejected():
                              f"color_mixture$"):
         Corpus(texts=texts, videos=corpus.videos, features=corpus.features,
                step_features=step_features)
+
+
+def test_step_beyond_its_text_rejected():
+    # save wrote such a corpus, which from_dir then rejected
+    text = ProceduralText(TaskDomain.CARDBOARD, ("fold the flaps", "tape"))
+    video = AnnotatedVideo(
+        video_id="v", worker_id="w", task=text.task, intent=Intent.CORRECT_RUN,
+        num_frames=5, segments=(AnnotatedSegment(Segment(0, 5), step=9,
+                                                 mistake=MistakeLabel.CORRECT),))
+    with pytest.raises(ValidationError,
+                       match=r"^v: unknown step 9 \(text has 2\)$"):
+        Corpus(texts={text.task: text}, videos=[video],
+               features={"v": _ones(5, 3)},
+               step_features={text.task: _ones(2, 3)})
+
+
+def test_text_held_under_another_task_rejected():
+    # save wrote it as texts/color_mixture.json beside
+    # features/steps_cardboard.fmtx, and from_dir then found no
+    # steps_color_mixture.fmtx
+    text = ProceduralText(TaskDomain.COLOR_MIXTURE, ("mix", "stir"))
+    with pytest.raises(ValidationError, match="^the color_mixture text is "
+                                              "held under task cardboard$"):
+        Corpus(texts={TaskDomain.CARDBOARD: text}, videos=[], features={},
+               step_features={TaskDomain.CARDBOARD: _ones(2, 3)})
 
 
 def test_unknown_video_features_rejected_before_logging():

@@ -52,9 +52,14 @@ class TestCoarseLabel:
         assert images == set(CoarseLabel)
 
 
+def _texts(*texts):
+    """The texts keyed by their tasks, as a corpus holds them."""
+    return {text.task: text for text in texts}
+
+
 class TestValidation:
     def test_valid_video_passes(self):
-        validate_video(_video(), _text())
+        validate_video(_video(), _texts(_text()))
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValidationError, match="segment empty"):
@@ -65,57 +70,53 @@ class TestValidation:
             AnnotatedSegment(Segment(0, 5), step=9, mistake=MistakeLabel.CORRECT),
         ))
         with pytest.raises(ValidationError, match="unknown step"):
-            validate_video(video, _text(n=8))
+            validate_video(video, _texts(_text(n=8)))
 
     def test_segment_beyond_frames_rejected(self):
-        video = _video(num_frames=15)
         with pytest.raises(ValidationError, match="exceeds num_frames"):
-            validate_video(video, _text())
+            _video(num_frames=15)
 
     def test_unsorted_segments_rejected(self):
-        video = _video(segments=(
-            AnnotatedSegment(Segment(10, 20), step=1, mistake=MistakeLabel.CORRECT),
-            AnnotatedSegment(Segment(0, 5), step=2, mistake=MistakeLabel.CORRECT),
-        ))
         with pytest.raises(ValidationError, match="not sorted"):
-            validate_video(video, _text())
+            _video(segments=(
+                AnnotatedSegment(Segment(10, 20), step=1, mistake=MistakeLabel.CORRECT),
+                AnnotatedSegment(Segment(0, 5), step=2, mistake=MistakeLabel.CORRECT),
+            ))
 
     def test_description_required_for_mistakes(self):
-        video = _video(segments=(
-            AnnotatedSegment(Segment(0, 5), step=1, mistake=MistakeLabel.ACCIDENT),
-        ))
         with pytest.raises(ValidationError, match="lacks a description"):
-            validate_video(video, _text())
+            _video(segments=(
+                AnnotatedSegment(Segment(0, 5), step=1, mistake=MistakeLabel.ACCIDENT),
+            ))
 
     def test_description_forbidden_for_correct(self):
-        video = _video(segments=(
-            AnnotatedSegment(Segment(0, 5), step=1, mistake=MistakeLabel.CORRECT,
-                             description="spurious"),
-        ))
         with pytest.raises(ValidationError, match="carries a description"):
-            validate_video(video, _text())
-
+            _video(segments=(
+                AnnotatedSegment(Segment(0, 5), step=1, mistake=MistakeLabel.CORRECT,
+                                 description="spurious"),
+            ))
 
     def test_overlapping_step_segments_rejected(self):
-        video = _video(segments=(
-            AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),
-            AnnotatedSegment(Segment(5, 12), step=2, mistake=MistakeLabel.CORRECT),
-        ))
         with pytest.raises(ValidationError, match=r"v0: step 2 segment \[5, 12\) overlaps"):
-            validate_video(video, _text())
+            _video(segments=(
+                AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),
+                AnnotatedSegment(Segment(5, 12), step=2, mistake=MistakeLabel.CORRECT),
+            ))
 
     @pytest.mark.parametrize("build, rule", [
         (lambda: ProceduralText(TaskDomain.CARDBOARD, ()),
          "cardboard: procedural text has no steps"),
         (lambda: ProceduralText(TaskDomain.CARDBOARD, ("fold", " ")),
          "cardboard: step 2 text is empty"),
-        (lambda: validate_video(_video(num_frames=0, segments=()), _text()),
+        (lambda: _video(num_frames=0, segments=()),
          "v0: num_frames must be >= 1"),
-        (lambda: validate_video(_video(task=TaskDomain.CARDBOARD), _text()),
-         "v0: annotation task cardboard does not match text task color_mixture"),
-        (lambda: validate_video(_video("a/b"), _text()),
-         "video_id 'a/b' is not a file name"),
-    ], ids=["no-steps", "empty-step", "no-frames", "task-mismatch", "path-id"])
+        (lambda: validate_video(_video(task=TaskDomain.CARDBOARD), _texts(_text())),
+         "v0: no procedural text for task cardboard"),
+        (lambda: _video("a/b"), "video_id 'a/b' is not a file name"),
+        (lambda: FoldSpec(0, ("a", "a", "b"), ("c",), ("d",)),
+         "fold 0: 'a' is in train and again in train"),
+    ], ids=["no-steps", "empty-step", "no-frames", "no-text", "path-id",
+            "fold-repeats-id"])
     def test_broken_record_invariant_names_record(self, build, rule):
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             build()
@@ -126,7 +127,7 @@ class TestValidation:
             AnnotatedSegment(Segment(5, 12), step=None, mistake=MistakeLabel.MISPICK,
                              description="grabbed the wrong jar"),
             AnnotatedSegment(Segment(10, 14), step=2, mistake=MistakeLabel.CORRECT),
-        )), _text())
+        )), _texts(_text()))
 
 
 def _two_dim_corpus(*videos):
@@ -292,14 +293,6 @@ class TestCorpusIO:
         _, videos = load_corpus(tmp_path)
         assert [v.video_id for v in videos] == ["a", "b"]
 
-    def test_save_rejects_a_path_as_id_and_writes_no_file(self, tmp_path):
-        # annotations/../../x.json would land beside the corpus directory
-        with pytest.raises(ValidationError,
-                           match=r"^video_id '\.\./\.\./x' is not a file name$"):
-            save_corpus(tmp_path / "a" / "b", [_text()],
-                        [_video("a"), _video("../../x")])
-        assert list(tmp_path.iterdir()) == []
-
     def test_malformed_json_names_file_and_line(self, tmp_path):
         save_corpus(tmp_path, [_text()], [_video()])
         bad = tmp_path / "annotations" / "v0.json"
@@ -316,10 +309,11 @@ class TestCorpusIO:
             load_corpus(tmp_path)
 
     def test_overlapping_step_segments_name_file(self, tmp_path):
-        save_corpus(tmp_path, [_text()], [_video(segments=(
-            AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),
-            AnnotatedSegment(Segment(5, 12), step=2, mistake=MistakeLabel.CORRECT),
-        ))])
+        save_corpus(tmp_path, [_text()], [_video()])
+        file = tmp_path / "annotations" / "v0.json"
+        obj = json.loads(file.read_text())
+        obj["segments"][1]["start"] = 5
+        file.write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match=r"v0\.json: v0: step 2 .* overlaps"):
             load_corpus(tmp_path)
 
@@ -443,9 +437,11 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("fold, error, rule", [
         ({"fold_id": 3, "train": ["a", "b"], "val": ["a"], "test": ["c"]},
-         ValidationError, r"fold 3: videos in more than one split: \['a'\]$"),
+         ValidationError, r"fold 3: 'a' is in train and again in val$"),
         ({"fold_id": 3, "train": ["a"], "val": ["b"], "test": ["a"]},
-         ValidationError, r"fold 3: videos in more than one split: \['a'\]$"),
+         ValidationError, r"fold 3: 'a' is in train and again in test$"),
+        ({"fold_id": 3, "train": ["a", "b"], "val": ["c", "c"], "test": ["d"]},
+         ValidationError, r"fold 3: 'c' is in val and again in val$"),
         ({"fold_id": 3, "train": "abc", "val": ["d"], "test": ["e"]},
          ParseError, r"fold 3: train must be a list of strings, got 'abc'$"),
         ({"fold_id": 3, "train": ["a", 7], "val": ["d"], "test": ["e"]},
@@ -458,7 +454,8 @@ class TestCorpusIO:
          ParseError, r"missing fold field 'val'$"),
         ({"train": ["a"], "val": ["d"], "test": ["e"]},
          ParseError, r"missing fold field 'fold_id'$"),
-    ], ids=["train-val-leak", "train-test-leak", "ids-string", "id-not-string",
+    ], ids=["train-val-leak", "train-test-leak", "repeated-in-val",
+            "ids-string", "id-not-string",
             "fold-id-string", "fold-id-bool", "no-val", "no-fold-id"])
     def test_leaking_or_mistyped_fold_rejected(self, tmp_path, fold, error,
                                                rule):

@@ -1026,7 +1026,7 @@ class TestTrainAlignmentFold:
     def test_overlapping_splits_rejected_before_training(self, monkeypatch):
         corpus, fold, config = _tiny_fold()
         monkeypatch.setattr(stepalign.model, "forward_slots", None)
-        with pytest.raises(ValidationError, match="fold 0: .* both train and test"):
+        with pytest.raises(ValidationError, match="fold 0: .* in train and again in test"):
             train_alignment_fold(corpus, replace(fold, test=fold.train[:1]),
                                  config)
 
