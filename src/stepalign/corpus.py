@@ -12,8 +12,8 @@ Texts and annotations are the JSON records of data.py, each in the file
 named after its task or its video id. A feature file is a
 checkpoint (see checkpoint.py) of kind ``features`` holding one
 ``rows x dim`` tensor named ``features``, float32 in memory and on disk;
-the library computes on features in float64, widening them where it
-reads them. Its header's ``video_id`` names the file's own id, the video
+the decoder computes on them in float32 (see model.py), and the rest of
+the library widens them to float64 where it reads them. Its header's ``video_id`` names the file's own id, the video
 id or ``steps_<task>``. A video's file has one row per frame, a task's one
 row per step, and every feature file of a corpus has the same width.
 A video id names two files, so it must be a file name; every video's task

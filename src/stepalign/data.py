@@ -68,14 +68,24 @@ def coarse_label(mistake: MistakeLabel) -> CoarseLabel:
     return CoarseLabel.MISTAKE
 
 
+def _check_type(value, kind: type, what: str) -> None:
+    """Raise ValidationError naming ``what`` unless ``value`` is a
+    ``kind``; nothing is coerced, and a bool is not an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{what} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class Segment:
-    """Half-open frame interval [start, end) in feature-row units."""
+    """Half-open frame interval [start, end) in feature-row units; both
+    ends are ints."""
 
     start: int
     end: int
 
     def __post_init__(self) -> None:
+        _check_type(self.start, int, "segment start")
+        _check_type(self.end, int, "segment end")
         if not (0 <= self.start < self.end):
             raise ValidationError(
                 f"segment empty or negative: [{self.start}, {self.end})"
@@ -117,12 +127,21 @@ class ProceduralText:
 @dataclass(frozen=True)
 class AnnotatedSegment:
     """One labelled video span. ``step`` is a 1-based index into the task's
-    procedural text, or None for spans not covered by any written step."""
+    procedural text, or None for spans not covered by any written step.
+    A field of another type raises ValidationError naming the field."""
 
     segment: Segment
     step: int | None
     mistake: MistakeLabel
     description: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_type(self.segment, Segment, "segment span")
+        if self.step is not None:
+            _check_type(self.step, int, "segment step")
+        _check_type(self.mistake, MistakeLabel, "segment mistake")
+        if self.description is not None:
+            _check_type(self.description, str, "segment description")
 
 
 @dataclass(frozen=True)
@@ -131,7 +150,8 @@ class AnnotatedVideo:
     file name: not ``.`` or ``..``, not empty, with no ``/``, ``\\`` or NUL.
     It has a frame, its segments lie in it sorted by start, its step
     segments do not overlap, and exactly its mistake segments have a
-    description. A broken rule raises ValidationError naming the video."""
+    description. A broken rule, or a field of another type, raises
+    ValidationError naming the video."""
 
     video_id: str
     worker_id: str
@@ -142,8 +162,17 @@ class AnnotatedVideo:
 
     def __post_init__(self) -> None:
         vid = self.video_id
+        _check_type(vid, str, "video_id")
         if vid in ("", ".", "..") or any(c in vid for c in "/\\\0"):
             raise ValidationError(f"video_id {vid!r} is not a file name")
+        for value, kind, name in ((self.worker_id, str, "worker_id"),
+                                  (self.task, TaskDomain, "task"),
+                                  (self.intent, Intent, "intent"),
+                                  (self.num_frames, int, "num_frames"),
+                                  (self.segments, tuple, "segments")):
+            _check_type(value, kind, f"{vid}: {name}")
+        for seg in self.segments:
+            _check_type(seg, AnnotatedSegment, f"{vid}: each segment")
         if self.num_frames < 1:
             raise ValidationError(f"{vid}: num_frames must be >= 1")
         prev_start = -1

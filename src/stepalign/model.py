@@ -56,8 +56,22 @@ allocates the frame-sized arrays of training and validation once, in a
 slots sized to its longest training or validation video, and a scratch
 sized also to the most annotated steps of a training video; every step
 writes into it with ``out=``. Called without one, the same functions
-allocate them. Inference, ``align_video``, runs one forward, the
-selection and the alignment for one video.
+build one sized for their batch. Inference, ``align_video``, runs one
+forward, the selection and the alignment for one video.
+
+The decoder computes in the dtype of the features it is given, as in
+mixed-precision training (Micikevicius et al., "Mixed Precision
+Training", ICLR 2018): a corpus holds float32 frames, so training and
+inference run in float32, and float64 frames run the same code in
+float64. The master parameters, Adam's moments and the gradient sums
+stay float64 (see optim.py). A training step and a validation round cast
+the master parameters once, into one buffer the fold holds, and
+``align_video`` casts them once per call; each product's terms then
+accumulate into the float64 gradients. Frame norms, slot-selection
+costs, the Drop-DTW kernel and the alignment's normalization stay
+float64 whatever the dtype: the kernel's tie tolerance is in float64
+eps, and the parameter-free alignment of step texts to frames, which
+shares the alignment, stays exact in float64.
 
 The loss and its gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracle used for
@@ -152,23 +166,34 @@ class TrainConfig:
             raise ValidationError("drop_pct must be in (0, 100]")
 
 
+def _compute_dtype(*features: np.ndarray) -> np.dtype:
+    """The dtype the decoder computes in for these features: float32 when
+    each is float32 (or narrower), float64 otherwise."""
+    return np.result_type(np.float32, *features)
+
+
 def _row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The float64 norms of ``m``'s rows as a column. The rows' squares
-    are summed in ``out`` when it is given, as ``np.linalg.norm`` sums
-    them."""
-    return np.sqrt(np.add.reduce(np.square(m, dtype=np.float64, out=out),
+    """The norms of ``m``'s rows as a column, in float64, or in the dtype
+    of ``out`` when it is given. The rows' squares are summed in ``out``,
+    as ``np.linalg.norm`` sums them."""
+    dtype = np.float64 if out is None else out.dtype
+    return np.sqrt(np.add.reduce(np.square(m, dtype=dtype, out=out),
                                  axis=-1, keepdims=True))
 
 
 def _unit_rows(m: np.ndarray, out: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm in float64, written into ``out`` when it
-    is given, and the norms as a column; zero rows are rejected."""
+    """Rows scaled to unit norm in float64, or in the dtype of ``out``
+    and written into it when it is given, and the norms as a column; zero
+    rows are rejected. The rows are cast into ``out`` before the divide,
+    so that a widening divide needs no iteration buffers."""
     scaled = np.empty(np.shape(m)) if out is None else out
     norms = _row_norms(m, scaled)
     if np.any(norms == 0.0):
         raise ValidationError("cannot l2-normalize a zero row")
-    return np.divide(m, norms, dtype=np.float64, out=scaled), norms
+    np.copyto(scaled, m)
+    scaled /= norms
+    return scaled, norms
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -203,11 +228,12 @@ def forward_slots(params: ModelParams, video: np.ndarray,
     matrix and the intermediate activations, which do not include the
     features. The L x d' projected frames and the U x L attention are
     written into ``out["xp"]`` and ``out["attn"]`` when ``out`` is
-    given."""
-    video = np.asarray(video, dtype=np.float64)
+    given. It computes in the features' dtype."""
+    video = np.asarray(video)
     if video.ndim != 2 or video.shape[1] != params.feature_dim:
         raise ValidationError(
             f"video features must be L x {params.feature_dim}, got {video.shape}")
+    params = params.astype(_compute_dtype(video))
     out = {} if out is None else out
     xp = np.matmul(video, params.proj_v, out=out.get("xp"))
     qp = params.queries @ params.w_q
@@ -290,31 +316,50 @@ class FoldVideo:
                    gt_labels=gt_frame_labels(video))
 
 
-def _decoder_input(video: FoldVideo, normalize_features: bool,
+def _decoder_input(frames: np.ndarray, norms: np.ndarray,
+                   normalize_features: bool,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """The features the decoder reads, in float64 and written into
-    ``out`` when it is given: the frames over their row norms, or the raw
-    frames when normalization is off."""
-    return np.divide(video.frames, video.norms if normalize_features else 1.0,
-                     dtype=np.float64, out=out)
+    """The features the decoder reads, in their compute dtype and written
+    into ``out`` when it is given: the frames over their float64 row
+    norms cast to that dtype, or the raw frames when normalization is
+    off."""
+    return np.divide(frames, norms.astype(_compute_dtype(frames), copy=False)
+                     if normalize_features else 1.0, out=out)
+
+
+def _reject_zero_row(norms: np.ndarray, where: str) -> None:
+    """Raise ValidationError naming the first all-zero feature row: the
+    decoder input divides each row by its norm, and without normalization
+    the row projects to a frame without a cosine."""
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValidationError(
+            f"{where} has an all-zero feature row at frame {zero[0]}; every "
+            f"frame needs a nonzero row")
 
 
 class TrainWorkspace:
     """The frame-sized arrays of decoder training and validation,
     allocated once per fold for its longest training or validation video
-    and for the most annotated steps of a training video. Each batch slot
-    has the projected frames ``xp`` and the attention ``attn``, which its
-    forward cache holds until the backward or the alignment. The scratch
-    is shared by the batch's videos: the decoder input ``x``, which a
-    forward reads and the backward rebuilds, and the backward's and the
-    alignment's frame-sized temporaries, among them the steps x frames
-    ``cos`` and the three steps x frames blocks of ``stack``. ``slot`` and
-    ``scratch`` return, for a video of some length and number of
-    annotated steps, contiguous arrays of that video's shapes over the
-    start of each buffer."""
+    and for the most annotated steps of a training video, in the dtype of
+    the parameters it is built from, which the decoder computes in. Each
+    batch slot has the projected frames ``xp`` and the attention
+    ``attn``, which its forward cache holds until the backward or the
+    alignment. The scratch is shared by the batch's videos: the decoder
+    input ``x``, which a forward reads and the backward rebuilds, and the
+    backward's frame-sized temporaries, among them the unit frames
+    ``v_hat``, the frame gradient ``d_xp``, the steps x frames ``cos``
+    and the three steps x frames blocks of ``stack``. The alignment's
+    float64 unit frames, ``unit``, reuse the bytes of ``v_hat`` and
+    ``d_xp``, which no alignment reads. ``slot`` and ``scratch`` return,
+    for a video of some length and number of annotated steps, contiguous
+    arrays of that video's shapes over the start of each buffer. A
+    workspace built by a function that was given none is sized for that
+    one batch."""
 
     def __init__(self, params: ModelParams, batch_size: int, max_frames: int,
                  max_steps: int):
+        self._dtype = params.flat.dtype
         self._dims = (params.feature_dim, params.working_dim,
                       params.queries.shape[0])
         self._slots = [self._buffers(self._slot_shapes(max_frames))
@@ -329,16 +374,18 @@ class TrainWorkspace:
     def _scratch_shapes(self, frames: int, steps: int
                         ) -> dict[str, tuple[int, int]]:
         d, k, _ = self._dims
-        return {"x": (frames, d), "v_hat": (frames, k), "d_xp": (frames, k),
+        # v_hat over d_xp, which the unit frames view as float64
+        return {"x": (frames, d), "frame_rows": (2, frames, k),
                 "cos": (steps, frames), "stack": (3 * steps, frames)}
 
-    @staticmethod
-    def _buffers(shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
-        return {name: np.empty(math.prod(shape)) for name, shape in shapes.items()}
+    def _buffers(self, shapes: dict[str, tuple[int, ...]]
+                 ) -> dict[str, np.ndarray]:
+        return {name: np.empty(math.prod(shape), self._dtype)
+                for name, shape in shapes.items()}
 
     @staticmethod
     def _views(buffers: dict[str, np.ndarray],
-               shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+               shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
         return {name: buffers[name][:math.prod(shape)].reshape(shape)
                 for name, shape in shapes.items()}
 
@@ -346,7 +393,12 @@ class TrainWorkspace:
         return self._views(self._slots[index], self._slot_shapes(frames))
 
     def scratch(self, frames: int, steps: int = 0) -> dict[str, np.ndarray]:
-        return self._views(self._scratch, self._scratch_shapes(frames, steps))
+        views = self._views(self._scratch, self._scratch_shapes(frames, steps))
+        rows = views.pop("frame_rows")
+        views["v_hat"], views["d_xp"] = rows
+        views["unit"] = rows.reshape(-1).view(np.float64)[
+            :rows[0].size].reshape(rows[0].shape)
+        return views
 
 
 def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
@@ -369,16 +421,20 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
 
     Returns the selections and the forward caches, which
     ``batch_loss_and_grads`` takes so that it need not run the decoder
-    again. With a workspace, video b's frame-sized activations are
-    written into its slot b, and each decoder input into the scratch.
+    again. The decoder computes in the dtype of the batch's features.
+    Video b's frame-sized activations are written into slot b of the
+    workspace, and each decoder input into its scratch.
     """
+    params = params.astype(_compute_dtype(*(v.frames for v in batch)))
+    if work is None:
+        work = TrainWorkspace(params, len(batch), max(
+            (v.frames.shape[0] for v in batch), default=0), 0)
     caches = []
     for b, v in enumerate(batch):
         length = v.frames.shape[0]
-        slot, scratch = ({}, {}) if work is None else (
-            work.slot(b, length), work.scratch(length))
-        x = _decoder_input(v, config.normalize_features, scratch.get("x"))
-        caches.append(forward_slots(params, x, slot)[1])
+        x = _decoder_input(v.frames, v.norms, config.normalize_features,
+                           work.scratch(length)["x"])
+        caches.append(forward_slots(params, x, work.slot(b, length))[1])
     selections = select_slots([cache["slots"] for cache in caches],
                               _text_input(params, [v.step_feats for v in batch]),
                               config.drop_pct)
@@ -406,12 +462,18 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     its terms add up) and runs the slot-space and softmax backward on
     those steps x frames rows; the frame gradient is then one product of
     the selected attention rows, their logit gradient and the cosine
-    gradient with three steps x d' matrices. The gradients share the
-    parameters' flat layout; every write accumulates into them. Each
+    gradient with three steps x d' matrices. The decoder computes in the
+    dtype of the batch's features, and each term accumulates into the
+    float64 gradients, which share the parameters' flat layout. Each
     video's decoder input is rebuilt for the input projection's gradient.
-    With a workspace, each video's frame-sized and steps x frames arrays
-    and its decoder input are written into its scratch.
+    Each video's frame-sized and steps x frames arrays and its decoder
+    input are written into the workspace's scratch.
     """
+    params = params.astype(_compute_dtype(*(v.frames for v in batch)))
+    if work is None:
+        work = TrainWorkspace(
+            params, 0, max((v.frames.shape[0] for v in batch), default=0),
+            max((v.steps.size for v in batch), default=0))
     grads = params.zeros_like()
     gamma = config.gamma
     # mean over steps within a video, then over the annotated videos
@@ -423,8 +485,8 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
             continue
         xp, attn = cache["xp"], cache["attn"]
         length = xp.shape[0]
-        scratch = {} if work is None else work.scratch(length, k)
-        v_hat, xp_norms = _unit_rows(xp, scratch.get("v_hat"))
+        scratch = work.scratch(length, k)
+        v_hat, xp_norms = _unit_rows(xp, scratch["v_hat"])
         rows = [chosen[step - 1] for step in v.steps]
         u = cache["slots"][rows]
         u_norms = np.linalg.norm(u, axis=1, keepdims=True)
@@ -434,10 +496,8 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         # selected attention rows, their logit gradient d_z and g_cos,
         # the cosine gradient, over the frames' norms; until then the
         # first and last hold the loss's exponentials
-        cos = np.matmul(u_hat, v_hat.T, out=scratch.get("cos"))
-        stack = scratch.get("stack")
-        if stack is None:
-            stack = np.empty((3 * k, length))
+        cos = np.matmul(u_hat, v_hat.T, out=scratch["cos"])
+        stack = scratch["stack"]
         attn_sel, d_z, g_cos = stack[:k], stack[k:2 * k], stack[2 * k:]
         # the loss is the log-sum-exp of the logits over all frames less
         # that over the step's frames, each shifted by its own max; the
@@ -499,9 +559,10 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         # d_xp = attn^T d_ax + d_z^T qk + g_cos^T u_hat - v_hat frame_dot
         d_xp = np.matmul(stack.T,
                          np.concatenate((d_ax, cache["qk"][rows], u_hat)),
-                         out=scratch.get("d_xp"))
+                         out=scratch["d_xp"])
         d_xp -= v_hat
-        x = _decoder_input(v, config.normalize_features, scratch.get("x"))
+        x = _decoder_input(v.frames, v.norms, config.normalize_features,
+                           scratch["x"])
         grads.proj_v += x.T @ d_xp
 
     return float(np.mean(sup_losses)) if sup_losses else 0.0, grads
@@ -512,8 +573,9 @@ def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
                           ) -> list[tuple[int, Segment]]:
     """Inference tail: align the per-step slot sequence to frames with
     droppable DTW (slots must match, frames may drop at the percentile
-    cost) and decode one segment per step, no two overlapping. The
-    frames' unit rows are written into ``out`` when it is given."""
+    cost) and decode one segment per step, no two overlapping. Both sides
+    are normalized in float64, whatever their dtype; the frames' unit
+    rows are written into ``out``, a float64 array, when it is given."""
     cost = -(l2_normalize_rows(selected) @ _unit_rows(frame_embed, out)[0].T)
     visited, _ = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
     return decode_segments(visited)
@@ -524,10 +586,16 @@ def align_video(params: ModelParams, frames: np.ndarray,
                 normalize_features: bool) -> list[tuple[int, Segment]]:
     """Full inference: decode the video's slots, pick one per step, then
     align the selected slots to the video's frames and read off one
-    segment per step. Only the slots and the projected frames are kept
+    segment per step. The decoder computes in the frames' dtype, over
+    parameters cast once; an all-zero frame row raises ValidationError
+    naming the frame. Only the slots and the projected frames are kept
     after the forward."""
+    frames = np.asarray(frames)
+    norms = _row_norms(frames)
+    _reject_zero_row(norms, "video")
+    params = params.astype(_compute_dtype(frames))
     slots, cache = forward_slots(
-        params, _unit_rows(frames)[0] if normalize_features else frames)
+        params, _decoder_input(frames, norms, normalize_features))
     xp = cache["xp"]
     del cache
     rows = select_slots([slots], _text_input(params, [step_feats]),
@@ -542,16 +610,16 @@ def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
     chunks of at most ``batch_size`` videos, then each video's selected
     slots aligned to its projected frames. With a workspace, which needs
     a slot per video of a chunk, the frame-sized arrays are written into
-    it."""
+    it; without one, each chunk allocates its own."""
     scores = []
     for lo in range(0, len(videos), config.batch_size):
         chunk = videos[lo:lo + config.batch_size]
         selections, caches = compute_selections(params, chunk, config, work)
         for v, rows, cache in zip(chunk, selections, caches):
-            scratch = {} if work is None else work.scratch(v.frames.shape[0])
+            unit = None if work is None else \
+                work.scratch(v.frames.shape[0])["unit"]
             segments = align_frames_to_slots(cache["slots"][rows], cache["xp"],
-                                             config.drop_pct,
-                                             scratch.get("v_hat"))
+                                             config.drop_pct, unit)
             scores.append(frame_metrics(
                 rasterize(segments, v.gt_labels.shape[0]), v.gt_labels)["f1"])
     return float(np.mean(scores)) if scores else 0.0
@@ -576,16 +644,10 @@ def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
 
 
 def _check_rows(fold_id: int, videos: Sequence[FoldVideo]) -> None:
-    """Reject a video with an all-zero feature row: the decoder input
-    divides each row by its norm, and without normalization the row
-    projects to a frame without a cosine."""
+    """Reject a video with an all-zero feature row, naming the fold, the
+    video and the frame."""
     for v in videos:
-        zero = np.flatnonzero(v.norms == 0.0)
-        if zero.size:
-            raise ValidationError(
-                f"fold {fold_id}: video {v.video_id!r} has an all-zero "
-                f"feature row at frame {zero[0]}; every frame needs a "
-                f"nonzero row")
+        _reject_zero_row(v.norms, f"fold {fold_id}: video {v.video_id!r}")
 
 
 def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
@@ -605,7 +667,12 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
-    work = TrainWorkspace(params,
+    # Adam updates the float64 master parameters; the decoder reads them
+    # cast to the features' dtype, once per step and per validation
+    # round, into the one buffer of ``low``
+    dtype = _compute_dtype(*(v.frames for v in (*train, *val)))
+    low = params.astype(dtype)
+    work = TrainWorkspace(low,
                           min(config.batch_size, max(len(train), len(val))),
                           max(v.frames.shape[0] for v in (*train, *val)),
                           max(v.steps.size for v in train))
@@ -614,14 +681,15 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
         order = rng.permutation(len(train))
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            selections, caches = compute_selections(params, batch, config,
-                                                    work)
-            loss, grads = batch_loss_and_grads(params, batch, selections,
-                                               caches, config, work)
+            params.astype(dtype, out=low)
+            selections, caches = compute_selections(low, batch, config, work)
+            loss, grads = batch_loss_and_grads(low, batch, selections, caches,
+                                               config, work)
             yield loss, grads.flat
 
     return fit(Training(fold.fold_id, params.copy()), params, batches,
-               lambda: evaluate_alignment_f1(params, val, config, work),
+               lambda: evaluate_alignment_f1(params.astype(dtype, out=low),
+                                             val, config, work),
                config.epochs, config.learning_rate)
 
 

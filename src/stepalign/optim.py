@@ -9,6 +9,12 @@ it over the whole buffer gives the same bits as running it per tensor.
 The optimizer's moments and scratch space are allocated once, when it is
 built, and a step allocates no array.
 
+The float64 buffer holds the master parameters, as in mixed-precision
+training (Micikevicius et al., "Mixed Precision Training", ICLR 2018): a
+model that computes in float32 reads ``astype(np.float32)``, a cast of
+the whole buffer in the same layout, and its gradients accumulate into a
+float64 buffer, so Adam's moments and updates stay float64.
+
 ``fit`` is the loop of both trainers: Adam over the batches a trainer
 yields, validation rounds logged in a ``Training`` record, and the best
 round's parameters kept, as in early stopping (Prechelt, "Early Stopping
@@ -17,6 +23,7 @@ round's parameters kept, as in early stopping (Prechelt, "Early Stopping
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
@@ -36,22 +43,42 @@ class EpochLog:
 
 
 class FlatParams:
-    """Base of a dataclass whose fields are float64 tensors. Building one
-    copies the given tensors into one new flat buffer, ``flat``, and
-    rebinds each field to its view into that buffer."""
+    """Base of a dataclass whose fields are tensors viewing one flat
+    buffer, ``flat``, in field order. Building one copies the given
+    tensors into one new float64 buffer, the master parameters, and
+    rebinds each field to its view into it."""
 
     flat: np.ndarray
 
     def __post_init__(self) -> None:
         tensors = {name: np.asarray(t, dtype=np.float64)
                    for name, t in self.as_dict().items()}
-        self.flat = np.empty(sum(t.size for t in tensors.values()))
-        start = 0
+        layout, start = [], 0
         for name, tensor in tensors.items():
-            view = self.flat[start:start + tensor.size].reshape(tensor.shape)
-            view[...] = tensor
-            setattr(self, name, view)
+            layout.append((name, start, start + tensor.size, tensor.shape))
             start += tensor.size
+        self._layout = tuple(layout)
+        self._bind(np.concatenate([t.ravel() for t in tensors.values()]))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Rebind each field to its view into ``flat``."""
+        for name, start, stop, shape in self._layout:
+            setattr(self, name, flat[start:stop].reshape(shape))
+        self.flat = flat
+
+    def astype(self, dtype, out=None):
+        """These parameters held in ``dtype``: ``self`` when they are, else
+        a cast of the whole buffer in the same layout, written into the
+        buffer of ``out``, an earlier cast, when it is given. A ``copy`` or
+        ``zeros_like`` of a cast is float64 again."""
+        if self.flat.dtype == dtype:
+            return self
+        if out is None:
+            out = copy.copy(self)
+            out._bind(self.flat.astype(dtype))
+        else:
+            out.flat[...] = self.flat
+        return out
 
     @classmethod
     def tensor_names(cls) -> tuple[str, ...]:
@@ -64,9 +91,10 @@ class FlatParams:
         return type(self)(**self.as_dict())
 
     def zeros_like(self):
-        """Same layout, every entry +0.0: a gradient accumulator."""
-        out = self.copy()
-        out.flat.fill(0.0)
+        """Same layout in float64, every entry +0.0: a gradient
+        accumulator."""
+        out = copy.copy(self)
+        out._bind(np.zeros(self.flat.size))
         return out
 
 

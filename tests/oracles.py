@@ -20,7 +20,9 @@ activations and gradients afresh and masks the ReLU by boolean indexing;
 ``train_classifier_fold_per_tensor`` trains with it and ``DictAdam``.
 ``forward_slots_kv`` and ``batch_loss_and_grads_kv`` are the decoder's
 forward and backward in key/value form, with a key and a value for every
-frame, that ``stepalign.model`` replaced with attention in slot space.
+frame, that ``stepalign.model`` replaced with attention in slot space;
+like the decoder, they compute in the dtype of the features they are
+given.
 ``evaluate_alignment_f1_per_video`` runs ``align_video`` once per
 validation video, and ``train_alignment_fold_per_tensor`` trains the
 decoder with it and ``DictAdam``. The two trainers are the reference the
@@ -49,9 +51,8 @@ from stepalign.metrics import (
 )
 from stepalign.model import (
     FoldVideo, ModelParams, TrainConfig,
-    _softmax_rows, _unit_rows_backward, align_video,
+    _compute_dtype, _softmax_rows, _unit_rows_backward, align_video,
     batch_loss_and_grads, compute_selections, cosine_matrix,
-    l2_normalize_rows,
 )
 from stepalign.optim import EpochLog, Training
 
@@ -389,10 +390,11 @@ def forward_slots_kv(params: ModelParams, video: np.ndarray
                      ) -> tuple[np.ndarray, dict]:
     """``forward_slots`` in its first form: every frame is projected to a
     key and a value, and the cache holds both."""
-    video = np.asarray(video, dtype=np.float64)
+    video = np.asarray(video)
     if video.ndim != 2 or video.shape[1] != params.feature_dim:
         raise ValidationError(
             f"video features must be L x {params.feature_dim}, got {video.shape}")
+    params = params.astype(_compute_dtype(video))
     xp = video @ params.proj_v
     qp = params.queries @ params.w_q
     km = xp @ params.w_k
@@ -421,6 +423,7 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
     """``batch_loss_and_grads`` in its first form, over the caches of
     ``forward_slots_kv``: the decoder backward runs through the per-frame
     keys and values."""
+    params = params.astype(_compute_dtype(*(v.frames for v in batch)))
     grads = params.zeros_like()
     gamma = config.gamma
     # mean over steps within a video, then over the annotated videos
@@ -431,8 +434,8 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
         if not gt.any():
             continue
         steps = np.unique(gt[gt > 0])
-        v_hat = l2_normalize_rows(cache["xp"])
         xp_norms = np.linalg.norm(cache["xp"], axis=1, keepdims=True)
+        v_hat = cache["xp"] / xp_norms
         rows = [chosen[step - 1] for step in steps]
         u = cache["slots"][rows]
         u_norms = np.linalg.norm(u, axis=1, keepdims=True)

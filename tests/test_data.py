@@ -121,6 +121,42 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             build()
 
+    @pytest.mark.parametrize("build, rule", [
+        (lambda: Segment(0.5, 2), "segment start must be int, got 0.5"),
+        (lambda: Segment(True, 2), "segment start must be int, got True"),
+        (lambda: Segment(0, np.int64(2)),
+         r"segment end must be int, got np.int64\(2\)"),
+        (lambda: AnnotatedSegment(Segment(0, 5), step=True,
+                                  mistake=MistakeLabel.CORRECT),
+         "segment step must be int, got True"),
+        (lambda: AnnotatedSegment(Segment(0, 5), step=1, mistake="correct"),
+         "segment mistake must be MistakeLabel, got 'correct'"),
+        (lambda: AnnotatedSegment((0, 5), step=1,
+                                  mistake=MistakeLabel.CORRECT),
+         r"segment span must be Segment, got \(0, 5\)"),
+        (lambda: AnnotatedSegment(Segment(0, 5), step=1,
+                                  mistake=MistakeLabel.HOWTO, description=3),
+         "segment description must be str, got 3"),
+        (lambda: _video(num_frames="5", segments=()),
+         "v0: num_frames must be int, got '5'"),
+        (lambda: _video(num_frames=50.0, segments=()),
+         "v0: num_frames must be int, got 50.0"),
+        (lambda: _video(task="color_mixture"),
+         "v0: task must be TaskDomain, got 'color_mixture'"),
+        (lambda: _video(segments=[]), r"v0: segments must be tuple, got \[\]"),
+        (lambda: _video(segments=((0, 5),)),
+         r"v0: each segment must be AnnotatedSegment, got \(0, 5\)"),
+        (lambda: _video(7), "video_id must be str, got 7"),
+    ], ids=["float-start", "bool-start", "numpy-end", "bool-step",
+            "string-mistake", "tuple-span", "int-description",
+            "string-frames", "float-frames", "string-task", "list-segments",
+            "tuple-segment", "int-id"])
+    def test_mistyped_field_names_field_and_video(self, build, rule):
+        # each used to be accepted, or to raise a bare TypeError from a
+        # comparison
+        with pytest.raises(ValidationError, match=f"^{rule}$"):
+            build()
+
     def test_undefined_segments_may_overlap(self):
         validate_video(_video(segments=(
             AnnotatedSegment(Segment(0, 10), step=1, mistake=MistakeLabel.CORRECT),

@@ -384,7 +384,7 @@ class TestSlotSpaceAttention:
         config = TrainConfig()
         selections, caches = compute_selections(params, batch, config)
         kv_caches = [forward_slots_kv(params, stepalign.model._decoder_input(
-            v, config.normalize_features))[1] for v in batch]
+            v.frames, v.norms, config.normalize_features))[1] for v in batch]
         kv_selections = select_slots(
             [c["slots"] for c in kv_caches],
             stepalign.model._text_input(params, [v.step_feats for v in batch]),
@@ -555,6 +555,23 @@ class TestAlignVideos:
         with pytest.raises(ValidationError, match=rule):
             compute_selections(params, [video], TrainConfig())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_zero_feature_row_rejected_naming_the_frame(self, dtype,
+                                                        normalize):
+        # found before the decoder runs, so that in float32 it does not
+        # turn into a NaN and then a NumericalError
+        rng = np.random.default_rng(44)
+        params = _params(rng, d=6, dp=5, u=4)
+        frames = rng.normal(size=(9, 6)).astype(dtype)
+        frames[4] = 0.0
+        with pytest.raises(ValidationError, match=(
+                r"^video has an all-zero feature row at frame 4; every frame "
+                r"needs a nonzero row$")):
+            align_video(params, frames, rng.normal(size=(2, 6)).astype(dtype),
+                        80.0, normalize)
+
 
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
@@ -632,9 +649,10 @@ def _tiny_fold():
     return corpus, fold, config
 
 
-def _fold_videos(rng, lengths, d, k):
-    """Float32 fold videos of the given lengths, each with k steps of
-    annotated frames, apart from the second video, which has none."""
+def _fold_videos(rng, lengths, d, k, dtype=np.float32):
+    """Fold videos of the given lengths, their features in ``dtype``, each
+    with k steps of annotated frames, apart from the second video, which
+    has none."""
     videos = []
     for i, length in enumerate(lengths):
         gt = np.zeros(length, dtype=np.int64)
@@ -644,8 +662,8 @@ def _fold_videos(rng, lengths, d, k):
                 gt[edges[step - 1] + 2:edges[step] - 2] = step
         videos.append(FoldVideo(
             video_id=f"v{i}", gt_labels=gt,
-            frames=rng.normal(size=(length, d)).astype(np.float32),
-            step_feats=rng.normal(size=(k, d)).astype(np.float32)))
+            frames=rng.normal(size=(length, d)).astype(dtype),
+            step_feats=rng.normal(size=(k, d)).astype(dtype)))
     return videos
 
 
@@ -680,18 +698,45 @@ def _largest_line_allocation(fn) -> int:
     return worst
 
 
+_LENGTHS = pytest.mark.parametrize(
+    "lengths", [(41, 17, 29, 23), (17, 29, 23, 41)],
+    ids=["longest-first", "longest-last"])
+
+
 class TestTrainWorkspace:
-    @pytest.mark.parametrize("lengths", [(41, 17, 29, 23), (17, 29, 23, 41)],
-                             ids=["longest-first", "longest-last"])
+    # each check runs on float32 features, as a corpus holds them, and on
+    # float64 ones; a workspace is built from the parameters cast to the
+    # dtype the decoder computes in, the dtype of the features
+    @_LENGTHS
     def test_step_equals_allocating_step_bit_for_bit(self, lengths):
+        self._step_equals_allocating_step(lengths, np.float32)
+
+    @_LENGTHS
+    def test_step_equals_allocating_step_bit_for_bit_in_float64(self, lengths):
+        self._step_equals_allocating_step(lengths, np.float64)
+
+    def test_selected_rows_equal_allocating_step_bit_for_bit(self):
+        self._selected_rows_equal_allocating_step(np.float32)
+
+    def test_selected_rows_equal_allocating_step_bit_for_bit_in_float64(self):
+        self._selected_rows_equal_allocating_step(np.float64)
+
+    def test_later_step_allocates_no_frame_sized_block(self):
+        self._later_step_allocates_no_frame_sized_block(np.float32)
+
+    def test_later_step_allocates_no_frame_sized_block_in_float64(self):
+        self._later_step_allocates_no_frame_sized_block(np.float64)
+
+    @staticmethod
+    def _step_equals_allocating_step(lengths, dtype):
         rng = np.random.default_rng(60)
         params = _params(rng, d=6, dp=5, u=4)
         params.flat += 0.1 * rng.normal(size=params.flat.shape)
-        batch = _fold_videos(rng, lengths, d=6, k=2)
+        batch = _fold_videos(rng, lengths, d=6, k=2, dtype=dtype)
         config = TrainConfig(gamma=0.5, batch_size=4)
         want = _training_step(params, batch, config)
-        work = TrainWorkspace(params, batch_size=4, max_frames=max(lengths),
-                              max_steps=2)
+        work = TrainWorkspace(params.astype(dtype), batch_size=4,
+                              max_frames=max(lengths), max_steps=2)
         # the second step runs over buffers the first one filled
         for _ in range(2):
             got = _training_step(params, batch, config, work)
@@ -700,9 +745,11 @@ class TestTrainWorkspace:
             assert got[3].flat.tobytes() == want[3].flat.tobytes()
             for cache, expected in zip(got[1], want[1]):
                 for name in ("xp", "attn", "slots"):
+                    assert cache[name].dtype == dtype
                     assert cache[name].tobytes() == expected[name].tobytes()
 
-    def test_selected_rows_equal_allocating_step_bit_for_bit(self):
+    @staticmethod
+    def _selected_rows_equal_allocating_step(dtype):
         # 3, 0, 3 and 2 annotated steps, so the steps x frames buffers are
         # read at several sizes, and two steps of the first video share a
         # slot; the video without annotated frames selects slots 0, 2 and
@@ -710,16 +757,16 @@ class TestTrainWorkspace:
         rng = np.random.default_rng(66)
         params = _params(rng, d=6, dp=5, u=6)
         params.flat += 0.1 * rng.normal(size=params.flat.shape)
-        batch = [*_fold_videos(rng, (23, 31, 19), d=6, k=3),
-                 *_fold_videos(rng, (27,), d=6, k=2)]
+        batch = [*_fold_videos(rng, (23, 31, 19), d=6, k=3, dtype=dtype),
+                 *_fold_videos(rng, (27,), d=6, k=2, dtype=dtype)]
         assert [v.steps.size for v in batch] == [3, 0, 3, 2]
         selections = [[1, 1, 4], [0, 2, 3], [1, 4, 5], [5, 1]]
         config = TrainConfig(gamma=0.5, batch_size=4)
         _, caches = compute_selections(params, batch, config)
         loss, grads = batch_loss_and_grads(params, batch, selections, caches,
                                            config)
-        work = TrainWorkspace(params, batch_size=4, max_frames=31,
-                              max_steps=3)
+        work = TrainWorkspace(params.astype(dtype), batch_size=4,
+                              max_frames=31, max_steps=3)
         for _ in range(2):
             _, work_caches = compute_selections(params, batch, config, work)
             got = batch_loss_and_grads(params, batch, selections, work_caches,
@@ -733,7 +780,8 @@ class TestTrainWorkspace:
         rng = np.random.default_rng(61)
         params = _params(rng, d=6, dp=5, u=4)
         batch = _fold_videos(rng, (17, 29, 23), d=6, k=2)
-        work = TrainWorkspace(params, batch_size=3, max_frames=29, max_steps=2)
+        work = TrainWorkspace(params.astype(np.float32), batch_size=3,
+                              max_frames=29, max_steps=2)
         _, caches = compute_selections(params, batch, TrainConfig(), work)
         for b, (cache, video) in enumerate(zip(caches, batch)):
             slot = work.slot(b, video.frames.shape[0])
@@ -742,17 +790,19 @@ class TestTrainWorkspace:
                 for other in caches[:b]:
                     assert not np.shares_memory(cache[name], other[name])
 
-    def test_later_step_allocates_no_frame_sized_block(self):
+    @staticmethod
+    def _later_step_allocates_no_frame_sized_block(dtype):
         # long videos for their two steps, so that a steps x frames array
         # and numpy's bounded iteration buffers stay far below the
-        # smallest frame-sized array, min(L) x 32 float64s
+        # smallest frame-sized array, min(L) x 32 numbers of the dtype
         rng = np.random.default_rng(62)
         lengths = (1100, 1000, 1050)
         params = ModelParams.init(rng, feature_dim=32, working_dim=32,
                                   num_queries=32)
-        batch = _fold_videos(rng, lengths, d=32, k=2)
+        batch = _fold_videos(rng, lengths, d=32, k=2, dtype=dtype)
         config = TrainConfig(batch_size=3)
-        frame_block = min(lengths) * 32 * 8
+        frame_block = min(lengths) * 32 * np.dtype(dtype).itemsize
+        params = params.astype(dtype)
         work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths),
                               max_steps=2)
         _training_step(params, batch, config, work)
@@ -761,6 +811,90 @@ class TestTrainWorkspace:
         # and the measure sees the blocks of an allocating step
         assert _largest_line_allocation(
             lambda: _training_step(params, batch, config)) >= frame_block
+
+
+class TestFloat32:
+    """The decoder computes in the dtype of its features, float32 for a
+    corpus, over float64 master parameters."""
+
+    # a float32 gradient passes through about 8 products and a softmax,
+    # each summing at most L ~ 1340 terms, whose rounding errors grow like
+    # sqrt(L) ~ 2^5 float32 eps: 8 * 2^5 = 2^8 eps, relative to each
+    # tensor's largest entry; the loss is a mean of log-sum-exps, 2^4 eps
+    GRAD_TOL = 2 ** 8 * np.finfo(np.float32).eps
+    LOSS_TOL = 2 ** 4 * np.finfo(np.float32).eps
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float32_loss_and_grads_match_float64(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        params = ModelParams.init(rng, feature_dim=64, working_dim=64,
+                                  num_queries=32)
+        params.flat += 0.05 * rng.normal(size=params.flat.shape)
+        low = _fold_videos(rng, (160, 240, 1340, 200), d=64, k=12)
+        high = [replace(v, frames=v.frames.astype(np.float64),
+                        step_feats=v.step_feats.astype(np.float64))
+                for v in low]
+        config = TrainConfig()
+        selections, high_caches = compute_selections(params, high, config)
+        _, low_caches = compute_selections(params, low, config)
+        assert {c["xp"].dtype for c in low_caches} == {np.dtype(np.float32)}
+        want, want_grads = batch_loss_and_grads(params, high, selections,
+                                                high_caches, config)
+        got, got_grads = batch_loss_and_grads(params, low, selections,
+                                              low_caches, config)
+        assert got_grads.flat.dtype == np.float64
+        assert abs(got - want) <= self.LOSS_TOL * abs(want)
+        for name, grad in want_grads.as_dict().items():
+            gap = np.max(np.abs(getattr(got_grads, name) - grad))
+            assert gap <= self.GRAD_TOL * np.max(np.abs(grad)), name
+
+    @pytest.mark.parametrize("shape", [
+        dict(seed=0), dict(seed=1),
+        dict(seed=0, steps_per_task=12, frames_per_step=(90, 130))],
+        ids=["paper-0", "paper-1", "long-0"])
+    def test_float32_align_video_segments_equal_float64(self, shape):
+        # on parameters trained for two epochs on the same corpus
+        corpus = synth_corpus(SynthConfig(**shape)).corpus
+        ids = [v.video_id for v in corpus.videos]
+        params = train_alignment_fold(
+            corpus, FoldSpec(0, tuple(ids[:30]), tuple(ids[30:36]), ()),
+            TrainConfig(epochs=2)).params
+        for video in corpus.videos:
+            frames = corpus.video_features(video.video_id)
+            steps = corpus.task_step_features(video.task)
+            assert frames.dtype == np.float32
+            assert align_video(params, frames, steps, 80.0, True) == \
+                align_video(params, frames.astype(np.float64),
+                            steps.astype(np.float64), 80.0, True)
+
+    def test_float32_corpus_trains_in_float32_over_float64_masters(
+            self, monkeypatch):
+        corpus, fold, config = _tiny_fold()
+        seen = set()
+        forward = stepalign.model.forward_slots
+
+        def recorded(params, video, out=None):
+            seen.add((params.flat.dtype, video.dtype))
+            return forward(params, video, out)
+
+        monkeypatch.setattr(stepalign.model, "forward_slots", recorded)
+        training = train_alignment_fold(corpus, fold, config)
+        assert seen == {(np.dtype(np.float32), np.dtype(np.float32))}
+        assert training.params.flat.dtype == np.float64
+
+    def test_float32_workspace_takes_half_the_bytes(self):
+        params = ModelParams.init(np.random.default_rng(71), feature_dim=64,
+                                  working_dim=64, num_queries=32)
+
+        def nbytes(work):
+            return sum(buffer.nbytes for buffers in (*work._slots,
+                                                     work._scratch)
+                       for buffer in buffers.values())
+
+        sizes = [nbytes(TrainWorkspace(params.astype(dtype), batch_size=6,
+                                       max_frames=1340, max_steps=12))
+                 for dtype in (np.float32, np.float64)]
+        assert 2 * sizes[0] == sizes[1]
 
 
 def _two_step_count_fold():
@@ -788,6 +922,8 @@ def _two_step_count_fold():
 
 
 class TestEvaluateAlignmentF1:
+    # the allocation check runs on float32 features, as a corpus holds
+    # them, and on float64 ones
     def test_chunks_match_per_video_oracle(self):
         corpus, fold, config = _two_step_count_fold()
         train = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
@@ -802,8 +938,8 @@ class TestEvaluateAlignmentF1:
         params.flat += 0.1 * rng.normal(size=params.flat.shape)
         want = evaluate_alignment_f1_per_video(params, corpus, fold.val, config)
         assert 0.0 < want < 1.0
-        work = TrainWorkspace(params, config.batch_size, max(lengths),
-                              max(v.steps.size for v in train))
+        work = TrainWorkspace(params.astype(np.float32), config.batch_size,
+                              max(lengths), max(v.steps.size for v in train))
         # validation runs over buffers a training step filled
         _training_step(params, train[:2], config, work)
         assert evaluate_alignment_f1(params, val, config, work) == want
@@ -816,15 +952,24 @@ class TestEvaluateAlignmentF1:
         assert evaluate_alignment_f1(params, [], TrainConfig()) == 0.0
 
     def test_later_round_allocates_no_frame_sized_block(self):
-        # as for a training step: min(L) x 32 float64s is the smallest
-        # frame-sized array, and 2 steps keep steps x frames arrays small
+        self._later_round_allocates_no_frame_sized_block(np.float32)
+
+    def test_later_round_allocates_no_frame_sized_block_in_float64(self):
+        self._later_round_allocates_no_frame_sized_block(np.float64)
+
+    @staticmethod
+    def _later_round_allocates_no_frame_sized_block(dtype):
+        # as for a training step: min(L) x 32 numbers of the dtype is the
+        # smallest frame-sized array, and 2 steps keep steps x frames
+        # arrays small
         rng = np.random.default_rng(65)
         lengths = (1100, 1000, 1050, 1080)
         params = ModelParams.init(rng, feature_dim=32, working_dim=32,
                                   num_queries=32)
-        val = _fold_videos(rng, lengths, d=32, k=2)
+        val = _fold_videos(rng, lengths, d=32, k=2, dtype=dtype)
         config = TrainConfig(batch_size=3)
-        frame_block = min(lengths) * 32 * 8
+        frame_block = min(lengths) * 32 * np.dtype(dtype).itemsize
+        params = params.astype(dtype)
         work = TrainWorkspace(params, batch_size=3, max_frames=max(lengths),
                               max_steps=0)
         evaluate_alignment_f1(params, val, config, work)

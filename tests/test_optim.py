@@ -38,6 +38,28 @@ def test_views_share_one_buffer_in_field_order():
     assert zeros.flat.tobytes() == np.zeros(32).tobytes()
 
 
+def test_float32_cast_shares_the_layout_and_leaves_the_master():
+    params = _mixed(np.random.default_rng(1))
+    master = params.flat.copy()
+    assert params.astype(np.float64) is params
+    low = params.astype(np.float32)
+    assert low.flat.tobytes() == master.astype(np.float32).tobytes()
+    for name, tensor in params.as_dict().items():
+        view = getattr(low, name)
+        assert view.shape == tensor.shape, name
+        assert np.shares_memory(view, low.flat), name
+    # a later cast rewrites the same buffer, and no cast writes the master
+    params.flat += 1.0
+    buffer = low.flat
+    assert params.astype(np.float32, out=low) is low
+    assert low.flat is buffer
+    assert low.flat.tobytes() == (master + 1.0).astype(np.float32).tobytes()
+    assert params.flat.tobytes() == (master + 1.0).tobytes()
+    # a copy or a gradient accumulator of a cast is float64 again
+    assert low.copy().flat.tobytes() == low.flat.astype(np.float64).tobytes()
+    assert low.zeros_like().flat.tobytes() == np.zeros(32).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_flat_step_equals_per_tensor_step_bit_for_bit(seed):
     # 50 steps of dense, all-zero and sparse gradients, the zero and
