@@ -6,24 +6,23 @@ float32 in the order declared by the header's ``tensors`` list, each an
 object ``{"name": ..., "shape": [...]}``. Metadata keys ride along in the
 header.
 
-A loaded checkpoint's tensors are read-only views of the file, mapped
-rather than copied, and their pages are read in on first use. Each
-mapped file holds one file descriptor while an array from it lives:
-CPython's ``mmap`` keeps a duplicate of the descriptor (from 3.13 it can
-be told not to), so a process that loads the default corpus, 55 feature
-files, has 59 descriptors open instead of 4. A save writes a new file
-and renames it over the old one, so arrays mapped from the old file keep
-their values.
+A loaded checkpoint's tensors are fresh read-only arrays, read from the
+file when it is loaded. ``open_checkpoint`` validates a file and says
+where each tensor lies in it, so a reader can hold the file open and read
+a tensor only when it is needed (see corpus.py). A save writes a new
+file and renames it over the old one, so a reader holding the old file
+open keeps reading the old values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -85,24 +84,54 @@ def _is_dim(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint, its tensors as read-only views of the float32
-    they are stored in, mapped from the file (see the module docstring);
-    an unreadable file or any departure from the layout, including a
-    non-finite tensor value or two tensors of one name, raises FormatError
-    naming the path."""
+class TensorPlace(NamedTuple):
+    """Where a checkpoint holds a tensor: its shape, and the offset in
+    bytes of its first value from the start of the file."""
+    shape: tuple[int, ...]
+    offset: int
+
+
+@contextmanager
+def open_checkpoint(path: str | Path
+                    ) -> Iterator[tuple[int, dict[str, TensorPlace], dict]]:
+    """Open and validate a checkpoint, yielding its file descriptor, the
+    place of each tensor and the header's metadata; the descriptor closes
+    when the block ends. An unreadable file or any departure from the
+    layout, including a non-finite tensor value or two tensors of one
+    name, raises FormatError naming the path."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            return _read_checkpoint(path, fh)
+            places, header = _scan_checkpoint(path, fh)
+            yield fh.fileno(), places, header
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
 
 
-def _read_checkpoint(path: Path, fh) -> tuple[dict[str, np.ndarray], dict]:
-    """load_checkpoint on an open file. The header and the finiteness
-    check read through ``fh`` in bounded pieces, so the check leaves no
-    page of the mapping resident."""
+def read_tensor(path: str | Path, fd: int, place: TensorPlace) -> np.ndarray:
+    """The tensor at ``place`` of the checkpoint open as ``fd``, read into
+    a fresh read-only float32 array. A file cut short since it was
+    validated raises FormatError naming ``path``."""
+    nbytes = 4 * math.prod(place.shape)
+    data = os.pread(fd, nbytes, place.offset)
+    if len(data) != nbytes:
+        raise FormatError(f"{path}: file shrank after it was opened")
+    return np.frombuffer(data, dtype="<f4").reshape(place.shape)
+
+
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint, its tensors as fresh read-only arrays of the
+    float32 they are stored in; ``open_checkpoint``'s checks raise
+    FormatError naming the path."""
+    with open_checkpoint(path) as (fd, places, header):
+        return {name: read_tensor(path, fd, place)
+                for name, place in places.items()}, header
+
+
+def _scan_checkpoint(path: Path, fh) -> tuple[dict[str, TensorPlace], dict]:
+    """Validate the checkpoint open as ``fh``: its header, and its tensors
+    read in bounded pieces for the finiteness check, so the check holds
+    no whole tensor in memory."""
     size = os.fstat(fh.fileno()).st_size
     if size < 4:
         raise FormatError(f"{path}: truncated checkpoint")
@@ -118,7 +147,7 @@ def _read_checkpoint(path: Path, fh) -> tuple[dict[str, np.ndarray], dict]:
     declared = header.pop("tensors", None)
     if not isinstance(declared, list):
         raise FormatError(f"{path}: header does not declare tensors")
-    places: dict[str, tuple[list[int], int, int]] = {}
+    places: dict[str, TensorPlace] = {}
     offset = 4 + header_len
     chunk = np.empty(_CHUNK, dtype="<f4")
     for entry in declared:
@@ -139,25 +168,21 @@ def _read_checkpoint(path: Path, fh) -> tuple[dict[str, np.ndarray], dict]:
                 raise FormatError(f"{path}: truncated tensor {name}")
             if not np.all(np.isfinite(part)):
                 raise FormatError(f"{path}: tensor {name} has non-finite values")
-        places[name] = shape, count, offset
+        places[name] = TensorPlace(tuple(shape), offset)
         offset = end
     if offset != size:
         raise FormatError(f"{path}: trailing bytes after declared tensors")
-    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    tensors = {name: np.frombuffer(mapped, dtype="<f4", count=count,
-                                   offset=start).reshape(shape)
-               for name, (shape, count, start) in places.items()}
-    return tensors, header
+    return places, header
 
 
 def check_layout(path: str | Path, kind: str, meta: dict,
-                 tensors: dict[str, np.ndarray],
+                 tensors: Mapping[str, np.ndarray | TensorPlace],
                  layout: dict[str, tuple[int | str, ...]]) -> None:
-    """Check a loaded checkpoint against a model's layout: the header's
-    ``kind``, the tensor names, and a shape per tensor, each dimension a
-    number or a name that takes one size throughout. Another kind, a
-    missing or unknown tensor, or another shape raises FormatError naming
-    the path."""
+    """Check a checkpoint's tensors, loaded or only placed, against a
+    model's layout: the header's ``kind``, the tensor names, and a shape
+    per tensor, each dimension a number or a name that takes one size
+    throughout. Another kind, a missing or unknown tensor, or another
+    shape raises FormatError naming the path."""
     if meta.get("kind") != kind:
         raise FormatError(
             f"{path}: checkpoint kind {meta.get('kind')!r}, not {kind!r}")
@@ -179,4 +204,5 @@ def check_layout(path: str | Path, kind: str, meta: dict,
 
 
 __all__ = ["float32_tensors", "save_checkpoint", "write_checkpoint",
-           "load_checkpoint", "check_layout"]
+           "TensorPlace", "open_checkpoint", "read_tensor", "load_checkpoint",
+           "check_layout"]

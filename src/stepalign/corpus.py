@@ -19,10 +19,14 @@ row per step, and every feature file of a corpus has the same width.
 A video id names two files, so it must be a file name; every video's task
 must have a text, holding every step the video names (see data.py).
 
-A loaded corpus's feature matrices are read-only, mapped from their files
-and paged in on first use, so each file holds one file descriptor while
-its matrix lives. Saving a corpus over the directory it was loaded from
-is safe: a save replaces each file rather than rewriting it.
+A loaded corpus holds no feature matrix in memory. It validates each
+feature file when it is loaded and keeps one descriptor open per file,
+and every fetch (``video_features``, ``task_step_features``) reads that
+file's rows into a fresh read-only array, so a matrix is resident only
+while a caller holds it. The descriptors close when the corpus is
+dropped. Saving a corpus over the directory it was loaded from is safe: a
+save replaces each file rather than rewriting it, so the open
+descriptors keep reading the loaded values.
 
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
@@ -33,6 +37,8 @@ the same phase, as long inference does, leaves it unchanged.
 
 from __future__ import annotations
 
+import os
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -40,7 +46,8 @@ from typing import Iterable
 import numpy as np
 
 from .checkpoint import (
-    check_layout, float32_tensors, load_checkpoint, write_checkpoint,
+    TensorPlace, check_layout, float32_tensors, open_checkpoint, read_tensor,
+    write_checkpoint,
 )
 from .data import (
     AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
@@ -106,25 +113,45 @@ def save_corpus(path: str | Path,
                   video_to_json(video))
 
 
-def read_features(path: str | Path, rows: int, dim: int | str) -> np.ndarray:
-    """Read a feature file holding a ``rows x dim`` matrix; a ``dim`` given
-    as a name takes any width. Another layout or shape, or a header that
-    does not name the file's own id, raises FormatError naming the path."""
+class FeatureFile:
+    """A feature matrix left in its validated file: its shape and dtype
+    are known, and numpy reads its rows into a fresh read-only array each
+    time it converts it (``np.asarray``). The file stays open through one
+    descriptor until this object is dropped."""
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path: Path, fd: int, place: TensorPlace) -> None:
+        self.path, self.shape, self.ndim = path, place.shape, len(place.shape)
+        self._fd, self._place = fd, place
+        weakref.finalize(self, os.close, fd)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        rows = read_tensor(self.path, self._fd, self._place)
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
+def read_features(path: str | Path, rows: int, dim: int | str) -> FeatureFile:
+    """Validate a feature file holding a ``rows x dim`` matrix and hold it
+    open; a ``dim`` given as a name takes any width. Another layout or
+    shape, or a header that does not name the file's own id, raises
+    FormatError naming the path."""
     path = Path(path)
-    tensors, meta = load_checkpoint(path)
-    check_layout(path, "features", meta, tensors, {"features": (rows, dim)})
-    if meta.get("video_id") != path.stem:
-        raise FormatError(
-            f"{path}: header names {meta.get('video_id')!r}, not {path.stem!r}")
-    return tensors["features"]
+    with open_checkpoint(path) as (fd, places, meta):
+        check_layout(path, "features", meta, places,
+                     {"features": (rows, dim)})
+        if meta.get("video_id") != path.stem:
+            raise FormatError(f"{path}: header names "
+                              f"{meta.get('video_id')!r}, not {path.stem!r}")
+        return FeatureFile(path, os.dup(fd), places["features"])
 
 
 @dataclass
 class Corpus:
     texts: dict[TaskDomain, ProceduralText]
     videos: list[AnnotatedVideo]
-    features: dict[str, np.ndarray]
-    step_features: dict[TaskDomain, np.ndarray]
+    features: dict[str, np.ndarray | FeatureFile]
+    step_features: dict[TaskDomain, np.ndarray | FeatureFile]
     phase: str = "init"
     access_log: set[tuple[str, str]] = field(default_factory=set)
 
@@ -151,7 +178,8 @@ class Corpus:
         with a row per frame or per step and at least one column, every
         matrix has a video or a text, and all have the first matrix's
         width, a video's when there is one. Returns that width, or None
-        when there is no matrix."""
+        when there is no matrix. Reads shapes and dtypes only, so a
+        loaded corpus's files are not read."""
         for video_id in self.features:
             if video_id not in self._by_id:
                 raise ValidationError(f"{video_id}: feature matrix names "
@@ -198,9 +226,11 @@ class Corpus:
             raise ValidationError(f"unknown video_id {video_id!r}") from None
 
     def video_features(self, video_id: str) -> np.ndarray:
+        """The video's frame features, logged against the phase: the
+        corpus's own array, or a loaded corpus's fresh read of its file."""
         self.video_by_id(video_id)
         self.access_log.add((self.phase, video_id))
-        return self.features[video_id]
+        return np.asarray(self.features[video_id])
 
     def check_fold(self, fold: FoldSpec) -> None:
         """Reject a fold no trainer can use: an empty train split or an id
@@ -214,7 +244,8 @@ class Corpus:
                         f"fold {fold.fold_id}: unknown video_id {vid!r} in {split}")
 
     def task_step_features(self, task: TaskDomain) -> np.ndarray:
-        return self.step_features[task]
+        """The task's step features, held or read as ``video_features``."""
+        return np.asarray(self.step_features[task])
 
     @property
     def feature_dim(self) -> int:
@@ -251,16 +282,16 @@ class Corpus:
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "Corpus":
-        """Load a saved corpus, its feature matrices mapped read-only from
-        their files. Each feature file must have its video's frame count
-        or its text's step count as rows, and the nonzero width of the
-        first file read, a video's."""
+        """Load a saved corpus, its feature matrices left in their files
+        and read at each fetch. Each feature file must have its video's
+        frame count or its text's step count as rows, and the nonzero
+        width of the first file read, a video's."""
         root = Path(path)
         texts, videos = load_corpus(root)
         feat_dir = root / "features"
         files = [(video.video_id, video.num_frames) for video in videos]
         files += [(f"steps_{text.task.value}", text.num_steps) for text in texts]
-        matrices: dict[str, np.ndarray] = {}
+        matrices: dict[str, FeatureFile] = {}
         dim: int | str = "dim"      # any width until the first file is read
         for name, rows in files:
             file = feat_dir / f"{name}.fmtx"
@@ -274,4 +305,5 @@ class Corpus:
                                   for t in texts})
 
 
-__all__ = ["Corpus", "load_corpus", "save_corpus", "read_features"]
+__all__ = ["Corpus", "FeatureFile", "load_corpus", "save_corpus",
+           "read_features"]

@@ -66,12 +66,15 @@ def gt_frame_labels(video: AnnotatedVideo) -> np.ndarray:
 
 
 def frame_metrics(pred: np.ndarray, gt: np.ndarray) -> dict[str, float]:
-    """Frame-wise precision, recall, F1 and MoF; 0/0 ratios score 0."""
+    """Frame-wise precision, recall, F1 and MoF; 0/0 ratios score 0.
+    Label arrays of other shapes, or with no frame, raise ValidationError."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValidationError(
             f"label arrays differ in length: {pred.shape} vs {gt.shape}")
+    if pred.size == 0:
+        raise ValidationError("label arrays have no frame")
     both_steps = (pred != BACKGROUND) & (gt != BACKGROUND)
     correct = int(np.count_nonzero(both_steps & (pred == gt)))
     n_pred = int(np.count_nonzero(pred != BACKGROUND))

@@ -553,8 +553,11 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         grads.w_k += d_qk.T @ cache["qp"][rows]
         d_qp = d_qk @ params.w_k
         # add.at sums the query gradients of a selection that repeats a
-        # slot, where a fancy-index += keeps only one of them
-        np.add.at(grads.queries, rows, d_qp @ params.w_q.T)
+        # slot, where a fancy-index += keeps only one of them. The values
+        # are widened first: add.at casting them one by one is the same
+        # sum, several times slower
+        np.add.at(grads.queries, rows,
+                  (d_qp @ params.w_q.T).astype(grads.queries.dtype, copy=False))
         grads.w_q += params.queries[rows].T @ d_qp
         # d_xp = attn^T d_ax + d_z^T qk + g_cos^T u_hat - v_hat frame_dot
         d_xp = np.matmul(stack.T,
@@ -629,7 +632,7 @@ def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
     """Reject, before any training, a fold whose tasks have more steps than
     the decoder has slots, or whose val or test videos have fewer frames
     than steps: each step needs slots, and at inference frames, of its own."""
-    steps = {vid: corpus.task_step_features(corpus.video_by_id(vid).task).shape[0]
+    steps = {vid: corpus.texts[corpus.video_by_id(vid).task].num_steps
              for vid in (*fold.train, *fold.val, *fold.test)}
     if config.num_queries < max(steps.values()):
         raise ValidationError(

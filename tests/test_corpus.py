@@ -2,10 +2,14 @@
 malformed ones included (corpus.py)."""
 
 import dataclasses
+import gc
 import json
+import os
 import re
 import struct
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -236,11 +240,70 @@ class TestFeatureIO:
         corpus = _corpus(matrix=np.arange(15, dtype=np.float32).reshape(5, 3))
         corpus.save(tmp_path)
         loaded = Corpus.from_dir(tmp_path)
-        for matrix, saved in ((loaded.features["v"], corpus.features["v"]),
-                              (loaded.step_features[TaskDomain.CARDBOARD],
-                               corpus.step_features[TaskDomain.CARDBOARD])):
+        for fetch, saved in (
+                (lambda: loaded.video_features("v"), corpus.features["v"]),
+                (lambda: loaded.task_step_features(TaskDomain.CARDBOARD),
+                 corpus.step_features[TaskDomain.CARDBOARD])):
+            matrix = fetch()
+            assert type(matrix) is np.ndarray and matrix.dtype == np.float32
             assert not matrix.flags.writeable
             np.testing.assert_array_equal(matrix, saved)
+            assert fetch() is not matrix
+
+    def test_corpus_keeps_no_fetched_matrix(self, tmp_path):
+        _small_synth().save(tmp_path)
+        loaded = Corpus.from_dir(tmp_path)
+        video = loaded.videos[0]
+        refs = [weakref.ref(loaded.video_features(video.video_id)),
+                weakref.ref(loaded.task_step_features(video.task))]
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_loaded_values_survive_a_save_over_their_directory(self, tmp_path):
+        first = _small_synth()
+        first.save(tmp_path)
+        loaded = Corpus.from_dir(tmp_path)
+        second = dataclasses.replace(
+            first, features={vid: -m for vid, m in first.features.items()},
+            step_features={t: -m for t, m in first.step_features.items()})
+        second.save(tmp_path)
+        for video in first.videos:
+            np.testing.assert_array_equal(
+                loaded.video_features(video.video_id),
+                first.features[video.video_id])
+            np.testing.assert_array_equal(
+                Corpus.from_dir(tmp_path).video_features(video.video_id),
+                second.features[video.video_id])
+        for task, matrix in first.step_features.items():
+            np.testing.assert_array_equal(loaded.task_step_features(task),
+                                          matrix)
+
+    def test_file_cut_short_after_loading_names_file(self, tmp_path):
+        _small_synth().save(tmp_path)
+        loaded = Corpus.from_dir(tmp_path)
+        video_id = loaded.videos[0].video_id
+        file = tmp_path / "features" / f"{video_id}.fmtx"
+        with open(file, "r+b") as fh:
+            fh.truncate(file.stat().st_size - 4)
+        with pytest.raises(FormatError, match=rf"{video_id}\.fmtx: file shrank "
+                                              rf"after it was opened$"):
+            loaded.video_features(video_id)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    def test_one_descriptor_per_file_closed_when_dropped(self, tmp_path):
+        _small_synth(tasks=2).save(tmp_path)
+        files = len(os.listdir(tmp_path / "features"))
+        gc.collect()    # earlier tests' garbage may hold descriptors
+        before = len(os.listdir("/proc/self/fd"))
+        loaded = Corpus.from_dir(tmp_path)
+        loaded.video_features(loaded.videos[0].video_id)
+        assert len(os.listdir("/proc/self/fd")) == before + files
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del loaded
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert caught == []
 
     def test_loaded_corpus_saves_back_into_its_own_directory(self, tmp_path):
         synth_corpus(SynthConfig(tasks=2, videos_per_task=2, workers=2,
@@ -257,17 +320,27 @@ class TestFeatureIO:
             np.testing.assert_array_equal(again.features[video_id], matrix)
 
     def test_from_dir_copies_no_feature_matrix(self, tmp_path):
+        # rows wide enough that a matrix outweighs the finiteness check's
+        # read buffer and everything else from_dir allocates
         rng = np.random.default_rng(0)
-        m = rng.normal(size=(4096, 64)).astype(np.float32)
-        _one_video_corpus(m).save(tmp_path)
+        corpus = _small_synth(tasks=2)
+        corpus = dataclasses.replace(corpus, features={
+            v.video_id: rng.normal(size=(v.num_frames, 1 << 14)).astype("f4")
+            for v in corpus.videos}, step_features={
+            t.task: rng.normal(size=(t.num_steps, 1 << 14)).astype("f4")
+            for t in corpus.texts.values()})
+        corpus.save(tmp_path)
+        smallest = min(m.nbytes for m in corpus.features.values())
         tracemalloc.start()
         try:
             loaded = Corpus.from_dir(tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < m.nbytes
-        np.testing.assert_array_equal(loaded.features["v"], m)
+        assert peak < smallest and held < smallest
+        for video_id, matrix in corpus.features.items():
+            np.testing.assert_array_equal(loaded.video_features(video_id),
+                                          matrix)
 
     def test_bytes_follow_the_checkpoint_layout(self, tmp_path):
         m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -4.0]], dtype=np.float32)

@@ -84,6 +84,11 @@ class TestFrameMetrics:
         with pytest.raises(ValidationError):
             frame_metrics(np.zeros(3), np.zeros(4))
 
+    def test_no_frame_rejected(self):
+        # MoF divided by the frame count, a bare ZeroDivisionError
+        with pytest.raises(ValidationError, match="^label arrays have no frame$"):
+            frame_metrics(np.array([]), np.array([]))
+
 
 def _det(step, start, end, label, conf):
     return Detection(step=step, segment=Segment(start, end), label=label,
