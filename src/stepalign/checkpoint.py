@@ -6,12 +6,11 @@ float32 in the order declared by the header's ``tensors`` list, each an
 object ``{"name": ..., "shape": [...]}``. Metadata keys ride along in the
 header.
 
-A loaded checkpoint's tensors are fresh read-only arrays, read from the
-file when it is loaded. ``open_checkpoint`` validates a file and says
-where each tensor lies in it, so a reader can hold the file open and read
-a tensor only when it is needed (see corpus.py). A save writes a new
-file and renames it over the old one, so a reader holding the old file
-open keeps reading the old values.
+``open_checkpoint`` validates a file and returns each tensor as a
+``StoredTensor``, left in the file and read into a fresh read-only array
+each time numpy converts it; ``load_checkpoint`` converts them all. A
+save writes a new file and renames it over the old one, so a
+``StoredTensor`` keeps reading the file it validated.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
+import weakref
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -84,51 +83,54 @@ def _is_dim(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-class TensorPlace(NamedTuple):
-    """Where a checkpoint holds a tensor: its shape, and the offset in
-    bytes of its first value from the start of the file."""
-    shape: tuple[int, ...]
-    offset: int
+class StoredTensor:
+    """A float32 tensor left in its validated checkpoint file. It holds
+    its own descriptor of that file, closed when it is dropped, so a save
+    that replaces the file does not change what it reads. Each conversion
+    (``np.asarray``) reads the tensor into a fresh read-only array; a file
+    cut short since it was validated raises FormatError naming the path."""
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path: Path, fd: int, shape: tuple[int, ...],
+                 offset: int) -> None:
+        self.path, self.shape, self.ndim = path, shape, len(shape)
+        self.offset = offset
+        self._fd = os.dup(fd)
+        weakref.finalize(self, os.close, self._fd)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        nbytes = self.dtype.itemsize * math.prod(self.shape)
+        data = os.pread(self._fd, nbytes, self.offset)
+        if len(data) != nbytes:
+            raise FormatError(f"{self.path}: file shrank after it was opened")
+        rows = np.frombuffer(data, dtype=self.dtype).reshape(self.shape)
+        return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
-@contextmanager
 def open_checkpoint(path: str | Path
-                    ) -> Iterator[tuple[int, dict[str, TensorPlace], dict]]:
-    """Open and validate a checkpoint, yielding its file descriptor, the
-    place of each tensor and the header's metadata; the descriptor closes
-    when the block ends. An unreadable file or any departure from the
-    layout, including a non-finite tensor value or two tensors of one
-    name, raises FormatError naming the path."""
+                    ) -> tuple[dict[str, StoredTensor], dict]:
+    """Open and validate a checkpoint, returning its tensors left in the
+    file and the header's metadata. An unreadable file or any departure
+    from the layout, including a non-finite tensor value or two tensors of
+    one name, raises FormatError naming the path."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            places, header = _scan_checkpoint(path, fh)
-            yield fh.fileno(), places, header
+            return _scan_checkpoint(path, fh)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
-
-
-def read_tensor(path: str | Path, fd: int, place: TensorPlace) -> np.ndarray:
-    """The tensor at ``place`` of the checkpoint open as ``fd``, read into
-    a fresh read-only float32 array. A file cut short since it was
-    validated raises FormatError naming ``path``."""
-    nbytes = 4 * math.prod(place.shape)
-    data = os.pread(fd, nbytes, place.offset)
-    if len(data) != nbytes:
-        raise FormatError(f"{path}: file shrank after it was opened")
-    return np.frombuffer(data, dtype="<f4").reshape(place.shape)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, its tensors as fresh read-only arrays of the
     float32 they are stored in; ``open_checkpoint``'s checks raise
     FormatError naming the path."""
-    with open_checkpoint(path) as (fd, places, header):
-        return {name: read_tensor(path, fd, place)
-                for name, place in places.items()}, header
+    tensors, header = open_checkpoint(path)
+    return {name: np.asarray(t) for name, t in tensors.items()}, header
 
 
-def _scan_checkpoint(path: Path, fh) -> tuple[dict[str, TensorPlace], dict]:
+def _scan_checkpoint(path: Path, fh) -> tuple[dict[str, StoredTensor], dict]:
     """Validate the checkpoint open as ``fh``: its header, and its tensors
     read in bounded pieces for the finiteness check, so the check holds
     no whole tensor in memory."""
@@ -147,7 +149,7 @@ def _scan_checkpoint(path: Path, fh) -> tuple[dict[str, TensorPlace], dict]:
     declared = header.pop("tensors", None)
     if not isinstance(declared, list):
         raise FormatError(f"{path}: header does not declare tensors")
-    places: dict[str, TensorPlace] = {}
+    places = {}
     offset = 4 + header_len
     chunk = np.empty(_CHUNK, dtype="<f4")
     for entry in declared:
@@ -168,17 +170,18 @@ def _scan_checkpoint(path: Path, fh) -> tuple[dict[str, TensorPlace], dict]:
                 raise FormatError(f"{path}: truncated tensor {name}")
             if not np.all(np.isfinite(part)):
                 raise FormatError(f"{path}: tensor {name} has non-finite values")
-        places[name] = TensorPlace(tuple(shape), offset)
+        places[name] = tuple(shape), offset
         offset = end
     if offset != size:
         raise FormatError(f"{path}: trailing bytes after declared tensors")
-    return places, header
+    return {name: StoredTensor(path, fh.fileno(), shape, start)
+            for name, (shape, start) in places.items()}, header
 
 
 def check_layout(path: str | Path, kind: str, meta: dict,
-                 tensors: Mapping[str, np.ndarray | TensorPlace],
+                 tensors: Mapping[str, np.ndarray | StoredTensor],
                  layout: dict[str, tuple[int | str, ...]]) -> None:
-    """Check a checkpoint's tensors, loaded or only placed, against a
+    """Check a checkpoint's tensors, loaded or left in the file, against a
     model's layout: the header's ``kind``, the tensor names, and a shape
     per tensor, each dimension a number or a name that takes one size
     throughout. Another kind, a missing or unknown tensor, or another
@@ -204,5 +207,4 @@ def check_layout(path: str | Path, kind: str, meta: dict,
 
 
 __all__ = ["float32_tensors", "save_checkpoint", "write_checkpoint",
-           "TensorPlace", "open_checkpoint", "read_tensor", "load_checkpoint",
-           "check_layout"]
+           "StoredTensor", "open_checkpoint", "load_checkpoint", "check_layout"]

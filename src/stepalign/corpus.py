@@ -9,24 +9,25 @@ Corpus directory layout::
     <dir>/features/steps_<task>.fmtx   the step-text features of each task
 
 Texts and annotations are the JSON records of data.py, each in the file
-named after its task or its video id. A feature file is a
-checkpoint (see checkpoint.py) of kind ``features`` holding one
-``rows x dim`` tensor named ``features``, float32 in memory and on disk;
-the decoder computes on them in float32 (see model.py), and the rest of
-the library widens them to float64 where it reads them. Its header's ``video_id`` names the file's own id, the video
-id or ``steps_<task>``. A video's file has one row per frame, a task's one
-row per step, and every feature file of a corpus has the same width.
-A video id names two files, so it must be a file name; every video's task
-must have a text, holding every step the video names (see data.py).
+named after its task or its video id. A feature file is a checkpoint (see
+checkpoint.py) of kind ``features`` holding one ``rows x dim`` tensor
+named ``features``, float32 in memory and on disk; the decoder computes on
+them in float32 (see model.py), and the rest of the library widens them
+to float64 where it reads them. Its header's ``video_id`` names the file's
+own id, the video id or ``steps_<task>``. A video's file has one row per
+frame, a task's one row per step, and every feature file of a corpus has
+the same width. A video id names two files, so it must be a file name;
+every video's task must have a text, holding every step the video names
+(see data.py).
 
 A loaded corpus holds no feature matrix in memory. It validates each
-feature file when it is loaded and keeps one descriptor open per file,
-and every fetch (``video_features``, ``task_step_features``) reads that
-file's rows into a fresh read-only array, so a matrix is resident only
-while a caller holds it. The descriptors close when the corpus is
-dropped. Saving a corpus over the directory it was loaded from is safe: a
-save replaces each file rather than rewriting it, so the open
-descriptors keep reading the loaded values.
+feature file when it is loaded and holds its matrix as the
+``checkpoint.StoredTensor`` the file's validation returned, so every fetch
+(``video_features``, ``task_step_features``) reads the file's rows into a
+fresh read-only array, and a matrix is resident only while a caller holds
+it. Each file stays open through one descriptor until the corpus is
+dropped, and saving a corpus over the directory it was loaded from keeps
+the loaded values (see checkpoint.py).
 
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
@@ -37,8 +38,6 @@ the same phase, as long inference does, leaves it unchanged.
 
 from __future__ import annotations
 
-import os
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -46,7 +45,7 @@ from typing import Iterable
 import numpy as np
 
 from .checkpoint import (
-    TensorPlace, check_layout, float32_tensors, open_checkpoint, read_tensor,
+    StoredTensor, check_layout, float32_tensors, open_checkpoint,
     write_checkpoint,
 )
 from .data import (
@@ -113,45 +112,31 @@ def save_corpus(path: str | Path,
                   video_to_json(video))
 
 
-class FeatureFile:
-    """A feature matrix left in its validated file: its shape and dtype
-    are known, and numpy reads its rows into a fresh read-only array each
-    time it converts it (``np.asarray``). The file stays open through one
-    descriptor until this object is dropped."""
-
-    dtype = np.dtype("<f4")
-
-    def __init__(self, path: Path, fd: int, place: TensorPlace) -> None:
-        self.path, self.shape, self.ndim = path, place.shape, len(place.shape)
-        self._fd, self._place = fd, place
-        weakref.finalize(self, os.close, fd)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        rows = read_tensor(self.path, self._fd, self._place)
-        return rows if dtype is None else rows.astype(dtype, copy=False)
-
-
-def read_features(path: str | Path, rows: int, dim: int | str) -> FeatureFile:
-    """Validate a feature file holding a ``rows x dim`` matrix and hold it
-    open; a ``dim`` given as a name takes any width. Another layout or
-    shape, or a header that does not name the file's own id, raises
-    FormatError naming the path."""
+def read_features(path: str | Path, rows: int, dim: int | str) -> StoredTensor:
+    """Validate a feature file holding a ``rows x dim`` matrix and return
+    the matrix left in the file; a ``dim`` given as a name takes any
+    width. Another layout or shape, or a header that does not name the
+    file's own id, raises FormatError naming the path."""
     path = Path(path)
-    with open_checkpoint(path) as (fd, places, meta):
-        check_layout(path, "features", meta, places,
-                     {"features": (rows, dim)})
-        if meta.get("video_id") != path.stem:
-            raise FormatError(f"{path}: header names "
-                              f"{meta.get('video_id')!r}, not {path.stem!r}")
-        return FeatureFile(path, os.dup(fd), places["features"])
+    tensors, meta = open_checkpoint(path)
+    check_layout(path, "features", meta, tensors, {"features": (rows, dim)})
+    if meta.get("video_id") != path.stem:
+        raise FormatError(f"{path}: header names "
+                          f"{meta.get('video_id')!r}, not {path.stem!r}")
+    return tensors["features"]
+
+
+def _steps_id(task: TaskDomain) -> str:
+    """The id of a task's step features: their file's name and header id."""
+    return f"steps_{task.value}"
 
 
 @dataclass
 class Corpus:
     texts: dict[TaskDomain, ProceduralText]
     videos: list[AnnotatedVideo]
-    features: dict[str, np.ndarray | FeatureFile]
-    step_features: dict[TaskDomain, np.ndarray | FeatureFile]
+    features: dict[str, np.ndarray | StoredTensor]
+    step_features: dict[TaskDomain, np.ndarray | StoredTensor]
     phase: str = "init"
     access_log: set[tuple[str, str]] = field(default_factory=set)
 
@@ -161,7 +146,7 @@ class Corpus:
                 raise ValidationError(f"the {text.task.value} text is held "
                                       f"under task {task.value}")
         self._by_id: dict[str, AnnotatedVideo] = {}
-        step_files = {f"steps_{task.value}"
+        step_files = {_steps_id(task)
                       for task in (*self.texts, *self.step_features)}
         for video in self.videos:
             if video.video_id in self._by_id:
@@ -186,11 +171,11 @@ class Corpus:
                                       f"no video")
         for task in self.step_features:
             if task not in self.texts:
-                raise ValidationError(f"steps_{task.value}: no procedural "
+                raise ValidationError(f"{_steps_id(task)}: no procedural "
                                       f"text for task {task.value}")
         matrices = [(video.video_id, self.features.get(video.video_id),
                      video.num_frames, "frames") for video in self.videos]
-        matrices += [(f"steps_{task.value}", self.step_features.get(task),
+        matrices += [(_steps_id(task), self.step_features.get(task),
                       text.num_steps, "steps")
                      for task, text in self.texts.items()]
         for name, matrix, rows, unit in matrices:
@@ -263,7 +248,7 @@ class Corpus:
         feat_dir = root / "features"
         matrices = [(video.video_id, self.features[video.video_id])
                     for video in self.videos]
-        matrices += [(f"steps_{task.value}", matrix)
+        matrices += [(_steps_id(task), matrix)
                      for task, matrix in self.step_features.items()]
         # every matrix is checked before the first file is written
         checked = []
@@ -290,8 +275,8 @@ class Corpus:
         texts, videos = load_corpus(root)
         feat_dir = root / "features"
         files = [(video.video_id, video.num_frames) for video in videos]
-        files += [(f"steps_{text.task.value}", text.num_steps) for text in texts]
-        matrices: dict[str, FeatureFile] = {}
+        files += [(_steps_id(text.task), text.num_steps) for text in texts]
+        matrices: dict[str, StoredTensor] = {}
         dim: int | str = "dim"      # any width until the first file is read
         for name, rows in files:
             file = feat_dir / f"{name}.fmtx"
@@ -301,9 +286,8 @@ class Corpus:
                 raise FormatError(f"{file}: feature matrix has no columns")
         return cls(texts={t.task: t for t in texts}, videos=videos,
                    features={v.video_id: matrices[v.video_id] for v in videos},
-                   step_features={t.task: matrices[f"steps_{t.task.value}"]
+                   step_features={t.task: matrices[_steps_id(t.task)]
                                   for t in texts})
 
 
-__all__ = ["Corpus", "FeatureFile", "load_corpus", "save_corpus",
-           "read_features"]
+__all__ = ["Corpus", "load_corpus", "save_corpus", "read_features"]

@@ -1,14 +1,19 @@
 import errno
+import gc
 import io
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from stepalign import checkpoint
-from stepalign.checkpoint import load_checkpoint, save_checkpoint
+from stepalign.checkpoint import (
+    StoredTensor, load_checkpoint, open_checkpoint, save_checkpoint,
+)
 from stepalign.classifier import load_classifier
+from stepalign.corpus import read_features
 from stepalign.errors import FormatError, ValidationError
 from stepalign.model import load_model
 
@@ -56,6 +61,60 @@ def test_save_over_a_loaded_file_keeps_the_loaded_values(tmp_path):
     np.testing.assert_array_equal(loaded["a"], np.arange(4.0))
     np.testing.assert_array_equal(load_checkpoint(path)[0]["a"],
                                   -np.arange(4.0))
+
+
+def test_stored_tensor_reads_the_validated_file_after_a_save_over_it(
+        tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3)}, {"kind": "x"})
+    tensors, meta = open_checkpoint(path)
+    stored = tensors["a"]
+    assert type(stored) is StoredTensor and meta == {"kind": "x"}
+    assert (stored.shape, stored.ndim, stored.dtype) == ((2, 3), 2, np.float32)
+    save_checkpoint(path, {"a": -np.ones((2, 3))}, {"kind": "x"})
+    first, second = np.asarray(stored), np.asarray(stored)
+    assert first is not second and not first.flags.writeable
+    np.testing.assert_array_equal(first, np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(np.asarray(stored, dtype=np.float64),
+                                  np.arange(6.0).reshape(2, 3))
+
+
+def test_stored_tensor_of_a_file_cut_short_names_the_file(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"a": np.arange(4.0), "b": np.ones(2)}, {"kind": "x"})
+    tensors, _ = open_checkpoint(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 4)
+    np.testing.assert_array_equal(np.asarray(tensors["a"]), np.arange(4.0))
+    with pytest.raises(FormatError,
+                       match=r"c\.ckpt: file shrank after it was opened$"):
+        np.asarray(tensors["b"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("raw, read, error", [
+    (None, load_checkpoint, None),
+    (None, lambda path: read_features(path, 3, 2),
+     r"tensor features has shape \(2, 2\), not \(3, 2\)$"),
+    (_pack(_W2, b"\0" * 7), load_checkpoint, "truncated tensor w$"),
+], ids=["load", "wrong-rows", "malformed"])
+def test_no_descriptor_outlives_a_load_or_a_failed_open(tmp_path, raw, read,
+                                                        error):
+    path = tmp_path / "v.fmtx"
+    if raw is None:
+        save_checkpoint(path, {"features": np.ones((2, 2))},
+                        {"kind": "features", "video_id": "v"})
+    else:
+        path.write_bytes(raw)
+    gc.collect()    # earlier tests' garbage may hold descriptors
+    before = len(os.listdir("/proc/self/fd"))
+    if error is None:
+        read(path)
+    else:
+        with pytest.raises(FormatError, match=rf"v\.fmtx: {error}"):
+            read(path)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 class _FullDisk(io.FileIO):
