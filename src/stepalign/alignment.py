@@ -52,6 +52,8 @@ def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
     ``np.partition`` puts the element of that rank in place without
     sorting the rest.
     """
+    if isinstance(pct, bool) or not isinstance(pct, (int, float)):
+        raise ValidationError(f"pct must be an int or a float, got {pct!r}")
     flat = np.asarray(cost, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValidationError("percentile of an empty cost matrix")

@@ -30,6 +30,11 @@ class Detection:
     label: CoarseLabel
     confidence: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.confidence <= 1.0:   # NaN included
+            raise ValidationError(
+                f"confidence must be in [0, 1], got {self.confidence}")
+
 
 GroundTruthInstance = tuple[int | None, Segment, CoarseLabel]
 
@@ -41,6 +46,8 @@ def rasterize(segments: list[tuple[int, Segment]], num_frames: int) -> np.ndarra
     each step frames of its own. A step may have several segments, and a
     step-``None`` segment, which no step owns, is rejected.
     """
+    if num_frames < 0:
+        raise ValidationError(f"num_frames must be >= 0, got {num_frames}")
     labels = np.zeros(num_frames, dtype=np.int64)
     for step, seg in segments:
         if step is None:

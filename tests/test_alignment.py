@@ -78,6 +78,15 @@ class TestPercentileDropCost:
         with pytest.raises(ValidationError):
             percentile_drop_cost(np.ones((2, 2)), 101.0)
 
+    @pytest.mark.parametrize("pct", ["80", True, None],
+                             ids=["string", "bool", "none"])
+    def test_pct_not_a_number_rejected(self, pct):
+        # a string raised a bare TypeError, and True was read as 1%
+        with pytest.raises(ValidationError,
+                           match=rf"^pct must be an int or a float, got "
+                                 rf"{pct!r}$"):
+            percentile_drop_cost(np.ones((2, 2)), pct)
+
     @pytest.mark.parametrize("pct", [0.5, 80.0, 100.0])
     @pytest.mark.parametrize("kind", ["real", "integer", "ties"])
     def test_equals_sorted_nearest_rank(self, kind, pct):

@@ -42,6 +42,12 @@ class TestRasterize:
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             rasterize([(step, seg)], 5)
 
+    def test_negative_frame_count_rejected(self):
+        # numpy raised a bare ValueError ("negative dimensions are not allowed")
+        with pytest.raises(ValidationError,
+                           match="^num_frames must be >= 0, got -1$"):
+            rasterize([], -1)
+
     def test_split_step_gt_allowed(self):
         out = rasterize([(1, Segment(0, 2)), (1, Segment(4, 6))], 6)
         np.testing.assert_array_equal(out, [1, 1, BG, BG, 1, 1])
@@ -93,6 +99,20 @@ class TestFrameMetrics:
 def _det(step, start, end, label, conf):
     return Detection(step=step, segment=Segment(start, end), label=label,
                      confidence=conf)
+
+
+@pytest.mark.parametrize("confidence", [np.nan, 2.0, -0.25],
+                         ids=["nan", "above-one", "negative"])
+def test_confidence_outside_unit_interval_rejected(confidence):
+    # map_at_tiou ranked a NaN confidence in no defined order
+    with pytest.raises(ValidationError,
+                       match=rf"^confidence must be in \[0, 1\], got "
+                             rf"{confidence}$"):
+        _det(1, 0, 2, M, confidence)
+
+
+def test_confidence_bounds_accepted():
+    assert [_det(1, 0, 2, M, c).confidence for c in (0.0, 1.0)] == [0.0, 1.0]
 
 
 def test_average_precision_without_ground_truth_rejected():
