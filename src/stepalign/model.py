@@ -55,8 +55,7 @@ allocates the frame-sized arrays of training and validation once, in a
 ``TrainWorkspace`` with ``min(batch_size, max(len(train), len(val)))``
 slots sized to its longest training or validation video, and a scratch
 sized also to the most annotated steps of a training video; every step
-writes into it with ``out=``. Called without one, the same functions
-build one sized for their batch. Inference, ``align_video``, runs one
+writes into it with ``out=``. Inference, ``align_video``, runs one
 forward, the selection and the alignment for one video.
 
 The decoder computes in the dtype of the features it is given, as in
@@ -64,14 +63,14 @@ mixed-precision training (Micikevicius et al., "Mixed Precision
 Training", ICLR 2018): a corpus holds float32 frames, so training and
 inference run in float32, and float64 frames run the same code in
 float64. The master parameters, Adam's moments and the gradient sums
-stay float64 (see optim.py). A training step and a validation round cast
-the master parameters once, into one buffer the fold holds, and
-``align_video`` casts them once per call; each product's terms then
-accumulate into the float64 gradients. Frame norms, slot-selection
-costs, the Drop-DTW kernel and the alignment's normalization stay
-float64 whatever the dtype: the kernel's tie tolerance is in float64
-eps, and the parameter-free alignment of step texts to frames, which
-shares the alignment, stays exact in float64.
+stay float64 (see optim.py). The step functions and ``align_video``
+are handed the master parameters and cast them once per call; nothing
+holds a cast. Each product's terms then accumulate into the float64
+gradients. Frame norms, slot-selection costs, the Drop-DTW kernel and
+the alignment's normalization stay float64 whatever the dtype: the
+kernel's tie tolerance is in float64 eps, and the parameter-free
+alignment of step texts to frames, which shares the alignment, stays
+exact in float64.
 
 The loss and its gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracle used for
@@ -353,9 +352,9 @@ class TrainWorkspace:
     float64 unit frames, ``unit``, reuse the bytes of ``v_hat`` and
     ``d_xp``, which no alignment reads. ``slot`` and ``scratch`` return,
     for a video of some length and number of annotated steps, contiguous
-    arrays of that video's shapes over the start of each buffer. A
-    workspace built by a function that was given none is sized for that
-    one batch."""
+    arrays of that video's shapes over the start of each buffer. The
+    fold trainer builds the one workspace of a fold, and each step
+    function writes into the one it is given."""
 
     def __init__(self, params: ModelParams, batch_size: int, max_frames: int,
                  max_steps: int):
@@ -414,8 +413,7 @@ def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
 
 
 def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
-                       config: TrainConfig,
-                       work: TrainWorkspace | None = None
+                       config: TrainConfig, work: TrainWorkspace
                        ) -> tuple[list[list[int]], list[dict]]:
     """One decoder forward per video and the slot each step selects.
 
@@ -426,9 +424,6 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
     workspace, and each decoder input into its scratch.
     """
     params = params.astype(_compute_dtype(*(v.frames for v in batch)))
-    if work is None:
-        work = TrainWorkspace(params, len(batch), max(
-            (v.frames.shape[0] for v in batch), default=0), 0)
     caches = []
     for b, v in enumerate(batch):
         length = v.frames.shape[0]
@@ -443,8 +438,7 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
 
 def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
                          selections: list[list[int]], caches: list[dict],
-                         config: TrainConfig,
-                         work: TrainWorkspace | None = None
+                         config: TrainConfig, work: TrainWorkspace
                          ) -> tuple[float, ModelParams]:
     """The supervised loss plus exact analytic gradients for every
     parameter tensor.
@@ -470,10 +464,6 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     input are written into the workspace's scratch.
     """
     params = params.astype(_compute_dtype(*(v.frames for v in batch)))
-    if work is None:
-        work = TrainWorkspace(
-            params, 0, max((v.frames.shape[0] for v in batch), default=0),
-            max((v.steps.size for v in batch), default=0))
     grads = params.zeros_like()
     gamma = config.gamma
     # mean over steps within a video, then over the annotated videos
@@ -607,22 +597,20 @@ def align_video(params: ModelParams, frames: np.ndarray,
 
 
 def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
-                          config: TrainConfig,
-                          work: TrainWorkspace | None = None) -> float:
+                          config: TrainConfig, work: TrainWorkspace) -> float:
     """Mean frame-F1 of the videos' alignments: ``compute_selections`` on
     chunks of at most ``batch_size`` videos, then each video's selected
-    slots aligned to its projected frames. With a workspace, which needs
-    a slot per video of a chunk, the frame-sized arrays are written into
-    it; without one, each chunk allocates its own."""
+    slots aligned to its projected frames. The frame-sized arrays, the
+    alignment's unit frames among them, are written into the workspace,
+    which needs a slot per video of a chunk."""
     scores = []
     for lo in range(0, len(videos), config.batch_size):
         chunk = videos[lo:lo + config.batch_size]
         selections, caches = compute_selections(params, chunk, config, work)
         for v, rows, cache in zip(chunk, selections, caches):
-            unit = None if work is None else \
-                work.scratch(v.frames.shape[0])["unit"]
-            segments = align_frames_to_slots(cache["slots"][rows], cache["xp"],
-                                             config.drop_pct, unit)
+            segments = align_frames_to_slots(
+                cache["slots"][rows], cache["xp"], config.drop_pct,
+                work.scratch(v.frames.shape[0])["unit"])
             scores.append(frame_metrics(
                 rasterize(segments, v.gt_labels.shape[0]), v.gt_labels)["f1"])
     return float(np.mean(scores)) if scores else 0.0
@@ -670,29 +658,24 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
-    # Adam updates the float64 master parameters; the decoder reads them
-    # cast to the features' dtype, once per step and per validation
-    # round, into the one buffer of ``low``
-    dtype = _compute_dtype(*(v.frames for v in (*train, *val)))
-    low = params.astype(dtype)
-    work = TrainWorkspace(low,
-                          min(config.batch_size, max(len(train), len(val))),
-                          max(v.frames.shape[0] for v in (*train, *val)),
-                          max(v.steps.size for v in train))
+    work = TrainWorkspace(
+        params.astype(_compute_dtype(*(v.frames for v in (*train, *val)))),
+        min(config.batch_size, max(len(train), len(val))),
+        max(v.frames.shape[0] for v in (*train, *val)),
+        max(v.steps.size for v in train))
 
     def batches(epoch: int):
         order = rng.permutation(len(train))
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            params.astype(dtype, out=low)
-            selections, caches = compute_selections(low, batch, config, work)
-            loss, grads = batch_loss_and_grads(low, batch, selections, caches,
-                                               config, work)
+            selections, caches = compute_selections(params, batch, config,
+                                                    work)
+            loss, grads = batch_loss_and_grads(params, batch, selections,
+                                               caches, config, work)
             yield loss, grads.flat
 
     return fit(Training(fold.fold_id, params.copy()), params, batches,
-               lambda: evaluate_alignment_f1(params.astype(dtype, out=low),
-                                             val, config, work),
+               lambda: evaluate_alignment_f1(params, val, config, work),
                config.epochs, config.learning_rate)
 
 

@@ -11,9 +11,9 @@ built, and a step allocates no array.
 
 The float64 buffer holds the master parameters, as in mixed-precision
 training (Micikevicius et al., "Mixed Precision Training", ICLR 2018): a
-model that computes in float32 reads ``astype(np.float32)``, a cast of
-the whole buffer in the same layout, and its gradients accumulate into a
-float64 buffer, so Adam's moments and updates stay float64.
+model that computes in float32 reads ``astype(np.float32)``, a new cast
+of the whole buffer in the same layout, and its gradients accumulate
+into a float64 buffer, so Adam's moments and updates stay float64.
 
 ``fit`` is the loop of both trainers: Adam over the batches a trainer
 yields, validation rounds logged in a ``Training`` record, and the best
@@ -66,18 +66,14 @@ class FlatParams:
             setattr(self, name, flat[start:stop].reshape(shape))
         self.flat = flat
 
-    def astype(self, dtype, out=None):
+    def astype(self, dtype):
         """These parameters held in ``dtype``: ``self`` when they are, else
-        a cast of the whole buffer in the same layout, written into the
-        buffer of ``out``, an earlier cast, when it is given. A ``copy`` or
+        a new cast of the whole buffer in the same layout. A ``copy`` or
         ``zeros_like`` of a cast is float64 again."""
         if self.flat.dtype == dtype:
             return self
-        if out is None:
-            out = copy.copy(self)
-            out._bind(self.flat.astype(dtype))
-        else:
-            out.flat[...] = self.flat
+        out = copy.copy(self)
+        out._bind(self.flat.astype(dtype))
         return out
 
     @classmethod

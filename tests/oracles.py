@@ -26,7 +26,10 @@ given.
 ``evaluate_alignment_f1_per_video`` runs ``align_video`` once per
 validation video, and ``train_alignment_fold_per_tensor`` trains the
 decoder with it and ``DictAdam``. The two trainers are the reference the
-allocation-free trainers must match bit for bit.
+allocation-free trainers must match bit for bit. ``fresh_workspace``
+allocates a ``TrainWorkspace`` sized for one batch, so that a step
+function given one runs over new buffers, the reference that a step over
+a reused workspace must match bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from stepalign.metrics import (
     Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
 )
 from stepalign.model import (
-    FoldVideo, ModelParams, TrainConfig,
+    FoldVideo, ModelParams, TrainConfig, TrainWorkspace,
     _compute_dtype, _softmax_rows, _unit_rows_backward, align_video,
     batch_loss_and_grads, compute_selections, cosine_matrix,
 )
@@ -353,6 +356,17 @@ def evaluate_alignment_f1_per_video(params: ModelParams, corpus, video_ids,
     return float(np.mean(scores)) if scores else 0.0
 
 
+def fresh_workspace(params: ModelParams, batch: Sequence[FoldVideo]
+                    ) -> TrainWorkspace:
+    """A new workspace for this one batch: a slot per video and a scratch
+    for its longest video and most annotated steps, in the dtype the
+    decoder computes in for the batch's features."""
+    return TrainWorkspace(
+        params.astype(_compute_dtype(*(v.frames for v in batch))), len(batch),
+        max((v.frames.shape[0] for v in batch), default=0),
+        max((v.steps.size for v in batch), default=0))
+
+
 def train_alignment_fold_per_tensor(corpus, fold, config) -> Training:
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
@@ -368,9 +382,11 @@ def train_alignment_fold_per_tensor(corpus, fold, config) -> Training:
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[lo:lo + config.batch_size]]
-            selections, caches = compute_selections(params, batch, config)
-            loss, grads = batch_loss_and_grads(params, batch, selections,
-                                               caches, config)
+            selections, caches = compute_selections(
+                params, batch, config, fresh_workspace(params, batch))
+            loss, grads = batch_loss_and_grads(
+                params, batch, selections, caches, config,
+                fresh_workspace(params, batch))
             del caches
             tensors = params.as_dict()
             opt.step(tensors, grads.as_dict())

@@ -22,7 +22,7 @@ from stepalign.optim import Training
 from stepalign.synth import SynthConfig, synth_corpus
 from oracles import (
     batch_loss_and_grads_kv, brute_force_align, cosine,
-    evaluate_alignment_f1_per_video, forward_slots_kv,
+    evaluate_alignment_f1_per_video, forward_slots_kv, fresh_workspace,
     select_slots_per_video, train_alignment_fold_per_tensor,
 )
 
@@ -328,10 +328,12 @@ def _grad_check(config, seed, selections=None, edit_batch=None):
     batch = [_random_example(rng) for _ in range(2)]
     if edit_batch is not None:
         batch = edit_batch(batch)
-    chosen, caches = compute_selections(params, batch, config)
+    chosen, caches = compute_selections(params, batch, config,
+                                        fresh_workspace(params, batch))
     if selections is None:
         selections = chosen
-    loss, grads = batch_loss_and_grads(params, batch, selections, caches, config)
+    loss, grads = batch_loss_and_grads(params, batch, selections, caches,
+                                       config, fresh_workspace(params, batch))
     assert loss == pytest.approx(batch_loss(params, batch, selections, config),
                                  rel=1e-12)
     h = 1e-5
@@ -382,7 +384,8 @@ class TestSlotSpaceAttention:
     def test_matches_key_value_oracle(self):
         params, batch = self._long_batch()
         config = TrainConfig()
-        selections, caches = compute_selections(params, batch, config)
+        selections, caches = compute_selections(
+            params, batch, config, fresh_workspace(params, batch))
         kv_caches = [forward_slots_kv(params, stepalign.model._decoder_input(
             v.frames, v.norms, config.normalize_features))[1] for v in batch]
         kv_selections = select_slots(
@@ -397,8 +400,9 @@ class TestSlotSpaceAttention:
 
         for cache, kv in zip(caches, kv_caches):
             assert_close(cache["slots"], kv["slots"], "slots")
-        loss, grads = batch_loss_and_grads(params, batch, selections, caches,
-                                           config)
+        loss, grads = batch_loss_and_grads(
+            params, batch, selections, caches, config,
+            fresh_workspace(params, batch))
         kv_loss, kv_grads = batch_loss_and_grads_kv(
             params, batch, selections, kv_caches, config)
         assert abs(loss - kv_loss) <= 1e-12 * abs(kv_loss)
@@ -437,12 +441,15 @@ class TestGradients:
         rng = np.random.default_rng(500)
         params = _params(rng)
         batch = [_random_example(rng) for _ in range(2)]
-        selections, caches = compute_selections(params, batch, _GRAD_CONFIG)
+        selections, caches = compute_selections(
+            params, batch, _GRAD_CONFIG, fresh_workspace(params, batch))
         loss, grads = batch_loss_and_grads(params, batch, selections, caches,
-                                           _GRAD_CONFIG)
-        singles = [batch_loss_and_grads(params, batch[i:i + 1],
-                                        selections[i:i + 1], caches[i:i + 1],
-                                        _GRAD_CONFIG) for i in range(2)]
+                                           _GRAD_CONFIG,
+                                           fresh_workspace(params, batch))
+        singles = [batch_loss_and_grads(
+            params, batch[i:i + 1], selections[i:i + 1], caches[i:i + 1],
+            _GRAD_CONFIG, fresh_workspace(params, batch[i:i + 1]))
+            for i in range(2)]
         assert loss == pytest.approx((singles[0][0] + singles[1][0]) / 2,
                                      rel=1e-12)
         for name, grad in grads.as_dict().items():
@@ -553,7 +560,8 @@ class TestAlignVideos:
             align_video(params, frames, steps, 80.0, True)
         video = FoldVideo("v", frames, steps, np.zeros(9, dtype=np.int64))
         with pytest.raises(ValidationError, match=rule):
-            compute_selections(params, [video], TrainConfig())
+            compute_selections(params, [video], TrainConfig(),
+                               fresh_workspace(params, [video]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["float32", "float64"])
@@ -667,7 +675,7 @@ def _fold_videos(rng, lengths, d, k, dtype=np.float32):
     return videos
 
 
-def _training_step(params, batch, config, work=None):
+def _training_step(params, batch, config, work):
     selections, caches = compute_selections(params, batch, config, work)
     loss, grads = batch_loss_and_grads(params, batch, selections, caches,
                                        config, work)
@@ -734,7 +742,8 @@ class TestTrainWorkspace:
         params.flat += 0.1 * rng.normal(size=params.flat.shape)
         batch = _fold_videos(rng, lengths, d=6, k=2, dtype=dtype)
         config = TrainConfig(gamma=0.5, batch_size=4)
-        want = _training_step(params, batch, config)
+        want = _training_step(params, batch, config,
+                              fresh_workspace(params, batch))
         work = TrainWorkspace(params.astype(dtype), batch_size=4,
                               max_frames=max(lengths), max_steps=2)
         # the second step runs over buffers the first one filled
@@ -762,9 +771,11 @@ class TestTrainWorkspace:
         assert [v.steps.size for v in batch] == [3, 0, 3, 2]
         selections = [[1, 1, 4], [0, 2, 3], [1, 4, 5], [5, 1]]
         config = TrainConfig(gamma=0.5, batch_size=4)
-        _, caches = compute_selections(params, batch, config)
-        loss, grads = batch_loss_and_grads(params, batch, selections, caches,
-                                           config)
+        _, caches = compute_selections(params, batch, config,
+                                       fresh_workspace(params, batch))
+        loss, grads = batch_loss_and_grads(
+            params, batch, selections, caches, config,
+            fresh_workspace(params, batch))
         work = TrainWorkspace(params.astype(dtype), batch_size=4,
                               max_frames=31, max_steps=3)
         for _ in range(2):
@@ -808,9 +819,11 @@ class TestTrainWorkspace:
         _training_step(params, batch, config, work)
         assert _largest_line_allocation(
             lambda: _training_step(params, batch, config, work)) < frame_block
-        # and the measure sees the blocks of an allocating step
+        # and the measure sees the blocks of a step over new buffers
         assert _largest_line_allocation(
-            lambda: _training_step(params, batch, config)) >= frame_block
+            lambda: _training_step(params, batch, config,
+                                   fresh_workspace(params, batch))
+        ) >= frame_block
 
 
 class TestFloat32:
@@ -835,13 +848,17 @@ class TestFloat32:
                         step_feats=v.step_feats.astype(np.float64))
                 for v in low]
         config = TrainConfig()
-        selections, high_caches = compute_selections(params, high, config)
-        _, low_caches = compute_selections(params, low, config)
+        selections, high_caches = compute_selections(
+            params, high, config, fresh_workspace(params, high))
+        _, low_caches = compute_selections(params, low, config,
+                                           fresh_workspace(params, low))
         assert {c["xp"].dtype for c in low_caches} == {np.dtype(np.float32)}
-        want, want_grads = batch_loss_and_grads(params, high, selections,
-                                                high_caches, config)
+        want, want_grads = batch_loss_and_grads(
+            params, high, selections, high_caches, config,
+            fresh_workspace(params, high))
         got, got_grads = batch_loss_and_grads(params, low, selections,
-                                              low_caches, config)
+                                              low_caches, config,
+                                              fresh_workspace(params, low))
         assert got_grads.flat.dtype == np.float64
         assert abs(got - want) <= self.LOSS_TOL * abs(want)
         for name, grad in want_grads.as_dict().items():
@@ -943,13 +960,15 @@ class TestEvaluateAlignmentF1:
         # validation runs over buffers a training step filled
         _training_step(params, train[:2], config, work)
         assert evaluate_alignment_f1(params, val, config, work) == want
-        assert evaluate_alignment_f1(params, val, config) == want
+        assert evaluate_alignment_f1(params, val, config,
+                                     fresh_workspace(params, val)) == want
 
     def test_empty_split_scores_zero(self):
         params = _params(np.random.default_rng(41))
         work = TrainWorkspace(params, batch_size=2, max_frames=9, max_steps=0)
         assert evaluate_alignment_f1(params, [], TrainConfig(), work) == 0.0
-        assert evaluate_alignment_f1(params, [], TrainConfig()) == 0.0
+        assert evaluate_alignment_f1(params, [], TrainConfig(),
+                                     fresh_workspace(params, [])) == 0.0
 
     def test_later_round_allocates_no_frame_sized_block(self):
         self._later_round_allocates_no_frame_sized_block(np.float32)
@@ -976,7 +995,9 @@ class TestEvaluateAlignmentF1:
         assert _largest_line_allocation(
             lambda: evaluate_alignment_f1(params, val, config, work)) < frame_block
         assert _largest_line_allocation(
-            lambda: evaluate_alignment_f1(params, val, config)) >= frame_block
+            lambda: evaluate_alignment_f1(params, val, config,
+                                          fresh_workspace(params, val))
+        ) >= frame_block
 
 
 class TestFoldVideo:

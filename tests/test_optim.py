@@ -48,13 +48,7 @@ def test_float32_cast_shares_the_layout_and_leaves_the_master():
         view = getattr(low, name)
         assert view.shape == tensor.shape, name
         assert np.shares_memory(view, low.flat), name
-    # a later cast rewrites the same buffer, and no cast writes the master
-    params.flat += 1.0
-    buffer = low.flat
-    assert params.astype(np.float32, out=low) is low
-    assert low.flat is buffer
-    assert low.flat.tobytes() == (master + 1.0).astype(np.float32).tobytes()
-    assert params.flat.tobytes() == (master + 1.0).tobytes()
+    assert params.flat.tobytes() == master.tobytes()
     # a copy or a gradient accumulator of a cast is float64 again
     assert low.copy().flat.tobytes() == low.flat.astype(np.float64).tobytes()
     assert low.zeros_like().flat.tobytes() == np.zeros(32).tobytes()
