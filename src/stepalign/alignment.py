@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .data import Segment
-from .errors import ValidationError
+from .errors import ValidationError, check_type
 
 _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
@@ -153,12 +153,13 @@ def drop_dtw(cost: np.ndarray, drop_item_cost: float
 
     Every slot must be matched to items of its own (so the matrix has no
     more rows than columns); every dropped item costs ``drop_item_cost``.
-    The drop cost must be finite: price drops out with a large finite
-    value rather than an infinity sentinel. Returns the n x m mask of the
-    cells the path visits, whose unvisited columns are the dropped items,
-    and the total cost.
+    The drop cost must be a finite int or float: price drops out with a
+    large finite value rather than an infinity sentinel. Returns the n x m
+    mask of the cells the path visits, whose unvisited columns are the
+    dropped items, and the total cost.
     """
     cost = _check_cost(cost)
+    check_type(drop_item_cost, (int, float), "drop_item_cost")
     if not math.isfinite(drop_item_cost):
         raise ValidationError("drop_item_cost must be finite")
     visited, total = _scan_rows(cost[:, None], np.array([float(drop_item_cost)]))
@@ -175,7 +176,11 @@ def drop_dtw_stack(costs: np.ndarray, drop_item_costs: np.ndarray
     ``drop_dtw`` gives it alone.
     """
     costs = _check_cost(costs, ndim=3)
-    drop_item_costs = np.asarray(drop_item_costs, dtype=np.float64)
+    drop_item_costs = np.asarray(drop_item_costs)
+    if drop_item_costs.dtype.kind not in "iuf":
+        raise ValidationError(f"drop_item_cost must be ints or floats, got "
+                              f"an array of {drop_item_costs.dtype}")
+    drop_item_costs = drop_item_costs.astype(np.float64, copy=False)
     if drop_item_costs.shape != costs.shape[:1]:
         raise ValidationError(
             f"need one drop cost per matrix, got {drop_item_costs.shape} "

@@ -42,7 +42,7 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import (
-    ValidationError, check_counts, check_flags, check_numbers,
+    ValidationError, check_counts, check_flags, check_numbers, check_type,
 )
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
 from .optim import FlatParams, Training, fit
@@ -107,15 +107,18 @@ def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
     """One input row per ``(step, segment)`` proposal of a video: the
     segment's mean-pooled features, then, unless ``step_feats`` is None,
     the step's text feature (zeros for a step-``None`` proposal). With
-    text, a step outside 1..k for a k-step text raises ValidationError."""
+    text, a step not an int or None, or outside 1..k for a k-step text,
+    raises ValidationError."""
     pooled = np.array([mean_pool(video_feats, seg) for _, seg in proposals]
                       ).reshape(len(proposals), video_feats.shape[1])
     if step_feats is None:
         return pooled
     k = step_feats.shape[0]
     for step, _ in proposals:
-        if step is not None and not 1 <= step <= k:
-            raise ValidationError(f"proposal step {step} outside 1..{k}")
+        if step is not None:
+            check_type(step, int, "proposal step")
+            if not 1 <= step <= k:
+                raise ValidationError(f"proposal step {step} outside 1..{k}")
     # row 0 is the zero text vector, row s the text of step s
     texts = np.vstack([np.zeros(step_feats.shape[1]), step_feats])
     steps = [0 if step is None else step for step, _ in proposals]

@@ -16,7 +16,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_type
 
 
 class TaskDomain(Enum):
@@ -68,13 +68,6 @@ def coarse_label(mistake: MistakeLabel) -> CoarseLabel:
     return CoarseLabel.MISTAKE
 
 
-def _check_type(value, kind: type, what: str) -> None:
-    """Raise ValidationError naming ``what`` unless ``value`` is a
-    ``kind``; nothing is coerced, and a bool is not an int."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValidationError(f"{what} must be {kind.__name__}, got {value!r}")
-
-
 @dataclass(frozen=True, order=True)
 class Segment:
     """Half-open frame interval [start, end) in feature-row units; both
@@ -84,8 +77,8 @@ class Segment:
     end: int
 
     def __post_init__(self) -> None:
-        _check_type(self.start, int, "segment start")
-        _check_type(self.end, int, "segment end")
+        check_type(self.start, int, "segment start")
+        check_type(self.end, int, "segment end")
         if not (0 <= self.start < self.end):
             raise ValidationError(
                 f"segment empty or negative: [{self.start}, {self.end})"
@@ -136,12 +129,12 @@ class AnnotatedSegment:
     description: str | None = None
 
     def __post_init__(self) -> None:
-        _check_type(self.segment, Segment, "segment span")
+        check_type(self.segment, Segment, "segment span")
         if self.step is not None:
-            _check_type(self.step, int, "segment step")
-        _check_type(self.mistake, MistakeLabel, "segment mistake")
+            check_type(self.step, int, "segment step")
+        check_type(self.mistake, MistakeLabel, "segment mistake")
         if self.description is not None:
-            _check_type(self.description, str, "segment description")
+            check_type(self.description, str, "segment description")
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,7 @@ class AnnotatedVideo:
 
     def __post_init__(self) -> None:
         vid = self.video_id
-        _check_type(vid, str, "video_id")
+        check_type(vid, str, "video_id")
         if vid in ("", ".", "..") or any(c in vid for c in "/\\\0"):
             raise ValidationError(f"video_id {vid!r} is not a file name")
         for value, kind, name in ((self.worker_id, str, "worker_id"),
@@ -170,9 +163,9 @@ class AnnotatedVideo:
                                   (self.intent, Intent, "intent"),
                                   (self.num_frames, int, "num_frames"),
                                   (self.segments, tuple, "segments")):
-            _check_type(value, kind, f"{vid}: {name}")
+            check_type(value, kind, f"{vid}: {name}")
         for seg in self.segments:
-            _check_type(seg, AnnotatedSegment, f"{vid}: each segment")
+            check_type(seg, AnnotatedSegment, f"{vid}: each segment")
         if self.num_frames < 1:
             raise ValidationError(f"{vid}: num_frames must be >= 1")
         prev_start = -1

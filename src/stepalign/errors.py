@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the type checks of a
-config's count, number and flag fields.
+value and of a config's count, number and flag fields.
 
 The exit-code contract for a command-line interface (none exists yet):
 ``ValidationError`` and its subclasses exit 1, ``ParseError`` and
@@ -33,6 +33,15 @@ class NumericalError(StepAlignError):
 
 def _items(value) -> tuple:
     return value if isinstance(value, tuple) else (value,)
+
+
+def check_type(value, kind, what: str) -> None:
+    """Raise ValidationError naming ``what`` unless ``value`` is a ``kind``,
+    a type or a tuple of types; nothing is coerced, and a bool is not an
+    int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in _items(kind))
+        raise ValidationError(f"{what} must be {names}, got {value!r}")
 
 
 def check_counts(config, names, minimum: int = 1, *,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AnnotatedVideo, CoarseLabel, Segment, coarse_label
-from .errors import ValidationError
+from .errors import ValidationError, check_type
 
 BACKGROUND = 0
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3)
@@ -31,6 +31,11 @@ class Detection:
     confidence: float
 
     def __post_init__(self) -> None:
+        if self.step is not None:
+            check_type(self.step, int, "step")
+        check_type(self.segment, Segment, "segment")
+        check_type(self.label, CoarseLabel, "label")
+        check_type(self.confidence, (int, float), "confidence")
         if not 0.0 <= self.confidence <= 1.0:   # NaN included
             raise ValidationError(
                 f"confidence must be in [0, 1], got {self.confidence}")
@@ -46,6 +51,7 @@ def rasterize(segments: list[tuple[int, Segment]], num_frames: int) -> np.ndarra
     each step frames of its own. A step may have several segments, and a
     step-``None`` segment, which no step owns, is rejected.
     """
+    check_type(num_frames, int, "num_frames")
     if num_frames < 0:
         raise ValidationError(f"num_frames must be >= 0, got {num_frames}")
     labels = np.zeros(num_frames, dtype=np.int64)
@@ -54,6 +60,7 @@ def rasterize(segments: list[tuple[int, Segment]], num_frames: int) -> np.ndarra
             raise ValidationError(
                 f"segment [{seg.start}, {seg.end}) has step None; only "
                 f"step segments can be rasterized")
+        check_type(step, int, "step index")
         if step <= 0:
             raise ValidationError(f"step index must be positive, got {step}")
         if seg.end > num_frames:

@@ -136,6 +136,15 @@ class TestDropDtw:
         assert total == 0.0
         assert _dropped(visited) == []
 
+    @pytest.mark.parametrize("drop", ["1", True, None],
+                             ids=["string", "bool", "none"])
+    def test_drop_cost_not_a_number_rejected(self, drop):
+        # a string or None raised a bare TypeError, and True ran as 1
+        with pytest.raises(ValidationError,
+                           match=rf"^drop_item_cost must be int or float, "
+                                 rf"got {drop!r}$"):
+            drop_dtw(np.zeros((2, 3)), drop)
+
     def test_infinite_drop_cost_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             drop_dtw(np.ones((2, 2)), math.inf)
@@ -356,6 +365,16 @@ class TestDropDtwStack:
         rule = f"^cost matrix has {shape[1]} rows but only {shape[2]} columns$"
         with pytest.raises(ValidationError, match=rule):
             drop_dtw_stack(np.zeros(shape), np.zeros(shape[0]))
+
+    @pytest.mark.parametrize("drops, kind", [
+        (["1"], "<U1"), ([True], "bool"), ([None], "object")],
+        ids=["string", "bool", "none"])
+    def test_drop_costs_not_numbers_rejected(self, drops, kind):
+        # the strings and bools were cast to float, and None to NaN
+        with pytest.raises(ValidationError,
+                           match=rf"^drop_item_cost must be ints or floats, "
+                                 rf"got an array of {kind}$"):
+            drop_dtw_stack(np.zeros((1, 2, 3)), drops)
 
 
 class TestDecodeSegments:

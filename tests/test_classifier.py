@@ -432,6 +432,20 @@ def test_detect_mistakes_rejects_step_outside_text(step):
                         rng.normal(size=(2, 4)))
 
 
+@pytest.mark.parametrize("step", [True, 1.0, "1"],
+                         ids=["bool", "float", "str"])
+def test_detect_mistakes_rejects_step_of_another_type(step):
+    # True and 1.0 passed the 1..k check and failed bare at the texts'
+    # index, and a string failed bare at the check
+    rng = np.random.default_rng(4)
+    params = ClassifierParams.init(rng, input_dim=8, hidden=6)
+    proposals = [(1, Segment(0, 5)), (step, Segment(5, 9))]
+    with pytest.raises(ValidationError,
+                       match=rf"^proposal step must be int, got {step!r}$"):
+        detect_mistakes(params, proposals, rng.normal(size=(12, 4)),
+                        rng.normal(size=(2, 4)))
+
+
 def test_empty_proposals_give_no_detections():
     rng = np.random.default_rng(2)
     params = ClassifierParams.init(rng, input_dim=8, hidden=6)

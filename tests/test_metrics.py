@@ -37,7 +37,12 @@ class TestRasterize:
         # this used to raise a bare TypeError from the comparison
         (None, Segment(1, 3), r"segment \[1, 3\) has step None; only step "
                               r"segments can be rasterized"),
-    ], ids=["step-0", "past-end", "step-none"])
+        # these used to paint step 1, or raise a bare TypeError
+        (1.5, Segment(0, 2), r"step index must be int, got 1\.5"),
+        (True, Segment(0, 2), r"step index must be int, got True"),
+        ("1", Segment(0, 2), r"step index must be int, got '1'"),
+    ], ids=["step-0", "past-end", "step-none", "step-float", "step-bool",
+            "step-str"])
     def test_bad_segment_rejected(self, step, seg, rule):
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             rasterize([(step, seg)], 5)
@@ -47,6 +52,15 @@ class TestRasterize:
         with pytest.raises(ValidationError,
                            match="^num_frames must be >= 0, got -1$"):
             rasterize([], -1)
+
+    @pytest.mark.parametrize("num_frames", [2.5, True, "3"],
+                             ids=["float", "bool", "str"])
+    def test_frame_count_not_an_int_rejected(self, num_frames):
+        # numpy raised a bare TypeError, and True made one frame
+        with pytest.raises(ValidationError,
+                           match=rf"^num_frames must be int, got "
+                                 rf"{num_frames!r}$"):
+            rasterize([], num_frames)
 
     def test_split_step_gt_allowed(self):
         out = rasterize([(1, Segment(0, 2)), (1, Segment(4, 6))], 6)
@@ -109,6 +123,24 @@ def test_confidence_outside_unit_interval_rejected(confidence):
                        match=rf"^confidence must be in \[0, 1\], got "
                              rf"{confidence}$"):
         _det(1, 0, 2, M, confidence)
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("step", "1", "step must be int, got '1'"),
+    ("step", True, "step must be int, got True"),
+    ("step", 1.0, r"step must be int, got 1\.0"),
+    ("segment", (0, 2), r"segment must be Segment, got \(0, 2\)"),
+    ("label", 1, "label must be CoarseLabel, got 1"),
+    ("confidence", True, "confidence must be int or float, got True"),
+    ("confidence", "0.5", r"confidence must be int or float, got '0\.5'"),
+], ids=["step-str", "step-bool", "step-float", "segment-tuple", "label-int",
+        "confidence-bool", "confidence-str"])
+def test_field_of_another_type_rejected(field, value, rule):
+    # each built, or raised a bare TypeError from the confidence's range
+    fields = {"step": 1, "segment": Segment(0, 2), "label": M,
+              "confidence": 0.5, field: value}
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        Detection(**fields)
 
 
 def test_confidence_bounds_accepted():
