@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .data import Segment
-from .errors import ValidationError, check_type
+from .errors import ValidationError, check_real, check_type
 
 _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
@@ -54,7 +54,9 @@ def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
     """
     if isinstance(pct, bool) or not isinstance(pct, (int, float)):
         raise ValidationError(f"pct must be an int or a float, got {pct!r}")
-    flat = np.asarray(cost, dtype=np.float64).ravel()
+    cost = np.asarray(cost)
+    check_real(cost, "cost matrix")
+    flat = cost.astype(np.float64, copy=False).ravel()
     if flat.size == 0:
         raise ValidationError("percentile of an empty cost matrix")
     if not (0.0 < pct <= 100.0):
@@ -64,7 +66,11 @@ def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
 
 
 def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:
-    cost = np.asarray(cost, dtype=np.float64)
+    """``cost`` in float64 once its rules hold: ints or floats, ``ndim``
+    axes, nonempty, no more rows than columns and finite."""
+    cost = np.asarray(cost)
+    check_real(cost, "cost matrix")
+    cost = cost.astype(np.float64, copy=False)
     if cost.ndim != ndim or 0 in cost.shape:
         raise ValidationError(
             f"cost matrix must be {ndim}-d and nonempty, got {cost.shape}")
@@ -177,9 +183,7 @@ def drop_dtw_stack(costs: np.ndarray, drop_item_costs: np.ndarray
     """
     costs = _check_cost(costs, ndim=3)
     drop_item_costs = np.asarray(drop_item_costs)
-    if drop_item_costs.dtype.kind not in "iuf":
-        raise ValidationError(f"drop_item_cost must be ints or floats, got "
-                              f"an array of {drop_item_costs.dtype}")
+    check_real(drop_item_costs, "drop_item_cost")
     drop_item_costs = drop_item_costs.astype(np.float64, copy=False)
     if drop_item_costs.shape != costs.shape[:1]:
         raise ValidationError(

@@ -25,10 +25,20 @@ score, validated every ``val_every`` epochs. ``fit`` runs Adam over the
 parameters' one flat buffer, keeps the checkpoint with the best val
 score and stops at the first validation round ``_PATIENCE`` (300) or
 more epochs after that checkpoint's epoch, so a run of at most 300
-epochs runs every epoch. A fold allocates its hidden activations, their
-gradient, the ReLU mask and the parameter gradients once, in a
-workspace; each epoch writes into them in place, so it allocates no
-array of n x hidden size.
+epochs runs every epoch. A fold allocates its hidden activations, the
+ReLU mask and the parameter gradients once, in a workspace; the backward
+writes the activations' gradient over the activations, which it no
+longer reads, and each epoch writes into them in place, so it allocates
+no array of n x hidden size.
+
+The classifier computes in the dtype of its features
+(``optim.compute_dtype``), as the decoder does: ``classifier_rows``
+pools in float64 and returns rows in that dtype, float32 for a corpus
+and float64 for float64 arrays. ``classify`` and each epoch cast the
+float64 master parameters once to the rows' dtype, and each product
+lands in the float64 gradients, so Adam's moments, the best copy and
+the gradient sums stay float64, as in mixed-precision training
+(Micikevicius et al., "Mixed Precision Training", ICLR 2018).
 """
 
 from __future__ import annotations
@@ -42,10 +52,11 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import (
-    ValidationError, check_counts, check_flags, check_numbers, check_type,
+    ValidationError, check_counts, check_flags, check_numbers, check_real,
+    check_type,
 )
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
-from .optim import FlatParams, Training, fit
+from .optim import FlatParams, Training, compute_dtype, fit
 
 NUM_CLASSES = len(CoarseLabel)
 _Proposals = list[tuple[int | None, Segment]]    # (step, segment) pairs
@@ -104,15 +115,20 @@ def mean_pool(m: np.ndarray, seg: Segment) -> np.ndarray:
 
 def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
                     step_feats: np.ndarray | None) -> np.ndarray:
-    """One input row per ``(step, segment)`` proposal of a video: the
-    segment's mean-pooled features, then, unless ``step_feats`` is None,
-    the step's text feature (zeros for a step-``None`` proposal). With
-    text, a step not an int or None, or outside 1..k for a k-step text,
-    raises ValidationError."""
-    pooled = np.array([mean_pool(video_feats, seg) for _, seg in proposals]
-                      ).reshape(len(proposals), video_feats.shape[1])
+    """One input row per ``(step, segment)`` proposal of a video, in the
+    dtype the video features compute in: the segment's features
+    mean-pooled in float64, then, unless ``step_feats`` is None, the
+    step's text feature (zeros for a step-``None`` proposal). Features or
+    texts that are not real numbers raise ValidationError, and so, with
+    text, does a step not an int or None, or outside 1..k for a k-step
+    text."""
+    dtype = compute_dtype(video_feats)
+    pooled = np.array([mean_pool(video_feats, seg) for _, seg in proposals],
+                      dtype=dtype)
+    pooled = pooled.reshape(len(proposals), video_feats.shape[1])
     if step_feats is None:
         return pooled
+    check_real(step_feats, "step features")
     k = step_feats.shape[0]
     for step, _ in proposals:
         if step is not None:
@@ -120,19 +136,22 @@ def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
             if not 1 <= step <= k:
                 raise ValidationError(f"proposal step {step} outside 1..{k}")
     # row 0 is the zero text vector, row s the text of step s
-    texts = np.vstack([np.zeros(step_feats.shape[1]), step_feats])
+    texts = np.vstack([np.zeros(step_feats.shape[1]), step_feats]
+                      ).astype(dtype, copy=False)
     steps = [0 if step is None else step for step, _ in proposals]
     return np.hstack([pooled, texts[steps]])
 
 
 def classify(params: ClassifierParams,
              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and argmax class index of every row of ``x``; ties go to the
-    lowest class index."""
+    """Logits and argmax class index of every row of ``x``, computed in the
+    rows' dtype over parameters cast once; ties go to the lowest class
+    index."""
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(
             f"classifier expects rows of width {params.input_dim}, "
             f"got shape {x.shape}")
+    params = params.astype(compute_dtype(x))
     h = np.maximum(x @ params.w1 + params.b1, 0.0)
     z = h @ params.w2 + params.b2
     return z, np.argmax(z, axis=1)
@@ -197,9 +216,11 @@ def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...], video_only: bool
 class _Workspace:
     """A fold's full-batch training rows and every buffer an epoch writes.
 
-    The hidden activations, their gradient, the ReLU mask and the
-    parameter gradients are allocated here once per fold; an epoch writes
-    into them with ``out=`` and allocates only arrays of n x classes size.
+    The hidden activations ``h``, in the rows' dtype, the ReLU mask and
+    the float64 parameter gradients are allocated here once per fold; an
+    epoch writes into them with ``out=``, the activations' gradient over
+    ``h``, and allocates only arrays of n x classes size and of the
+    parameters' size.
     """
 
     def __init__(self, params: ClassifierParams, x: np.ndarray, y: np.ndarray,
@@ -208,16 +229,17 @@ class _Workspace:
         self.x, self.y, self.weights = x, y, weights
         self.rows = np.arange(n)
         self.row_scale = (weights / n)[:, None]
-        self.h = np.empty((n, hidden))
-        self.d_h = np.empty((n, hidden))
+        self.h = np.empty((n, hidden), compute_dtype(x))
         self.live = np.empty((n, hidden), dtype=bool)
         self.grads = params.zeros_like()
 
 
 def _batch_loss_and_grads(params: ClassifierParams, work: _Workspace) -> float:
-    """Weighted mean loss of the workspace's rows at ``params``; the
-    gradients land in ``work.grads``."""
-    g, h, d_h = work.grads, work.h, work.d_h
+    """Weighted mean loss of the workspace's rows at ``params``, computed in
+    the rows' dtype over parameters cast once; the gradients land in the
+    float64 ``work.grads``, and the hidden gradient over ``work.h``."""
+    g, h = work.grads, work.h
+    params = params.astype(h.dtype)
     np.matmul(work.x, params.w1, out=h)
     h += params.b1
     np.greater(h, 0.0, out=work.live)
@@ -230,7 +252,8 @@ def _batch_loss_and_grads(params: ClassifierParams, work: _Workspace) -> float:
     d_z *= work.row_scale
     np.matmul(h.T, d_z, out=g.w2)
     np.sum(d_z, axis=0, out=g.b2)
-    np.matmul(d_z, params.w2.T, out=d_h)
+    # h is read for the last time above: the hidden gradient takes its place
+    d_h = np.matmul(d_z, params.w2.T, out=h)
     # masking by a multiply is far cheaper than a boolean-index store; it
     # leaves -0.0 where a dead unit's d_h < 0, and adding +0.0 makes that
     # the +0.0 a store would have written
@@ -275,10 +298,11 @@ def detect_mistakes(params: ClassifierParams,
                     alignment: list[tuple[int | None, Segment]],
                     video_feats: np.ndarray,
                     step_feats: np.ndarray) -> list[Detection]:
-    """Classify the segments proposed by the alignment model; confidence is
-    the softmax probability of the predicted class. A classifier as wide
-    as the video features reads no text; otherwise a step-``None``
-    proposal gets the zero text vector."""
+    """Classify the segments proposed by the alignment model, in the dtype
+    the video features compute in; confidence is the softmax probability
+    of the predicted class. A classifier as wide as the video features
+    reads no text; otherwise a step-``None`` proposal gets the zero text
+    vector."""
     texts = None if params.input_dim == video_feats.shape[1] else step_feats
     z, labels = classify(params, classifier_rows(video_feats, alignment, texts))
     return _detections(alignment, z, labels)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the type checks of a
-value and of a config's count, number and flag fields.
+value, of an array's numbers and of a config's count, number and flag
+fields.
 
 The exit-code contract for a command-line interface (none exists yet):
 ``ValidationError`` and its subclasses exit 1, ``ParseError`` and
@@ -42,6 +43,15 @@ def check_type(value, kind, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         names = " or ".join(k.__name__ for k in _items(kind))
         raise ValidationError(f"{what} must be {names}, got {value!r}")
+
+
+def check_real(array, what: str) -> None:
+    """Raise ValidationError naming ``what`` and its dtype unless the
+    numpy array ``array`` holds ints or floats; nothing is coerced, and
+    bools, complex numbers, objects and strings are not real numbers."""
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(
+            f"{what} must be ints or floats, got an array of {array.dtype}")
 
 
 def check_counts(config, names, minimum: int = 1, *,

@@ -58,19 +58,21 @@ sized also to the most annotated steps of a training video; every step
 writes into it with ``out=``. Inference, ``align_video``, runs one
 forward, the selection and the alignment for one video.
 
-The decoder computes in the dtype of the features it is given, as in
-mixed-precision training (Micikevicius et al., "Mixed Precision
-Training", ICLR 2018): a corpus holds float32 frames, so training and
-inference run in float32, and float64 frames run the same code in
-float64. The master parameters, Adam's moments and the gradient sums
-stay float64 (see optim.py). The step functions and ``align_video``
-are handed the master parameters and cast them once per call; nothing
-holds a cast. Each product's terms then accumulate into the float64
-gradients. Frame norms, slot-selection costs, the Drop-DTW kernel and
-the alignment's normalization stay float64 whatever the dtype: the
-kernel's tie tolerance is in float64 eps, and the parameter-free
-alignment of step texts to frames, which shares the alignment, stays
-exact in float64.
+The decoder computes in the dtype of the features it is given,
+``optim.compute_dtype``, as in mixed-precision training (Micikevicius et
+al., "Mixed Precision Training", ICLR 2018): a corpus holds float32
+frames, so training and inference run in float32, and float64 frames
+run the same code in float64. Features or step texts that are not real
+numbers raise ValidationError. The master parameters, Adam's moments and
+the gradient sums stay float64 (see optim.py). The step functions and
+``align_video`` are handed the master parameters and cast them once per
+call; nothing holds a cast. A step function given a workspace of another
+dtype than its batch's raises ValidationError. Each product's terms then
+accumulate into the float64 gradients. Frame norms, slot-selection
+costs, the Drop-DTW kernel and the alignment's normalization stay
+float64 whatever the dtype: the kernel's tie tolerance is in float64
+eps, and the parameter-free alignment of step texts to frames, which
+shares the alignment, stays exact in float64.
 
 The loss and its gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracle used for
@@ -94,9 +96,10 @@ from .corpus import Corpus
 from .data import FoldSpec, Segment
 from .errors import (
     NumericalError, ValidationError, check_counts, check_flags, check_numbers,
+    check_real,
 )
 from .metrics import frame_metrics, gt_frame_labels, rasterize
-from .optim import FlatParams, Training, fit
+from .optim import FlatParams, Training, compute_dtype, fit
 
 
 @dataclass
@@ -165,12 +168,6 @@ class TrainConfig:
             raise ValidationError("drop_pct must be in (0, 100]")
 
 
-def _compute_dtype(*features: np.ndarray) -> np.dtype:
-    """The dtype the decoder computes in for these features: float32 when
-    each is float32 (or narrower), float64 otherwise."""
-    return np.result_type(np.float32, *features)
-
-
 def _row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The norms of ``m``'s rows as a column, in float64, or in the dtype
     of ``out`` when it is given. The rows' squares are summed in ``out``,
@@ -232,7 +229,7 @@ def forward_slots(params: ModelParams, video: np.ndarray,
     if video.ndim != 2 or video.shape[1] != params.feature_dim:
         raise ValidationError(
             f"video features must be L x {params.feature_dim}, got {video.shape}")
-    params = params.astype(_compute_dtype(video))
+    params = params.astype(compute_dtype(video))
     out = {} if out is None else out
     xp = np.matmul(video, params.proj_v, out=out.get("xp"))
     qp = params.queries @ params.w_q
@@ -322,7 +319,7 @@ def _decoder_input(frames: np.ndarray, norms: np.ndarray,
     into ``out`` when it is given: the frames over their float64 row
     norms cast to that dtype, or the raw frames when normalization is
     off."""
-    return np.divide(frames, norms.astype(_compute_dtype(frames), copy=False)
+    return np.divide(frames, norms.astype(compute_dtype(frames), copy=False)
                      if normalize_features else 1.0, out=out)
 
 
@@ -358,7 +355,7 @@ class TrainWorkspace:
 
     def __init__(self, params: ModelParams, batch_size: int, max_frames: int,
                  max_steps: int):
-        self._dtype = params.flat.dtype
+        self.dtype = params.flat.dtype
         self._dims = (params.feature_dim, params.working_dim,
                       params.queries.shape[0])
         self._slots = [self._buffers(self._slot_shapes(max_frames))
@@ -379,7 +376,7 @@ class TrainWorkspace:
 
     def _buffers(self, shapes: dict[str, tuple[int, ...]]
                  ) -> dict[str, np.ndarray]:
-        return {name: np.empty(math.prod(shape), self._dtype)
+        return {name: np.empty(math.prod(shape), self.dtype)
                 for name, shape in shapes.items()}
 
     @staticmethod
@@ -403,13 +400,27 @@ class TrainWorkspace:
 def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
                 ) -> list[np.ndarray]:
     """Each video's K x d step texts projected into the working space; a
-    matrix of another width raises ValidationError."""
+    matrix of another width, or not of real numbers, raises
+    ValidationError."""
     for steps in step_feats:
+        check_real(steps, "step features")
         if steps.ndim != 2 or steps.shape[1] != params.feature_dim:
             raise ValidationError(
                 f"step features must be K x {params.feature_dim}, "
                 f"got {steps.shape}")
     return [steps @ params.proj_t for steps in step_feats]
+
+
+def _batch_params(params: ModelParams, batch: Sequence[FoldVideo],
+                  work: TrainWorkspace) -> ModelParams:
+    """``params`` cast to the dtype the batch's features compute in, which
+    must be the workspace's: its buffers take the batch's activations,
+    and a write into another dtype would cast them silently."""
+    dtype = compute_dtype(*(v.frames for v in batch))
+    if work.dtype != dtype:
+        raise ValidationError(f"a {work.dtype} workspace cannot hold the "
+                              f"activations of {dtype} features")
+    return params.astype(dtype)
 
 
 def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
@@ -419,11 +430,12 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
 
     Returns the selections and the forward caches, which
     ``batch_loss_and_grads`` takes so that it need not run the decoder
-    again. The decoder computes in the dtype of the batch's features.
-    Video b's frame-sized activations are written into slot b of the
-    workspace, and each decoder input into its scratch.
+    again. The decoder computes in the dtype of the batch's features,
+    which must be the workspace's. Video b's frame-sized activations are
+    written into slot b of the workspace, and each decoder input into its
+    scratch.
     """
-    params = params.astype(_compute_dtype(*(v.frames for v in batch)))
+    params = _batch_params(params, batch, work)
     caches = []
     for b, v in enumerate(batch):
         length = v.frames.shape[0]
@@ -457,13 +469,14 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     those steps x frames rows; the frame gradient is then one product of
     the selected attention rows, their logit gradient and the cosine
     gradient with three steps x d' matrices. The decoder computes in the
-    dtype of the batch's features, and each term accumulates into the
-    float64 gradients, which share the parameters' flat layout. Each
-    video's decoder input is rebuilt for the input projection's gradient.
+    dtype of the batch's features, which must be the workspace's, and
+    each term accumulates into the float64 gradients, which share the
+    parameters' flat layout. Each video's decoder input is rebuilt for
+    the input projection's gradient.
     Each video's frame-sized and steps x frames arrays and its decoder
     input are written into the workspace's scratch.
     """
-    params = params.astype(_compute_dtype(*(v.frames for v in batch)))
+    params = _batch_params(params, batch, work)
     grads = params.zeros_like()
     gamma = config.gamma
     # mean over steps within a video, then over the annotated videos
@@ -580,13 +593,15 @@ def align_video(params: ModelParams, frames: np.ndarray,
     """Full inference: decode the video's slots, pick one per step, then
     align the selected slots to the video's frames and read off one
     segment per step. The decoder computes in the frames' dtype, over
-    parameters cast once; an all-zero frame row raises ValidationError
-    naming the frame. Only the slots and the projected frames are kept
-    after the forward."""
+    parameters cast once; frames or step texts that are not real numbers
+    raise ValidationError, and so does an all-zero frame row, naming the
+    frame. Only the slots and the projected frames are kept after the
+    forward."""
     frames = np.asarray(frames)
+    dtype = compute_dtype(frames)
     norms = _row_norms(frames)
     _reject_zero_row(norms, "video")
-    params = params.astype(_compute_dtype(frames))
+    params = params.astype(dtype)
     slots, cache = forward_slots(
         params, _decoder_input(frames, norms, normalize_features))
     xp = cache["xp"]
@@ -659,7 +674,7 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
     work = TrainWorkspace(
-        params.astype(_compute_dtype(*(v.frames for v in (*train, *val)))),
+        params.astype(compute_dtype(*(v.frames for v in (*train, *val)))),
         min(config.batch_size, max(len(train), len(val))),
         max(v.frames.shape[0] for v in (*train, *val)),
         max(v.steps.size for v in train))

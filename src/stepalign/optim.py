@@ -10,7 +10,10 @@ The optimizer's moments and scratch space are allocated once, when it is
 built, and a step allocates no array.
 
 The float64 buffer holds the master parameters, as in mixed-precision
-training (Micikevicius et al., "Mixed Precision Training", ICLR 2018): a
+training (Micikevicius et al., "Mixed Precision Training", ICLR 2018).
+Both models compute in the dtype of their features, which
+``compute_dtype`` gives: float32 for a corpus and float64 for float64
+arrays; features that are not real numbers raise ValidationError. A
 model that computes in float32 reads ``astype(np.float32)``, a new cast
 of the whole buffer in the same layout, and its gradients accumulate
 into a float64 buffer, so Adam's moments and updates stay float64.
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_real
 
 
 @dataclass
@@ -40,6 +43,16 @@ class EpochLog:
     epoch: int
     loss: float
     val_score: float
+
+
+def compute_dtype(*features: np.ndarray) -> np.dtype:
+    """The dtype a model computes in for these feature arrays: float32
+    when each holds float32 or narrower numbers, float64 otherwise. An
+    array of bools, complex numbers, objects or strings raises
+    ValidationError naming its dtype."""
+    for array in features:
+        check_real(array, "features")
+    return np.result_type(np.float32, *features)
 
 
 class FlatParams:
@@ -194,4 +207,5 @@ def fit(training: Training, params: FlatParams,
     return training
 
 
-__all__ = ["Adam", "EpochLog", "FlatParams", "Training", "fit"]
+__all__ = ["Adam", "EpochLog", "FlatParams", "Training", "compute_dtype",
+           "fit"]

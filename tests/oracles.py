@@ -18,6 +18,9 @@ that ``stepalign.optim.Adam`` runs over one flat buffer.
 ``classifier_loss_and_grads`` is the classifier epoch that allocates its
 activations and gradients afresh and masks the ReLU by boolean indexing;
 ``train_classifier_fold_per_tensor`` trains with it and ``DictAdam``.
+Like the classifier, both classifier oracles compute in the dtype of
+the rows or features they are given, over the float64 parameters cast
+to it, and the epoch widens each gradient to float64 before Adam.
 ``forward_slots_kv`` and ``batch_loss_and_grads_kv`` are the decoder's
 forward and backward in key/value form, with a key and a value for every
 frame, that ``stepalign.model`` replaced with attention in slot space;
@@ -53,11 +56,11 @@ from stepalign.metrics import (
     Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
 )
 from stepalign.model import (
-    FoldVideo, ModelParams, TrainConfig, TrainWorkspace,
-    _compute_dtype, _softmax_rows, _unit_rows_backward, align_video,
-    batch_loss_and_grads, compute_selections, cosine_matrix,
+    FoldVideo, ModelParams, TrainConfig, TrainWorkspace, _softmax_rows,
+    _unit_rows_backward, align_video, batch_loss_and_grads,
+    compute_selections, cosine_matrix,
 )
-from stepalign.optim import EpochLog, Training
+from stepalign.optim import EpochLog, Training, compute_dtype
 
 # transition codes for the match table
 _T_DIAG, _T_ROW, _T_START = 0, 1, 2
@@ -230,17 +233,20 @@ def detect_per_segment(params: ClassifierParams,
                        proposals: list[tuple[int | None, Segment]],
                        video_feats: np.ndarray, step_feats: np.ndarray,
                        video_only: bool = False) -> list[Detection]:
-    """One forward per proposal: the segment's mean-pooled features,
-    followed, unless ``video_only``, by its step's text vector (zero for a
-    step-``None`` proposal) as one input vector, then a softmax."""
-    video_feats = np.asarray(video_feats, dtype=np.float64)
+    """One forward per proposal: the segment's features mean-pooled in
+    float64, followed, unless ``video_only``, by its step's text vector
+    (zero for a step-``None`` proposal) as one input vector in the video
+    features' dtype, then a softmax."""
+    dtype = compute_dtype(video_feats)
+    params = params.astype(dtype)
     out = []
     for step, seg in proposals:
-        x = video_feats[seg.start:seg.end].mean(axis=0)
+        x = video_feats[seg.start:seg.end].mean(axis=0, dtype=np.float64)
         if not video_only:
             text = (np.zeros(step_feats.shape[1]) if step is None
                     else step_feats[step - 1])
             x = np.concatenate([x, text])
+        x = x.astype(dtype)
         h = np.maximum(x @ params.w1 + params.b1, 0.0)
         z = h @ params.w2 + params.b2
         probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
@@ -282,6 +288,7 @@ def classifier_loss_and_grads(params: ClassifierParams, x: np.ndarray,
                               y: np.ndarray, weights: np.ndarray
                               ) -> tuple[float, dict[str, np.ndarray]]:
     n = x.shape[0]
+    params = params.astype(x.dtype)
     h_pre = x @ params.w1 + params.b1
     h = np.maximum(h_pre, 0.0)
     z = h @ params.w2 + params.b2
@@ -292,14 +299,16 @@ def classifier_loss_and_grads(params: ClassifierParams, x: np.ndarray,
     d_z = probs.copy()
     d_z[np.arange(n), y] -= 1.0
     d_z *= (weights / n)[:, None]
+    # the products round in the rows' dtype and are then widened; the
+    # sums accumulate in float64
     grads = {
-        "w2": h.T @ d_z,
-        "b2": d_z.sum(axis=0),
+        "w2": (h.T @ d_z).astype(np.float64),
+        "b2": d_z.sum(axis=0, dtype=np.float64),
     }
     d_h = d_z @ params.w2.T
     d_h[h_pre <= 0.0] = 0.0
-    grads["w1"] = x.T @ d_h
-    grads["b1"] = d_h.sum(axis=0)
+    grads["w1"] = (x.T @ d_h).astype(np.float64)
+    grads["b1"] = d_h.sum(axis=0, dtype=np.float64)
     return loss, grads
 
 
@@ -362,7 +371,7 @@ def fresh_workspace(params: ModelParams, batch: Sequence[FoldVideo]
     for its longest video and most annotated steps, in the dtype the
     decoder computes in for the batch's features."""
     return TrainWorkspace(
-        params.astype(_compute_dtype(*(v.frames for v in batch))), len(batch),
+        params.astype(compute_dtype(*(v.frames for v in batch))), len(batch),
         max((v.frames.shape[0] for v in batch), default=0),
         max((v.steps.size for v in batch), default=0))
 
@@ -410,7 +419,7 @@ def forward_slots_kv(params: ModelParams, video: np.ndarray
     if video.ndim != 2 or video.shape[1] != params.feature_dim:
         raise ValidationError(
             f"video features must be L x {params.feature_dim}, got {video.shape}")
-    params = params.astype(_compute_dtype(video))
+    params = params.astype(compute_dtype(video))
     xp = video @ params.proj_v
     qp = params.queries @ params.w_q
     km = xp @ params.w_k
@@ -439,7 +448,7 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
     """``batch_loss_and_grads`` in its first form, over the caches of
     ``forward_slots_kv``: the decoder backward runs through the per-frame
     keys and values."""
-    params = params.astype(_compute_dtype(*(v.frames for v in batch)))
+    params = params.astype(compute_dtype(*(v.frames for v in batch)))
     grads = params.zeros_like()
     gamma = config.gamma
     # mean over steps within a video, then over the annotated videos

@@ -87,6 +87,18 @@ class TestPercentileDropCost:
                                  rf"{pct!r}$"):
             percentile_drop_cost(np.ones((2, 2)), pct)
 
+    @pytest.mark.parametrize("cost, kind", [
+        ([["3", "1", "2"]], "<U1"), ([[True, False, True]], "bool"),
+        ([[1 + 1j, 2.0]], "complex128"), ([[1.0, None]], "object")],
+        ids=["string", "bool", "complex", "object"])
+    def test_cost_not_numbers_rejected(self, cost, kind):
+        # the strings read as their numbers (here 2.0), the bools as 0/1,
+        # and a complex matrix lost its imaginary part with a warning
+        with pytest.raises(ValidationError,
+                           match=rf"^cost matrix must be ints or floats, "
+                                 rf"got an array of {kind}$"):
+            percentile_drop_cost(np.array(cost), 50)
+
     @pytest.mark.parametrize("pct", [0.5, 80.0, 100.0])
     @pytest.mark.parametrize("kind", ["real", "integer", "ties"])
     def test_equals_sorted_nearest_rank(self, kind, pct):
@@ -148,6 +160,18 @@ class TestDropDtw:
     def test_infinite_drop_cost_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             drop_dtw(np.ones((2, 2)), math.inf)
+
+    @pytest.mark.parametrize("cost, kind", [
+        ([["0", "1", "2"]], "<U1"), ([[True, False, True]], "bool"),
+        ([[1 + 1j, 0.0, 2.0]], "complex128"), ([[0.0, None, 1.0]], "object")],
+        ids=["string", "bool", "complex", "object"])
+    def test_cost_not_numbers_rejected(self, cost, kind):
+        # the strings and bools aligned as the numbers they cast to, and a
+        # complex matrix lost its imaginary part with a warning
+        with pytest.raises(ValidationError,
+                           match=rf"^cost matrix must be ints or floats, "
+                                 rf"got an array of {kind}$"):
+            drop_dtw(cost, 0.5)
 
     @pytest.mark.parametrize("shape", [(2, 1), (5, 3), (13, 12)])
     def test_more_rows_than_columns_rejected(self, shape):
@@ -365,6 +389,16 @@ class TestDropDtwStack:
         rule = f"^cost matrix has {shape[1]} rows but only {shape[2]} columns$"
         with pytest.raises(ValidationError, match=rule):
             drop_dtw_stack(np.zeros(shape), np.zeros(shape[0]))
+
+    @pytest.mark.parametrize("costs, kind", [
+        ([[["0", "1", "2"]]], "<U1"), ([[[True, False, True]]], "bool")],
+        ids=["string", "bool"])
+    def test_costs_not_numbers_rejected(self, costs, kind):
+        # the stack was cast to float as drop_dtw cast a matrix
+        with pytest.raises(ValidationError,
+                           match=rf"^cost matrix must be ints or floats, "
+                                 rf"got an array of {kind}$"):
+            drop_dtw_stack(costs, [0.5])
 
     @pytest.mark.parametrize("drops, kind", [
         (["1"], "<U1"), ([True], "bool"), ([None], "object")],

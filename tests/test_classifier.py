@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -109,7 +110,8 @@ def test_batch_grads_equal_allocating_oracle_bit_for_bit(dead_units):
     assert loss == want_loss
     for name, tensor in want.items():
         assert getattr(work.grads, name).tobytes() == tensor.tobytes(), name
-    assert not np.signbit(work.d_h[:, :dead_units]).any()
+    # the backward writes the hidden gradient over the activations
+    assert not np.signbit(work.h[:, :dead_units]).any()
 
 
 def test_epoch_allocates_less_than_one_hidden_array():
@@ -132,6 +134,96 @@ def test_epoch_allocates_less_than_one_hidden_array():
     finally:
         tracemalloc.stop()
     assert peak < n * hidden * 8
+
+
+def _float32_case(seed, n=261):
+    """Float32 rows of the paper's classifier shape, 128 inputs and 256
+    hidden units, at parameters with nonzero biases."""
+    rng = np.random.default_rng(seed)
+    params = ClassifierParams.init(rng, input_dim=128, hidden=256)
+    params.b1 += 0.1 * rng.normal(size=256)
+    params.b2 += rng.normal(size=3)
+    x = (0.2 * rng.normal(size=(n, 128))).astype(np.float32)
+    return params, x, rng.integers(0, 3, size=n), rng.uniform(0.5, 2.0, size=n)
+
+
+# each gradient passes through about 4 products, each summing at most
+# n = 261 rows or 256 hidden units, whose rounding errors grow like
+# sqrt(n) ~ 2^4 float32 eps: 2^6 eps relative to each tensor's largest
+# entry (seeds 0-5 read at most 4.4 eps); the loss, a weighted mean of
+# log-softmaxes, 2^4 eps
+_GRAD_TOL = 2 ** 6 * np.finfo(np.float32).eps
+_LOSS_TOL = 2 ** 4 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_epoch_matches_float64_epoch(seed):
+    params, x, y, weights = _float32_case(seed)
+    low = _Workspace(params, x, y, weights)
+    high = _Workspace(params, x.astype(np.float64), y, weights)
+    got = _batch_loss_and_grads(params, low)
+    want = _batch_loss_and_grads(params, high)
+    assert low.h.dtype == np.float32 and high.h.dtype == np.float64
+    assert abs(got - want) <= _LOSS_TOL * abs(want)
+    for name, grad in high.grads.as_dict().items():
+        gap = np.max(np.abs(getattr(low.grads, name) - grad))
+        assert gap <= _GRAD_TOL * np.max(np.abs(grad)), name
+
+
+def test_float32_rows_give_float32_workspace_over_float64_masters(
+        monkeypatch):
+    # a corpus's features are float32, and so are its rows
+    corpus, fold, config = _small_fold()
+    seen = set()
+    step = stepalign.classifier._batch_loss_and_grads
+
+    def recorded(params, work):
+        seen.add((work.x.dtype, work.h.dtype, work.grads.flat.dtype,
+                  params.flat.dtype))
+        return step(params, work)
+
+    monkeypatch.setattr(stepalign.classifier, "_batch_loss_and_grads",
+                        recorded)
+    training = train_classifier_fold(corpus, fold, config)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert seen == {(f32, f32, f64, f64)}
+    assert training.params.flat.dtype == f64
+
+
+def test_float32_epoch_allocates_less_than_one_hidden_array():
+    # the parameters' float32 cast and a product's float32 result before
+    # it lands in the float64 gradients, each 128 x 256 numbers at most,
+    # and numpy's bounded iteration buffers stay below one 600 x 256
+    # float32 array
+    params, x, y, weights = _float32_case(5, n=600)
+    work = _Workspace(params, x, y, weights)
+    opt = Adam(params.flat.size)
+
+    def epoch():
+        _batch_loss_and_grads(params, work)
+        opt.step(params.flat, work.grads.flat)
+
+    epoch()
+    tracemalloc.start()
+    try:
+        epoch()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 256 * 4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+def test_workspace_holds_one_hidden_float_buffer(dtype):
+    # the hidden gradient is written over the activations
+    params, x, y, weights = _float32_case(6, n=40)
+    work = _Workspace(params, x.astype(dtype), y, weights)
+    hidden_floats = [name for name, value in vars(work).items()
+                     if isinstance(value, np.ndarray)
+                     and value.shape == (40, 256) and value.dtype.kind == "f"]
+    assert hidden_floats == ["h"]
+    assert work.h.dtype == dtype
 
 
 def _small_fold():
@@ -314,17 +406,10 @@ def test_train_save_load_detect(tmp_path):
         np.testing.assert_array_equal(getattr(params, name), expected, err_msg=name)
 
     video = corpus.video_by_id(ids["m00"])
-    feats = corpus.video_features(video.video_id)
-    step_feats = corpus.task_step_features(video.task)
-    dets = detect_on_segments(params, corpus, video)
-    proposals = [(s.step, s.segment) for s in video.segments]
-    assert [d.segment for d in dets] == [s.segment for s in video.segments]
-    assert any(step is None for step, _ in proposals)
-    expected = detect_per_segment(params, proposals, feats, step_feats)
-    assert [(d.step, d.label) for d in dets] == \
-        [(d.step, d.label) for d in expected]
-    for det, want in zip(dets, expected):
-        assert det.confidence == pytest.approx(want.confidence, abs=1e-12)
+    assert any(seg.step is None for seg in video.segments)
+    # widened to float64, rows and oracle agree to 1e-12
+    _assert_detections_match_per_segment(params, corpus, video, np.float64,
+                                         tol=1e-12)
 
 
 def test_video_only_train_save_load_detect(tmp_path):
@@ -340,20 +425,57 @@ def test_video_only_train_save_load_detect(tmp_path):
     assert params.w1.shape == (corpus.feature_dim, config.hidden)
 
     video = corpus.video_by_id(ids["m00"])
-    feats = corpus.video_features(video.video_id)
+    dets = _assert_detections_match_per_segment(
+        params, corpus, video, np.float64, tol=1e-12, video_only=True)
+    # the text is not read at all: NaN step features change nothing
+    feats = corpus.video_features(video.video_id).astype(np.float64)
     step_feats = corpus.task_step_features(video.task)
+    unread = detect_mistakes(params, [(d.step, d.segment) for d in dets],
+                             feats, np.full_like(step_feats, np.nan))
+    assert unread == dets
+
+
+# the rows' gemm and the oracle's per-segment gemv sum the same at most 16
+# input and 8 hidden terms in other orders; on these folds the float32
+# confidences were at most half an eps apart, and 16 eps bounds them
+_FLOAT32_CONFIDENCE_TOL = 16 * float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("video_only", [False, True],
+                         ids=["video-text", "video-only"])
+def test_float32_train_save_load_detect(tmp_path, video_only):
+    # the corpus's float32 features, as detect_on_segments reads them
+    corpus, fold, config = _small_fold()
+    config = replace(config, video_only=video_only)
+    training = train_classifier_fold(corpus, fold, config)
+    save_classifier(tmp_path / "clf.ckpt", training, config)
+    params, _ = load_classifier(tmp_path / "clf.ckpt")
+    for video in corpus.videos:
+        dets = _assert_detections_match_per_segment(
+            params, corpus, video, np.float32, tol=_FLOAT32_CONFIDENCE_TOL,
+            video_only=video_only)
+        assert dets == detect_on_segments(params, corpus, video)
+        # softmax probabilities computed in float32
+        assert all(float(np.float32(d.confidence)) == d.confidence
+                   for d in dets)
+
+
+def _assert_detections_match_per_segment(params, corpus, video, dtype, tol,
+                                         video_only=False):
+    """``detect_mistakes`` on a video's annotated segments, with its
+    features and texts in ``dtype``, against the per-segment oracle: the
+    same steps, segments and labels, and confidences within ``tol``."""
+    feats = corpus.video_features(video.video_id).astype(dtype)
+    step_feats = corpus.task_step_features(video.task).astype(dtype)
     proposals = [(s.step, s.segment) for s in video.segments]
-    dets = detect_on_segments(params, corpus, video)
+    dets = detect_mistakes(params, proposals, feats, step_feats)
     expected = detect_per_segment(params, proposals, feats, step_feats,
-                                  video_only=True)
+                                  video_only)
     assert [(d.step, d.segment, d.label) for d in dets] == \
         [(d.step, d.segment, d.label) for d in expected]
     for det, want in zip(dets, expected):
-        assert det.confidence == pytest.approx(want.confidence, abs=1e-12)
-    # the text is not read at all: NaN step features change nothing
-    unread = detect_mistakes(params, proposals, feats,
-                             np.full_like(step_feats, np.nan))
-    assert unread == dets
+        assert det.confidence == pytest.approx(want.confidence, abs=tol)
+    return dets
 
 
 def _random_proposals(rng, num_frames, num_steps, n):
@@ -451,6 +573,25 @@ def test_empty_proposals_give_no_detections():
     params = ClassifierParams.init(rng, input_dim=8, hidden=6)
     assert detect_mistakes(params, [], rng.normal(size=(12, 4)),
                            rng.normal(size=(2, 4))) == []
+
+
+@pytest.mark.parametrize("argument", ["frames", "step_feats"])
+@pytest.mark.parametrize("dtype", [bool, np.complex128, object, np.str_],
+                         ids=["bool", "complex", "object", "string"])
+def test_detect_mistakes_rejects_features_not_real_numbers(argument, dtype):
+    # bools computed as numbers, complex numbers lost their imaginary part
+    # with a warning, and strings failed bare in the pooling
+    rng = np.random.default_rng(7)
+    params = ClassifierParams.init(rng, input_dim=8, hidden=6)
+    inputs = {"frames": rng.normal(size=(12, 4)),
+              "step_feats": rng.normal(size=(2, 4))}
+    inputs[argument] = (inputs[argument] > 0).astype(dtype)
+    what = "features" if argument == "frames" else "step features"
+    with pytest.raises(ValidationError, match=(
+            rf"^{what} must be ints or floats, got an array of "
+            rf"{re.escape(str(inputs[argument].dtype))}$")):
+        detect_mistakes(params, [(1, Segment(0, 5)), (None, Segment(5, 9))],
+                        inputs["frames"], inputs["step_feats"])
 
 
 @pytest.mark.parametrize("input_dim", [3, 6, 9, 16])
@@ -606,4 +747,4 @@ def test_pipeline_outputs_pinned():
     assert best_epochs == [(2, 0), (0, 30)]
     digest = hashlib.sha256(repr(videos).encode()).hexdigest()
     assert digest == (
-        "2c7947a136f2d855ff6f48e91fc8787c7c7b8aa80734b520d0ba69a2437f780e")
+        "c9ffd11ab06e359be6293c31fff03e0682af5da9f18540a2277c725cd6d5a3bd")

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -563,6 +564,24 @@ class TestAlignVideos:
             compute_selections(params, [video], TrainConfig(),
                                fresh_workspace(params, [video]))
 
+    @pytest.mark.parametrize("argument", ["frames", "step_feats"])
+    @pytest.mark.parametrize("dtype", [bool, np.complex128, object, np.str_],
+                             ids=["bool", "complex", "object", "string"])
+    def test_features_not_real_numbers_rejected(self, argument, dtype):
+        # bool frames computed as float32, and the others failed bare or
+        # computed in complex
+        rng = np.random.default_rng(45)
+        params = _params(rng, d=6, dp=5, u=4)
+        inputs = {"frames": rng.normal(size=(9, 6)),
+                  "step_feats": rng.normal(size=(2, 6))}
+        inputs[argument] = (inputs[argument] > 0).astype(dtype)
+        what = "features" if argument == "frames" else "step features"
+        with pytest.raises(ValidationError, match=(
+                rf"^{what} must be ints or floats, got an array of "
+                rf"{re.escape(str(inputs[argument].dtype))}$")):
+            align_video(params, inputs["frames"], inputs["step_feats"],
+                        80.0, True)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["float32", "float64"])
     @pytest.mark.parametrize("normalize", [True, False])
@@ -786,6 +805,31 @@ class TestTrainWorkspace:
             assert got[1].flat.tobytes() == grads.flat.tobytes()
         assert np.all(grads.queries[[0, 2, 3]] == 0.0)
         assert np.all(np.any(grads.queries[[1, 4, 5]] != 0.0, axis=1))
+
+    @pytest.mark.parametrize("work_dtype, frames_dtype", [
+        (np.float32, np.float64), (np.float64, np.float32)],
+        ids=["float32-workspace", "float64-workspace"])
+    def test_workspace_of_another_dtype_rejected(self, work_dtype,
+                                                 frames_dtype):
+        # a float32 workspace cached float32 activations of float64 frames,
+        # and a float64 one computed float32 frames in float64
+        rng = np.random.default_rng(63)
+        params = _params(rng, d=6, dp=5, u=4)
+        batch = _fold_videos(rng, (17, 29), d=6, k=2, dtype=frames_dtype)
+        config = TrainConfig()
+        work = TrainWorkspace(params.astype(work_dtype), batch_size=2,
+                              max_frames=29, max_steps=2)
+        rule = (f"^a {np.dtype(work_dtype)} workspace cannot hold the "
+                f"activations of {np.dtype(frames_dtype)} features$")
+        with pytest.raises(ValidationError, match=rule):
+            compute_selections(params, batch, config, work)
+        selections, caches = compute_selections(
+            params, batch, config, fresh_workspace(params, batch))
+        with pytest.raises(ValidationError, match=rule):
+            batch_loss_and_grads(params, batch, selections, caches, config,
+                                 work)
+        with pytest.raises(ValidationError, match=rule):
+            evaluate_alignment_f1(params, batch, config, work)
 
     def test_cache_arrays_live_in_the_workspace(self):
         rng = np.random.default_rng(61)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stepalign.errors import NumericalError, ValidationError
-from stepalign.optim import Adam, FlatParams, Training, fit
+from stepalign.optim import Adam, FlatParams, Training, compute_dtype, fit
 
 from oracles import DictAdam
 
@@ -52,6 +52,28 @@ def test_float32_cast_shares_the_layout_and_leaves_the_master():
     # a copy or a gradient accumulator of a cast is float64 again
     assert low.copy().flat.tobytes() == low.flat.astype(np.float64).tobytes()
     assert low.zeros_like().flat.tobytes() == np.zeros(32).tobytes()
+
+
+@pytest.mark.parametrize("dtypes, want", [
+    ((np.float32,), np.float32), ((np.float32, np.float32), np.float32),
+    ((np.float16,), np.float32), ((np.int16,), np.float32),
+    ((np.float64,), np.float64), ((np.float32, np.float64), np.float64),
+    ((np.int64,), np.float64), ((np.uint32, np.float32), np.float64),
+], ids=lambda v: "-".join(np.dtype(d).name for d in v)
+   if isinstance(v, tuple) else np.dtype(v).name)
+def test_compute_dtype_is_float32_only_for_float32_or_narrower(dtypes, want):
+    assert compute_dtype(*(np.zeros((2, 3), d) for d in dtypes)) == want
+
+
+@pytest.mark.parametrize("dtype", [bool, np.complex64, object, np.str_],
+                         ids=["bool", "complex", "object", "string"])
+def test_compute_dtype_rejects_features_not_real_numbers(dtype):
+    # bools computed as float32 and complex numbers in complex
+    features = np.zeros((2, 3), dtype)
+    with pytest.raises(ValidationError, match=(
+            rf"^features must be ints or floats, got an array of "
+            rf"{features.dtype}$")):
+        compute_dtype(np.zeros((2, 3), np.float32), features)
 
 
 @pytest.mark.parametrize("seed", range(3))
