@@ -19,7 +19,12 @@ where W is the running sum of min(cost, drop cost). The transition
 decisions are then taken for every cell of the stack at once. The
 backtrace is a scalar loop per matrix that steps once per row, since
 within a row the path visits every kept item between the cell where it
-enters the row and the cell where it leaves.
+enters the row and the cell where it leaves. It finds those cells by
+``bytes.rfind`` over the row's bytes of the kept and entry masks, each
+taken as bytes once: the last kept item of the row above before the
+entry, and the last entry of the row before a row move. Every such
+search finds an item, because cell (i, i) of every row i is kept and is
+an entry, since no path reaches it from the left.
 
 Ties are resolved deterministically: matching is preferred over dropping,
 and transition sources are tried diagonal, then row, then fresh start.
@@ -129,27 +134,34 @@ def _scan_rows(cost: np.ndarray, di: np.ndarray) -> tuple[np.ndarray, np.ndarray
     row_move[1:] = rd_left[:-1] > rd_left[1:] + tol     # diagonal > row
     dropped = rd_left + di < M - tol
 
-    # Backtrace, one row at a time for each matrix. The path leaves row i
-    # at item leave[i] and, by row moves, visits every kept item back to
-    # enter[i], the last kept item before it not reached by a row move.
-    items = np.arange(m)
-    last_kept = np.maximum.accumulate(np.where(dropped, -1, items), axis=2)
-    last_entry = np.maximum.accumulate(
-        np.where(dropped | row_move, -1, items), axis=2)
-    enter = np.empty((n, b), dtype=np.intp)
-    leave = np.empty((n, b), dtype=np.intp)
+    # Backtrace, one row at a time for each matrix. The path leaves a row
+    # at a kept item and, by row moves, visits every kept item back to the
+    # one where it entered the row: the last entry, a kept item not reached
+    # by a row move, before it. It entered from the row above, which it
+    # left at the last kept item of that row before the entry. Each such
+    # search is a bytes.rfind over that row of a mask taken as bytes once,
+    # in C order, so cell (i, k, j) is byte (i * b + k) * m + j, and the
+    # row's visited cells are copied from the kept mask's bytes. Every
+    # search finds an item: in every row i the cell (i, i) is kept and is
+    # an entry, since rd_left is infinite there, and each search of row i
+    # runs over items 0..j-1 with j > i.
+    kept = (~dropped).tobytes()
+    entry = (~(dropped | row_move)).tobytes()
+    moved = row_move.tobytes()
+    visited = bytearray(n * b * m)
+    stride = b * m
     for k in range(b):
-        j = int(last_kept[n - 1, k, m - 1])
+        base = (n - 1) * stride + k * m
+        p = kept.rfind(b"\x01", base, base + m)
         for i in range(n - 1, -1, -1):
-            leave[i, k] = j
-            if row_move[i, k, j]:
-                j = int(last_entry[i, k, j - 1])
-            enter[i, k] = j
+            leave = p + 1
+            if moved[p]:
+                p = entry.rfind(b"\x01", base, p)
+            visited[p:leave] = kept[p:leave]
             if i:
-                j = int(last_kept[i - 1, k, j - 1])
-
-    visited = ~dropped & (items >= enter[..., None]) & (items < leave[..., None])
-    visited[np.arange(n)[:, None], np.arange(b), leave] = True
+                base -= stride
+                p = kept.rfind(b"\x01", base, p - stride)
+    visited = np.frombuffer(visited, dtype=bool).reshape(n, b, m)
     return visited, RD[n - 1, :, m - 1]
 
 
@@ -198,7 +210,20 @@ def drop_dtw_stack(costs: np.ndarray, drop_item_costs: np.ndarray
 def decode_segments(visited: np.ndarray) -> list[tuple[int, Segment]]:
     """One segment per step from a ``drop_dtw`` visited mask: row i is
     step i + 1, and its segment spans from the row's first to its last
-    visited column; the kernel visits every row."""
+    visited column. A mask the kernel cannot produce, one that is not a
+    2-d bool array or has a row that visits no item, raises
+    ValidationError."""
+    visited = np.asarray(visited)
+    if visited.dtype != bool:
+        raise ValidationError(
+            f"visited mask must be bool, got an array of {visited.dtype}")
+    if visited.ndim != 2:
+        raise ValidationError(
+            f"visited mask must be 2-d, got shape {visited.shape}")
+    empty = np.flatnonzero(~visited.any(axis=1))
+    if empty.size:
+        raise ValidationError(
+            f"visited mask row {empty[0]} (step {empty[0] + 1}) visits no item")
     first = visited.argmax(axis=1)
     last = visited.shape[1] - 1 - visited[:, ::-1].argmax(axis=1)
     return [(row + 1, Segment(lo, hi + 1))

@@ -132,9 +132,23 @@ def _match_flags(ranked: list[tuple[str, Detection]],
 
 
 def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
-    """All-point interpolated AP (precision envelope over the PR curve)."""
+    """All-point interpolated AP (precision envelope over the PR curve).
+
+    ``tp_flags`` is a 1-d bool array in rank order and ``n_gt`` an int at
+    least its number of true positives; anything else raises
+    ValidationError naming the argument."""
+    if not isinstance(tp_flags, np.ndarray) or tp_flags.dtype != bool \
+            or tp_flags.ndim != 1:
+        got = (f"a {tp_flags.ndim}-d array of {tp_flags.dtype}"
+               if isinstance(tp_flags, np.ndarray) else type(tp_flags).__name__)
+        raise ValidationError(f"tp_flags must be a 1-d bool array, got {got}")
+    check_type(n_gt, int, "n_gt")
     if n_gt <= 0:
         raise ValidationError("AP needs at least one ground-truth instance")
+    n_tp = int(np.count_nonzero(tp_flags))
+    if n_tp > n_gt:
+        raise ValidationError(
+            f"tp_flags has {n_tp} true positives but n_gt is {n_gt}")
     if len(tp_flags) == 0:
         return 0.0
     tp = np.cumsum(tp_flags)

@@ -359,6 +359,67 @@ def test_no_two_rows_share_a_column(problem, scale):
         assert mask.sum(axis=1).max() <= 1, "two rows share an item"
 
 
+def _assert_stack_same_as_loop(costs, drops):
+    visited, totals = drop_dtw_stack(costs, drops)
+    for cost, di, mask, total in zip(costs, drops, visited, totals):
+        expected, expected_total = drop_dtw_loop(cost, di)
+        np.testing.assert_array_equal(mask, expected)
+        assert total == pytest.approx(expected_total, rel=1e-12, abs=0)
+    return visited
+
+
+def _planted_stack(rng, b, n, m, place):
+    """A B x n x m stack in which row i favours the i-th of n equal bands of
+    items (cost about -1 there, +1 elsewhere) and drops cost 0, with a run
+    of items planted in every band that cost about +1 to every row, so the
+    best path drops them: half a band long, at the band's ``start``, its
+    ``end``, ``inside`` it, or ``across`` its boundary with the next band.
+    Returns the stack, the drop costs and the planted items."""
+    costs = np.ones((b, n, m)) + rng.normal(scale=0.05, size=(b, n, m))
+    width = m // n
+    run = width // 2
+    planted = np.zeros(m, dtype=bool)
+    for i in range(n):
+        lo, hi = i * width, (i + 1) * width
+        costs[:, i, lo:hi] -= 2.0
+        if place == "start":
+            planted[lo:lo + run] = True
+        elif place == "end":
+            planted[hi - run:hi] = True
+        elif place == "inside":
+            planted[lo + width // 4:lo + width // 4 + run] = True
+        elif i < n - 1:
+            planted[hi - run // 2:hi + run // 2] = True
+    costs[:, :, planted] += 2.0 * (costs[:, :, planted] < 0)
+    return costs, np.zeros(b), planted
+
+
+class TestStacksAgainstLoop:
+    """Stacks of several matrices at the pipeline's largest shape, and long
+    runs of dropped items where the backtrace's searches start and stop."""
+
+    def test_long_video_shape(self):
+        rng = np.random.default_rng(1340)
+        costs = np.stack([-cosine_matrix(rng.normal(size=(12, 16)),
+                                         rng.normal(size=(1340, 16)))
+                          for _ in range(3)])
+        drops = np.array([percentile_drop_cost(cost, 80) for cost in costs])
+        _assert_stack_same_as_loop(costs, drops)
+
+    @pytest.mark.parametrize("shape", [(3, 8, 160), (2, 12, 1340)])
+    @pytest.mark.parametrize("place", ["start", "end", "inside", "across"])
+    def test_planted_drop_runs(self, place, shape):
+        rng = np.random.default_rng(shape[2])
+        costs, drops, planted = _planted_stack(rng, *shape, place)
+        visited = _assert_stack_same_as_loop(costs, drops)
+        # each row visits its band but for the planted run, which is dropped
+        b, n, m = shape
+        width = m // n
+        bands = np.arange(m) // width == np.arange(n)[:, None]
+        np.testing.assert_array_equal(visited, np.broadcast_to(
+            bands & ~planted, (b, n, m)))
+
+
 class TestDropDtwStack:
     def test_each_matrix_as_alone(self):
         # one matrix's path must not depend on the others in its stack,
@@ -435,3 +496,24 @@ class TestDecodeSegments:
         visited = self._mask((3, 8), [(0, 0), (1, 2), (2, 4)])
         out = decode_segments(visited)
         assert [step for step, _ in out] == [1, 2, 3]
+
+    def test_empty_row_rejected(self):
+        # step 2 decoded as [0, 6), the whole video
+        visited = self._mask((3, 6), [(0, 0), (2, 4)])
+        with pytest.raises(ValidationError,
+                           match=r"^visited mask row 1 \(step 2\) visits no item$"):
+            decode_segments(visited)
+
+    def test_int_mask_rejected(self):
+        # an int mask decoded as if it were bool
+        visited = self._mask((2, 4), [(0, 0), (1, 2)]).astype(np.int64)
+        with pytest.raises(ValidationError,
+                           match="^visited mask must be bool, got an array of int64$"):
+            decode_segments(visited)
+
+    def test_3d_mask_rejected(self):
+        # a 3-d mask raised a bare TypeError
+        visited = np.ones((2, 2, 4), dtype=bool)
+        with pytest.raises(ValidationError,
+                           match=r"^visited mask must be 2-d, got shape \(2, 2, 4\)$"):
+            decode_segments(visited)

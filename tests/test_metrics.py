@@ -153,6 +153,35 @@ def test_average_precision_without_ground_truth_rejected():
         average_precision(np.array([True]), 0)
 
 
+@pytest.mark.parametrize("flags, got", [
+    (np.array([1, 0, 1]), "a 1-d array of int64"),
+    (np.array([[True, False]]), "a 2-d array of bool"),
+    ([True, False, True], "list")],
+    ids=["int", "2-d", "list"])
+def test_average_precision_flags_not_a_bool_vector_rejected(flags, got):
+    # int flags [1, 0, 1] over 2 instances scored AP -0.583, and a list
+    # raised a bare TypeError
+    with pytest.raises(ValidationError,
+                       match=rf"^tp_flags must be a 1-d bool array, got {got}$"):
+        average_precision(flags, 2)
+
+
+@pytest.mark.parametrize("n_gt", [1.5, 2.0, True, "2"],
+                         ids=["fraction", "float", "bool", "string"])
+def test_average_precision_n_gt_not_an_int_rejected(n_gt):
+    # n_gt = 1.5 was accepted
+    with pytest.raises(ValidationError,
+                       match=rf"^n_gt must be int, got {n_gt!r}$"):
+        average_precision(np.array([True, False]), n_gt)
+
+
+def test_average_precision_more_hits_than_instances_rejected():
+    # three true positives over two instances scored AP 1.5
+    with pytest.raises(ValidationError,
+                       match="^tp_flags has 3 true positives but n_gt is 2$"):
+        average_precision(np.array([True, True, True]), 2)
+
+
 class TestMapAtTiou:
     def test_single_detection_threshold_sweep(self):
         # tIoU of [0,10) vs [6,16): 4 / 16 = 0.25

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -1245,3 +1246,27 @@ class TestTrainAlignmentFold:
         monkeypatch.setattr(stepalign.model, "forward_slots", None)
         with pytest.raises(ValidationError, match="fold 0: unknown .*'nope' in test"):
             train_alignment_fold(corpus, replace(fold, test=("nope",)), config)
+
+
+def test_raw_alignment_pinned():
+    # the raw arm behind the benchmark's test_f1_raw, step texts aligned to
+    # frames with no parameters, on a small paper-shaped corpus (8 steps,
+    # ~160 frames) and a small long-video-shaped one (12 steps, ~1400
+    # frames): a change to the kernel's ties or to the normalization that
+    # moves a segment changes a digest
+    digests = []
+    for shape in (dict(tasks=2, videos_per_task=3, workers=2),
+                  dict(tasks=1, videos_per_task=2, workers=2, steps_per_task=12,
+                       frames_per_step=(90, 130))):
+        corpus = synth_corpus(SynthConfig(**shape)).corpus
+        videos = []
+        for video in corpus.videos:
+            segments = align_frames_to_slots(
+                corpus.task_step_features(video.task),
+                corpus.video_features(video.video_id), 80.0)
+            videos.append((video.video_id, [(step, seg.start, seg.end)
+                                            for step, seg in segments]))
+        digests.append(hashlib.sha256(repr(videos).encode()).hexdigest())
+    assert digests == [
+        "8a329b8932802cbacc9cf2d9792da0f4e345a0cd91efe0b6474fce32e1e82eca",
+        "9a8d30939a5ae425211a72f456c778b99f4715ca511a2f5f25d3ceda5de7ffb9"]
