@@ -10,7 +10,9 @@ visited cell is a match and every dropped item pays the drop cost.
 One kernel serves a stack of cost matrices of one shape, each with its
 own drop cost; ``drop_dtw`` is its one-matrix case and
 ``drop_dtw_stack`` aligns a batch, as slot selection does for the videos
-of a training step. Both return the mask of the cells the path visits
+of a training step. The drop costs' nearest-rank percentile is likewise
+written once for a stack, ``percentile_drop_cost_stack``, and
+``percentile_drop_cost`` is its one-matrix case. Both return the mask of the cells the path visits
 and the total; ``decode_segments`` reads one segment per row off the
 mask. The kernel runs one numpy prefix scan per slot row, over that row
 of every matrix at once: the row's best costs with trailing drops are W
@@ -49,25 +51,32 @@ _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile over all matrix entries.
+def percentile_drop_cost_stack(costs: np.ndarray, pct: float) -> np.ndarray:
+    """Nearest-rank percentile over the entries of each matrix of a stack:
+    the B values for the matrices ``costs[b]``, in float64.
 
-    The 1-based rank is ceil(pct * n / 100); the product is taken before
-    the division so that exact ranks like 80% of 5 do not drift in float.
-    ``np.partition`` puts the element of that rank in place without
-    sorting the rest.
+    The 1-based rank is ceil(pct * n / 100) for the n entries of a matrix;
+    the product is taken before the division so that exact ranks like 80%
+    of 5 do not drift in float. ``np.partition`` puts the element of that
+    rank of every matrix in place without sorting the rest.
     """
     if isinstance(pct, bool) or not isinstance(pct, (int, float)):
         raise ValidationError(f"pct must be an int or a float, got {pct!r}")
-    cost = np.asarray(cost)
-    check_real(cost, "cost matrix")
-    flat = cost.astype(np.float64, copy=False).ravel()
-    if flat.size == 0:
+    costs = np.asarray(costs)
+    check_real(costs, "cost matrix")
+    if costs.ndim == 0 or costs.size == 0:
         raise ValidationError("percentile of an empty cost matrix")
     if not (0.0 < pct <= 100.0):
         raise ValidationError(f"percentile must be in (0, 100], got {pct}")
-    kth = max(1, math.ceil(pct * flat.size / 100.0)) - 1
-    return float(np.partition(flat, kth)[kth])
+    flat = costs.astype(np.float64, copy=False).reshape(len(costs), -1)
+    kth = max(1, math.ceil(pct * flat.shape[1] / 100.0)) - 1
+    return np.partition(flat, kth, axis=1)[:, kth]
+
+
+def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
+    """``percentile_drop_cost_stack`` of the one matrix ``cost``: the
+    nearest-rank percentile over all its entries."""
+    return float(percentile_drop_cost_stack(np.asarray(cost)[None], pct)[0])
 
 
 def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:
@@ -231,6 +240,6 @@ def decode_segments(visited: np.ndarray) -> list[tuple[int, Segment]]:
 
 
 __all__ = [
-    "percentile_drop_cost",
+    "percentile_drop_cost", "percentile_drop_cost_stack",
     "drop_dtw", "drop_dtw_stack", "decode_segments",
 ]

@@ -36,22 +36,25 @@ gradient and keeps its initialization.
 Slot selection is recomputed every step but treated as a constant mapping
 inside the loss, so no gradient flows through the discrete alignment.
 A fold reads each of its training and validation videos once, into a
-``FoldVideo``: the corpus's feature array, the task's step texts and the
-rasterized ground truth, with what every step reads of them computed
-once: the frames' row norms, the annotated steps and each step's frames.
-The decoder input, the frames over their norms, is one divide by
-``_decoder_input``. ``train_alignment_fold`` hands ``optim.fit`` its
-mini-batches, drawn each epoch from a new permutation of the training
-videos, and its validation frame-F1; ``fit`` runs Adam, validates after
-every epoch and keeps the best epoch's parameters. A training step runs
-the decoder once per video: ``compute_selections`` keeps each forward's
-activations, selects slots for the whole batch with one stacked Drop-DTW
-per step count, and ``batch_loss_and_grads`` backpropagates through the
-same activations, rebuilding the decoder input, which no cache holds,
-for the input projection's gradient. Validation runs
-``compute_selections`` on chunks of at most ``batch_size`` videos, then
-aligns each video's selected slots to its projected frames. A fold
-allocates the frame-sized arrays of training and validation once, in a
+``FoldVideo``: the decoder input, the task's step texts and the
+rasterized ground truth, with what every step reads of the raster
+computed once: the annotated steps and each step's frames. The decoder
+input, the frames over their row norms, is one divide by
+``_decoder_input``, taken once per fold after the check for all-zero
+rows; nothing keeps the raw frames. ``train_alignment_fold`` hands
+``optim.fit`` its mini-batches, drawn each epoch from a new permutation
+of the training videos, and its validation frame-F1; ``fit`` runs Adam,
+validates after every epoch and keeps the best epoch's parameters. A
+training step runs the decoder once over its videos:
+``compute_selections`` passes them to one ``forward_slots`` call, which
+computes the query products once and keeps each video's activations,
+then selects slots for the whole batch with one stacked selection per
+(steps, slots) shape, and ``batch_loss_and_grads`` backpropagates
+through the same activations and reads the held decoder input for the
+input projection's gradient. Validation runs ``compute_selections`` on
+chunks of at most ``batch_size`` videos, then aligns each video's
+selected slots to its projected frames. A fold allocates the
+frame-sized arrays of training and validation once, in a
 ``TrainWorkspace`` with ``min(batch_size, max(len(train), len(val)))``
 slots sized to its longest training or validation video, and a scratch
 sized also to the most annotated steps of a training video; every step
@@ -90,6 +93,7 @@ import numpy as np
 
 from .alignment import (
     decode_segments, drop_dtw, drop_dtw_stack, percentile_drop_cost,
+    percentile_drop_cost_stack,
 )
 from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
@@ -217,36 +221,41 @@ def _unit_rows_backward(d_hat: np.ndarray, hat: np.ndarray,
     return (d_hat - hat * np.sum(d_hat * hat, axis=1, keepdims=True)) / norms
 
 
-def forward_slots(params: ModelParams, video: np.ndarray,
-                  out: dict[str, np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, dict]:
-    """Run the decoder over one video's features; returns the U x d' slot
-    matrix and the intermediate activations, which do not include the
-    features. The L x d' projected frames and the U x L attention are
-    written into ``out["xp"]`` and ``out["attn"]`` when ``out`` is
-    given. It computes in the features' dtype."""
-    video = np.asarray(video)
-    if video.ndim != 2 or video.shape[1] != params.feature_dim:
-        raise ValidationError(
-            f"video features must be L x {params.feature_dim}, got {video.shape}")
-    params = params.astype(compute_dtype(video))
-    out = {} if out is None else out
-    xp = np.matmul(video, params.proj_v, out=out.get("xp"))
+def forward_slots(params: ModelParams, videos: Sequence[np.ndarray],
+                  outs: Sequence[dict[str, np.ndarray]] | None = None
+                  ) -> list[dict]:
+    """Run the decoder over each video's features; returns, per video, the
+    intermediate activations, which do not include the features, with
+    its U x d' slot matrix under ``"slots"``. The query products
+    ``qp = Q W_q`` and ``qk = qp W_k^T`` are computed once and every
+    video's activations hold them. Video b's L x d' projected frames and
+    U x L attention are written into ``outs[b]["xp"]`` and
+    ``outs[b]["attn"]`` when ``outs`` is given. It computes in the
+    videos' dtype."""
+    videos = [np.asarray(video) for video in videos]
+    for video in videos:
+        if video.ndim != 2 or video.shape[1] != params.feature_dim:
+            raise ValidationError(f"video features must be L x "
+                                  f"{params.feature_dim}, got {video.shape}")
+    params = params.astype(compute_dtype(*videos))
     qp = params.queries @ params.w_q
     qk = qp @ params.w_k.T
     scale = 1.0 / math.sqrt(params.working_dim)
-    # the logits, then their row softmax in place
-    attn = np.matmul(qk, xp.T, out=out.get("attn"))
-    attn *= scale
-    _softmax_rows(attn)
-    ax = attn @ xp
-    ctx = ax @ params.w_v
-    slots = ctx @ params.w_o
-    if not np.all(np.isfinite(slots)):
-        raise NumericalError("slot matrix contains non-finite values")
-    cache = {"xp": xp, "qp": qp, "qk": qk, "attn": attn,
-             "ax": ax, "ctx": ctx, "slots": slots, "scale": scale}
-    return slots, cache
+    caches = []
+    for video, out in zip(videos, outs or [{}] * len(videos)):
+        xp = np.matmul(video, params.proj_v, out=out.get("xp"))
+        # the logits, then their row softmax in place
+        attn = np.matmul(qk, xp.T, out=out.get("attn"))
+        attn *= scale
+        _softmax_rows(attn)
+        ax = attn @ xp
+        ctx = ax @ params.w_v
+        slots = ctx @ params.w_o
+        if not np.all(np.isfinite(slots)):
+            raise NumericalError("slot matrix contains non-finite values")
+        caches.append({"xp": xp, "qp": qp, "qk": qk, "attn": attn,
+                       "ax": ax, "ctx": ctx, "slots": slots, "scale": scale})
+    return caches
 
 
 def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
@@ -255,22 +264,40 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
     negative cosine.
 
     ``slots[b]`` is video b's U x d' slot matrix and ``step_feats[b]`` its
-    K_b x d' step texts. Steps cannot drop; surplus slots drop at each
-    video's percentile cost. Videos with equal step and slot counts are
-    aligned as one stack. When a step's alignment run covers several
-    slots, the cheapest one represents it (ties go to the lower slot
-    index). Returns each video's K_b distinct slot indices in step order.
+    K_b x d' step texts; a count or a width that does not match raises
+    ValidationError naming the argument. Steps cannot drop; surplus slots
+    drop at each video's percentile cost. The videos of each (steps,
+    slots) shape are taken as one stack: one l2 normalization of their
+    slots and one of their texts, one float64 product for the costs, one
+    partition for the drop costs and one stacked Drop-DTW. When a step's
+    alignment run covers several slots, the cheapest one represents it
+    (ties go to the lower slot index). Returns each video's K_b distinct
+    slot indices in step order.
     """
-    costs = [-cosine_matrix(steps, video_slots)
-             for video_slots, steps in zip(slots, step_feats)]
+    if len(step_feats) != len(slots):
+        raise ValidationError(
+            f"step_feats must hold one matrix per slot matrix, got "
+            f"{len(step_feats)} for {len(slots)}")
+    slots = [np.asarray(video_slots) for video_slots in slots]
+    step_feats = [np.asarray(steps) for steps in step_feats]
     groups: dict[tuple[int, ...], list[int]] = {}
-    for b, cost in enumerate(costs):
-        groups.setdefault(cost.shape, []).append(b)
-    chosen: list[list[int]] = [[] for _ in costs]
+    for b, (video_slots, steps) in enumerate(zip(slots, step_feats)):
+        if video_slots.ndim != 2:
+            raise ValidationError(
+                f"slots[{b}] must be U x d', got {video_slots.shape}")
+        width = video_slots.shape[1]
+        if steps.ndim != 2 or steps.shape[1] != width:
+            raise ValidationError(
+                f"step_feats[{b}] must be K x {width}, got {steps.shape}")
+        groups.setdefault((*steps.shape, len(video_slots)), []).append(b)
+    chosen: list[list[int]] = [[] for _ in slots]
     for members in groups.values():
-        stack = np.stack([costs[b] for b in members])
-        drops = np.array([percentile_drop_cost(cost, drop_pct) for cost in stack])
-        visited, _ = drop_dtw_stack(stack, drops)
+        unit_slots = _unit_rows(np.array([slots[b] for b in members]))[0]
+        unit_steps = _unit_rows(np.array([step_feats[b] for b in members]))[0]
+        stack = np.matmul(unit_steps, unit_slots.transpose(0, 2, 1))
+        np.negative(stack, out=stack)
+        visited, _ = drop_dtw_stack(
+            stack, percentile_drop_cost_stack(stack, drop_pct))
         # argmin takes the first minimum: the lower slot index on ties
         best = np.where(visited, stack, np.inf).argmin(axis=2)
         for b, row in zip(members, best.tolist()):
@@ -281,46 +308,62 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
 @dataclass(frozen=True)
 class FoldVideo:
     """One fold video as decoder training and validation read it: the
-    corpus's own feature array, the task's step texts and the
-    ground-truth raster, and the constants every step reads of them,
-    computed once: the frames' row norms, the annotated steps in
-    ascending order and, per annotated step, the mask of its frames. The
-    raster is a copy; it and the constants are read-only."""
+    decoder input, the task's step texts and the ground-truth raster, and
+    the constants every step reads of the raster, computed once: the
+    annotated steps in ascending order and, per annotated step, the mask
+    of its frames. ``from_frames`` builds the input from the video's
+    frames, and keeps nothing else of them. The input, the raster, a
+    copy, and the constants are read-only."""
 
     video_id: str
-    frames: np.ndarray                       # L x d, not normalized
+    x: np.ndarray                            # L x d decoder input
     step_feats: np.ndarray                   # K x d
     gt_labels: np.ndarray                    # per-frame step, 0 background
-    norms: np.ndarray = field(init=False, repr=False)     # L x 1 float64
     steps: np.ndarray = field(init=False, repr=False)     # K'
     positive: np.ndarray = field(init=False, repr=False)  # K' x L
 
     def __post_init__(self):
         gt = np.array(self.gt_labels)
         steps = np.unique(gt[gt > 0])
-        derived = {"gt_labels": gt, "norms": _row_norms(self.frames),
+        # a view, so that the read-only flag is not set on a caller's array
+        derived = {"x": np.asarray(self.x)[...], "gt_labels": gt,
                    "steps": steps, "positive": gt == steps[:, None]}
         for name, value in derived.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus, video_id: str) -> "FoldVideo":
+    def from_frames(cls, video_id: str, frames: np.ndarray,
+                    step_feats: np.ndarray, gt_labels: np.ndarray,
+                    normalize_features: bool) -> "FoldVideo":
+        """The fold video whose decoder input is ``_decoder_input`` of
+        ``frames``. A frame row of zeros raises ValidationError naming the
+        video and the frame, before any divide."""
+        frames = np.asarray(frames)
+        compute_dtype(frames)   # rejects frames that are not real numbers
+        norms = _row_norms(frames)
+        _reject_zero_row(norms, f"video {video_id!r}")
+        return cls(video_id, _decoder_input(frames, norms, normalize_features),
+                   step_feats, gt_labels)
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus, video_id: str,
+                    normalize_features: bool) -> "FoldVideo":
         video = corpus.video_by_id(video_id)
-        return cls(video_id=video_id, frames=corpus.video_features(video_id),
-                   step_feats=corpus.task_step_features(video.task),
-                   gt_labels=gt_frame_labels(video))
+        return cls.from_frames(video_id, corpus.video_features(video_id),
+                               corpus.task_step_features(video.task),
+                               gt_frame_labels(video), normalize_features)
 
 
 def _decoder_input(frames: np.ndarray, norms: np.ndarray,
-                   normalize_features: bool,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """The features the decoder reads, in their compute dtype and written
-    into ``out`` when it is given: the frames over their float64 row
-    norms cast to that dtype, or the raw frames when normalization is
-    off."""
-    return np.divide(frames, norms.astype(compute_dtype(frames), copy=False)
-                     if normalize_features else 1.0, out=out)
+                   normalize_features: bool) -> np.ndarray:
+    """The features the decoder reads, in their compute dtype: the frames
+    over their float64 row norms cast to that dtype, or the frames
+    themselves when normalization is off."""
+    dtype = compute_dtype(frames)
+    if not normalize_features:
+        return frames.astype(dtype, copy=False)
+    return np.divide(frames, norms.astype(dtype, copy=False))
 
 
 def _reject_zero_row(norms: np.ndarray, where: str) -> None:
@@ -341,11 +384,10 @@ class TrainWorkspace:
     the parameters it is built from, which the decoder computes in. Each
     batch slot has the projected frames ``xp`` and the attention
     ``attn``, which its forward cache holds until the backward or the
-    alignment. The scratch is shared by the batch's videos: the decoder
-    input ``x``, which a forward reads and the backward rebuilds, and the
-    backward's frame-sized temporaries, among them the unit frames
-    ``v_hat``, the frame gradient ``d_xp``, the steps x frames ``cos``
-    and the three steps x frames blocks of ``stack``. The alignment's
+    alignment. The scratch is shared by the batch's videos: the
+    backward's frame-sized temporaries, the unit frames ``v_hat`` and the
+    frame gradient ``d_xp``, the steps x frames ``cos`` and the three
+    steps x frames blocks of ``stack``. The alignment's
     float64 unit frames, ``unit``, reuse the bytes of ``v_hat`` and
     ``d_xp``, which no alignment reads. ``slot`` and ``scratch`` return,
     for a video of some length and number of annotated steps, contiguous
@@ -369,9 +411,9 @@ class TrainWorkspace:
 
     def _scratch_shapes(self, frames: int, steps: int
                         ) -> dict[str, tuple[int, int]]:
-        d, k, _ = self._dims
+        _, k, _ = self._dims
         # v_hat over d_xp, which the unit frames view as float64
-        return {"x": (frames, d), "frame_rows": (2, frames, k),
+        return {"frame_rows": (2, frames, k),
                 "cos": (steps, frames), "stack": (3 * steps, frames)}
 
     def _buffers(self, shapes: dict[str, tuple[int, ...]]
@@ -416,7 +458,7 @@ def _batch_params(params: ModelParams, batch: Sequence[FoldVideo],
     """``params`` cast to the dtype the batch's features compute in, which
     must be the workspace's: its buffers take the batch's activations,
     and a write into another dtype would cast them silently."""
-    dtype = compute_dtype(*(v.frames for v in batch))
+    dtype = compute_dtype(*(v.x for v in batch))
     if work.dtype != dtype:
         raise ValidationError(f"a {work.dtype} workspace cannot hold the "
                               f"activations of {dtype} features")
@@ -430,18 +472,16 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
 
     Returns the selections and the forward caches, which
     ``batch_loss_and_grads`` takes so that it need not run the decoder
-    again. The decoder computes in the dtype of the batch's features,
+    again. One ``forward_slots`` call runs the batch's videos over their
+    held decoder inputs, and one ``select_slots`` call selects for all of
+    them. The decoder computes in the dtype of the batch's features,
     which must be the workspace's. Video b's frame-sized activations are
-    written into slot b of the workspace, and each decoder input into its
-    scratch.
+    written into slot b of the workspace.
     """
     params = _batch_params(params, batch, work)
-    caches = []
-    for b, v in enumerate(batch):
-        length = v.frames.shape[0]
-        x = _decoder_input(v.frames, v.norms, config.normalize_features,
-                           work.scratch(length)["x"])
-        caches.append(forward_slots(params, x, work.slot(b, length))[1])
+    caches = forward_slots(params, [v.x for v in batch],
+                           [work.slot(b, v.x.shape[0])
+                            for b, v in enumerate(batch)])
     selections = select_slots([cache["slots"] for cache in caches],
                               _text_input(params, [v.step_feats for v in batch]),
                               config.drop_pct)
@@ -471,10 +511,9 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     gradient with three steps x d' matrices. The decoder computes in the
     dtype of the batch's features, which must be the workspace's, and
     each term accumulates into the float64 gradients, which share the
-    parameters' flat layout. Each video's decoder input is rebuilt for
-    the input projection's gradient.
-    Each video's frame-sized and steps x frames arrays and its decoder
-    input are written into the workspace's scratch.
+    parameters' flat layout. The input projection's gradient reads each
+    video's held decoder input. Each video's frame-sized and steps x
+    frames arrays are written into the workspace's scratch.
     """
     params = _batch_params(params, batch, work)
     grads = params.zeros_like()
@@ -567,9 +606,7 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
                          np.concatenate((d_ax, cache["qk"][rows], u_hat)),
                          out=scratch["d_xp"])
         d_xp -= v_hat
-        x = _decoder_input(v.frames, v.norms, config.normalize_features,
-                           scratch["x"])
-        grads.proj_v += x.T @ d_xp
+        grads.proj_v += v.x.T @ d_xp
 
     return float(np.mean(sup_losses)) if sup_losses else 0.0, grads
 
@@ -602,9 +639,9 @@ def align_video(params: ModelParams, frames: np.ndarray,
     norms = _row_norms(frames)
     _reject_zero_row(norms, "video")
     params = params.astype(dtype)
-    slots, cache = forward_slots(
-        params, _decoder_input(frames, norms, normalize_features))
-    xp = cache["xp"]
+    [cache] = forward_slots(
+        params, [_decoder_input(frames, norms, normalize_features)])
+    slots, xp = cache["slots"], cache["xp"]
     del cache
     rows = select_slots([slots], _text_input(params, [step_feats]),
                         drop_pct)[0]
@@ -625,7 +662,7 @@ def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
         for v, rows, cache in zip(chunk, selections, caches):
             segments = align_frames_to_slots(
                 cache["slots"][rows], cache["xp"], config.drop_pct,
-                work.scratch(v.frames.shape[0])["unit"])
+                work.scratch(v.x.shape[0])["unit"])
             scores.append(frame_metrics(
                 rasterize(segments, v.gt_labels.shape[0]), v.gt_labels)["f1"])
     return float(np.mean(scores)) if scores else 0.0
@@ -649,11 +686,15 @@ def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
                 f"fewer than the {steps[vid]} steps of its task")
 
 
-def _check_rows(fold_id: int, videos: Sequence[FoldVideo]) -> None:
-    """Reject a video with an all-zero feature row, naming the fold, the
-    video and the frame."""
-    for v in videos:
-        _reject_zero_row(v.norms, f"fold {fold_id}: video {v.video_id!r}")
+def _fold_videos(corpus: Corpus, fold: FoldSpec, video_ids: Sequence[str],
+                 normalize_features: bool) -> list[FoldVideo]:
+    """The fold's ``FoldVideo`` of each id; a video they reject raises
+    ValidationError naming the fold."""
+    try:
+        return [FoldVideo.from_corpus(corpus, vid, normalize_features)
+                for vid in video_ids]
+    except ValidationError as exc:
+        raise ValidationError(f"fold {fold.fold_id}: {exc}") from None
 
 
 def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
@@ -667,16 +708,15 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
     corpus.set_phase(f"fold{fold.fold_id}:train-align")
-    train = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
-    val = [FoldVideo.from_corpus(corpus, vid) for vid in fold.val]
-    _check_rows(fold.fold_id, [*train, *val])
+    train = _fold_videos(corpus, fold, fold.train, config.normalize_features)
+    val = _fold_videos(corpus, fold, fold.val, config.normalize_features)
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
     work = TrainWorkspace(
-        params.astype(compute_dtype(*(v.frames for v in (*train, *val)))),
+        params.astype(compute_dtype(*(v.x for v in (*train, *val)))),
         min(config.batch_size, max(len(train), len(val))),
-        max(v.frames.shape[0] for v in (*train, *val)),
+        max(v.x.shape[0] for v in (*train, *val)),
         max(v.steps.size for v in train))
 
     def batches(epoch: int):

@@ -371,15 +371,16 @@ def fresh_workspace(params: ModelParams, batch: Sequence[FoldVideo]
     for its longest video and most annotated steps, in the dtype the
     decoder computes in for the batch's features."""
     return TrainWorkspace(
-        params.astype(compute_dtype(*(v.frames for v in batch))), len(batch),
-        max((v.frames.shape[0] for v in batch), default=0),
+        params.astype(compute_dtype(*(v.x for v in batch))), len(batch),
+        max((v.x.shape[0] for v in batch), default=0),
         max((v.steps.size for v in batch), default=0))
 
 
 def train_alignment_fold_per_tensor(corpus, fold, config) -> Training:
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
-    examples = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
+    examples = [FoldVideo.from_corpus(corpus, vid, config.normalize_features)
+                for vid in fold.train]
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
@@ -448,7 +449,7 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
     """``batch_loss_and_grads`` in its first form, over the caches of
     ``forward_slots_kv``: the decoder backward runs through the per-frame
     keys and values."""
-    params = params.astype(compute_dtype(*(v.frames for v in batch)))
+    params = params.astype(compute_dtype(*(v.x for v in batch)))
     grads = params.zeros_like()
     gamma = config.gamma
     # mean over steps within a video, then over the annotated videos

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from stepalign.alignment import (
     decode_segments, drop_dtw, drop_dtw_stack, percentile_drop_cost,
+    percentile_drop_cost_stack,
 )
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
@@ -117,6 +118,30 @@ class TestPercentileDropCost:
             rank = max(1, math.ceil(pct * stack[0].size / 100.0))
             expected = [np.sort(cost, axis=None)[rank - 1] for cost in stack]
             assert [percentile_drop_cost(cost, pct) for cost in stack] == expected
+
+    @pytest.mark.parametrize("pct", [0.5, 80.0, 100.0])
+    @pytest.mark.parametrize("kind", ["real", "integer", "ties"])
+    def test_stack_equals_each_matrix_alone(self, kind, pct):
+        rng = np.random.default_rng(10 + ["real", "integer", "ties"].index(kind))
+        for _ in range(50):
+            shape = (int(rng.integers(1, 7)), int(rng.integers(1, 13)),
+                     int(rng.integers(1, 60)))
+            if kind == "real":
+                stack = rng.normal(size=shape)
+            elif kind == "integer":
+                stack = rng.integers(-3, 4, size=shape)
+            else:
+                stack = rng.choice([-0.5, 0.0, 0.5], size=shape, p=[0.1, 0.8, 0.1])
+            got = percentile_drop_cost_stack(stack, pct)
+            assert got.dtype == np.float64
+            assert got.tolist() == [percentile_drop_cost(cost, pct)
+                                    for cost in stack]
+
+    def test_empty_stack_rejected(self):
+        for stack in (np.ones((0, 2, 3)), np.ones((2, 0, 3))):
+            with pytest.raises(ValidationError,
+                               match="^percentile of an empty cost matrix$"):
+                percentile_drop_cost_stack(stack, 80.0)
 
 
 class TestDtw:

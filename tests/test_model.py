@@ -33,6 +33,12 @@ def _params(rng, d=6, dp=5, u=4):
     return ModelParams.init(rng, feature_dim=d, working_dim=dp, num_queries=u)
 
 
+def _slots(params, x):
+    """The slot matrix of one video's decoder input."""
+    [cache] = forward_slots(params, [x])
+    return cache["slots"]
+
+
 def _reference_forward(params, x):
     """Straight-line duplicate of the slot formula, kept deliberately
     naive as an independent oracle."""
@@ -85,11 +91,8 @@ def batch_loss(params, batch, selections, config):
     reference for the analytic gradients)."""
     sup_terms = []
     for video, chosen in zip(batch, selections):
-        frames = video.frames
-        if config.normalize_features:
-            frames = l2_normalize_rows(frames)
-        slots = forward_slots(params, frames)[0]
-        xp = frames @ params.proj_v
+        slots = _slots(params, video.x)
+        xp = video.x @ params.proj_v
         sel = slots[chosen]
         steps = sorted(set(video.gt_labels.tolist()) - {0})
         if steps:
@@ -138,14 +141,15 @@ class TestForwardSlots:
         rng = np.random.default_rng(0)
         params = ModelParams.init(rng, feature_dim=64, working_dim=64,
                                   num_queries=32)
-        slots = forward_slots(params, rng.normal(size=(100, 64)))[0]
+        slots = _slots(params, rng.normal(size=(100, 64)))
         assert slots.shape == (32, 64)
 
     def test_single_frame_degenerate_softmax(self):
         rng = np.random.default_rng(1)
         params = _params(rng)
         x = rng.normal(size=(1, 6))
-        slots, cache = forward_slots(params, x)
+        [cache] = forward_slots(params, [x])
+        slots = cache["slots"]
         np.testing.assert_array_equal(cache["attn"], np.ones((4, 1)))
         expected_row = ((x @ params.proj_v) @ params.w_v @ params.w_o)[0]
         for row in slots:
@@ -156,7 +160,7 @@ class TestForwardSlots:
         for _ in range(10):
             params = _params(rng)
             x = rng.normal(size=(9, 6))
-            np.testing.assert_allclose(forward_slots(params, x)[0],
+            np.testing.assert_allclose(_slots(params, x),
                                        _reference_forward(params, x),
                                        atol=1e-10)
 
@@ -164,18 +168,18 @@ class TestForwardSlots:
         rng = np.random.default_rng(3)
         params = _params(rng)
         x = rng.normal(size=(7, 6))
-        base = forward_slots(params, x)[0]
+        base = _slots(params, x)
         perm = rng.permutation(params.queries.shape[0])
         shuffled = ModelParams(**{**params.as_dict(),
                                   "queries": params.queries[perm]})
-        np.testing.assert_allclose(forward_slots(shuffled, x)[0], base[perm],
+        np.testing.assert_allclose(_slots(shuffled, x), base[perm],
                                    atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         params = _params(rng, d=6)
         with pytest.raises(ValidationError, match="features"):
-            forward_slots(params, rng.normal(size=(5, 7)))
+            forward_slots(params, [rng.normal(size=(5, 7))])
 
 
 def test_l2_normalize_rejects_zero_row():
@@ -257,6 +261,53 @@ class TestSelectSlots:
                         for u, t in zip(slots, steps)]
             assert select_slots(slots, steps, 80) == expected
 
+    def test_float32_batch_matches_per_video_oracle_bit_for_bit(
+            self, monkeypatch):
+        # float32 slots and texts, as training passes them: three videos of
+        # one task share a text matrix, two of another share theirs, and a
+        # lone video has its own (K, U)
+        rng = np.random.default_rng(13)
+        texts = {k: rng.normal(size=(k, 6)).astype(np.float32)
+                 for k in (2, 3, 4)}
+        layout = [(3, 8), (4, 8), (3, 8), (2, 7), (4, 8), (3, 8)]
+        steps = [texts[k] for k, _ in layout]
+        slots = [rng.normal(size=(u, 6)).astype(np.float32) for _, u in layout]
+        slots[2][4:6] = slots[2][3]   # exact cost ties
+        stacked, seen = stepalign.model.drop_dtw_stack, []
+
+        def recorded(costs, drop_costs):
+            seen.extend((cost.tobytes(), drop) for cost, drop
+                        in zip(costs, drop_costs.tolist()))
+            return stacked(costs, drop_costs)
+
+        monkeypatch.setattr(stepalign.model, "drop_dtw_stack", recorded)
+        got = select_slots(slots, steps, 80)
+        assert got == [select_slots_per_video(u, t, 80)
+                       for u, t in zip(slots, steps)]
+        # each video's costs and drop cost are the bytes it gets alone
+        alone = [-cosine_matrix(t, u) for u, t in zip(slots, steps)]
+        assert sorted(seen) == sorted(
+            (cost.tobytes(), percentile_drop_cost(cost, 80)) for cost in alone)
+
+    def test_count_mismatch_rejected(self):
+        # zip dropped the second video: one selection came back for two
+        rng = np.random.default_rng(14)
+        video_slots = rng.normal(size=(8, 5))
+        with pytest.raises(ValidationError, match=(
+                "^step_feats must hold one matrix per slot matrix, got 1 "
+                "for 2$")):
+            select_slots([video_slots, video_slots],
+                         [rng.normal(size=(3, 5))], 80)
+
+    def test_step_width_mismatch_rejected(self):
+        # matmul raised a bare ValueError
+        rng = np.random.default_rng(15)
+        video_slots = rng.normal(size=(8, 5))
+        with pytest.raises(ValidationError,
+                           match=r"^step_feats\[1\] must be K x 5, got \(3, 4\)$"):
+            select_slots([video_slots, video_slots],
+                         [rng.normal(size=(3, 5)), rng.normal(size=(3, 4))], 80)
+
     def test_too_many_steps_rejected(self):
         # the kernel gives each step a slot of its own
         rng = np.random.default_rng(9)
@@ -316,8 +367,8 @@ def _random_example(rng, d=6, k=2, length=7):
         seg_len = int(rng.integers(1, 3))
         gt_labels[cursor:cursor + seg_len] = step
         cursor += seg_len + 1
-    return FoldVideo(video_id=f"v{rng.integers(1e6)}", frames=frames,
-                     step_feats=step_feats, gt_labels=gt_labels)
+    return FoldVideo.from_frames(f"v{rng.integers(1e6)}", frames, step_feats,
+                                 gt_labels, normalize_features=True)
 
 
 def _grad_check(config, seed, selections=None, edit_batch=None):
@@ -377,10 +428,9 @@ class TestSlotSpaceAttention:
             for step in range(1, k + 1):
                 if (b, step) != (1, 5):      # one step without frames
                     gt[edges[step - 1] + 4:edges[step] - 4] = step
-            batch.append(FoldVideo(video_id=f"v{b}",
-                                   frames=rng.normal(size=(length, 64)),
-                                   step_feats=rng.normal(size=(k, 64)),
-                                   gt_labels=gt))
+            batch.append(FoldVideo.from_frames(
+                f"v{b}", rng.normal(size=(length, 64)),
+                rng.normal(size=(k, 64)), gt, normalize_features=True))
         return params, batch
 
     def test_matches_key_value_oracle(self):
@@ -388,8 +438,7 @@ class TestSlotSpaceAttention:
         config = TrainConfig()
         selections, caches = compute_selections(
             params, batch, config, fresh_workspace(params, batch))
-        kv_caches = [forward_slots_kv(params, stepalign.model._decoder_input(
-            v.frames, v.norms, config.normalize_features))[1] for v in batch]
+        kv_caches = [forward_slots_kv(params, v.x)[1] for v in batch]
         kv_selections = select_slots(
             [c["slots"] for c in kv_caches],
             stepalign.model._text_input(params, [v.step_feats for v in batch]),
@@ -412,10 +461,10 @@ class TestSlotSpaceAttention:
             assert_close(grad, getattr(kv_grads, name), name)
 
     def test_cache_holds_no_per_frame_keys_or_values(self):
-        # nor the decoder input, which the backward rebuilds
+        # nor the decoder input, which the fold video holds
         params, batch = self._long_batch()
-        _, cache = forward_slots(params, batch[0].frames)
-        length = batch[0].frames.shape[0]
+        [cache] = forward_slots(params, [batch[0].x])
+        length = batch[0].x.shape[0]
         per_frame = {name for name, value in cache.items()
                      if length in np.shape(value)}
         assert per_frame == {"xp", "attn"}
@@ -560,7 +609,8 @@ class TestAlignVideos:
         rule = r"^step features must be K x 6, got \(2, 7\)$"
         with pytest.raises(ValidationError, match=rule):
             align_video(params, frames, steps, 80.0, True)
-        video = FoldVideo("v", frames, steps, np.zeros(9, dtype=np.int64))
+        video = FoldVideo.from_frames("v", frames, steps,
+                                      np.zeros(9, dtype=np.int64), True)
         with pytest.raises(ValidationError, match=rule):
             compute_selections(params, [video], TrainConfig(),
                                fresh_workspace(params, [video]))
@@ -677,10 +727,10 @@ def _tiny_fold():
     return corpus, fold, config
 
 
-def _fold_videos(rng, lengths, d, k, dtype=np.float32):
-    """Fold videos of the given lengths, their features in ``dtype``, each
-    with k steps of annotated frames, apart from the second video, which
-    has none."""
+def _fold_video_arrays(rng, lengths, d, k, dtype=np.float32):
+    """The id, frames, step texts and raster of fold videos of the given
+    lengths, their features in ``dtype``, each with k steps of annotated
+    frames, apart from the second video, which has none."""
     videos = []
     for i, length in enumerate(lengths):
         gt = np.zeros(length, dtype=np.int64)
@@ -688,11 +738,15 @@ def _fold_videos(rng, lengths, d, k, dtype=np.float32):
             edges = np.linspace(0, length, k + 1).astype(int)
             for step in range(1, k + 1):
                 gt[edges[step - 1] + 2:edges[step] - 2] = step
-        videos.append(FoldVideo(
-            video_id=f"v{i}", gt_labels=gt,
-            frames=rng.normal(size=(length, d)).astype(dtype),
-            step_feats=rng.normal(size=(k, d)).astype(dtype)))
+        videos.append((f"v{i}", rng.normal(size=(length, d)).astype(dtype),
+                       rng.normal(size=(k, d)).astype(dtype), gt))
     return videos
+
+
+def _fold_videos(rng, lengths, d, k, dtype=np.float32):
+    """``_fold_video_arrays`` as normalized fold videos."""
+    return [FoldVideo.from_frames(*arrays, normalize_features=True)
+            for arrays in _fold_video_arrays(rng, lengths, d, k, dtype)]
 
 
 def _training_step(params, batch, config, work):
@@ -840,7 +894,7 @@ class TestTrainWorkspace:
                               max_frames=29, max_steps=2)
         _, caches = compute_selections(params, batch, TrainConfig(), work)
         for b, (cache, video) in enumerate(zip(caches, batch)):
-            slot = work.slot(b, video.frames.shape[0])
+            slot = work.slot(b, video.x.shape[0])
             for name in ("xp", "attn"):
                 assert np.shares_memory(cache[name], slot[name]), (b, name)
                 for other in caches[:b]:
@@ -888,10 +942,12 @@ class TestFloat32:
         params = ModelParams.init(rng, feature_dim=64, working_dim=64,
                                   num_queries=32)
         params.flat += 0.05 * rng.normal(size=params.flat.shape)
-        low = _fold_videos(rng, (160, 240, 1340, 200), d=64, k=12)
-        high = [replace(v, frames=v.frames.astype(np.float64),
-                        step_feats=v.step_feats.astype(np.float64))
-                for v in low]
+        arrays = _fold_video_arrays(rng, (160, 240, 1340, 200), d=64, k=12)
+        low = [FoldVideo.from_frames(*video, normalize_features=True)
+               for video in arrays]
+        high = [FoldVideo.from_frames(vid, frames.astype(np.float64),
+                                      steps.astype(np.float64), gt, True)
+                for vid, frames, steps, gt in arrays]
         config = TrainConfig()
         selections, high_caches = compute_selections(
             params, high, config, fresh_workspace(params, high))
@@ -935,9 +991,9 @@ class TestFloat32:
         seen = set()
         forward = stepalign.model.forward_slots
 
-        def recorded(params, video, out=None):
-            seen.add((params.flat.dtype, video.dtype))
-            return forward(params, video, out)
+        def recorded(params, videos, outs=None):
+            seen.update((params.flat.dtype, video.dtype) for video in videos)
+            return forward(params, videos, outs)
 
         monkeypatch.setattr(stepalign.model, "forward_slots", recorded)
         training = train_alignment_fold(corpus, fold, config)
@@ -988,13 +1044,13 @@ class TestEvaluateAlignmentF1:
     # them, and on float64 ones
     def test_chunks_match_per_video_oracle(self):
         corpus, fold, config = _two_step_count_fold()
-        train = [FoldVideo.from_corpus(corpus, vid) for vid in fold.train]
-        val = [FoldVideo.from_corpus(corpus, vid) for vid in fold.val]
-        lengths = [v.frames.shape[0] for v in (*train, *val)]
+        train, val = ([FoldVideo.from_corpus(corpus, vid, True) for vid in ids]
+                      for ids in (fold.train, fold.val))
+        lengths = [v.x.shape[0] for v in (*train, *val)]
         assert len(val) > config.batch_size
         assert {v.step_feats.shape[0] for v in val} == {2, 3}
-        assert max(v.frames.shape[0] for v in val) > \
-            max(v.frames.shape[0] for v in train)
+        assert max(v.x.shape[0] for v in val) > \
+            max(v.x.shape[0] for v in train)
         rng = np.random.default_rng(64)
         params = _params(rng, d=8, dp=6, u=5)
         params.flat += 0.1 * rng.normal(size=params.flat.shape)
@@ -1046,33 +1102,73 @@ class TestEvaluateAlignmentF1:
 
 
 class TestFoldVideo:
-    def test_holds_corpus_array_and_raster(self):
+    def test_holds_decoder_input_and_raster(self):
+        # the decoder input is a new array, and no field keeps the frames
         corpus, fold, _ = _tiny_fold()
         vid = fold.train[0]
-        video = FoldVideo.from_corpus(corpus, vid)
-        assert video.frames is corpus.features[vid]
+        frames = corpus.features[vid]
+        video = FoldVideo.from_corpus(corpus, vid, True)
+        assert not hasattr(video, "frames")
+        for name, value in vars(video).items():
+            assert not np.shares_memory(value, frames), name
         np.testing.assert_array_equal(
             video.gt_labels, gt_frame_labels(corpus.video_by_id(vid)))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_equals_decoder_input_bit_for_bit(self, dtype, normalize):
+        rng = np.random.default_rng(67)
+        frames = rng.normal(size=(11, 4)).astype(dtype)
+        norms = stepalign.model._row_norms(frames)
+        video = FoldVideo.from_frames("v", frames, rng.normal(size=(2, 4)),
+                                      np.zeros(11, dtype=np.int64), normalize)
+        want = stepalign.model._decoder_input(frames, norms, normalize)
+        assert video.x.dtype == want.dtype == dtype
+        assert video.x.tobytes() == want.tobytes()
+        # the frames over their float64 norms cast to the dtype, or the
+        # frames themselves
+        if normalize:
+            want = frames / np.linalg.norm(frames.astype(np.float64), axis=1,
+                                           keepdims=True).astype(dtype)
+        assert video.x.tobytes() == want.tobytes()
+
+    def test_frames_left_writable_when_not_normalized(self):
+        # the input is then the frames, through a read-only view
+        rng = np.random.default_rng(68)
+        frames = rng.normal(size=(5, 4))
+        video = FoldVideo.from_frames("v", frames, rng.normal(size=(2, 4)),
+                                      np.zeros(5, dtype=np.int64), False)
+        assert np.shares_memory(video.x, frames)
+        assert frames.flags.writeable and not video.x.flags.writeable
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_zero_row_rejected_before_any_divide(self, normalize):
+        # filterwarnings = error turns a divide's warning into a failure
+        rng = np.random.default_rng(69)
+        frames = rng.normal(size=(6, 4)).astype(np.float32)
+        frames[4] = 0.0
+        with pytest.raises(ValidationError, match=(
+                "^video 'v' has an all-zero feature row at frame 4; every "
+                "frame needs a nonzero row$")):
+            FoldVideo.from_frames("v", frames, rng.normal(size=(2, 4)),
+                                  np.zeros(6, dtype=np.int64), normalize)
 
     def test_constants_follow_the_raster(self):
         rng = np.random.default_rng(66)
         frames = rng.normal(size=(9, 4)).astype(np.float32)
         gt = np.array([0, 3, 3, 0, 1, 1, 0, 3, 0])
-        video = FoldVideo("v", frames, rng.normal(size=(3, 4)), gt)
+        video = FoldVideo.from_frames("v", frames, rng.normal(size=(3, 4)), gt,
+                                      True)
         np.testing.assert_array_equal(video.steps, [1, 3])
         np.testing.assert_array_equal(video.positive, [gt == 1, gt == 3])
-        np.testing.assert_array_equal(
-            video.norms, np.linalg.norm(frames.astype(np.float64), axis=1,
-                                        keepdims=True))
         # the raster is a copy: the caller's array stays writable
         gt[0] = 2
         assert video.gt_labels[0] == 0
 
-    @pytest.mark.parametrize("name", ["gt_labels", "norms", "steps",
-                                      "positive"])
+    @pytest.mark.parametrize("name", ["gt_labels", "x", "steps", "positive"])
     def test_raster_and_constants_are_read_only(self, name):
         corpus, fold, _ = _tiny_fold()
-        video = FoldVideo.from_corpus(corpus, fold.train[0])
+        video = FoldVideo.from_corpus(corpus, fold.train[0], True)
         with pytest.raises(ValueError, match="read-only"):
             getattr(video, name)[0] = 0
 
@@ -1084,15 +1180,19 @@ class TestTrainAlignmentFold:
         calls = []
         forward = stepalign.model.forward_slots
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
+        def counted(params, videos, outs=None):
+            calls.append(len(videos))
+            return forward(params, videos, outs)
 
         monkeypatch.setattr(stepalign.model, "forward_slots", counted)
         second = train_alignment_fold(corpus, fold, config)
         # one forward per training video (selection and loss share it)
-        # and one per validation video, every epoch
-        assert len(calls) == config.epochs * (len(fold.train) + len(fold.val))
+        # and one per validation video, every epoch, in one call per
+        # batch and per validation chunk
+        assert sum(calls) == config.epochs * (len(fold.train) + len(fold.val))
+        batches = sum(-(-len(ids) // config.batch_size)
+                      for ids in (fold.train, fold.val))
+        assert len(calls) == config.epochs * batches
         assert second.log == first.log
         assert (second.best_epoch, second.best_score) == \
             (first.best_epoch, first.best_score)
@@ -1152,7 +1252,7 @@ class TestTrainAlignmentFold:
         forward, calls = stepalign.model.forward_slots, []
 
         def failing(*args, **kwargs):
-            calls.append(1)
+            calls.extend(args[1])   # the videos of the call
             if len(calls) > len(fold.train) + len(fold.val):
                 raise NumericalError("slot matrix contains non-finite values")
             return forward(*args, **kwargs)
