@@ -11,10 +11,12 @@ One kernel serves a stack of cost matrices of one shape, each with its
 own drop cost; ``drop_dtw`` is its one-matrix case and
 ``drop_dtw_stack`` aligns a batch, as slot selection does for the videos
 of a training step. The drop costs' nearest-rank percentile is likewise
-written once for a stack, ``percentile_drop_cost_stack``, and
-``percentile_drop_cost`` is its one-matrix case. Both return the mask of the cells the path visits
-and the total; ``decode_segments`` reads one segment per row off the
-mask. The kernel runs one numpy prefix scan per slot row, over that row
+written once, for a stack in ``percentile_drop_cost_stack`` and for
+one matrix in ``percentile_drop_cost``; as with the kernel, the stack
+form takes only 3-d costs and the one-matrix form only 2-d ones. Both
+kernel forms return the mask of the cells the path visits and the
+total; ``decode_segments`` reads one segment per row off the mask. The
+kernel runs one numpy prefix scan per slot row, over that row
 of every matrix at once: the row's best costs with trailing drops are W
 plus the running minimum of (cost + best entry from the row above - W),
 where W is the running sum of min(cost, drop cost). The transition
@@ -51,9 +53,11 @@ _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def percentile_drop_cost_stack(costs: np.ndarray, pct: float) -> np.ndarray:
-    """Nearest-rank percentile over the entries of each matrix of a stack:
-    the B values for the matrices ``costs[b]``, in float64.
+def _nearest_rank(costs: np.ndarray, pct: float, ndim: int) -> np.ndarray:
+    """Nearest-rank percentile over the entries of each matrix of the
+    ``ndim``-d array ``costs``, a stack of matrices or one matrix, in
+    float64; an array of another rank raises ValidationError naming its
+    shape.
 
     The 1-based rank is ceil(pct * n / 100) for the n entries of a matrix;
     the product is taken before the division so that exact ranks like 80%
@@ -64,19 +68,30 @@ def percentile_drop_cost_stack(costs: np.ndarray, pct: float) -> np.ndarray:
         raise ValidationError(f"pct must be an int or a float, got {pct!r}")
     costs = np.asarray(costs)
     check_real(costs, "cost matrix")
-    if costs.ndim == 0 or costs.size == 0:
+    if costs.ndim != ndim:
+        raise ValidationError(
+            f"percentile needs a {ndim}-d cost array, got shape {costs.shape}")
+    if costs.size == 0:
         raise ValidationError("percentile of an empty cost matrix")
     if not (0.0 < pct <= 100.0):
         raise ValidationError(f"percentile must be in (0, 100], got {pct}")
-    flat = costs.astype(np.float64, copy=False).reshape(len(costs), -1)
+    flat = costs.astype(np.float64, copy=False).reshape(
+        -1, costs.shape[-2] * costs.shape[-1])
     kth = max(1, math.ceil(pct * flat.shape[1] / 100.0)) - 1
     return np.partition(flat, kth, axis=1)[:, kth]
 
 
+def percentile_drop_cost_stack(costs: np.ndarray, pct: float) -> np.ndarray:
+    """The nearest-rank percentile over the entries of each matrix of the
+    B x n x m stack ``costs``: the B values for the matrices ``costs[b]``,
+    in float64."""
+    return _nearest_rank(costs, pct, ndim=3)
+
+
 def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
-    """``percentile_drop_cost_stack`` of the one matrix ``cost``: the
+    """``percentile_drop_cost_stack`` of the one n x m matrix ``cost``: the
     nearest-rank percentile over all its entries."""
-    return float(percentile_drop_cost_stack(np.asarray(cost)[None], pct)[0])
+    return float(_nearest_rank(cost, pct, ndim=2)[0])
 
 
 def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:

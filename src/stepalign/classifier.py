@@ -52,8 +52,8 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import (
-    ValidationError, check_counts, check_flags, check_numbers, check_real,
-    check_type,
+    ValidationError, check_counts, check_features, check_flags, check_numbers,
+    check_real, check_type,
 )
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
 from .optim import FlatParams, Training, compute_dtype, fit
@@ -296,15 +296,18 @@ def detect_on_segments(params: ClassifierParams, corpus: Corpus,
 
 def detect_mistakes(params: ClassifierParams,
                     alignment: list[tuple[int | None, Segment]],
-                    video_feats: np.ndarray,
+                    frames: np.ndarray,
                     step_feats: np.ndarray) -> list[Detection]:
     """Classify the segments proposed by the alignment model, in the dtype
-    the video features compute in; confidence is the softmax probability
-    of the predicted class. A classifier as wide as the video features
-    reads no text; otherwise a step-``None`` proposal gets the zero text
-    vector."""
-    texts = None if params.input_dim == video_feats.shape[1] else step_feats
-    z, labels = classify(params, classifier_rows(video_feats, alignment, texts))
+    the frames compute in; confidence is the softmax probability of the
+    predicted class. Both matrices pass ``check_features`` at one width,
+    read or not: a classifier as wide as the frames reads no text, and
+    otherwise a step-``None`` proposal gets the zero text vector."""
+    check_features(frames, "frames")
+    check_features(step_feats, "step_feats (as wide as frames)",
+                   frames.shape[1])
+    texts = None if params.input_dim == frames.shape[1] else step_feats
+    z, labels = classify(params, classifier_rows(frames, alignment, texts))
     return _detections(alignment, z, labels)
 
 

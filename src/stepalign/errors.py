@@ -1,11 +1,14 @@
 """Exception types shared across the package, and the type checks of a
-value, of an array's numbers and of a config's count, number and flag
-fields.
+value, of an array's numbers, of a feature matrix where one enters the
+library (the decoder's zero-row rule stays in ``model._decoder_input``)
+and of a config's count, number and flag fields.
 
 The exit-code contract for a command-line interface (none exists yet):
 ``ValidationError`` and its subclasses exit 1, ``ParseError`` and
 ``FormatError`` exit 2, ``NumericalError`` exits 3.
 """
+
+import numpy as np
 
 
 class StepAlignError(Exception):
@@ -52,6 +55,24 @@ def check_real(array, what: str) -> None:
     if array.dtype.kind not in "iuf":
         raise ValidationError(
             f"{what} must be ints or floats, got an array of {array.dtype}")
+
+
+def check_features(array, what: str, width: int | None = None) -> None:
+    """Raise ValidationError naming ``what`` unless ``array`` is a numpy
+    array of ints or floats (``check_real``), 2-d with at least one row,
+    ``width`` columns wide when given, and finite; nothing is coerced."""
+    if not isinstance(array, np.ndarray):
+        raise ValidationError(f"{what} must be a numpy array, got "
+                              f"{type(array).__name__}")
+    check_real(array, what)
+    if array.ndim != 2 or not len(array) \
+            or width not in (None, array.shape[1]):
+        columns = "" if width is None else f" of {width} columns"
+        raise ValidationError(f"{what} must be 2-d with at least one row"
+                              f"{columns}, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        row = np.flatnonzero(~np.isfinite(array).all(axis=1))[0]
+        raise ValidationError(f"{what} must be finite, but row {row} is not")
 
 
 def check_counts(config, names, minimum: int = 1, *,

@@ -40,7 +40,7 @@ A fold reads each of its training and validation videos once, into a
 rasterized ground truth, with what every step reads of the raster
 computed once: the annotated steps and each step's frames. The decoder
 input, the frames over their row norms, is one divide by
-``_decoder_input``, taken once per fold after the check for all-zero
+``_decoder_input``, taken once per fold after its check for all-zero
 rows; nothing keeps the raw frames. ``train_alignment_fold`` hands
 ``optim.fit`` its mini-batches, drawn each epoch from a new permutation
 of the training videos, and its validation frame-F1; ``fit`` runs Adam,
@@ -65,8 +65,8 @@ The decoder computes in the dtype of the features it is given,
 ``optim.compute_dtype``, as in mixed-precision training (Micikevicius et
 al., "Mixed Precision Training", ICLR 2018): a corpus holds float32
 frames, so training and inference run in float32, and float64 frames
-run the same code in float64. Features or step texts that are not real
-numbers raise ValidationError. The master parameters, Adam's moments and
+run the same code in float64. Entry points run ``check_features`` on
+each feature matrix once. The master parameters, Adam's moments and
 the gradient sums stay float64 (see optim.py). The step functions and
 ``align_video`` are handed the master parameters and cast them once per
 call; nothing holds a cast. A step function given a workspace of another
@@ -99,8 +99,8 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import FoldSpec, Segment
 from .errors import (
-    NumericalError, ValidationError, check_counts, check_flags, check_numbers,
-    check_real,
+    NumericalError, ValidationError, check_counts, check_features, check_flags,
+    check_numbers,
 )
 from .metrics import frame_metrics, gt_frame_labels, rasterize
 from .optim import FlatParams, Training, compute_dtype, fit
@@ -201,11 +201,6 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return _unit_rows(np.asarray(m))[0]
 
 
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between rows of a and rows of b."""
-    return l2_normalize_rows(a) @ l2_normalize_rows(b).T
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row softmax of ``z``, computed in place; returns ``z``."""
     z -= z.max(axis=-1, keepdims=True)
@@ -230,13 +225,12 @@ def forward_slots(params: ModelParams, videos: Sequence[np.ndarray],
     ``qp = Q W_q`` and ``qk = qp W_k^T`` are computed once and every
     video's activations hold them. Video b's L x d' projected frames and
     U x L attention are written into ``outs[b]["xp"]`` and
-    ``outs[b]["attn"]`` when ``outs`` is given. It computes in the
-    videos' dtype."""
-    videos = [np.asarray(video) for video in videos]
-    for video in videos:
-        if video.ndim != 2 or video.shape[1] != params.feature_dim:
-            raise ValidationError(f"video features must be L x "
-                                  f"{params.feature_dim}, got {video.shape}")
+    ``outs[b]["attn"]`` when ``outs`` is given, one per video. It computes
+    in the videos' dtype. The videos are the checked decoder inputs that
+    ``FoldVideo`` holds or ``align_video`` builds."""
+    if outs is not None and len(outs) != len(videos):
+        raise ValidationError(f"outs must hold one dict per video, got "
+                              f"{len(outs)} for {len(videos)}")
     params = params.astype(compute_dtype(*videos))
     qp = params.queries @ params.w_q
     qk = qp @ params.w_k.T
@@ -264,31 +258,26 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
     negative cosine.
 
     ``slots[b]`` is video b's U x d' slot matrix and ``step_feats[b]`` its
-    K_b x d' step texts; a count or a width that does not match raises
-    ValidationError naming the argument. Steps cannot drop; surplus slots
-    drop at each video's percentile cost. The videos of each (steps,
-    slots) shape are taken as one stack: one l2 normalization of their
-    slots and one of their texts, one float64 product for the costs, one
-    partition for the drop costs and one stacked Drop-DTW. When a step's
-    alignment run covers several slots, the cheapest one represents it
-    (ties go to the lower slot index). Returns each video's K_b distinct
-    slot indices in step order.
+    K_b x d' step texts; a count that does not match, or a matrix that
+    ``check_features`` rejects at the slots' width, raises ValidationError
+    naming the argument. Steps cannot drop; surplus slots drop at each
+    video's percentile cost. The videos of each (steps, slots) shape are
+    taken as one stack: one l2 normalization of their slots and one of
+    their texts, one float64 product for the costs, one partition for the
+    drop costs and one stacked Drop-DTW. When a step's alignment run
+    covers several slots, the cheapest one represents it (ties go to the
+    lower slot index). Returns each video's K_b distinct slot indices in
+    step order.
     """
     if len(step_feats) != len(slots):
         raise ValidationError(
             f"step_feats must hold one matrix per slot matrix, got "
             f"{len(step_feats)} for {len(slots)}")
-    slots = [np.asarray(video_slots) for video_slots in slots]
-    step_feats = [np.asarray(steps) for steps in step_feats]
     groups: dict[tuple[int, ...], list[int]] = {}
     for b, (video_slots, steps) in enumerate(zip(slots, step_feats)):
-        if video_slots.ndim != 2:
-            raise ValidationError(
-                f"slots[{b}] must be U x d', got {video_slots.shape}")
-        width = video_slots.shape[1]
-        if steps.ndim != 2 or steps.shape[1] != width:
-            raise ValidationError(
-                f"step_feats[{b}] must be K x {width}, got {steps.shape}")
+        check_features(video_slots, f"slots[{b}]")
+        check_features(steps, f"step_feats[{b}] (as wide as slots[{b}])",
+                       video_slots.shape[1])
         groups.setdefault((*steps.shape, len(video_slots)), []).append(b)
     chosen: list[list[int]] = [[] for _ in slots]
     for members in groups.values():
@@ -337,13 +326,13 @@ class FoldVideo:
                     step_feats: np.ndarray, gt_labels: np.ndarray,
                     normalize_features: bool) -> "FoldVideo":
         """The fold video whose decoder input is ``_decoder_input`` of
-        ``frames``. A frame row of zeros raises ValidationError naming the
-        video and the frame, before any divide."""
-        frames = np.asarray(frames)
-        compute_dtype(frames)   # rejects frames that are not real numbers
-        norms = _row_norms(frames)
-        _reject_zero_row(norms, f"video {video_id!r}")
-        return cls(video_id, _decoder_input(frames, norms, normalize_features),
+        ``frames``. A zero frame row, or frames or texts ``check_features``
+        rejects at one width, raise ValidationError naming the video."""
+        where = f"video {video_id!r}"
+        check_features(frames, f"{where} frames")
+        check_features(step_feats, f"{where} step_feats (as wide as frames)",
+                       frames.shape[1])
+        return cls(video_id, _decoder_input(frames, normalize_features, where),
                    step_feats, gt_labels)
 
     @classmethod
@@ -355,26 +344,23 @@ class FoldVideo:
                                gt_frame_labels(video), normalize_features)
 
 
-def _decoder_input(frames: np.ndarray, norms: np.ndarray,
-                   normalize_features: bool) -> np.ndarray:
+def _decoder_input(frames: np.ndarray, normalize_features: bool,
+                   where: str) -> np.ndarray:
     """The features the decoder reads, in their compute dtype: the frames
     over their float64 row norms cast to that dtype, or the frames
-    themselves when normalization is off."""
-    dtype = compute_dtype(frames)
-    if not normalize_features:
-        return frames.astype(dtype, copy=False)
-    return np.divide(frames, norms.astype(dtype, copy=False))
-
-
-def _reject_zero_row(norms: np.ndarray, where: str) -> None:
-    """Raise ValidationError naming the first all-zero feature row: the
-    decoder input divides each row by its norm, and without normalization
-    the row projects to a frame without a cosine."""
+    themselves when normalization is off. The first all-zero row raises
+    ValidationError naming ``where`` and the frame, before any divide:
+    without normalization the row projects to a frame without a cosine."""
+    norms = _row_norms(frames)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValidationError(
             f"{where} has an all-zero feature row at frame {zero[0]}; every "
             f"frame needs a nonzero row")
+    dtype = compute_dtype(frames)
+    if not normalize_features:
+        return frames.astype(dtype, copy=False)
+    return np.divide(frames, norms.astype(dtype, copy=False))
 
 
 class TrainWorkspace:
@@ -439,20 +425,6 @@ class TrainWorkspace:
         return views
 
 
-def _text_input(params: ModelParams, step_feats: Sequence[np.ndarray]
-                ) -> list[np.ndarray]:
-    """Each video's K x d step texts projected into the working space; a
-    matrix of another width, or not of real numbers, raises
-    ValidationError."""
-    for steps in step_feats:
-        check_real(steps, "step features")
-        if steps.ndim != 2 or steps.shape[1] != params.feature_dim:
-            raise ValidationError(
-                f"step features must be K x {params.feature_dim}, "
-                f"got {steps.shape}")
-    return [steps @ params.proj_t for steps in step_feats]
-
-
 def _batch_params(params: ModelParams, batch: Sequence[FoldVideo],
                   work: TrainWorkspace) -> ModelParams:
     """``params`` cast to the dtype the batch's features compute in, which
@@ -483,7 +455,7 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
                            [work.slot(b, v.x.shape[0])
                             for b, v in enumerate(batch)])
     selections = select_slots([cache["slots"] for cache in caches],
-                              _text_input(params, [v.step_feats for v in batch]),
+                              [v.step_feats @ params.proj_t for v in batch],
                               config.drop_pct)
     return selections, caches
 
@@ -513,8 +485,13 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     each term accumulates into the float64 gradients, which share the
     parameters' flat layout. The input projection's gradient reads each
     video's held decoder input. Each video's frame-sized and steps x
-    frames arrays are written into the workspace's scratch.
+    frames arrays are written into the workspace's scratch. ``selections``
+    and ``caches`` hold one entry per video.
     """
+    for name, items in (("selections", selections), ("caches", caches)):
+        if len(items) != len(batch):
+            raise ValidationError(f"{name} must hold one entry per video, "
+                                  f"got {len(items)} for {len(batch)}")
     params = _batch_params(params, batch, work)
     grads = params.zeros_like()
     gamma = config.gamma
@@ -611,17 +588,26 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     return float(np.mean(sup_losses)) if sup_losses else 0.0, grads
 
 
-def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
-                          drop_pct: float, out: np.ndarray | None = None
-                          ) -> list[tuple[int, Segment]]:
-    """Inference tail: align the per-step slot sequence to frames with
-    droppable DTW (slots must match, frames may drop at the percentile
-    cost) and decode one segment per step, no two overlapping. Both sides
-    are normalized in float64, whatever their dtype; the frames' unit
-    rows are written into ``out``, a float64 array, when it is given."""
+def _align_tail(selected: np.ndarray, frame_embed: np.ndarray, drop_pct: float,
+                out: np.ndarray | None = None) -> list[tuple[int, Segment]]:
+    """``align_frames_to_slots`` past its check; the frames' unit rows are
+    written into ``out``, a float64 array, when it is given."""
     cost = -(l2_normalize_rows(selected) @ _unit_rows(frame_embed, out)[0].T)
     visited, _ = drop_dtw(cost, percentile_drop_cost(cost, drop_pct))
     return decode_segments(visited)
+
+
+def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
+                          drop_pct: float) -> list[tuple[int, Segment]]:
+    """Inference tail: align the per-step slot sequence to frames with
+    droppable DTW (slots must match, frames may drop at the percentile
+    cost) and decode one segment per step, no two overlapping. Both sides
+    pass ``check_features`` at one width and are normalized in float64,
+    whatever their dtype."""
+    check_features(selected, "selected")
+    check_features(frame_embed, "frame_embed (as wide as selected)",
+                   selected.shape[1])
+    return _align_tail(selected, frame_embed, drop_pct)
 
 
 def align_video(params: ModelParams, frames: np.ndarray,
@@ -630,22 +616,19 @@ def align_video(params: ModelParams, frames: np.ndarray,
     """Full inference: decode the video's slots, pick one per step, then
     align the selected slots to the video's frames and read off one
     segment per step. The decoder computes in the frames' dtype, over
-    parameters cast once; frames or step texts that are not real numbers
-    raise ValidationError, and so does an all-zero frame row, naming the
-    frame. Only the slots and the projected frames are kept after the
-    forward."""
-    frames = np.asarray(frames)
-    dtype = compute_dtype(frames)
-    norms = _row_norms(frames)
-    _reject_zero_row(norms, "video")
-    params = params.astype(dtype)
+    parameters cast once; frames or step texts that ``check_features``
+    rejects at ``params.feature_dim`` raise ValidationError, and so does
+    an all-zero frame row, naming the frame. Only the slots and the
+    projected frames are kept after the forward."""
+    check_features(frames, "frames", params.feature_dim)
+    check_features(step_feats, "step_feats", params.feature_dim)
+    params = params.astype(compute_dtype(frames))
     [cache] = forward_slots(
-        params, [_decoder_input(frames, norms, normalize_features)])
+        params, [_decoder_input(frames, normalize_features, "video")])
     slots, xp = cache["slots"], cache["xp"]
     del cache
-    rows = select_slots([slots], _text_input(params, [step_feats]),
-                        drop_pct)[0]
-    return align_frames_to_slots(slots[rows], xp, drop_pct)
+    rows = select_slots([slots], [step_feats @ params.proj_t], drop_pct)[0]
+    return _align_tail(slots[rows], xp, drop_pct)
 
 
 def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
@@ -660,7 +643,7 @@ def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
         chunk = videos[lo:lo + config.batch_size]
         selections, caches = compute_selections(params, chunk, config, work)
         for v, rows, cache in zip(chunk, selections, caches):
-            segments = align_frames_to_slots(
+            segments = _align_tail(
                 cache["slots"][rows], cache["xp"], config.drop_pct,
                 work.scratch(v.x.shape[0])["unit"])
             scores.append(frame_metrics(
@@ -758,7 +741,7 @@ def load_model(path) -> tuple[ModelParams, dict]:
 
 
 __all__ = [
-    "l2_normalize_rows", "cosine_matrix", "ModelParams", "TrainConfig",
+    "l2_normalize_rows", "ModelParams", "TrainConfig",
     "FoldVideo", "TrainWorkspace",
     "forward_slots", "select_slots",
     "compute_selections", "batch_loss_and_grads", "align_frames_to_slots",

@@ -8,10 +8,12 @@ both return what ``drop_dtw`` does, the visited mask and the total.
 ``stepalign.model.select_slots`` replaced with a masked argmin over a
 stack of videos. ``average_precision_pointwise`` computes AP without the
 precision envelope that ``stepalign.metrics.average_precision`` uses.
-``cosine`` is the scalar similarity that ``cosine_matrix`` is checked
-against, and ``detect_per_segment`` classifies one segment at a time, as
-``stepalign.classifier.detect_mistakes`` did before it classified a whole
-row matrix at once.
+``cosine_matrix`` is the pairwise cosine of two matrices' rows, which
+the one-video oracle and the kernel tests build costs from, and
+``cosine`` the scalar similarity it is checked against.
+``detect_per_segment`` classifies one segment at a time, as
+``stepalign.classifier.detect_mistakes`` did before it classified a
+whole row matrix at once.
 
 ``DictAdam`` is Adam over a dictionary of separate tensors, the update
 that ``stepalign.optim.Adam`` runs over one flat buffer.
@@ -58,7 +60,7 @@ from stepalign.metrics import (
 from stepalign.model import (
     FoldVideo, ModelParams, TrainConfig, TrainWorkspace, _softmax_rows,
     _unit_rows_backward, align_video, batch_loss_and_grads,
-    compute_selections, cosine_matrix,
+    compute_selections, l2_normalize_rows,
 )
 from stepalign.optim import EpochLog, Training, compute_dtype
 
@@ -217,6 +219,11 @@ def average_precision_pointwise(tp_flags: np.ndarray, n_gt: int) -> float:
             best = max(best, prec)
         total += best
     return total / n_gt
+
+
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities between rows of a and rows of b."""
+    return l2_normalize_rows(a) @ l2_normalize_rows(b).T
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from stepalign.alignment import (
 )
 from stepalign.data import Segment
 from stepalign.errors import ValidationError
-from stepalign.model import cosine_matrix
-from oracles import brute_force_align, drop_dtw_loop
+from oracles import brute_force_align, cosine_matrix, drop_dtw_loop
 
 
 def _cells(visited):
@@ -136,6 +136,26 @@ class TestPercentileDropCost:
             assert got.dtype == np.float64
             assert got.tolist() == [percentile_drop_cost(cost, pct)
                                     for cost in stack]
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (1, 3, 4, 1)],
+                             ids=["0-d", "vector", "matrix", "4-d"])
+    def test_stack_of_another_rank_rejected(self, shape):
+        # a matrix's rows were read as the stack, and a vector as itself
+        with pytest.raises(ValidationError, match=(
+                rf"^percentile needs a 3-d cost array, got shape "
+                rf"{re.escape(str(shape))}$")):
+            percentile_drop_cost_stack(
+                np.arange(float(math.prod(shape))).reshape(shape), 50)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (1, 3, 4)],
+                             ids=["0-d", "vector", "stack"])
+    def test_matrix_of_another_rank_rejected(self, shape):
+        # a vector was read as a one-row matrix, and a stack as one matrix
+        with pytest.raises(ValidationError, match=(
+                rf"^percentile needs a 2-d cost array, got shape "
+                rf"{re.escape(str(shape))}$")):
+            percentile_drop_cost(
+                np.arange(float(math.prod(shape))).reshape(shape), 80)
 
     def test_empty_stack_rejected(self):
         for stack in (np.ones((0, 2, 3)), np.ones((2, 0, 3))):

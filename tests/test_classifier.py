@@ -427,12 +427,16 @@ def test_video_only_train_save_load_detect(tmp_path):
     video = corpus.video_by_id(ids["m00"])
     dets = _assert_detections_match_per_segment(
         params, corpus, video, np.float64, tol=1e-12, video_only=True)
-    # the text is not read at all: NaN step features change nothing
+    # the text is not read at all: other step features change nothing,
+    # though they are checked as the frames' texts
     feats = corpus.video_features(video.video_id).astype(np.float64)
     step_feats = corpus.task_step_features(video.task)
-    unread = detect_mistakes(params, [(d.step, d.segment) for d in dets],
-                             feats, np.full_like(step_feats, np.nan))
-    assert unread == dets
+    proposals = [(d.step, d.segment) for d in dets]
+    other = np.random.default_rng(3).normal(size=(2, step_feats.shape[1]))
+    assert detect_mistakes(params, proposals, feats, other) == dets
+    with pytest.raises(ValidationError, match="^step_feats .* must be finite"):
+        detect_mistakes(params, proposals, feats,
+                        np.full_like(step_feats, np.nan))
 
 
 # the rows' gemm and the oracle's per-segment gemv sum the same at most 16
@@ -586,7 +590,8 @@ def test_detect_mistakes_rejects_features_not_real_numbers(argument, dtype):
     inputs = {"frames": rng.normal(size=(12, 4)),
               "step_feats": rng.normal(size=(2, 4))}
     inputs[argument] = (inputs[argument] > 0).astype(dtype)
-    what = "features" if argument == "frames" else "step features"
+    what = ("frames" if argument == "frames"
+            else r"step_feats \(as wide as frames\)")
     with pytest.raises(ValidationError, match=(
             rf"^{what} must be ints or floats, got an array of "
             rf"{re.escape(str(inputs[argument].dtype))}$")):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stepalign.model
 from stepalign.alignment import percentile_drop_cost
@@ -18,12 +19,12 @@ from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
     FoldVideo, ModelParams, TrainConfig, TrainWorkspace,
     align_frames_to_slots, align_video, batch_loss_and_grads, compute_selections,
-    cosine_matrix, evaluate_alignment_f1, forward_slots, l2_normalize_rows, load_model, save_model, select_slots, train_alignment_fold,
+    evaluate_alignment_f1, forward_slots, l2_normalize_rows, load_model, save_model, select_slots, train_alignment_fold,
 )
 from stepalign.optim import Training
 from stepalign.synth import SynthConfig, synth_corpus
 from oracles import (
-    batch_loss_and_grads_kv, brute_force_align, cosine,
+    batch_loss_and_grads_kv, brute_force_align, cosine, cosine_matrix,
     evaluate_alignment_f1_per_video, forward_slots_kv, fresh_workspace,
     select_slots_per_video, train_alignment_fold_per_tensor,
 )
@@ -175,11 +176,14 @@ class TestForwardSlots:
         np.testing.assert_allclose(_slots(shuffled, x), base[perm],
                                    atol=1e-12)
 
-    def test_dimension_mismatch_rejected(self):
+    def test_outs_count_mismatch_rejected(self):
+        # zip dropped the second video: one cache came back for two
         rng = np.random.default_rng(4)
         params = _params(rng, d=6)
-        with pytest.raises(ValidationError, match="features"):
-            forward_slots(params, [rng.normal(size=(5, 7))])
+        x = rng.normal(size=(5, 6))
+        with pytest.raises(ValidationError, match=(
+                "^outs must hold one dict per video, got 1 for 2$")):
+            forward_slots(params, [x, x], [{}])
 
 
 def test_l2_normalize_rejects_zero_row():
@@ -303,8 +307,9 @@ class TestSelectSlots:
         # matmul raised a bare ValueError
         rng = np.random.default_rng(15)
         video_slots = rng.normal(size=(8, 5))
-        with pytest.raises(ValidationError,
-                           match=r"^step_feats\[1\] must be K x 5, got \(3, 4\)$"):
+        with pytest.raises(ValidationError, match=(
+                r"^step_feats\[1\] \(as wide as slots\[1\]\) must be 2-d with "
+                r"at least one row of 5 columns, got shape \(3, 4\)$")):
             select_slots([video_slots, video_slots],
                          [rng.normal(size=(3, 5)), rng.normal(size=(3, 4))], 80)
 
@@ -441,7 +446,7 @@ class TestSlotSpaceAttention:
         kv_caches = [forward_slots_kv(params, v.x)[1] for v in batch]
         kv_selections = select_slots(
             [c["slots"] for c in kv_caches],
-            stepalign.model._text_input(params, [v.step_feats for v in batch]),
+            [v.step_feats @ params.proj_t for v in batch],
             config.drop_pct)
         assert selections == kv_selections
 
@@ -508,6 +513,22 @@ class TestGradients:
                 grad, (getattr(singles[0][1], name)
                        + getattr(singles[1][1], name)) / 2,
                 rtol=1e-10, atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("argument", ["selections", "caches"])
+    def test_count_mismatch_rejected(self, argument):
+        # zip dropped the second video: a two-video batch scored one of
+        # them, over the whole batch's count
+        rng = np.random.default_rng(501)
+        params = _params(rng)
+        batch = [_random_example(rng) for _ in range(2)]
+        inputs = dict(zip(("selections", "caches"), compute_selections(
+            params, batch, _GRAD_CONFIG, fresh_workspace(params, batch))))
+        inputs[argument] = inputs[argument][:1]
+        with pytest.raises(ValidationError, match=(
+                f"^{argument} must hold one entry per video, got 1 for 2$")):
+            batch_loss_and_grads(params, batch, inputs["selections"],
+                                 inputs["caches"], _GRAD_CONFIG,
+                                 fresh_workspace(params, batch))
 
     def test_shared_slot_gradients_accumulate(self):
         # two steps of one video select the same slot, so both supervised
@@ -602,18 +623,18 @@ class TestAlignVideos:
                         rng.normal(size=(3, 6)), 80.0, True)
 
     def test_step_width_mismatch_rejected(self):
-        # inference and training selection share the one check
+        # inference checks the texts at the decoder's width, and a fold
+        # video at its frames' width, before training selection reads them
         rng = np.random.default_rng(42)
         params = _params(rng, d=6, dp=5, u=4)
         frames, steps = rng.normal(size=(9, 6)), rng.normal(size=(2, 7))
-        rule = r"^step features must be K x 6, got \(2, 7\)$"
-        with pytest.raises(ValidationError, match=rule):
+        rule = r"must be 2-d with at least one row of 6 columns, got shape \(2, 7\)$"
+        with pytest.raises(ValidationError, match=f"^step_feats {rule}"):
             align_video(params, frames, steps, 80.0, True)
-        video = FoldVideo.from_frames("v", frames, steps,
-                                      np.zeros(9, dtype=np.int64), True)
-        with pytest.raises(ValidationError, match=rule):
-            compute_selections(params, [video], TrainConfig(),
-                               fresh_workspace(params, [video]))
+        with pytest.raises(ValidationError, match=(
+                rf"^video 'v' step_feats \(as wide as frames\) {rule}")):
+            FoldVideo.from_frames("v", frames, steps,
+                                  np.zeros(9, dtype=np.int64), True)
 
     @pytest.mark.parametrize("argument", ["frames", "step_feats"])
     @pytest.mark.parametrize("dtype", [bool, np.complex128, object, np.str_],
@@ -626,9 +647,8 @@ class TestAlignVideos:
         inputs = {"frames": rng.normal(size=(9, 6)),
                   "step_feats": rng.normal(size=(2, 6))}
         inputs[argument] = (inputs[argument] > 0).astype(dtype)
-        what = "features" if argument == "frames" else "step features"
         with pytest.raises(ValidationError, match=(
-                rf"^{what} must be ints or floats, got an array of "
+                rf"^{argument} must be ints or floats, got an array of "
                 rf"{re.escape(str(inputs[argument].dtype))}$")):
             align_video(params, inputs["frames"], inputs["step_feats"],
                         80.0, True)
@@ -649,6 +669,26 @@ class TestAlignVideos:
                 r"needs a nonzero row$")):
             align_video(params, frames, rng.normal(size=(2, 6)).astype(dtype),
                         80.0, normalize)
+
+
+# A power-of-two scale is exact in binary floating point, short of
+# overflow and underflow: each row norm, unit row and projected text
+# scales by it exactly, so the normalized decoder input, the selection
+# and both alignments see the same bits. The classifier is not such an
+# invariance: it mean-pools the unnormalized frames, so its rows scale.
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(-4, 4), j=st.integers(-4, 4), seed=st.integers(0, 3))
+def test_alignment_invariant_to_power_of_two_scales(k, j, seed):
+    rng = np.random.default_rng(seed)
+    params = _params(rng, d=6, dp=5, u=4)
+    for dtype in (np.float32, np.float64):
+        frames = rng.normal(size=(12, 6)).astype(dtype)
+        steps = rng.normal(size=(3, 6)).astype(dtype)
+        scaled = frames * dtype(2.0 ** k), steps * dtype(2.0 ** j)
+        assert align_video(params, *scaled, 80.0, True) == \
+            align_video(params, frames, steps, 80.0, True)
+        assert align_frames_to_slots(scaled[1], scaled[0], 80.0) == \
+            align_frames_to_slots(steps, frames, 80.0)
 
 
 class TestCheckpointIO:
@@ -1119,10 +1159,9 @@ class TestFoldVideo:
     def test_input_equals_decoder_input_bit_for_bit(self, dtype, normalize):
         rng = np.random.default_rng(67)
         frames = rng.normal(size=(11, 4)).astype(dtype)
-        norms = stepalign.model._row_norms(frames)
         video = FoldVideo.from_frames("v", frames, rng.normal(size=(2, 4)),
                                       np.zeros(11, dtype=np.int64), normalize)
-        want = stepalign.model._decoder_input(frames, norms, normalize)
+        want = stepalign.model._decoder_input(frames, normalize, "video 'v'")
         assert video.x.dtype == want.dtype == dtype
         assert video.x.tobytes() == want.tobytes()
         # the frames over their float64 norms cast to the dtype, or the
