@@ -49,8 +49,13 @@ def float32_tensors(path: str | Path, tensors: dict[str, np.ndarray]
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
                     meta: dict) -> None:
-    """Write a checkpoint that load_checkpoint reads. The ``float32_tensors``
-    check runs before any file is opened."""
+    """Write a checkpoint that load_checkpoint reads. A ``tensors`` key in
+    ``meta``, which the header's tensor list would replace, raises
+    ValidationError naming the path; it and the ``float32_tensors`` check
+    run before any file is opened."""
+    if "tensors" in meta:
+        raise ValidationError(f"{path}: meta key 'tensors' is the header's "
+                              f"tensor list")
     write_checkpoint(path, float32_tensors(path, tensors), meta)
 
 

@@ -21,15 +21,15 @@ validation rows and detections all come from them; a fold builds its
 validation rows once and rescores them each validation round.
 
 Training hands ``optim.fit`` one full-batch step per epoch and the val
-score, validated every ``val_every`` epochs. ``fit`` runs Adam over the
-parameters' one flat buffer, keeps the checkpoint with the best val
-score and stops at the first validation round ``_PATIENCE`` (300) or
-more epochs after that checkpoint's epoch, so a run of at most 300
-epochs runs every epoch. A fold allocates its hidden activations, the
-ReLU mask and the parameter gradients once, in a workspace; the backward
-writes the activations' gradient over the activations, which it no
-longer reads, and each epoch writes into them in place, so it allocates
-no array of n x hidden size.
+score, validated every ``_VAL_EVERY`` (10) epochs and at the last.
+``fit`` runs Adam over the parameters' one flat buffer, keeps the
+checkpoint with the best val score and stops at the first validation
+round ``_PATIENCE`` (300) or more epochs after that checkpoint's epoch,
+so a run of at most 300 epochs runs every epoch. A fold allocates its
+hidden activations, the ReLU mask and the parameter gradients once, in a
+workspace; the backward writes the activations' gradient over the
+activations, which it no longer reads, and each epoch writes into them
+in place, so it allocates no array of n x hidden size.
 
 The classifier computes in the dtype of its features
 (``optim.compute_dtype``), as the decoder does: ``classifier_rows``
@@ -105,7 +105,9 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def mean_pool(m: np.ndarray, seg: Segment) -> np.ndarray:
-    """Arithmetic mean of the rows in [seg.start, seg.end), in float64."""
+    """Arithmetic mean of the rows in [seg.start, seg.end), in float64; a
+    ``seg`` not a Segment raises ValidationError naming it."""
+    check_type(seg, Segment, "proposal segment")
     rows = m.shape[0]
     if not (0 <= seg.start < seg.end <= rows):
         raise ValidationError(
@@ -174,11 +176,10 @@ class ClassifierTrainConfig:
     learning_rate: float = 1e-3
     beta: float = 0.9999
     seed: int = 0
-    val_every: int = 10
     video_only: bool = False
 
     def validate(self) -> None:
-        check_counts(self, ("hidden", "epochs", "val_every"))
+        check_counts(self, ("hidden", "epochs"))
         check_counts(self, ("seed",), minimum=0)
         check_numbers(self, ("learning_rate", "beta"))
         check_flags(self, ("video_only",))
@@ -311,6 +312,8 @@ def detect_mistakes(params: ClassifierParams,
     return _detections(alignment, z, labels)
 
 
+# epochs between validation rounds, which also validate the last epoch
+_VAL_EVERY = 10
 # epochs without a better val score after which training stops (Prechelt,
 # "Early Stopping -- But When?", 1998); the best checkpoint usually comes
 # before epoch 200 of 1200
@@ -350,8 +353,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     return fit(ClassifierTraining(fold.fold_id, params.copy(),
                                   class_counts=counts),
                params, batches, lambda: _val_score(params, *val, val_truth),
-               config.epochs, config.learning_rate, config.val_every,
-               _PATIENCE)
+               config.epochs, config.learning_rate, _VAL_EVERY, _PATIENCE)
 
 
 def save_classifier(path, training: ClassifierTraining,

@@ -53,7 +53,7 @@ from .data import (
     parse_text, parse_video, save_json, text_to_json, validate_video,
     video_to_json,
 )
-from .errors import FormatError, ParseError, ValidationError
+from .errors import FormatError, ParseError, ValidationError, check_type
 
 
 def _check_file_name(file: Path, key: str, name: str) -> None:
@@ -181,6 +181,10 @@ class Corpus:
         for name, matrix, rows, unit in matrices:
             if matrix is None:
                 raise ValidationError(f"{name}: no feature matrix")
+            if not isinstance(matrix, (np.ndarray, StoredTensor)):
+                raise ValidationError(f"{name}: feature matrix must be a numpy "
+                                      f"array or a StoredTensor, got "
+                                      f"{type(matrix).__name__}")
             if matrix.dtype != np.float32:
                 raise ValidationError(f"{name}: feature matrix must be "
                                       f"float32, got {matrix.dtype}")
@@ -229,7 +233,11 @@ class Corpus:
                         f"fold {fold.fold_id}: unknown video_id {vid!r} in {split}")
 
     def task_step_features(self, task: TaskDomain) -> np.ndarray:
-        """The task's step features, held or read as ``video_features``."""
+        """The task's step features, held or read as ``video_features``; a
+        task without a text raises ValidationError naming it."""
+        check_type(task, TaskDomain, "task")
+        if task not in self.texts:
+            raise ValidationError(f"no procedural text for task {task.value}")
         return np.asarray(self.step_features[task])
 
     @property
@@ -243,7 +251,11 @@ class Corpus:
     def save(self, path: str | Path) -> None:
         """Write the corpus in the layout above. A feature matrix that is
         not 2-d, is empty or holds a value not finite at float32 raises
-        ValidationError naming its file, and then no file is written."""
+        ValidationError naming its file, and so does the first file under
+        texts/, annotations/ or features/ that no record of this corpus
+        owns, which a later load would read as part of this corpus; then
+        no file is written. A ``*.tmp`` leftover of a failed write is not a
+        record."""
         root = Path(path)
         feat_dir = root / "features"
         matrices = [(video.video_id, self.features[video.video_id])
@@ -260,6 +272,16 @@ class Corpus:
                     f"got {matrix.shape}")
             checked.append(
                 (file, name, float32_tensors(file, {"features": matrix})))
+        owned = {file for file, _, _ in checked}
+        owned |= {root / "texts" / f"{task.value}.json" for task in self.texts}
+        owned |= {root / "annotations" / f"{video.video_id}.json"
+                  for video in self.videos}
+        stale = sorted(file for sub in ("texts", "annotations", "features")
+                       for file in (root / sub).glob("*")
+                       if file.suffix != ".tmp" and file not in owned)
+        if stale:
+            raise ValidationError(f"{stale[0]}: no record of this corpus "
+                                  f"owns this file")
         save_corpus(root, list(self.texts.values()), self.videos)
         feat_dir.mkdir(parents=True, exist_ok=True)
         for file, name, stored in checked:

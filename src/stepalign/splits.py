@@ -117,25 +117,20 @@ def make_group_kfold(videos: list[AnnotatedVideo], k: int, seed: int) -> list[Fo
             side_b = tuple(w for w in subset if w not in side_a)
             flip = bool(rng.integers(2)) ^ bool(reuse_round % 2)
             val_side, test_side = (side_b, side_a) if flip else (side_a, side_b)
-            for w in val_side:
-                for key in keys:
-                    val_ids.extend(worker_videos[w].get(key, []))
-            for w in test_side:
-                for key in keys:
-                    test_ids.extend(worker_videos[w].get(key, []))
+            val_ids = [vid for w in val_side for key in keys
+                       for vid in worker_videos[w].get(key, [])]
+            test_ids = [vid for w in test_side for key in keys
+                        for vid in worker_videos[w].get(key, [])]
         else:
             # single-worker (or otherwise unsplittable) eval set: the two
             # videos per (task, intent) are divided directly
             for key in keys:
                 pair = sorted(
                     vid for w in subset for vid in worker_videos[w].get(key, []))
-                first_to_val = bool(rng.integers(2)) ^ bool(reuse_round % 2)
-                if first_to_val:
-                    val_ids.append(pair[0])
-                    test_ids.append(pair[1])
-                else:
-                    val_ids.append(pair[1])
-                    test_ids.append(pair[0])
+                if not bool(rng.integers(2)) ^ bool(reuse_round % 2):
+                    pair.reverse()
+                val_ids.append(pair[0])
+                test_ids.append(pair[1])
         eval_set = set(val_ids) | set(test_ids)
         train_ids = [vid for vid in all_ids if vid not in eval_set]
         folds.append(FoldSpec(

@@ -228,13 +228,10 @@ def _plan_video(rng: np.random.Generator, cfg: SynthConfig, k: int,
         if exec_kind == MistakeLabel.OBJECT and k > 1:
             wrong = int(rng.choice([s for s in range(1, k + 1) if s != step]))
             content, label = protos[wrong - 1], MistakeLabel.OBJECT
-        elif exec_kind == MistakeLabel.OBJECT:
-            # single-step task has no other prototype to emit
-            content = _unit(proto + vectors.mistake_dir)
-            label = MistakeLabel.OBJECT
-        elif exec_kind in (MistakeLabel.ACCIDENT, MistakeLabel.HOWTO):
-            content = _unit(proto + vectors.mistake_dir)
-            label = exec_kind
+        elif exec_kind in (MistakeLabel.OBJECT, MistakeLabel.ACCIDENT,
+                           MistakeLabel.HOWTO):
+            # a single-step task's OBJECT has no other prototype to emit
+            content, label = _unit(proto + vectors.mistake_dir), exec_kind
         else:
             content, label = proto, MistakeLabel.CORRECT
 

@@ -34,7 +34,9 @@ decoder with it and ``DictAdam``. The two trainers are the reference the
 allocation-free trainers must match bit for bit. ``fresh_workspace``
 allocates a ``TrainWorkspace`` sized for one batch, so that a step
 function given one runs over new buffers, the reference that a step over
-a reused workspace must match bit for bit.
+a reused workspace must match bit for bit. ``reordered_corpus`` holds a
+corpus's videos and their feature matrices in another order, the input
+of the order-invariance tests.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from stepalign.classifier import (
     ClassifierParams, ClassifierTraining, _log_softmax, _segment_rows,
     _val_score, class_balanced_weights,
 )
+from stepalign.corpus import Corpus
 from stepalign.data import CoarseLabel, Segment
 from stepalign.errors import NumericalError, ValidationError
 from stepalign.metrics import (
@@ -341,7 +344,7 @@ def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining
                 f"fold {fold.fold_id} epoch {epoch}: non-finite classifier loss")
         tensors = params.as_dict()
         opt.step(tensors, grads)
-        if epoch % config.val_every == 0 or epoch == config.epochs - 1:
+        if epoch % classifier._VAL_EVERY == 0 or epoch == config.epochs - 1:
             score = _val_score(params, *val, val_truth)
             best.log.append(EpochLog(epoch, loss, score))
             if score > best.best_score:
@@ -349,8 +352,9 @@ def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining
                 best.best_epoch = epoch
                 best.params = params.copy()
             elif epoch >= best.best_epoch + classifier._PATIENCE:
-                # read at call time, so a test's patience applies here too;
-                # it is >= 1, so a round that just improved never stops
+                # both constants are read at call time, so a test's cadence
+                # and patience apply here too; the patience is >= 1, so a
+                # round that just improved never stops
                 break
     return best
 
@@ -509,3 +513,13 @@ def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
     if not math.isfinite(total_loss):
         raise NumericalError("non-finite training loss")
     return total_loss, grads
+
+
+def reordered_corpus(corpus: Corpus, order: Sequence[int]) -> Corpus:
+    """``corpus`` with ``videos``, and the features dict with them, in
+    ``order``, a permutation of the video indices."""
+    videos = [corpus.videos[i] for i in order]
+    return Corpus(texts=corpus.texts, videos=videos,
+                  features={v.video_id: corpus.features[v.video_id]
+                            for v in videos},
+                  step_features=corpus.step_features)

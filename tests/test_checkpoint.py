@@ -145,6 +145,16 @@ def test_save_rejects_value_not_finite_at_float32(tmp_path, value):
     assert not (tmp_path / "c.ckpt").exists()
 
 
+def test_save_rejects_meta_key_tensors(tmp_path):
+    # the header's tensor list replaced it, so a load returned the meta
+    # without it
+    with pytest.raises(ValidationError, match=r"c\.ckpt: meta key 'tensors' "
+                                              r"is the header's tensor list$"):
+        save_checkpoint(tmp_path / "c.ckpt", {"a": np.ones(2)},
+                        {"kind": "x", "tensors": ["a"]})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_largest_float32_round_trips(tmp_path):
     big = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max])
     save_checkpoint(tmp_path / "c.ckpt", {"a": big}, {"kind": "x"})

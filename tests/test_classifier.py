@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stepalign.classifier
 import stepalign.corpus
@@ -24,7 +25,7 @@ from stepalign.optim import Adam
 from stepalign.synth import SynthConfig, synth_corpus
 
 from oracles import (
-    classifier_loss_and_grads, detect_per_segment,
+    classifier_loss_and_grads, detect_per_segment, reordered_corpus,
     train_classifier_fold_per_tensor,
 )
 
@@ -233,24 +234,39 @@ def _small_fold():
     ids = {v.video_id.rsplit("_", 1)[1]: v.video_id for v in corpus.videos}
     fold = FoldSpec(0, train=tuple(ids[k] for k in ("c00", "c01", "m00", "m01", "m03")),
                     val=(ids["c02"], ids["m02"]), test=(ids["c03"],))
-    return corpus, fold, ClassifierTrainConfig(hidden=8, epochs=30, val_every=10)
+    return corpus, fold, ClassifierTrainConfig(hidden=8, epochs=30)
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(8)), video_only=st.booleans())
+def test_shuffled_videos_give_the_same_classifier_parameters_bit_for_bit(
+        order, video_only):
+    # training reads the fold's ids, never the corpus's video order
+    corpus, fold, config = _small_fold()
+    config = replace(config, video_only=video_only)
+    want = train_classifier_fold(corpus, fold, config)
+    got = train_classifier_fold(reordered_corpus(corpus, order), fold, config)
+    assert got.params.flat.tobytes() == want.params.flat.tobytes()
+    assert (got.log, got.class_counts) == (want.log, want.class_counts)
 
 
 def _long_fold(**changes):
-    """``_small_fold`` trained 120 epochs, validating every 4."""
+    """``_small_fold`` trained 120 epochs; its tests validate every 4."""
     corpus, fold, config = _small_fold()
-    return corpus, fold, replace(config, **{"epochs": 120, "val_every": 4,
-                                            **changes})
+    return corpus, fold, replace(config, **{"epochs": 120, **changes})
 
 
 def _train(patience, **changes):
-    """``_long_fold`` trained with ``patience`` epochs of patience."""
+    """``_long_fold`` trained with ``patience`` epochs of patience,
+    validating every 4."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepalign.classifier, "_VAL_EVERY", 4)
         mp.setattr(stepalign.classifier, "_PATIENCE", patience)
         return train_classifier_fold(*_long_fold(**changes))
 
 
-def _assert_training_matches_per_tensor_oracle(**changes):
+def _assert_training_matches_per_tensor_oracle(monkeypatch, **changes):
+    monkeypatch.setattr(stepalign.classifier, "_VAL_EVERY", 4)
     corpus, fold, config = _long_fold(**changes)
     got = train_classifier_fold(corpus, fold, config)
     want = train_classifier_fold_per_tensor(corpus, fold, config)
@@ -262,18 +278,19 @@ def _assert_training_matches_per_tensor_oracle(**changes):
     return got
 
 
-def test_training_matches_per_tensor_oracle():
-    _assert_training_matches_per_tensor_oracle()
+def test_training_matches_per_tensor_oracle(monkeypatch):
+    _assert_training_matches_per_tensor_oracle(monkeypatch)
 
 
-def test_video_only_training_matches_per_tensor_oracle():
-    _assert_training_matches_per_tensor_oracle(video_only=True)
+def test_video_only_training_matches_per_tensor_oracle(monkeypatch):
+    _assert_training_matches_per_tensor_oracle(monkeypatch, video_only=True)
 
 
 def test_stopped_training_matches_per_tensor_oracle(monkeypatch):
     # video-only rows on this fold score best at epoch 16 and never better
     monkeypatch.setattr(stepalign.classifier, "_PATIENCE", 16)
-    got = _assert_training_matches_per_tensor_oracle(video_only=True)
+    got = _assert_training_matches_per_tensor_oracle(monkeypatch,
+                                                     video_only=True)
     assert (got.best_epoch, got.epochs_run) == (16, 33)
 
 
@@ -321,8 +338,8 @@ def test_patience_stops_at_first_round_reaching_the_gap(tmp_path, video_only,
 
 
 @pytest.mark.parametrize("field, value", [
-    ("epochs", 0), ("val_every", 0), ("hidden", 0), ("epochs", 2.5),
-    ("val_every", 2.5), ("hidden", True), ("epochs", False),
+    ("epochs", 0), ("hidden", 0), ("epochs", 2.5), ("hidden", True),
+    ("epochs", False),
     ("learning_rate", 0.0),
     ("learning_rate", -1e-3), ("learning_rate", math.nan),
     ("learning_rate", math.inf), ("beta", math.nan),
@@ -568,6 +585,18 @@ def test_detect_mistakes_rejects_step_of_another_type(step):
     proposals = [(1, Segment(0, 5)), (step, Segment(5, 9))]
     with pytest.raises(ValidationError,
                        match=rf"^proposal step must be int, got {step!r}$"):
+        detect_mistakes(params, proposals, rng.normal(size=(12, 4)),
+                        rng.normal(size=(2, 4)))
+
+
+@pytest.mark.parametrize("input_dim", [8, 4], ids=["video+text", "video-only"])
+def test_detect_mistakes_rejects_segment_of_another_type(input_dim):
+    # a (start, end) tuple failed bare in mean_pool in both row layouts
+    rng = np.random.default_rng(4)
+    params = ClassifierParams.init(rng, input_dim=input_dim, hidden=6)
+    proposals = [(1, Segment(0, 5)), (2, (5, 9))]
+    with pytest.raises(ValidationError, match=r"^proposal segment must be "
+                                              r"Segment, got \(5, 9\)$"):
         detect_mistakes(params, proposals, rng.normal(size=(12, 4)),
                         rng.normal(size=(2, 4)))
 

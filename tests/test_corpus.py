@@ -145,6 +145,16 @@ def test_unknown_video_features_rejected_before_logging():
     assert corpus.access_log == set()
 
 
+@pytest.mark.parametrize("task, rule", [
+    (TaskDomain.COLOR_MIXTURE, "no procedural text for task color_mixture"),
+    ("cardboard", "task must be TaskDomain, got 'cardboard'"),
+], ids=["task-without-text", "not-a-task"])
+def test_step_features_of_task_without_text_rejected(task, rule):
+    # a task without a text raised a bare KeyError
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        _corpus().task_step_features(task)
+
+
 @pytest.mark.parametrize("features, step_features, rule", [
     ({}, None, r"v: no feature matrix"),
     ({"v": _ones(5)}, None, r"v: feature matrix must be 2-d, got shape \(5,\)"),
@@ -163,6 +173,9 @@ def test_unknown_video_features_rejected_before_logging():
      "stray: feature matrix names no video"),
     ({"v": np.ones((5, 3))}, None,
      "v: feature matrix must be float32, got float64"),
+    # a list failed bare at its missing dtype
+    ({"v": _ones(5, 3).tolist()}, None,
+     "v: feature matrix must be a numpy array or a StoredTensor, got list"),
     (None, {TaskDomain.CARDBOARD: np.ones((2, 3), dtype=np.float16)},
      "steps_cardboard: feature matrix must be float32, got float16"),
     # a zero-width corpus would report feature_dim 0, and training would
@@ -173,7 +186,8 @@ def test_unknown_video_features_rejected_before_logging():
      r"steps_cardboard: feature matrix has no columns, got shape \(2, 0\)"),
 ], ids=["no-matrix", "1-d", "frame-rows", "step-rows", "step-width",
         "video-width", "step-matrix-without-text", "text-without-step-matrix",
-        "stray-matrix", "video-float64", "steps-float16", "video-no-columns",
+        "stray-matrix", "video-float64", "video-list", "steps-float16",
+        "video-no-columns",
         "steps-no-columns"])
 def test_constructor_rejects_matrix_not_fitting_its_record(features,
                                                            step_features,
@@ -225,6 +239,38 @@ def test_save_rejecting_a_matrix_writes_no_file(tmp_path):
                              rf"not finite at float32$"):
         corpus.save(tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_save_over_another_corpus_rejected_and_writes_no_file(tmp_path):
+    # from_dir read the first corpus's two extra videos back with the second
+    synth_corpus(SynthConfig(tasks=1, videos_per_task=6, workers=2,
+                             steps_per_task=2, dim=8,
+                             frames_per_step=(2, 3))).corpus.save(tmp_path)
+    files = sorted(f for f in tmp_path.rglob("*") if f.is_file())
+    before = {f: f.read_bytes() for f in files}
+    second = synth_corpus(SynthConfig(tasks=1, videos_per_task=4, workers=2,
+                                      steps_per_task=2, dim=8,
+                                      frames_per_step=(2, 3), seed=1)).corpus
+    owned = {f"{v.video_id}.json" for v in second.videos}
+    stale = min(f for f in files if f.parent.name == "annotations"
+                and f.name not in owned)
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(stale))}: no "
+                                              rf"record of this corpus owns "
+                                              rf"this file$"):
+        second.save(tmp_path)
+    assert sorted(f for f in tmp_path.rglob("*") if f.is_file()) == files
+    assert {f: f.read_bytes() for f in files} == before
+
+
+def test_save_over_a_temporary_leftover(tmp_path):
+    # a failed write's *.tmp file is not a record of another corpus
+    corpus = _small_synth()
+    corpus.save(tmp_path)
+    leftover = tmp_path / "features" / "gone.fmtx.tmp"
+    leftover.write_bytes(b"partial")
+    corpus.save(tmp_path)
+    assert leftover.read_bytes() == b"partial"
+    assert len(Corpus.from_dir(tmp_path).videos) == len(corpus.videos)
 
 
 class TestFeatureIO:

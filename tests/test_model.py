@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -26,7 +27,7 @@ from stepalign.synth import SynthConfig, synth_corpus
 from oracles import (
     batch_loss_and_grads_kv, brute_force_align, cosine, cosine_matrix,
     evaluate_alignment_f1_per_video, forward_slots_kv, fresh_workspace,
-    select_slots_per_video, train_alignment_fold_per_tensor,
+    reordered_corpus, select_slots_per_video, train_alignment_fold_per_tensor,
 )
 
 
@@ -765,6 +766,45 @@ def _tiny_fold():
                     test=(ids[7],))
     config = TrainConfig(epochs=3, batch_size=2, working_dim=6, num_queries=5)
     return corpus, fold, config
+
+
+@functools.cache
+def _tiny_fold_training():
+    """``_tiny_fold``'s decoder training, as bytes of its parameters and
+    its log."""
+    training = train_alignment_fold(*_tiny_fold())
+    return training.params.flat.tobytes(), training.log
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(8)))
+def test_shuffled_videos_give_the_same_decoder_parameters_bit_for_bit(order):
+    # training reads the fold's sorted ids, never the corpus's video order
+    corpus, fold, config = _tiny_fold()
+    training = train_alignment_fold(reordered_corpus(corpus, order), fold,
+                                    config)
+    assert (training.params.flat.tobytes(), training.log) == \
+        _tiny_fold_training()
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(-4, 4), j=st.integers(-4, 4))
+def test_power_of_two_scales_give_the_same_decoder_parameters_bit_for_bit(
+        k, j):
+    # as for test_alignment_invariant_to_power_of_two_scales: the decoder
+    # input is the frames' unit rows, and the step texts reach training
+    # only through slot selection's cosines, so frames x 2^k and step
+    # texts x 2^j train the same bits
+    corpus, fold, config = _tiny_fold()
+    scaled = Corpus(
+        texts=corpus.texts, videos=corpus.videos,
+        features={vid: m * np.float32(2.0 ** k)
+                  for vid, m in corpus.features.items()},
+        step_features={task: m * np.float32(2.0 ** j)
+                       for task, m in corpus.step_features.items()})
+    training = train_alignment_fold(scaled, fold, config)
+    assert (training.params.flat.tobytes(), training.log) == \
+        _tiny_fold_training()
 
 
 def _fold_video_arrays(rng, lengths, d, k, dtype=np.float32):

@@ -2,6 +2,7 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, Intent, MistakeLabel, Segment, TaskDomain,
@@ -64,6 +65,17 @@ def _assert_fold_invariants(fold, videos, k_expected_sizes=None):
     eval_workers = {by_id[v].worker_id for v in fold.val} | \
                    {by_id[v].worker_id for v in fold.test}
     assert not (train_workers & eval_workers)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 3))
+def test_shuffled_videos_give_the_same_folds_bit_for_bit(data, seed):
+    # the splitter sorts workers, keys and ids, never reading list order
+    for videos, k in ((paper_shaped_corpus(), 5),
+                      (two_bipartition_corpus(), 3)):
+        shuffled = data.draw(st.permutations(videos))
+        assert make_group_kfold(shuffled, k, seed) == \
+            make_group_kfold(videos, k, seed)
 
 
 class TestGroupKFold:
