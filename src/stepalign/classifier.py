@@ -6,8 +6,9 @@ ReLU perceptron, and the class-balanced cross-entropy loss
     weight(label) = (1 - beta) / (1 - beta^count(label)),
 
 which downweights frequent classes smoothly; a label seen once keeps
-weight 1 for any beta. Training is teacher-forced on ground-truth
-segments. Segments without a written step use a zero text vector.
+weight 1 for any beta, and training takes beta = ``_BETA`` (0.9999).
+Training is teacher-forced on ground-truth segments. Segments without a
+written step use a zero text vector.
 
 The first layer's width is the one record of the input layout: a
 classifier exactly as wide as the video features is the video-only
@@ -22,7 +23,8 @@ validation rows once and rescores them each validation round.
 
 Training hands ``optim.fit`` one full-batch step per epoch and the val
 score, validated every ``_VAL_EVERY`` (10) epochs and at the last.
-``fit`` runs Adam over the parameters' one flat buffer, keeps the
+``fit`` runs Adam, at the learning rate ``optim._LEARNING_RATE`` (1e-3)
+of both trainers, over the parameters' one flat buffer, keeps the
 checkpoint with the best val score and stops at the first validation
 round ``_PATIENCE`` (300) or more epochs after that checkpoint's epoch,
 so a run of at most 300 epochs runs every epoch. A fold allocates its
@@ -52,8 +54,8 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import (
-    ValidationError, check_counts, check_features, check_flags, check_numbers,
-    check_real, check_type,
+    ValidationError, check_counts, check_features, check_flags, check_real,
+    check_type,
 )
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
 from .optim import FlatParams, Training, compute_dtype, fit
@@ -89,10 +91,13 @@ class ClassifierParams(FlatParams):
 def class_balanced_weights(beta: float, counts: list[int]) -> np.ndarray:
     """Effective-number weight (1 - beta) / (1 - beta^count) of each class,
     indexed by class; ``counts[k]`` is the number of training rows of
-    class k."""
+    class k. A beta not an int or a float in [0, 1), or a count not an
+    int >= 1, raises ValidationError; nothing is coerced."""
+    check_type(beta, (int, float), "beta")
     if not (0.0 <= beta < 1.0):
         raise ValidationError(f"beta must be in [0, 1), got {beta}")
     for label, count in enumerate(counts):
+        check_type(count, int, f"class {CoarseLabel(label).name} count")
         if count < 1:
             raise ValidationError(
                 f"class {CoarseLabel(label).name} has count {count}")
@@ -173,21 +178,13 @@ def _detections(proposals: _Proposals, z: np.ndarray,
 class ClassifierTrainConfig:
     hidden: int = 256
     epochs: int = 1200
-    learning_rate: float = 1e-3
-    beta: float = 0.9999
     seed: int = 0
     video_only: bool = False
 
     def validate(self) -> None:
         check_counts(self, ("hidden", "epochs"))
         check_counts(self, ("seed",), minimum=0)
-        check_numbers(self, ("learning_rate", "beta"))
         check_flags(self, ("video_only",))
-        if not 0 < self.learning_rate < math.inf:
-            raise ValidationError(f"learning_rate must be positive and "
-                                  f"finite, got {self.learning_rate}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValidationError(f"beta must be in [0, 1), got {self.beta}")
 
 
 @dataclass
@@ -312,6 +309,9 @@ def detect_mistakes(params: ClassifierParams,
     return _detections(alignment, z, labels)
 
 
+# the class-balanced loss's beta (Cui et al., "Class-Balanced Loss Based
+# on Effective Number of Samples", CVPR 2019)
+_BETA = 0.9999
 # epochs between validation rounds, which also validate the last epoch
 _VAL_EVERY = 10
 # epochs without a better val score after which training stops (Prechelt,
@@ -336,7 +336,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
         raise ValidationError(
             f"fold {fold.fold_id}: no training samples for {missing}; "
             "merge folds or regenerate the corpus with more mistakes")
-    weights = class_balanced_weights(config.beta, list(counts.values()))[y]
+    weights = class_balanced_weights(_BETA, list(counts.values()))[y]
     val = _segment_rows(corpus, fold.val, config.video_only)
     val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
 
@@ -353,7 +353,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     return fit(ClassifierTraining(fold.fold_id, params.copy(),
                                   class_counts=counts),
                params, batches, lambda: _val_score(params, *val, val_truth),
-               config.epochs, config.learning_rate, _VAL_EVERY, _PATIENCE)
+               config.epochs, _VAL_EVERY, _PATIENCE)
 
 
 def save_classifier(path, training: ClassifierTraining,

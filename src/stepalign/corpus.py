@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -96,20 +95,6 @@ def load_corpus(path: str | Path) -> tuple[list[ProceduralText], list[AnnotatedV
     ordered_texts = [texts[t] for t in sorted(texts, key=lambda t: t.value)]
     videos.sort(key=lambda v: v.video_id)
     return ordered_texts, videos
-
-
-def save_corpus(path: str | Path,
-                texts: Iterable[ProceduralText],
-                videos: Iterable[AnnotatedVideo]) -> None:
-    """Write texts/ and annotations/ so that load_corpus round-trips."""
-    root = Path(path)
-    (root / "texts").mkdir(parents=True, exist_ok=True)
-    (root / "annotations").mkdir(parents=True, exist_ok=True)
-    for text in texts:
-        save_json(root / "texts" / f"{text.task.value}.json", text_to_json(text))
-    for video in videos:
-        save_json(root / "annotations" / f"{video.video_id}.json",
-                  video_to_json(video))
 
 
 def read_features(path: str | Path, rows: int, dim: int | str) -> StoredTensor:
@@ -272,18 +257,21 @@ class Corpus:
                     f"got {matrix.shape}")
             checked.append(
                 (file, name, float32_tensors(file, {"features": matrix})))
-        owned = {file for file, _, _ in checked}
-        owned |= {root / "texts" / f"{task.value}.json" for task in self.texts}
-        owned |= {root / "annotations" / f"{video.video_id}.json"
-                  for video in self.videos}
-        stale = sorted(file for sub in ("texts", "annotations", "features")
-                       for file in (root / sub).glob("*")
+        records = {root / "texts" / f"{task.value}.json": text_to_json(text)
+                   for task, text in self.texts.items()}
+        records |= {root / "annotations" / f"{video.video_id}.json":
+                    video_to_json(video) for video in self.videos}
+        owned = records.keys() | {file for file, _, _ in checked}
+        subdirs = ("texts", "annotations", "features")
+        stale = sorted(file for sub in subdirs for file in (root / sub).glob("*")
                        if file.suffix != ".tmp" and file not in owned)
         if stale:
             raise ValidationError(f"{stale[0]}: no record of this corpus "
                                   f"owns this file")
-        save_corpus(root, list(self.texts.values()), self.videos)
-        feat_dir.mkdir(parents=True, exist_ok=True)
+        for sub in subdirs:
+            (root / sub).mkdir(parents=True, exist_ok=True)
+        for file, record in records.items():
+            save_json(file, record)
         for file, name, stored in checked:
             write_checkpoint(file, stored, {"kind": "features", "video_id": name})
 
@@ -312,4 +300,4 @@ class Corpus:
                                   for t in texts})
 
 
-__all__ = ["Corpus", "load_corpus", "save_corpus", "read_features"]
+__all__ = ["Corpus", "load_corpus", "read_features"]

@@ -194,8 +194,9 @@ class AnnotatedVideo:
 
 @dataclass(frozen=True)
 class FoldSpec:
-    """One fold's train, val and test video ids. An id listed twice, in two
-    splits or in one, raises ValidationError naming the fold."""
+    """One fold's train, val and test video ids. A fold id not an int >= 0,
+    a split not a tuple of strings, or an id listed twice, in two splits
+    or in one, raises ValidationError naming the fold."""
 
     fold_id: int
     train: tuple[str, ...]
@@ -203,9 +204,15 @@ class FoldSpec:
     test: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        check_type(self.fold_id, int, f"fold {self.fold_id!r}: fold_id")
+        if self.fold_id < 0:
+            raise ValidationError(f"fold {self.fold_id}: fold_id must be >= 0")
         split_of: dict[str, str] = {}
         for split in ("train", "val", "test"):
-            for vid in getattr(self, split):
+            ids = getattr(self, split)
+            check_type(ids, tuple, f"fold {self.fold_id}: {split}")
+            for vid in ids:
+                check_type(vid, str, f"fold {self.fold_id}: each {split} id")
                 if vid in split_of:
                     raise ValidationError(f"fold {self.fold_id}: {vid!r} is in "
                                           f"{split_of[vid]} and again in {split}")
@@ -361,8 +368,8 @@ def save_folds(path: str | Path, folds: Iterable[FoldSpec]) -> None:
 
 def load_folds(path: str | Path) -> list[FoldSpec]:
     """Read a fold file. A malformed or wrongly typed record raises
-    ParseError naming the path and the fold, and a fold listing a video
-    twice ValidationError naming the path."""
+    ParseError naming the path and the fold, and a fold that ``FoldSpec``
+    rejects, or a fold id used twice, ValidationError naming the path."""
     folds = []
     for obj in _expect(load_json(Path(path)), list, "fold file", str(path)):
         _expect(obj, dict, "fold record", str(path))
@@ -375,6 +382,9 @@ def load_folds(path: str | Path) -> list[FoldSpec]:
             raise ParseError(f"{path}: missing fold field {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        if folds[-1].fold_id in (f.fold_id for f in folds[:-1]):
+            raise ValidationError(
+                f"{path}: fold {folds[-1].fold_id} is listed twice")
     return folds
 
 

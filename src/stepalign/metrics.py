@@ -49,13 +49,15 @@ def rasterize(segments: list[tuple[int, Segment]], num_frames: int) -> np.ndarra
 
     Segments may not overlap, annotated or predicted: an alignment gives
     each step frames of its own. A step may have several segments, and a
-    step-``None`` segment, which no step owns, is rejected.
+    step-``None`` segment, which no step owns, is rejected, as is a
+    segment that is not a ``Segment``.
     """
     check_type(num_frames, int, "num_frames")
     if num_frames < 0:
         raise ValidationError(f"num_frames must be >= 0, got {num_frames}")
     labels = np.zeros(num_frames, dtype=np.int64)
     for step, seg in segments:
+        check_type(seg, Segment, "segment")
         if step is None:
             raise ValidationError(
                 f"segment [{seg.start}, {seg.end}) has step None; only "

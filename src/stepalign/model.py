@@ -26,8 +26,9 @@ the matched slot of each step is trained to land on its annotated frames.
 The decoder trains on one supervised loss. Per step it is
     -log( sum_{j in segment} exp(cos(s_k, v_j) / gamma)
         / sum_{all j}       exp(cos(s_k, v_j) / gamma) )
-with l2-normalized slot and frame vectors; the temperature divides the
-cosine inside the exponent, so small gamma sharpens the frame softmax. A
+with l2-normalized slot and frame vectors; the temperature gamma,
+``_GAMMA`` (0.03), divides the cosine inside the exponent, so a small
+gamma sharpens the frame softmax. A
 video's loss is the mean over its annotated steps, and a batch's loss the
 mean over its videos with annotated steps. The step texts enter only
 through slot selection, so the text projection ``proj_t`` gets no
@@ -42,20 +43,20 @@ computed once: the annotated steps and each step's frames. The decoder
 input, the frames over their row norms, is one divide by
 ``_decoder_input``, taken once per fold after its check for all-zero
 rows; nothing keeps the raw frames. ``train_alignment_fold`` hands
-``optim.fit`` its mini-batches, drawn each epoch from a new permutation
-of the training videos, and its validation frame-F1; ``fit`` runs Adam,
-validates after every epoch and keeps the best epoch's parameters. A
-training step runs the decoder once over its videos:
-``compute_selections`` passes them to one ``forward_slots`` call, which
-computes the query products once and keeps each video's activations,
-then selects slots for the whole batch with one stacked selection per
-(steps, slots) shape, and ``batch_loss_and_grads`` backpropagates
-through the same activations and reads the held decoder input for the
-input projection's gradient. Validation runs ``compute_selections`` on
-chunks of at most ``batch_size`` videos, then aligns each video's
-selected slots to its projected frames. A fold allocates the
-frame-sized arrays of training and validation once, in a
-``TrainWorkspace`` with ``min(batch_size, max(len(train), len(val)))``
+``optim.fit`` its mini-batches of ``_BATCH_SIZE`` (6) videos, drawn each
+epoch from a new permutation of the training videos, and its validation
+frame-F1; ``fit`` runs Adam, validates after every epoch and keeps the
+best epoch's parameters. A training step runs the decoder once over its
+videos: ``compute_selections`` passes them to one ``forward_slots``
+call, which computes the query products once and keeps each video's
+activations, then selects slots for the whole batch with one stacked
+selection per (steps, slots) shape, and ``batch_loss_and_grads``
+backpropagates through the same activations and reads the held decoder
+input for the input projection's gradient. Validation runs
+``compute_selections`` on chunks of at most ``_BATCH_SIZE`` (6) videos,
+then aligns each video's selected slots to its projected frames. A fold
+allocates the frame-sized arrays of training and validation once, in a
+``TrainWorkspace`` with ``min(_BATCH_SIZE, max(len(train), len(val)))``
 slots sized to its longest training or validation video, and a scratch
 sized also to the most annotated steps of a training video; every step
 writes into it with ``out=``. Inference, ``align_video``, runs one
@@ -145,11 +146,14 @@ class ModelParams(FlatParams):
         )
 
 
+# the loss's temperature, and the videos of a training step and of a
+# validation chunk
+_GAMMA = 0.03
+_BATCH_SIZE = 6
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    gamma: float = 0.03
-    batch_size: int = 6
-    learning_rate: float = 1e-3
     epochs: int = 40
     seed: int = 0
     drop_pct: float = 80.0
@@ -158,16 +162,10 @@ class TrainConfig:
     normalize_features: bool = True
 
     def validate(self) -> None:
-        check_counts(self, ("epochs", "batch_size", "working_dim",
-                            "num_queries"))
+        check_counts(self, ("epochs", "working_dim", "num_queries"))
         check_counts(self, ("seed",), minimum=0)
-        check_numbers(self, ("learning_rate", "gamma", "drop_pct"))
+        check_numbers(self, ("drop_pct",))
         check_flags(self, ("normalize_features",))
-        for name, value in (("learning_rate", self.learning_rate),
-                            ("gamma", self.gamma)):
-            if not 0 < value < math.inf:
-                raise ValidationError(
-                    f"{name} must be positive and finite, got {value}")
         if not (0 < self.drop_pct <= 100):
             raise ValidationError("drop_pct must be in (0, 100]")
 
@@ -462,8 +460,7 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
 
 def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
                          selections: list[list[int]], caches: list[dict],
-                         config: TrainConfig, work: TrainWorkspace
-                         ) -> tuple[float, ModelParams]:
+                         work: TrainWorkspace) -> tuple[float, ModelParams]:
     """The supervised loss plus exact analytic gradients for every
     parameter tensor.
 
@@ -494,7 +491,6 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
                                   f"got {len(items)} for {len(batch)}")
     params = _batch_params(params, batch, work)
     grads = params.zeros_like()
-    gamma = config.gamma
     # mean over steps within a video, then over the annotated videos
     n_sup = sum(1 for v in batch if v.steps.size)
     sup_losses = []
@@ -523,7 +519,7 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
         # step's max leaves every exponent of its frames <= 0, and the
         # other frames' exponents are clipped to 0, then zeroed
         positive = v.positive
-        logits = np.divide(cos, gamma, out=g_cos)
+        logits = np.divide(cos, _GAMMA, out=g_cos)
         top_all = logits.max(axis=1, keepdims=True)
         top_pos = logits.max(axis=1, keepdims=True, where=positive,
                              initial=-np.inf)
@@ -538,7 +534,7 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
             (top_all + np.log(sum_all)) - (top_pos + np.log(sum_pos)))))
         # g_cos = dL/dcos = (p - q) / gamma with cos = u_hat v_hat^T, where
         # p = e_all / sum_all and q = e_pos / sum_pos
-        weight = 1 / (k * n_sup) / gamma
+        weight = 1 / (k * n_sup) / _GAMMA
         e_all *= weight / sum_all
         e_pos *= weight / sum_pos
         np.subtract(e_all, e_pos, out=g_cos)
@@ -634,13 +630,13 @@ def align_video(params: ModelParams, frames: np.ndarray,
 def evaluate_alignment_f1(params: ModelParams, videos: Sequence[FoldVideo],
                           config: TrainConfig, work: TrainWorkspace) -> float:
     """Mean frame-F1 of the videos' alignments: ``compute_selections`` on
-    chunks of at most ``batch_size`` videos, then each video's selected
+    chunks of at most ``_BATCH_SIZE`` videos, then each video's selected
     slots aligned to its projected frames. The frame-sized arrays, the
     alignment's unit frames among them, are written into the workspace,
     which needs a slot per video of a chunk."""
     scores = []
-    for lo in range(0, len(videos), config.batch_size):
-        chunk = videos[lo:lo + config.batch_size]
+    for lo in range(0, len(videos), _BATCH_SIZE):
+        chunk = videos[lo:lo + _BATCH_SIZE]
         selections, caches = compute_selections(params, chunk, config, work)
         for v, rows, cache in zip(chunk, selections, caches):
             segments = _align_tail(
@@ -698,23 +694,23 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
                               num_queries=config.num_queries)
     work = TrainWorkspace(
         params.astype(compute_dtype(*(v.x for v in (*train, *val)))),
-        min(config.batch_size, max(len(train), len(val))),
+        min(_BATCH_SIZE, max(len(train), len(val))),
         max(v.x.shape[0] for v in (*train, *val)),
         max(v.steps.size for v in train))
 
     def batches(epoch: int):
         order = rng.permutation(len(train))
-        for lo in range(0, len(order), config.batch_size):
-            batch = [train[i] for i in order[lo:lo + config.batch_size]]
+        for lo in range(0, len(order), _BATCH_SIZE):
+            batch = [train[i] for i in order[lo:lo + _BATCH_SIZE]]
             selections, caches = compute_selections(params, batch, config,
                                                     work)
             loss, grads = batch_loss_and_grads(params, batch, selections,
-                                               caches, config, work)
+                                               caches, work)
             yield loss, grads.flat
 
     return fit(Training(fold.fold_id, params.copy()), params, batches,
                lambda: evaluate_alignment_f1(params, val, config, work),
-               config.epochs, config.learning_rate)
+               config.epochs)
 
 
 def save_model(path, training: Training, config: TrainConfig) -> None:

@@ -107,15 +107,15 @@ class FlatParams:
         return out
 
 
-_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_LEARNING_RATE, _BETA1, _BETA2, _EPS = 1e-3, 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Adam over a flat buffer of ``size`` float64 parameters, with the
-    usual moment decays 0.9 and 0.999 and epsilon 1e-8."""
+    usual learning rate 1e-3, moment decays 0.9 and 0.999 and epsilon
+    1e-8, which both trainers use."""
 
-    def __init__(self, size: int, learning_rate: float = 1e-3):
-        self.learning_rate = learning_rate
+    def __init__(self, size: int):
         self.t = 0
         self._m = np.zeros(size)
         self._v = np.zeros(size)
@@ -142,7 +142,7 @@ class Adam:
         step *= grads
         v += step
         np.divide(m, 1 - b1 ** self.t, out=step)
-        step *= self.learning_rate
+        step *= _LEARNING_RATE
         np.divide(v, 1 - b2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += _EPS
@@ -170,8 +170,8 @@ class Training:
 
 def fit(training: Training, params: FlatParams,
         batches: Callable[[int], Iterable[tuple[float, np.ndarray]]],
-        score: Callable[[], float], epochs: int, learning_rate: float,
-        val_every: int = 1, patience: float = math.inf) -> Training:
+        score: Callable[[], float], epochs: int, val_every: int = 1,
+        patience: float = math.inf) -> Training:
     """Train ``params`` in place with Adam; return ``training`` holding
     the best validation round. Each epoch steps once per ``(loss, flat
     grads)`` pair of ``batches(epoch)``. Epochs that are a multiple of
@@ -181,7 +181,7 @@ def fit(training: Training, params: FlatParams,
     round ``patience`` or more epochs after the best one. A non-finite
     loss, or a ``NumericalError`` in an epoch, raises ``NumericalError``
     naming the fold and the epoch."""
-    opt = Adam(params.flat.size, learning_rate)
+    opt = Adam(params.flat.size)
     for epoch in range(epochs):
         try:
             losses = []

@@ -28,6 +28,10 @@ forward and backward in key/value form, with a key and a value for every
 frame, that ``stepalign.model`` replaced with attention in slot space;
 like the decoder, they compute in the dtype of the features they are
 given.
+The trainer oracles and ``batch_loss_and_grads_kv`` read the learning
+rate, the decoder's batch size and temperature and the classifier's
+beta from the library's module constants when they are called, so a test
+that patches a constant drives both sides.
 ``evaluate_alignment_f1_per_video`` runs ``align_video`` once per
 validation video, and ``train_alignment_fold_per_tensor`` trains the
 decoder with it and ``DictAdam``. The two trainers are the reference the
@@ -46,7 +50,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from stepalign import classifier
+from stepalign import classifier, model, optim
 from stepalign.alignment import (
     _INF, _check_cost, drop_dtw, percentile_drop_cost,
 )
@@ -61,7 +65,7 @@ from stepalign.metrics import (
     Detection, frame_metrics, gt_frame_labels, gt_instances, rasterize,
 )
 from stepalign.model import (
-    FoldVideo, ModelParams, TrainConfig, TrainWorkspace, _softmax_rows,
+    FoldVideo, ModelParams, TrainWorkspace, _softmax_rows,
     _unit_rows_backward, align_video, batch_loss_and_grads,
     compute_selections, l2_normalize_rows,
 )
@@ -325,7 +329,8 @@ def classifier_loss_and_grads(params: ClassifierParams, x: np.ndarray,
 def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining:
     x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
     counts = {label: int(np.sum(y == int(label))) for label in CoarseLabel}
-    weights = class_balanced_weights(config.beta, list(counts.values()))[y]
+    weights = class_balanced_weights(classifier._BETA,
+                                     list(counts.values()))[y]
     val = _segment_rows(corpus, fold.val, config.video_only)
     val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
     rng = np.random.default_rng(
@@ -333,7 +338,7 @@ def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining
                                                        int(config.video_only))))
     params = ClassifierParams.init(rng, input_dim=x.shape[1],
                                    hidden=config.hidden)
-    opt = DictAdam(config.learning_rate)
+    opt = DictAdam(optim._LEARNING_RATE)
     best = ClassifierTraining(fold_id=fold.fold_id, params=params.copy(),
                               best_epoch=-1, best_score=-1.0,
                               class_counts=counts)
@@ -395,18 +400,18 @@ def train_alignment_fold_per_tensor(corpus, fold, config) -> Training:
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)
-    opt = DictAdam(config.learning_rate)
+    opt = DictAdam(optim._LEARNING_RATE)
     best = Training(fold_id=fold.fold_id, params=params.copy(),
                     best_epoch=-1, best_score=-1.0)
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
         epoch_losses = []
-        for lo in range(0, len(order), config.batch_size):
-            batch = [examples[i] for i in order[lo:lo + config.batch_size]]
+        for lo in range(0, len(order), model._BATCH_SIZE):
+            batch = [examples[i] for i in order[lo:lo + model._BATCH_SIZE]]
             selections, caches = compute_selections(
                 params, batch, config, fresh_workspace(params, batch))
             loss, grads = batch_loss_and_grads(
-                params, batch, selections, caches, config,
+                params, batch, selections, caches,
                 fresh_workspace(params, batch))
             del caches
             tensors = params.as_dict()
@@ -455,14 +460,14 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
 
 
 def batch_loss_and_grads_kv(params: ModelParams, batch: Sequence[FoldVideo],
-                            selections: list[list[int]], caches: list[dict],
-                            config: TrainConfig) -> tuple[float, ModelParams]:
+                            selections: list[list[int]], caches: list[dict]
+                            ) -> tuple[float, ModelParams]:
     """``batch_loss_and_grads`` in its first form, over the caches of
     ``forward_slots_kv``: the decoder backward runs through the per-frame
     keys and values."""
     params = params.astype(compute_dtype(*(v.x for v in batch)))
     grads = params.zeros_like()
-    gamma = config.gamma
+    gamma = model._GAMMA
     # mean over steps within a video, then over the annotated videos
     n_sup = sum(1 for v in batch if v.gt_labels.any())
     sup_losses = []

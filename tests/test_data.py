@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepalign.checkpoint import load_checkpoint, save_checkpoint
-from stepalign.corpus import Corpus, load_corpus, save_corpus
+from stepalign.corpus import Corpus, load_corpus
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, CoarseLabel, Intent, MistakeLabel,
     ProceduralText, Segment, TaskDomain, coarse_label,
     load_folds, load_json, parse_text, parse_video, save_folds, save_json,
-    validate_video, video_to_json,
+    text_to_json, validate_video, video_to_json,
 )
 from stepalign.data import FoldSpec
 from stepalign.errors import (
@@ -35,6 +35,18 @@ def _video(video_id="v0", task=TaskDomain.COLOR_MIXTURE, segments=None, num_fram
     return AnnotatedVideo(video_id=video_id, worker_id="w0", task=task,
                           intent=Intent.MISTAKE_RUN, num_frames=num_frames,
                           segments=segments)
+
+
+def _save_records(root, texts, videos):
+    """Write the texts and annotations of a corpus directory, in the
+    layout ``load_corpus`` reads, without feature files."""
+    for sub in ("texts", "annotations"):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+    for text in texts:
+        save_json(root / "texts" / f"{text.task.value}.json", text_to_json(text))
+    for video in videos:
+        save_json(root / "annotations" / f"{video.video_id}.json",
+                  video_to_json(video))
 
 
 class TestCoarseLabel:
@@ -115,8 +127,11 @@ class TestValidation:
         (lambda: _video("a/b"), "video_id 'a/b' is not a file name"),
         (lambda: FoldSpec(0, ("a", "a", "b"), ("c",), ("d",)),
          "fold 0: 'a' is in train and again in train"),
+        # the seed of its training raised a bare ValueError
+        (lambda: FoldSpec(-1, ("a",), ("c",), ("d",)),
+         "fold -1: fold_id must be >= 0"),
     ], ids=["no-steps", "empty-step", "no-frames", "no-text", "path-id",
-            "fold-repeats-id"])
+            "fold-repeats-id", "fold-id-negative"])
     def test_broken_record_invariant_names_record(self, build, rule):
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             build()
@@ -147,10 +162,23 @@ class TestValidation:
         (lambda: _video(segments=((0, 5),)),
          r"v0: each segment must be AnnotatedSegment, got \(0, 5\)"),
         (lambda: _video(7), "video_id must be str, got 7"),
+        # a fold id of True trained as fold 1, and the others raised a
+        # bare TypeError from the seed of its training
+        (lambda: FoldSpec(True, ("a",), ("c",), ("d",)),
+         "fold True: fold_id must be int, got True"),
+        (lambda: FoldSpec("x", ("a",), ("c",), ("d",)),
+         "fold 'x': fold_id must be int, got 'x'"),
+        (lambda: FoldSpec(1.5, ("a",), ("c",), ("d",)),
+         r"fold 1\.5: fold_id must be int, got 1\.5"),
+        (lambda: FoldSpec(0, ["a"], ("c",), ("d",)),
+         r"fold 0: train must be tuple, got \['a'\]"),
+        (lambda: FoldSpec(0, ("a",), ("c", 7), ("d",)),
+         "fold 0: each val id must be str, got 7"),
     ], ids=["float-start", "bool-start", "numpy-end", "bool-step",
             "string-mistake", "tuple-span", "int-description",
             "string-frames", "float-frames", "string-task", "list-segments",
-            "tuple-segment", "int-id"])
+            "tuple-segment", "int-id", "bool-fold-id", "string-fold-id",
+            "float-fold-id", "list-split", "int-split-id"])
     def test_mistyped_field_names_field_and_video(self, build, rule):
         # each used to be accepted, or to raise a bare TypeError from a
         # comparison
@@ -300,7 +328,7 @@ class TestCorpusIO:
     def test_round_trip_is_identity(self, tmp_path):
         texts = [_text(TaskDomain.COLOR_MIXTURE), _text(TaskDomain.CARDBOARD, n=5)]
         videos = [_video("v0"), _video("v1", task=TaskDomain.CARDBOARD)]
-        save_corpus(tmp_path, texts, videos)
+        _save_records(tmp_path, texts, videos)
         loaded_texts, loaded_videos = load_corpus(tmp_path)
         assert {t.task: t for t in loaded_texts} == {t.task: t for t in texts}
         assert loaded_videos == sorted(videos, key=lambda v: v.video_id)
@@ -325,19 +353,19 @@ class TestCorpusIO:
         assert load_json(tmp_path / "x.json") == value
 
     def test_two_video_corpus_loads(self, tmp_path):
-        save_corpus(tmp_path, [_text()], [_video("a"), _video("b")])
+        _save_records(tmp_path, [_text()], [_video("a"), _video("b")])
         _, videos = load_corpus(tmp_path)
         assert [v.video_id for v in videos] == ["a", "b"]
 
     def test_malformed_json_names_file_and_line(self, tmp_path):
-        save_corpus(tmp_path, [_text()], [_video()])
+        _save_records(tmp_path, [_text()], [_video()])
         bad = tmp_path / "annotations" / "v0.json"
         bad.write_text("{\n  broken\n}")
         with pytest.raises(ParseError, match=r"v0\.json: line 2"):
             load_corpus(tmp_path)
 
     def test_invalid_video_names_rule(self, tmp_path):
-        save_corpus(tmp_path, [_text()], [_video()])
+        _save_records(tmp_path, [_text()], [_video()])
         obj = json.loads((tmp_path / "annotations" / "v0.json").read_text())
         obj["segments"][0]["step"] = 9
         (tmp_path / "annotations" / "v0.json").write_text(json.dumps(obj))
@@ -345,7 +373,7 @@ class TestCorpusIO:
             load_corpus(tmp_path)
 
     def test_overlapping_step_segments_name_file(self, tmp_path):
-        save_corpus(tmp_path, [_text()], [_video()])
+        _save_records(tmp_path, [_text()], [_video()])
         file = tmp_path / "annotations" / "v0.json"
         obj = json.loads(file.read_text())
         obj["segments"][1]["start"] = 5
@@ -354,7 +382,7 @@ class TestCorpusIO:
             load_corpus(tmp_path)
 
     def test_video_without_text_names_file(self, tmp_path):
-        save_corpus(tmp_path, [_text()], [_video(task=TaskDomain.CARDBOARD)])
+        _save_records(tmp_path, [_text()], [_video(task=TaskDomain.CARDBOARD)])
         with pytest.raises(ValidationError, match=r"v0\.json: v0: no procedural text"):
             load_corpus(tmp_path)
 
@@ -383,7 +411,7 @@ class TestCorpusIO:
     ], ids=["no-texts", "no-annotations", "duplicate-text", "duplicate-video",
             "renamed-text", "renamed-video"])
     def test_broken_directory_names_path(self, tmp_path, mutate, error, rule):
-        save_corpus(tmp_path, [_text()], [_video()])
+        _save_records(tmp_path, [_text()], [_video()])
         mutate(tmp_path)
         with pytest.raises(error, match=rule):
             load_corpus(tmp_path)
@@ -433,7 +461,7 @@ class TestCorpusIO:
         ("steps", "abc"), ("steps", ["ok", 3]),
     ])
     def test_no_silent_coercion(self, tmp_path, field, value):
-        save_corpus(tmp_path, [_text()], [_video()])
+        _save_records(tmp_path, [_text()], [_video()])
         kind = "texts/color_mixture.json" if field == "steps" else "annotations/v0.json"
         file = tmp_path / kind
         obj = json.loads(file.read_text())
@@ -452,7 +480,7 @@ class TestCorpusIO:
             parse_video(obj, where="x.json")
 
     def test_non_utf8_annotation_names_file(self, tmp_path):
-        save_corpus(tmp_path, [_text()], [_video()])
+        _save_records(tmp_path, [_text()], [_video()])
         (tmp_path / "annotations" / "v0.json").write_bytes(b'{"video_id": "\xe9"}')
         with pytest.raises(ParseError, match=r"v0\.json: not UTF-8"):
             load_corpus(tmp_path)
@@ -486,13 +514,16 @@ class TestCorpusIO:
          ParseError, r"fold '3': fold_id must be int, got '3'$"),
         ({"fold_id": True, "train": ["a"], "val": ["d"], "test": ["e"]},
          ParseError, r"fold True: fold_id must be int, got True$"),
+        ({"fold_id": -1, "train": ["a"], "val": ["d"], "test": ["e"]},
+         ValidationError, r"fold -1: fold_id must be >= 0$"),
         ({"fold_id": 3, "train": ["a"], "test": ["e"]},
          ParseError, r"missing fold field 'val'$"),
         ({"train": ["a"], "val": ["d"], "test": ["e"]},
          ParseError, r"missing fold field 'fold_id'$"),
     ], ids=["train-val-leak", "train-test-leak", "repeated-in-val",
             "ids-string", "id-not-string",
-            "fold-id-string", "fold-id-bool", "no-val", "no-fold-id"])
+            "fold-id-string", "fold-id-bool", "fold-id-negative", "no-val",
+            "no-fold-id"])
     def test_leaking_or_mistyped_fold_rejected(self, tmp_path, fold, error,
                                                rule):
         path = tmp_path / "folds.json"
@@ -509,6 +540,15 @@ class TestCorpusIO:
         path = tmp_path / "folds.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=rf"folds\.json: {rule}"):
+            load_folds(path)
+
+    def test_repeated_fold_id_names_path(self, tmp_path):
+        # the second fold 0 used to load beside the first
+        path = tmp_path / "folds.json"
+        save_folds(path, [FoldSpec(0, ("a", "b"), ("c",), ("d",)),
+                          FoldSpec(0, ("c", "d"), ("a",), ("b",))])
+        with pytest.raises(ValidationError,
+                           match=r"folds\.json: fold 0 is listed twice$"):
             load_folds(path)
 
     def test_fold_round_trip(self, tmp_path):

@@ -41,8 +41,10 @@ class TestRasterize:
         (1.5, Segment(0, 2), r"step index must be int, got 1\.5"),
         (True, Segment(0, 2), r"step index must be int, got True"),
         ("1", Segment(0, 2), r"step index must be int, got '1'"),
+        # this used to raise a bare AttributeError
+        (1, (0, 3), r"segment must be Segment, got \(0, 3\)"),
     ], ids=["step-0", "past-end", "step-none", "step-float", "step-bool",
-            "step-str"])
+            "step-str", "segment-tuple"])
     def test_bad_segment_rejected(self, step, seg, rule):
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             rasterize([(step, seg)], 5)

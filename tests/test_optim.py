@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from stepalign import optim
 from stepalign.errors import NumericalError, ValidationError
 from stepalign.optim import Adam, FlatParams, Training, compute_dtype, fit
 
@@ -77,13 +78,14 @@ def test_compute_dtype_rejects_features_not_real_numbers(dtype):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_flat_step_equals_per_tensor_step_bit_for_bit(seed):
+def test_flat_step_equals_per_tensor_step_bit_for_bit(seed, monkeypatch):
     # 50 steps of dense, all-zero and sparse gradients, the zero and
     # sparse ones starting at step 0, where the moments are still empty
+    monkeypatch.setattr(optim, "_LEARNING_RATE", 3e-3)
     rng = np.random.default_rng(seed)
     params = _mixed(rng)
     reference = {name: t.copy() for name, t in params.as_dict().items()}
-    flat_opt, dict_opt = Adam(params.flat.size, 3e-3), DictAdam(3e-3)
+    flat_opt, dict_opt = Adam(params.flat.size), DictAdam(3e-3)
     for step in range(50):
         grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2),
                                   size=t.shape)
@@ -115,12 +117,16 @@ class _Toy(FlatParams):
     w: np.ndarray
 
 
+_TOY_RATE = 0.1
+
+
 def _fit(scores, epochs, losses=(1.0,), val_every=1, patience=math.inf):
-    """``fit`` on a two-entry toy whose gradient is all ones. Every epoch
-    steps once per entry of ``losses`` (a callable of the epoch, or one
-    sequence for every epoch), and the validation rounds score
-    ``scores`` in turn. Returns the training, the live parameters, the
-    epochs whose batches were drawn and the parameters each round saw."""
+    """``fit`` at learning rate ``_TOY_RATE`` on a two-entry toy whose
+    gradient is all ones. Every epoch steps once per entry of ``losses``
+    (a callable of the epoch, or one sequence for every epoch), and the
+    validation rounds score ``scores`` in turn. Returns the training, the
+    live parameters, the epochs whose batches were drawn and the
+    parameters each round saw."""
     params = _Toy(w=np.zeros(2))
     scripted, drawn, seen = iter(scores), [], []
 
@@ -133,8 +139,10 @@ def _fit(scores, epochs, losses=(1.0,), val_every=1, patience=math.inf):
         seen.append(params.flat.copy())
         return next(scripted)
 
-    training = fit(Training(3, params.copy()), params, batches, score,
-                   epochs, 0.1, val_every, patience)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "_LEARNING_RATE", _TOY_RATE)
+        training = fit(Training(3, params.copy()), params, batches, score,
+                       epochs, val_every, patience)
     return training, params, drawn, seen
 
 
@@ -171,12 +179,13 @@ def test_fit_round_that_improves_never_stops():
     assert drawn == [0, 1, 2, 3]
 
 
-def test_fit_logs_the_mean_batch_loss_and_steps_once_per_batch():
+def test_fit_logs_the_mean_batch_loss_and_steps_once_per_batch(monkeypatch):
     losses = {0: [1.0, 2.0, 4.5], 1: [0.25]}
     training, params, _, _ = _fit([0.1, 0.2], epochs=2,
                                   losses=losses.__getitem__)
     assert [r.loss for r in training.log] == [2.5, 0.25]
-    want, opt = np.zeros(2), Adam(2, 0.1)
+    monkeypatch.setattr(optim, "_LEARNING_RATE", _TOY_RATE)
+    want, opt = np.zeros(2), Adam(2)
     for _ in range(4):
         opt.step(want, np.ones(2))
     assert params.flat.tobytes() == want.tobytes()
@@ -220,4 +229,4 @@ def test_fit_names_fold_and_epoch_of_a_numerical_error_in_validation():
 
     with pytest.raises(NumericalError, match=r"^fold 3 epoch 0: slot matrix"):
         fit(Training(3, _Toy(w=np.zeros(2))), _Toy(w=np.zeros(2)),
-            lambda epoch: [(1.0, np.ones(2))], score, 2, 0.1)
+            lambda epoch: [(1.0, np.ones(2))], score, 2)

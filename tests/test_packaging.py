@@ -67,6 +67,33 @@ def test_every_private_top_level_name_is_used_in_its_module():
         assert not dead, f"{path.name}: {dead}"
 
 
+def test_every_imported_name_is_used_or_exported():
+    # an import left behind when its last use goes, such as a check no
+    # config runs any more, is dead code a test run would not notice
+    root = Path(__file__).resolve().parents[1] / "src" / "stepalign"
+    paths = sorted(root.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).partition(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused = sorted(imported - loaded - exported)
+        assert not unused, f"{path.name}: {unused}"
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # the package is numpy-only: an import of any other installed
     # distribution would pass every other test on a machine that has it
