@@ -91,11 +91,16 @@ class ClassifierParams(FlatParams):
 def class_balanced_weights(beta: float, counts: list[int]) -> np.ndarray:
     """Effective-number weight (1 - beta) / (1 - beta^count) of each class,
     indexed by class; ``counts[k]`` is the number of training rows of
-    class k. A beta not an int or a float in [0, 1), or a count not an
-    int >= 1, raises ValidationError; nothing is coerced."""
+    class k. A beta not an int or a float in [0, 1), counts not a list of
+    at most one per class, or a count not an int >= 1, raises
+    ValidationError; nothing is coerced."""
     check_type(beta, (int, float), "beta")
     if not (0.0 <= beta < 1.0):
         raise ValidationError(f"beta must be in [0, 1), got {beta}")
+    check_type(counts, list, "counts")
+    if len(counts) > NUM_CLASSES:
+        raise ValidationError(
+            f"{len(counts)} counts for {NUM_CLASSES} classes")
     for label, count in enumerate(counts):
         check_type(count, int, f"class {CoarseLabel(label).name} count")
         if count < 1:

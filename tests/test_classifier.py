@@ -2,7 +2,7 @@ import hashlib
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ class TestCbWeight:
         weights = class_balanced_weights(0.9, [40, 2])
         assert weights[0] < weights[1]
 
-    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5, math.nan, math.inf])
     def test_beta_outside_unit_interval_rejected(self, beta):
         with pytest.raises(ValidationError, match="beta"):
             class_balanced_weights(beta, [3])
@@ -58,7 +58,12 @@ class TestCbWeight:
         ("0.5", [3], "beta must be int or float, got '0.5'"),
         # and a count of 1.5 weighed its class
         (0.9, [3, 1.5, 2], "class MISTAKE count must be int, got 1.5"),
-    ], ids=["bool-beta", "str-beta", "float-count"])
+        # None raised a bare TypeError, and a fourth count a bare
+        # ValueError from naming its class
+        (0.9, None, "counts must be list, got None"),
+        (0.9, [1, 2, 3, 4], "4 counts for 3 classes"),
+    ], ids=["bool-beta", "str-beta", "float-count", "none-counts",
+            "too-many-counts"])
     def test_mistyped_input_rejected(self, beta, counts, rule):
         with pytest.raises(ValidationError, match=f"^{rule}$"):
             class_balanced_weights(beta, counts)
@@ -351,7 +356,7 @@ def test_patience_stops_at_first_round_reaching_the_gap(tmp_path, video_only,
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("hidden", 0), ("epochs", 2.5), ("hidden", True),
-    ("epochs", False), ("seed", -1), ("seed", 1.5),
+    ("epochs", False), ("seed", -1), ("seed", 1.5), ("hidden", 2.5),
 ])
 def test_bad_config_rejected_before_training(monkeypatch, field, value):
     # rejected before any row is built, so also before a fold's own errors
@@ -367,6 +372,7 @@ def test_bad_config_rejected_before_training(monkeypatch, field, value):
     # with a bare ValueError after the rows were built
     ("video_only", "no", "video_only must be a bool, got 'no'"),
     ("video_only", 1, "video_only must be a bool, got 1"),
+    ("video_only", None, "video_only must be a bool, got None"),
 ])
 def test_mistyped_config_rejected_before_training(monkeypatch, field, value,
                                                   rule):
@@ -374,6 +380,26 @@ def test_mistyped_config_rejected_before_training(monkeypatch, field, value,
     monkeypatch.setattr(stepalign.classifier, "_segment_rows", None)
     with pytest.raises(ValidationError, match=f"^{rule}$"):
         train_classifier_fold(corpus, fold, replace(config, **{field: value}))
+
+
+def test_config_holds_only_the_knobs_callers_vary():
+    # the learning rate and the class-balanced beta are module constants
+    assert [f.name for f in fields(ClassifierTrainConfig)] == [
+        "hidden", "epochs", "seed", "video_only"]
+
+
+def test_training_weights_classes_at_the_papers_beta(monkeypatch):
+    corpus, fold, config = _small_fold()
+    seen = []
+
+    def weights(beta, counts):
+        seen.append(beta)
+        raise ValidationError("stop")
+
+    monkeypatch.setattr(stepalign.classifier, "class_balanced_weights", weights)
+    with pytest.raises(ValidationError, match="^stop$"):
+        train_classifier_fold(corpus, fold, config)
+    assert seen == [0.9999]
 
 
 @pytest.mark.parametrize("name, shape", [

@@ -5,7 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -203,10 +203,41 @@ def test_l2_normalize_rejects_zero_row():
     # and this was taken for its truth value
     ({"normalize_features": "yes"},
      "normalize_features must be a bool, got 'yes'"),
-], ids=["drop-pct-0", "drop-pct-101", "str-drop-pct", "str-normalize"])
+    ({"drop_pct": math.nan}, r"drop_pct must be in \(0, 100\]"),
+    ({"drop_pct": True}, "drop_pct must be an int or a float, got True"),
+    ({"normalize_features": 1}, "normalize_features must be a bool, got 1"),
+], ids=["drop-pct-0", "drop-pct-101", "str-drop-pct", "str-normalize",
+        "nan-drop-pct", "bool-drop-pct", "int-normalize"])
 def test_config_rule_broken_rejected(changes, rule):
     with pytest.raises(ValidationError, match=f"^{rule}$"):
         replace(TrainConfig(), **changes).validate()
+
+
+def test_config_holds_only_the_knobs_callers_vary():
+    # the loss temperature, the batch size and the learning rate are
+    # module constants
+    assert [f.name for f in fields(TrainConfig)] == [
+        "epochs", "seed", "drop_pct", "working_dim", "num_queries",
+        "normalize_features"]
+
+
+def test_training_takes_batches_of_six_videos(monkeypatch):
+    corpus = synth_corpus(SynthConfig(tasks=2, videos_per_task=5, workers=2,
+                                      steps_per_task=3, dim=8,
+                                      frames_per_step=(3, 5))).corpus
+    ids = [v.video_id for v in corpus.videos]
+    fold = FoldSpec(0, train=tuple(ids[:8]), val=(ids[8],), test=(ids[9],))
+    sizes = []
+    step = stepalign.model.batch_loss_and_grads
+
+    def counted(params, batch, *args):
+        sizes.append(len(batch))
+        return step(params, batch, *args)
+
+    monkeypatch.setattr(stepalign.model, "batch_loss_and_grads", counted)
+    train_alignment_fold(corpus, fold, TrainConfig(epochs=1, working_dim=6,
+                                                   num_queries=5))
+    assert sizes == [6, 2]
 
 
 class TestSelectSlots:

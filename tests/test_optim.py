@@ -102,6 +102,16 @@ def test_flat_step_equals_per_tensor_step_bit_for_bit(seed, monkeypatch):
                 (step, name)
 
 
+def test_first_step_moves_each_parameter_by_the_learning_rate():
+    # m_hat = g and v_hat = g^2 after one step, so each parameter moves by
+    # 1e-3 * |g| / (|g| + 1e-8) against its gradient, a zero one not at all
+    grads = np.array([2.0, -0.5, 0.0, 1e-3, -40.0])
+    params = np.ones(grads.size)
+    Adam(grads.size).step(params, grads)
+    np.testing.assert_allclose(
+        params, 1.0 - 1e-3 * grads / (np.abs(grads) + 1e-8), rtol=1e-14)
+
+
 @pytest.mark.parametrize("params_size, grads_size", [(6, 1), (1, 6), (5, 5)])
 def test_step_rejects_mismatched_shapes(params_size, grads_size):
     opt = Adam(6)
