@@ -12,14 +12,16 @@ own drop cost; ``drop_dtw`` is its one-matrix case and
 ``drop_dtw_stack`` aligns a batch, as slot selection does for the videos
 of a training step. The drop costs' nearest-rank percentile is likewise
 written once, for a stack in ``percentile_drop_cost_stack`` and for
-one matrix in ``percentile_drop_cost``; as with the kernel, the stack
-form takes only 3-d costs and the one-matrix form only 2-d ones. Both
-kernel forms return the mask of the cells the path visits and the
-total; ``decode_segments`` reads one segment per row off the mask. The
-kernel runs one numpy prefix scan per slot row, over that row
-of every matrix at once: the row's best costs with trailing drops are W
-plus the running minimum of (cost + best entry from the row above - W),
-where W is the running sum of min(cost, drop cost). The transition
+one matrix in ``percentile_drop_cost``; they are the decoder's helpers,
+outside ``__all__``, and take the checked costs and percentile it hands
+them. The kernel forms check their costs, the stack form taking only 3-d
+costs and the one-matrix form only 2-d ones. Both kernel forms return
+the mask of the cells the path visits and the total; ``decode_segments``
+reads one segment per row off the mask. The kernel runs one numpy prefix
+scan per slot row, over that row of every matrix at once: the row's best
+costs with trailing drops are W plus the running minimum of (cost + best
+entry from the row above - W), where W is the running sum of min(cost,
+drop cost). The transition
 decisions are then taken for every cell of the stack at once. The
 backtrace is a scalar loop per matrix that steps once per row, since
 within a row the path visits every kept item between the cell where it
@@ -53,28 +55,16 @@ _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _nearest_rank(costs: np.ndarray, pct: float, ndim: int) -> np.ndarray:
-    """Nearest-rank percentile over the entries of each matrix of the
-    ``ndim``-d array ``costs``, a stack of matrices or one matrix, in
-    float64; an array of another rank raises ValidationError naming its
-    shape.
+def _nearest_rank(costs: np.ndarray, pct: float) -> np.ndarray:
+    """Nearest-rank percentile over the entries of each matrix of
+    ``costs``, a stack of matrices or one matrix, in float64. It takes
+    checked values: nonempty real costs and a ``pct`` in (0, 100].
 
     The 1-based rank is ceil(pct * n / 100) for the n entries of a matrix;
     the product is taken before the division so that exact ranks like 80%
     of 5 do not drift in float. ``np.partition`` puts the element of that
     rank of every matrix in place without sorting the rest.
     """
-    if isinstance(pct, bool) or not isinstance(pct, (int, float)):
-        raise ValidationError(f"pct must be an int or a float, got {pct!r}")
-    costs = np.asarray(costs)
-    check_real(costs, "cost matrix")
-    if costs.ndim != ndim:
-        raise ValidationError(
-            f"percentile needs a {ndim}-d cost array, got shape {costs.shape}")
-    if costs.size == 0:
-        raise ValidationError("percentile of an empty cost matrix")
-    if not (0.0 < pct <= 100.0):
-        raise ValidationError(f"percentile must be in (0, 100], got {pct}")
     flat = costs.astype(np.float64, copy=False).reshape(
         -1, costs.shape[-2] * costs.shape[-1])
     kth = max(1, math.ceil(pct * flat.shape[1] / 100.0)) - 1
@@ -84,14 +74,14 @@ def _nearest_rank(costs: np.ndarray, pct: float, ndim: int) -> np.ndarray:
 def percentile_drop_cost_stack(costs: np.ndarray, pct: float) -> np.ndarray:
     """The nearest-rank percentile over the entries of each matrix of the
     B x n x m stack ``costs``: the B values for the matrices ``costs[b]``,
-    in float64."""
-    return _nearest_rank(costs, pct, ndim=3)
+    in float64. It takes checked values, as ``_nearest_rank`` does."""
+    return _nearest_rank(costs, pct)
 
 
 def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
     """``percentile_drop_cost_stack`` of the one n x m matrix ``cost``: the
     nearest-rank percentile over all its entries."""
-    return float(_nearest_rank(cost, pct, ndim=2)[0])
+    return float(_nearest_rank(cost, pct)[0])
 
 
 def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:
@@ -254,7 +244,4 @@ def decode_segments(visited: np.ndarray) -> list[tuple[int, Segment]]:
             for row, (lo, hi) in enumerate(zip(first.tolist(), last.tolist()))]
 
 
-__all__ = [
-    "percentile_drop_cost", "percentile_drop_cost_stack",
-    "drop_dtw", "drop_dtw_stack", "decode_segments",
-]
+__all__ = ["drop_dtw", "drop_dtw_stack", "decode_segments"]

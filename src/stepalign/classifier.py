@@ -21,6 +21,13 @@ Every path from segments to labels is the same two calls:
 validation rows and detections all come from them; a fold builds its
 validation rows once and rescores them each validation round.
 
+The names in ``__all__`` check what they are handed, once:
+``detect_mistakes`` its frames, step texts, classifier width and
+proposals, and the trainer each fold video's frames and step texts, in
+``_segment_rows``. The names outside it, ``mean_pool``,
+``classifier_rows``, ``classify`` and ``class_balanced_weights`` among
+them, take the checked values they pass on and check none of them.
+
 Training hands ``optim.fit`` one full-batch step per epoch and the val
 score, validated every ``_VAL_EVERY`` (10) epochs and at the last.
 ``fit`` runs Adam, at the learning rate ``optim._LEARNING_RATE`` (1e-3)
@@ -54,8 +61,7 @@ from .checkpoint import check_layout, load_checkpoint, save_checkpoint
 from .corpus import Corpus
 from .data import AnnotatedVideo, CoarseLabel, FoldSpec, Segment, coarse_label
 from .errors import (
-    ValidationError, check_counts, check_features, check_flags, check_real,
-    check_type,
+    ValidationError, check_counts, check_flags, check_type, check_video_inputs,
 )
 from .metrics import Detection, GroundTruthInstance, gt_instances, map_at_tiou
 from .optim import FlatParams, Training, compute_dtype, fit
@@ -91,21 +97,9 @@ class ClassifierParams(FlatParams):
 def class_balanced_weights(beta: float, counts: list[int]) -> np.ndarray:
     """Effective-number weight (1 - beta) / (1 - beta^count) of each class,
     indexed by class; ``counts[k]`` is the number of training rows of
-    class k. A beta not an int or a float in [0, 1), counts not a list of
-    at most one per class, or a count not an int >= 1, raises
-    ValidationError; nothing is coerced."""
-    check_type(beta, (int, float), "beta")
-    if not (0.0 <= beta < 1.0):
-        raise ValidationError(f"beta must be in [0, 1), got {beta}")
-    check_type(counts, list, "counts")
-    if len(counts) > NUM_CLASSES:
-        raise ValidationError(
-            f"{len(counts)} counts for {NUM_CLASSES} classes")
-    for label, count in enumerate(counts):
-        check_type(count, int, f"class {CoarseLabel(label).name} count")
-        if count < 1:
-            raise ValidationError(
-                f"class {CoarseLabel(label).name} has count {count}")
+    class k. It takes checked values: a beta in [0, 1) and counts of at
+    least 1, as the trainer passes ``_BETA`` and the counts of the classes
+    it has found in its training rows."""
     return np.array([(1.0 - beta) / (1.0 - beta ** count) for count in counts])
 
 
@@ -115,13 +109,8 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def mean_pool(m: np.ndarray, seg: Segment) -> np.ndarray:
-    """Arithmetic mean of the rows in [seg.start, seg.end), in float64; a
-    ``seg`` not a Segment raises ValidationError naming it."""
-    check_type(seg, Segment, "proposal segment")
-    rows = m.shape[0]
-    if not (0 <= seg.start < seg.end <= rows):
-        raise ValidationError(
-            f"segment [{seg.start}, {seg.end}) outside matrix with {rows} rows")
+    """Arithmetic mean of the rows in [seg.start, seg.end), in float64; it
+    takes a checked segment inside ``m``."""
     return m[seg.start:seg.end].mean(axis=0, dtype=np.float64)
 
 
@@ -130,23 +119,15 @@ def classifier_rows(video_feats: np.ndarray, proposals: _Proposals,
     """One input row per ``(step, segment)`` proposal of a video, in the
     dtype the video features compute in: the segment's features
     mean-pooled in float64, then, unless ``step_feats`` is None, the
-    step's text feature (zeros for a step-``None`` proposal). Features or
-    texts that are not real numbers raise ValidationError, and so, with
-    text, does a step not an int or None, or outside 1..k for a k-step
-    text."""
+    step's text feature (zeros for a step-``None`` proposal). It takes
+    checked values: the proposals ``detect_mistakes`` checks, or a
+    corpus's annotated segments."""
     dtype = compute_dtype(video_feats)
     pooled = np.array([mean_pool(video_feats, seg) for _, seg in proposals],
                       dtype=dtype)
     pooled = pooled.reshape(len(proposals), video_feats.shape[1])
     if step_feats is None:
         return pooled
-    check_real(step_feats, "step features")
-    k = step_feats.shape[0]
-    for step, _ in proposals:
-        if step is not None:
-            check_type(step, int, "proposal step")
-            if not 1 <= step <= k:
-                raise ValidationError(f"proposal step {step} outside 1..{k}")
     # row 0 is the zero text vector, row s the text of step s
     texts = np.vstack([np.zeros(step_feats.shape[1]), step_feats]
                       ).astype(dtype, copy=False)
@@ -158,11 +139,7 @@ def classify(params: ClassifierParams,
              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logits and argmax class index of every row of ``x``, computed in the
     rows' dtype over parameters cast once; ties go to the lowest class
-    index."""
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValidationError(
-            f"classifier expects rows of width {params.input_dim}, "
-            f"got shape {x.shape}")
+    index. It takes rows as wide as the classifier."""
     params = params.astype(compute_dtype(x))
     h = np.maximum(x @ params.w1 + params.b1, 0.0)
     z = h @ params.w2 + params.b2
@@ -199,18 +176,24 @@ class ClassifierTraining(Training):
     class_counts: dict[CoarseLabel, int] = field(default_factory=dict)
 
 
-def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...], video_only: bool
+def _segment_rows(corpus: Corpus, fold: FoldSpec, video_ids: tuple[str, ...],
+                  video_only: bool
                   ) -> tuple[np.ndarray, np.ndarray, dict[str, _Proposals]]:
     """A split's teacher-forced rows, one per annotated segment in video
     order, without text when ``video_only``; their true labels; and each
-    video's ``(step, segment)`` pairs."""
+    video's ``(step, segment)`` pairs. Frames and step texts that
+    ``check_video_inputs`` rejects, read or not, raise ValidationError
+    naming the fold and the video."""
     xs, ys, proposals = [], [], {}
     for vid in video_ids:
         video = corpus.video_by_id(vid)
+        frames = corpus.video_features(vid)
+        step_feats = corpus.task_step_features(video.task)
+        check_video_inputs(frames, step_feats,
+                           f"fold {fold.fold_id}: video {vid!r}")
         proposals[vid] = [(seg.step, seg.segment) for seg in video.segments]
-        xs.append(classifier_rows(
-            corpus.video_features(vid), proposals[vid],
-            None if video_only else corpus.task_step_features(video.task)))
+        xs.append(classifier_rows(frames, proposals[vid],
+                                  None if video_only else step_feats))
         ys += [int(coarse_label(seg.mistake)) for seg in video.segments]
     x = np.concatenate(xs) if xs else np.empty((0, 0))
     return x, np.asarray(ys, dtype=np.int64), proposals
@@ -303,13 +286,29 @@ def detect_mistakes(params: ClassifierParams,
                     step_feats: np.ndarray) -> list[Detection]:
     """Classify the segments proposed by the alignment model, in the dtype
     the frames compute in; confidence is the softmax probability of the
-    predicted class. Both matrices pass ``check_features`` at one width,
-    read or not: a classifier as wide as the frames reads no text, and
-    otherwise a step-``None`` proposal gets the zero text vector."""
-    check_features(frames, "frames")
-    check_features(step_feats, "step_feats (as wide as frames)",
-                   frames.shape[1])
-    texts = None if params.input_dim == frames.shape[1] else step_feats
+    predicted class. A classifier as wide as the frames reads no text, and
+    one twice as wide gives a step-``None`` proposal the zero text
+    vector. Before any row is built, ValidationError is raised for frames
+    and step texts that ``check_video_inputs`` rejects, read or not, for
+    a classifier of another width, and for a proposal whose step is
+    neither None nor an int in 1..k for the k step texts, or whose
+    segment is not a Segment inside the frames."""
+    check_video_inputs(frames, step_feats)
+    d, k = frames.shape[1], step_feats.shape[0]
+    if params.input_dim not in (d, 2 * d):
+        raise ValidationError(
+            f"classifier input width must be {d} (frames) or {2 * d} "
+            f"(frames and step texts), got {params.input_dim}")
+    for step, seg in alignment:
+        if step is not None:
+            check_type(step, int, "proposal step")
+            if not 1 <= step <= k:
+                raise ValidationError(f"proposal step {step} outside 1..{k}")
+        check_type(seg, Segment, "proposal segment")
+        if seg.end > len(frames):
+            raise ValidationError(f"proposal segment [{seg.start}, {seg.end}) "
+                                  f"outside the {len(frames)} frames")
+    texts = None if params.input_dim == d else step_feats
     z, labels = classify(params, classifier_rows(frames, alignment, texts))
     return _detections(alignment, z, labels)
 
@@ -334,7 +333,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     config.validate()
     corpus.check_fold(fold)
     corpus.set_phase(f"fold{fold.fold_id}:train-detect")
-    x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
+    x, y, _ = _segment_rows(corpus, fold, fold.train, config.video_only)
     counts = {label: int(np.sum(y == int(label))) for label in CoarseLabel}
     missing = [label.name for label, c in counts.items() if c == 0]
     if missing:
@@ -342,7 +341,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
             f"fold {fold.fold_id}: no training samples for {missing}; "
             "merge folds or regenerate the corpus with more mistakes")
     weights = class_balanced_weights(_BETA, list(counts.values()))[y]
-    val = _segment_rows(corpus, fold.val, config.video_only)
+    val = _segment_rows(corpus, fold, fold.val, config.video_only)
     val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
 
     rng = np.random.default_rng(
@@ -388,8 +387,7 @@ def load_classifier(path) -> tuple[ClassifierParams, dict]:
 
 
 __all__ = [
-    "NUM_CLASSES", "ClassifierParams", "class_balanced_weights",
-    "mean_pool", "classifier_rows", "classify",
+    "NUM_CLASSES", "ClassifierParams",
     "ClassifierTrainConfig", "ClassifierTraining",
     "detect_on_segments", "detect_mistakes", "train_classifier_fold",
     "save_classifier", "load_classifier",

@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the type checks of a
-value, of an array's numbers, of a feature matrix where one enters the
-library (the decoder's zero-row rule stays in ``model._decoder_input``)
-and of a config's count, number and flag fields.
+value, of an array's numbers, of a feature matrix and of a video's frames
+and step texts, and of a config's count, number and flag fields. The
+names in each module's ``__all__`` run them once, where an input enters
+the library, and pass checked values on to names that check nothing
+(the decoder's zero-row rule stays in ``model._decoder_input``).
 
 The exit-code contract for a command-line interface (none exists yet):
 ``ValidationError`` and its subclasses exit 1, ``ParseError`` and
@@ -75,6 +77,16 @@ def check_features(array, what: str, width: int | None = None) -> None:
         raise ValidationError(f"{what} must be finite, but row {row} is not")
 
 
+def check_video_inputs(frames, step_feats, where: str = "") -> None:
+    """``check_features`` of a video's frames and of its task's step
+    texts at the frames' width, naming them ``frames`` and ``step_feats
+    (as wide as frames)``, after ``where`` when it is given."""
+    prefix = f"{where} " if where else ""
+    check_features(frames, f"{prefix}frames")
+    check_features(step_feats, f"{prefix}step_feats (as wide as frames)",
+                   frames.shape[1])
+
+
 def check_counts(config, names, minimum: int = 1, *,
                  types_only: bool = False) -> None:
     """Raise ValidationError naming the first of ``config``'s fields
@@ -112,3 +124,11 @@ def check_flags(config, names) -> None:
         value = getattr(config, name)
         if not isinstance(value, bool):
             raise ValidationError(f"{name} must be a bool, got {value!r}")
+
+
+__all__ = [
+    "StepAlignError", "ValidationError", "InfeasibleSplitError", "ParseError",
+    "FormatError", "NumericalError", "check_type", "check_real",
+    "check_features", "check_video_inputs", "check_counts", "check_numbers",
+    "check_flags",
+]

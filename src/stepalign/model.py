@@ -36,18 +36,19 @@ gradient and keeps its initialization.
 
 Slot selection is recomputed every step but treated as a constant mapping
 inside the loss, so no gradient flows through the discrete alignment.
-A fold reads each of its training and validation videos once, into a
-``FoldVideo``: the decoder input, the task's step texts and the
-rasterized ground truth, with what every step reads of the raster
-computed once: the annotated steps and each step's frames. The decoder
-input, the frames over their row norms, is one divide by
-``_decoder_input``, taken once per fold after its check for all-zero
-rows; nothing keeps the raw frames. ``train_alignment_fold`` hands
-``optim.fit`` its mini-batches of ``_BATCH_SIZE`` (6) videos, drawn each
-epoch from a new permutation of the training videos, and its validation
-frame-F1; ``fit`` runs Adam, validates after every epoch and keeps the
-best epoch's parameters. A training step runs the decoder once over its
-videos: ``compute_selections`` passes them to one ``forward_slots``
+A fold reads each of its training and validation videos once, checks
+its frames and its task's step texts, and keeps them in a ``FoldVideo``:
+the decoder input, the step texts and the rasterized ground truth, with
+what every step reads of the raster computed once: the annotated steps
+and each step's frames. The decoder input, the frames over their row
+norms, is one divide by ``_decoder_input``, taken once per fold after
+its check for all-zero rows; nothing keeps the raw frames.
+``train_alignment_fold`` hands ``optim.fit`` its mini-batches of
+``_BATCH_SIZE`` (6) videos, drawn each epoch from a new permutation of
+the training videos, and its validation frame-F1; ``fit`` runs Adam,
+validates after every epoch and keeps the best epoch's parameters. A
+training step runs the decoder once over its videos:
+``compute_selections`` passes them to one ``forward_slots``
 call, which computes the query products once and keeps each video's
 activations, then selects slots for the whole batch with one stacked
 selection per (steps, slots) shape, and ``batch_loss_and_grads``
@@ -66,17 +67,24 @@ The decoder computes in the dtype of the features it is given,
 ``optim.compute_dtype``, as in mixed-precision training (Micikevicius et
 al., "Mixed Precision Training", ICLR 2018): a corpus holds float32
 frames, so training and inference run in float32, and float64 frames
-run the same code in float64. Entry points run ``check_features`` on
-each feature matrix once. The master parameters, Adam's moments and
+run the same code in float64. The master parameters, Adam's moments and
 the gradient sums stay float64 (see optim.py). The step functions and
 ``align_video`` are handed the master parameters and cast them once per
-call; nothing holds a cast. A step function given a workspace of another
-dtype than its batch's raises ValidationError. Each product's terms then
+call, a step function to its workspace's dtype, which the fold trainer
+takes from its videos; nothing holds a cast. Each product's terms then
 accumulate into the float64 gradients. Frame norms, slot-selection
 costs, the Drop-DTW kernel and the alignment's normalization stay
 float64 whatever the dtype: the kernel's tie tolerance is in float64
 eps, and the parameter-free alignment of step texts to frames, which
 shares the alignment, stays exact in float64.
+
+The names in ``__all__`` check what they are handed, once: the
+inference entry points ``align_video`` and ``align_frames_to_slots``,
+and the fold trainer, which checks each fold video in ``_fold_videos``.
+Every other name, ``FoldVideo``, the workspace, the forward, slot
+selection and the step functions among them, takes the checked values
+they pass on and checks none of them; only ``forward_slots`` tests the
+slots it computes.
 
 The loss and its gradients are written once, in
 ``batch_loss_and_grads``; the naive value-only reference oracle used for
@@ -101,7 +109,7 @@ from .corpus import Corpus
 from .data import FoldSpec, Segment
 from .errors import (
     NumericalError, ValidationError, check_counts, check_features, check_flags,
-    check_numbers,
+    check_numbers, check_video_inputs,
 )
 from .metrics import frame_metrics, gt_frame_labels, rasterize
 from .optim import FlatParams, Training, compute_dtype, fit
@@ -224,11 +232,9 @@ def forward_slots(params: ModelParams, videos: Sequence[np.ndarray],
     video's activations hold them. Video b's L x d' projected frames and
     U x L attention are written into ``outs[b]["xp"]`` and
     ``outs[b]["attn"]`` when ``outs`` is given, one per video. It computes
-    in the videos' dtype. The videos are the checked decoder inputs that
-    ``FoldVideo`` holds or ``align_video`` builds."""
-    if outs is not None and len(outs) != len(videos):
-        raise ValidationError(f"outs must hold one dict per video, got "
-                              f"{len(outs)} for {len(videos)}")
+    in the videos' dtype. It takes checked values: the decoder inputs
+    that ``FoldVideo`` holds or ``align_video`` builds, and ``outs`` of
+    their number. Non-finite slots raise NumericalError."""
     params = params.astype(compute_dtype(*videos))
     qp = params.queries @ params.w_q
     qk = qp @ params.w_k.T
@@ -256,26 +262,19 @@ def select_slots(slots: Sequence[np.ndarray], step_feats: Sequence[np.ndarray],
     negative cosine.
 
     ``slots[b]`` is video b's U x d' slot matrix and ``step_feats[b]`` its
-    K_b x d' step texts; a count that does not match, or a matrix that
-    ``check_features`` rejects at the slots' width, raises ValidationError
-    naming the argument. Steps cannot drop; surplus slots drop at each
-    video's percentile cost. The videos of each (steps, slots) shape are
-    taken as one stack: one l2 normalization of their slots and one of
-    their texts, one float64 product for the costs, one partition for the
-    drop costs and one stacked Drop-DTW. When a step's alignment run
+    K_b x d' step texts, K_b <= U; it takes these checked values, which
+    ``forward_slots`` and the projection of checked texts give. Steps
+    cannot drop; surplus slots drop at each video's percentile cost. The
+    videos of each (steps, slots) shape are taken as one stack: one l2
+    normalization of their slots and one of their texts, one float64
+    product for the costs, one partition for the drop costs and one
+    stacked Drop-DTW. When a step's alignment run
     covers several slots, the cheapest one represents it (ties go to the
     lower slot index). Returns each video's K_b distinct slot indices in
     step order.
     """
-    if len(step_feats) != len(slots):
-        raise ValidationError(
-            f"step_feats must hold one matrix per slot matrix, got "
-            f"{len(step_feats)} for {len(slots)}")
     groups: dict[tuple[int, ...], list[int]] = {}
     for b, (video_slots, steps) in enumerate(zip(slots, step_feats)):
-        check_features(video_slots, f"slots[{b}]")
-        check_features(steps, f"step_feats[{b}] (as wide as slots[{b}])",
-                       video_slots.shape[1])
         groups.setdefault((*steps.shape, len(video_slots)), []).append(b)
     chosen: list[list[int]] = [[] for _ in slots]
     for members in groups.values():
@@ -300,7 +299,8 @@ class FoldVideo:
     annotated steps in ascending order and, per annotated step, the mask
     of its frames. ``from_frames`` builds the input from the video's
     frames, and keeps nothing else of them. The input, the raster, a
-    copy, and the constants are read-only."""
+    copy, and the constants are read-only. It takes checked frames and
+    texts, which ``_fold_videos`` passes it."""
 
     video_id: str
     x: np.ndarray                            # L x d decoder input
@@ -324,22 +324,10 @@ class FoldVideo:
                     step_feats: np.ndarray, gt_labels: np.ndarray,
                     normalize_features: bool) -> "FoldVideo":
         """The fold video whose decoder input is ``_decoder_input`` of
-        ``frames``. A zero frame row, or frames or texts ``check_features``
-        rejects at one width, raise ValidationError naming the video."""
-        where = f"video {video_id!r}"
-        check_features(frames, f"{where} frames")
-        check_features(step_feats, f"{where} step_feats (as wide as frames)",
-                       frames.shape[1])
-        return cls(video_id, _decoder_input(frames, normalize_features, where),
+        ``frames``, whose zero row it names with the video."""
+        return cls(video_id, _decoder_input(frames, normalize_features,
+                                            f"video {video_id!r}"),
                    step_feats, gt_labels)
-
-    @classmethod
-    def from_corpus(cls, corpus: Corpus, video_id: str,
-                    normalize_features: bool) -> "FoldVideo":
-        video = corpus.video_by_id(video_id)
-        return cls.from_frames(video_id, corpus.video_features(video_id),
-                               corpus.task_step_features(video.task),
-                               gt_frame_labels(video), normalize_features)
 
 
 def _decoder_input(frames: np.ndarray, normalize_features: bool,
@@ -423,18 +411,6 @@ class TrainWorkspace:
         return views
 
 
-def _batch_params(params: ModelParams, batch: Sequence[FoldVideo],
-                  work: TrainWorkspace) -> ModelParams:
-    """``params`` cast to the dtype the batch's features compute in, which
-    must be the workspace's: its buffers take the batch's activations,
-    and a write into another dtype would cast them silently."""
-    dtype = compute_dtype(*(v.x for v in batch))
-    if work.dtype != dtype:
-        raise ValidationError(f"a {work.dtype} workspace cannot hold the "
-                              f"activations of {dtype} features")
-    return params.astype(dtype)
-
-
 def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
                        config: TrainConfig, work: TrainWorkspace
                        ) -> tuple[list[list[int]], list[dict]]:
@@ -444,11 +420,11 @@ def compute_selections(params: ModelParams, batch: Sequence[FoldVideo],
     ``batch_loss_and_grads`` takes so that it need not run the decoder
     again. One ``forward_slots`` call runs the batch's videos over their
     held decoder inputs, and one ``select_slots`` call selects for all of
-    them. The decoder computes in the dtype of the batch's features,
-    which must be the workspace's. Video b's frame-sized activations are
-    written into slot b of the workspace.
+    them. The decoder computes in the workspace's dtype, which the fold
+    trainer takes from its videos' features. Video b's frame-sized
+    activations are written into slot b of the workspace.
     """
-    params = _batch_params(params, batch, work)
+    params = params.astype(work.dtype)
     caches = forward_slots(params, [v.x for v in batch],
                            [work.slot(b, v.x.shape[0])
                             for b, v in enumerate(batch)])
@@ -478,18 +454,14 @@ def batch_loss_and_grads(params: ModelParams, batch: Sequence[FoldVideo],
     those steps x frames rows; the frame gradient is then one product of
     the selected attention rows, their logit gradient and the cosine
     gradient with three steps x d' matrices. The decoder computes in the
-    dtype of the batch's features, which must be the workspace's, and
-    each term accumulates into the float64 gradients, which share the
+    workspace's dtype, as ``compute_selections`` does, and each term
+    accumulates into the float64 gradients, which share the
     parameters' flat layout. The input projection's gradient reads each
     video's held decoder input. Each video's frame-sized and steps x
-    frames arrays are written into the workspace's scratch. ``selections``
-    and ``caches`` hold one entry per video.
+    frames arrays are written into the workspace's scratch. It takes
+    checked values: ``selections`` and ``caches`` hold one entry per video.
     """
-    for name, items in (("selections", selections), ("caches", caches)):
-        if len(items) != len(batch):
-            raise ValidationError(f"{name} must hold one entry per video, "
-                                  f"got {len(items)} for {len(batch)}")
-    params = _batch_params(params, batch, work)
+    params = params.astype(work.dtype)
     grads = params.zeros_like()
     # mean over steps within a video, then over the annotated videos
     n_sup = sum(1 for v in batch if v.steps.size)
@@ -599,7 +571,10 @@ def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
     droppable DTW (slots must match, frames may drop at the percentile
     cost) and decode one segment per step, no two overlapping. Both sides
     pass ``check_features`` at one width and are normalized in float64,
-    whatever their dtype."""
+    whatever their dtype; ``drop_pct`` must be an int or a float in
+    (0, 100]."""
+    # the rule of the config field of that name, whose message names it
+    TrainConfig(drop_pct=drop_pct).validate()
     check_features(selected, "selected")
     check_features(frame_embed, "frame_embed (as wide as selected)",
                    selected.shape[1])
@@ -612,12 +587,23 @@ def align_video(params: ModelParams, frames: np.ndarray,
     """Full inference: decode the video's slots, pick one per step, then
     align the selected slots to the video's frames and read off one
     segment per step. The decoder computes in the frames' dtype, over
-    parameters cast once; frames or step texts that ``check_features``
-    rejects at ``params.feature_dim`` raise ValidationError, and so does
-    an all-zero frame row, naming the frame. Only the slots and the
-    projected frames are kept after the forward."""
+    parameters cast once. Before it runs, ValidationError is raised for
+    a ``drop_pct`` or a ``normalize_features`` that breaks the rule of
+    the ``TrainConfig`` field of its name, for frames or step texts that
+    ``check_features`` rejects at ``params.feature_dim``, for more steps
+    than ``params`` has slots or the video has frames, naming both
+    counts, and for an all-zero frame row, naming the frame. Only the
+    slots and the projected frames are kept after the forward."""
+    TrainConfig(drop_pct=drop_pct,
+                normalize_features=normalize_features).validate()
     check_features(frames, "frames", params.feature_dim)
     check_features(step_feats, "step_feats", params.feature_dim)
+    steps = len(step_feats)
+    for count, what in ((len(params.queries), "params has {} slots"),
+                        (len(frames), "frames has {} rows")):
+        if count < steps:
+            raise ValidationError(f"{what.format(count)}, fewer than the "
+                                  f"{steps} steps of step_feats")
     params = params.astype(compute_dtype(frames))
     [cache] = forward_slots(
         params, [_decoder_input(frames, normalize_features, "video")])
@@ -667,13 +653,22 @@ def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
 
 def _fold_videos(corpus: Corpus, fold: FoldSpec, video_ids: Sequence[str],
                  normalize_features: bool) -> list[FoldVideo]:
-    """The fold's ``FoldVideo`` of each id; a video they reject raises
-    ValidationError naming the fold."""
+    """The fold's ``FoldVideo`` of each id. Frames and step texts that
+    ``check_video_inputs`` rejects, or frames with an all-zero row, raise
+    ValidationError naming the fold and the video."""
+    videos = []
     try:
-        return [FoldVideo.from_corpus(corpus, vid, normalize_features)
-                for vid in video_ids]
+        for vid in video_ids:
+            video = corpus.video_by_id(vid)
+            frames = corpus.video_features(vid)
+            step_feats = corpus.task_step_features(video.task)
+            check_video_inputs(frames, step_feats, f"video {vid!r}")
+            videos.append(FoldVideo.from_frames(
+                vid, frames, step_feats, gt_frame_labels(video),
+                normalize_features))
     except ValidationError as exc:
         raise ValidationError(f"fold {fold.fold_id}: {exc}") from None
+    return videos
 
 
 def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
@@ -738,9 +733,6 @@ def load_model(path) -> tuple[ModelParams, dict]:
 
 __all__ = [
     "l2_normalize_rows", "ModelParams", "TrainConfig",
-    "FoldVideo", "TrainWorkspace",
-    "forward_slots", "select_slots",
-    "compute_selections", "batch_loss_and_grads", "align_frames_to_slots",
-    "align_video", "evaluate_alignment_f1",
+    "align_frames_to_slots", "align_video",
     "train_alignment_fold", "save_model", "load_model",
 ]

@@ -327,11 +327,11 @@ def classifier_loss_and_grads(params: ClassifierParams, x: np.ndarray,
 
 
 def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining:
-    x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
+    x, y, _ = _segment_rows(corpus, fold, fold.train, config.video_only)
     counts = {label: int(np.sum(y == int(label))) for label in CoarseLabel}
     weights = class_balanced_weights(classifier._BETA,
                                      list(counts.values()))[y]
-    val = _segment_rows(corpus, fold.val, config.video_only)
+    val = _segment_rows(corpus, fold, fold.val, config.video_only)
     val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(202, fold.fold_id,
@@ -395,8 +395,8 @@ def fresh_workspace(params: ModelParams, batch: Sequence[FoldVideo]
 def train_alignment_fold_per_tensor(corpus, fold, config) -> Training:
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(101, fold.fold_id)))
-    examples = [FoldVideo.from_corpus(corpus, vid, config.normalize_features)
-                for vid in fold.train]
+    examples = model._fold_videos(corpus, fold, fold.train,
+                                  config.normalize_features)
     params = ModelParams.init(rng, feature_dim=corpus.feature_dim,
                               working_dim=config.working_dim,
                               num_queries=config.num_queries)

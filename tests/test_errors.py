@@ -1,23 +1,31 @@
 """The error classes and the exit-code contract in errors.py: each class
-maps to exactly one exit code through the class it derives from; and
-``check_features``, the rule of a feature matrix, at every entry point
-that runs it."""
+maps to exactly one exit code through the class it derives from; and the
+rules of the inputs at every public entry point that takes them:
+``check_features``, the rule of a feature matrix, the scalar arguments
+of inference, and the frames and step texts each trainer reads."""
 
+import inspect
 import re
 
 import numpy as np
 import pytest
 
-from stepalign import errors
-from stepalign.classifier import ClassifierParams, detect_mistakes
-from stepalign.data import Segment
+from stepalign import classifier, errors, model
+from stepalign.classifier import (
+    ClassifierParams, ClassifierTrainConfig, detect_mistakes,
+    train_classifier_fold,
+)
+from stepalign.data import FoldSpec, Segment
 from stepalign.errors import (
     FormatError, InfeasibleSplitError, NumericalError, ParseError,
     StepAlignError, ValidationError,
 )
+from stepalign.metrics import gt_frame_labels
 from stepalign.model import (
-    FoldVideo, ModelParams, align_frames_to_slots, align_video, select_slots,
+    ModelParams, TrainConfig, align_frames_to_slots, align_video,
+    train_alignment_fold,
 )
+from stepalign.synth import SynthConfig, synth_corpus
 
 # the roots a command-line interface maps to exit codes
 _EXIT_CODES = {ValidationError: 1, ParseError: 2, FormatError: 2,
@@ -60,11 +68,6 @@ def _align_video(frames, step_feats):
     return align_video(params, frames, step_feats, 80.0, True)
 
 
-def _from_frames(frames, step_feats):
-    return FoldVideo.from_frames("v", frames, step_feats,
-                                 np.zeros(9, dtype=np.int64), True)
-
-
 def _detect(input_dim):
     params = ClassifierParams.init(np.random.default_rng(0), input_dim, 5)
     proposals = [(1, Segment(0, 5)), (None, Segment(5, 9))]
@@ -78,10 +81,6 @@ _ENTRIES = {
         lambda selected, frame_embed: align_frames_to_slots(
             selected, frame_embed, 80.0),
         "selected", "frame_embed (as wide as selected)"),
-    "FoldVideo.from_frames": (_from_frames, "video 'v' frames",
-                              "video 'v' step_feats (as wide as frames)"),
-    "select_slots": (lambda slots, steps: select_slots([slots], [steps], 80.0),
-                     "slots[0]", "step_feats[0] (as wide as slots[0])"),
     "detect_mistakes-video-text": (_detect(2 * _D), "frames",
                                    "step_feats (as wide as frames)"),
     "detect_mistakes-video-only": (_detect(_D), "frames",
@@ -122,16 +121,122 @@ def test_malformed_feature_matrix_rejected_naming_the_argument(
         entry, argument, case):
     call, *whats = _ENTRIES[entry]
     rng = np.random.default_rng(1)
-    # 9 frames, or 6 slots, then 2 step texts, all _D wide
-    inputs = [rng.normal(size=(9 if entry != "select_slots" else 6, _D)),
-              rng.normal(size=(2, _D))]
+    # 9 frames, then 2 step texts, all _D wide
+    inputs = [rng.normal(size=(9, _D)), rng.normal(size=(2, _D))]
     malform, rule = _MALFORMED[case]
     inputs[argument] = malform(inputs[argument])
     what = whats[argument]
     if case == "other-width" and entry != "align_video":
         what = whats[1]      # the pair's one width is the first argument's
-    name = whats[argument].split(" (")[0].split()[-1]   # frames, slots[0]
+    name = whats[argument].split(" (")[0]   # frames, step_feats
     with pytest.raises(ValidationError,
                        match=f"^{re.escape(what)} {rule}") as caught:
         call(*inputs)
     assert name in str(caught.value)
+
+
+# the functions of the pipeline's API that take one of these matrices
+_MATRIX_ARGUMENTS = {"frames", "step_feats", "selected", "frame_embed"}
+
+
+def test_every_public_function_taking_a_matrix_has_an_entry():
+    # a function that joins __all__ with a matrix argument joins the
+    # malformed-matrix test above
+    public = {name for module in (model, classifier) for name in module.__all__
+              if inspect.isfunction(getattr(module, name))
+              and _MATRIX_ARGUMENTS & set(inspect.signature(
+                  getattr(module, name)).parameters)}
+    assert public == {entry.split("-")[0] for entry in _ENTRIES}
+
+
+# a scalar argument of inference that breaks the rule of the TrainConfig
+# field of its name, and that rule's message
+_SCALARS = {
+    "drop_pct-zero": ({"drop_pct": 0.0}, r"drop_pct must be in \(0, 100\]"),
+    "drop_pct-above-100": ({"drop_pct": 101},
+                           r"drop_pct must be in \(0, 100\]"),
+    "drop_pct-nan": ({"drop_pct": np.nan}, r"drop_pct must be in \(0, 100\]"),
+    "drop_pct-str": ({"drop_pct": "80"},
+                     "drop_pct must be an int or a float, got '80'"),
+    "drop_pct-bool": ({"drop_pct": True},
+                      "drop_pct must be an int or a float, got True"),
+    "normalize-str": ({"normalize_features": "no"},
+                      "normalize_features must be a bool, got 'no'"),
+    "normalize-none": ({"normalize_features": None},
+                       "normalize_features must be a bool, got None"),
+    "normalize-int": ({"normalize_features": 1},
+                      "normalize_features must be a bool, got 1"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    *(("align_video", case) for case in _SCALARS),
+    # it has no normalize_features: it normalizes its inputs always
+    *(("align_frames_to_slots", case) for case in _SCALARS
+      if case.startswith("drop_pct"))])
+def test_malformed_scalar_argument_rejected_before_the_decoder(
+        monkeypatch, entry, case):
+    # a bad drop_pct was named "pct" once the decoder had run, and a
+    # normalize_features of "no" or None was taken for its truth value
+    changes, rule = _SCALARS[case]
+    monkeypatch.setattr(model, "forward_slots", None)
+    rng = np.random.default_rng(2)
+    frames, step_feats = rng.normal(size=(9, _D)), rng.normal(size=(2, _D))
+    args = {"drop_pct": 80.0, "normalize_features": True, **changes}
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        if entry == "align_video":
+            params = ModelParams.init(rng, feature_dim=_D, working_dim=5,
+                                      num_queries=6)
+            align_video(params, frames, step_feats, **args)
+        else:
+            align_frames_to_slots(step_feats, frames, args["drop_pct"])
+
+
+def _fold():
+    """One task of 3 steps over 8 videos; the fold's train split holds
+    every class the classifier needs."""
+    corpus = synth_corpus(SynthConfig(tasks=1, videos_per_task=8, workers=4,
+                                      steps_per_task=3, dim=8,
+                                      p_exec_mistake=0.6)).corpus
+    ids = {v.video_id.rsplit("_", 1)[1]: v.video_id for v in corpus.videos}
+    fold = FoldSpec(0, train=tuple(ids[k] for k in ("c00", "c01", "m00",
+                                                    "m01", "m03")),
+                    val=(ids["c02"], ids["m02"]), test=(ids["c03"],))
+    return corpus, fold
+
+
+_TRAINERS = {
+    "align": lambda corpus, fold: train_alignment_fold(
+        corpus, fold, TrainConfig(epochs=1, working_dim=4, num_queries=4)),
+    "detect": lambda corpus, fold: train_classifier_fold(
+        corpus, fold, ClassifierTrainConfig(hidden=4, epochs=10)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("place", ["train-segment", "val-segment",
+                                   "val-background", "text"])
+@pytest.mark.parametrize("trainer", list(_TRAINERS))
+def test_non_finite_fold_input_rejected_naming_fold_and_video(
+        trainer, place, value):
+    # the classifier trainer took a NaN in a background frame, failed on
+    # one in a val segment with "confidence must be in [0, 1], got nan"
+    # and on one in a train segment with a non-finite loss naming no video
+    corpus, fold = _fold()
+    if place == "text":
+        vid, what = fold.train[0], r"step_feats \(as wide as frames\)"
+        task = corpus.video_by_id(vid).task
+        matrix = corpus.step_features[task] = corpus.step_features[task].copy()
+        row = 1
+    else:
+        vid, what = (fold.train[1] if place == "train-segment"
+                     else fold.val[1]), "frames"
+        gt = gt_frame_labels(corpus.video_by_id(vid))
+        row = int(np.flatnonzero(gt == 0 if place == "val-background"
+                                 else gt > 0)[0])
+        matrix = corpus.features[vid] = corpus.features[vid].copy()
+    matrix[row, 2] = value
+    with pytest.raises(ValidationError, match=(
+            rf"^fold 0: video {re.escape(repr(vid))} {what} must be finite, "
+            rf"but row {row} is not$")):
+        _TRAINERS[trainer](corpus, fold)

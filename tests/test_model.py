@@ -180,15 +180,6 @@ class TestForwardSlots:
         np.testing.assert_allclose(_slots(shuffled, x), base[perm],
                                    atol=1e-12)
 
-    def test_outs_count_mismatch_rejected(self):
-        # zip dropped the second video: one cache came back for two
-        rng = np.random.default_rng(4)
-        params = _params(rng, d=6)
-        x = rng.normal(size=(5, 6))
-        with pytest.raises(ValidationError, match=(
-                "^outs must hold one dict per video, got 1 for 2$")):
-            forward_slots(params, [x, x], [{}])
-
 
 def test_l2_normalize_rejects_zero_row():
     with pytest.raises(ValidationError, match="^cannot l2-normalize a zero row$"):
@@ -322,34 +313,6 @@ class TestSelectSlots:
         alone = [-cosine_matrix(t, u) for u, t in zip(slots, steps)]
         assert sorted(seen) == sorted(
             (cost.tobytes(), percentile_drop_cost(cost, 80)) for cost in alone)
-
-    def test_count_mismatch_rejected(self):
-        # zip dropped the second video: one selection came back for two
-        rng = np.random.default_rng(14)
-        video_slots = rng.normal(size=(8, 5))
-        with pytest.raises(ValidationError, match=(
-                "^step_feats must hold one matrix per slot matrix, got 1 "
-                "for 2$")):
-            select_slots([video_slots, video_slots],
-                         [rng.normal(size=(3, 5))], 80)
-
-    def test_step_width_mismatch_rejected(self):
-        # matmul raised a bare ValueError
-        rng = np.random.default_rng(15)
-        video_slots = rng.normal(size=(8, 5))
-        with pytest.raises(ValidationError, match=(
-                r"^step_feats\[1\] \(as wide as slots\[1\]\) must be 2-d with "
-                r"at least one row of 5 columns, got shape \(3, 4\)$")):
-            select_slots([video_slots, video_slots],
-                         [rng.normal(size=(3, 5)), rng.normal(size=(3, 4))], 80)
-
-    def test_too_many_steps_rejected(self):
-        # the kernel gives each step a slot of its own
-        rng = np.random.default_rng(9)
-        with pytest.raises(ValidationError,
-                           match="^cost matrix has 3 rows but only 2 columns"):
-            select_slots([rng.normal(size=(2, 4))], [rng.normal(size=(3, 4))], 80)
-
 
 class TestLossSupervised:
     def test_full_segment_exactly_zero(self):
@@ -545,22 +508,6 @@ class TestGradients:
                        + getattr(singles[1][1], name)) / 2,
                 rtol=1e-10, atol=1e-14, err_msg=name)
 
-    @pytest.mark.parametrize("argument", ["selections", "caches"])
-    def test_count_mismatch_rejected(self, argument):
-        # zip dropped the second video: a two-video batch scored one of
-        # them, over the whole batch's count
-        rng = np.random.default_rng(501)
-        params = _params(rng)
-        batch = [_random_example(rng) for _ in range(2)]
-        inputs = dict(zip(("selections", "caches"), compute_selections(
-            params, batch, TrainConfig(), fresh_workspace(params, batch))))
-        inputs[argument] = inputs[argument][:1]
-        with pytest.raises(ValidationError, match=(
-                f"^{argument} must hold one entry per video, got 1 for 2$")):
-            batch_loss_and_grads(params, batch, inputs["selections"],
-                                 inputs["caches"],
-                                 fresh_workspace(params, batch))
-
     def test_shared_slot_gradients_accumulate(self):
         # two steps of one video select the same slot, so both supervised
         # terms must land on that slot
@@ -642,28 +589,31 @@ class TestOraclePlantAndRecover:
 
 
 class TestAlignVideos:
-    def test_fewer_frames_than_steps_rejected(self):
-        # each step is aligned to frames of its own
+    @pytest.mark.parametrize("frames, slots, rule", [
+        (2, 4, "frames has 2 rows"), (9, 2, "params has 2 slots")],
+        ids=["frames", "slots"])
+    def test_more_steps_than_frames_or_slots_rejected(self, frames, slots,
+                                                      rule):
+        # each step selects a slot, and is aligned to frames, of its own;
+        # both raised "cost matrix has 3 rows but only 2 columns", the
+        # first after the decoder had run
         rng = np.random.default_rng(43)
-        params = _params(rng, d=6, dp=5, u=4)
-        with pytest.raises(ValidationError,
-                           match="^cost matrix has 3 rows but only 2 columns"):
-            align_video(params, rng.normal(size=(2, 6)),
+        params = _params(rng, d=6, dp=5, u=slots)
+        with pytest.raises(ValidationError, match=(
+                f"^{rule}, fewer than the 3 steps of step_feats$")):
+            align_video(params, rng.normal(size=(frames, 6)),
                         rng.normal(size=(3, 6)), 80.0, True)
 
     def test_step_width_mismatch_rejected(self):
-        # inference checks the texts at the decoder's width, and a fold
-        # video at its frames' width, before training selection reads them
+        # inference checks the texts at the decoder's width, before slot
+        # selection reads them
         rng = np.random.default_rng(42)
         params = _params(rng, d=6, dp=5, u=4)
         frames, steps = rng.normal(size=(9, 6)), rng.normal(size=(2, 7))
-        rule = r"must be 2-d with at least one row of 6 columns, got shape \(2, 7\)$"
-        with pytest.raises(ValidationError, match=f"^step_feats {rule}"):
-            align_video(params, frames, steps, 80.0, True)
         with pytest.raises(ValidationError, match=(
-                rf"^video 'v' step_feats \(as wide as frames\) {rule}")):
-            FoldVideo.from_frames("v", frames, steps,
-                                  np.zeros(9, dtype=np.int64), True)
+                r"^step_feats must be 2-d with at least one row of 6 "
+                r"columns, got shape \(2, 7\)$")):
+            align_video(params, frames, steps, 80.0, True)
 
     @pytest.mark.parametrize("argument", ["frames", "step_feats"])
     @pytest.mark.parametrize("dtype", [bool, np.complex128, object, np.str_],
@@ -990,30 +940,6 @@ class TestTrainWorkspace:
         assert np.all(grads.queries[[0, 2, 3]] == 0.0)
         assert np.all(np.any(grads.queries[[1, 4, 5]] != 0.0, axis=1))
 
-    @pytest.mark.parametrize("work_dtype, frames_dtype", [
-        (np.float32, np.float64), (np.float64, np.float32)],
-        ids=["float32-workspace", "float64-workspace"])
-    def test_workspace_of_another_dtype_rejected(self, work_dtype,
-                                                 frames_dtype):
-        # a float32 workspace cached float32 activations of float64 frames,
-        # and a float64 one computed float32 frames in float64
-        rng = np.random.default_rng(63)
-        params = _params(rng, d=6, dp=5, u=4)
-        batch = _fold_videos(rng, (17, 29), d=6, k=2, dtype=frames_dtype)
-        config = TrainConfig()
-        work = TrainWorkspace(params.astype(work_dtype), batch_size=2,
-                              max_frames=29, max_steps=2)
-        rule = (f"^a {np.dtype(work_dtype)} workspace cannot hold the "
-                f"activations of {np.dtype(frames_dtype)} features$")
-        with pytest.raises(ValidationError, match=rule):
-            compute_selections(params, batch, config, work)
-        selections, caches = compute_selections(
-            params, batch, config, fresh_workspace(params, batch))
-        with pytest.raises(ValidationError, match=rule):
-            batch_loss_and_grads(params, batch, selections, caches, work)
-        with pytest.raises(ValidationError, match=rule):
-            evaluate_alignment_f1(params, batch, config, work)
-
     def test_cache_arrays_live_in_the_workspace(self):
         rng = np.random.default_rng(61)
         params = _params(rng, d=6, dp=5, u=4)
@@ -1174,7 +1100,7 @@ class TestEvaluateAlignmentF1:
     def test_chunks_match_per_video_oracle(self, monkeypatch):
         monkeypatch.setattr(stepalign.model, "_BATCH_SIZE", _TINY_BATCH)
         corpus, fold, config = _two_step_count_fold()
-        train, val = ([FoldVideo.from_corpus(corpus, vid, True) for vid in ids]
+        train, val = (stepalign.model._fold_videos(corpus, fold, ids, True)
                       for ids in (fold.train, fold.val))
         lengths = [v.x.shape[0] for v in (*train, *val)]
         assert len(val) > _TINY_BATCH
@@ -1241,7 +1167,7 @@ class TestFoldVideo:
         corpus, fold, _ = _tiny_fold()
         vid = fold.train[0]
         frames = corpus.features[vid]
-        video = FoldVideo.from_corpus(corpus, vid, True)
+        [video] = stepalign.model._fold_videos(corpus, fold, [vid], True)
         assert not hasattr(video, "frames")
         for name, value in vars(video).items():
             assert not np.shares_memory(value, frames), name
@@ -1301,7 +1227,8 @@ class TestFoldVideo:
     @pytest.mark.parametrize("name", ["gt_labels", "x", "steps", "positive"])
     def test_raster_and_constants_are_read_only(self, name):
         corpus, fold, _ = _tiny_fold()
-        video = FoldVideo.from_corpus(corpus, fold.train[0], True)
+        [video] = stepalign.model._fold_videos(corpus, fold, fold.train[:1],
+                                               True)
         with pytest.raises(ValueError, match="read-only"):
             getattr(video, name)[0] = 0
 

@@ -29,6 +29,50 @@ def test_every_exported_name_resolves():
             assert hasattr(module, attr), f"stepalign.{name}.{attr}"
 
 
+# every module's API, as a literal: a name joins or leaves it only through
+# an edit of this table. A name in __all__ checks what it is handed, and
+# a name outside it takes checked values
+_API = {
+    "alignment": ["drop_dtw", "drop_dtw_stack", "decode_segments"],
+    "checkpoint": ["float32_tensors", "save_checkpoint", "write_checkpoint",
+                   "StoredTensor", "open_checkpoint", "load_checkpoint",
+                   "check_layout"],
+    "classifier": ["NUM_CLASSES", "ClassifierParams", "ClassifierTrainConfig",
+                   "ClassifierTraining", "detect_on_segments",
+                   "detect_mistakes", "train_classifier_fold",
+                   "save_classifier", "load_classifier"],
+    "corpus": ["Corpus", "load_corpus", "read_features"],
+    "data": ["TaskDomain", "Intent", "MistakeLabel", "CoarseLabel",
+             "coarse_label", "Segment", "ProceduralText", "AnnotatedSegment",
+             "AnnotatedVideo", "FoldSpec", "validate_video", "save_folds",
+             "load_folds", "load_json", "save_json", "video_to_json",
+             "text_to_json", "parse_video", "parse_text"],
+    "errors": ["StepAlignError", "ValidationError", "InfeasibleSplitError",
+               "ParseError", "FormatError", "NumericalError", "check_type",
+               "check_real", "check_features", "check_video_inputs",
+               "check_counts", "check_numbers", "check_flags"],
+    "metrics": ["BACKGROUND", "DEFAULT_TIOU_THRESHOLDS", "Detection",
+                "MapResult", "rasterize", "gt_frame_labels", "frame_metrics",
+                "average_precision", "map_at_tiou", "gt_instances"],
+    "model": ["l2_normalize_rows", "ModelParams", "TrainConfig",
+              "align_frames_to_slots", "align_video", "train_alignment_fold",
+              "save_model", "load_model"],
+    "optim": ["Adam", "EpochLog", "FlatParams", "Training", "compute_dtype",
+              "fit"],
+    "splits": ["make_group_kfold"],
+    "synth": ["SynthConfig", "SynthResult", "synth_corpus"],
+}
+
+
+def test_every_module_api_is_pinned():
+    modules = sorted(info.name
+                     for info in pkgutil.iter_modules(stepalign.__path__))
+    assert modules == sorted(_API)
+    for name in modules:
+        module = importlib.import_module(f"stepalign.{name}")
+        assert getattr(module, "__all__", None) == _API[name], name
+
+
 def test_every_module_has_tests_and_a_readme_line():
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
