@@ -571,13 +571,17 @@ def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
     droppable DTW (slots must match, frames may drop at the percentile
     cost) and decode one segment per step, no two overlapping. Both sides
     pass ``check_features`` at one width and are normalized in float64,
-    whatever their dtype; ``drop_pct`` must be an int or a float in
-    (0, 100]."""
+    whatever their dtype; ``frame_embed`` needs a row for each step of
+    ``selected``, and ``drop_pct`` must be an int or a float in (0, 100]."""
     # the rule of the config field of that name, whose message names it
     TrainConfig(drop_pct=drop_pct).validate()
     check_features(selected, "selected")
     check_features(frame_embed, "frame_embed (as wide as selected)",
                    selected.shape[1])
+    if len(frame_embed) < len(selected):
+        raise ValidationError(f"frame_embed has {len(frame_embed)} rows, "
+                              f"fewer than the {len(selected)} steps of "
+                              f"selected")
     return _align_tail(selected, frame_embed, drop_pct)
 
 
@@ -606,7 +610,7 @@ def align_video(params: ModelParams, frames: np.ndarray,
                                   f"{steps} steps of step_feats")
     params = params.astype(compute_dtype(frames))
     [cache] = forward_slots(
-        params, [_decoder_input(frames, normalize_features, "video")])
+        params, [_decoder_input(frames, normalize_features, "frames")])
     slots, xp = cache["slots"], cache["xp"]
     del cache
     rows = select_slots([slots], [step_feats @ params.proj_t], drop_pct)[0]

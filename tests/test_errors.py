@@ -240,3 +240,35 @@ def test_non_finite_fold_input_rejected_naming_fold_and_video(
             rf"^fold 0: video {re.escape(repr(vid))} {what} must be finite, "
             rf"but row {row} is not$")):
         _TRAINERS[trainer](corpus, fold)
+
+
+# the malformed forms a fold's matrices can take; a list is not among
+# them, since the corpus reads each matrix through np.asarray, and NaN
+# and inf are the test above
+_FOLD_MALFORMED = [case for case in _MALFORMED
+                   if case not in ("nan", "inf", "list")]
+
+
+@pytest.mark.parametrize("case", _FOLD_MALFORMED)
+@pytest.mark.parametrize("place", ["train", "val", "text"])
+@pytest.mark.parametrize("trainer", list(_TRAINERS))
+def test_malformed_fold_input_rejected_naming_fold_and_video(
+        trainer, place, case):
+    # the rows FoldVideo.from_frames held in the malformed-matrix test
+    # above, now at the trainers, which check every video they read
+    corpus, fold = _fold()
+    if place == "text":
+        vid, what = fold.train[0], "step_feats (as wide as frames)"
+        task = corpus.video_by_id(vid).task
+        table, key = corpus.step_features, task
+    else:
+        vid = fold.train[1] if place == "train" else fold.val[1]
+        what = ("step_feats (as wide as frames)" if case == "other-width"
+                else "frames")
+        table, key = corpus.features, vid
+    malform, rule = _MALFORMED[case]
+    table[key] = malform(np.asarray(table[key]))
+    with pytest.raises(ValidationError, match=(
+            rf"^fold 0: video {re.escape(repr(vid))} {re.escape(what)} "
+            rf"{rule}")):
+        _TRAINERS[trainer](corpus, fold)

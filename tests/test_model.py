@@ -604,6 +604,23 @@ class TestAlignVideos:
             align_video(params, rng.normal(size=(frames, 6)),
                         rng.normal(size=(3, 6)), 80.0, True)
 
+    def test_more_selected_steps_than_frames_rejected(self):
+        # the inference tail's own rule, which raised "cost matrix has 5
+        # rows but only 3 columns", naming neither argument
+        rng = np.random.default_rng(45)
+        with pytest.raises(ValidationError, match=(
+                "^frame_embed has 3 rows, fewer than the 5 steps of "
+                "selected$")):
+            align_frames_to_slots(rng.normal(size=(5, 4)),
+                                  rng.normal(size=(3, 4)), 80.0)
+
+    def test_as_many_frames_as_steps_align_one_frame_each(self):
+        # the least video the rule above accepts: no frame can drop
+        rng = np.random.default_rng(45)
+        assert align_frames_to_slots(
+            rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), 80.0) == \
+            [(k + 1, Segment(k, k + 1)) for k in range(3)]
+
     def test_step_width_mismatch_rejected(self):
         # inference checks the texts at the decoder's width, before slot
         # selection reads them
@@ -644,7 +661,7 @@ class TestAlignVideos:
         frames = rng.normal(size=(9, 6)).astype(dtype)
         frames[4] = 0.0
         with pytest.raises(ValidationError, match=(
-                r"^video has an all-zero feature row at frame 4; every frame "
+                r"^frames has an all-zero feature row at frame 4; every frame "
                 r"needs a nonzero row$")):
             align_video(params, frames, rng.normal(size=(2, 6)).astype(dtype),
                         80.0, normalize)
