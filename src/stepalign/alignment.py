@@ -55,10 +55,11 @@ _INF = float("inf")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _nearest_rank(costs: np.ndarray, pct: float) -> np.ndarray:
-    """Nearest-rank percentile over the entries of each matrix of
-    ``costs``, a stack of matrices or one matrix, in float64. It takes
-    checked values: nonempty real costs and a ``pct`` in (0, 100].
+def percentile_drop_cost_stack(costs: np.ndarray, pct: float) -> np.ndarray:
+    """The nearest-rank percentile over the entries of each matrix of
+    ``costs``, a B x n x m stack or one n x m matrix: the B values, or
+    the one, in float64. It takes checked values: nonempty real costs
+    and a ``pct`` in (0, 100].
 
     The 1-based rank is ceil(pct * n / 100) for the n entries of a matrix;
     the product is taken before the division so that exact ranks like 80%
@@ -71,17 +72,10 @@ def _nearest_rank(costs: np.ndarray, pct: float) -> np.ndarray:
     return np.partition(flat, kth, axis=1)[:, kth]
 
 
-def percentile_drop_cost_stack(costs: np.ndarray, pct: float) -> np.ndarray:
-    """The nearest-rank percentile over the entries of each matrix of the
-    B x n x m stack ``costs``: the B values for the matrices ``costs[b]``,
-    in float64. It takes checked values, as ``_nearest_rank`` does."""
-    return _nearest_rank(costs, pct)
-
-
 def percentile_drop_cost(cost: np.ndarray, pct: float) -> float:
     """``percentile_drop_cost_stack`` of the one n x m matrix ``cost``: the
     nearest-rank percentile over all its entries."""
-    return float(_nearest_rank(cost, pct)[0])
+    return float(percentile_drop_cost_stack(cost, pct)[0])
 
 
 def _check_cost(cost: np.ndarray, ndim: int = 2) -> np.ndarray:

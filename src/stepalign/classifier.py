@@ -158,12 +158,13 @@ def _detections(proposals: _Proposals, z: np.ndarray,
 
 @dataclass(frozen=True)
 class ClassifierTrainConfig:
+    """Its rules run when it is built, and again in ``dataclasses.replace``."""
     hidden: int = 256
     epochs: int = 1200
     seed: int = 0
     video_only: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_counts(self, ("hidden", "epochs"))
         check_counts(self, ("seed",), minimum=0)
         check_flags(self, ("video_only",))
@@ -330,7 +331,6 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     checkpoint with the best validation score (earlier epoch wins ties),
     stopping at the first validation round ``_PATIENCE`` or more epochs
     after it. The val rows are built once, before the first epoch."""
-    config.validate()
     corpus.check_fold(fold)
     corpus.set_phase(f"fold{fold.fold_id}:train-detect")
     x, y, _ = _segment_rows(corpus, fold, fold.train, config.video_only)

@@ -100,17 +100,23 @@ class Segment:
 
 @dataclass(frozen=True)
 class ProceduralText:
-    """Ordered instruction steps for one task. Step indices are 1-based."""
+    """Ordered instruction steps for one task. Step indices are 1-based.
+    A field of another type raises ValidationError naming the field,
+    and no step or a blank step raises one naming the task."""
 
     task: TaskDomain
     steps: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        check_type(self.task, TaskDomain, "text task")
+        name = self.task.value
+        check_type(self.steps, tuple, f"{name}: steps")
         if len(self.steps) < 1:
-            raise ValidationError(f"{self.task.value}: procedural text has no steps")
+            raise ValidationError(f"{name}: procedural text has no steps")
         for i, text in enumerate(self.steps, start=1):
+            check_type(text, str, f"{name}: step {i}")
             if not text.strip():
-                raise ValidationError(f"{self.task.value}: step {i} text is empty")
+                raise ValidationError(f"{name}: step {i} text is empty")
 
     @property
     def num_steps(self) -> int:
@@ -337,6 +343,8 @@ def parse_text(obj: dict, where: str = "<memory>") -> ProceduralText:
         )
     except KeyError as exc:
         raise ParseError(f"{where}: missing text field {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_json(path: Path) -> dict:

@@ -136,21 +136,9 @@ def _match_flags(ranked: list[tuple[str, Detection]],
 def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
     """All-point interpolated AP (precision envelope over the PR curve).
 
-    ``tp_flags`` is a 1-d bool array in rank order and ``n_gt`` an int at
-    least its number of true positives; anything else raises
-    ValidationError naming the argument."""
-    if not isinstance(tp_flags, np.ndarray) or tp_flags.dtype != bool \
-            or tp_flags.ndim != 1:
-        got = (f"a {tp_flags.ndim}-d array of {tp_flags.dtype}"
-               if isinstance(tp_flags, np.ndarray) else type(tp_flags).__name__)
-        raise ValidationError(f"tp_flags must be a 1-d bool array, got {got}")
-    check_type(n_gt, int, "n_gt")
-    if n_gt <= 0:
-        raise ValidationError("AP needs at least one ground-truth instance")
-    n_tp = int(np.count_nonzero(tp_flags))
-    if n_tp > n_gt:
-        raise ValidationError(
-            f"tp_flags has {n_tp} true positives but n_gt is {n_gt}")
+    It takes checked values, as ``map_at_tiou`` passes them: a 1-d bool
+    array of ``_match_flags`` in rank order and a positive count of
+    ground-truth instances, at least its number of true positives."""
     if len(tp_flags) == 0:
         return 0.0
     tp = np.cumsum(tp_flags)
@@ -177,8 +165,16 @@ def map_at_tiou(detections: dict[str, list[Detection]],
 
     Classes without any ground-truth instance are excluded from the mean;
     when neither class has ground truth the score is undefined and an
-    error is raised.
+    error is raised. A detection that is not a ``Detection``, or a
+    ground-truth instance whose span is not a ``Segment``, raises
+    ValidationError naming its video.
     """
+    for vid, dets in detections.items():
+        for det in dets:
+            check_type(det, Detection, f"video {vid!r}: each detection")
+    for vid, insts in ground_truth.items():
+        for _, span, _ in insts:
+            check_type(span, Segment, f"video {vid!r}: each ground-truth span")
     classes = [CoarseLabel.MISTAKE, CoarseLabel.CORRECTION]
     n_gt = {
         label: sum(
@@ -223,6 +219,6 @@ def gt_instances(video: AnnotatedVideo) -> list[GroundTruthInstance]:
 
 __all__ = [
     "BACKGROUND", "DEFAULT_TIOU_THRESHOLDS", "Detection", "MapResult",
-    "rasterize", "gt_frame_labels", "frame_metrics", "average_precision",
-    "map_at_tiou", "gt_instances",
+    "rasterize", "gt_frame_labels", "frame_metrics", "map_at_tiou",
+    "gt_instances",
 ]

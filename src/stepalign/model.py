@@ -162,6 +162,7 @@ _BATCH_SIZE = 6
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Its rules run when it is built, and again in ``dataclasses.replace``."""
     epochs: int = 40
     seed: int = 0
     drop_pct: float = 80.0
@@ -169,7 +170,7 @@ class TrainConfig:
     num_queries: int = 32
     normalize_features: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_counts(self, ("epochs", "working_dim", "num_queries"))
         check_counts(self, ("seed",), minimum=0)
         check_numbers(self, ("drop_pct",))
@@ -574,7 +575,7 @@ def align_frames_to_slots(selected: np.ndarray, frame_embed: np.ndarray,
     whatever their dtype; ``frame_embed`` needs a row for each step of
     ``selected``, and ``drop_pct`` must be an int or a float in (0, 100]."""
     # the rule of the config field of that name, whose message names it
-    TrainConfig(drop_pct=drop_pct).validate()
+    TrainConfig(drop_pct=drop_pct)
     check_features(selected, "selected")
     check_features(frame_embed, "frame_embed (as wide as selected)",
                    selected.shape[1])
@@ -598,8 +599,7 @@ def align_video(params: ModelParams, frames: np.ndarray,
     than ``params`` has slots or the video has frames, naming both
     counts, and for an all-zero frame row, naming the frame. Only the
     slots and the projected frames are kept after the forward."""
-    TrainConfig(drop_pct=drop_pct,
-                normalize_features=normalize_features).validate()
+    TrainConfig(drop_pct=drop_pct, normalize_features=normalize_features)
     check_features(frames, "frames", params.feature_dim)
     check_features(step_feats, "step_feats", params.feature_dim)
     steps = len(step_feats)
@@ -680,7 +680,6 @@ def train_alignment_fold(corpus: Corpus, fold: FoldSpec,
     """Mini-batch training on one fold, the batches of each epoch drawn
     from a fresh permutation; returns the checkpoint with the best
     validation frame-F1 (earlier epoch wins ties)."""
-    config.validate()
     corpus.check_fold(fold)
     _check_fold(corpus, fold, config)
     rng = np.random.default_rng(

@@ -13,15 +13,17 @@ The float64 buffer holds the master parameters, as in mixed-precision
 training (Micikevicius et al., "Mixed Precision Training", ICLR 2018).
 Both models compute in the dtype of their features, which
 ``compute_dtype`` gives: float32 for a corpus and float64 for float64
-arrays; features that are not real numbers raise ValidationError. A
-model that computes in float32 reads ``astype(np.float32)``, a new cast
-of the whole buffer in the same layout, and its gradients accumulate
-into a float64 buffer, so Adam's moments and updates stay float64.
+arrays. A model that computes in float32 reads ``astype(np.float32)``, a
+new cast of the whole buffer in the same layout, and its gradients
+accumulate into a float64 buffer, so Adam's moments and updates stay
+float64.
 
 ``fit`` is the loop of both trainers: Adam over the batches a trainer
 yields, validation rounds logged in a ``Training`` record, and the best
 round's parameters kept, as in early stopping (Prechelt, "Early Stopping
--- But When?", 1998).
+-- But When?", 1998). ``Adam``, ``fit`` and ``compute_dtype`` are the
+trainers' helpers, outside ``__all__``: they take the values the models'
+entry points have checked and check none of them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_real
+from .errors import NumericalError
 
 
 @dataclass
@@ -47,11 +49,9 @@ class EpochLog:
 
 def compute_dtype(*features: np.ndarray) -> np.dtype:
     """The dtype a model computes in for these feature arrays: float32
-    when each holds float32 or narrower numbers, float64 otherwise. An
-    array of bools, complex numbers, objects or strings raises
-    ValidationError naming its dtype."""
-    for array in features:
-        check_real(array, "features")
+    when each holds float32 or narrower numbers, float64 otherwise. It
+    takes arrays of ints or floats, which every entry point's
+    ``check_features`` has passed."""
     return np.result_type(np.float32, *features)
 
 
@@ -124,13 +124,9 @@ class Adam:
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update ``params`` in place from ``grads``; both are flat buffers
-        of the optimizer's size. The operations and their order are those
-        of the textbook per-tensor update
+        of the optimizer's size, as ``fit`` passes them. The operations
+        and their order are those of the textbook per-tensor update
         ``params -= lr * m_hat / (sqrt(v_hat) + eps)``."""
-        if params.shape != self._m.shape or grads.shape != self._m.shape:
-            raise ValidationError(
-                f"Adam over {self._m.size} parameters got params of shape "
-                f"{params.shape} and grads of shape {grads.shape}")
         self.t += 1
         b1, b2 = _BETA1, _BETA2
         m, v, step, denom = self._m, self._v, self._step, self._denom
@@ -207,5 +203,4 @@ def fit(training: Training, params: FlatParams,
     return training
 
 
-__all__ = ["Adam", "EpochLog", "FlatParams", "Training", "compute_dtype",
-           "fit"]
+__all__ = ["EpochLog", "FlatParams", "Training"]

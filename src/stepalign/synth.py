@@ -55,6 +55,7 @@ _DESCRIPTIONS = {
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Its rules run when it is built, and again in ``dataclasses.replace``."""
     tasks: int = 5
     videos_per_task: int = 10
     workers: int = 4
@@ -72,7 +73,7 @@ class SynthConfig:
     exec_kind_weights: tuple[float, ...] = (3.0, 1.0, 3.0, 1.0, 1.0, 1.0)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # types first, so that the rules below compare numbers only: a
         # count is an int, not 2.0, 14.5, True or "3"
         check_counts(self, ("tasks", "videos_per_task", "workers",
@@ -149,7 +150,7 @@ def _orthogonal_unit(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray
 
 def _make_task_vectors(rng: np.random.Generator, k: int, dim: int) -> TaskVectors:
     """``k`` separated step prototypes plus the mistake/correction
-    directions; ``SynthConfig.validate`` ensures ``dim >= k + 3``."""
+    directions; ``SynthConfig`` ensures ``dim >= k + 3``."""
     anchor = _unit(rng.normal(size=dim))
     raw = rng.normal(size=(dim, k + 2))
     raw -= np.outer(anchor, anchor @ raw)
@@ -303,7 +304,6 @@ def _nearest_step(segments: list[AnnotatedSegment]) -> int:
 def synth_corpus(cfg: SynthConfig) -> SynthResult:
     """Generate texts, annotated videos, per-video features and per-task
     step features; byte-identical for identical configs."""
-    cfg.validate()
     tasks = list(TaskDomain)[:cfg.tasks]
     k = cfg.steps_per_task
 

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import struct
 import tracemalloc
 import warnings
@@ -14,16 +15,17 @@ import weakref
 import numpy as np
 import pytest
 
-from stepalign.checkpoint import save_checkpoint
-from stepalign.corpus import Corpus, read_features
+from stepalign.checkpoint import load_checkpoint, save_checkpoint
+from stepalign.corpus import Corpus, load_corpus, read_features
 from stepalign.data import (
     AnnotatedSegment, AnnotatedVideo, Intent, MistakeLabel, ProceduralText,
-    Segment, TaskDomain,
+    Segment, TaskDomain, save_json, text_to_json, video_to_json,
 )
-from stepalign.errors import FormatError, ValidationError
+from stepalign.errors import FormatError, ParseError, ValidationError
 from stepalign.synth import SynthConfig, synth_corpus
 
 from test_checkpoint import _pack
+from test_data import _text, _video
 
 
 _META = {"kind": "features", "video_id": "v"}
@@ -456,3 +458,258 @@ class TestFeatureIO:
         save_checkpoint(path, tensors, meta)
         with pytest.raises(FormatError, match=rf"v\.fmtx: {rule}"):
             read_features(path, 2, 3)
+
+
+# the records' directory and the feature files of a saved corpus
+
+
+def _save_records(root, texts, videos):
+    """Write the texts and annotations of a corpus directory, in the
+    layout ``load_corpus`` reads, without feature files."""
+    for sub in ("texts", "annotations"):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+    for text in texts:
+        save_json(root / "texts" / f"{text.task.value}.json", text_to_json(text))
+    for video in videos:
+        save_json(root / "annotations" / f"{video.video_id}.json",
+                  video_to_json(video))
+
+
+def _two_dim_corpus(*videos):
+    """A color-mixture corpus of the given videos, every feature matrix
+    two columns of zeros."""
+    text = _text()
+    return Corpus(texts={text.task: text}, videos=list(videos),
+                  features={v.video_id: np.zeros((50, 2), np.float32)
+                            for v in videos},
+                  step_features={text.task: np.zeros((3, 2), np.float32)})
+
+
+class TestCorpusLookup:
+    def test_video_by_id(self):
+        corpus = _two_dim_corpus(_video("a"), _video("b"))
+        assert corpus.video_by_id("b").video_id == "b"
+        with pytest.raises(ValidationError, match="unknown video_id 'c'"):
+            corpus.video_by_id("c")
+
+    def test_duplicate_video_ids_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate video_id a"):
+            _two_dim_corpus(_video("a"), _video("a"))
+
+
+class TestCorpusAccess:
+    def test_repeated_read_in_one_phase_logged_once(self):
+        corpus = _two_dim_corpus(_video("a"))
+        corpus.set_phase("infer")
+        corpus.video_features("a")
+        corpus.video_features("a")
+        assert corpus.access_log == {("infer", "a")}
+        corpus.set_phase("test")
+        corpus.video_features("a")
+        assert corpus.access_log == {("infer", "a"), ("test", "a")}
+
+
+def _saved_corpus(tmp_path, widths, step_width):
+    """A two-video corpus on disk whose feature files have the given
+    widths, video by video, then the step texts'. A corpus holds one width,
+    so a file of another width is written over the saved one by hand."""
+    videos = [_video("a"), _video("b")]
+    task = TaskDomain.COLOR_MIXTURE
+    corpus = Corpus(texts={task: _text()}, videos=videos,
+                    features={v.video_id: np.ones((50, widths[0]), np.float32)
+                              for v in videos},
+                    step_features={task: np.ones((3, widths[0]), np.float32)})
+    corpus.save(tmp_path)
+    rows = {"a": 50, "b": 50, f"steps_{task.value}": 3}
+    for name, width in zip(rows, (*widths, step_width)):
+        if width != widths[0]:
+            _write_features(tmp_path / "features" / f"{name}.fmtx",
+                            np.ones((rows[name], width)), name)
+
+
+def _write_features(file, matrix, video_id):
+    """Overwrite one feature file with a matrix and a header id of the
+    test's choosing, as a hand-made file would have them."""
+    save_checkpoint(file, {"features": matrix},
+                    {"kind": "features", "video_id": video_id})
+
+
+class TestCorpusFeatureWidths:
+    def test_equal_widths_load(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        assert Corpus.from_dir(tmp_path).feature_dim == 8
+
+    def test_video_width_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 6), 8)
+        with pytest.raises(FormatError, match=r"b\.fmtx: tensor features has "
+                                              r"shape \(50, 6\), not \(50, 8\)$"):
+            Corpus.from_dir(tmp_path)
+
+    def test_step_width_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 5)
+        with pytest.raises(FormatError, match=r"steps_color_mixture\.fmtx: "
+                                              r"tensor features has shape "
+                                              r"\(3, 5\), not \(3, 8\)$"):
+            Corpus.from_dir(tmp_path)
+
+    def test_zero_width_names_file(self, tmp_path):
+        # Corpus.save writes no empty matrix, so the file is hand-made
+        _saved_corpus(tmp_path, (8, 8), 8)
+        _write_features(tmp_path / "features" / "a.fmtx", np.ones((50, 0)), "a")
+        with pytest.raises(FormatError,
+                           match=r"a\.fmtx: feature matrix has no columns$"):
+            Corpus.from_dir(tmp_path)
+
+
+class TestCorpusHeaderIds:
+    @pytest.mark.parametrize("name, other", [
+        ("b", "a"), ("b", "steps_color_mixture"), ("steps_color_mixture", "b"),
+        ("steps_color_mixture", "steps_cooking"),
+    ])
+    def test_header_naming_another_id_names_file_and_ids(self, tmp_path,
+                                                         name, other):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        file = tmp_path / "features" / f"{name}.fmtx"
+        _write_features(file, load_checkpoint(file)[0]["features"], other)
+        with pytest.raises(FormatError, match=rf"{name}\.fmtx: header names "
+                                              rf"'{other}', not '{name}'"):
+            Corpus.from_dir(tmp_path)
+
+
+class TestCorpusFeatureRows:
+    def test_row_count_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        _write_features(tmp_path / "features" / "b.fmtx", np.ones((40, 8)), "b")
+        with pytest.raises(FormatError, match=r"b\.fmtx: tensor features has "
+                                              r"shape \(40, 8\), not \(50, 8\)$"):
+            Corpus.from_dir(tmp_path)
+
+    def test_step_count_disagreeing_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        file = tmp_path / "features" / "steps_color_mixture.fmtx"
+        _write_features(file, np.ones((4, 8)), "steps_color_mixture")
+        with pytest.raises(FormatError, match=r"steps_color_mixture\.fmtx: "
+                                              r"tensor features has shape "
+                                              r"\(4, 8\), not \(3, 8\)$"):
+            Corpus.from_dir(tmp_path)
+
+    def test_missing_file_names_file(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        (tmp_path / "features" / "a.fmtx").unlink()
+        with pytest.raises(FormatError, match=r"a\.fmtx: cannot read: "):
+            Corpus.from_dir(tmp_path)
+
+    def test_one_file_per_matrix(self, tmp_path):
+        _saved_corpus(tmp_path, (8, 8), 8)
+        assert sorted(p.name for p in (tmp_path / "features").iterdir()) == \
+            ["a.fmtx", "b.fmtx", "steps_color_mixture.fmtx"]
+
+
+class TestCorpusIO:
+    def test_round_trip_is_identity(self, tmp_path):
+        texts = [_text(TaskDomain.COLOR_MIXTURE), _text(TaskDomain.CARDBOARD, n=5)]
+        videos = [_video("v0"), _video("v1", task=TaskDomain.CARDBOARD)]
+        _save_records(tmp_path, texts, videos)
+        loaded_texts, loaded_videos = load_corpus(tmp_path)
+        assert {t.task: t for t in loaded_texts} == {t.task: t for t in texts}
+        assert loaded_videos == sorted(videos, key=lambda v: v.video_id)
+
+    def test_two_video_corpus_loads(self, tmp_path):
+        _save_records(tmp_path, [_text()], [_video("a"), _video("b")])
+        _, videos = load_corpus(tmp_path)
+        assert [v.video_id for v in videos] == ["a", "b"]
+
+    def test_malformed_json_names_file_and_line(self, tmp_path):
+        _save_records(tmp_path, [_text()], [_video()])
+        bad = tmp_path / "annotations" / "v0.json"
+        bad.write_text("{\n  broken\n}")
+        with pytest.raises(ParseError, match=r"v0\.json: line 2"):
+            load_corpus(tmp_path)
+
+    def test_invalid_video_names_rule(self, tmp_path):
+        _save_records(tmp_path, [_text()], [_video()])
+        obj = json.loads((tmp_path / "annotations" / "v0.json").read_text())
+        obj["segments"][0]["step"] = 9
+        (tmp_path / "annotations" / "v0.json").write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="unknown step"):
+            load_corpus(tmp_path)
+
+    def test_overlapping_step_segments_name_file(self, tmp_path):
+        _save_records(tmp_path, [_text()], [_video()])
+        file = tmp_path / "annotations" / "v0.json"
+        obj = json.loads(file.read_text())
+        obj["segments"][1]["start"] = 5
+        file.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=r"v0\.json: v0: step 2 .* overlaps"):
+            load_corpus(tmp_path)
+
+    def test_video_without_text_names_file(self, tmp_path):
+        _save_records(tmp_path, [_text()], [_video(task=TaskDomain.CARDBOARD)])
+        with pytest.raises(ValidationError, match=r"v0\.json: v0: no procedural text"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("mutate, error, rule", [
+        (lambda root: shutil.rmtree(root / "texts"), ParseError,
+         "expected texts/ and annotations/ subdirectories"),
+        (lambda root: shutil.rmtree(root / "annotations"), ParseError,
+         "expected texts/ and annotations/ subdirectories"),
+        (lambda root: shutil.copy(root / "texts" / "color_mixture.json",
+                                  root / "texts" / "copy.json"),
+         ValidationError,
+         r"copy\.json: file is named 'copy', not its task 'color_mixture'$"),
+        (lambda root: shutil.copy(root / "annotations" / "v0.json",
+                                  root / "annotations" / "v1.json"),
+         ValidationError,
+         r"v1\.json: file is named 'v1', not its video_id 'v0'$"),
+        (lambda root: (root / "texts" / "color_mixture.json").rename(
+            root / "texts" / "renamed.json"),
+         ValidationError,
+         r"renamed\.json: file is named 'renamed', not its task "
+         r"'color_mixture'$"),
+        (lambda root: (root / "annotations" / "v0.json").rename(
+            root / "annotations" / "renamed.json"),
+         ValidationError,
+         r"renamed\.json: file is named 'renamed', not its video_id 'v0'$"),
+    ], ids=["no-texts", "no-annotations", "duplicate-text", "duplicate-video",
+            "renamed-text", "renamed-video"])
+    def test_broken_directory_names_path(self, tmp_path, mutate, error, rule):
+        _save_records(tmp_path, [_text()], [_video()])
+        mutate(tmp_path)
+        with pytest.raises(error, match=rule):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", 1.7), ("step", True), ("step", "2"), ("start", 0.9),
+        ("description", 42), ("num_frames", 10.0), ("num_frames", "10"),
+        ("steps", "abc"), ("steps", ["ok", 3]),
+    ])
+    def test_no_silent_coercion(self, tmp_path, field, value):
+        _save_records(tmp_path, [_text()], [_video()])
+        kind = "texts/color_mixture.json" if field == "steps" else "annotations/v0.json"
+        file = tmp_path / kind
+        obj = json.loads(file.read_text())
+        if field in obj:
+            obj[field] = value
+        else:
+            obj["segments"][1][field] = value
+        file.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=kind.split("/")[1]):
+            load_corpus(tmp_path)
+
+    def test_non_utf8_annotation_names_file(self, tmp_path):
+        _save_records(tmp_path, [_text()], [_video()])
+        (tmp_path / "annotations" / "v0.json").write_bytes(b'{"video_id": "\xe9"}')
+        with pytest.raises(ParseError, match=r"v0\.json: not UTF-8"):
+            load_corpus(tmp_path)
+
+    def test_invalid_text_names_file(self, tmp_path):
+        # the message named the task and the step, but no file
+        _save_records(tmp_path, [_text()], [_video()])
+        file = tmp_path / "texts" / "color_mixture.json"
+        obj = json.loads(file.read_text())
+        obj["steps"][1] = " "
+        file.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=(
+                r"color_mixture\.json: color_mixture: step 2 text is "
+                r"empty$")):
+            load_corpus(tmp_path)

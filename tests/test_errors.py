@@ -2,10 +2,12 @@
 maps to exactly one exit code through the class it derives from; and the
 rules of the inputs at every public entry point that takes them:
 ``check_features``, the rule of a feature matrix, the scalar arguments
-of inference, and the frames and step texts each trainer reads."""
+of inference, the configs' rules, which run when a config is built, and
+the frames and step texts each trainer reads."""
 
 import inspect
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +105,9 @@ _MALFORMED = {
     "1-d": (lambda x: x[0], r"must be 2-d with at least one row"),
     "3-d": (lambda x: x[None], r"must be 2-d with at least one row"),
     "no-rows": (lambda x: x[:0], r"must be 2-d with at least one row"),
+    "bool": (lambda x: x > 0, r"must be ints or floats, got an array of bool$"),
+    "string": (lambda x: x.astype(str),
+               r"must be ints or floats, got an array of <U\d+$"),
     "complex": (lambda x: x.astype(complex),
                 r"must be ints or floats, got an array of complex128$"),
     "object": (lambda x: x.astype(object),
@@ -190,6 +195,18 @@ def test_malformed_scalar_argument_rejected_before_the_decoder(
             align_video(params, frames, step_feats, **args)
         else:
             align_frames_to_slots(step_feats, frames, args["drop_pct"])
+
+
+@pytest.mark.parametrize("build, rule", [
+    (lambda: replace(ClassifierTrainConfig(), epochs=0),
+     "epochs must be an int >= 1, got 0"),
+    (lambda: SynthConfig(tasks=0), r"tasks must be 1\.\.5"),
+], ids=["detect", "synth"])
+def test_config_breaking_a_rule_rejected_when_built(build, rule):
+    # a config that exists is valid, and replace builds one anew;
+    # test_model.py's test_config_rule_broken_rejected builds TrainConfigs
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        build()
 
 
 def _fold():

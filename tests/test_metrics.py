@@ -149,41 +149,6 @@ def test_confidence_bounds_accepted():
     assert [_det(1, 0, 2, M, c).confidence for c in (0.0, 1.0)] == [0.0, 1.0]
 
 
-def test_average_precision_without_ground_truth_rejected():
-    with pytest.raises(ValidationError,
-                       match="^AP needs at least one ground-truth instance$"):
-        average_precision(np.array([True]), 0)
-
-
-@pytest.mark.parametrize("flags, got", [
-    (np.array([1, 0, 1]), "a 1-d array of int64"),
-    (np.array([[True, False]]), "a 2-d array of bool"),
-    ([True, False, True], "list")],
-    ids=["int", "2-d", "list"])
-def test_average_precision_flags_not_a_bool_vector_rejected(flags, got):
-    # int flags [1, 0, 1] over 2 instances scored AP -0.583, and a list
-    # raised a bare TypeError
-    with pytest.raises(ValidationError,
-                       match=rf"^tp_flags must be a 1-d bool array, got {got}$"):
-        average_precision(flags, 2)
-
-
-@pytest.mark.parametrize("n_gt", [1.5, 2.0, True, "2"],
-                         ids=["fraction", "float", "bool", "string"])
-def test_average_precision_n_gt_not_an_int_rejected(n_gt):
-    # n_gt = 1.5 was accepted
-    with pytest.raises(ValidationError,
-                       match=rf"^n_gt must be int, got {n_gt!r}$"):
-        average_precision(np.array([True, False]), n_gt)
-
-
-def test_average_precision_more_hits_than_instances_rejected():
-    # three true positives over two instances scored AP 1.5
-    with pytest.raises(ValidationError,
-                       match="^tp_flags has 3 true positives but n_gt is 2$"):
-        average_precision(np.array([True, True, True]), 2)
-
-
 class TestMapAtTiou:
     def test_single_detection_threshold_sweep(self):
         # tIoU of [0,10) vs [6,16): 4 / 16 = 0.25
@@ -231,6 +196,17 @@ class TestMapAtTiou:
     def test_empty_gt_rejected(self):
         with pytest.raises(ValidationError, match="undefined"):
             map_at_tiou({"v": []}, {"v": []})
+
+    @pytest.mark.parametrize("dets, gt, rule", [
+        ({"v": [("x",)]}, {"v": [(1, Segment(0, 2), M)]},
+         r"video 'v': each detection must be Detection, got \('x',\)"),
+        ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [(1, (0, 2), M)]},
+         r"video 'v': each ground-truth span must be Segment, got \(0, 2\)"),
+    ], ids=["detection-tuple", "span-tuple"])
+    def test_mistyped_input_rejected_naming_the_video(self, dets, gt, rule):
+        # each raised a bare AttributeError
+        with pytest.raises(ValidationError, match=f"^{rule}$"):
+            map_at_tiou(dets, gt)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)

@@ -201,7 +201,7 @@ def test_l2_normalize_rejects_zero_row():
         "nan-drop-pct", "bool-drop-pct", "int-normalize"])
 def test_config_rule_broken_rejected(changes, rule):
     with pytest.raises(ValidationError, match=f"^{rule}$"):
-        replace(TrainConfig(), **changes).validate()
+        replace(TrainConfig(), **changes)
 
 
 def test_config_holds_only_the_knobs_callers_vary():
@@ -1313,7 +1313,7 @@ class TestTrainAlignmentFold:
     ], ids=["working-dim-0"])
     def test_config_failing_later_rejected_before_training(
             self, monkeypatch, changes, field):
-        # this used to pass validate() and fail in training with a
+        # this used to pass the config's checks and fail in training with a
         # ZeroDivisionError
         corpus, fold, config = _tiny_fold()
         monkeypatch.setattr(stepalign.model, "forward_slots", None)

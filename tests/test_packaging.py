@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import stepalign
+from stepalign import errors
 
 
 def test_every_console_script_target_imports():
@@ -53,12 +54,11 @@ _API = {
                "check_counts", "check_numbers", "check_flags"],
     "metrics": ["BACKGROUND", "DEFAULT_TIOU_THRESHOLDS", "Detection",
                 "MapResult", "rasterize", "gt_frame_labels", "frame_metrics",
-                "average_precision", "map_at_tiou", "gt_instances"],
+                "map_at_tiou", "gt_instances"],
     "model": ["l2_normalize_rows", "ModelParams", "TrainConfig",
               "align_frames_to_slots", "align_video", "train_alignment_fold",
               "save_model", "load_model"],
-    "optim": ["Adam", "EpochLog", "FlatParams", "Training", "compute_dtype",
-              "fit"],
+    "optim": ["EpochLog", "FlatParams", "Training"],
     "splits": ["make_group_kfold"],
     "synth": ["SynthConfig", "SynthResult", "synth_corpus"],
 }
@@ -71,6 +71,41 @@ def test_every_module_api_is_pinned():
     for name in modules:
         module = importlib.import_module(f"stepalign.{name}")
         assert getattr(module, "__all__", None) == _API[name], name
+
+
+def _api_of(tree: ast.Module) -> set[str]:
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def test_only_api_names_check_their_input():
+    # a public function or class outside __all__ takes checked values, so
+    # it names no errors.check_* and no ValidationError (or subclass); an
+    # underscore helper checks for the name that calls it. NumericalError,
+    # which forward_slots and fit raise on the numbers they compute, and
+    # ParseError, which parse_segment raises on a file's record, report
+    # what the call itself met
+    root = Path(__file__).resolve().parents[1] / "src" / "stepalign"
+    paths = sorted(root.glob("*.py"))
+    assert paths
+    checks = {"ValidationError", "InfeasibleSplitError"} | {
+        name for name in errors.__all__ if name.startswith("check_")}
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        api = _api_of(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in api:
+                continue
+            named = {getattr(sub, "id", getattr(sub, "attr", None))
+                     for sub in ast.walk(node)
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            found += [f"{path.name}: {node.name} names {name}"
+                      for name in sorted(named & checks)]
+    assert not found
 
 
 def test_every_module_has_tests_and_a_readme_line():
@@ -119,7 +154,7 @@ def test_every_imported_name_is_used_or_exported():
     assert paths
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported, exported = set(), set()
+        imported, exported = set(), _api_of(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update((alias.asname or alias.name).partition(".")[0]
@@ -128,10 +163,6 @@ def test_every_imported_name_is_used_or_exported():
                     and node.module != "__future__":
                 imported.update(alias.asname or alias.name
                                 for alias in node.names)
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets):
-                exported.update(ast.literal_eval(node.value))
         loaded = {n.id for n in ast.walk(tree)
                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unused = sorted(imported - loaded - exported)
