@@ -31,12 +31,15 @@ from .errors import FormatError, ValidationError
 _CHUNK = 1 << 14
 
 
-def float32_tensors(path: str | Path, tensors: dict[str, np.ndarray]
-                    ) -> dict[str, np.ndarray]:
-    """The tensors as a checkpoint at ``path`` stores them, C-ordered
-    little-endian float32; one that already is comes back uncopied. A
-    tensor holding a value that is not finite at float32 raises
-    ValidationError naming the path and the tensor."""
+def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
+                    meta: dict) -> None:
+    """Write a checkpoint that load_checkpoint reads, each tensor as
+    C-ordered little-endian float32, uncopied if it already is. A meta
+    key ``tensors``, the header's tensor list, or a tensor not finite at
+    float32 raises ValidationError naming the path before it is opened."""
+    if "tensors" in meta:
+        raise ValidationError(f"{path}: meta key 'tensors' is the header's "
+                              f"tensor list")
     with np.errstate(over="ignore"):
         stored = {name: np.asarray(t, dtype="<f4", order="C")
                   for name, t in tensors.items()}
@@ -44,25 +47,14 @@ def float32_tensors(path: str | Path, tensors: dict[str, np.ndarray]
         if not np.all(np.isfinite(t)):
             raise ValidationError(
                 f"{path}: tensor {name} has values not finite at float32")
-    return stored
-
-
-def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
-                    meta: dict) -> None:
-    """Write a checkpoint that load_checkpoint reads. A ``tensors`` key in
-    ``meta``, which the header's tensor list would replace, raises
-    ValidationError naming the path; it and the ``float32_tensors`` check
-    run before any file is opened."""
-    if "tensors" in meta:
-        raise ValidationError(f"{path}: meta key 'tensors' is the header's "
-                              f"tensor list")
-    write_checkpoint(path, float32_tensors(path, tensors), meta)
+    write_checkpoint(path, stored, meta)
 
 
 def write_checkpoint(path: str | Path, stored: dict[str, np.ndarray],
                      meta: dict) -> None:
-    """Write tensors that ``float32_tensors`` returned, from their own
-    buffers. The file is written beside ``path`` under a ``.tmp`` suffix
+    """Write C-ordered little-endian float32 tensors, as
+    ``save_checkpoint`` makes them or a ``Corpus`` holds them, from their
+    own buffers. The file is written beside ``path`` under a ``.tmp`` suffix
     and renamed over ``path``; a failed write leaves ``path`` as it was
     and removes the temporary file."""
     path = Path(path)
@@ -211,5 +203,5 @@ def check_layout(path: str | Path, kind: str, meta: dict,
                 f"{path}: tensor {name} has shape {shape}, not {dims}{named}")
 
 
-__all__ = ["float32_tensors", "save_checkpoint", "write_checkpoint",
-           "StoredTensor", "open_checkpoint", "load_checkpoint", "check_layout"]
+__all__ = ["save_checkpoint", "write_checkpoint", "StoredTensor",
+           "open_checkpoint", "load_checkpoint", "check_layout"]

@@ -23,8 +23,8 @@ validation rows once and rescores them each validation round.
 
 The names in ``__all__`` check what they are handed, once:
 ``detect_mistakes`` its frames, step texts, classifier width and
-proposals, and the trainer each fold video's frames and step texts, in
-``_segment_rows``. The names outside it, ``mean_pool``,
+proposals; the trainer and ``detect_on_segments`` read matrices that a
+``Corpus`` checked when it was built. The names outside it, ``mean_pool``,
 ``classifier_rows``, ``classify`` and ``class_balanced_weights`` among
 them, take the checked values they pass on and check none of them.
 
@@ -177,24 +177,19 @@ class ClassifierTraining(Training):
     class_counts: dict[CoarseLabel, int] = field(default_factory=dict)
 
 
-def _segment_rows(corpus: Corpus, fold: FoldSpec, video_ids: tuple[str, ...],
+def _segment_rows(corpus: Corpus, video_ids: tuple[str, ...],
                   video_only: bool
                   ) -> tuple[np.ndarray, np.ndarray, dict[str, _Proposals]]:
     """A split's teacher-forced rows, one per annotated segment in video
     order, without text when ``video_only``; their true labels; and each
-    video's ``(step, segment)`` pairs. Frames and step texts that
-    ``check_video_inputs`` rejects, read or not, raise ValidationError
-    naming the fold and the video."""
+    video's ``(step, segment)`` pairs."""
     xs, ys, proposals = [], [], {}
     for vid in video_ids:
         video = corpus.video_by_id(vid)
-        frames = corpus.video_features(vid)
-        step_feats = corpus.task_step_features(video.task)
-        check_video_inputs(frames, step_feats,
-                           f"fold {fold.fold_id}: video {vid!r}")
         proposals[vid] = [(seg.step, seg.segment) for seg in video.segments]
-        xs.append(classifier_rows(frames, proposals[vid],
-                                  None if video_only else step_feats))
+        xs.append(classifier_rows(
+            corpus.video_features(vid), proposals[vid],
+            None if video_only else corpus.task_step_features(video.task)))
         ys += [int(coarse_label(seg.mistake)) for seg in video.segments]
     x = np.concatenate(xs) if xs else np.empty((0, 0))
     return x, np.asarray(ys, dtype=np.int64), proposals
@@ -274,8 +269,8 @@ def _val_score(params: ClassifierParams, x: np.ndarray, y: np.ndarray,
 def detect_on_segments(params: ClassifierParams, corpus: Corpus,
                        video: AnnotatedVideo) -> list[Detection]:
     """Classify every annotated segment of a video (the oracle-segment
-    evaluation arm)."""
-    return detect_mistakes(
+    evaluation arm), as ``detect_mistakes`` does past its matrix check."""
+    return _detect(
         params, [(seg.step, seg.segment) for seg in video.segments],
         corpus.video_features(video.video_id),
         corpus.task_step_features(video.task))
@@ -295,6 +290,11 @@ def detect_mistakes(params: ClassifierParams,
     neither None nor an int in 1..k for the k step texts, or whose
     segment is not a Segment inside the frames."""
     check_video_inputs(frames, step_feats)
+    return _detect(params, alignment, frames, step_feats)
+
+
+def _detect(params, alignment, frames, step_feats) -> list[Detection]:
+    """``detect_mistakes`` past its check of the matrices."""
     d, k = frames.shape[1], step_feats.shape[0]
     if params.input_dim not in (d, 2 * d):
         raise ValidationError(
@@ -333,7 +333,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
     after it. The val rows are built once, before the first epoch."""
     corpus.check_fold(fold)
     corpus.set_phase(f"fold{fold.fold_id}:train-detect")
-    x, y, _ = _segment_rows(corpus, fold, fold.train, config.video_only)
+    x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
     counts = {label: int(np.sum(y == int(label))) for label in CoarseLabel}
     missing = [label.name for label, c in counts.items() if c == 0]
     if missing:
@@ -341,7 +341,7 @@ def train_classifier_fold(corpus: Corpus, fold: FoldSpec,
             f"fold {fold.fold_id}: no training samples for {missing}; "
             "merge folds or regenerate the corpus with more mistakes")
     weights = class_balanced_weights(_BETA, list(counts.values()))[y]
-    val = _segment_rows(corpus, fold, fold.val, config.video_only)
+    val = _segment_rows(corpus, fold.val, config.video_only)
     val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
 
     rng = np.random.default_rng(

@@ -20,14 +20,19 @@ the same width. A video id names two files, so it must be a file name;
 every video's task must have a text, holding every step the video names
 (see data.py).
 
-A loaded corpus holds no feature matrix in memory. It validates each
-feature file when it is loaded and holds its matrix as the
-``checkpoint.StoredTensor`` the file's validation returned, so every fetch
-(``video_features``, ``task_step_features``) reads the file's rows into a
-fresh read-only array, and a matrix is resident only while a caller holds
-it. Each file stays open through one descriptor until the corpus is
-dropped, and saving a corpus over the directory it was loaded from keeps
-the loaded values (see checkpoint.py).
+A corpus checks its feature matrices once, when it is built: this is
+where they enter the library. An in-memory matrix passes
+``errors.check_features`` at the corpus width, is float32 and
+C-contiguous, and has a row per frame or per step; the corpus holds a
+read-only view of it, never a copy, in read-only mappings, so the
+trainers and ``save`` check none again. A loaded corpus holds no matrix
+in memory, but each file's ``checkpoint.StoredTensor``, whose values
+``open_checkpoint`` scanned and whose shape alone the constructor checks;
+every fetch (``video_features``, ``task_step_features``) reads the file's
+rows into a fresh read-only array, so a matrix is resident only while a
+caller holds it. Each file stays open through one descriptor until the
+corpus is dropped, and saving a corpus over the directory it was loaded
+from keeps the loaded values (see checkpoint.py).
 
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
@@ -38,21 +43,24 @@ the same phase, as long inference does, leaves it unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .checkpoint import (
-    StoredTensor, check_layout, float32_tensors, open_checkpoint,
-    write_checkpoint,
+    StoredTensor, check_layout, open_checkpoint, write_checkpoint,
 )
 from .data import (
     AnnotatedVideo, FoldSpec, ProceduralText, TaskDomain, load_json,
     parse_text, parse_video, save_json, text_to_json, validate_video,
     video_to_json,
 )
-from .errors import FormatError, ParseError, ValidationError, check_type
+from .errors import (
+    FormatError, ParseError, ValidationError, check_features, check_type,
+)
 
 
 def _check_file_name(file: Path, key: str, name: str) -> None:
@@ -120,8 +128,8 @@ def _steps_id(task: TaskDomain) -> str:
 class Corpus:
     texts: dict[TaskDomain, ProceduralText]
     videos: list[AnnotatedVideo]
-    features: dict[str, np.ndarray | StoredTensor]
-    step_features: dict[TaskDomain, np.ndarray | StoredTensor]
+    features: Mapping[str, np.ndarray | StoredTensor]
+    step_features: Mapping[TaskDomain, np.ndarray | StoredTensor]
     phase: str = "init"
     access_log: set[tuple[str, str]] = field(default_factory=set)
 
@@ -141,54 +149,52 @@ class Corpus:
                                       f"name of a task's step features")
             validate_video(video, self.texts)
             self._by_id[video.video_id] = video
-        self._dim = self._check_matrices()
-
-    def _check_matrices(self) -> int | None:
-        """Every video and every text has a 2-d float32 feature matrix
-        with a row per frame or per step and at least one column, every
-        matrix has a video or a text, and all have the first matrix's
-        width, a video's when there is one. Returns that width, or None
-        when there is no matrix. Reads shapes and dtypes only, so a
-        loaded corpus's files are not read."""
-        for video_id in self.features:
-            if video_id not in self._by_id:
-                raise ValidationError(f"{video_id}: feature matrix names "
-                                      f"no video")
-        for task in self.step_features:
-            if task not in self.texts:
-                raise ValidationError(f"{_steps_id(task)}: no procedural "
-                                      f"text for task {task.value}")
+        # one matrix per video and per text, each checked once, at the
+        # width of the first, a video's when there is one
+        strays = [f"{vid}: feature matrix names no video"
+                  for vid in self.features if vid not in self._by_id]
+        strays += [f"{_steps_id(t)}: no procedural text for task {t.value}"
+                   for t in self.step_features if t not in self.texts]
+        if strays:
+            raise ValidationError(strays[0])
         matrices = [(video.video_id, self.features.get(video.video_id),
                      video.num_frames, "frames") for video in self.videos]
         matrices += [(_steps_id(task), self.step_features.get(task),
                       text.num_steps, "steps")
                      for task, text in self.texts.items()]
+        held: dict[str, np.ndarray | StoredTensor] = {}
+        self._dim, what = None, "feature matrix"
         for name, matrix, rows, unit in matrices:
             if matrix is None:
                 raise ValidationError(f"{name}: no feature matrix")
-            if not isinstance(matrix, (np.ndarray, StoredTensor)):
-                raise ValidationError(f"{name}: feature matrix must be a numpy "
-                                      f"array or a StoredTensor, got "
-                                      f"{type(matrix).__name__}")
-            if matrix.dtype != np.float32:
-                raise ValidationError(f"{name}: feature matrix must be "
-                                      f"float32, got {matrix.dtype}")
-            if matrix.ndim != 2:
-                raise ValidationError(f"{name}: feature matrix must be 2-d, "
-                                      f"got shape {matrix.shape}")
-            if matrix.shape[1] == 0:
-                raise ValidationError(f"{name}: feature matrix has no "
-                                      f"columns, got shape {matrix.shape}")
+            if not isinstance(matrix, StoredTensor):
+                check_features(matrix, f"{name}: {what}", self._dim)
+                if matrix.dtype != np.float32:
+                    raise ValidationError(f"{name}: feature matrix must be "
+                                          f"float32, got {matrix.dtype}")
+                if not matrix.flags.c_contiguous:
+                    raise ValidationError(f"{name}: feature matrix must be "
+                                          f"C-contiguous")
+                matrix = matrix.view()
+                matrix.flags.writeable = False
+            elif matrix.ndim != 2 or self._dim not in (None, matrix.shape[1]):
+                raise ValidationError(f"{name}: {what} must be 2-d, got "
+                                      f"shape {matrix.shape}")
             if matrix.shape[0] != rows:
                 raise ValidationError(f"{name}: feature matrix has "
                                       f"{matrix.shape[0]} rows for {rows} "
                                       f"{unit}")
-            first_name, first = matrices[0][:2]
-            if matrix.shape[1] != first.shape[1]:
-                raise ValidationError(f"{name}: feature matrix is "
-                                      f"{matrix.shape[1]} wide, not "
-                                      f"{first.shape[1]} as {first_name}")
-        return matrices[0][1].shape[1] if matrices else None
+            if self._dim is None:
+                if matrix.shape[1] == 0:
+                    raise ValidationError(f"{name}: feature matrix has no "
+                                          f"columns, got shape {matrix.shape}")
+                self._dim = matrix.shape[1]
+                what = f"feature matrix (as wide as {name})"
+            held[name] = matrix
+        self.features = MappingProxyType(
+            {video.video_id: held[video.video_id] for video in self.videos})
+        self.step_features = MappingProxyType(
+            {task: held[_steps_id(task)] for task in self.texts})
 
     def set_phase(self, phase: str) -> None:
         self.phase = phase
@@ -201,7 +207,8 @@ class Corpus:
 
     def video_features(self, video_id: str) -> np.ndarray:
         """The video's frame features, logged against the phase: the
-        corpus's own array, or a loaded corpus's fresh read of its file."""
+        corpus's own read-only view, or a loaded corpus's fresh read-only
+        read of its file."""
         self.video_by_id(video_id)
         self.access_log.add((self.phase, video_id))
         return np.asarray(self.features[video_id])
@@ -234,34 +241,23 @@ class Corpus:
         return self._dim
 
     def save(self, path: str | Path) -> None:
-        """Write the corpus in the layout above. A feature matrix that is
-        not 2-d, is empty or holds a value not finite at float32 raises
-        ValidationError naming its file, and so does the first file under
-        texts/, annotations/ or features/ that no record of this corpus
-        owns, which a later load would read as part of this corpus; then
-        no file is written. A ``*.tmp`` leftover of a failed write is not a
-        record."""
+        """Write the corpus in the layout above, each feature matrix as
+        the constructor checked it. The first file under texts/,
+        annotations/ or features/ that no record of this corpus owns,
+        which a later load would read as part of this corpus, raises
+        ValidationError naming it; then no file is written. A ``*.tmp``
+        leftover of a failed write is not a record."""
         root = Path(path)
         feat_dir = root / "features"
-        matrices = [(video.video_id, self.features[video.video_id])
-                    for video in self.videos]
-        matrices += [(_steps_id(task), matrix)
-                     for task, matrix in self.step_features.items()]
-        # every matrix is checked before the first file is written
-        checked = []
-        for name, matrix in matrices:
-            file = feat_dir / f"{name}.fmtx"
-            if matrix.ndim != 2 or 0 in matrix.shape:
-                raise ValidationError(
-                    f"{file}: feature matrix must be 2-d and nonempty, "
-                    f"got {matrix.shape}")
-            checked.append(
-                (file, name, float32_tensors(file, {"features": matrix})))
+        matrices = dict(self.features)
+        matrices |= {_steps_id(task): matrix
+                     for task, matrix in self.step_features.items()}
         records = {root / "texts" / f"{task.value}.json": text_to_json(text)
                    for task, text in self.texts.items()}
         records |= {root / "annotations" / f"{video.video_id}.json":
                     video_to_json(video) for video in self.videos}
-        owned = records.keys() | {file for file, _, _ in checked}
+        owned = records.keys() | {feat_dir / f"{name}.fmtx"
+                                  for name in matrices}
         subdirs = ("texts", "annotations", "features")
         stale = sorted(file for sub in subdirs for file in (root / sub).glob("*")
                        if file.suffix != ".tmp" and file not in owned)
@@ -272,8 +268,10 @@ class Corpus:
             (root / sub).mkdir(parents=True, exist_ok=True)
         for file, record in records.items():
             save_json(file, record)
-        for file, name, stored in checked:
-            write_checkpoint(file, stored, {"kind": "features", "video_id": name})
+        for name, matrix in matrices.items():
+            write_checkpoint(feat_dir / f"{name}.fmtx",
+                             {"features": np.asarray(matrix)},
+                             {"kind": "features", "video_id": name})
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "Corpus":

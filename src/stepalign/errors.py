@@ -3,7 +3,9 @@ value, of an array's numbers, of a feature matrix and of a video's frames
 and step texts, and of a config's count, number and flag fields. The
 names in each module's ``__all__`` run them once, where an input enters
 the library, and pass checked values on to names that check nothing
-(the decoder's zero-row rule stays in ``model._decoder_input``).
+(the decoder's zero-row rule stays in ``model._decoder_input``). A
+corpus's matrices enter at the ``Corpus`` constructor, which runs
+``check_features`` on each and holds them read-only.
 
 The exit-code contract for a command-line interface (none exists yet):
 ``ValidationError`` and its subclasses exit 1, ``ParseError`` and
@@ -77,13 +79,11 @@ def check_features(array, what: str, width: int | None = None) -> None:
         raise ValidationError(f"{what} must be finite, but row {row} is not")
 
 
-def check_video_inputs(frames, step_feats, where: str = "") -> None:
-    """``check_features`` of a video's frames and of its task's step
-    texts at the frames' width, naming them ``frames`` and ``step_feats
-    (as wide as frames)``, after ``where`` when it is given."""
-    prefix = f"{where} " if where else ""
-    check_features(frames, f"{prefix}frames")
-    check_features(step_feats, f"{prefix}step_feats (as wide as frames)",
+def check_video_inputs(frames, step_feats) -> None:
+    """``check_features`` of a video's ``frames`` and, at their width, of
+    its task's ``step_feats (as wide as frames)``."""
+    check_features(frames, "frames")
+    check_features(step_feats, "step_feats (as wide as frames)",
                    frames.shape[1])
 
 

@@ -41,7 +41,19 @@ class Detection:
                 f"confidence must be in [0, 1], got {self.confidence}")
 
 
-GroundTruthInstance = tuple[int | None, Segment, CoarseLabel]
+@dataclass(frozen=True)
+class GroundTruthInstance:
+    """A matchable mistake or correction segment of one video."""
+
+    step: int | None
+    segment: Segment
+    label: CoarseLabel
+
+    def __post_init__(self) -> None:
+        if self.step is not None:
+            check_type(self.step, int, "step")
+        check_type(self.segment, Segment, "segment")
+        check_type(self.label, CoarseLabel, "label")
 
 
 def rasterize(segments: list[tuple[int, Segment]], num_frames: int) -> np.ndarray:
@@ -82,10 +94,14 @@ def gt_frame_labels(video: AnnotatedVideo) -> np.ndarray:
 
 
 def frame_metrics(pred: np.ndarray, gt: np.ndarray) -> dict[str, float]:
-    """Frame-wise precision, recall, F1 and MoF; 0/0 ratios score 0.
-    Label arrays of other shapes, or with no frame, raise ValidationError."""
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
+    """Frame-wise precision, recall, F1 and MoF; 0/0 ratios score 0. A
+    ``pred`` or ``gt`` that is not a 1-d numpy array of ints >= 0, and
+    arrays of two lengths or with no frame, raise ValidationError."""
+    for labels, what in ((pred, "pred"), (gt, "gt")):
+        if not isinstance(labels, np.ndarray) or labels.ndim != 1 \
+                or labels.dtype.kind not in "iu" or np.any(labels < 0):
+            raise ValidationError(f"{what} must be a 1-d numpy array of "
+                                  f"ints >= 0, got {labels!r}")
     if pred.shape != gt.shape:
         raise ValidationError(
             f"label arrays differ in length: {pred.shape} vs {gt.shape}")
@@ -118,12 +134,12 @@ def _match_flags(ranked: list[tuple[str, Detection]],
     for rank, (video_id, det) in enumerate(ranked):
         best_idx = -1
         best_tiou = 0.0
-        for idx, (gt_step, gt_seg, gt_label) in enumerate(gt_by_video.get(video_id, [])):
-            if gt_label != label or gt_step != det.step:
+        for idx, inst in enumerate(gt_by_video.get(video_id, [])):
+            if inst.label != label or inst.step != det.step:
                 continue
             if idx in matched[video_id]:
                 continue
-            tiou = det.segment.tiou(gt_seg)
+            tiou = det.segment.tiou(inst.segment)
             if tiou >= threshold and tiou > best_tiou:
                 best_tiou = tiou
                 best_idx = idx
@@ -166,22 +182,19 @@ def map_at_tiou(detections: dict[str, list[Detection]],
     Classes without any ground-truth instance are excluded from the mean;
     when neither class has ground truth the score is undefined and an
     error is raised. A detection that is not a ``Detection``, or a
-    ground-truth instance whose span is not a ``Segment``, raises
+    ground-truth instance that is not a ``GroundTruthInstance``, raises
     ValidationError naming its video.
     """
     for vid, dets in detections.items():
         for det in dets:
             check_type(det, Detection, f"video {vid!r}: each detection")
     for vid, insts in ground_truth.items():
-        for _, span, _ in insts:
-            check_type(span, Segment, f"video {vid!r}: each ground-truth span")
+        for inst in insts:
+            check_type(inst, GroundTruthInstance,
+                       f"video {vid!r}: each ground-truth instance")
     classes = [CoarseLabel.MISTAKE, CoarseLabel.CORRECTION]
-    n_gt = {
-        label: sum(
-            1 for insts in ground_truth.values()
-            for (_, _, gl) in insts if gl == label)
-        for label in classes
-    }
+    n_gt = {label: sum(inst.label == label for insts in ground_truth.values()
+                       for inst in insts) for label in classes}
     scored = [label for label in classes if n_gt[label] > 0]
     if not scored:
         raise ValidationError(
@@ -209,16 +222,14 @@ def map_at_tiou(detections: dict[str, list[Detection]],
 
 def gt_instances(video: AnnotatedVideo) -> list[GroundTruthInstance]:
     """Matchable mistake/correction instances of one annotated video."""
-    out = []
-    for seg in video.segments:
-        label = coarse_label(seg.mistake)
-        if label != CoarseLabel.CORRECT:
-            out.append((seg.step, seg.segment, label))
-    return out
+    labels = [(seg, coarse_label(seg.mistake)) for seg in video.segments]
+    return [GroundTruthInstance(seg.step, seg.segment, label)
+            for seg, label in labels if label != CoarseLabel.CORRECT]
 
 
 __all__ = [
-    "BACKGROUND", "DEFAULT_TIOU_THRESHOLDS", "Detection", "MapResult",
+    "BACKGROUND", "DEFAULT_TIOU_THRESHOLDS", "Detection",
+    "GroundTruthInstance", "MapResult",
     "rasterize", "gt_frame_labels", "frame_metrics", "map_at_tiou",
     "gt_instances",
 ]

@@ -36,8 +36,8 @@ gradient and keeps its initialization.
 
 Slot selection is recomputed every step but treated as a constant mapping
 inside the loss, so no gradient flows through the discrete alignment.
-A fold reads each of its training and validation videos once, checks
-its frames and its task's step texts, and keeps them in a ``FoldVideo``:
+A fold reads each of its training and validation videos once, as the
+corpus checked them, and keeps them in a ``FoldVideo``:
 the decoder input, the step texts and the rasterized ground truth, with
 what every step reads of the raster computed once: the annotated steps
 and each step's frames. The decoder input, the frames over their row
@@ -80,8 +80,8 @@ shares the alignment, stays exact in float64.
 
 The names in ``__all__`` check what they are handed, once: the
 inference entry points ``align_video`` and ``align_frames_to_slots``,
-and the fold trainer, which checks each fold video in ``_fold_videos``.
-Every other name, ``FoldVideo``, the workspace, the forward, slot
+and the fold trainer, whose matrices a ``Corpus`` checked when it was
+built. Every other name, ``FoldVideo``, the workspace, the forward, slot
 selection and the step functions among them, takes the checked values
 they pass on and checks none of them; only ``forward_slots`` tests the
 slots it computes.
@@ -109,7 +109,7 @@ from .corpus import Corpus
 from .data import FoldSpec, Segment
 from .errors import (
     NumericalError, ValidationError, check_counts, check_features, check_flags,
-    check_numbers, check_video_inputs,
+    check_numbers,
 )
 from .metrics import frame_metrics, gt_frame_labels, rasterize
 from .optim import FlatParams, Training, compute_dtype, fit
@@ -657,19 +657,16 @@ def _check_fold(corpus: Corpus, fold: FoldSpec, config: TrainConfig) -> None:
 
 def _fold_videos(corpus: Corpus, fold: FoldSpec, video_ids: Sequence[str],
                  normalize_features: bool) -> list[FoldVideo]:
-    """The fold's ``FoldVideo`` of each id. Frames and step texts that
-    ``check_video_inputs`` rejects, or frames with an all-zero row, raise
-    ValidationError naming the fold and the video."""
+    """The fold's ``FoldVideo`` of each id; frames with an all-zero row
+    raise ValidationError naming the fold and the video."""
     videos = []
     try:
         for vid in video_ids:
             video = corpus.video_by_id(vid)
-            frames = corpus.video_features(vid)
-            step_feats = corpus.task_step_features(video.task)
-            check_video_inputs(frames, step_feats, f"video {vid!r}")
             videos.append(FoldVideo.from_frames(
-                vid, frames, step_feats, gt_frame_labels(video),
-                normalize_features))
+                vid, corpus.video_features(vid),
+                corpus.task_step_features(video.task),
+                gt_frame_labels(video), normalize_features))
     except ValidationError as exc:
         raise ValidationError(f"fold {fold.fold_id}: {exc}") from None
     return videos

@@ -327,11 +327,11 @@ def classifier_loss_and_grads(params: ClassifierParams, x: np.ndarray,
 
 
 def train_classifier_fold_per_tensor(corpus, fold, config) -> ClassifierTraining:
-    x, y, _ = _segment_rows(corpus, fold, fold.train, config.video_only)
+    x, y, _ = _segment_rows(corpus, fold.train, config.video_only)
     counts = {label: int(np.sum(y == int(label))) for label in CoarseLabel}
     weights = class_balanced_weights(classifier._BETA,
                                      list(counts.values()))[y]
-    val = _segment_rows(corpus, fold, fold.val, config.video_only)
+    val = _segment_rows(corpus, fold.val, config.video_only)
     val_truth = {vid: gt_instances(corpus.video_by_id(vid)) for vid in fold.val}
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(202, fold.fold_id,

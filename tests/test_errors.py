@@ -1,9 +1,10 @@
 """The error classes and the exit-code contract in errors.py: each class
 maps to exactly one exit code through the class it derives from; and the
 rules of the inputs at every public entry point that takes them:
-``check_features``, the rule of a feature matrix, the scalar arguments
-of inference, the configs' rules, which run when a config is built, and
-the frames and step texts each trainer reads."""
+``check_features``, the rule of a feature matrix, at the inference entry
+points and at the ``Corpus`` constructor, where the matrices the
+trainers read enter, the scalar arguments of inference, and the configs'
+rules, which run when a config is built."""
 
 import inspect
 import re
@@ -15,19 +16,17 @@ import pytest
 from stepalign import classifier, errors, model
 from stepalign.classifier import (
     ClassifierParams, ClassifierTrainConfig, detect_mistakes,
-    train_classifier_fold,
 )
-from stepalign.data import FoldSpec, Segment
+from stepalign.corpus import Corpus
+from stepalign.data import (
+    AnnotatedVideo, Intent, ProceduralText, Segment, TaskDomain,
+)
 from stepalign.errors import (
     FormatError, InfeasibleSplitError, NumericalError, ParseError,
     StepAlignError, ValidationError,
 )
-from stepalign.metrics import gt_frame_labels
-from stepalign.model import (
-    ModelParams, TrainConfig, align_frames_to_slots, align_video,
-    train_alignment_fold,
-)
-from stepalign.synth import SynthConfig, synth_corpus
+from stepalign.model import ModelParams, align_frames_to_slots, align_video
+from stepalign.synth import SynthConfig
 
 # the roots a command-line interface maps to exit codes
 _EXIT_CODES = {ValidationError: 1, ParseError: 2, FormatError: 2,
@@ -60,7 +59,10 @@ def test_every_error_class_is_covered():
 # each of its two matrix arguments and each way a matrix can be
 # malformed. An entry is (call, what the message names for its first
 # argument, for its second). A pair checked at one width reports a width
-# mismatch on its second argument, whose message names the first.
+# mismatch on its second argument, whose message names the first. The
+# Corpus constructor is the entry point of the matrices both trainers
+# read: a video's frames, then its task's step texts, each named by its
+# id.
 _D = 4
 
 
@@ -77,6 +79,17 @@ def _detect(input_dim):
                                                       frames, step_feats)
 
 
+def _corpus(frames, step_feats):
+    """A corpus of one 9-frame video, ``clip``, and its 2-step text."""
+    text = ProceduralText(TaskDomain.CARDBOARD, ("fold the flaps", "tape"))
+    video = AnnotatedVideo(video_id="clip", worker_id="w", task=text.task,
+                           intent=Intent.CORRECT_RUN, num_frames=9,
+                           segments=())
+    return Corpus(texts={text.task: text}, videos=[video],
+                  features={"clip": frames},
+                  step_features={text.task: step_feats})
+
+
 _ENTRIES = {
     "align_video": (_align_video, "frames", "step_feats"),
     "align_frames_to_slots": (
@@ -87,6 +100,8 @@ _ENTRIES = {
                                    "step_feats (as wide as frames)"),
     "detect_mistakes-video-only": (_detect(_D), "frames",
                                    "step_feats (as wide as frames)"),
+    "Corpus": (_corpus, "clip: feature matrix",
+               "steps_cardboard: feature matrix (as wide as clip)"),
 }
 
 
@@ -126,14 +141,16 @@ def test_malformed_feature_matrix_rejected_naming_the_argument(
         entry, argument, case):
     call, *whats = _ENTRIES[entry]
     rng = np.random.default_rng(1)
-    # 9 frames, then 2 step texts, all _D wide
-    inputs = [rng.normal(size=(9, _D)), rng.normal(size=(2, _D))]
+    # 9 frames, then 2 step texts, all _D wide, float32 as a corpus holds
+    inputs = [rng.normal(size=(9, _D)).astype(np.float32),
+              rng.normal(size=(2, _D)).astype(np.float32)]
     malform, rule = _MALFORMED[case]
     inputs[argument] = malform(inputs[argument])
     what = whats[argument]
     if case == "other-width" and entry != "align_video":
         what = whats[1]      # the pair's one width is the first argument's
-    name = whats[argument].split(" (")[0]   # frames, step_feats
+    # frames, step_feats, or a corpus matrix's id
+    name = whats[argument].split(" (")[0].split(":")[0]
     with pytest.raises(ValidationError,
                        match=f"^{re.escape(what)} {rule}") as caught:
         call(*inputs)
@@ -146,12 +163,12 @@ _MATRIX_ARGUMENTS = {"frames", "step_feats", "selected", "frame_embed"}
 
 def test_every_public_function_taking_a_matrix_has_an_entry():
     # a function that joins __all__ with a matrix argument joins the
-    # malformed-matrix test above
+    # malformed-matrix test above, beside the Corpus constructor
     public = {name for module in (model, classifier) for name in module.__all__
               if inspect.isfunction(getattr(module, name))
               and _MATRIX_ARGUMENTS & set(inspect.signature(
                   getattr(module, name)).parameters)}
-    assert public == {entry.split("-")[0] for entry in _ENTRIES}
+    assert public | {"Corpus"} == {entry.split("-")[0] for entry in _ENTRIES}
 
 
 # a scalar argument of inference that breaks the rule of the TrainConfig
@@ -207,85 +224,3 @@ def test_config_breaking_a_rule_rejected_when_built(build, rule):
     # test_model.py's test_config_rule_broken_rejected builds TrainConfigs
     with pytest.raises(ValidationError, match=f"^{rule}$"):
         build()
-
-
-def _fold():
-    """One task of 3 steps over 8 videos; the fold's train split holds
-    every class the classifier needs."""
-    corpus = synth_corpus(SynthConfig(tasks=1, videos_per_task=8, workers=4,
-                                      steps_per_task=3, dim=8,
-                                      p_exec_mistake=0.6)).corpus
-    ids = {v.video_id.rsplit("_", 1)[1]: v.video_id for v in corpus.videos}
-    fold = FoldSpec(0, train=tuple(ids[k] for k in ("c00", "c01", "m00",
-                                                    "m01", "m03")),
-                    val=(ids["c02"], ids["m02"]), test=(ids["c03"],))
-    return corpus, fold
-
-
-_TRAINERS = {
-    "align": lambda corpus, fold: train_alignment_fold(
-        corpus, fold, TrainConfig(epochs=1, working_dim=4, num_queries=4)),
-    "detect": lambda corpus, fold: train_classifier_fold(
-        corpus, fold, ClassifierTrainConfig(hidden=4, epochs=10)),
-}
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("place", ["train-segment", "val-segment",
-                                   "val-background", "text"])
-@pytest.mark.parametrize("trainer", list(_TRAINERS))
-def test_non_finite_fold_input_rejected_naming_fold_and_video(
-        trainer, place, value):
-    # the classifier trainer took a NaN in a background frame, failed on
-    # one in a val segment with "confidence must be in [0, 1], got nan"
-    # and on one in a train segment with a non-finite loss naming no video
-    corpus, fold = _fold()
-    if place == "text":
-        vid, what = fold.train[0], r"step_feats \(as wide as frames\)"
-        task = corpus.video_by_id(vid).task
-        matrix = corpus.step_features[task] = corpus.step_features[task].copy()
-        row = 1
-    else:
-        vid, what = (fold.train[1] if place == "train-segment"
-                     else fold.val[1]), "frames"
-        gt = gt_frame_labels(corpus.video_by_id(vid))
-        row = int(np.flatnonzero(gt == 0 if place == "val-background"
-                                 else gt > 0)[0])
-        matrix = corpus.features[vid] = corpus.features[vid].copy()
-    matrix[row, 2] = value
-    with pytest.raises(ValidationError, match=(
-            rf"^fold 0: video {re.escape(repr(vid))} {what} must be finite, "
-            rf"but row {row} is not$")):
-        _TRAINERS[trainer](corpus, fold)
-
-
-# the malformed forms a fold's matrices can take; a list is not among
-# them, since the corpus reads each matrix through np.asarray, and NaN
-# and inf are the test above
-_FOLD_MALFORMED = [case for case in _MALFORMED
-                   if case not in ("nan", "inf", "list")]
-
-
-@pytest.mark.parametrize("case", _FOLD_MALFORMED)
-@pytest.mark.parametrize("place", ["train", "val", "text"])
-@pytest.mark.parametrize("trainer", list(_TRAINERS))
-def test_malformed_fold_input_rejected_naming_fold_and_video(
-        trainer, place, case):
-    # the rows FoldVideo.from_frames held in the malformed-matrix test
-    # above, now at the trainers, which check every video they read
-    corpus, fold = _fold()
-    if place == "text":
-        vid, what = fold.train[0], "step_feats (as wide as frames)"
-        task = corpus.video_by_id(vid).task
-        table, key = corpus.step_features, task
-    else:
-        vid = fold.train[1] if place == "train" else fold.val[1]
-        what = ("step_feats (as wide as frames)" if case == "other-width"
-                else "frames")
-        table, key = corpus.features, vid
-    malform, rule = _MALFORMED[case]
-    table[key] = malform(np.asarray(table[key]))
-    with pytest.raises(ValidationError, match=(
-            rf"^fold 0: video {re.escape(repr(vid))} {re.escape(what)} "
-            rf"{rule}")):
-        _TRAINERS[trainer](corpus, fold)

@@ -5,7 +5,8 @@ from stepalign import metrics
 from stepalign.data import CoarseLabel, Segment
 from stepalign.errors import ValidationError
 from stepalign.metrics import (
-    Detection, average_precision, frame_metrics, map_at_tiou, rasterize,
+    Detection, GroundTruthInstance, average_precision, frame_metrics,
+    map_at_tiou, rasterize,
 )
 from oracles import average_precision_pointwise
 
@@ -103,13 +104,33 @@ class TestFrameMetrics:
             assert out["mof"] == pytest.approx(np.mean(pred == gt))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            frame_metrics(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValidationError, match="^label arrays differ in "
+                                                  "length"):
+            frame_metrics(np.zeros(3, int), np.zeros(4, int))
 
     def test_no_frame_rejected(self):
         # MoF divided by the frame count, a bare ZeroDivisionError
         with pytest.raises(ValidationError, match="^label arrays have no frame$"):
-            frame_metrics(np.array([]), np.array([]))
+            frame_metrics(np.array([], int), np.array([], int))
+
+    @pytest.mark.parametrize("labels, got", [
+        (np.array([1.5, 2.0]), r"array\(\[1\.5, 2\. \]\)"),
+        (np.array(["1", "2"]), r"array\(\['1', '2'\], dtype='<U1'\)"),
+        (np.array([True, False]), r"array\(\[ True, False\]\)"),
+        (np.array([[1], [2]]), r"array\(\[\[1\],\n\s+\[2\]\]\)"),
+        ([1, 2], r"\[1, 2\]"),
+        (np.array([1, -2]), r"array\(\[ 1, -2\]\)"),
+    ], ids=["float", "str", "bool", "2-d", "list", "negative"])
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_malformed_labels_rejected_naming_the_side(self, side, labels,
+                                                       got):
+        # each was scored
+        arrays = {"pred": np.array([1, 2]), "gt": np.array([1, 2]),
+                  side: labels}
+        with pytest.raises(ValidationError, match=(
+                f"^{side} must be a 1-d numpy array of ints >= 0, got "
+                f"{got}$")):
+            frame_metrics(arrays["pred"], arrays["gt"])
 
 
 def _det(step, start, end, label, conf):
@@ -145,6 +166,18 @@ def test_field_of_another_type_rejected(field, value, rule):
         Detection(**fields)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("step", "a", "step must be int, got 'a'"),
+    ("step", True, "step must be int, got True"),
+    ("segment", (0, 2), r"segment must be Segment, got \(0, 2\)"),
+    ("label", 1, "label must be CoarseLabel, got 1"),
+], ids=["step-str", "step-bool", "segment-tuple", "label-int"])
+def test_ground_truth_field_of_another_type_rejected(field, value, rule):
+    fields = {"step": 1, "segment": Segment(0, 2), "label": M, field: value}
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        GroundTruthInstance(**fields)
+
+
 def test_confidence_bounds_accepted():
     assert [_det(1, 0, 2, M, c).confidence for c in (0.0, 1.0)] == [0.0, 1.0]
 
@@ -152,7 +185,7 @@ def test_confidence_bounds_accepted():
 class TestMapAtTiou:
     def test_single_detection_threshold_sweep(self):
         # tIoU of [0,10) vs [6,16): 4 / 16 = 0.25
-        gt = {"v": [(1, Segment(6, 16), M)]}
+        gt = {"v": [GroundTruthInstance(1, Segment(6, 16), M)]}
         dets = {"v": [_det(1, 0, 10, M, 0.9)]}
         assert Segment(0, 10).tiou(Segment(6, 16)) == 0.25
         result = map_at_tiou(dets, gt)
@@ -163,31 +196,32 @@ class TestMapAtTiou:
 
     def test_identity_detections(self):
         gt = {
-            "a": [(1, Segment(0, 5), M), (None, Segment(10, 12), K)],
-            "b": [(2, Segment(3, 9), M)],
+            "a": [GroundTruthInstance(1, Segment(0, 5), M),
+                  GroundTruthInstance(None, Segment(10, 12), K)],
+            "b": [GroundTruthInstance(2, Segment(3, 9), M)],
         }
         dets = {
-            vid: [_det(step, seg.start, seg.end, label, 0.8)
-                  for step, seg, label in insts]
+            vid: [_det(inst.step, inst.segment.start, inst.segment.end,
+                       inst.label, 0.8) for inst in insts]
             for vid, insts in gt.items()
         }
         result = map_at_tiou(dets, gt)
         assert result.average == 1.0
 
     def test_step_mismatch_is_fp(self):
-        gt = {"v": [(1, Segment(0, 10), M)]}
+        gt = {"v": [GroundTruthInstance(1, Segment(0, 10), M)]}
         dets = {"v": [_det(2, 0, 10, M, 0.9)]}
         result = map_at_tiou(dets, gt)
         assert result.average == 0.0
 
     def test_label_mismatch_scores_zero(self):
-        gt = {"v": [(1, Segment(0, 10), M)]}
+        gt = {"v": [GroundTruthInstance(1, Segment(0, 10), M)]}
         dets = {"v": [_det(1, 0, 10, K, 0.9)]}
         result = map_at_tiou(dets, gt)
         assert result.average == 0.0
 
     def test_classes_without_gt_excluded(self):
-        gt = {"v": [(1, Segment(0, 10), M)]}
+        gt = {"v": [GroundTruthInstance(1, Segment(0, 10), M)]}
         dets = {"v": [_det(1, 0, 10, M, 0.9)]}
         result = map_at_tiou(dets, gt)
         assert set(result.per_class) == {"mistake"}
@@ -198,14 +232,28 @@ class TestMapAtTiou:
             map_at_tiou({"v": []}, {"v": []})
 
     @pytest.mark.parametrize("dets, gt, rule", [
-        ({"v": [("x",)]}, {"v": [(1, Segment(0, 2), M)]},
+        ({"v": [("x",)]}, {"v": [GroundTruthInstance(1, Segment(0, 2), M)]},
          r"video 'v': each detection must be Detection, got \('x',\)"),
+        # a bare AttributeError
         ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [(1, (0, 2), M)]},
-         r"video 'v': each ground-truth span must be Segment, got \(0, 2\)"),
-    ], ids=["detection-tuple", "span-tuple"])
+         r"video 'v': each ground-truth instance must be "
+         r"GroundTruthInstance, got \(1, \(0, 2\), "),
+        # a bare ValueError
+        ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [(1, Segment(0, 2))]},
+         r"video 'v': each ground-truth instance must be "
+         r"GroundTruthInstance, got \(1, Segment\("),
+        # scored AP 1.0
+        ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [(1, Segment(0, 2), 1)]},
+         r"video 'v': each ground-truth instance must be "
+         r"GroundTruthInstance, got \(1, Segment\(.*\), 1\)"),
+        # scored 0.0
+        ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [("a", Segment(0, 2), M)]},
+         r"video 'v': each ground-truth instance must be "
+         r"GroundTruthInstance, got \('a', Segment\("),
+    ], ids=["detection-tuple", "span-tuple", "instance-pair", "label-int",
+            "step-str"])
     def test_mistyped_input_rejected_naming_the_video(self, dets, gt, rule):
-        # each raised a bare AttributeError
-        with pytest.raises(ValidationError, match=f"^{rule}$"):
+        with pytest.raises(ValidationError, match=f"^{rule}"):
             map_at_tiou(dets, gt)
 
     def test_permutation_invariant(self):
@@ -234,7 +282,7 @@ class TestMapAtTiou:
             trimmed = {v: [d for j, d in enumerate(items) if not (v == vid and j == i)]
                        for v, items in dets.items()}
             # only safe to assert when the removed detection was a miss
-            gt_steps = {(s, lbl) for s, _, lbl in gt.get(vid, [])}
+            gt_steps = {(inst.step, inst.label) for inst in gt.get(vid, [])}
             if (removed.step, removed.label) not in gt_steps:
                 after = map_at_tiou(trimmed, gt)
                 assert after.average >= base.average - 1e-12
@@ -268,7 +316,8 @@ def _random_case(rng, n_videos=3):
             end = start + int(rng.integers(2, 6))
             label = M if rng.random() < 0.7 else K
             step = int(rng.integers(1, 4)) if rng.random() < 0.8 else None
-            gt_items.append((step, Segment(start, end), label))
+            gt_items.append(GroundTruthInstance(step, Segment(start, end),
+                                                label))
             cursor = end
         gt[vid] = gt_items
         det_items = []
@@ -280,8 +329,9 @@ def _random_case(rng, n_videos=3):
             det_items.append(_det(step, start, end, label,
                                   float(rng.uniform(0.05, 1.0))))
         dets[vid] = det_items
-    if all(lbl not in (M, K) for items in gt.values() for _, _, lbl in items):
-        gt["v0"].append((1, Segment(0, 3), M))
+    if all(inst.label not in (M, K) for items in gt.values()
+           for inst in items):
+        gt["v0"].append(GroundTruthInstance(1, Segment(0, 3), M))
     return gt, dets
 
 

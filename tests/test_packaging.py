@@ -35,9 +35,8 @@ def test_every_exported_name_resolves():
 # a name outside it takes checked values
 _API = {
     "alignment": ["drop_dtw", "drop_dtw_stack", "decode_segments"],
-    "checkpoint": ["float32_tensors", "save_checkpoint", "write_checkpoint",
-                   "StoredTensor", "open_checkpoint", "load_checkpoint",
-                   "check_layout"],
+    "checkpoint": ["save_checkpoint", "write_checkpoint", "StoredTensor",
+                   "open_checkpoint", "load_checkpoint", "check_layout"],
     "classifier": ["NUM_CLASSES", "ClassifierParams", "ClassifierTrainConfig",
                    "ClassifierTraining", "detect_on_segments",
                    "detect_mistakes", "train_classifier_fold",
@@ -53,7 +52,7 @@ _API = {
                "check_real", "check_features", "check_video_inputs",
                "check_counts", "check_numbers", "check_flags"],
     "metrics": ["BACKGROUND", "DEFAULT_TIOU_THRESHOLDS", "Detection",
-                "MapResult", "rasterize", "gt_frame_labels", "frame_metrics",
+                "GroundTruthInstance", "MapResult", "rasterize", "gt_frame_labels", "frame_metrics",
                 "map_at_tiou", "gt_instances"],
     "model": ["l2_normalize_rows", "ModelParams", "TrainConfig",
               "align_frames_to_slots", "align_video", "train_alignment_fold",
