@@ -23,9 +23,9 @@ every video's task must have a text, holding every step the video names
 A corpus checks its feature matrices once, when it is built: this is
 where they enter the library. An in-memory matrix passes
 ``errors.check_features`` at the corpus width, is float32 and
-C-contiguous, and has a row per frame or per step; the corpus holds a
-read-only view of it, never a copy, in read-only mappings, so the
-trainers and ``save`` check none again. A loaded corpus holds no matrix
+C-contiguous, and has a row per frame or per step; the corpus, frozen
+but for ``set_phase``, holds a read-only view of it, never a copy, in
+read-only mappings, so the trainers and ``save`` check none again. A loaded corpus holds no matrix
 in memory, but each file's ``checkpoint.StoredTensor``, whose values
 ``open_checkpoint`` scanned and whose shape alone the constructor checks;
 every fetch (``video_features``, ``task_step_features``) reads the file's
@@ -124,7 +124,7 @@ def _steps_id(task: TaskDomain) -> str:
     return f"steps_{task.value}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
     texts: dict[TaskDomain, ProceduralText]
     videos: list[AnnotatedVideo]
@@ -138,21 +138,21 @@ class Corpus:
             if text.task != task:
                 raise ValidationError(f"the {text.task.value} text is held "
                                       f"under task {task.value}")
-        self._by_id: dict[str, AnnotatedVideo] = {}
+        by_id: dict[str, AnnotatedVideo] = {}
         step_files = {_steps_id(task)
                       for task in (*self.texts, *self.step_features)}
         for video in self.videos:
-            if video.video_id in self._by_id:
+            if video.video_id in by_id:
                 raise ValidationError(f"duplicate video_id {video.video_id}")
             if video.video_id in step_files:
                 raise ValidationError(f"video_id {video.video_id} is the "
                                       f"name of a task's step features")
             validate_video(video, self.texts)
-            self._by_id[video.video_id] = video
+            by_id[video.video_id] = video
         # one matrix per video and per text, each checked once, at the
         # width of the first, a video's when there is one
         strays = [f"{vid}: feature matrix names no video"
-                  for vid in self.features if vid not in self._by_id]
+                  for vid in self.features if vid not in by_id]
         strays += [f"{_steps_id(t)}: no procedural text for task {t.value}"
                    for t in self.step_features if t not in self.texts]
         if strays:
@@ -163,12 +163,12 @@ class Corpus:
                       text.num_steps, "steps")
                      for task, text in self.texts.items()]
         held: dict[str, np.ndarray | StoredTensor] = {}
-        self._dim, what = None, "feature matrix"
+        dim, what = None, "feature matrix"
         for name, matrix, rows, unit in matrices:
             if matrix is None:
                 raise ValidationError(f"{name}: no feature matrix")
             if not isinstance(matrix, StoredTensor):
-                check_features(matrix, f"{name}: {what}", self._dim)
+                check_features(matrix, f"{name}: {what}", dim)
                 if matrix.dtype != np.float32:
                     raise ValidationError(f"{name}: feature matrix must be "
                                           f"float32, got {matrix.dtype}")
@@ -177,27 +177,27 @@ class Corpus:
                                           f"C-contiguous")
                 matrix = matrix.view()
                 matrix.flags.writeable = False
-            elif matrix.ndim != 2 or self._dim not in (None, matrix.shape[1]):
+            elif matrix.ndim != 2 or dim not in (None, matrix.shape[1]):
                 raise ValidationError(f"{name}: {what} must be 2-d, got "
                                       f"shape {matrix.shape}")
             if matrix.shape[0] != rows:
                 raise ValidationError(f"{name}: feature matrix has "
                                       f"{matrix.shape[0]} rows for {rows} "
                                       f"{unit}")
-            if self._dim is None:
+            if dim is None:
                 if matrix.shape[1] == 0:
                     raise ValidationError(f"{name}: feature matrix has no "
                                           f"columns, got shape {matrix.shape}")
-                self._dim = matrix.shape[1]
+                dim = matrix.shape[1]
                 what = f"feature matrix (as wide as {name})"
             held[name] = matrix
-        self.features = MappingProxyType(
-            {video.video_id: held[video.video_id] for video in self.videos})
-        self.step_features = MappingProxyType(
-            {task: held[_steps_id(task)] for task in self.texts})
+        vars(self).update(_by_id=by_id, _dim=dim, features=MappingProxyType(
+            {video.video_id: held[video.video_id] for video in self.videos}),
+            step_features=MappingProxyType(
+                {task: held[_steps_id(task)] for task in self.texts}))
 
     def set_phase(self, phase: str) -> None:
-        self.phase = phase
+        vars(self)["phase"] = phase
 
     def video_by_id(self, video_id: str) -> AnnotatedVideo:
         try:

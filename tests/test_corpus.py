@@ -228,14 +228,20 @@ def test_constructor_holds_a_read_only_view_of_each_matrix():
     assert matrix.flags.writeable
 
 
-@pytest.mark.parametrize("source", ["synth", "from_dir"])
-def test_held_matrices_and_mappings_cannot_be_written(tmp_path, source):
-    # a matrix written or swapped in after the constructor checked it
-    # reached the trainers and Corpus.save unchecked
+def _built(tmp_path, source):
+    """A small synth corpus as built in memory, or saved and loaded."""
     corpus = _small_synth()
     if source == "from_dir":
         corpus.save(tmp_path)
         corpus = Corpus.from_dir(tmp_path)
+    return corpus
+
+
+@pytest.mark.parametrize("source", ["synth", "from_dir"])
+def test_held_matrices_and_mappings_cannot_be_written(tmp_path, source):
+    # a matrix written or swapped in after the constructor checked it
+    # reached the trainers and Corpus.save unchecked
+    corpus = _built(tmp_path, source)
     video = corpus.videos[0]
     for matrix in (corpus.video_features(video.video_id),
                    corpus.task_step_features(video.task)):
@@ -247,6 +253,44 @@ def test_held_matrices_and_mappings_cannot_be_written(tmp_path, source):
             table[key] = _ones(*table[key].shape)
         with pytest.raises(TypeError):
             del table[key]
+
+
+@pytest.mark.parametrize("field", ["texts", "videos", "features",
+                                   "step_features"])
+@pytest.mark.parametrize("source", ["synth", "from_dir"])
+def test_built_corpus_fields_cannot_be_reassigned(tmp_path, source, field):
+    # a dict holding a NaN matrix, assigned to features after the
+    # constructor ran, reached Corpus.save unchecked
+    corpus = _built(tmp_path, source)
+    held = getattr(corpus, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(corpus, field, {})
+    assert getattr(corpus, field) is held
+    corpus.set_phase("infer")
+    assert corpus.phase == "infer"
+
+
+@pytest.mark.parametrize("name, shape, rule", [
+    ("v", (4, 3), "v: feature matrix has 4 rows for 5 frames"),
+    ("steps_cardboard", (2, 4), r"steps_cardboard: feature matrix \(as wide "
+                                r"as v\) must be 2-d, got shape \(2, 4\)"),
+], ids=["rows", "width"])
+def test_constructor_checks_the_shape_of_a_stored_matrix(tmp_path, name,
+                                                         shape, rule):
+    # open_checkpoint scanned a stored matrix's values; the constructor
+    # reads no file, but holds the matrix to its record and the corpus width
+    file = tmp_path / f"{name}.fmtx"
+    _write_features(file, _ones(*shape), name)
+    stored = read_features(file, shape[0], "dim")
+    corpus = _corpus()
+    features, step_features = dict(corpus.features), dict(corpus.step_features)
+    if name == "v":
+        features["v"] = stored
+    else:
+        step_features[TaskDomain.CARDBOARD] = stored
+    with pytest.raises(ValidationError, match=f"^{rule}$"):
+        Corpus(texts=corpus.texts, videos=corpus.videos, features=features,
+               step_features=step_features)
 
 
 def test_feature_dim_is_the_first_matrix_width():

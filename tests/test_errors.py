@@ -13,20 +13,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stepalign import classifier, errors, model
+from stepalign import classifier, corpus as corpus_module, errors, model
 from stepalign.classifier import (
     ClassifierParams, ClassifierTrainConfig, detect_mistakes,
+    detect_on_segments, train_classifier_fold,
 )
 from stepalign.corpus import Corpus
 from stepalign.data import (
-    AnnotatedVideo, Intent, ProceduralText, Segment, TaskDomain,
+    AnnotatedVideo, FoldSpec, Intent, ProceduralText, Segment, TaskDomain,
 )
 from stepalign.errors import (
     FormatError, InfeasibleSplitError, NumericalError, ParseError,
     StepAlignError, ValidationError,
 )
-from stepalign.model import ModelParams, align_frames_to_slots, align_video
-from stepalign.synth import SynthConfig
+from stepalign.model import (
+    ModelParams, TrainConfig, align_frames_to_slots, align_video,
+    train_alignment_fold,
+)
+from stepalign.synth import SynthConfig, synth_corpus
 
 # the roots a command-line interface maps to exit codes
 _EXIT_CODES = {ValidationError: 1, ParseError: 2, FormatError: 2,
@@ -169,6 +173,74 @@ def test_every_public_function_taking_a_matrix_has_an_entry():
               and _MATRIX_ARGUMENTS & set(inspect.signature(
                   getattr(module, name)).parameters)}
     assert public | {"Corpus"} == {entry.split("-")[0] for entry in _ENTRIES}
+
+
+def _fold():
+    """One task of 3 steps over 8 videos; the fold's train split holds
+    every class the classifier needs."""
+    corpus = synth_corpus(SynthConfig(tasks=1, videos_per_task=8, workers=4,
+                                      steps_per_task=3, dim=8,
+                                      p_exec_mistake=0.6)).corpus
+    ids = {v.video_id.rsplit("_", 1)[1]: v.video_id for v in corpus.videos}
+    fold = FoldSpec(0, train=tuple(ids[k] for k in ("c00", "c01", "m00",
+                                                    "m01", "m03")),
+                    val=(ids["c02"], ids["m02"]), test=(ids["c03"],))
+    return corpus, fold
+
+
+def _spy_on_check_features(monkeypatch):
+    """The ``what`` of every ``check_features`` call from here on, in each
+    module that calls it (``check_video_inputs`` included)."""
+    seen, check = [], errors.check_features
+
+    def spy(array, what, width=None):
+        seen.append(what)
+        check(array, what, width)
+    for module in (errors, corpus_module, model):
+        monkeypatch.setattr(module, "check_features", spy)
+    return seen
+
+
+@pytest.mark.parametrize("source", ["synth", "from_dir"])
+def test_constructor_checks_each_in_memory_matrix_once(monkeypatch, tmp_path,
+                                                       source):
+    # a loaded corpus's matrices were scanned by open_checkpoint instead
+    corpus, _ = _fold()
+    corpus.save(tmp_path)
+    seen = _spy_on_check_features(monkeypatch)
+    if source == "synth":
+        Corpus(texts=corpus.texts, videos=corpus.videos,
+               features=corpus.features, step_features=corpus.step_features)
+        names = [*(v.video_id for v in corpus.videos),
+                 *(f"steps_{task.value}" for task in corpus.texts)]
+    else:
+        Corpus.from_dir(tmp_path)
+        names = []
+    assert [what.split(":")[0] for what in seen] == names
+
+
+_READERS = {
+    "align": lambda corpus, fold, path: train_alignment_fold(
+        corpus, fold, TrainConfig(epochs=1, working_dim=4, num_queries=4)),
+    "detect": lambda corpus, fold, path: train_classifier_fold(
+        corpus, fold, ClassifierTrainConfig(hidden=4, epochs=10)),
+    "detect_on_segments": lambda corpus, fold, path: [
+        detect_on_segments(ClassifierParams.init(
+            np.random.default_rng(0), 2 * corpus.feature_dim, 4),
+            corpus, corpus.video_by_id(vid)) for vid in fold.test],
+    "save": lambda corpus, fold, path: corpus.save(path),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_no_matrix_read_from_a_corpus_is_checked_again(monkeypatch, tmp_path,
+                                                       reader):
+    # each trainer checked every video it read, and Corpus.save every
+    # matrix it wrote, after the constructor had checked them all
+    corpus, fold = _fold()
+    seen = _spy_on_check_features(monkeypatch)
+    _READERS[reader](corpus, fold, tmp_path)
+    assert seen == []
 
 
 # a scalar argument of inference that breaks the rule of the TrainConfig

@@ -113,6 +113,18 @@ class TestFrameMetrics:
         with pytest.raises(ValidationError, match="^label arrays have no frame$"):
             frame_metrics(np.array([], int), np.array([], int))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32,
+                                       np.uint8, np.uint16, np.uint32,
+                                       np.uint64])
+    def test_labels_of_any_int_dtype_score_as_int64(self, dtype):
+        # the rule admits every int array, signed or not, on either side
+        gt = np.array([1, 1, 2, 2, BG])
+        pred = np.array([1, 1, 1, 2, 2])
+        scores = frame_metrics(pred, gt)
+        assert frame_metrics(pred.astype(dtype), gt) == scores
+        assert frame_metrics(pred, gt.astype(dtype)) == scores
+        assert frame_metrics(pred.astype(dtype), gt.astype(dtype)) == scores
+
     @pytest.mark.parametrize("labels, got", [
         (np.array([1.5, 2.0]), r"array\(\[1\.5, 2\. \]\)"),
         (np.array(["1", "2"]), r"array\(\['1', '2'\], dtype='<U1'\)"),
