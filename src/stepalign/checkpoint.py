@@ -53,8 +53,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
 def write_checkpoint(path: str | Path, stored: dict[str, np.ndarray],
                      meta: dict) -> None:
     """Write C-ordered little-endian float32 tensors, as
-    ``save_checkpoint`` makes them or a ``Corpus`` holds them, from their
-    own buffers. The file is written beside ``path`` under a ``.tmp`` suffix
+    ``save_checkpoint`` and ``Corpus.save`` make them, from their own
+    buffers. The file is written beside ``path`` under a ``.tmp`` suffix
     and renamed over ``path``; a failed write leaves ``path`` as it was
     and removes the temporary file."""
     path = Path(path)

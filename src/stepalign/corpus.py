@@ -20,19 +20,20 @@ the same width. A video id names two files, so it must be a file name;
 every video's task must have a text, holding every step the video names
 (see data.py).
 
-A corpus checks its feature matrices once, when it is built: this is
-where they enter the library. An in-memory matrix passes
-``errors.check_features`` at the corpus width, is float32 and
-C-contiguous, and has a row per frame or per step; the corpus, frozen
-but for ``set_phase``, holds a read-only view of it, never a copy, in
-read-only mappings, so the trainers and ``save`` check none again. A loaded corpus holds no matrix
-in memory, but each file's ``checkpoint.StoredTensor``, whose values
-``open_checkpoint`` scanned and whose shape alone the constructor checks;
-every fetch (``video_features``, ``task_step_features``) reads the file's
-rows into a fresh read-only array, so a matrix is resident only while a
-caller holds it. Each file stays open through one descriptor until the
-corpus is dropped, and saving a corpus over the directory it was loaded
-from keeps the loaded values (see checkpoint.py).
+A corpus checks its feature matrices once, when it is built, where they
+enter the library: an in-memory matrix passes ``errors.check_features``
+at the corpus width, is float32 and has a row per frame or per step. The
+corpus, frozen but for ``set_phase``, holds it read-only, the caller's
+array too (a view of a writable array is copied), in read-only mappings,
+so no later write changes what was checked and the trainers and ``save``
+check none again. A loaded corpus holds each file's
+``checkpoint.StoredTensor``, whose values ``open_checkpoint`` scanned
+and whose shape alone the constructor checks; every fetch
+(``video_features``, ``task_step_features``) reads the file's rows into
+a fresh read-only array, so a matrix is resident only while a caller
+holds it. Each file stays open through one descriptor until the corpus
+is dropped, and saving a corpus over the directory it was loaded from
+keeps the loaded values (see checkpoint.py).
 
 The access log exists so experiments can prove that test videos were never
 read during training or checkpoint selection: callers set ``phase`` before
@@ -43,7 +44,7 @@ the same phase, as long inference does, leaves it unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -126,8 +127,8 @@ def _steps_id(task: TaskDomain) -> str:
 
 @dataclass(frozen=True)
 class Corpus:
-    texts: dict[TaskDomain, ProceduralText]
-    videos: list[AnnotatedVideo]
+    texts: Mapping[TaskDomain, ProceduralText]
+    videos: Sequence[AnnotatedVideo]
     features: Mapping[str, np.ndarray | StoredTensor]
     step_features: Mapping[TaskDomain, np.ndarray | StoredTensor]
     phase: str = "init"
@@ -172,14 +173,16 @@ class Corpus:
                 if matrix.dtype != np.float32:
                     raise ValidationError(f"{name}: feature matrix must be "
                                           f"float32, got {matrix.dtype}")
-                if not matrix.flags.c_contiguous:
-                    raise ValidationError(f"{name}: feature matrix must be "
-                                          f"C-contiguous")
-                matrix = matrix.view()
+                # read-only in place; a copy if a writable buffer is under it
+                base = matrix.base
+                while isinstance(base, np.ndarray) and not base.flags.writeable:
+                    base = base.base
+                matrix = matrix if base is None else matrix.copy()
                 matrix.flags.writeable = False
             elif matrix.ndim != 2 or dim not in (None, matrix.shape[1]):
-                raise ValidationError(f"{name}: {what} must be 2-d, got "
-                                      f"shape {matrix.shape}")
+                cols = "" if dim is None else f" of {dim} columns"
+                raise ValidationError(f"{name}: {what} must be 2-d{cols}, "
+                                      f"got shape {matrix.shape}")
             if matrix.shape[0] != rows:
                 raise ValidationError(f"{name}: feature matrix has "
                                       f"{matrix.shape[0]} rows for {rows} "
@@ -191,8 +194,10 @@ class Corpus:
                 dim = matrix.shape[1]
                 what = f"feature matrix (as wide as {name})"
             held[name] = matrix
-        vars(self).update(_by_id=by_id, _dim=dim, features=MappingProxyType(
-            {video.video_id: held[video.video_id] for video in self.videos}),
+        vars(self).update(
+            _by_id=by_id, _dim=dim, videos=tuple(self.videos),
+            texts=MappingProxyType(dict(self.texts)),
+            features=MappingProxyType({vid: held[vid] for vid in by_id}),
             step_features=MappingProxyType(
                 {task: held[_steps_id(task)] for task in self.texts}))
 
@@ -207,8 +212,8 @@ class Corpus:
 
     def video_features(self, video_id: str) -> np.ndarray:
         """The video's frame features, logged against the phase: the
-        corpus's own read-only view, or a loaded corpus's fresh read-only
-        read of its file."""
+        matrix the corpus holds, or a loaded corpus's fresh read-only read
+        of its file."""
         self.video_by_id(video_id)
         self.access_log.add((self.phase, video_id))
         return np.asarray(self.features[video_id])
@@ -249,9 +254,8 @@ class Corpus:
         leftover of a failed write is not a record."""
         root = Path(path)
         feat_dir = root / "features"
-        matrices = dict(self.features)
-        matrices |= {_steps_id(task): matrix
-                     for task, matrix in self.step_features.items()}
+        matrices = dict(self.features) | {
+            _steps_id(task): m for task, m in self.step_features.items()}
         records = {root / "texts" / f"{task.value}.json": text_to_json(text)
                    for task, text in self.texts.items()}
         records |= {root / "annotations" / f"{video.video_id}.json":
@@ -270,7 +274,7 @@ class Corpus:
             save_json(file, record)
         for name, matrix in matrices.items():
             write_checkpoint(feat_dir / f"{name}.fmtx",
-                             {"features": np.asarray(matrix)},
+                             {"features": np.ascontiguousarray(matrix)},
                              {"kind": "features", "video_id": name})
 
     @classmethod

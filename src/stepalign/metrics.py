@@ -31,10 +31,7 @@ class Detection:
     confidence: float
 
     def __post_init__(self) -> None:
-        if self.step is not None:
-            check_type(self.step, int, "step")
-        check_type(self.segment, Segment, "segment")
-        check_type(self.label, CoarseLabel, "label")
+        GroundTruthInstance(self.step, self.segment, self.label)  # same rules
         check_type(self.confidence, (int, float), "confidence")
         if not 0.0 <= self.confidence <= 1.0:   # NaN included
             raise ValidationError(

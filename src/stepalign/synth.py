@@ -131,9 +131,8 @@ class SynthResult:
 
 def _quantize(m: np.ndarray) -> np.ndarray:
     # float32 is the storage precision; quantizing up front makes the
-    # in-memory corpus identical to a saved-and-reloaded one; C order, as a
-    # corpus holds it, also for a noiseless block, a broadcast row
-    return m.astype(np.float32, order="C")
+    # in-memory corpus identical to a saved-and-reloaded one
+    return m.astype(np.float32)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -170,10 +170,6 @@ def test_step_features_of_task_without_text_rejected(task, rule):
     (None, {TaskDomain.CARDBOARD: _ones(2, 3) * np.float32(np.inf)},
      r"steps_cardboard: feature matrix \(as wide as v\) must be finite, "
      r"but row 0 is not"),
-    # a view the corpus holds is written to a file from its own buffer
-    ({"v": np.asfortranarray(_ones(5, 3))}, None,
-     "v: feature matrix must be C-contiguous"),
-    ({"v": _ones(10, 3)[::2]}, None, "v: feature matrix must be C-contiguous"),
     ({"v": _ones(4, 3)}, None, "v: feature matrix has 4 rows for 5 frames"),
     (None, {TaskDomain.CARDBOARD: _ones(3, 3)},
      "steps_cardboard: feature matrix has 3 rows for 2 steps"),
@@ -204,7 +200,7 @@ def test_step_features_of_task_without_text_rejected(task, rule):
      r"steps_cardboard: feature matrix \(as wide as v\) must be 2-d with "
      r"at least one row of 3 columns, got shape \(2, 0\)"),
 ], ids=["no-matrix", "1-d", "no-rows", "video-nan", "steps-inf",
-        "video-fortran", "video-strided", "frame-rows", "step-rows", "step-width",
+        "frame-rows", "step-rows", "step-width",
         "video-width", "step-matrix-without-text", "text-without-step-matrix",
         "stray-matrix", "video-float64", "video-list", "steps-float16",
         "video-no-columns",
@@ -220,12 +216,40 @@ def test_constructor_rejects_matrix_not_fitting_its_record(features,
                               else step_features))
 
 
-def test_constructor_holds_a_read_only_view_of_each_matrix():
-    # the corpus copies no matrix, and leaves the caller's array as it was
-    matrix = _ones(5, 3)
-    held = _corpus(matrix=matrix).features["v"]
-    assert held.base is matrix and not held.flags.writeable
-    assert matrix.flags.writeable
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_constructor_makes_the_callers_matrix_read_only(tmp_path, order):
+    # the caller's array stayed writable: a NaN written into it after the
+    # constructor checked it reached the trainers, and Corpus.save wrote
+    # it; the corpus holds the array itself, in either order, uncopied
+    matrix = np.ones((5, 3), dtype=np.float32, order=order)
+    corpus = _corpus(matrix=matrix)
+    assert corpus.features["v"] is matrix
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = np.nan
+    corpus.save(tmp_path)
+    loaded = Corpus.from_dir(tmp_path)
+    np.testing.assert_array_equal(loaded.video_features("v"), _ones(5, 3))
+
+
+@pytest.mark.parametrize("view", ["rows", "strided"])
+def test_view_of_a_writable_array_is_held_as_a_copy(tmp_path, view):
+    # its base stays writable, so the corpus holds a read-only copy
+    base = _ones(5, 3) if view == "rows" else _ones(10, 3)
+    matrix = base[:] if view == "rows" else base[::2]
+    corpus = _corpus(matrix=matrix)
+    held = corpus.features["v"]
+    assert not np.shares_memory(held, base) and not held.flags.writeable
+    base[0, 0] = np.nan
+    corpus.save(tmp_path)
+    loaded = Corpus.from_dir(tmp_path)
+    np.testing.assert_array_equal(loaded.video_features("v"), _ones(5, 3))
+
+
+def test_view_of_a_read_only_array_is_held_uncopied():
+    # as a corpus built from another corpus's matrices holds them
+    view = _corpus().features["v"][:]
+    assert not view.flags.writeable
+    assert _corpus(matrix=view).features["v"] is view
 
 
 def _built(tmp_path, source):
@@ -255,6 +279,24 @@ def test_held_matrices_and_mappings_cannot_be_written(tmp_path, source):
             del table[key]
 
 
+@pytest.mark.parametrize("source", ["synth", "from_dir"])
+def test_held_texts_and_videos_cannot_be_changed(tmp_path, source):
+    # a video appended to corpus.videos again, past the constructor's
+    # duplicate check, was written by Corpus.save beside its one matrix
+    corpus = _built(tmp_path, source)
+    video, text = corpus.videos[0], corpus.texts[corpus.videos[0].task]
+    with pytest.raises(AttributeError):
+        corpus.videos.append(video)
+    with pytest.raises(TypeError):
+        corpus.texts[text.task] = text
+    videos, texts = list(corpus.videos), dict(corpus.texts)
+    rebuilt = Corpus(texts=texts, videos=videos, features=corpus.features,
+                     step_features=corpus.step_features)
+    videos.append(video)
+    del texts[text.task]
+    assert rebuilt.videos == corpus.videos and rebuilt.texts == corpus.texts
+
+
 @pytest.mark.parametrize("field", ["texts", "videos", "features",
                                    "step_features"])
 @pytest.mark.parametrize("source", ["synth", "from_dir"])
@@ -273,7 +315,8 @@ def test_built_corpus_fields_cannot_be_reassigned(tmp_path, source, field):
 @pytest.mark.parametrize("name, shape, rule", [
     ("v", (4, 3), "v: feature matrix has 4 rows for 5 frames"),
     ("steps_cardboard", (2, 4), r"steps_cardboard: feature matrix \(as wide "
-                                r"as v\) must be 2-d, got shape \(2, 4\)"),
+                                r"as v\) must be 2-d of 3 columns, got "
+                                r"shape \(2, 4\)"),
 ], ids=["rows", "width"])
 def test_constructor_checks_the_shape_of_a_stored_matrix(tmp_path, name,
                                                          shape, rule):

@@ -249,23 +249,25 @@ class TestMapAtTiou:
         # a bare AttributeError
         ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [(1, (0, 2), M)]},
          r"video 'v': each ground-truth instance must be "
-         r"GroundTruthInstance, got \(1, \(0, 2\), "),
+         r"GroundTruthInstance, got \(1, \(0, 2\), "
+         r"<CoarseLabel\.MISTAKE: 1>\)"),
         # a bare ValueError
         ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [(1, Segment(0, 2))]},
          r"video 'v': each ground-truth instance must be "
-         r"GroundTruthInstance, got \(1, Segment\("),
+         r"GroundTruthInstance, got \(1, Segment\(start=0, end=2\)\)"),
         # scored AP 1.0
         ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [(1, Segment(0, 2), 1)]},
          r"video 'v': each ground-truth instance must be "
-         r"GroundTruthInstance, got \(1, Segment\(.*\), 1\)"),
+         r"GroundTruthInstance, got \(1, Segment\(start=0, end=2\), 1\)"),
         # scored 0.0
         ({"v": [_det(1, 0, 2, M, 0.9)]}, {"v": [("a", Segment(0, 2), M)]},
          r"video 'v': each ground-truth instance must be "
-         r"GroundTruthInstance, got \('a', Segment\("),
+         r"GroundTruthInstance, got \('a', Segment\(start=0, end=2\), "
+         r"<CoarseLabel\.MISTAKE: 1>\)"),
     ], ids=["detection-tuple", "span-tuple", "instance-pair", "label-int",
             "step-str"])
     def test_mistyped_input_rejected_naming_the_video(self, dets, gt, rule):
-        with pytest.raises(ValidationError, match=f"^{rule}"):
+        with pytest.raises(ValidationError, match=f"^{rule}$"):
             map_at_tiou(dets, gt)
 
     def test_permutation_invariant(self):
